@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race check cover bench bench-rdf bench-search bench-nlu bench-metrics bench-chaos bench-cloud loadgen-smoke cloud-smoke fmt fmt-check
+.PHONY: build test vet race check bench-test cover bench bench-rdf bench-search bench-nlu bench-metrics bench-chaos bench-cloud loadgen-smoke cloud-smoke fmt fmt-check
 
 build:
 	$(GO) build ./...
@@ -26,7 +26,15 @@ race:
 # admission-control regressions the unit tests can miss; cloud-smoke runs
 # the sharded-store experiment at reduced scale with value verification
 # on every read, catching placement or replication regressions.
-check: fmt-check vet race loadgen-smoke cloud-smoke
+# bench-test covers the nested benchmark module, which `./...` at the root
+# neither compiles nor tests.
+check: fmt-check vet race loadgen-smoke cloud-smoke bench-test
+
+# bench-test builds and tests the repository benchmark (bench/ is a module
+# of its own that wraps internal/ APIs) and runs its smoke workload, so an
+# internal/ change that breaks it is caught here rather than by the driver.
+bench-test:
+	cd bench && $(GO) test ./...
 
 # cover runs the full suite with per-package coverage percentages.
 cover:

@@ -17,7 +17,9 @@ import (
 // caller.
 func TestInvokeAsyncSaturationSurfacesThroughFuture(t *testing.T) {
 	c := newClient(t, Config{AsyncWorkers: 1, AsyncQueue: 1})
-	started := make(chan struct{})
+	// Buffered: the worker may reach its send before this goroutine
+	// reaches the receive, and a dropped signal would hang the test.
+	started := make(chan struct{}, 1)
 	release := make(chan struct{})
 	blocker := service.Func{
 		Meta: service.Info{Name: "slow", Category: "nlu"},
@@ -75,7 +77,9 @@ func TestInvokeAsyncClosedPoolFailsFast(t *testing.T) {
 
 func TestInvokeCategoryAsyncSaturationSurfacesThroughFuture(t *testing.T) {
 	c := newClient(t, Config{AsyncWorkers: 1, AsyncQueue: 1})
-	started := make(chan struct{})
+	// Buffered: the worker may reach its send before this goroutine
+	// reaches the receive, and a dropped signal would hang the test.
+	started := make(chan struct{}, 1)
 	release := make(chan struct{})
 	blocker := service.Func{
 		Meta: service.Info{Name: "slow", Category: "nlu"},

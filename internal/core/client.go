@@ -561,16 +561,18 @@ func (c *Client) InvokeCategory(ctx context.Context, category string, req servic
 	if len(opts) > 0 {
 		io = parseInvokeOpts(opts)
 	}
-	order, err := c.Rank(category, req)
-	if err != nil {
-		return service.Response{}, nil, err
-	}
-	// Category-level cache: any service's response satisfies the request.
+	// Category-level cache: any service's response satisfies the request,
+	// so a hit needs no ranking. An unknown category can have no entry and
+	// falls through to Rank's ErrUnknownCategory.
 	key := "cat:" + category + ":" + req.CacheKey()
 	if !io.noCache {
 		if resp, err := c.memcache.Get(key); err == nil {
 			return resp, nil, nil
 		}
+	}
+	order, err := c.Rank(category, req)
+	if err != nil {
+		return service.Response{}, nil, err
 	}
 	steps := make([]failover.Step, 0, len(order))
 	cacheable := false

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -94,6 +96,103 @@ func TestCategoryCacheServesAcrossServices(t *testing.T) {
 	}
 	if *aCalls+*bCalls != 1 {
 		t.Errorf("backend calls = %d, want 1 (category cache)", *aCalls+*bCalls)
+	}
+}
+
+func TestCategoryCacheHitSkipsRanking(t *testing.T) {
+	var scored int
+	c := newClient(t, Config{Scorer: rank.Custom(func(e rank.Estimate, _ []rank.Estimate) float64 {
+		scored++
+		return e.Cost
+	})})
+	a, _ := countingService("a", "hit", nil)
+	b, _ := countingService("b", "hit", nil)
+	for _, svc := range []service.Service{a, b} {
+		if err := c.Register(svc, WithCacheable()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	req := service.Request{Op: "analyze", Text: "same"}
+	invoke := func(opts ...InvokeOption) {
+		t.Helper()
+		if _, _, err := c.InvokeCategory(context.Background(), "hit", req, opts...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	invoke()
+	afterMiss := scored
+	if afterMiss == 0 {
+		t.Fatal("a category cache miss must rank")
+	}
+	invoke()
+	if scored != afterMiss {
+		t.Errorf("scorer ran %d more times on a category cache hit, want 0", scored-afterMiss)
+	}
+	invoke(NoCache())
+	if scored == afterMiss {
+		t.Error("NoCache must rank: it bypasses the category cache")
+	}
+}
+
+// TestRankAllocsFlatInHistory is the deterministic form of the benchmark's
+// rank_call_us_first vs _last: a Rank that follows a fresh observation of
+// every service (so each predictor must refit) allocates the same whether
+// 100 or 50 000 invocations came before, so Equation-1 ranking does not get
+// dearer with uptime. Only Rank is counted: the recording side allocates
+// ring slots until its windows fill.
+func TestRankAllocsFlatInHistory(t *testing.T) {
+	c := newClient(t, Config{})
+	names := []string{"r1", "r2", "r3"}
+	for _, n := range names {
+		svc, _ := countingService(n, "flat", nil)
+		if err := c.Register(svc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reqs := make([]service.Request, 64)
+	for i := range reqs {
+		reqs[i] = service.Request{Op: "analyze", Text: strings.Repeat("x", 1+7*i)}
+	}
+	ctx := context.Background()
+	recorded := 0
+	// step records one invocation of each service, ranks, and (when asked)
+	// returns how many objects the ranking allocated.
+	step := func(count bool) uint64 {
+		req := reqs[recorded%len(reqs)]
+		for _, n := range names {
+			if _, err := c.Invoke(ctx, n, req); err != nil {
+				t.Fatal(err)
+			}
+			recorded++
+		}
+		var before, after runtime.MemStats
+		if count {
+			runtime.ReadMemStats(&before)
+		}
+		_, err := c.Rank("flat", req)
+		if count {
+			runtime.ReadMemStats(&after)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	// Mallocs is process-wide, so a stray goroutine can only add to a
+	// sample: the minimum over many samples is Rank's own count.
+	measureAt := func(history int) uint64 {
+		for recorded < history {
+			step(false)
+		}
+		least := step(true)
+		for i := 1; i < 50; i++ {
+			least = min(least, step(true))
+		}
+		return least
+	}
+	early, late := measureAt(100), measureAt(50000)
+	if early != late || early == 0 {
+		t.Errorf("Rank after a fresh observation: %d allocs after 100 recorded invocations, %d after 50000; want equal and non-zero", early, late)
 	}
 }
 

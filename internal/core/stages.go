@@ -250,9 +250,10 @@ func DeadlineStage(predictLatency func(name string, params []float64) (time.Dura
 }
 
 // MonitorStage records every call that reaches the service — latency,
-// availability, attempts, latency parameters — into the service's monitor,
-// and rates successful responses with the registration's quality function
-// (paper §2: monitoring and data collection, service quality evaluation).
+// availability, attempts — into the service's monitor, and rates successful
+// responses with the registration's quality function (paper §2: monitoring
+// and data collection, service quality evaluation). Latency parameters go
+// to PredictStage alone.
 func MonitorStage(monitors *metrics.Registry) Middleware {
 	return func(next Invoker) Invoker {
 		return func(ctx context.Context, call *Call) (service.Response, error) {
@@ -265,7 +266,6 @@ func MonitorStage(monitors *metrics.Registry) Middleware {
 			mon.Record(metrics.Observation{
 				Latency:  call.Elapsed,
 				Err:      err,
-				Params:   call.LatencyParams(),
 				Attempts: call.Attempts,
 			})
 			sp.SetDuration("recorded_ms", call.Elapsed)

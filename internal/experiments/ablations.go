@@ -179,8 +179,9 @@ type A3Row struct {
 	MAEms     float64
 }
 
-// RunA3 compares the regression model against the k-NN fallback on linear
-// and quadratic latency functions of the size parameter.
+// RunA3 compares the regression model, the k-NN fallback and the own-mean
+// constant (what a predictor answers below MinObservations) on linear and
+// quadratic latency functions of the size parameter.
 func RunA3(scale Scale) ([]A3Row, Table, error) {
 	trainN := scale.n(64)
 	shapes := []struct {
@@ -193,23 +194,33 @@ func RunA3(scale Scale) ([]A3Row, Table, error) {
 	var rows []A3Row
 	for _, shape := range shapes {
 		// Train both predictors on the same noisy observations.
-		reg := predict.New(predict.Config{MinObservations: 8})
-		knnOnly := predict.New(predict.Config{MinObservations: 1 << 30, KNeighbors: 3}) // never fits a model
+		fitted := predict.New(predict.Config{MinObservations: 8, KNeighbors: 3})
+		unfitted := predict.New(predict.Config{MinObservations: 1 << 30}) // never leaves the own-mean fallback
 		rng := xrand.New(77)
 		for i := 0; i < trainN; i++ {
 			x := float64(1 + rng.Intn(200))
 			noisy := shape.fn(x) * (1 + 0.05*rng.NormFloat64())
 			lat := time.Duration(noisy * float64(time.Millisecond))
-			reg.Observe([]float64{x}, lat)
-			knnOnly.Observe([]float64{x}, lat)
+			fitted.Observe([]float64{x}, lat)
+			unfitted.Observe([]float64{x}, lat)
 		}
 		for _, pr := range []struct {
-			name string
-			p    *predict.Predictor
-		}{{"regression", reg}, {"knn-3", knnOnly}} {
+			name    string
+			predict func(params []float64) (time.Duration, error)
+		}{
+			{"regression", func(params []float64) (time.Duration, error) { return fitted.Predict(params, nil) }},
+			{"knn-3", func(params []float64) (time.Duration, error) {
+				d, ok := fitted.PredictKNN(params)
+				if !ok {
+					return 0, predict.ErrNoData
+				}
+				return d, nil
+			}},
+			{"own-mean", func(params []float64) (time.Duration, error) { return unfitted.Predict(params, nil) }},
+		} {
 			var absErr []float64
 			for x := 10.0; x <= 190; x += 10 {
-				got, err := pr.p.Predict([]float64{x}, nil)
+				got, err := pr.predict([]float64{x})
 				if err != nil {
 					return nil, Table{}, err
 				}
@@ -221,14 +232,14 @@ func RunA3(scale Scale) ([]A3Row, Table, error) {
 	}
 	t := Table{
 		ID:     "A3",
-		Title:  "Latency prediction error: regression vs k-NN",
+		Title:  "Latency prediction error: regression vs k-NN vs own mean",
 		Claim:  "design choice: fit a model when data supports it, fall back to neighbours otherwise (DESIGN.md)",
 		Header: []string{"latency_shape", "predictor", "mae_ms"},
 	}
 	for _, r := range rows {
 		t.Rows = append(t.Rows, []string{r.Shape, r.Predictor, f2(r.MAEms)})
 	}
-	t.Notes = "linear regression dominates on linear latency; k-NN degrades gracefully on the quadratic shape where the linear model misfits"
+	t.Notes = "linear regression dominates on linear latency; on the quadratic shape the linear model misfits and k-NN beats it; both beat the own-mean constant a predictor answers below MinObservations"
 	return rows, t, nil
 }
 

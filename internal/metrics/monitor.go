@@ -1,8 +1,8 @@
 // Package metrics implements the rich SDK's service-monitoring substrate:
 // it collects data on service performance (latency), availability, and
-// response quality, keeps latency histories for distribution comparison,
-// and records latency as a function of user-supplied latency parameters so
-// that invocation latency can be predicted (paper §2).
+// response quality, and keeps latency histories for distribution comparison
+// (paper §2). Latency as a function of user-supplied latency parameters is
+// not kept here: internal/predict owns that history.
 package metrics
 
 import (
@@ -20,8 +20,10 @@ type Observation struct {
 	Latency time.Duration
 	// Err is the invocation error, nil on success.
 	Err error
-	// Params are the latency parameters for this invocation (for example
-	// the size of an argument passed to the service). May be nil.
+	// Params are the latency parameters for this invocation. The monitor
+	// does not retain them (core.PredictStage feeds internal/predict, the
+	// one owner of that history); the field survives only because
+	// bench/probes.go sets it, and a later benchmark issue can drop it.
 	Params []float64
 	// Attempts is how many transport attempts the invocation made; values
 	// below 1 count as a single attempt. Attempts beyond the first
@@ -74,11 +76,6 @@ type Monitor struct {
 	qualitySum   float64
 	qualityCount uint64
 
-	// Parameterized latency records: params[i] produced latencyMS[i].
-	paramObs   [][]float64
-	paramLatMS []float64
-	maxParam   int // bound on retained parameterized observations
-
 	recent []timedObs // bounded ring of recent observations for windows
 	rpos   int
 }
@@ -92,7 +89,6 @@ type timedObs struct {
 const (
 	defaultHistorySize = 2048
 	defaultRecentSize  = 4096
-	defaultMaxParamObs = 8192
 	defaultEWMAAlpha   = 0.2
 )
 
@@ -117,16 +113,6 @@ func WithEWMAAlpha(alpha float64) Option {
 	return func(m *Monitor) { m.ewma = stats.NewEWMA(alpha) }
 }
 
-// WithMaxParamObservations bounds the number of retained parameterized
-// latency observations.
-func WithMaxParamObservations(n int) Option {
-	return func(m *Monitor) {
-		if n > 0 {
-			m.maxParam = n
-		}
-	}
-}
-
 // WithRecentSize bounds the ring of timestamped recent observations that
 // backs WindowAvailability. The ring's capacity and the query window
 // interact: WindowAvailability(d) only sees observations that are both
@@ -145,13 +131,12 @@ func WithRecentSize(n int) Option {
 // NewMonitor returns a Monitor for the named service.
 func NewMonitor(name string, opts ...Option) *Monitor {
 	m := &Monitor{
-		name:     name,
-		hist:     NewHistogram(),
-		clk:      clock.Real(),
-		history:  stats.NewReservoir(defaultHistorySize, rand.New(rand.NewSource(1)).Float64),
-		ewma:     stats.NewEWMA(defaultEWMAAlpha),
-		maxParam: defaultMaxParamObs,
-		recent:   make([]timedObs, 0, defaultRecentSize),
+		name:    name,
+		hist:    NewHistogram(),
+		clk:     clock.Real(),
+		history: stats.NewReservoir(defaultHistorySize, rand.New(rand.NewSource(1)).Float64),
+		ewma:    stats.NewEWMA(defaultEWMAAlpha),
+		recent:  make([]timedObs, 0, defaultRecentSize),
 	}
 	for _, o := range opts {
 		o(m)
@@ -189,12 +174,6 @@ func (m *Monitor) Record(o Observation) {
 		}
 		if ms > m.maxMS {
 			m.maxMS = ms
-		}
-		if len(o.Params) > 0 && len(m.paramObs) < m.maxParam {
-			cp := make([]float64, len(o.Params))
-			copy(cp, o.Params)
-			m.paramObs = append(m.paramObs, cp)
-			m.paramLatMS = append(m.paramLatMS, ms)
 		}
 	}
 	obs := timedObs{at: at, latMS: ms, ok: o.Err == nil}
@@ -298,23 +277,6 @@ func (m *Monitor) LatencyHistory() []float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.history.Sample()
-}
-
-// ParamObservations returns the recorded (latency parameters, latency in
-// milliseconds) pairs for latency prediction. The returned slices are
-// copies.
-func (m *Monitor) ParamObservations() (params [][]float64, latencyMS []float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	params = make([][]float64, len(m.paramObs))
-	for i, p := range m.paramObs {
-		cp := make([]float64, len(p))
-		copy(cp, p)
-		params[i] = cp
-	}
-	latencyMS = make([]float64, len(m.paramLatMS))
-	copy(latencyMS, m.paramLatMS)
-	return params, latencyMS
 }
 
 // WindowAvailability returns the success fraction over observations made in

@@ -80,48 +80,6 @@ func TestMonitorQuality(t *testing.T) {
 	}
 }
 
-func TestMonitorParamObservations(t *testing.T) {
-	m := NewMonitor("svc")
-	m.Record(Observation{Latency: 5 * time.Millisecond, Params: []float64{1024}})
-	m.Record(Observation{Latency: 10 * time.Millisecond, Params: []float64{2048}})
-	m.Record(Observation{Latency: time.Millisecond, Err: errBoom, Params: []float64{4096}}) // failed: excluded
-	params, lats := m.ParamObservations()
-	if len(params) != 2 || len(lats) != 2 {
-		t.Fatalf("got %d param observations, want 2", len(params))
-	}
-	if params[0][0] != 1024 || lats[0] != 5 {
-		t.Errorf("first observation = (%v, %v), want ([1024], 5)", params[0], lats[0])
-	}
-	// Returned slices must be copies.
-	params[0][0] = -1
-	p2, _ := m.ParamObservations()
-	if p2[0][0] != 1024 {
-		t.Error("ParamObservations returned a shared slice")
-	}
-}
-
-func TestMonitorParamObservationsBounded(t *testing.T) {
-	m := NewMonitor("svc", WithMaxParamObservations(3))
-	for i := 0; i < 10; i++ {
-		m.Record(Observation{Latency: time.Millisecond, Params: []float64{float64(i)}})
-	}
-	params, _ := m.ParamObservations()
-	if len(params) != 3 {
-		t.Errorf("retained %d param observations, want 3", len(params))
-	}
-}
-
-func TestMonitorParamsCopiedOnRecord(t *testing.T) {
-	m := NewMonitor("svc")
-	p := []float64{7}
-	m.Record(Observation{Latency: time.Millisecond, Params: p})
-	p[0] = 99
-	params, _ := m.ParamObservations()
-	if params[0][0] != 7 {
-		t.Error("Record aliased caller's params slice")
-	}
-}
-
 func TestWindowAvailability(t *testing.T) {
 	v := clock.NewVirtual(time.Unix(1000, 0))
 	m := NewMonitor("svc", WithClock(v))

@@ -6,13 +6,18 @@
 // a k-nearest-neighbour estimate is the fallback; configurable defaults
 // cover the no-data case (paper: average or median of similar services, or
 // a user-provided default).
+//
+// A Predictor keeps running sufficient statistics, not a history: the
+// regression's normal equations and the latency sum cover every observation
+// ever made, and only the k-NN fallback looks at the observations
+// themselves, through a ring of the most recent ringSize. Observe and
+// Predict therefore cost O(p^2) for p parameters (O(ringSize x p) when
+// k-NN answers) and allocate nothing however long the process has been up.
 package predict
 
 import (
 	"errors"
-	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"repro/internal/stats"
@@ -69,71 +74,87 @@ func (c *Config) fill() {
 	}
 }
 
+// ringSize is how many of the most recent observations the k-NN fallback
+// searches. The regression and the own-mean fallback are not windowed.
+const ringSize = 1024
+
 // Predictor predicts invocation latency for one service from latency
 // parameters. It is not safe for concurrent use; callers own
 // synchronization (the SDK core serializes access per service).
 type Predictor struct {
-	cfg    Config
-	params [][]float64
-	latMS  []float64
+	cfg Config
 
-	model      stats.MultiModel
-	modelValid bool
-	dirty      bool
+	// fit and sumMS summarize every observation: the regression of
+	// latency (ms) on the parameters, and the own-mean fallback.
+	fit   stats.LeastSquares
+	sumMS float64
+	// coef is the fitted model, nil when the data admit none; dirty marks
+	// it stale.
+	coef  []float64
+	dirty bool
+
+	// ring holds the last ringSize observations; next is the slot the
+	// following one overwrites once the ring is full.
+	ring []observation
+	next int
+	// nearest is PredictKNN's scratch, ascending by distance.
+	nearest []neighbour
+}
+
+type observation struct {
+	params []float64
+	latMS  float64
+}
+
+type neighbour struct {
+	dist  float64
+	latMS float64
 }
 
 // New returns a Predictor with the given configuration.
 func New(cfg Config) *Predictor {
 	cfg.fill()
-	return &Predictor{cfg: cfg}
+	return &Predictor{cfg: cfg, nearest: make([]neighbour, 0, min(cfg.KNeighbors, ringSize))}
 }
 
 // Observe records that an invocation with the given latency parameters took
 // lat. Parameter vectors of differing lengths are allowed; shorter vectors
 // are zero-padded to the longest seen.
 func (p *Predictor) Observe(params []float64, lat time.Duration) {
-	cp := make([]float64, len(params))
-	copy(cp, params)
-	p.params = append(p.params, cp)
-	p.latMS = append(p.latMS, float64(lat)/float64(time.Millisecond))
+	ms := float64(lat) / float64(time.Millisecond)
+	p.fit.Add(params, ms)
+	p.sumMS += ms
 	p.dirty = true
-}
-
-// ObserveAll bulk-loads observations, typically from a metrics monitor's
-// ParamObservations.
-func (p *Predictor) ObserveAll(params [][]float64, latencyMS []float64) error {
-	if len(params) != len(latencyMS) {
-		return fmt.Errorf("predict: length mismatch %d != %d", len(params), len(latencyMS))
+	if len(p.ring) < ringSize {
+		p.ring = append(p.ring, observation{append([]float64(nil), params...), ms})
+		return
 	}
-	for i := range params {
-		cp := make([]float64, len(params[i]))
-		copy(cp, params[i])
-		p.params = append(p.params, cp)
-		p.latMS = append(p.latMS, latencyMS[i])
-	}
-	p.dirty = true
-	return nil
+	slot := &p.ring[p.next]
+	slot.params = append(slot.params[:0], params...)
+	slot.latMS = ms
+	p.next = (p.next + 1) % ringSize
 }
 
 // Len returns the number of recorded observations.
-func (p *Predictor) Len() int { return len(p.params) }
+func (p *Predictor) Len() int { return p.fit.N() }
 
 // Predict estimates the latency of an invocation with the given latency
 // parameters. peersMS carries mean latencies (in milliseconds) of similar
 // services for the peer default policies; it may be nil.
 func (p *Predictor) Predict(params []float64, peersMS []float64) (time.Duration, error) {
-	if len(p.params) >= p.cfg.MinObservations {
+	n := p.fit.N()
+	if n >= p.cfg.MinObservations {
 		if d, ok := p.predictModel(params); ok {
 			return d, nil
 		}
-		if d, ok := p.predictKNN(params); ok {
+		if d, ok := p.PredictKNN(params); ok {
 			return d, nil
 		}
 	}
 	// Not enough data (or degenerate data): mean of own observations
 	// still beats any cross-service default.
-	if len(p.latMS) > 0 {
-		return msToDuration(stats.Mean(p.latMS)), nil
+	if n > 0 {
+		return msToDuration(p.sumMS / float64(n)), nil
 	}
 	switch p.cfg.Policy {
 	case DefaultPeerAverage:
@@ -150,94 +171,75 @@ func (p *Predictor) Predict(params []float64, peersMS []float64) (time.Duration,
 	return 0, ErrNoData
 }
 
-// predictModel fits (lazily, cached until new data arrives) a multiple
-// linear regression of latency on the parameters and evaluates it.
+// predictModel evaluates the multiple linear regression of latency on the
+// parameters, solving the normal equations only when an observation has
+// arrived since the last solve.
 func (p *Predictor) predictModel(params []float64) (time.Duration, bool) {
 	if p.dirty {
-		p.refit()
+		p.dirty = false
+		p.coef = nil
+		// No parameters ever seen: nothing to regress on. A singular or
+		// underdetermined system likewise leaves no model.
+		if p.fit.Features() > 0 {
+			p.coef, _ = p.fit.Solve()
+		}
 	}
-	if !p.modelValid {
+	if p.coef == nil {
 		return 0, false
 	}
-	padded := p.pad(params)
-	v := p.model.Predict(padded)
+	v := stats.MultiModel{Coef: p.coef}.Predict(params)
 	if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
 		return 0, false
 	}
 	return msToDuration(v), true
 }
 
-func (p *Predictor) refit() {
-	p.dirty = false
-	p.modelValid = false
-	width := p.maxWidth()
-	if width == 0 {
-		return
-	}
-	rows := make([][]float64, len(p.params))
-	for i, pr := range p.params {
-		rows[i] = p.padTo(pr, width)
-	}
-	m, err := stats.FitMulti(rows, p.latMS)
-	if err != nil {
-		return
-	}
-	p.model = m
-	p.modelValid = true
-}
-
-// predictKNN averages the latencies of the k nearest observations in
-// parameter space (Euclidean distance on zero-padded vectors).
-func (p *Predictor) predictKNN(params []float64) (time.Duration, bool) {
-	if len(p.params) == 0 {
+// PredictKNN averages the latencies of the KNeighbors nearest of the last
+// ringSize observations in parameter space (Euclidean distance on
+// zero-padded vectors), the newer observation winning a tie. It reports
+// false only when nothing has been observed. Predict falls back to it when
+// the regression is singular or extrapolates below zero.
+func (p *Predictor) PredictKNN(params []float64) (time.Duration, bool) {
+	n := len(p.ring)
+	if n == 0 {
 		return 0, false
 	}
-	width := p.maxWidth()
-	q := p.padTo(params, width)
-	type neigh struct {
-		dist float64
-		lat  float64
-	}
-	ns := make([]neigh, len(p.params))
-	for i, pr := range p.params {
-		row := p.padTo(pr, width)
+	width := p.fit.Features()
+	k := min(p.cfg.KNeighbors, n)
+	best := p.nearest[:0]
+	// Newest first, so that an equally distant older observation never
+	// displaces a newer one.
+	for i := 1; i <= n; i++ {
+		o := &p.ring[(p.next-i+n)%n]
 		var d float64
-		for j := range row {
-			diff := row[j] - q[j]
+		for j := 0; j < width; j++ {
+			var a, b float64
+			if j < len(o.params) {
+				a = o.params[j]
+			}
+			if j < len(params) {
+				b = params[j]
+			}
+			diff := a - b
 			d += diff * diff
 		}
-		ns[i] = neigh{dist: d, lat: p.latMS[i]}
-	}
-	sort.Slice(ns, func(i, j int) bool { return ns[i].dist < ns[j].dist })
-	k := p.cfg.KNeighbors
-	if k > len(ns) {
-		k = len(ns)
-	}
-	var sum float64
-	for i := 0; i < k; i++ {
-		sum += ns[i].lat
-	}
-	return msToDuration(sum / float64(k)), true
-}
-
-func (p *Predictor) maxWidth() int {
-	w := 0
-	for _, pr := range p.params {
-		if len(pr) > w {
-			w = len(pr)
+		switch {
+		case len(best) < k:
+			best = append(best, neighbour{d, o.latMS})
+		case d < best[k-1].dist:
+			best[k-1] = neighbour{d, o.latMS}
+		default:
+			continue
+		}
+		for j := len(best) - 1; j > 0 && best[j-1].dist > best[j].dist; j-- {
+			best[j-1], best[j] = best[j], best[j-1]
 		}
 	}
-	return w
-}
-
-func (p *Predictor) pad(params []float64) []float64 {
-	return p.padTo(params, p.maxWidth())
-}
-
-func (p *Predictor) padTo(params []float64, width int) []float64 {
-	out := make([]float64, width)
-	copy(out, params)
-	return out
+	var sum float64
+	for _, nb := range best {
+		sum += nb.latMS
+	}
+	return msToDuration(sum / float64(len(best))), true
 }
 
 func msToDuration(ms float64) time.Duration {

@@ -1,6 +1,7 @@
 package predict
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -143,27 +144,6 @@ func TestPredictRaggedParamsPadded(t *testing.T) {
 	}
 }
 
-func TestObserveAll(t *testing.T) {
-	p := New(Config{MinObservations: 2})
-	err := p.ObserveAll([][]float64{{1}, {2}, {3}}, []float64{10, 20, 30})
-	if err != nil {
-		t.Fatalf("ObserveAll error = %v", err)
-	}
-	if p.Len() != 3 {
-		t.Errorf("Len = %d, want 3", p.Len())
-	}
-	got, err := p.Predict([]float64{4}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := got - ms(40); diff < -time.Millisecond || diff > time.Millisecond {
-		t.Errorf("Predict = %v, want ~40ms", got)
-	}
-	if err := p.ObserveAll([][]float64{{1}}, []float64{1, 2}); err == nil {
-		t.Error("mismatched ObserveAll should error")
-	}
-}
-
 func TestObserveCopiesParams(t *testing.T) {
 	p := New(Config{})
 	params := []float64{9}
@@ -193,5 +173,67 @@ func TestPredictRejectsNegativeModelOutput(t *testing.T) {
 	}
 	if got < 0 {
 		t.Errorf("Predict = %v, want non-negative", got)
+	}
+}
+
+// TestPredictFlatInHistory is the deterministic guard behind "ranking cost
+// does not depend on uptime": once the ring is full, recording an
+// observation and predicting allocates nothing, at any history length, on
+// the regression path and on the k-NN path alike.
+func TestPredictFlatInHistory(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		varying bool // parameters vary -> regression; constant -> singular -> k-NN
+	}{{"regression", true}, {"knn", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := New(Config{})
+			params := []float64{5, 1}
+			n := 0
+			step := func() {
+				if tc.varying {
+					params[0], params[1] = float64(n%977), float64(n%13)
+				}
+				p.Observe(params, ms(3+0.01*params[0]+0.5*params[1]))
+				n++
+				if _, err := p.Predict(params, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, history := range []int{2048, 65536} {
+				for n < history {
+					step()
+				}
+				if got := testing.AllocsPerRun(200, step); got != 0 {
+					t.Errorf("history %d: Observe+Predict = %v allocs/op, want 0", history, got)
+				}
+				if fitted := p.coef != nil; fitted != tc.varying {
+					t.Errorf("history %d: regression fitted = %v, want %v (wrong path measured)", history, fitted, tc.varying)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkObservePredict shows Observe+Predict independent of history
+// length. It gates nothing; TestPredictFlatInHistory does.
+func BenchmarkObservePredict(b *testing.B) {
+	for _, n := range []int{1e2, 1e4, 1e6} {
+		b.Run(fmt.Sprintf("n=%.0e", float64(n)), func(b *testing.B) {
+			p := New(Config{})
+			params := []float64{0}
+			for i := 0; i < n; i++ {
+				params[0] = float64(i % 977)
+				p.Observe(params, ms(3+0.01*params[0]))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				params[0] = float64(i % 977)
+				p.Observe(params, ms(3+0.01*params[0]))
+				if _, err := p.Predict(params, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

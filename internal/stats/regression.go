@@ -73,21 +73,19 @@ func FitPoly(xs, ys []float64, degree int) (PolyModel, error) {
 	if len(xs) != len(ys) {
 		return PolyModel{}, fmt.Errorf("stats: length mismatch %d != %d", len(xs), len(ys))
 	}
-	if len(xs) <= degree {
-		return PolyModel{}, fmt.Errorf("stats: need > %d points for degree %d, got %d", degree, degree, len(xs))
-	}
-	// Build the design matrix rows [1, x, x^2, ..., x^d].
-	rows := make([][]float64, len(xs))
+	// One observation is the row [1, x, x^2, ..., x^d]; the accumulator
+	// supplies the leading 1.
+	var ls LeastSquares
+	powers := make([]float64, degree)
 	for i, x := range xs {
-		row := make([]float64, degree+1)
-		v := 1.0
-		for j := 0; j <= degree; j++ {
-			row[j] = v
+		v := x
+		for j := range powers {
+			powers[j] = v
 			v *= x
 		}
-		rows[i] = row
+		ls.Add(powers, ys[i])
 	}
-	coef, err := solveLeastSquares(rows, ys)
+	coef, err := ls.Solve()
 	if err != nil {
 		return PolyModel{}, err
 	}
@@ -135,20 +133,14 @@ func FitMulti(features [][]float64, ys []float64) (MultiModel, error) {
 		return MultiModel{}, ErrEmpty
 	}
 	k := len(features[0])
-	if len(features) < k+1 {
-		return MultiModel{}, fmt.Errorf("stats: need >= %d observations for %d features, got %d", k+1, k, len(features))
-	}
-	rows := make([][]float64, len(features))
+	var ls LeastSquares
 	for i, f := range features {
 		if len(f) != k {
 			return MultiModel{}, fmt.Errorf("stats: row %d has %d features, want %d", i, len(f), k)
 		}
-		row := make([]float64, k+1)
-		row[0] = 1
-		copy(row[1:], f)
-		rows[i] = row
+		ls.Add(f, ys[i])
 	}
-	coef, err := solveLeastSquares(rows, ys)
+	coef, err := ls.Solve()
 	if err != nil {
 		return MultiModel{}, err
 	}
@@ -180,39 +172,108 @@ func (m MultiModel) Predict(x []float64) float64 {
 	return y
 }
 
-// solveLeastSquares solves min ||A c - y||^2 via the normal equations
-// (A^T A) c = A^T y with Gaussian elimination and partial pivoting.
-func solveLeastSquares(a [][]float64, y []float64) ([]float64, error) {
-	n := len(a)
-	if n == 0 {
-		return nil, ErrEmpty
+// Solve's failures are fixed values so that a caller which solves again
+// after every observation, such as a latency predictor whose parameters
+// never vary, allocates nothing on the failing path either.
+var (
+	errUnderdetermined = errors.New("stats: fewer observations than coefficients")
+	errSingular        = errors.New("stats: singular design matrix")
+)
+
+// LeastSquares accumulates the normal equations (A^T A) c = A^T y of a
+// linear least-squares fit one observation at a time, so fitting costs
+// O(k^2) per observation and O(k^3) per solve however many observations
+// have been added, and nothing is retained per observation. Each
+// observation is the row [1, x...]: coefficient 0 is the intercept. Rows may
+// differ in length; a shorter row counts as zero-padded to the longest seen.
+// Because every sum is accumulated in observation order, the coefficients
+// are bit-identical to a batch fit over the same zero-padded rows (finite
+// values assumed). The zero value is ready to use. Not safe for concurrent
+// use.
+type LeastSquares struct {
+	n   int
+	ata [][]float64 // upper triangle of A^T A
+	aty []float64   // A^T y
+	// Solve's scratch: elimination destroys its inputs.
+	m [][]float64
+	b []float64
+}
+
+// Add folds in one observation with features x and response y.
+func (q *LeastSquares) Add(x []float64, y float64) {
+	if len(x)+1 > len(q.aty) {
+		q.grow(len(x) + 1)
 	}
-	k := len(a[0])
-	// ata = A^T A (k x k), aty = A^T y (k).
-	ata := make([][]float64, k)
-	for i := range ata {
-		ata[i] = make([]float64, k)
+	q.n++
+	q.aty[0] += y
+	top := q.ata[0]
+	top[0]++
+	for j, xj := range x {
+		top[j+1] += xj
 	}
-	aty := make([]float64, k)
-	for r := 0; r < n; r++ {
-		row := a[r]
-		for i := 0; i < k; i++ {
-			aty[i] += row[i] * y[r]
-			for j := i; j < k; j++ {
-				ata[i][j] += row[i] * row[j]
+	for i, xi := range x {
+		q.aty[i+1] += xi * y
+		row := q.ata[i+1]
+		for j := i; j < len(x); j++ {
+			row[j+1] += xi * x[j]
+		}
+	}
+}
+
+// grow widens the system to k coefficients. The new rows and columns start
+// at zero, which is what the earlier, shorter observations contribute.
+func (q *LeastSquares) grow(k int) {
+	ata := squareMatrix(k)
+	for i, row := range q.ata {
+		copy(ata[i], row)
+	}
+	q.ata = ata
+	q.aty = append(q.aty, make([]float64, k-len(q.aty))...)
+	q.m = squareMatrix(k)
+	q.b = make([]float64, k)
+}
+
+func squareMatrix(k int) [][]float64 {
+	cells := make([]float64, k*k)
+	m := make([][]float64, k)
+	for i := range m {
+		m[i] = cells[i*k : (i+1)*k]
+	}
+	return m
+}
+
+// N returns the number of observations added.
+func (q *LeastSquares) N() int { return q.n }
+
+// Features returns the length of the longest feature vector added.
+func (q *LeastSquares) Features() int { return max(len(q.aty)-1, 0) }
+
+// Solve returns the least-squares coefficients [intercept, c1, ..., ck] by
+// Gaussian elimination with partial pivoting on a scratch copy of the
+// sums, so it allocates nothing and more observations may be added
+// afterwards. The returned slice is that scratch: it is valid until the
+// next call to Solve. Fewer observations than coefficients, or a singular
+// system (collinear or constant features), is an error.
+func (q *LeastSquares) Solve() ([]float64, error) {
+	k := len(q.aty)
+	if q.n < k || k == 0 {
+		return nil, errUnderdetermined
+	}
+	for i, row := range q.m {
+		for j := range row {
+			if j >= i {
+				row[j] = q.ata[i][j]
+			} else {
+				row[j] = q.ata[j][i]
 			}
 		}
 	}
-	for i := 0; i < k; i++ {
-		for j := 0; j < i; j++ {
-			ata[i][j] = ata[j][i]
-		}
-	}
-	return solveLinearSystem(ata, aty)
+	copy(q.b, q.aty)
+	return solveLinearSystem(q.m, q.b)
 }
 
-// solveLinearSystem solves M x = b in place with partial pivoting. M and b
-// are modified.
+// solveLinearSystem solves M x = b in place with partial pivoting. M is
+// destroyed and the returned solution is b's storage.
 func solveLinearSystem(m [][]float64, b []float64) ([]float64, error) {
 	k := len(m)
 	for col := 0; col < k; col++ {
@@ -224,7 +285,7 @@ func solveLinearSystem(m [][]float64, b []float64) ([]float64, error) {
 			}
 		}
 		if math.Abs(m[pivot][col]) < 1e-12 {
-			return nil, errors.New("stats: singular design matrix")
+			return nil, errSingular
 		}
 		m[col], m[pivot] = m[pivot], m[col]
 		b[col], b[pivot] = b[pivot], b[col]
@@ -240,13 +301,14 @@ func solveLinearSystem(m [][]float64, b []float64) ([]float64, error) {
 			b[r] -= f * b[col]
 		}
 	}
-	x := make([]float64, k)
+	// Back-substitute into b: x[i] needs only b[i] and x[j] for j > i, so
+	// the solution overwrites the right-hand side from the bottom up.
 	for i := k - 1; i >= 0; i-- {
 		sum := b[i]
 		for j := i + 1; j < k; j++ {
-			sum -= m[i][j] * x[j]
+			sum -= m[i][j] * b[j]
 		}
-		x[i] = sum / m[i][i]
+		b[i] = sum / m[i][i]
 	}
-	return x, nil
+	return b, nil
 }
