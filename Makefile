@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race check bench-test cover bench bench-rdf bench-search bench-nlu bench-metrics bench-chaos bench-cloud loadgen-smoke cloud-smoke fmt fmt-check
+.PHONY: build test vet race check bench-test fuzz cover bench bench-rdf bench-search bench-nlu bench-metrics bench-store bench-chaos bench-cloud loadgen-smoke cloud-smoke fmt fmt-check
 
 build:
 	$(GO) build ./...
@@ -35,6 +35,22 @@ check: fmt-check vet race loadgen-smoke cloud-smoke bench-test
 # internal/ change that breaks it is caught here rather than by the driver.
 bench-test:
 	cd bench && $(GO) test ./...
+
+# fuzz runs every Fuzz* target for FUZZTIME each, one at a time (go test
+# takes one -fuzz target per package run): the search, NLU and RDF parsers,
+# the codec chain over sequences of mixed-size values (FuzzChainRoundTrip:
+# what pooled compressor state must not leak from one value to the next)
+# and the store client's lean key-list decoder against encoding/json
+# (FuzzKeysDecode). Plain `go test` replays only the committed seed
+# corpora under testdata/fuzz; a failure found here is written there.
+FUZZTIME ?= 10s
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzSearchQuery$$' -fuzztime $(FUZZTIME) ./internal/search
+	$(GO) test -run '^$$' -fuzz '^FuzzTokenize$$' -fuzztime $(FUZZTIME) ./internal/nlu
+	$(GO) test -run '^$$' -fuzz '^FuzzParseQuery$$' -fuzztime $(FUZZTIME) ./internal/rdf
+	$(GO) test -run '^$$' -fuzz '^FuzzSplitTerms$$' -fuzztime $(FUZZTIME) ./internal/rdf
+	$(GO) test -run '^$$' -fuzz '^FuzzChainRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/codec
+	$(GO) test -run '^$$' -fuzz '^FuzzKeysDecode$$' -fuzztime $(FUZZTIME) ./internal/remotestore
 
 # cover runs the full suite with per-package coverage percentages.
 cover:
@@ -81,6 +97,16 @@ bench-nlu:
 # full Set rendering into the Prometheus text format (BenchmarkSetExpose).
 bench-metrics:
 	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem ./internal/metrics
+
+# bench-store runs the store-path benchmarks: the codec chain's encode at
+# 1/8/64 KB from one goroutine and from all of them (BenchmarkChainEncode:
+# the compressor state is pooled, so B/op is the value's size, not the
+# compressor's), a store node listing 2 048 keys with and without a
+# key-set change between listings (BenchmarkMemoryKeys), and the client's
+# decode of such a listing (BenchmarkKeysDecode), beside the codec's
+# older round-trip benchmarks.
+bench-store:
+	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem ./internal/codec ./internal/kvstore ./internal/remotestore
 
 # bench-chaos runs the chaos/load experiment (E21) at full scale: the
 # loadgen harness drives the facade closed-loop at 4x+ saturation through

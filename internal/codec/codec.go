@@ -16,7 +16,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"io"
+	"sync"
 )
 
 // Codec transforms byte payloads symmetrically.
@@ -39,6 +39,14 @@ func (Identity) Encode(data []byte) ([]byte, error) { return data, nil }
 func (Identity) Decode(data []byte) ([]byte, error) { return data, nil }
 
 // Gzip compresses with gzip at the given level.
+//
+// Compressor and decompressor state is pooled per process: a compress/flate
+// compressor is about 1 MB of window and hash tables, two orders of
+// magnitude more than the few-KB values the store sends through it, so
+// building one per call is what the call costs. Nothing pooled is reachable
+// from a returned slice: output is compressed into pooled scratch and handed
+// back as a fresh exact-size copy, so callers may keep or overwrite what
+// they get for as long as they like.
 type Gzip struct {
 	// Level is a compress/gzip level; 0 means gzip.DefaultCompression.
 	Level int
@@ -46,39 +54,93 @@ type Gzip struct {
 
 var _ Codec = Gzip{}
 
+// maxPooledScratch caps the scratch buffer a pooled gzipper or gunzipper
+// keeps: one 64 MB object must not pin 64 MB for the life of the process.
+const maxPooledScratch = 1 << 20
+
+// gzipper is one level's reusable compressor and the scratch it writes to.
+type gzipper struct {
+	zw  *gzip.Writer
+	buf bytes.Buffer
+}
+
+// gunzipper is a reusable decompressor, its input reader and its scratch.
+type gunzipper struct {
+	src bytes.Reader
+	zr  gzip.Reader
+	buf bytes.Buffer
+}
+
+// gzippers holds idle compressors by level (HuffmanOnly is the lowest);
+// gunzippers holds idle decompressors. State returns to its pool only after
+// a clean Close, so one that failed mid-stream is never reused.
+var (
+	gzippers   [gzip.BestCompression - gzip.HuffmanOnly + 1]sync.Pool
+	gunzippers sync.Pool
+)
+
 // Encode implements Codec.
 func (g Gzip) Encode(data []byte) ([]byte, error) {
 	level := g.Level
 	if level == 0 {
 		level = gzip.DefaultCompression
 	}
-	var buf bytes.Buffer
-	w, err := gzip.NewWriterLevel(&buf, level)
-	if err != nil {
-		return nil, fmt.Errorf("codec: gzip level: %w", err)
+	if level < gzip.HuffmanOnly || level > gzip.BestCompression {
+		return nil, fmt.Errorf("codec: gzip level: invalid compression level: %d", level)
 	}
-	if _, err := w.Write(data); err != nil {
+	pool := &gzippers[level-gzip.HuffmanOnly]
+	e, ok := pool.Get().(*gzipper)
+	if ok {
+		e.buf.Reset()
+		e.zw.Reset(&e.buf)
+	} else {
+		e = new(gzipper)
+		zw, err := gzip.NewWriterLevel(&e.buf, level)
+		if err != nil {
+			return nil, fmt.Errorf("codec: gzip level: %w", err)
+		}
+		e.zw = zw
+	}
+	if _, err := e.zw.Write(data); err != nil {
 		return nil, fmt.Errorf("codec: gzip write: %w", err)
 	}
-	if err := w.Close(); err != nil {
+	if err := e.zw.Close(); err != nil {
 		return nil, fmt.Errorf("codec: gzip close: %w", err)
 	}
-	return buf.Bytes(), nil
+	out := make([]byte, e.buf.Len())
+	copy(out, e.buf.Bytes())
+	if e.buf.Cap() > maxPooledScratch {
+		e.buf = bytes.Buffer{}
+	}
+	pool.Put(e)
+	return out, nil
 }
 
 // Decode implements Codec.
 func (g Gzip) Decode(data []byte) ([]byte, error) {
-	r, err := gzip.NewReader(bytes.NewReader(data))
-	if err != nil {
+	d, ok := gunzippers.Get().(*gunzipper)
+	if !ok {
+		d = new(gunzipper)
+	}
+	d.src.Reset(data)
+	if err := d.zr.Reset(&d.src); err != nil {
 		return nil, fmt.Errorf("codec: gzip open: %w", err)
 	}
-	out, err := io.ReadAll(r)
-	if err != nil {
+	d.buf.Reset()
+	if _, err := d.buf.ReadFrom(&d.zr); err != nil {
 		return nil, fmt.Errorf("codec: gzip read: %w", err)
 	}
-	if err := r.Close(); err != nil {
+	if err := d.zr.Close(); err != nil {
 		return nil, fmt.Errorf("codec: gzip close: %w", err)
 	}
+	out := make([]byte, d.buf.Len())
+	copy(out, d.buf.Bytes())
+	// The pool must not keep the caller's input alive.
+	d.src.Reset(nil)
+	if d.buf.Cap() > maxPooledScratch {
+		d.buf = bytes.Buffer{}
+	}
+	gunzippers.Put(d)
 	return out, nil
 }
 
@@ -107,13 +169,15 @@ func NewAESGCM(passphrase string) (*AESGCM, error) {
 	return &AESGCM{aead: aead}, nil
 }
 
-// Encode implements Codec: output is nonce || ciphertext.
+// Encode implements Codec: output is nonce || ciphertext, sealed into one
+// buffer sized for both, under a fresh crypto/rand nonce on every call.
 func (a *AESGCM) Encode(data []byte) ([]byte, error) {
-	nonce := make([]byte, a.aead.NonceSize())
-	if _, err := rand.Read(nonce); err != nil {
+	ns := a.aead.NonceSize()
+	out := make([]byte, ns, ns+len(data)+a.aead.Overhead())
+	if _, err := rand.Read(out); err != nil {
 		return nil, fmt.Errorf("codec: nonce: %w", err)
 	}
-	return a.aead.Seal(nonce, nonce, data, nil), nil
+	return a.aead.Seal(out, out, data, nil), nil
 }
 
 // Decode implements Codec. Tampered or wrongly keyed data fails

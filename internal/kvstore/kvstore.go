@@ -37,6 +37,12 @@ type Store interface {
 type Memory struct {
 	mu   sync.RWMutex
 	data map[string][]byte
+	// sorted is the key set in order, kept from one Keys call to the next
+	// and never written to once stored. An insert or a delete changes the
+	// key set: it drops sorted and advances gen, so a Keys call that
+	// collected the old set cannot store it. An overwrite changes neither.
+	sorted []string
+	gen    uint64
 }
 
 var _ Store = (*Memory)(nil)
@@ -51,7 +57,11 @@ func (m *Memory) Put(key string, value []byte) error {
 	cp := make([]byte, len(value))
 	copy(cp, value)
 	m.mu.Lock()
+	n := len(m.data)
 	m.data[key] = cp
+	if len(m.data) != n {
+		m.sorted, m.gen = nil, m.gen+1
+	}
 	m.mu.Unlock()
 	return nil
 }
@@ -72,21 +82,39 @@ func (m *Memory) Get(key string) ([]byte, error) {
 // Delete implements Store.
 func (m *Memory) Delete(key string) error {
 	m.mu.Lock()
+	n := len(m.data)
 	delete(m.data, key)
+	if len(m.data) != n {
+		m.sorted, m.gen = nil, m.gen+1
+	}
 	m.mu.Unlock()
 	return nil
 }
 
-// Keys implements Store.
+// Keys implements Store. The returned slice is a copy. The key set is
+// sorted once per change to it, outside the lock, not once per call.
 func (m *Memory) Keys() ([]string, error) {
 	m.mu.RLock()
-	keys := make([]string, 0, len(m.data))
-	for k := range m.data {
-		keys = append(keys, k)
+	keys, gen := m.sorted, m.gen
+	rebuild := keys == nil
+	if rebuild {
+		keys = make([]string, 0, len(m.data))
+		for k := range m.data {
+			keys = append(keys, k)
+		}
 	}
 	m.mu.RUnlock()
-	sort.Strings(keys)
-	return keys, nil
+	if rebuild {
+		sort.Strings(keys)
+		m.mu.Lock()
+		if m.gen == gen {
+			m.sorted = keys
+		}
+		m.mu.Unlock()
+	}
+	out := make([]string, len(keys))
+	copy(out, keys)
+	return out, nil
 }
 
 // Len implements Store.

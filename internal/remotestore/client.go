@@ -163,39 +163,43 @@ func (c *Client) PendingWrites() int {
 	return c.queue.len()
 }
 
-// Put stores value under key: encoded via the codec, mirrored to local
-// storage, cached, and sent to the remote store — or queued if offline.
+// Put stores value under key: encoded via the codec and sent to the remote
+// store — or queued if offline — then cached and mirrored to local storage.
 func (c *Client) Put(key string, value []byte) error {
 	return c.PutCtx(context.Background(), key, value)
 }
 
 // PutCtx is Put with cancellation of the in-flight upload.
 func (c *Client) PutCtx(ctx context.Context, key string, value []byte) error {
+	if err := checkKey(key); err != nil {
+		return err
+	}
 	encoded, err := c.cdc.Encode(value)
 	if err != nil {
 		return fmt.Errorf("remotestore: encode: %w", err)
 	}
-	if c.cfg.Local != nil {
-		if err := c.cfg.Local.Put(key, encoded); err != nil {
-			return fmt.Errorf("remotestore: local mirror: %w", err)
+	// The store goes first. A write it refuses (413, a 5xx that is not an
+	// outage) returns here with the cache and the mirror still holding what
+	// the store holds; a write queued for Sync counts as accepted, so the
+	// client reads it back while offline.
+	if c.Offline() {
+		c.queueWrite(key, encoded, false)
+	} else if err := c.remotePut(ctx, key, encoded); err != nil {
+		if !isTransport(err) {
+			return err
 		}
+		c.SetOffline(true)
+		c.queueWrite(key, encoded, false)
 	}
 	if c.memcache != nil {
 		cp := make([]byte, len(value))
 		copy(cp, value)
 		c.memcache.Set(key, cp)
 	}
-	if c.Offline() {
-		c.queueWrite(key, encoded, false)
-		return nil
-	}
-	if err := c.remotePut(ctx, key, encoded); err != nil {
-		if isTransport(err) {
-			c.SetOffline(true)
-			c.queueWrite(key, encoded, false)
-			return nil
+	if c.cfg.Local != nil {
+		if err := c.cfg.Local.Put(key, encoded); err != nil {
+			return fmt.Errorf("remotestore: local mirror: %w", err)
 		}
-		return err
 	}
 	return nil
 }
@@ -208,6 +212,9 @@ func (c *Client) Get(key string) ([]byte, error) {
 
 // GetCtx is Get with cancellation of the in-flight download.
 func (c *Client) GetCtx(ctx context.Context, key string) ([]byte, error) {
+	if err := checkKey(key); err != nil {
+		return nil, err
+	}
 	if c.memcache != nil {
 		if v, err := c.memcache.Get(key); err == nil {
 			c.mu.Lock()
@@ -266,6 +273,9 @@ func (c *Client) Delete(key string) error {
 
 // DeleteCtx is Delete with cancellation of the in-flight request.
 func (c *Client) DeleteCtx(ctx context.Context, key string) error {
+	if err := checkKey(key); err != nil {
+		return err
+	}
 	if c.memcache != nil {
 		c.memcache.Delete(key)
 	}

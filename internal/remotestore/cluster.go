@@ -412,32 +412,44 @@ func (cl *Cluster) nodeDo(ctx context.Context, node string, op func(ctx context.
 }
 
 // Put stores value under key, replicated to R nodes; it returns once W
-// replicas acknowledge.
+// replicas acknowledge (or the write is queued offline), and only then
+// caches and mirrors it.
 func (cl *Cluster) Put(key string, value []byte) error {
 	return cl.PutCtx(context.Background(), key, value)
 }
 
 // PutCtx is Put with cancellation of the in-flight fan-out.
 func (cl *Cluster) PutCtx(ctx context.Context, key string, value []byte) error {
+	if err := checkKey(key); err != nil {
+		return err
+	}
 	encoded, err := cl.cdc.Encode(value)
 	if err != nil {
 		return fmt.Errorf("remotestore: encode: %w", err)
 	}
-	if cl.local != nil {
-		if err := cl.local.Put(key, encoded); err != nil {
-			return fmt.Errorf("remotestore: local mirror: %w", err)
+	// The store goes first, as in Client.PutCtx: replicate returns nil once
+	// the write reached its quorum or was queued for Sync, and an error when
+	// the nodes refused it — then the mirror keeps what it had, and the
+	// cache entry goes, because some replicas may have taken the write.
+	if cl.Offline() {
+		cl.queueWrite(key, encoded, false)
+	} else if err := cl.replicate(ctx, key, encoded, false); err != nil {
+		if cl.memcache != nil {
+			cl.memcache.Delete(key)
 		}
+		return err
 	}
 	if cl.memcache != nil {
 		cp := make([]byte, len(value))
 		copy(cp, value)
 		cl.memcache.Set(key, cp)
 	}
-	if cl.Offline() {
-		cl.queueWrite(key, encoded, false)
-		return nil
+	if cl.local != nil {
+		if err := cl.local.Put(key, encoded); err != nil {
+			return fmt.Errorf("remotestore: local mirror: %w", err)
+		}
 	}
-	return cl.replicate(ctx, key, encoded, false)
+	return nil
 }
 
 // Delete removes key from its replicas (quorum semantics as Put).
@@ -447,6 +459,9 @@ func (cl *Cluster) Delete(key string) error {
 
 // DeleteCtx is Delete with cancellation.
 func (cl *Cluster) DeleteCtx(ctx context.Context, key string) error {
+	if err := checkKey(key); err != nil {
+		return err
+	}
 	if cl.memcache != nil {
 		cl.memcache.Delete(key)
 	}
@@ -577,6 +592,9 @@ func (cl *Cluster) Get(key string) ([]byte, error) {
 
 // GetCtx is Get with cancellation.
 func (cl *Cluster) GetCtx(ctx context.Context, key string) ([]byte, error) {
+	if err := checkKey(key); err != nil {
+		return nil, err
+	}
 	if cl.memcache != nil {
 		if v, err := cl.memcache.Get(key); err == nil {
 			cl.mu.Lock()

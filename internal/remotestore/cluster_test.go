@@ -3,6 +3,7 @@ package remotestore
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -590,7 +591,7 @@ func TestClusterHandlerGateway(t *testing.T) {
 		Replicas    int      `json:"replicas"`
 		WriteQuorum int      `json:"writeQuorum"`
 	}
-	if err := jsonDecode(resp.Body, &info); err != nil {
+	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
 		t.Fatal(err)
 	}
 	if len(info.Nodes) != 4 || info.Replicas != 2 || info.WriteQuorum != 2 {

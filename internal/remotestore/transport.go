@@ -8,6 +8,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
+	"strings"
+	"unicode/utf8"
 )
 
 // transport is the raw HTTP edge shared by the single-node Client and the
@@ -20,8 +23,27 @@ type transport struct {
 	http *http.Client
 }
 
+// checkKey refuses the keys one URL path segment cannot carry to a node's
+// mux: it matches no empty segment, cleans "." and ".." away, and takes a
+// segment that unescapes to exactly "/" for a trailing slash. Both clients
+// call it before they touch a cache, a mirror, a queue or a node.
+func checkKey(key string) error {
+	switch key {
+	case "", ".", "..", "/":
+		return fmt.Errorf("remotestore: key %q cannot be stored: it is not a URL path segment", key)
+	}
+	return nil
+}
+
+// kvURL addresses key on this node. The key travels as one escaped path
+// segment, which the node's mux unescapes, so "a/b", "a?b", "a#b" and "100%"
+// are keys like any other.
+func (t *transport) kvURL(key string) string {
+	return t.base + "/kv/" + url.PathEscape(key)
+}
+
 func (t *transport) put(ctx context.Context, key string, encoded []byte) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, t.base+"/kv/"+key, bytes.NewReader(encoded))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPut, t.kvURL(key), bytes.NewReader(encoded))
 	if err != nil {
 		return fmt.Errorf("remotestore: build put: %w", err)
 	}
@@ -40,7 +62,7 @@ func (t *transport) put(ctx context.Context, key string, encoded []byte) error {
 }
 
 func (t *transport) get(ctx context.Context, key string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, t.base+"/kv/"+key, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, t.kvURL(key), nil)
 	if err != nil {
 		return nil, fmt.Errorf("remotestore: build get: %w", err)
 	}
@@ -66,7 +88,7 @@ func (t *transport) get(ctx context.Context, key string) ([]byte, error) {
 }
 
 func (t *transport) del(ctx context.Context, key string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, t.base+"/kv/"+key, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, t.kvURL(key), nil)
 	if err != nil {
 		return fmt.Errorf("remotestore: build delete: %w", err)
 	}
@@ -100,11 +122,101 @@ func (t *transport) keys(ctx context.Context) ([]string, error) {
 		}
 		return nil, &remoteError{status: resp.StatusCode, msg: "keys"}
 	}
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxKeysBody))
+	if err != nil {
+		return nil, fmt.Errorf("remotestore: read keys: %w", err)
+	}
+	return decodeKeys(body)
+}
+
+// maxKeysBody caps the key listing a client reads from a node. A longer
+// body is cut there and fails to decode.
+const maxKeysBody = 16 << 20
+
+// decodeKeys parses a node's key listing, a JSON array of strings. A listing
+// in which no key needs unescaping — what a node sends unless a key holds a
+// quote, a backslash, a control character, '<', '>', '&' or invalid UTF-8 —
+// decodes without encoding/json: one copy of the body, keys as substrings
+// of it. Every other body goes to encoding/json as it arrived.
+func decodeKeys(body []byte) ([]string, error) {
+	if keys, ok := decodePlainKeys(body); ok {
+		return keys, nil
+	}
 	var keys []string
-	if err := jsonDecode(resp.Body, &keys); err != nil {
-		return nil, err
+	if err := json.Unmarshal(body, &keys); err != nil {
+		return nil, fmt.Errorf("remotestore: decode: %w", err)
 	}
 	return keys, nil
+}
+
+// decodePlainKeys decodes body when it is a JSON array of strings with no
+// escape sequence in it, and declines (false) anything else — including
+// every malformed body, so that encoding/json words the error. When it
+// accepts, the result is exactly what json.Unmarshal into a []string gives
+// (FuzzKeysDecode).
+func decodePlainKeys(body []byte) ([]string, bool) {
+	if bytes.IndexByte(body, '\\') >= 0 {
+		return nil, false
+	}
+	// Without escapes every key is delimited by exactly two quotes.
+	keys := make([]string, 0, bytes.Count(body, []byte{'"'})/2)
+	s := string(body)
+	i := skipSpace(s, 0)
+	if i == len(s) || s[i] != '[' {
+		return nil, false
+	}
+	i = skipSpace(s, i+1)
+	if i < len(s) && s[i] == ']' && skipSpace(s, i+1) == len(s) {
+		return keys, true
+	}
+	ascii := true
+	for {
+		if i == len(s) || s[i] != '"' {
+			return nil, false
+		}
+		start := i + 1
+		end := strings.IndexByte(s[start:], '"')
+		if end < 0 {
+			return nil, false
+		}
+		end += start
+		for j := start; j < end; j++ {
+			if c := s[j]; c < 0x20 {
+				return nil, false
+			} else if c >= utf8.RuneSelf {
+				ascii = false
+			}
+		}
+		keys = append(keys, s[start:end])
+		i = skipSpace(s, end+1)
+		if i == len(s) {
+			return nil, false
+		}
+		if s[i] == ']' {
+			break
+		}
+		if s[i] != ',' {
+			return nil, false
+		}
+		i = skipSpace(s, i+1)
+	}
+	if skipSpace(s, i+1) != len(s) {
+		return nil, false
+	}
+	// encoding/json replaces invalid UTF-8 with U+FFFD; leave that to it.
+	if !ascii && !utf8.ValidString(s) {
+		return nil, false
+	}
+	return keys, true
+}
+
+// skipSpace returns the index of the first byte of s at or after i that is
+// not JSON whitespace.
+func skipSpace(s string, i int) int {
+	for i < len(s) && (s[i] == ' ' || s[i] == '\n' || s[i] == '\t' || s[i] == '\r') {
+		i++
+	}
+	return i
 }
 
 // transportError marks failures that indicate lost connectivity (as opposed
@@ -122,11 +234,4 @@ func isTransport(err error) bool {
 func drain(resp *http.Response) {
 	_, _ = io.Copy(io.Discard, resp.Body)
 	_ = resp.Body.Close()
-}
-
-func jsonDecode(r io.Reader, v any) error {
-	if err := json.NewDecoder(io.LimitReader(r, 16<<20)).Decode(v); err != nil {
-		return fmt.Errorf("remotestore: decode: %w", err)
-	}
-	return nil
 }

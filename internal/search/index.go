@@ -234,8 +234,19 @@ func BuildIndex(c *webcorpus.Corpus, opts ...IndexOption) *Index {
 	if len(c.Docs) > 0 {
 		idx.avgLen = float64(totalLen) / float64(len(c.Docs))
 	}
+	// The index is immutable from here on, so the slack append left behind
+	// every posting list is dead weight for the life of the process: move
+	// the lists into one arena, each re-sliced to exactly its length.
+	total := 0
 	for tid := range idx.terms {
-		idx.buildBlocks(&idx.terms[tid])
+		total += len(idx.terms[tid].posts)
+	}
+	arena := make([]posting, total)
+	for tid := range idx.terms {
+		tp := &idx.terms[tid]
+		n := copy(arena, tp.posts)
+		tp.posts, arena = arena[:n:n], arena[n:]
+		idx.buildBlocks(tp)
 	}
 	idx.dict = dict.Freeze()
 	if cfg.expansion {

@@ -201,3 +201,25 @@ func TestEmptyIndex(t *testing.T) {
 		_ = got // empty or nil both fine; must not panic
 	}
 }
+
+// The index is immutable once built, so no posting list may carry append
+// slack: BuildIndex packs them into one arena, each cut to its length, in
+// document order as before.
+func TestPostingListsHaveNoSlack(t *testing.T) {
+	idx, c := testIndex(t)
+	total := 0
+	for tid, tp := range idx.terms {
+		if cap(tp.posts) != len(tp.posts) {
+			t.Fatalf("term %d (%q): posting list has cap %d over len %d", tid, idx.dict.Value(uint32(tid)), cap(tp.posts), len(tp.posts))
+		}
+		for i := 1; i < len(tp.posts); i++ {
+			if tp.posts[i-1].doc >= tp.posts[i].doc {
+				t.Fatalf("term %d: postings out of document order at %d", tid, i)
+			}
+		}
+		total += len(tp.posts)
+	}
+	if total < len(c.Docs) {
+		t.Fatalf("index of %d documents holds %d postings", len(c.Docs), total)
+	}
+}
