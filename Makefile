@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race check bench-test fuzz cover bench bench-rdf bench-search bench-nlu bench-metrics bench-store bench-chaos bench-cloud loadgen-smoke cloud-smoke fmt fmt-check
+.PHONY: build test vet race check bench-test fuzz cover bench bench-rdf bench-search bench-nlu bench-metrics bench-store bench-loop bench-chaos bench-cloud loadgen-smoke cloud-smoke fmt fmt-check
 
 build:
 	$(GO) build ./...
@@ -39,16 +39,23 @@ bench-test:
 # fuzz runs every Fuzz* target for FUZZTIME each, one at a time (go test
 # takes one -fuzz target per package run): the search, NLU and RDF parsers,
 # the codec chain over sequences of mixed-size values (FuzzChainRoundTrip:
-# what pooled compressor state must not leak from one value to the next)
-# and the store client's lean key-list decoder against encoding/json
-# (FuzzKeysDecode). Plain `go test` replays only the committed seed
-# corpora under testdata/fuzz; a failure found here is written there.
+# what pooled compressor state must not leak from one value to the next),
+# the store client's lean key-list decoder against encoding/json
+# (FuzzKeysDecode) and add/remove/chain histories on one long-lived graph
+# against the reference engine chaining from scratch (FuzzChainHistory:
+# what forward chaining seeded from recorded changes must not miss; its
+# coverage varies with map iteration order, so the engine would spend the
+# budget minimising inputs it takes for new — a history is at most 160 ops
+# and fails with the op's index, so minimisation is off). Plain `go test`
+# replays only the committed seed corpora under testdata/fuzz; a failure
+# found here is written there.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSearchQuery$$' -fuzztime $(FUZZTIME) ./internal/search
 	$(GO) test -run '^$$' -fuzz '^FuzzTokenize$$' -fuzztime $(FUZZTIME) ./internal/nlu
 	$(GO) test -run '^$$' -fuzz '^FuzzParseQuery$$' -fuzztime $(FUZZTIME) ./internal/rdf
 	$(GO) test -run '^$$' -fuzz '^FuzzSplitTerms$$' -fuzztime $(FUZZTIME) ./internal/rdf
+	$(GO) test -run '^$$' -fuzz '^FuzzChainHistory$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 0s ./internal/rdf
 	$(GO) test -run '^$$' -fuzz '^FuzzChainRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/codec
 	$(GO) test -run '^$$' -fuzz '^FuzzKeysDecode$$' -fuzztime $(FUZZTIME) ./internal/remotestore
 
@@ -70,7 +77,11 @@ bench:
 # (BenchmarkSolveJoin), two-bound matches, and forward chaining
 # (BenchmarkForwardChainTransitive — the roundcap/naive-stringstore leg
 # takes seconds per iteration by design; it is the baseline being beaten),
-# plus the knowledge-base Infer/Prove benchmarks on the cached rule set.
+# plus the knowledge-base Infer/Prove benchmarks on the cached rule set:
+# Infer on a KB nothing happened to (BenchmarkKBInfer) and the Fig. 5
+# loop's inference half on a 2 000-triple graph — add a run's 13 facts,
+# infer, retire the run that left the window (BenchmarkKBInferWindow:
+# ns/op follows the 13, not the 2 000).
 bench-rdf:
 	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem ./internal/rdf ./internal/kb
 
@@ -94,7 +105,10 @@ bench-nlu:
 # increments and the lock-free log-linear histogram's Observe/Snapshot
 # (uncontended and GOMAXPROCS-parallel), plus the exposition path — label
 # escaping with hoisted vs per-call replacers (BenchmarkEscapeLabel) and
-# full Set rendering into the Prometheus text format (BenchmarkSetExpose).
+# full Set rendering into the Prometheus text format (BenchmarkSetExpose)
+# — and what a pipeline stage pays per run for its latency summary: a
+# Monitor built, fed ten observations and read once (BenchmarkNewMonitor:
+# B/op follows the ten, not the ring's 4 096 slots).
 bench-metrics:
 	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem ./internal/metrics
 
@@ -107,6 +121,14 @@ bench-metrics:
 # older round-trip benchmarks.
 bench-store:
 	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem ./internal/codec ./internal/kvstore ./internal/remotestore
+
+# bench-loop runs the repository benchmark's analyze-loop op — the whole
+# Fig. 5 cycle, search to replicated store — as a Go benchmark on a rig
+# built from product packages only (BenchmarkFig5Cycle), so it can be
+# profiled without touching bench/: run the line below with
+# `-cpuprofile cpu.out -memprofile mem.out -o /tmp/fig5.test` added.
+bench-loop:
+	$(GO) test -run '^$$' -bench '^BenchmarkFig5Cycle$$' -benchmem ./internal/integration
 
 # bench-chaos runs the chaos/load experiment (E21) at full scale: the
 # loadgen harness drives the facade closed-loop at 4x+ saturation through

@@ -807,20 +807,16 @@ func rdfShapeRules() []rdf.Rule {
 }
 
 // TestRDFInferenceShape guards the PR 5 inference rewrite the way
-// TestShardedCacheShape guards the sharded cache. Correctness first: on a
-// 1000-node linear chain the semi-naive evaluator must reach the exact
-// C(1000,2) closure while firing each rule exactly once per derived fact
-// (ChainStats.Derivations == Derived), and the round-buffered naive
-// strategy must add the identical fact set round for round. Then timing:
-// the full naive closure takes minutes on the pre-PR string-keyed
-// baseline, so both engines run capped at the same round budget — the
-// work ratio grows with the number of rounds, so the cap makes the
-// comparison cheaper AND more conservative — and semi-naive must finish
-// at least 5x faster (measured margin is >50x; regressions this guard
-// exists for, like re-deriving old rounds or rebuilding candidate sets
-// per pattern, each cost far more than the slack). Rounds alternate
-// engine order and the comparison uses each engine's fastest batch,
-// re-measured once at higher resolution before failing.
+// TestShardedCacheShape guards the sharded cache, by what a seed
+// determines: on a 1000-node linear chain the semi-naive evaluator must
+// reach the exact C(1000,2) closure while firing each rule exactly once
+// per derived fact (ChainStats.Derivations == Derived), chaining the
+// converged closure again must seed its round with nothing and fire no
+// rule (ChainStats.Seeded == 0: the graph remembers its fixpoint), and
+// the round-buffered naive strategy must add the identical fact set round
+// for round. The wall clock is logged, not asserted: both engines run
+// capped at the same round budget — the full naive closure takes minutes
+// on the pre-PR string-keyed baseline — and the measured margin is >50x.
 func TestRDFInferenceShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("inference guard skipped in -short mode")
@@ -855,8 +851,8 @@ func TestRDFInferenceShape(t *testing.T) {
 	if stats.Derivations != stats.Derived {
 		t.Errorf("semi-naive fired %d rules for %d facts — re-derivation crept back in", stats.Derivations, stats.Derived)
 	}
-	if again, err := rdf.ForwardChain(g, rules, 0); err != nil || again != 0 {
-		t.Errorf("re-chaining the converged graph derived %d facts, err %v", again, err)
+	if again, err := rdf.ForwardChainStats(g, rules, 0); err != nil || again.Derived != 0 || again.Seeded != 0 || again.Derivations != 0 {
+		t.Errorf("re-chaining the converged graph: %+v, err %v; want nothing seeded, fired or derived", again, err)
 	}
 
 	// Naive and semi-naive must add the identical fact set when capped at
@@ -893,30 +889,9 @@ func TestRDFInferenceShape(t *testing.T) {
 		rdfref.ForwardChain(ref, rules, roundCap)
 		return time.Since(start)
 	}
-	measure := func(rounds int) (semiBest, baseBest time.Duration) {
-		semiBest, baseBest = 1<<62, 1<<62
-		for r := 0; r < rounds; r++ {
-			runtime.GC()
-			var se, ba time.Duration
-			if r%2 == 0 {
-				se, ba = semiRun(), baselineRun()
-			} else {
-				ba, se = baselineRun(), semiRun()
-			}
-			semiBest, baseBest = min(semiBest, se), min(baseBest, ba)
-		}
-		return semiBest, baseBest
-	}
-	semiBest, baseBest := measure(2)
-	if baseBest < 5*semiBest {
-		semiBest, baseBest = measure(3) // could be interference; re-measure before failing
-	}
+	semi, base := semiRun(), baselineRun()
 	t.Logf("round-capped (%d rounds) N=%d chain: semi-naive %v, pre-PR naive baseline %v, speedup %.1fx",
-		roundCap, n, semiBest, baseBest, float64(baseBest)/float64(semiBest))
-	if baseBest < 5*semiBest {
-		t.Errorf("semi-naive (%v) is only %.1fx faster than the pre-PR naive baseline (%v), want >= 5x",
-			semiBest, float64(baseBest)/float64(semiBest), baseBest)
-	}
+		roundCap, n, semi, base, float64(base)/float64(semi))
 }
 
 // TestSearchShape is the tier-1 guard for the dictionary-coded block-max

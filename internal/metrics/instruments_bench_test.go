@@ -104,3 +104,19 @@ func BenchmarkSetExpose(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// BenchmarkNewMonitor is what one pipeline stage pays for its latency
+// summary per run: build a monitor, record ten items, read it once. B/op
+// follows the ten observations, not the ring's and sample's bounds.
+func BenchmarkNewMonitor(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m := NewMonitor("stage")
+		for j := 0; j < 10; j++ {
+			m.Record(Observation{Latency: time.Duration(j+1) * time.Millisecond})
+		}
+		if m.Snapshot().Count != 10 {
+			b.Fatal("snapshot lost observations")
+		}
+	}
+}

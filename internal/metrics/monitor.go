@@ -76,8 +76,12 @@ type Monitor struct {
 	qualitySum   float64
 	qualityCount uint64
 
-	recent []timedObs // bounded ring of recent observations for windows
-	rpos   int
+	// recent is a ring of the last recentSize observations, for windows.
+	// Its storage grows with what has been recorded, by doubling up to
+	// recentSize and never past it; rpos is the oldest slot once full.
+	recent     []timedObs
+	recentSize int
+	rpos       int
 }
 
 type timedObs struct {
@@ -90,7 +94,24 @@ const (
 	defaultHistorySize = 2048
 	defaultRecentSize  = 4096
 	defaultEWMAAlpha   = 0.2
+	// minRecentRoom is the storage a monitor's first observation
+	// allocates for the ring, in observations (recentSize permitting).
+	minRecentRoom = 16
 )
+
+// newHistory returns the latency reservoir for a history of n samples. Its
+// replacement draws come from math/rand seeded with seed, but the 5 KB
+// generator is built at the first draw — the (n+1)-th success — so a
+// monitor that never overflows its history never pays for one.
+func newHistory(n int, seed int64) *stats.Reservoir {
+	var rng *rand.Rand
+	return stats.NewReservoir(n, func() float64 {
+		if rng == nil {
+			rng = rand.New(rand.NewSource(seed))
+		}
+		return rng.Float64()
+	})
+}
 
 // Option configures a Monitor.
 type Option func(*Monitor)
@@ -102,7 +123,7 @@ func WithClock(c clock.Clock) Option { return func(m *Monitor) { m.clk = c } }
 func WithHistorySize(n int) Option {
 	return func(m *Monitor) {
 		if n > 0 {
-			m.history = stats.NewReservoir(n, rand.New(rand.NewSource(int64(n))).Float64)
+			m.history = newHistory(n, int64(n))
 		}
 	}
 }
@@ -123,7 +144,7 @@ func WithEWMAAlpha(alpha float64) Option {
 func WithRecentSize(n int) Option {
 	return func(m *Monitor) {
 		if n > 0 {
-			m.recent = make([]timedObs, 0, n)
+			m.recentSize = n
 		}
 	}
 }
@@ -131,12 +152,12 @@ func WithRecentSize(n int) Option {
 // NewMonitor returns a Monitor for the named service.
 func NewMonitor(name string, opts ...Option) *Monitor {
 	m := &Monitor{
-		name:    name,
-		hist:    NewHistogram(),
-		clk:     clock.Real(),
-		history: stats.NewReservoir(defaultHistorySize, rand.New(rand.NewSource(1)).Float64),
-		ewma:    stats.NewEWMA(defaultEWMAAlpha),
-		recent:  make([]timedObs, 0, defaultRecentSize),
+		name:       name,
+		hist:       NewHistogram(),
+		clk:        clock.Real(),
+		history:    newHistory(defaultHistorySize, 1),
+		ewma:       stats.NewEWMA(defaultEWMAAlpha),
+		recentSize: defaultRecentSize,
 	}
 	for _, o := range opts {
 		o(m)
@@ -177,7 +198,12 @@ func (m *Monitor) Record(o Observation) {
 		}
 	}
 	obs := timedObs{at: at, latMS: ms, ok: o.Err == nil}
-	if len(m.recent) < cap(m.recent) {
+	if len(m.recent) < m.recentSize {
+		if len(m.recent) == cap(m.recent) {
+			grown := make([]timedObs, len(m.recent), min(max(2*cap(m.recent), minRecentRoom), m.recentSize))
+			copy(grown, m.recent)
+			m.recent = grown
+		}
 		m.recent = append(m.recent, obs)
 	} else {
 		m.recent[m.rpos] = obs

@@ -115,10 +115,22 @@ func TestWithRecentSize(t *testing.T) {
 		t.Errorf("WindowAvailability = %v, want 1 after failure evicted", got)
 	}
 
-	// Non-positive sizes keep the default.
-	d := NewMonitor("svc", WithRecentSize(0))
-	if cap(d.recent) != defaultRecentSize {
-		t.Errorf("WithRecentSize(0) capacity = %d, want default %d", cap(d.recent), defaultRecentSize)
+	// Non-positive sizes keep the default: of 5 000 records the window
+	// sees the last 4 096. One failure is still among them after 4 999
+	// records and gone after the 5 000th.
+	d := NewMonitor("svc", WithClock(v), WithRecentSize(0))
+	for i := 0; i < 5000-defaultRecentSize; i++ {
+		d.Record(Observation{Latency: time.Millisecond, Err: errBoom})
+	}
+	for i := 0; i < defaultRecentSize-1; i++ {
+		d.Record(Observation{Latency: time.Millisecond})
+	}
+	if got, want := d.WindowAvailability(time.Hour), float64(defaultRecentSize-1)/defaultRecentSize; got != want {
+		t.Errorf("WithRecentSize(0): WindowAvailability after 4999 records = %v, want %v", got, want)
+	}
+	d.Record(Observation{Latency: time.Millisecond})
+	if got := d.WindowAvailability(time.Hour); got != 1 {
+		t.Errorf("WithRecentSize(0): WindowAvailability after 5000 records = %v, want 1", got)
 	}
 }
 

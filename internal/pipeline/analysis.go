@@ -389,6 +389,11 @@ func (cfg *AnalysisConfig) invokeNLU(ctx context.Context, name, text string) (nl
 	return nlu.DecodeAnalysis(resp)
 }
 
+// maxPageBytes caps how much of one fetched page is read: a search hit can
+// point at anything, and the page goes whole into memory, the NLU services
+// and the docstore.
+const maxPageBytes = 16 << 20
+
 func (cfg *AnalysisConfig) fetch(ctx context.Context, url string) (string, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
@@ -402,9 +407,12 @@ func (cfg *AnalysisConfig) fetch(ctx context.Context, url string) (string, error
 	if resp.StatusCode != http.StatusOK {
 		return "", fmt.Errorf("HTTP %d", resp.StatusCode)
 	}
-	body, err := io.ReadAll(resp.Body)
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxPageBytes+1))
 	if err != nil {
 		return "", err
+	}
+	if len(body) > maxPageBytes {
+		return "", fmt.Errorf("page at %s exceeds %d bytes", url, maxPageBytes)
 	}
 	return string(body), nil
 }

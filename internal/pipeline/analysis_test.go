@@ -6,14 +6,20 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"runtime"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/aggregate"
 	"repro/internal/core"
 	"repro/internal/docstore"
+	"repro/internal/metrics"
 	"repro/internal/nlu"
+	"repro/internal/raceflag"
 	"repro/internal/search"
 	"repro/internal/service"
 	"repro/internal/simsvc"
@@ -311,5 +317,160 @@ func TestAnalysisConfigValidation(t *testing.T) {
 		if _, err := cfg.Run(context.Background(), "q"); err == nil {
 			t.Errorf("%s: Run succeeded, want config error", name)
 		}
+	}
+}
+
+// TestAnalysisStatsRegisterNoPhantomStage: a source stage records no
+// latency, and reading its stats must not create a monitor for it — in a
+// registry the caller supplied that monitor would show up as a service
+// that never took a call.
+func TestAnalysisStatsRegisterNoPhantomStage(t *testing.T) {
+	client, web := newAnalysisEnv(t)
+	reg := metrics.NewRegistry()
+	cfg := AnalysisConfig{
+		Client: client, Search: "search-g", NLU: []string{"nlu-alpha"},
+		FetchURL: web.URL, Limit: 6, Metrics: reg,
+	}
+	res, err := cfg.Run(context.Background(), "market technology growth")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := reg.Names(), []string{"aggregate", "analyze", "fetch"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("registry after Run holds %v, want %v", got, want)
+	}
+	hits := int64(res.Hits)
+	want := []StageStats{
+		{Name: "search", In: 0, Out: hits},
+		{Name: "fetch", In: hits, Out: hits},
+		{Name: "analyze", In: hits, Out: hits},
+		{Name: "aggregate", In: hits, Out: hits},
+	}
+	if len(res.Stages) != len(want) {
+		t.Fatalf("Stages = %+v, want the four stages in wiring order", res.Stages)
+	}
+	for i, st := range res.Stages {
+		if st.Name != want[i].Name || st.In != want[i].In || st.Out != want[i].Out {
+			t.Errorf("Stages[%d] = %s in=%d out=%d, want %s in=%d out=%d", i, st.Name, st.In, st.Out, want[i].Name, want[i].In, want[i].Out)
+		}
+		if recorded := st.Name != "search"; recorded != (st.Mean > 0) {
+			t.Errorf("Stages[%d] %s: Mean = %v", i, st.Name, st.Mean)
+		}
+	}
+
+	// RunDocs' source stage is "docs".
+	if _, err := cfg.RunDocs(context.Background(), "prepared", []docstore.SavedDoc{{URL: "u1", Text: "Acme Corporation grew."}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Names(); len(got) != 3 {
+		t.Errorf("registry after RunDocs holds %v, want the same three stages", got)
+	}
+}
+
+// TestAnalysisFetchReadsUnderACap: a search hit can point at a body with
+// no end. The fetch stage reads maxPageBytes of it and one byte more is an
+// error, which the run's error policy then treats like any failed fetch.
+func TestAnalysisFetchReadsUnderACap(t *testing.T) {
+	client, web := newAnalysisEnv(t)
+	chunk := make([]byte, 64<<10)
+	for i := range chunk {
+		chunk[i] = 'a'
+	}
+	var oversized atomic.Int64
+	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if oversized.Add(1) != 1 {
+			http.Redirect(w, r, web.URL+r.URL.Path, http.StatusTemporaryRedirect)
+			return
+		}
+		// maxPageBytes + 1 bytes, chunked: no Content-Length to refuse by.
+		for sent := 0; sent <= maxPageBytes; sent += len(chunk) {
+			if _, err := w.Write(chunk[:min(len(chunk), maxPageBytes+1-sent)]); err != nil {
+				return
+			}
+		}
+	}))
+	defer proxy.Close()
+	cfg := AnalysisConfig{
+		Client: client, Search: "search-g", NLU: []string{"nlu-alpha"},
+		FetchURL: proxy.URL, Limit: 4, Workers: 1, SkipFailedDocs: true,
+	}
+	res, err := cfg.Run(context.Background(), "market technology growth")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Docs) != res.Hits-1 || len(res.Skipped) != 1 {
+		t.Fatalf("docs = %d of %d hits, %d skipped; want exactly the oversized page skipped", len(res.Docs), res.Hits, len(res.Skipped))
+	}
+	if msg := res.Skipped[0].Error(); !strings.Contains(msg, proxy.URL+"/docs/") || !strings.Contains(msg, "exceeds") {
+		t.Errorf("skip cause %q does not name the page and the cap", msg)
+	}
+	if st := res.Stages[1]; st.Name != "fetch" || st.Skipped != 1 {
+		t.Errorf("fetch stage stats = %+v, want 1 skipped", st)
+	}
+
+	// Under the default policy the same page aborts the run.
+	oversized.Store(0)
+	cfg.SkipFailedDocs = false
+	if _, err := cfg.Run(context.Background(), "market technology growth"); err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("err = %v, want the oversized page to abort the run", err)
+	}
+
+	// A page of exactly the cap is a page.
+	exact := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		for sent := 0; sent < maxPageBytes; sent += len(chunk) {
+			if _, err := w.Write(chunk); err != nil {
+				return
+			}
+		}
+	}))
+	defer exact.Close()
+	cfg.HTTPClient = http.DefaultClient
+	if page, err := cfg.fetch(context.Background(), exact.URL); err != nil || len(page) != maxPageBytes {
+		t.Errorf("fetch of a page at the cap = %d bytes, %v", len(page), err)
+	}
+}
+
+// TestAnalysisRunCostFollowsTheRun: one run's bookkeeping — four stages'
+// counters and three latency monitors built, fed ten items and read once
+// — used to allocate ≥ 570 KB before a single document was looked at.
+func TestAnalysisRunCostFollowsTheRun(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation sizes are not the product's under the race detector")
+	}
+	client, err := core.NewClient(core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	reply, err := nlu.Analysis{Language: "en"}.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stub := service.Func{
+		Meta: service.Info{Name: "nlu-stub", Category: "nlu"},
+		Fn:   func(context.Context, service.Request) (service.Response, error) { return reply, nil },
+	}
+	if err := client.Register(stub); err != nil {
+		t.Fatal(err)
+	}
+	docs := make([]docstore.SavedDoc, 10)
+	for i := range docs {
+		docs[i] = docstore.SavedDoc{URL: "u" + strconv.Itoa(i), Text: "Acme grew."}
+	}
+	cfg := AnalysisConfig{Client: client, NLU: []string{"nlu-stub"}}
+	run := func() {
+		res, err := cfg.RunDocs(context.Background(), "cost", docs)
+		if err != nil || len(res.Docs) != len(docs) {
+			t.Fatalf("RunDocs = %v, %v", res, err)
+		}
+	}
+	run() // the SDK's own per-service state is built on first use
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("RunDocs over %d documents: %d bytes", len(docs), got)
+	if got >= 128<<10 {
+		t.Errorf("RunDocs over %d small documents allocated %d bytes, want < 128 KB", len(docs), got)
 	}
 }

@@ -196,7 +196,9 @@ type StageStats struct {
 	Failures uint64
 }
 
-// Stats summarizes every stage in wiring order.
+// Stats summarizes every stage in wiring order. A source stage records no
+// latency and has no monitor — Stats creates none to read zeros from, in
+// a caller's registry least of all — so its Mean, P95 and Failures are 0.
 func (p *Pipeline) Stats() []StageStats {
 	p.mu.Lock()
 	stages := make([]*counters, len(p.stages))
@@ -204,7 +206,10 @@ func (p *Pipeline) Stats() []StageStats {
 	p.mu.Unlock()
 	out := make([]StageStats, 0, len(stages))
 	for _, c := range stages {
-		snap := p.metrics.Monitor(c.name).Snapshot()
+		var snap metrics.Snapshot
+		if c.mon != nil {
+			snap = c.mon.Snapshot()
+		}
 		out = append(out, StageStats{
 			Name:     c.name,
 			In:       c.in.Load(),
@@ -219,14 +224,16 @@ func (p *Pipeline) Stats() []StageStats {
 	return out
 }
 
-// counters is one stage's live counter set.
+// counters is one stage's live counter set, with the monitor the stage
+// records each item's latency into (nil for a source stage).
 type counters struct {
 	name                      string
+	mon                       *metrics.Monitor
 	in, out, skipped, retries atomic.Int64
 }
 
-func (p *Pipeline) newCounters(name string) *counters {
-	c := &counters{name: name}
+func (p *Pipeline) newCounters(name string, mon *metrics.Monitor) *counters {
+	c := &counters{name: name, mon: mon}
 	p.mu.Lock()
 	p.stages = append(p.stages, c)
 	p.mu.Unlock()
@@ -260,7 +267,7 @@ func Source[T any](p *Pipeline, name string, items []T) *Flow[T] {
 // gen — other than the cancellation error emit handed it — aborts the
 // pipeline.
 func SourceFunc[T any](p *Pipeline, name string, gen func(ctx context.Context, emit func(T) error) error) *Flow[T] {
-	c := p.newCounters(name)
+	c := p.newCounters(name, nil)
 	out := make(chan T)
 	p.wg.Add(1)
 	go func() {
@@ -307,8 +314,8 @@ func Via[In, Out any](f *Flow[In], s Stage[In, Out]) *Flow[Out] {
 	if buffer < 1 {
 		buffer = workers
 	}
-	c := p.newCounters(s.Name)
 	mon := p.metrics.Monitor(s.Name)
+	c := p.newCounters(s.Name, mon)
 	// Nil when the pipeline has no instrument set: every update below is
 	// then an inert nil-receiver call.
 	inflightG := p.set.Gauge("richsdk_pipeline_stage_inflight",
@@ -425,8 +432,8 @@ func runItem[In, Out any](p *Pipeline, s Stage[In, Out], c *counters, mon *metri
 // order. A non-nil error from fn aborts the pipeline.
 func Drain[T any](f *Flow[T], name string, fn func(ctx context.Context, item T) error) {
 	p := f.p
-	c := p.newCounters(name)
 	mon := p.metrics.Monitor(name)
+	c := p.newCounters(name, mon)
 	parent := trace.SpanFromContext(p.ctx)
 	p.wg.Add(1)
 	go func() {

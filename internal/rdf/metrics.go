@@ -13,11 +13,12 @@ type rdfObs struct {
 	patterns *metrics.Counter
 	rounds   *metrics.Counter
 	derived  *metrics.Counter
+	seeded   *metrics.Counter
 }
 
 // Instrument registers the graph's instrument families in set and turns
 // on query- and inference-path instrumentation: Solve and ForwardChain
-// latency histograms, plan pattern-count and chain rounds/derived
+// latency histograms, plan pattern-count and chain rounds/derived/seeded
 // counters, and a live dictionary-size gauge. Calling it with a nil set
 // detaches the instruments again. Safe for concurrent use with readers
 // and writers; the instruments themselves are lock-free.
@@ -40,6 +41,8 @@ func (g *Graph) Instrument(set *metrics.Set) {
 			"Forward-chaining rounds evaluated."),
 		derived: set.Counter("richsdk_rdf_chain_derived_total",
 			"Facts derived by forward chaining."),
+		seeded: set.Counter("richsdk_rdf_chain_seed_triples_total",
+			"Triples in forward chaining's first-round delta: the whole graph, or what changed since the last fixpoint."),
 	}
 	g.dict.WatchLen(set.Gauge("richsdk_intern_dict_size",
 		"Distinct terms in an interned symbol table.",

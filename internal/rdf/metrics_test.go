@@ -52,6 +52,22 @@ func TestInstrumentRecordsSolveAndChain(t *testing.T) {
 	if got := set.Counter("richsdk_rdf_chain_derived_total", "").Value(); got != uint64(stats.Derived) {
 		t.Errorf("derived counter = %d, want %d", got, stats.Derived)
 	}
+	if stats.Seeded != 20 {
+		t.Errorf("first chain seeded %d triples, want the graph's 20", stats.Seeded)
+	}
+	seeded := set.Counter("richsdk_rdf_chain_seed_triples_total", "")
+	if got := seeded.Value(); got != uint64(stats.Seeded) {
+		t.Errorf("seed counter = %d, want %d", got, stats.Seeded)
+	}
+	// One new fact: the next chain is seeded with it alone, and the
+	// counter says so.
+	g.MustAdd(st("n21", "next", "n22"))
+	if _, err := ForwardChainStats(g, rules, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := seeded.Value(); got != uint64(stats.Seeded)+1 {
+		t.Errorf("seed counter after one new fact = %d, want %d", got, stats.Seeded+1)
+	}
 	gauge := set.Gauge("richsdk_intern_dict_size", "", metrics.Label{Name: "dict", Value: "rdf"})
 	if got := gauge.Value(); got != int64(g.dict.Len()) {
 		t.Errorf("dict gauge = %d, want %d", got, g.dict.Len())

@@ -25,22 +25,28 @@ type Rule struct {
 
 // Validate checks that every conclusion variable is bound by some premise.
 func (r Rule) Validate() error {
-	bound := make(map[string]bool)
-	for _, p := range r.Premises {
-		for _, t := range []Term{p.S, p.P, p.O} {
-			if t.IsVar() {
-				bound[t.Value] = true
-			}
-		}
-	}
 	for _, c := range r.Conclusions {
-		for _, t := range []Term{c.S, c.P, c.O} {
-			if t.IsVar() && !bound[t.Value] {
+		for _, t := range [3]Term{c.S, c.P, c.O} {
+			if t.IsVar() && !r.premisesBind(t.Value) {
 				return fmt.Errorf("rdf: rule %s: conclusion variable ?%s unbound", r.Name, t.Value)
 			}
 		}
 	}
 	return nil
+}
+
+// premisesBind reports whether some premise mentions the variable. A scan,
+// not a set: rules have a handful of premises and ForwardChain validates
+// on every call, so this must not allocate.
+func (r Rule) premisesBind(name string) bool {
+	for _, p := range r.Premises {
+		for _, t := range [3]Term{p.S, p.P, p.O} {
+			if t.IsVar() && t.Value == name {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // ChainStats reports forward-chaining work: Rounds is the number of
@@ -49,11 +55,15 @@ func (r Rule) Validate() error {
 // produced — Derivations minus Derived is pure re-derivation waste. On
 // linear-recursive rule sets semi-naive evaluation produces each fact
 // exactly once, so Derivations == Derived; the naive strategy re-derives
-// the entire closure every round.
+// the entire closure every round. Seeded is the size of round one's
+// delta: the whole graph on a first call, 0 when nothing changed since
+// the last fixpoint, otherwise the statements added since plus the
+// removed ones the rules put back (see ForwardChainStats).
 type ChainStats struct {
 	Rounds      int
 	Derived     int
 	Derivations int
+	Seeded      int
 }
 
 // ForwardChain applies the rules to the graph until fixpoint, asserting
@@ -76,9 +86,18 @@ func ForwardChain(g *Graph, rules []Rule, maxIterations int) (int, error) {
 // includes at least one delta fact is enumerated exactly once, and
 // combinations entirely inside the older graph (already derived in an
 // earlier round) are never revisited. Facts derived in a round become the
-// next round's delta; the initial delta is the whole graph, making round
-// one equivalent to a naive round. On non-convergence the stats
-// accumulated so far are returned alongside the error.
+// next round's delta. On non-convergence the stats accumulated so far are
+// returned alongside the error.
+//
+// Round one's delta is the whole graph — a naive round — unless the graph
+// stands at a fixpoint of this very rule set (compared by value): the
+// previous call converged, and Add, AddAll and Remove have recorded every
+// change since. Then the delta is the recorded additions still present
+// plus every recorded removal that some rule still concludes in one step
+// from the facts present; those are put back first, as chaining from
+// scratch would re-derive them, and count as Derived. Either way the graph
+// ends up exactly where chaining the statements present before the call
+// from scratch would leave it.
 func ForwardChainStats(g *Graph, rules []Rule, maxIterations int) (ChainStats, error) {
 	var stats ChainStats
 	for _, r := range rules {
@@ -97,24 +116,48 @@ func ForwardChainStats(g *Graph, rules []Rule, maxIterations int) (ChainStats, e
 			o.chain.Observe(time.Since(start))
 			o.rounds.Add(uint64(stats.Rounds))
 			o.derived.Add(uint64(stats.Derived))
+			o.seeded.Add(uint64(stats.Seeded))
 		}()
 	}
-	compiled, err := g.compileRules(rules)
-	if err != nil {
-		return stats, err
+	f := g.fix
+	if f == nil {
+		f = &fixpoint{}
+		g.fix = f
 	}
-	deltaList := make([]triple, 0, len(g.stmts))
-	for t := range g.stmts {
-		deltaList = append(deltaList, t)
+	same := rulesEqual(f.rules, rules)
+	standing := f.standing && same
+	// Until this call converges the graph is at no known fixpoint: an
+	// error return below leaves the next call its whole-graph round.
+	f.standing = false
+	if !same {
+		prog, err := g.compileRules(rules)
+		if err != nil {
+			return stats, err
+		}
+		f.rules, f.prog = cloneRules(rules), prog
 	}
-	deltaSet := make(map[triple]struct{}, len(deltaList))
-	for _, t := range deltaList {
-		deltaSet[t] = struct{}{}
+	prog := f.prog
+
+	var deltaList []triple
+	var deltaSet map[triple]struct{}
+	if standing {
+		deltaList, deltaSet = g.seedFromChanges(f, &stats)
+	} else {
+		deltaList = make([]triple, 0, len(g.stmts))
+		deltaSet = make(map[triple]struct{}, len(g.stmts))
+		for t := range g.stmts {
+			deltaList = append(deltaList, t)
+			deltaSet[t] = struct{}{}
+		}
 	}
+	f.added, f.removed = f.added[:0], f.removed[:0]
+	stats.Seeded = len(deltaList)
 	for round := 0; round < maxIterations; round++ {
-		newList, newSet := g.chainRound(compiled, deltaList, deltaSet, &stats)
+		newList, newSet := prog.round(deltaList, deltaSet, true)
 		stats.Rounds++
+		stats.Derivations += prog.derivations
 		if len(newList) == 0 {
+			f.standing = true
 			return stats, nil
 		}
 		for _, t := range newList {
@@ -124,6 +167,124 @@ func ForwardChainStats(g *Graph, rules []Rule, maxIterations int) (ChainStats, e
 		deltaList, deltaSet = newList, newSet
 	}
 	return stats, fmt.Errorf("rdf: forward chaining did not converge in %d iterations", maxIterations)
+}
+
+// fixpoint is what a graph remembers between ForwardChain calls so that
+// the next one pays for what changed, not for the graph. All of it is
+// guarded by Graph.mu.
+type fixpoint struct {
+	// rules is a private copy of the last rule set that compiled and prog
+	// its compiled form, kept across calls whether or not they converged:
+	// term IDs are stable for a graph's lifetime.
+	rules []Rule
+	prog  *chainProgram
+	// standing is true while the graph is the fixpoint of rules reached by
+	// the last call plus exactly the changes listed in added and removed.
+	// It drops — and the next call seeds its first round with the whole
+	// graph — when a call fails, when ForwardChainNaive derives facts
+	// behind its back, and when the lists outgrow half the graph.
+	standing       bool
+	added, removed []triple
+}
+
+// note records one caller mutation (list is &f.added or &f.removed) made
+// on a graph of graphLen statements. Past half the graph a whole-graph
+// round is no dearer than seeding from the lists, so recording stops and
+// the lists are freed.
+func (f *fixpoint) note(list *[]triple, t triple, graphLen int) {
+	if !f.standing {
+		return
+	}
+	*list = append(*list, t)
+	if len(f.added)+len(f.removed) > graphLen/2 {
+		f.forget()
+	}
+}
+
+// forget gives up the standing fixpoint and frees the change lists; the
+// rule set and its compiled form stay.
+func (f *fixpoint) forget() {
+	f.standing = false
+	f.added, f.removed = nil, nil
+}
+
+// seedFromChanges builds round one's delta for a graph that stood at a
+// fixpoint F of f.rules before the recorded changes. Every one-step
+// derivation whose premises all lie in what survives of F concludes a
+// member of F, so it is either still present or among the removals — and
+// each removal is tested for exactly that, over the full graph, and put
+// back if some rule concludes it. With those and the surviving additions
+// as the delta the semi-naive invariant holds again: whatever the rest of
+// the graph derives on its own is already stored. A removal that only
+// becomes derivable through a delta fact is found by the rounds, like any
+// other new fact. Caller holds the write lock.
+func (g *Graph) seedFromChanges(f *fixpoint, stats *ChainStats) ([]triple, map[triple]struct{}) {
+	if len(f.added)+len(f.removed) == 0 {
+		return nil, nil
+	}
+	deltaList := make([]triple, 0, len(f.added))
+	deltaSet := make(map[triple]struct{}, len(f.added))
+	for _, t := range f.added {
+		if _, present := g.stmts[t]; !present {
+			continue
+		}
+		if _, dup := deltaSet[t]; !dup {
+			deltaSet[t] = struct{}{}
+			deltaList = append(deltaList, t)
+		}
+	}
+	for _, t := range f.removed {
+		if _, present := g.stmts[t]; present || !f.prog.concludes(t) {
+			continue
+		}
+		g.addLocked(t)
+		stats.Derived++
+		stats.Derivations++
+		deltaSet[t] = struct{}{}
+		deltaList = append(deltaList, t)
+	}
+	return deltaList, deltaSet
+}
+
+// rulesEqual compares two rule sets by value, names included.
+func rulesEqual(a, b []Rule) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Name != b[i].Name ||
+			!statementsEqual(a[i].Premises, b[i].Premises) ||
+			!statementsEqual(a[i].Conclusions, b[i].Conclusions) {
+			return false
+		}
+	}
+	return true
+}
+
+func statementsEqual(a, b []Statement) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// cloneRules copies a rule set deeply enough that the caller editing its
+// slices afterwards cannot change what the graph remembers.
+func cloneRules(rules []Rule) []Rule {
+	out := make([]Rule, len(rules))
+	for i, r := range rules {
+		out[i] = Rule{
+			Name:        r.Name,
+			Premises:    append([]Statement(nil), r.Premises...),
+			Conclusions: append([]Statement(nil), r.Conclusions...),
+		}
+	}
+	return out
 }
 
 // ForwardChainNaive is the pre-semi-naive evaluation strategy, kept as
@@ -145,13 +306,17 @@ func ForwardChainNaive(g *Graph, rules []Rule, maxIterations int) (ChainStats, e
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	compiled, err := g.compileRules(rules)
+	prog, err := g.compileRules(rules)
 	if err != nil {
 		return stats, err
 	}
+	if g.fix != nil {
+		g.fix.forget() // what this derives is recorded nowhere
+	}
 	for round := 0; round < maxIterations; round++ {
-		newList, _ := g.chainRound(compiled, nil, nil, &stats)
+		newList, _ := prog.round(nil, nil, false)
 		stats.Rounds++
+		stats.Derivations += prog.derivations
 		if len(newList) == 0 {
 			return stats, nil
 		}
@@ -173,54 +338,110 @@ type crule struct {
 	nvars int
 }
 
+// chainProgram is a rule set compiled against one graph together with the
+// scratch its evaluation needs, so that a round allocates for the facts it
+// derives and nothing per rule: pats and row are sized for the widest
+// rule, and exec's emit closure is built once and instantiates the
+// conclusions of whichever rule is current.
+type chainProgram struct {
+	g     *Graph
+	rules []crule
+	pats  []cpat
+	row   []uint32
+	plan  joinPlan
+	exec  solveExec
+
+	// The round under way: emit instantiates rule's conclusions, counts
+	// them in derivations and buffers the new ones in newList/newSet.
+	rule        *crule
+	derivations int
+	newList     []triple
+	newSet      map[triple]struct{}
+}
+
 // compileRules interns every rule constant (caller holds the write lock).
 // Interning rather than looking up matters: a premise constant that no
 // stored fact mentions yet may start matching once another rule derives
 // it, so its ID must exist up front.
-func (g *Graph) compileRules(rules []Rule) ([]crule, error) {
-	compiled := make([]crule, len(rules))
+func (g *Graph) compileRules(rules []Rule) (*chainProgram, error) {
+	prog := &chainProgram{g: g, rules: make([]crule, len(rules))}
+	maxPrem, maxVars := 0, 0
 	for i, r := range rules {
 		all := make([]Statement, 0, len(r.Premises)+len(r.Conclusions))
 		all = append(all, r.Premises...)
 		all = append(all, r.Conclusions...)
 		pats, vars := g.compileBGP(all, true)
-		compiled[i] = crule{
+		prog.rules[i] = crule{
 			name:  r.Name,
 			prem:  pats[:len(r.Premises)],
 			concl: pats[len(r.Premises):],
 			nvars: len(vars),
 		}
-		for ci, c := range compiled[i].concl {
+		for ci, c := range prog.rules[i].concl {
 			for pos := 0; pos < 3; pos++ {
 				if c.kind[pos] == cWild {
 					return nil, fmt.Errorf("rdf: rule %s produced non-ground %s", r.Name, r.Conclusions[ci])
 				}
 			}
 		}
+		maxPrem, maxVars = max(maxPrem, len(r.Premises)), max(maxVars, len(vars))
 	}
-	return compiled, nil
+	prog.pats = make([]cpat, maxPrem)
+	prog.row = make([]uint32, maxVars)
+	prog.exec = solveExec{g: g, emit: prog.emit}
+	return prog, nil
 }
 
-// chainRound evaluates one round of every rule, buffering conclusions
-// instead of mutating the graph mid-join. With a nil deltaSet it runs one
-// naive round (all premises over the full graph); otherwise it runs the
-// semi-naive premise-splitting described on ForwardChainStats. It returns
-// the new (deduplicated, not-yet-stored) triples. Caller holds the write
-// lock.
-func (g *Graph) chainRound(compiled []crule, deltaList []triple, deltaSet map[triple]struct{}, stats *ChainStats) ([]triple, map[triple]struct{}) {
-	var newList []triple
-	newSet := make(map[triple]struct{})
-	for ri := range compiled {
-		r := &compiled[ri]
+// emit instantiates the current rule's conclusions from one premise
+// solution, buffering those neither stored nor already derived this round.
+func (p *chainProgram) emit(row []uint32) {
+	for _, c := range p.rule.concl {
+		p.derivations++
+		var t triple
+		for pos := 0; pos < 3; pos++ {
+			if c.kind[pos] == cConst {
+				t[pos] = c.id[pos]
+			} else {
+				t[pos] = row[c.slot[pos]]
+			}
+		}
+		if _, in := p.g.stmts[t]; in {
+			continue
+		}
+		if _, in := p.newSet[t]; in {
+			continue
+		}
+		if p.newSet == nil {
+			p.newSet = make(map[triple]struct{})
+		}
+		p.newSet[t] = struct{}{}
+		p.newList = append(p.newList, t)
+	}
+}
+
+// round evaluates one round of every rule, buffering conclusions instead
+// of mutating the graph mid-join. With semiNaive false it runs one naive
+// round (all premises over the full graph); otherwise it runs the
+// premise-splitting described on ForwardChainStats against the delta. It
+// returns the new (deduplicated, not-yet-stored) triples, the set nil
+// when there are none, and leaves the round's conclusion count in
+// p.derivations. Caller holds the write lock.
+func (p *chainProgram) round(deltaList []triple, deltaSet map[triple]struct{}, semiNaive bool) ([]triple, map[triple]struct{}) {
+	p.derivations, p.newList, p.newSet = 0, nil, nil
+	e := &p.exec
+	e.deltaList, e.deltaSet = deltaList, deltaSet
+	for ri := range p.rules {
+		r := &p.rules[ri]
+		p.rule = r
 		variants := 1
-		if deltaSet != nil && len(r.prem) > 0 {
+		if semiNaive && len(r.prem) > 0 {
 			variants = len(r.prem)
 		}
-		pats := make([]cpat, len(r.prem))
-		row := make([]uint32, r.nvars)
+		pats := p.pats[:len(r.prem)]
+		e.pats, e.row = pats, p.row[:r.nvars]
 		for v := 0; v < variants; v++ {
 			copy(pats, r.prem)
-			if deltaSet != nil {
+			if semiNaive {
 				for j := range pats {
 					switch {
 					case j < v:
@@ -232,39 +453,64 @@ func (g *Graph) chainRound(compiled []crule, deltaList []triple, deltaSet map[tr
 					}
 				}
 			}
-			exec := solveExec{
-				g:         g,
-				pats:      pats,
-				order:     g.planOrder(pats, r.nvars, len(deltaList)),
-				row:       row,
-				deltaList: deltaList,
-				deltaSet:  deltaSet,
-			}
-			exec.emit = func(row []uint32) {
-				for _, c := range r.concl {
-					stats.Derivations++
-					var t triple
-					for pos := 0; pos < 3; pos++ {
-						if c.kind[pos] == cConst {
-							t[pos] = c.id[pos]
-						} else {
-							t[pos] = row[c.slot[pos]]
-						}
-					}
-					if _, in := g.stmts[t]; in {
-						continue
-					}
-					if _, in := newSet[t]; in {
-						continue
-					}
-					newSet[t] = struct{}{}
-					newList = append(newList, t)
-				}
-			}
-			exec.run()
+			p.plan.reset(len(pats), r.nvars)
+			e.order = p.g.planOrder(&p.plan, pats, len(deltaList))
+			e.run()
 		}
 	}
-	return newList, newSet
+	e.deltaList, e.deltaSet = nil, nil
+	return p.newList, p.newSet
+}
+
+// concludes reports whether some rule derives t in one step from the
+// facts stored now: a conclusion that unifies with t, and premises that
+// have a solution over the full graph with the slots that unification
+// bound.
+func (p *chainProgram) concludes(t triple) bool {
+	e := &p.exec
+	for ri := range p.rules {
+		r := &p.rules[ri]
+		row := p.row[:r.nvars]
+		for ci := range r.concl {
+			if !unifyConclusion(&r.concl[ci], t, row) {
+				continue
+			}
+			p.plan.reset(len(r.prem), r.nvars)
+			for sl, id := range row {
+				p.plan.bound[sl] = id != wildID
+			}
+			e.pats, e.row = r.prem, row
+			e.order = p.g.planOrder(&p.plan, r.prem, 0)
+			if e.exists() {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// unifyConclusion matches a ground conclusion pattern against t: it
+// clears row and binds the pattern's variable slots to t's IDs, failing
+// on a constant that differs or a repeated variable ("?x p ?x") that
+// would need two values.
+func unifyConclusion(c *cpat, t triple, row []uint32) bool {
+	for i := range row {
+		row[i] = wildID
+	}
+	for pos := 0; pos < 3; pos++ {
+		if c.kind[pos] == cConst {
+			if c.id[pos] != t[pos] {
+				return false
+			}
+			continue
+		}
+		sl := c.slot[pos]
+		if row[sl] != wildID && row[sl] != t[pos] {
+			return false
+		}
+		row[sl] = t[pos]
+	}
+	return true
 }
 
 // BackwardChain proves goal (a pattern, possibly with variables) against

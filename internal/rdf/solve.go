@@ -83,23 +83,47 @@ func (g *Graph) compileBGP(patterns []Statement, intern bool) ([]cpat, []string)
 	return pats, vars
 }
 
+// joinPlan holds planOrder's working slices, so a caller that plans many
+// joins (the forward chainer) allocates them once.
+type joinPlan struct {
+	order []int
+	used  []bool
+	// bound marks the variable slots already bound. reset clears it; a
+	// caller joining from a partly bound row marks those slots before
+	// planning.
+	bound []bool
+}
+
+// reset sizes the plan for npats patterns over nvars variable slots,
+// reusing the slices when they are large enough.
+func (p *joinPlan) reset(npats, nvars int) {
+	if cap(p.used) < npats {
+		p.order = make([]int, 0, npats)
+		p.used = make([]bool, npats)
+	}
+	if cap(p.bound) < nvars {
+		p.bound = make([]bool, nvars)
+	}
+	p.order, p.used, p.bound = p.order[:0], p.used[:npats], p.bound[:nvars]
+	clear(p.used)
+	clear(p.bound)
+}
+
 // planOrder greedily orders patterns by estimated result cardinality:
 // repeatedly pick the cheapest un-placed pattern given the variables
 // already bound, then mark its variables bound. Delta-source premises are
 // always placed first — the delta is the smallest relation by
 // construction, and scanning it in an inner loop would cost |delta| per
-// outer row. Caller holds a lock.
-func (g *Graph) planOrder(pats []cpat, nvars int, deltaLen int) []int {
-	order := make([]int, 0, len(pats))
-	used := make([]bool, len(pats))
-	boundSlots := make([]bool, nvars)
-	for len(order) < len(pats) {
+// outer row. plan must have been reset for pats; the returned order is
+// plan.order. Caller holds a lock.
+func (g *Graph) planOrder(plan *joinPlan, pats []cpat, deltaLen int) []int {
+	for len(plan.order) < len(pats) {
 		best, bestEst, bestDelta := -1, 0.0, false
 		for i := range pats {
-			if used[i] {
+			if plan.used[i] {
 				continue
 			}
-			est := g.estimate(&pats[i], boundSlots)
+			est := g.estimate(&pats[i], plan.bound)
 			isDelta := pats[i].src == srcDelta
 			if isDelta && float64(deltaLen) < est {
 				est = float64(deltaLen)
@@ -108,15 +132,15 @@ func (g *Graph) planOrder(pats []cpat, nvars int, deltaLen int) []int {
 				best, bestEst, bestDelta = i, est, isDelta
 			}
 		}
-		used[best] = true
-		order = append(order, best)
+		plan.used[best] = true
+		plan.order = append(plan.order, best)
 		for i := 0; i < 3; i++ {
 			if pats[best].kind[i] == cVar {
-				boundSlots[pats[best].slot[i]] = true
+				plan.bound[pats[best].slot[i]] = true
 			}
 		}
 	}
-	return order
+	return plan.order
 }
 
 // estimate predicts how many statements the pattern will scan given the
@@ -186,6 +210,10 @@ type solveExec struct {
 	deltaList []triple
 	deltaSet  map[triple]struct{}
 	emit      func(row []uint32)
+	// first makes the search an existence test (see exists): the first
+	// complete solution sets found instead of reaching emit, and every
+	// scan still under way returns without visiting anything more.
+	first, found bool
 }
 
 func (e *solveExec) run() {
@@ -200,9 +228,26 @@ func (e *solveExec) run() {
 	e.step(0)
 }
 
+// exists searches from the row as the caller left it — slots already
+// holding an ID stay bound to it, and order must have been planned with
+// them marked bound — and reports whether the patterns have a solution,
+// stopping at the first. The row comes back as it was. Patterns compiled
+// with interning (rules) are never dead, so there is no dead check here.
+func (e *solveExec) exists() bool {
+	e.first = true
+	e.step(0)
+	found := e.found
+	e.first, e.found = false, false
+	return found
+}
+
 func (e *solveExec) step(k int) {
 	if k == len(e.order) {
-		e.emit(e.row)
+		if e.first {
+			e.found = true
+		} else {
+			e.emit(e.row)
+		}
 		return
 	}
 	p := &e.pats[e.order[k]]
@@ -218,6 +263,9 @@ func (e *solveExec) step(k int) {
 		}
 	}
 	visit := func(t triple) {
+		if e.found {
+			return
+		}
 		// Bind this pattern's unbound variable slots; a slot bound twice
 		// within the pattern (e.g. "?x p ?x") must agree with itself.
 		var boundHere [3]int
@@ -293,10 +341,12 @@ func (g *Graph) SolveRows(patterns []Statement) Solutions {
 	}
 	pats, vars := g.compileBGP(patterns, false)
 	nv := len(vars)
+	var plan joinPlan
+	plan.reset(len(pats), nv)
 	exec := solveExec{
 		g:     g,
 		pats:  pats,
-		order: g.planOrder(pats, nv, 0),
+		order: g.planOrder(&plan, pats, 0),
 		row:   make([]uint32, nv),
 	}
 	var flatIDs []uint32

@@ -126,6 +126,9 @@ type Graph struct {
 	// obs holds the graph's instruments (nil until Instrument attaches
 	// them); guarded by mu like everything else here.
 	obs *rdfObs
+	// fix is what forward chaining remembers between calls (nil until the
+	// first ForwardChain); see fixpoint in reason.go.
+	fix *fixpoint
 }
 
 // NewGraph returns an empty graph.
@@ -150,10 +153,25 @@ func (g *Graph) Add(s Statement) (bool, error) {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.addLocked(triple{g.dict.Intern(s.S), g.dict.Intern(s.P), g.dict.Intern(s.O)}), nil
+	return g.assertLocked(s), nil
 }
 
-// addLocked inserts an interned triple; caller holds the write lock.
+// assertLocked interns and inserts a caller's statement and tells the
+// standing fixpoint, if there is one, about it; caller holds the write
+// lock.
+func (g *Graph) assertLocked(s Statement) bool {
+	t := triple{g.dict.Intern(s.S), g.dict.Intern(s.P), g.dict.Intern(s.O)}
+	if !g.addLocked(t) {
+		return false
+	}
+	if f := g.fix; f != nil {
+		f.note(&f.added, t, len(g.stmts))
+	}
+	return true
+}
+
+// addLocked inserts an interned triple without recording it — the insert
+// forward chaining itself uses; caller holds the write lock.
 func (g *Graph) addLocked(t triple) bool {
 	if _, dup := g.stmts[t]; dup {
 		return false
@@ -185,7 +203,7 @@ func (g *Graph) AddAll(stmts []Statement) (int, error) {
 		if !s.Ground() {
 			return added, fmt.Errorf("rdf: cannot store non-ground statement %s", s)
 		}
-		if g.addLocked(triple{g.dict.Intern(s.S), g.dict.Intern(s.P), g.dict.Intern(s.O)}) {
+		if g.assertLocked(s) {
 			added++
 		}
 	}
@@ -211,6 +229,9 @@ func (g *Graph) Remove(s Statement) bool {
 	countDec(g.nS, t[0])
 	countDec(g.nP, t[1])
 	countDec(g.nO, t[2])
+	if f := g.fix; f != nil {
+		f.note(&f.removed, t, len(g.stmts))
+	}
 	return true
 }
 

@@ -119,7 +119,9 @@ func (h *Histogram) String() string {
 // Reservoir maintains a uniform random sample of bounded size over an
 // unbounded stream (Vitter's Algorithm R). It underpins latency-history
 // tracking: the SDK keeps a representative sample without unbounded memory.
-// Reservoir is not safe for concurrent use.
+// The sample's storage grows with what has been observed, by doubling up
+// to the capacity and never past it, so a reservoir that saw ten values
+// holds room for sixteen. Reservoir is not safe for concurrent use.
 type Reservoir struct {
 	capacity int
 	seen     uint64
@@ -128,18 +130,29 @@ type Reservoir struct {
 }
 
 // NewReservoir returns a reservoir holding at most capacity samples. rnd
-// supplies uniform [0,1) values; it must be non-nil.
+// supplies uniform [0,1) values; it must be non-nil. It is first called
+// by the observation after the capacity-th, so a source that is costly to
+// build can build itself then.
 func NewReservoir(capacity int, rnd func() float64) *Reservoir {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Reservoir{capacity: capacity, rnd: rnd, items: make([]float64, 0, capacity)}
+	return &Reservoir{capacity: capacity, rnd: rnd}
 }
+
+// reservoirMinRoom is the storage a reservoir's first observation
+// allocates, in samples (capacity permitting).
+const reservoirMinRoom = 16
 
 // Observe offers x to the reservoir.
 func (r *Reservoir) Observe(x float64) {
 	r.seen++
 	if len(r.items) < r.capacity {
+		if len(r.items) == cap(r.items) {
+			grown := make([]float64, len(r.items), min(max(2*cap(r.items), reservoirMinRoom), r.capacity))
+			copy(grown, r.items)
+			r.items = grown
+		}
 		r.items = append(r.items, x)
 		return
 	}

@@ -151,3 +151,44 @@ func TestReservoirMinCapacity(t *testing.T) {
 		t.Errorf("capacity clamped to 1, sample size = %d", len(r.Sample()))
 	}
 }
+
+// TestReservoirGrowsOnDemand: the sample's storage follows what was
+// observed and stops at the capacity, and the replacement source is not
+// consulted before the sample is full — while the sample itself is what
+// Algorithm R over an up-front allocation gives for the same draws.
+func TestReservoirGrowsOnDemand(t *testing.T) {
+	for _, capacity := range []int{1, 10, 16, 1000, 2048} {
+		draws := 0
+		rng := rand.New(rand.NewSource(int64(capacity)))
+		r := NewReservoir(capacity, func() float64 { draws++; return rng.Float64() })
+		if cap(r.items) != 0 {
+			t.Errorf("capacity %d: a new reservoir holds room for %d samples, want none", capacity, cap(r.items))
+		}
+		model := make([]float64, 0, capacity)
+		modelRng := rand.New(rand.NewSource(int64(capacity)))
+		for i := 0; i < 3*capacity+7; i++ {
+			x := float64(i)
+			r.Observe(x)
+			if len(model) < capacity {
+				model = append(model, x)
+			} else if j := uint64(modelRng.Float64() * float64(i+1)); j < uint64(capacity) {
+				model[j] = x
+			}
+			if cap(r.items) > capacity {
+				t.Fatalf("capacity %d: storage grew to %d after %d observations", capacity, cap(r.items), i+1)
+			}
+			if i < capacity && draws != 0 {
+				t.Fatalf("capacity %d: random source consulted at observation %d, before the sample was full", capacity, i+1)
+			}
+		}
+		got := r.Sample()
+		if len(got) != len(model) {
+			t.Fatalf("capacity %d: sample has %d items, want %d", capacity, len(got), len(model))
+		}
+		for i := range got {
+			if got[i] != model[i] {
+				t.Fatalf("capacity %d: sample[%d] = %v, want %v", capacity, i, got[i], model[i])
+			}
+		}
+	}
+}
