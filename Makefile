@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race check bench-test fuzz cover bench bench-rdf bench-search bench-nlu bench-metrics bench-store bench-loop bench-chaos bench-cloud loadgen-smoke cloud-smoke fmt fmt-check
+.PHONY: build test vet race check bench-test flake fuzz cover bench bench-rdf bench-search bench-nlu bench-metrics bench-store bench-loop bench-chaos bench-cloud loadgen-smoke cloud-smoke fmt fmt-check
 
 build:
 	$(GO) build ./...
@@ -35,6 +35,22 @@ check: fmt-check vet race loadgen-smoke cloud-smoke bench-test
 # internal/ change that breaks it is caught here rather than by the driver.
 bench-test:
 	cd bench && $(GO) test ./...
+
+# flake counts how often a test fails: `make flake PKG=./internal/remotestore
+# RUN=TestClusterRefusedPutNotServed COUNT=2000` runs the tests matching RUN
+# in PKG COUNT times in one process, plain and again under the race
+# detector, and prints the number of failing iterations of each — the check
+# behind "green at -count=N" for a timing guard or a test that raced a
+# straggling request. It exits non-zero if either run saw a failure.
+PKG ?= ./...
+RUN ?= .
+COUNT ?= 200
+flake:
+	@status=0; for flags in "" "-race"; do \
+		out="$$($(GO) test $$flags -count=$(COUNT) -run '$(RUN)' $(PKG) 2>&1)" || status=1; \
+		echo "go test $$flags -count=$(COUNT) -run '$(RUN)' $(PKG): $$(echo "$$out" | grep -c '^--- FAIL') failing iterations"; \
+		echo "$$out" | grep -v '^--- FAIL' | grep -E '^(FAIL|panic:|ok )' || true; \
+	done; exit $$status
 
 # fuzz runs every Fuzz* target for FUZZTIME each, one at a time (go test
 # takes one -fuzz target per package run): the search, NLU and RDF parsers,

@@ -22,6 +22,7 @@ import (
 	"repro/internal/nlu"
 	"repro/internal/nlu/nluref"
 	"repro/internal/predict"
+	"repro/internal/raceflag"
 	"repro/internal/rdf"
 	"repro/internal/rdf/rdfref"
 	"repro/internal/search"
@@ -325,7 +326,7 @@ func TestPipelineOverheadCacheHit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing guard skipped in -short mode")
 	}
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("timing guard skipped under the race detector: instrumentation distorts relative costs")
 	}
 	req := service.Request{Op: "analyze", Text: benchDoc}
@@ -485,7 +486,7 @@ func TestTraceOverheadFacade(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing guard skipped in -short mode")
 	}
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("timing guard skipped under the race detector: instrumentation distorts relative costs")
 	}
 	tr := trace.New()
@@ -545,7 +546,7 @@ func TestMetricsOverheadShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing guard skipped in -short mode")
 	}
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("timing guard skipped under the race detector: instrumentation distorts relative costs")
 	}
 
@@ -676,7 +677,7 @@ func TestShardedCacheShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing guard skipped in -short mode")
 	}
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("timing guard skipped under the race detector: instrumentation distorts relative costs")
 	}
 	const nkeys = 1024
@@ -870,7 +871,7 @@ func TestRDFInferenceShape(t *testing.T) {
 			naiveStats.Derivations, semiStats.Derivations)
 	}
 
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("timing leg skipped under the race detector: instrumentation distorts relative costs")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -934,7 +935,7 @@ func TestSearchShape(t *testing.T) {
 		}
 	}
 
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("timing leg skipped under the race detector: instrumentation distorts relative costs")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -1021,7 +1022,7 @@ func TestNLUShape(t *testing.T) {
 		}
 	}
 
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("timing and allocation legs skipped under the race detector: instrumentation distorts relative costs")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))

@@ -181,57 +181,11 @@ type E11Row struct {
 func RunE11(scale Scale) ([]E11Row, Table, error) {
 	var rows []E11Row
 	for _, offlineWrites := range []int{scale.n(20), scale.n(100), scale.n(400)} {
-		backing := kvstore.NewMemory()
-		srv := remotestore.NewServer(backing)
-		hs := httptest.NewServer(srv.Handler())
-		client := remotestore.NewClient(remotestore.ClientConfig{
-			BaseURL: hs.URL,
-			Local:   kvstore.NewMemory(),
-		})
-		// Online warm-up write.
-		if err := client.Put("warm", []byte("up")); err != nil {
-			hs.Close()
-			return nil, Table{}, err
-		}
-		client.SetOffline(true)
-		for i := 0; i < offlineWrites; i++ {
-			key := fmt.Sprintf("k%04d", i%max(offlineWrites/2, 1)) // half the keys rewritten
-			if err := client.Put(key, []byte(fmt.Sprintf("v%d", i))); err != nil {
-				hs.Close()
-				return nil, Table{}, err
-			}
-		}
-		// Offline reads still served locally.
-		reads := 0
-		for i := 0; i < 10; i++ {
-			if _, err := client.Get(fmt.Sprintf("k%04d", i%max(offlineWrites/2, 1))); err == nil {
-				reads++
-			}
-		}
-		start := time.Now()
-		pushed, err := client.Sync()
-		syncTime := time.Since(start)
+		row, err := runE11Window(offlineWrites)
 		if err != nil {
-			hs.Close()
 			return nil, Table{}, err
 		}
-		// Verify nothing was lost: every key's final value must be
-		// remote.
-		lost := 0
-		for i := 0; i < offlineWrites; i++ {
-			key := fmt.Sprintf("k%04d", i%max(offlineWrites/2, 1))
-			if _, err := backing.Get(key); err != nil {
-				lost++
-			}
-		}
-		hs.Close()
-		rows = append(rows, E11Row{
-			OfflineWrites: offlineWrites,
-			OfflineReads:  reads,
-			SyncedOps:     pushed,
-			Lost:          lost,
-			SyncTime:      syncTime,
-		})
+		rows = append(rows, row)
 	}
 	t := Table{
 		ID:     "E11",
@@ -246,6 +200,60 @@ func RunE11(scale Scale) ([]E11Row, Table, error) {
 	}
 	t.Notes = "last-writer-wins collapses superseded writes (synced_ops ~= distinct keys); zero writes lost"
 	return rows, t, nil
+}
+
+// runE11Window is one offline window of offlineWrites writes against a
+// fresh one-node store.
+func runE11Window(offlineWrites int) (E11Row, error) {
+	backing := kvstore.NewMemory()
+	hs := httptest.NewServer(remotestore.NewServer(backing).Handler())
+	defer hs.Close()
+	client, err := remotestore.NewCluster(remotestore.ClusterConfig{
+		Nodes: []string{hs.URL},
+		Local: kvstore.NewMemory(),
+	})
+	if err != nil {
+		return E11Row{}, err
+	}
+	defer client.Close()
+	// Online warm-up write.
+	if err := client.Put("warm", []byte("up")); err != nil {
+		return E11Row{}, err
+	}
+	client.SetOffline(true)
+	keyOf := func(i int) string { return fmt.Sprintf("k%04d", i%max(offlineWrites/2, 1)) } // half the keys rewritten
+	for i := 0; i < offlineWrites; i++ {
+		if err := client.Put(keyOf(i), []byte(fmt.Sprintf("v%d", i))); err != nil {
+			return E11Row{}, err
+		}
+	}
+	// Offline reads still served locally.
+	reads := 0
+	for i := 0; i < 10; i++ {
+		if _, err := client.Get(keyOf(i)); err == nil {
+			reads++
+		}
+	}
+	start := time.Now()
+	pushed, err := client.Sync()
+	syncTime := time.Since(start)
+	if err != nil {
+		return E11Row{}, err
+	}
+	// Verify nothing was lost: every key's final value must be remote.
+	lost := 0
+	for i := 0; i < offlineWrites; i++ {
+		if _, err := backing.Get(keyOf(i)); err != nil {
+			lost++
+		}
+	}
+	return E11Row{
+		OfflineWrites: offlineWrites,
+		OfflineReads:  reads,
+		SyncedOps:     pushed,
+		Lost:          lost,
+		SyncTime:      syncTime,
+	}, nil
 }
 
 // --- E12: format conversion round trips (§3) ---

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/raceflag"
 )
 
 // Shape assertions: each experiment must reproduce the paper claim's
@@ -602,7 +604,7 @@ func TestE21ChaosShape(t *testing.T) {
 	// configs; race-detector instrumentation multiplies the backend's
 	// 2ms service time past the latency target and client budget, so the
 	// comparison is meaningless there. Run plain `make test` for them.
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Log("race detector on: skipping goodput/latency legs")
 		return
 	}
@@ -688,7 +690,7 @@ func TestE22CloudStoreShape(t *testing.T) {
 	}
 	// The timing half (near-linear scaling) is a benchmark claim; assert
 	// it only where timing is trustworthy.
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Log("race detector on: skipping throughput-scaling legs")
 		return
 	}

@@ -312,10 +312,14 @@ func TestSearchAnalyzeAggregateKBPipeline(t *testing.T) {
 	cloud := remotestore.NewServer(kvstore.NewMemory())
 	cloudSrv := httptest.NewServer(cloud.Handler())
 	defer cloudSrv.Close()
-	rclient := remotestore.NewClient(remotestore.ClientConfig{
-		BaseURL: cloudSrv.URL,
-		Local:   kvstore.NewMemory(),
+	rclient, err := remotestore.NewCluster(remotestore.ClusterConfig{
+		Nodes: []string{cloudSrv.URL},
+		Local: kvstore.NewMemory(),
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rclient.Close()
 	cloud.SetDown(true)
 	graphCSV := new(bytes.Buffer)
 	for i, stmt := range base.Graph().All() {

@@ -43,8 +43,8 @@ type Config struct {
 	// Compress gzip-compresses persisted payloads (before encryption).
 	Compress bool
 	// Remote, if non-nil, is the cloud store used by SaveRemote/
-	// LoadRemote — a single-node *remotestore.Client or a sharded
-	// *remotestore.Cluster, behind the same Store interface.
+	// LoadRemote: a *remotestore.Cluster over one node or many, or a
+	// wrapper around one.
 	Remote remotestore.Store
 	// Dictionary overrides the spell-check dictionary. Nil uses the
 	// built-in lexicon dictionary.

@@ -334,7 +334,11 @@ func TestRemoteSaveLoad(t *testing.T) {
 	srv := remotestore.NewServer(nil)
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
-	client := remotestore.NewClient(remotestore.ClientConfig{BaseURL: hs.URL})
+	client, err := remotestore.NewCluster(remotestore.ClusterConfig{Nodes: []string{hs.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
 	k := newKB(t, Config{Remote: client})
 	if err := k.SaveRemote("fact", []byte("cloud data")); err != nil {
 		t.Fatal(err)

@@ -21,12 +21,49 @@ import (
 	"repro/internal/service"
 )
 
+// ErrNotFound is returned by Get for absent keys.
+var ErrNotFound = errors.New("remotestore: not found")
+
+// ErrOffline is returned when an operation needs the remote store but the
+// client is offline and no local fallback exists.
+var ErrOffline = errors.New("remotestore: offline")
+
 // ErrNoQuorum is returned (wrapped) when a replicated write cannot reach
 // its write quorum and the failure is not a connectivity loss that the
 // offline queue can absorb.
 var ErrNoQuorum = errors.New("remotestore: write quorum not reached")
 
-// ClusterConfig configures a sharded, replicated cloud-store client.
+// Store is the enhanced data store surface kb and docstore callers hold, so
+// they need not care how many servers sit behind it — or whether a test or
+// a benchmark has wrapped the Cluster.
+type Store interface {
+	Put(key string, value []byte) error
+	Get(key string) ([]byte, error)
+	Delete(key string) error
+	Keys() ([]string, error)
+	Sync() (int, error)
+	SetOffline(offline bool)
+	Offline() bool
+	PendingWrites() int
+}
+
+// Stats counts client activity. RemotePuts and RemoteGets count per-node
+// operations, so one replicated write at R=2 counts two puts; ReadFailovers
+// counts reads served by a non-primary replica.
+type Stats struct {
+	RemoteGets    int64
+	RemotePuts    int64
+	CacheHits     int64
+	OfflineWrites int64
+	SyncedWrites  int64
+	DroppedWrites int64
+	BytesSent     int64
+	ReadFailovers int64
+}
+
+// ClusterConfig configures the enhanced data store client. One node is a
+// cluster like any other: Replicas and WriteQuorum clamp to 1 and every
+// default below applies.
 type ClusterConfig struct {
 	// Nodes are the member store base URLs ("http://host:port"). The node
 	// name used for placement, breakers, and metrics is the URL itself.
@@ -44,13 +81,21 @@ type ClusterConfig struct {
 	// ring.DefaultVirtualNodes.
 	VirtualNodes int
 	Seed         uint64
-	// Codec, CacheSize, CacheTTL, Local, Timeout, and MaxPending carry
-	// the enhanced-client behaviours unchanged (see ClientConfig).
-	Codec      codec.Codec
-	CacheSize  int
-	CacheTTL   time.Duration
-	Local      kvstore.Store
-	Timeout    time.Duration
+	// Codec transforms values before upload (typically Chain{Gzip,
+	// AESGCM}). Nil means Identity.
+	Codec codec.Codec
+	// CacheSize bounds the client-side read cache (entries); 0 disables
+	// caching. CacheTTL expires cached reads; 0 means no expiry.
+	CacheSize int
+	CacheTTL  time.Duration
+	// Local, if non-nil, mirrors every write locally so reads keep
+	// working while disconnected (the paper's local storage service).
+	Local kvstore.Store
+	// Timeout bounds each HTTP request. 0 means 10 seconds.
+	Timeout time.Duration
+	// MaxPending caps the offline write-back queue (distinct keys).
+	// 0 means DefaultMaxPending; negative means unbounded, for callers
+	// that would rather grow than drop.
 	MaxPending int
 	// Breaker configures the per-node circuit breakers. Zero Threshold
 	// means 4 consecutive transient failures with a 2s cooldown; negative
@@ -76,10 +121,10 @@ type nodeAck struct {
 	at   time.Duration // since fan-out start
 }
 
-// Cluster is the sharded cloud-store client: the enhanced Client surface
-// (caching, codec, local mirror, offline write-back) over N remotestore
-// nodes with consistent-hash placement, R-way replicated writes, and
-// read failover. It is safe for concurrent use.
+// Cluster is the enhanced data store client: caching, codec, local mirror
+// and offline write-back over N >= 1 store nodes with consistent-hash
+// placement, R-way replicated writes, and read failover. The package
+// comment states when it goes offline. It is safe for concurrent use.
 type Cluster struct {
 	replicas int
 	quorum   int
@@ -92,6 +137,7 @@ type Cluster struct {
 
 	ring *ring.Ring
 
+	httpc *http.Client // shared by every node's transport
 	nmu   sync.RWMutex
 	nodes map[string]*transport
 
@@ -230,6 +276,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		breakers: breakers,
 		pool:     pool,
 		ring:     ring.New(ringOpts...),
+		httpc:    &http.Client{Timeout: cfg.Timeout},
 		nodes:    make(map[string]*transport, len(cfg.Nodes)),
 		queue:    newWriteQueue(maxPending),
 		inst:     newClusterInstruments(cfg.Metrics),
@@ -237,39 +284,24 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.CacheSize > 0 {
 		cl.memcache = cache.NewSharded[[]byte](cfg.CacheSize, cache.WithTTL(cfg.CacheTTL))
 	}
-	httpc := &http.Client{Timeout: cfg.Timeout}
 	for _, n := range cfg.Nodes {
-		cl.addNode(n, httpc)
+		cl.AddNode(n)
 	}
 	return cl, nil
 }
 
 var _ Store = (*Cluster)(nil)
 
-func (cl *Cluster) addNode(name string, httpc *http.Client) {
+// AddNode joins a store node to the ring. New keys start landing on it
+// immediately; call Rebalance to move existing replicas onto it.
+func (cl *Cluster) AddNode(name string) {
 	cl.nmu.Lock()
 	if _, ok := cl.nodes[name]; !ok {
-		cl.nodes[name] = &transport{base: name, http: httpc}
+		cl.nodes[name] = &transport{base: name, http: cl.httpc}
 		cl.ring.Add(name)
 	}
 	cl.nmu.Unlock()
 	cl.inst.ringNodes.Set(int64(cl.ring.Len()))
-}
-
-// AddNode joins a store node to the ring. New keys start landing on it
-// immediately; call Rebalance to move existing replicas onto it.
-func (cl *Cluster) AddNode(name string) {
-	cl.nmu.RLock()
-	var httpc *http.Client
-	for _, tr := range cl.nodes {
-		httpc = tr.http
-		break
-	}
-	cl.nmu.RUnlock()
-	if httpc == nil {
-		httpc = &http.Client{Timeout: 10 * time.Second}
-	}
-	cl.addNode(name, httpc)
 }
 
 // RemoveNode leaves a node. Keys it held remain on their surviving
@@ -296,10 +328,10 @@ func (cl *Cluster) WriteQuorum() int { return cl.quorum }
 // replication to finish.
 func (cl *Cluster) Close() { cl.pool.Close() }
 
-// SetOffline switches the cluster client into (or out of) offline mode.
-// Like the single-node client, going offline is automatic when a write
-// cannot reach quorum for connectivity reasons; coming back online does
-// not sync automatically.
+// SetOffline switches the client into (or out of) offline mode. Going
+// offline is also automatic when a write cannot reach quorum because its
+// owners are unreachable; coming back online does not sync automatically,
+// call Sync.
 func (cl *Cluster) SetOffline(offline bool) {
 	cl.mu.Lock()
 	cl.offline = offline
@@ -320,9 +352,7 @@ func (cl *Cluster) PendingWrites() int {
 	return cl.queue.len()
 }
 
-// Stats returns a snapshot of activity counters. RemotePuts/RemoteGets
-// count per-node operations, so one replicated write at R=2 counts two
-// puts.
+// Stats returns a snapshot of activity counters.
 func (cl *Cluster) Stats() Stats {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
@@ -399,10 +429,15 @@ func (cl *Cluster) nodeDo(ctx context.Context, node string, op func(ctx context.
 		}
 		return service.Response{}, nil
 	}, cl.retry)
-	if br != nil {
+	// An op that failed after its caller's context ended is no evidence
+	// about the node: it neither counts as a node error nor moves a closed
+	// breaker towards open. A tripped breaker still records it, because the
+	// op may have been the half-open probe, whose slot only Record frees.
+	abandoned := err != nil && ctx.Err() != nil
+	if br != nil && (!abandoned || br.Tripped()) {
 		br.Record(err)
 	}
-	if err != nil && !errors.Is(err, ErrNotFound) {
+	if err != nil && !abandoned && !errors.Is(err, ErrNotFound) {
 		// Not-found is an expected application answer — counting it as a
 		// node error would make routine probes inflate a healthy node's
 		// error rate.
@@ -427,10 +462,12 @@ func (cl *Cluster) PutCtx(ctx context.Context, key string, value []byte) error {
 	if err != nil {
 		return fmt.Errorf("remotestore: encode: %w", err)
 	}
-	// The store goes first, as in Client.PutCtx: replicate returns nil once
-	// the write reached its quorum or was queued for Sync, and an error when
-	// the nodes refused it — then the mirror keeps what it had, and the
-	// cache entry goes, because some replicas may have taken the write.
+	// The store goes first: replicate returns nil once the write reached its
+	// quorum or was queued for Sync, which counts as accepted, so the client
+	// reads it back while offline. It returns an error when the nodes refused
+	// the write or the caller gave up on it — then the mirror keeps what it
+	// had, and the cache entry goes, because some replicas may have taken
+	// the write.
 	if cl.Offline() {
 		cl.queueWrite(key, encoded, false)
 	} else if err := cl.replicate(ctx, key, encoded, false); err != nil {
@@ -499,8 +536,8 @@ func (cl *Cluster) nodeWrite(ctx context.Context, node, key string, encoded []by
 // pool and returns once W of them acknowledge. The remaining acks drain in
 // a background goroutine that records the write's replication lag. A write
 // that cannot reach quorum because nodes are unreachable queues for Sync
-// and flips the client offline (mirroring the single-node client's
-// transport-failure behaviour); any other failure is returned.
+// and flips the client offline; any other failure is returned — a refusal,
+// or the caller's own context ending, which says nothing about the nodes.
 func (cl *Cluster) replicate(ctx context.Context, key string, encoded []byte, del bool) error {
 	owners := cl.owners(key)
 	if len(owners) == 0 {
@@ -570,6 +607,9 @@ func (cl *Cluster) replicate(ctx context.Context, key string, encoded []byte, de
 		return nil
 	}
 	err := fmt.Errorf("%w: %d/%d acks from %v: %w", ErrNoQuorum, got, need, owners, errors.Join(errs...))
+	if cerr := ctx.Err(); cerr != nil {
+		return fmt.Errorf("%w: %w", cerr, err)
+	}
 	for _, e := range errs {
 		if unreachable(e) {
 			cl.SetOffline(true)
@@ -582,10 +622,10 @@ func (cl *Cluster) replicate(ctx context.Context, key string, encoded []byte, de
 
 // Get returns the value for key: from the cache, then the primary, then —
 // on transport error, open breaker, or a stale miss — the remaining
-// replicas in ring order. NotFound is only authoritative after every
-// reachable replica has denied the key. Unlike the single-node client a
-// failed replica read does not flip the whole client offline: other shards
-// are likely still healthy.
+// replicas in ring order, then the local mirror. NotFound is only
+// authoritative after every reachable replica has denied the key. A failed
+// read never flips the client offline: other shards are likely still
+// healthy, and a read that gave up says nothing about the next one.
 func (cl *Cluster) Get(key string) ([]byte, error) {
 	return cl.GetCtx(context.Background(), key)
 }

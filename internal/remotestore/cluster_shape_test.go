@@ -2,8 +2,11 @@ package remotestore
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -11,11 +14,12 @@ import (
 	"repro/internal/core"
 	"repro/internal/failover"
 	"repro/internal/kvstore"
+	"repro/internal/raceflag"
 )
 
 // TestCloudStoreShape is the tier-1 guard for the sharded cloud store
 // (ISSUE 10 acceptance): a sharded N=4/R=2 client must agree key-for-key
-// with a single-node oracle, show ≥2x aggregate write throughput at 4
+// with a map-backed oracle, show ≥2x aggregate write throughput at 4
 // nodes vs 1, and serve 100% of reads with one node killed.
 //
 // On the throughput leg's replication settings: at R=2/W=2 every write
@@ -31,74 +35,55 @@ func TestCloudStoreShape(t *testing.T) {
 }
 
 func testShapeOracleEquivalence(t *testing.T) {
-	// Oracle: the plain single-node enhanced client.
-	oracleSrv := NewServer(nil)
-	ohs := httptest.NewServer(oracleSrv.Handler())
-	defer ohs.Close()
-	oracle := NewClient(ClientConfig{BaseURL: ohs.URL})
-
+	// Oracle: a map and a sort — the model of a key-value store, sharing no
+	// transport, codec or placement code with the cluster.
+	oracle := map[string][]byte{}
 	tc := newTestCluster(t, 4, nil)
-	const n = 60
-	for i := 0; i < n; i++ {
-		k := fmt.Sprintf("key-%03d", i)
-		v := []byte(fmt.Sprintf("value-%d-%s", i, string(rune('a'+i%26))))
-		if err := oracle.Put(k, v); err != nil {
-			t.Fatal(err)
-		}
+	put := func(k string, v []byte) {
+		t.Helper()
+		oracle[k] = v
 		if err := tc.cl.Put(k, v); err != nil {
 			t.Fatal(err)
 		}
 	}
+	const n = 60
+	for i := 0; i < n; i++ {
+		put(fmt.Sprintf("key-%03d", i), []byte(fmt.Sprintf("value-%d-%s", i, string(rune('a'+i%26)))))
+	}
 	// Overwrites and deletes must track too.
 	for i := 0; i < n; i += 7 {
-		k := fmt.Sprintf("key-%03d", i)
-		if err := oracle.Put(k, []byte("rewritten")); err != nil {
-			t.Fatal(err)
-		}
-		if err := tc.cl.Put(k, []byte("rewritten")); err != nil {
-			t.Fatal(err)
-		}
+		put(fmt.Sprintf("key-%03d", i), []byte("rewritten"))
 	}
 	for i := 3; i < n; i += 11 {
 		k := fmt.Sprintf("key-%03d", i)
-		if err := oracle.Delete(k); err != nil {
-			t.Fatal(err)
-		}
+		delete(oracle, k)
 		if err := tc.cl.Delete(k); err != nil {
 			t.Fatal(err)
 		}
 	}
-	oracleKeys, err := oracle.Keys()
-	if err != nil {
-		t.Fatal(err)
+	oracleKeys := make([]string, 0, len(oracle))
+	for k := range oracle {
+		oracleKeys = append(oracleKeys, k)
 	}
+	sort.Strings(oracleKeys)
 	clusterKeys, err := tc.cl.Keys()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(oracleKeys) != len(clusterKeys) {
-		t.Fatalf("key sets differ: oracle %d, cluster %d", len(oracleKeys), len(clusterKeys))
-	}
-	for i := range oracleKeys {
-		if oracleKeys[i] != clusterKeys[i] {
-			t.Fatalf("Keys()[%d]: oracle %q, cluster %q", i, oracleKeys[i], clusterKeys[i])
-		}
+	if !reflect.DeepEqual(clusterKeys, oracleKeys) {
+		t.Fatalf("Keys(): cluster %q, oracle %q", clusterKeys, oracleKeys)
 	}
 	for _, k := range oracleKeys {
-		want, err := oracle.Get(k)
-		if err != nil {
-			t.Fatal(err)
-		}
 		got, err := tc.cl.Get(k)
-		if err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("Get(%s): cluster (%q, %v), oracle %q", k, got, err, want)
+		if err != nil || !bytes.Equal(got, oracle[k]) {
+			t.Fatalf("Get(%s): cluster (%q, %v), oracle %q", k, got, err, oracle[k])
 		}
 	}
 	// Deleted keys are absent from both.
 	for i := 3; i < n; i += 11 {
 		k := fmt.Sprintf("key-%03d", i)
-		if _, err := tc.cl.Get(k); err == nil {
-			t.Fatalf("deleted key %s still readable on cluster", k)
+		if _, err := tc.cl.Get(k); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("deleted key %s on the cluster: Get = %v, want ErrNotFound", k, err)
 		}
 	}
 }
@@ -170,7 +155,7 @@ func shapeWriteRate(t *testing.T, cl *Cluster, ops, writers int, tag string) tim
 }
 
 func testShapeThroughput(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("timing-sensitive; run without -race")
 	}
 	if testing.Short() {

@@ -564,9 +564,9 @@ func TestClusterHandlerGateway(t *testing.T) {
 	tc := newTestCluster(t, 4, nil)
 	gw := httptest.NewServer(tc.cl.Handler())
 	defer gw.Close()
-	// The gateway speaks the same protocol as a node, so a plain Client
-	// can talk to the whole cluster through it.
-	c := NewClient(ClientConfig{BaseURL: gw.URL})
+	// The gateway speaks the same protocol as a node, so a client that
+	// takes it for its one node can talk to the whole cluster through it.
+	c := oneNode(t, gw.URL, ClusterConfig{})
 	if err := c.Put("via-gateway", []byte("hello")); err != nil {
 		t.Fatal(err)
 	}

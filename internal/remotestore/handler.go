@@ -3,8 +3,6 @@ package remotestore
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
 	"net/http"
 )
 
@@ -16,13 +14,8 @@ import (
 func (cl *Cluster) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("PUT /kv/{key}", func(w http.ResponseWriter, r *http.Request) {
-		data, err := io.ReadAll(io.LimitReader(r.Body, DefaultMaxObjectBytes+1))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if int64(len(data)) > DefaultMaxObjectBytes {
-			http.Error(w, fmt.Sprintf("object exceeds %d-byte limit", int64(DefaultMaxObjectBytes)), http.StatusRequestEntityTooLarge)
+		data, ok := readObject(w, r, DefaultMaxObjectBytes)
+		if !ok {
 			return
 		}
 		if err := cl.PutCtx(r.Context(), r.PathValue("key"), data); err != nil {

@@ -180,7 +180,7 @@ func TestKeyBytesRoundTripThroughServer(t *testing.T) {
 	srv := NewServer(st)
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)
-	c := NewClient(ClientConfig{BaseURL: hs.URL})
+	c := oneNode(t, hs.URL, ClusterConfig{})
 	checkKeyRoundTrip(t, c, storeLen(t, st), 1)
 
 	requests := srv.Requests()
@@ -216,7 +216,7 @@ func TestKeyBytesRoundTripThroughGateway(t *testing.T) {
 	t.Cleanup(cl.Close)
 	gw := httptest.NewServer(cl.Handler())
 	t.Cleanup(gw.Close)
-	checkKeyRoundTrip(t, NewClient(ClientConfig{BaseURL: gw.URL}), storeLen(t, stores...), 2)
+	checkKeyRoundTrip(t, oneNode(t, gw.URL, ClusterConfig{}), storeLen(t, stores...), 2)
 }
 
 // plainListing is what a node sends for n keys of the benchmark's shape.

@@ -3,7 +3,7 @@ package remotestore
 import "sort"
 
 // DefaultMaxPending bounds the offline write-back queue when
-// ClientConfig.MaxPending is zero. During a long outage a busy client can
+// ClusterConfig.MaxPending is zero. During a long outage a busy client can
 // queue writes far faster than a reconnect will ever drain them; an
 // unbounded queue turns an availability incident into a memory incident.
 const DefaultMaxPending = 4096
@@ -24,6 +24,14 @@ type writeQueue struct {
 	index   map[string]int // key -> position in entries
 	seq     int64
 	dropped int64
+}
+
+// pendingWrite is one write queued while offline.
+type pendingWrite struct {
+	key    string
+	value  []byte // encoded (post-codec) value; nil means delete
+	seq    int64
+	delete bool
 }
 
 func newWriteQueue(max int) *writeQueue {

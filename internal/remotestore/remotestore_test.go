@@ -3,26 +3,42 @@ package remotestore
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/codec"
+	"repro/internal/core"
 	"repro/internal/kvstore"
 )
 
-func newPair(t *testing.T, cfg ClientConfig) (*Server, *Client, *httptest.Server) {
+// oneNode returns the client for the single store node at url: a cluster
+// like any other, with whatever cfg leaves unset at the cluster's defaults.
+func oneNode(t *testing.T, url string, cfg ClusterConfig) *Cluster {
+	t.Helper()
+	cfg.Nodes = []string{url}
+	cl, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	return cl
+}
+
+func newPair(t *testing.T, cfg ClusterConfig) (*Server, *Cluster, *httptest.Server) {
 	t.Helper()
 	srv := NewServer(nil)
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)
-	cfg.BaseURL = hs.URL
-	return srv, NewClient(cfg), hs
+	return srv, oneNode(t, hs.URL, cfg), hs
 }
 
 func TestPutGetDeleteRoundTrip(t *testing.T) {
-	_, c, _ := newPair(t, ClientConfig{})
+	_, c, _ := newPair(t, ClusterConfig{})
 	if err := c.Put("k1", []byte("value one")); err != nil {
 		t.Fatal(err)
 	}
@@ -39,14 +55,14 @@ func TestPutGetDeleteRoundTrip(t *testing.T) {
 }
 
 func TestGetMissing(t *testing.T) {
-	_, c, _ := newPair(t, ClientConfig{})
+	_, c, _ := newPair(t, ClusterConfig{})
 	if _, err := c.Get("never"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("error = %v, want ErrNotFound", err)
 	}
 }
 
 func TestKeys(t *testing.T) {
-	_, c, _ := newPair(t, ClientConfig{})
+	_, c, _ := newPair(t, ClusterConfig{})
 	for _, k := range []string{"b", "a", "c"} {
 		if err := c.Put(k, []byte(k)); err != nil {
 			t.Fatal(err)
@@ -62,7 +78,7 @@ func TestKeys(t *testing.T) {
 }
 
 func TestClientCacheAvoidsRemoteGets(t *testing.T) {
-	srv, c, _ := newPair(t, ClientConfig{CacheSize: 16})
+	srv, c, _ := newPair(t, ClusterConfig{CacheSize: 16})
 	if err := c.Put("hot", []byte("data")); err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +105,7 @@ func TestEncryptionHidesPlaintextFromServer(t *testing.T) {
 	srv := NewServer(backing)
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
-	c := NewClient(ClientConfig{BaseURL: hs.URL, Codec: enc})
+	c := oneNode(t, hs.URL, ClusterConfig{Codec: enc})
 	secret := []byte("very confidential fact")
 	if err := c.Put("s", secret); err != nil {
 		t.Fatal(err)
@@ -108,8 +124,8 @@ func TestEncryptionHidesPlaintextFromServer(t *testing.T) {
 }
 
 func TestCompressionReducesBytesSent(t *testing.T) {
-	srvPlain, cPlain, _ := newPair(t, ClientConfig{})
-	srvGz, cGz, _ := newPair(t, ClientConfig{Codec: codec.Gzip{}})
+	srvPlain, cPlain, _ := newPair(t, ClusterConfig{})
+	srvGz, cGz, _ := newPair(t, ClusterConfig{Codec: codec.Gzip{}})
 	payload := []byte(strings.Repeat("compressible knowledge base text. ", 200))
 	if err := cPlain.Put("k", payload); err != nil {
 		t.Fatal(err)
@@ -127,7 +143,7 @@ func TestCompressionReducesBytesSent(t *testing.T) {
 }
 
 func TestOfflineWritesQueueAndSync(t *testing.T) {
-	srv, c, _ := newPair(t, ClientConfig{Local: kvstore.NewMemory()})
+	srv, c, hs := newPair(t, ClusterConfig{Local: kvstore.NewMemory()})
 	c.SetOffline(true)
 	for i, kv := range [][2]string{{"a", "1"}, {"b", "2"}, {"a", "3"}} {
 		if err := c.Put(kv[0], []byte(kv[1])); err != nil {
@@ -162,7 +178,7 @@ func TestOfflineWritesQueueAndSync(t *testing.T) {
 		t.Errorf("pending after sync = %d", c.PendingWrites())
 	}
 	// Remote now has the final values.
-	c2 := NewClient(ClientConfig{BaseURL: c.cfg.BaseURL})
+	c2 := oneNode(t, hs.URL, ClusterConfig{})
 	v, err = c2.Get("a")
 	if err != nil || string(v) != "3" {
 		t.Errorf("post-sync Get(a) = (%q, %v)", v, err)
@@ -174,7 +190,7 @@ func TestOfflineWritesQueueAndSync(t *testing.T) {
 }
 
 func TestOfflineDeleteSyncs(t *testing.T) {
-	_, c, _ := newPair(t, ClientConfig{Local: kvstore.NewMemory()})
+	_, c, _ := newPair(t, ClusterConfig{Local: kvstore.NewMemory()})
 	if err := c.Put("gone", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +207,7 @@ func TestOfflineDeleteSyncs(t *testing.T) {
 }
 
 func TestAutoOfflineOnOutage(t *testing.T) {
-	srv, c, _ := newPair(t, ClientConfig{Local: kvstore.NewMemory()})
+	srv, c, _ := newPair(t, ClusterConfig{Local: kvstore.NewMemory()})
 	srv.SetDown(true)
 	if err := c.Put("k", []byte("v")); err != nil {
 		t.Fatalf("Put during outage should queue, got %v", err)
@@ -214,7 +230,7 @@ func TestAutoOfflineOnOutage(t *testing.T) {
 }
 
 func TestSyncInterruptedRequeues(t *testing.T) {
-	srv, c, _ := newPair(t, ClientConfig{Local: kvstore.NewMemory()})
+	srv, c, _ := newPair(t, ClusterConfig{Local: kvstore.NewMemory()})
 	c.SetOffline(true)
 	if err := c.Put("a", []byte("1")); err != nil {
 		t.Fatal(err)
@@ -236,7 +252,7 @@ func TestSyncInterruptedRequeues(t *testing.T) {
 }
 
 func TestServerLatencyInjection(t *testing.T) {
-	srv, c, _ := newPair(t, ClientConfig{})
+	srv, c, _ := newPair(t, ClusterConfig{})
 	srv.SetLatency(30 * time.Millisecond)
 	start := time.Now()
 	if err := c.Put("k", []byte("v")); err != nil {
@@ -251,7 +267,7 @@ func TestLocalMirrorFasterPathExists(t *testing.T) {
 	// With a local mirror and the client offline, reads are served with
 	// zero remote requests — the paper's local storage-during-
 	// disconnection story.
-	srv, c, _ := newPair(t, ClientConfig{Local: kvstore.NewMemory()})
+	srv, c, _ := newPair(t, ClusterConfig{Local: kvstore.NewMemory()})
 	if err := c.Put("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
@@ -268,9 +284,74 @@ func TestLocalMirrorFasterPathExists(t *testing.T) {
 }
 
 func TestOfflineNoFallbackErrors(t *testing.T) {
-	_, c, _ := newPair(t, ClientConfig{})
+	_, c, _ := newPair(t, ClusterConfig{})
 	c.SetOffline(true)
 	if _, err := c.Get("k"); !errors.Is(err, ErrOffline) {
 		t.Errorf("error = %v, want ErrOffline", err)
+	}
+}
+
+func TestOneNodeClampsReplicasAndQuorum(t *testing.T) {
+	_, c, _ := newPair(t, ClusterConfig{Replicas: 0, WriteQuorum: 0})
+	if c.Replicas() != 1 || c.WriteQuorum() != 1 {
+		t.Errorf("one node: R=%d W=%d, want 1 and 1", c.Replicas(), c.WriteQuorum())
+	}
+}
+
+// TestSyncOutageMidReplayRequeuesTheRest: Sync attempts every queued write,
+// counts the ones the store took and requeues only the others.
+func TestSyncOutageMidReplayRequeuesTheRest(t *testing.T) {
+	srv := NewServer(nil)
+	var puts atomic.Int32
+	node := srv.Handler()
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// The node takes three writes, then goes down.
+		if r.Method == http.MethodPut && puts.Add(1) == 4 {
+			srv.SetDown(true)
+		}
+		node.ServeHTTP(w, r)
+	}))
+	t.Cleanup(hs.Close)
+	// No breaker: the recovery Sync below must not wait out a cooldown.
+	c := oneNode(t, hs.URL, ClusterConfig{Local: kvstore.NewMemory(), Breaker: core.BreakerConfig{Threshold: -1}})
+	c.SetOffline(true)
+	for i := 0; i < 8; i++ {
+		if err := c.Put(fmt.Sprintf("k%d", i), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pushed, err := c.Sync()
+	if err == nil || pushed != 3 {
+		t.Fatalf("Sync across an outage = (%d, %v), want 3 pushed and an error", pushed, err)
+	}
+	if !c.Offline() || c.PendingWrites() != 5 {
+		t.Errorf("after the outage: offline %v, %d pending, want offline with the 5 writes that failed", c.Offline(), c.PendingWrites())
+	}
+	srv.SetDown(false)
+	if pushed, err := c.Sync(); err != nil || pushed != 5 {
+		t.Errorf("recovery Sync = (%d, %v), want (5, nil)", pushed, err)
+	}
+	if keys, err := c.Keys(); err != nil || len(keys) != 8 {
+		t.Errorf("Keys after recovery = (%v, %v), want all 8", keys, err)
+	}
+}
+
+// TestFailedReadServedLocallyStaysOnline: a read that cannot reach the
+// store is answered from the mirror and leaves the client online — the next
+// write finds out for itself.
+func TestFailedReadServedLocallyStaysOnline(t *testing.T) {
+	srv, c, _ := newPair(t, ClusterConfig{Local: kvstore.NewMemory()})
+	if err := c.Put("k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	srv.SetDown(true)
+	if got, err := c.Get("k"); err != nil || string(got) != "v" {
+		t.Errorf("Get during an outage = (%q, %v), want the mirror's \"v\"", got, err)
+	}
+	if keys, err := c.Keys(); err != nil || len(keys) != 1 || keys[0] != "k" {
+		t.Errorf("Keys during an outage = (%v, %v), want the mirror's [k]", keys, err)
+	}
+	if c.Offline() {
+		t.Error("a failed read flipped the client offline")
 	}
 }

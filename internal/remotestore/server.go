@@ -1,15 +1,32 @@
 // Package remotestore implements the cloud data store substrate and the
 // paper's "enhanced data store client" ([11] in the paper): a key-value
-// store served over HTTP with injectable latency and outages, and a client
-// adding client-side caching, encryption, compression, offline write-back,
-// and reconnection synchronization (paper §3: "when the personalized
-// knowledge base becomes disconnected from a cloud data store ... it may be
-// appropriate to synchronize the contents of local storage and the cloud
-// data store after connectivity ... is re-established").
+// store served over HTTP with injectable latency and outages (Server), and
+// one client for it (Cluster, over one node or many) adding client-side
+// caching, encryption, compression, offline write-back, and reconnection
+// synchronization (paper §3: "when the personalized knowledge base becomes
+// disconnected from a cloud data store ... it may be appropriate to
+// synchronize the contents of local storage and the cloud data store after
+// connectivity ... is re-established").
+//
+// What the client does when the store does not take an operation:
+//
+//  1. A read (Get, Keys) never changes the offline flag. It walks the
+//     key's owners, then falls back to the local mirror.
+//  2. A write flips the client offline and queues for Sync only when it
+//     missed its quorum because owners were unreachable.
+//  3. A refused write (413, a 5xx answer) returns its error, leaves the
+//     mirror alone and drops the cache entry.
+//  4. Sync replays the queue per node in seq order, attempts every queued
+//     write, and requeues the ones that stayed below quorum.
+//
+// The caller's own context ending is none of these: the write returns an
+// error wrapping ctx.Err(), nothing is queued, the client stays online, and
+// the nodes' breakers and error counters do not hear of it.
 package remotestore
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -172,16 +189,8 @@ func (s *Server) Handler() http.Handler {
 		}
 	}
 	mux.HandleFunc("PUT /kv/{key}", wrap(func(w http.ResponseWriter, r *http.Request) {
-		// Read one byte past the limit: landing there means the body is
-		// oversized, and the correct answer is 413, not a silently
-		// truncated object stored with success.
-		data, err := io.ReadAll(io.LimitReader(r.Body, s.maxBytes+1))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if int64(len(data)) > s.maxBytes {
-			http.Error(w, fmt.Sprintf("object exceeds %d-byte limit", s.maxBytes), http.StatusRequestEntityTooLarge)
+		data, ok := readObject(w, r, s.maxBytes)
+		if !ok {
 			return
 		}
 		s.bytesIn.Add(int64(len(data)))
@@ -193,8 +202,14 @@ func (s *Server) Handler() http.Handler {
 	}))
 	mux.HandleFunc("GET /kv/{key}", wrap(func(w http.ResponseWriter, r *http.Request) {
 		data, err := s.store.Get(r.PathValue("key"))
-		if err != nil {
+		if errors.Is(err, kvstore.ErrNotFound) {
 			http.NotFound(w, r)
+			return
+		}
+		if err != nil {
+			// Not a 404: the client takes that for an answer, "no such
+			// key", and stops asking the other replicas.
+			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
 		w.Header().Set("Content-Type", "application/octet-stream")
@@ -252,6 +267,23 @@ func (s *Server) Handler() http.Handler {
 		}
 	}))
 	return mux
+}
+
+// readObject reads a PUT body of at most max bytes; on failure it has
+// written the response and returns false. It reads one byte past the limit:
+// landing there means the body is oversized, and the correct answer is 413,
+// not a silently truncated object stored with success.
+func readObject(w http.ResponseWriter, r *http.Request, max int64) ([]byte, bool) {
+	data, err := io.ReadAll(io.LimitReader(r.Body, max+1))
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return nil, false
+	}
+	if int64(len(data)) > max {
+		http.Error(w, fmt.Sprintf("object exceeds %d-byte limit", max), http.StatusRequestEntityTooLarge)
+		return nil, false
+	}
+	return data, true
 }
 
 // ErrRemote classifies remote failures for the client.

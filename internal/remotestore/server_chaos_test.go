@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/raceflag"
 )
 
 // TestLatencyCancelReleasesHandler is the regression test for the
@@ -32,60 +34,113 @@ func TestLatencyCancelReleasesHandler(t *testing.T) {
 	}
 }
 
-// TestPutOversizedRejected413 is the regression test for silent
-// truncation: a body over the object limit must be rejected with 413 and
-// must NOT be stored. On the pre-fix code the server stored the first
-// maxBytes bytes and answered success.
-func TestPutOversizedRejected413(t *testing.T) {
-	srv := NewServer(nil, WithMaxBytes(1024))
-	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
+// filler is an endless stream of one byte, for PUT bodies at the gateway's
+// 64 MB limit that the test need not hold.
+type filler byte
 
-	big := bytes.Repeat([]byte("x"), 2048)
-	req, _ := http.NewRequest("PUT", hs.URL+"/kv/big", bytes.NewReader(big))
+func (f filler) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(f)
+	}
+	return len(p), nil
+}
+
+// putFiller PUTs n bytes of fill under url and returns the status.
+func putFiller(t *testing.T, url string, fill byte, n int64) int {
+	t.Helper()
+	req, err := http.NewRequest("PUT", url, io.LimitReader(filler(fill), n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.ContentLength = n
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized PUT status = %d, want 413", resp.StatusCode)
-	}
-	if got, _ := http.Get(hs.URL + "/kv/big"); got.StatusCode != http.StatusNotFound {
-		t.Fatalf("oversized object was stored (GET = %d), want 404", got.StatusCode)
-	}
-	if n := srv.BytesIn(); n != 0 {
-		t.Errorf("rejected payload counted toward BytesIn (%d), want 0", n)
-	}
+	return resp.StatusCode
+}
+
+// bodyCapCases are the two servers of PUT /kv/{key} and the limit each
+// enforces: a node (configured), and the gateway in front of a cluster (the
+// default, which is all Handler offers). node is the store node behind
+// either. The gateway rows move 64 MB objects — half a gigabyte at peak,
+// three times that under the race detector — and are left out of -short and
+// -race runs.
+func bodyCapCases(t *testing.T, run func(t *testing.T, url string, limit int64, node *Server)) {
+	t.Run("node", func(t *testing.T) {
+		srv := NewServer(nil, WithMaxBytes(1024))
+		hs := httptest.NewServer(srv.Handler())
+		defer hs.Close()
+		run(t, hs.URL, 1024, srv)
+	})
+	t.Run("gateway", func(t *testing.T) {
+		if testing.Short() || raceflag.Enabled {
+			t.Skip("moves 64 MB objects; skipped in -short and under -race")
+		}
+		srv, cl, _ := newPair(t, ClusterConfig{})
+		gw := httptest.NewServer(cl.Handler())
+		defer gw.Close()
+		run(t, gw.URL, DefaultMaxObjectBytes, srv)
+	})
+}
+
+// TestPutOversizedRejected413 is the regression test for silent
+// truncation: a body over the object limit must be rejected with 413 and
+// must NOT be stored. On the pre-fix code the server stored the first
+// maxBytes bytes and answered success.
+func TestPutOversizedRejected413(t *testing.T) {
+	bodyCapCases(t, func(t *testing.T, url string, limit int64, node *Server) {
+		if code := putFiller(t, url+"/kv/big", 'x', limit+1); code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("oversized PUT status = %d, want 413", code)
+		}
+		got, err := http.Get(url + "/kv/big")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.Body.Close()
+		if got.StatusCode != http.StatusNotFound {
+			t.Fatalf("oversized object was stored (GET = %d), want 404", got.StatusCode)
+		}
+		if n := node.BytesIn(); n != 0 {
+			t.Errorf("rejected payload counted toward BytesIn (%d), want 0", n)
+		}
+	})
 }
 
 // TestPutExactLimitRoundTrips pins the boundary: a body of exactly the
 // limit is accepted and round-trips byte-identically.
 func TestPutExactLimitRoundTrips(t *testing.T) {
-	srv := NewServer(nil, WithMaxBytes(1024))
-	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
-
-	body := bytes.Repeat([]byte("y"), 1024)
-	req, _ := http.NewRequest("PUT", hs.URL+"/kv/edge", bytes.NewReader(body))
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("exact-limit PUT status = %d, want 204", resp.StatusCode)
-	}
-	got, err := http.Get(hs.URL + "/kv/edge")
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, _ := io.ReadAll(got.Body)
-	got.Body.Close()
-	if !bytes.Equal(data, body) {
-		t.Fatalf("round-trip mismatch: got %d bytes, want %d identical bytes", len(data), len(body))
-	}
+	bodyCapCases(t, func(t *testing.T, url string, limit int64, node *Server) {
+		if code := putFiller(t, url+"/kv/edge", 'y', limit); code != http.StatusNoContent {
+			t.Fatalf("exact-limit PUT status = %d, want 204", code)
+		}
+		got, err := http.Get(url + "/kv/edge")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer got.Body.Close()
+		// Compare in pieces, so as not to hold a second 64 MB.
+		var n int64
+		buf := make([]byte, 1<<20)
+		for {
+			m, err := got.Body.Read(buf)
+			if c := bytes.Count(buf[:m], []byte{'y'}); c != m {
+				t.Fatalf("round-trip mismatch: %d foreign bytes after byte %d", m-c, n)
+			}
+			n += int64(m)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n != limit {
+			t.Fatalf("round-trip mismatch: got %d bytes, want %d", n, limit)
+		}
+	})
 }
 
 // TestServerFailRateInjection scripts a random-5xx burst and verifies it is

@@ -13,11 +13,10 @@ import (
 	"unicode/utf8"
 )
 
-// transport is the raw HTTP edge shared by the single-node Client and the
-// sharded Cluster: one store node's /kv and /keys endpoints, context-aware
-// so callers can cancel in-flight network I/O. It holds no policy — no
-// caching, codecs, offline queues, or retries — just the wire protocol and
-// the transport/application error split.
+// transport is the Cluster's raw HTTP edge to one store node: its /kv and
+// /keys endpoints, context-aware so callers can cancel in-flight network
+// I/O. It holds no policy — no caching, codecs, offline queues, or retries
+// — just the wire protocol and the transport/application error split.
 type transport struct {
 	base string
 	http *http.Client
@@ -25,8 +24,8 @@ type transport struct {
 
 // checkKey refuses the keys one URL path segment cannot carry to a node's
 // mux: it matches no empty segment, cleans "." and ".." away, and takes a
-// segment that unescapes to exactly "/" for a trailing slash. Both clients
-// call it before they touch a cache, a mirror, a queue or a node.
+// segment that unescapes to exactly "/" for a trailing slash. The client
+// calls it before it touches a cache, a mirror, a queue or a node.
 func checkKey(key string) error {
 	switch key {
 	case "", ".", "..", "/":
