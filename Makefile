@@ -15,8 +15,8 @@ vet:
 # layer's concurrency tests (sharded stores, singleflight cancellation,
 # concurrent disk writers). Timing-sensitive guards
 # (TestPipelineOverheadCacheHit, TestTraceOverheadFacade,
-# TestShardedCacheShape, TestRDFInferenceShape's, TestSearchShape's and
-# TestE21ChaosShape's timing legs) skip themselves here; run plain
+# TestShardedCacheShape, TestRDFInferenceShape's and TestE21ChaosShape's
+# timing legs) skip themselves here; run plain
 # `make test` to exercise them.
 race:
 	$(GO) test -race ./...
@@ -56,8 +56,9 @@ flake:
 # takes one -fuzz target per package run): the search, NLU and RDF parsers,
 # the codec chain over sequences of mixed-size values (FuzzChainRoundTrip:
 # what pooled compressor state must not leak from one value to the next),
-# the store client's lean key-list decoder against encoding/json
-# (FuzzKeysDecode) and add/remove/chain histories on one long-lived graph
+# the store client's lean key-list decoder and the NLU and search answer
+# decoders against encoding/json (FuzzKeysDecode, FuzzDecodeAnalysis,
+# FuzzDecodeResults) and add/remove/chain histories on one long-lived graph
 # against the reference engine chaining from scratch (FuzzChainHistory:
 # what forward chaining seeded from recorded changes must not miss; its
 # coverage varies with map iteration order, so the engine would spend the
@@ -74,6 +75,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzChainHistory$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 0s ./internal/rdf
 	$(GO) test -run '^$$' -fuzz '^FuzzChainRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/codec
 	$(GO) test -run '^$$' -fuzz '^FuzzKeysDecode$$' -fuzztime $(FUZZTIME) ./internal/remotestore
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeAnalysis$$' -fuzztime $(FUZZTIME) ./internal/nlu
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResults$$' -fuzztime $(FUZZTIME) ./internal/search
 
 # cover runs the full suite with per-package coverage percentages.
 cover:
@@ -111,9 +114,11 @@ bench-search:
 
 # bench-nlu runs the NLU engine benchmarks: the interned token-ID hot
 # path vs the frozen pre-interning engines (internal/nlu/nluref), per
-# profile (BenchmarkAnalyzeInterned vs BenchmarkAnalyzeReference), plus
-# the fast reseedable rand source underneath it (BenchmarkSeedFast vs
-# BenchmarkSeedMathRand in internal/xrand).
+# profile (BenchmarkAnalyzeInterned vs BenchmarkAnalyzeReference), one
+# answer's decode on the fast path vs encoding/json
+# (BenchmarkDecodeAnalysis), plus the fast reseedable rand source
+# underneath it (BenchmarkSeedFast vs BenchmarkSeedMathRand in
+# internal/xrand).
 bench-nlu:
 	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem ./internal/nlu ./internal/xrand
 

@@ -20,13 +20,11 @@ import (
 	"repro/internal/failover"
 	"repro/internal/metrics"
 	"repro/internal/nlu"
-	"repro/internal/nlu/nluref"
 	"repro/internal/predict"
 	"repro/internal/raceflag"
 	"repro/internal/rdf"
 	"repro/internal/rdf/rdfref"
 	"repro/internal/search"
-	"repro/internal/search/searchref"
 	"repro/internal/service"
 	"repro/internal/trace"
 	"repro/internal/webcorpus"
@@ -893,213 +891,4 @@ func TestRDFInferenceShape(t *testing.T) {
 	semi, base := semiRun(), baselineRun()
 	t.Logf("round-capped (%d rounds) N=%d chain: semi-naive %v, pre-PR naive baseline %v, speedup %.1fx",
 		roundCap, n, semi, base, float64(base)/float64(semi))
-}
-
-// TestSearchShape is the tier-1 guard for the dictionary-coded block-max
-// search engine (PR "intern, prune, and expand the search substrate"):
-// on a 50k-doc corpus at k=10 the pruned evaluator must return exactly
-// the exhaustive baseline's top-k (same docs, same tie-break order) and
-// beat the frozen seed engine by >= 5x.
-func TestSearchShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("search guard skipped in -short mode")
-	}
-	const docs = 50000
-	const limit = 10
-	corpus := webcorpus.Generate(webcorpus.Config{Seed: 18, NumDocs: docs})
-	idx := search.BuildIndex(corpus)
-	ref := searchref.BuildIndex(corpus)
-	refParams := searchref.Params{Scoring: searchref.BM25, K1: 1.2, B: 0.75, TitleBoost: 2}
-	queries := []struct {
-		q    string
-		news bool
-	}{
-		{"market", false},
-		{"market technology growth investment", false},
-		{"acme corporation earnings", false},
-		{"germany trade policy", true},
-		{"committee schedule conference", false},
-	}
-
-	// Correctness: pruned top-k == exhaustive top-k, exactly.
-	for _, qc := range queries {
-		got := idx.Search(qc.q, search.TuningG, search.Options{Limit: limit, NewsOnly: qc.news})
-		want := ref.Search(qc.q, refParams, searchref.Options{Limit: limit, NewsOnly: qc.news})
-		if len(got) != len(want) {
-			t.Fatalf("q=%q: pruned returned %d results, exhaustive %d", qc.q, len(got), len(want))
-		}
-		for i := range got {
-			if got[i].DocID != want[i].DocID {
-				t.Fatalf("q=%q rank %d: pruned %s, exhaustive %s", qc.q, i, got[i].DocID, want[i].DocID)
-			}
-		}
-	}
-
-	if raceflag.Enabled {
-		t.Skip("timing leg skipped under the race detector: instrumentation distorts relative costs")
-	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	prunedRun := func() time.Duration {
-		start := time.Now()
-		for _, qc := range queries {
-			idx.Search(qc.q, search.TuningG, search.Options{Limit: limit, NewsOnly: qc.news})
-		}
-		return time.Since(start)
-	}
-	baselineRun := func() time.Duration {
-		start := time.Now()
-		for _, qc := range queries {
-			ref.Search(qc.q, refParams, searchref.Options{Limit: limit, NewsOnly: qc.news})
-		}
-		return time.Since(start)
-	}
-	measure := func(rounds int) (prunedBest, baseBest time.Duration) {
-		prunedBest, baseBest = 1<<62, 1<<62
-		for r := 0; r < rounds; r++ {
-			runtime.GC()
-			var pr, ba time.Duration
-			if r%2 == 0 {
-				pr, ba = prunedRun(), baselineRun()
-			} else {
-				ba, pr = baselineRun(), prunedRun()
-			}
-			prunedBest, baseBest = min(prunedBest, pr), min(baseBest, ba)
-		}
-		return prunedBest, baseBest
-	}
-	prunedBest, baseBest := measure(2)
-	if baseBest < 5*prunedBest {
-		prunedBest, baseBest = measure(3) // could be interference; re-measure before failing
-	}
-	t.Logf("%d-doc corpus, %d queries at k=%d: pruned %v, seed baseline %v, speedup %.1fx",
-		docs, len(queries), limit, prunedBest, baseBest, float64(baseBest)/float64(prunedBest))
-	if baseBest < 5*prunedBest {
-		t.Errorf("pruned engine (%v) is only %.1fx faster than the seed baseline (%v), want >= 5x",
-			prunedBest, float64(baseBest)/float64(prunedBest), baseBest)
-	}
-}
-
-// TestNLUShape is the tier-1 guard for the interned NLU hot path (PR
-// "unify term interning into a shared symbol-table layer and rebuild the
-// NLU hot path on token IDs"): on a generated corpus every
-// Engine.Analyze output must be bit-identical to the frozen
-// pre-interning engines in nluref — including the profiles whose
-// drop/spurious/noise paths consume randomness — and the interned path
-// must deliver >= 2x the reference's documents/sec with >= 5x fewer
-// steady-state heap allocations per document.
-func TestNLUShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("NLU guard skipped in -short mode")
-	}
-	corpus := webcorpus.Generate(webcorpus.Config{Seed: 19, NumDocs: 200})
-	texts := make([]string, len(corpus.Docs))
-	for i, d := range corpus.Docs {
-		texts[i] = d.Body
-	}
-	engines := []*nlu.Engine{
-		nlu.NewEngine(nlu.ProfileAlpha), nlu.NewEngine(nlu.ProfileBeta), nlu.NewEngine(nlu.ProfileGamma),
-	}
-	refs := []*nluref.Engine{
-		nluref.NewEngine(nluref.ProfileAlpha), nluref.NewEngine(nluref.ProfileBeta), nluref.NewEngine(nluref.ProfileGamma),
-	}
-
-	// Correctness: bit-identical analyses on every document and profile.
-	// This pass also warms the interned path's pooled scratch.
-	for i, text := range texts {
-		for j := range engines {
-			got, err := json.Marshal(engines[j].Analyze(text))
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := json.Marshal(refs[j].Analyze(text))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("doc %d profile %s diverged\n got %s\nwant %s",
-					i, engines[j].Profile().Name, got, want)
-			}
-		}
-	}
-
-	if raceflag.Enabled {
-		t.Skip("timing and allocation legs skipped under the race detector: instrumentation distorts relative costs")
-	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-
-	// Allocations: steady state (scratch pool warm), averaged per
-	// document across all three profiles. GC stays disabled so the pool
-	// is not drained mid-measurement.
-	sample := texts[:20]
-	perDoc := func(run func(string)) float64 {
-		return testing.AllocsPerRun(3, func() {
-			for _, text := range sample {
-				run(text)
-			}
-		}) / float64(3*len(sample))
-	}
-	newAllocs := perDoc(func(text string) {
-		for _, e := range engines {
-			e.Analyze(text)
-		}
-	})
-	refAllocs := perDoc(func(text string) {
-		for _, r := range refs {
-			r.Analyze(text)
-		}
-	})
-	t.Logf("steady-state allocs/doc (3 profiles): interned %.1f, reference %.1f, reduction %.1fx",
-		newAllocs, refAllocs, refAllocs/newAllocs)
-	if newAllocs*5 > refAllocs {
-		t.Errorf("interned path allocates %.1f/doc vs reference %.1f/doc, want >= 5x reduction",
-			newAllocs, refAllocs)
-	}
-	if newAllocs > 12 {
-		t.Errorf("interned path steady state = %.1f allocs/doc, want <= 12 (pool or interning regression)", newAllocs)
-	}
-
-	newRun := func() time.Duration {
-		start := time.Now()
-		for _, text := range texts {
-			for _, e := range engines {
-				e.Analyze(text)
-			}
-		}
-		return time.Since(start)
-	}
-	refRun := func() time.Duration {
-		start := time.Now()
-		for _, text := range texts {
-			for _, r := range refs {
-				r.Analyze(text)
-			}
-		}
-		return time.Since(start)
-	}
-	measure := func(rounds int) (newBest, refBest time.Duration) {
-		newBest, refBest = 1<<62, 1<<62
-		for r := 0; r < rounds; r++ {
-			runtime.GC()
-			var nw, rf time.Duration
-			if r%2 == 0 {
-				nw, rf = newRun(), refRun()
-			} else {
-				rf, nw = refRun(), newRun()
-			}
-			newBest, refBest = min(newBest, nw), min(refBest, rf)
-		}
-		return newBest, refBest
-	}
-	newBest, refBest := measure(2)
-	if refBest < 2*newBest {
-		newBest, refBest = measure(3) // could be interference; re-measure before failing
-	}
-	docs := float64(len(texts))
-	t.Logf("%d docs x 3 profiles: interned %v (%.0f docs/s), reference %v (%.0f docs/s), speedup %.2fx",
-		len(texts), newBest, docs/newBest.Seconds(), refBest, docs/refBest.Seconds(),
-		float64(refBest)/float64(newBest))
-	if refBest < 2*newBest {
-		t.Errorf("interned path (%v) is only %.2fx the reference's throughput (%v), want >= 2x",
-			newBest, float64(refBest)/float64(newBest), refBest)
-	}
 }

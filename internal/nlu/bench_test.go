@@ -1,7 +1,7 @@
 package nlu_test
 
 // Per-profile Engine.Analyze micro-benchmarks against the frozen
-// pre-interning reference. TestNLUShape (repo root) is the pass/fail
+// pre-interning reference. TestNLUShape (shape_test.go) is the pass/fail
 // guard; these give the per-profile breakdown:
 //
 //	go test ./internal/nlu -run '^$' -bench BenchmarkAnalyze -benchmem
@@ -55,4 +55,33 @@ func BenchmarkAnalyzeReference(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkDecodeAnalysis decodes one engine answer with DecodeAnalysis
+// and with encoding/json (the frozen nluref.DecodeAnalysis):
+//
+//	go test ./internal/nlu -run '^$' -bench BenchmarkDecodeAnalysis -benchmem
+func BenchmarkDecodeAnalysis(b *testing.B) {
+	resp, err := nlu.NewEngine(nlu.ProfileBeta).Analyze(benchTexts()[0]).Encode()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("fast-path", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(resp.Body)))
+		for i := 0; i < b.N; i++ {
+			if _, err := nlu.DecodeAnalysis(resp); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("encoding-json", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(resp.Body)))
+		for i := 0; i < b.N; i++ {
+			if _, err := nluref.DecodeAnalysis(resp); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -90,8 +90,13 @@ func (a Analysis) Encode() (service.Response, error) {
 	return service.Response{Body: body, ContentType: "application/json"}, nil
 }
 
-// DecodeAnalysis parses an analysis from a service response.
+// DecodeAnalysis parses an analysis from a service response. What Encode
+// writes decodes on a reflection-free fast path; any other body goes to
+// encoding/json.
 func DecodeAnalysis(resp service.Response) (Analysis, error) {
+	if a, ok := decodePlain(resp.Body); ok {
+		return a, nil
+	}
 	var a Analysis
 	if err := json.Unmarshal(resp.Body, &a); err != nil {
 		return Analysis{}, fmt.Errorf("nlu: decode analysis: %w", err)

@@ -37,6 +37,11 @@ type vocabTables struct {
 	kindOf        map[string]uint16
 	// predicates are the distinct relation predicates, sorted.
 	predicates []string
+	// answers holds every string an engine can emit from fixed data:
+	// vocabulary words, gazetteer IDs and surfaces, mention kinds,
+	// concept labels, predicates, and the stock engine and language
+	// names. DecodeAnalysis resolves decoded strings against it.
+	answers *intern.Frozen[string]
 }
 
 var (
@@ -135,7 +140,34 @@ func buildVocab() {
 			v.triggerOf[id] = predIdx[p]
 		}
 	}
+	v.answers = buildAnswers(v)
 	vocabTab = v
+}
+
+func buildAnswers(v *vocabTables) *intern.Frozen[string] {
+	a := intern.NewDict[string]()
+	for id := 0; id < v.dict.Len(); id++ {
+		a.Intern(v.dict.Value(uint32(id)))
+	}
+	for _, e := range lexicon.AllEntities() {
+		a.Intern(e.ID)
+		a.Intern(e.Kind.String())
+		for _, s := range e.Surface() {
+			a.Intern(s)
+		}
+	}
+	for _, s := range v.conceptLabels {
+		a.Intern(s)
+	}
+	for _, s := range v.predicates {
+		a.Intern(s)
+	}
+	for _, p := range []Profile{ProfileAlpha, ProfileBeta, ProfileGamma} {
+		a.Intern(p.Name)
+	}
+	a.Intern("Unknown")
+	a.Intern("en")
+	return a.Freeze()
 }
 
 // sortedKeys returns a map's keys in sorted order, for deterministic

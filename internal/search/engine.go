@@ -54,8 +54,13 @@ type Results struct {
 	Results []Result `json:"results"`
 }
 
-// DecodeResults parses a search service response.
+// DecodeResults parses a search service response. What the service
+// writes decodes on a reflection-free fast path; any other body goes to
+// encoding/json.
 func DecodeResults(resp service.Response) (Results, error) {
+	if r, ok := decodePlain(resp.Body); ok {
+		return r, nil
+	}
 	var r Results
 	if err := json.Unmarshal(resp.Body, &r); err != nil {
 		return Results{}, fmt.Errorf("search: decode results: %w", err)
