@@ -58,7 +58,9 @@ flake:
 # what pooled compressor state must not leak from one value to the next),
 # the store client's lean key-list decoder and the NLU and search answer
 # decoders against encoding/json (FuzzKeysDecode, FuzzDecodeAnalysis,
-# FuzzDecodeResults) and add/remove/chain histories on one long-lived graph
+# FuzzDecodeResults), a service Monitor's snapshots against a sorted-slice
+# model under recorded successes, failures and ratings (FuzzMonitor), and
+# add/remove/chain histories on one long-lived graph
 # against the reference engine chaining from scratch (FuzzChainHistory:
 # what forward chaining seeded from recorded changes must not miss; its
 # coverage varies with map iteration order, so the engine would spend the
@@ -77,6 +79,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzKeysDecode$$' -fuzztime $(FUZZTIME) ./internal/remotestore
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeAnalysis$$' -fuzztime $(FUZZTIME) ./internal/nlu
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResults$$' -fuzztime $(FUZZTIME) ./internal/search
+	$(GO) test -run '^$$' -fuzz '^FuzzMonitor$$' -fuzztime $(FUZZTIME) ./internal/metrics
 
 # cover runs the full suite with per-package coverage percentages.
 cover:
@@ -127,9 +130,13 @@ bench-nlu:
 # (uncontended and GOMAXPROCS-parallel), plus the exposition path — label
 # escaping with hoisted vs per-call replacers (BenchmarkEscapeLabel) and
 # full Set rendering into the Prometheus text format (BenchmarkSetExpose)
-# — and what a pipeline stage pays per run for its latency summary: a
-# Monitor built, fed ten observations and read once (BenchmarkNewMonitor:
-# B/op follows the ten, not the ring's 4 096 slots).
+# — a service Monitor's Record from one goroutine and from all of them
+# into one monitor (BenchmarkMonitorRecord, BenchmarkMonitorRecordParallel:
+# the uncontended and contended costs the benchmark reports as
+# metrics.record_ns and metrics.record_contended_ns), and what a pipeline
+# stage pays per run for its latency summary: a Monitor built, fed ten
+# observations and read once (BenchmarkNewMonitor: B/op is the monitor,
+# ≈5 KB of histogram buckets).
 bench-metrics:
 	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem ./internal/metrics
 

@@ -188,7 +188,7 @@ func NewClient(cfg Config) (*Client, error) {
 	c := &Client{
 		cfg:      cfg,
 		registry: service.NewRegistry(),
-		monitors: metrics.NewRegistry(metrics.WithClock(cfg.Clock)),
+		monitors: metrics.NewRegistry(),
 		memcache: cache.NewSharded[service.Response](cfg.CacheSize,
 			cache.WithTTL(cfg.CacheTTL),
 			cache.WithClock(cfg.Clock),

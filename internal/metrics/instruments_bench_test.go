@@ -105,13 +105,39 @@ func BenchmarkSetExpose(b *testing.B) {
 	}
 }
 
+// BenchmarkMonitorRecord is one successful observation recorded into a
+// service monitor from one goroutine: the lock-free path MonitorStage
+// takes on every non-cached call.
+func BenchmarkMonitorRecord(b *testing.B) {
+	m := NewMonitor("svc")
+	o := Observation{Latency: 123 * time.Microsecond}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m.Record(o)
+	}
+}
+
+// BenchmarkMonitorRecordParallel is the contended case: every goroutine
+// records into the same monitor, as callers of one hot service do.
+func BenchmarkMonitorRecordParallel(b *testing.B) {
+	m := NewMonitor("svc")
+	o := Observation{Latency: 123 * time.Microsecond}
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			m.Record(o)
+		}
+	})
+}
+
 // BenchmarkNewMonitor is what one pipeline stage pays for its latency
 // summary per run: build a monitor, record ten items, read it once. B/op
-// follows the ten observations, not the ring's and sample's bounds.
+// is the monitor's histogram.
 func BenchmarkNewMonitor(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		m := NewMonitor("stage")
+		keptMonitor = m
 		for j := 0; j < 10; j++ {
 			m.Record(Observation{Latency: time.Duration(j+1) * time.Millisecond})
 		}

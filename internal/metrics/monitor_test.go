@@ -2,11 +2,14 @@ package metrics
 
 import (
 	"errors"
+	"math"
+	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/clock"
+	"repro/internal/raceflag"
 )
 
 var errBoom = errors.New("boom")
@@ -25,8 +28,9 @@ func TestMonitorBasicStats(t *testing.T) {
 	if got := m.MeanLatency(); got != 20*time.Millisecond {
 		t.Errorf("MeanLatency = %v, want 20ms", got)
 	}
-	if got := m.PercentileLatency(50); got != 20*time.Millisecond {
-		t.Errorf("P50 = %v, want 20ms", got)
+	// The median is the upper bound of the bucket holding 20ms.
+	if got, want := m.Snapshot().P50Latency, time.Duration(bucketUpper(bucketIndex(int64(20*time.Millisecond)))); got != want {
+		t.Errorf("P50 = %v, want %v", got, want)
 	}
 }
 
@@ -49,14 +53,13 @@ func TestMonitorEmptyDefaults(t *testing.T) {
 	if got := m.MeanLatency(); got != 0 {
 		t.Errorf("empty MeanLatency = %v, want 0", got)
 	}
-	if got := m.EWMALatency(); got != 0 {
-		t.Errorf("empty EWMALatency = %v, want 0", got)
-	}
-	if got := m.PercentileLatency(99); got != 0 {
-		t.Errorf("empty PercentileLatency = %v, want 0", got)
-	}
 	if mean, n := m.MeanQuality(); mean != 0 || n != 0 {
 		t.Errorf("empty MeanQuality = (%v, %d), want (0, 0)", mean, n)
+	}
+	// No latency field reads the min/max sentinels before a success.
+	m.Record(Observation{Latency: time.Second, Err: errBoom})
+	if got, want := m.Snapshot(), (Snapshot{Name: "svc", Count: 1, Failures: 1}); got != want {
+		t.Errorf("Snapshot after one failure = %+v, want %+v", got, want)
 	}
 }
 
@@ -77,60 +80,6 @@ func TestMonitorQuality(t *testing.T) {
 	mean, n := m.MeanQuality()
 	if n != 2 || mean != 0.7 {
 		t.Errorf("MeanQuality = (%v, %d), want (0.7, 2)", mean, n)
-	}
-}
-
-func TestWindowAvailability(t *testing.T) {
-	v := clock.NewVirtual(time.Unix(1000, 0))
-	m := NewMonitor("svc", WithClock(v))
-	m.Record(Observation{Latency: time.Millisecond, Err: errBoom})
-	v.Advance(time.Hour)
-	m.Record(Observation{Latency: time.Millisecond})
-	m.Record(Observation{Latency: time.Millisecond})
-	// Window covering only the recent successes.
-	if got := m.WindowAvailability(30 * time.Minute); got != 1 {
-		t.Errorf("WindowAvailability(30m) = %v, want 1", got)
-	}
-	// Window covering everything.
-	if got := m.WindowAvailability(2 * time.Hour); got != 2.0/3.0 {
-		t.Errorf("WindowAvailability(2h) = %v, want 2/3", got)
-	}
-	// Window covering nothing is optimistic.
-	v.Advance(24 * time.Hour)
-	if got := m.WindowAvailability(time.Minute); got != 1 {
-		t.Errorf("empty WindowAvailability = %v, want 1", got)
-	}
-}
-
-func TestWithRecentSize(t *testing.T) {
-	v := clock.NewVirtual(time.Unix(1000, 0))
-	m := NewMonitor("svc", WithClock(v), WithRecentSize(2))
-	// An old failure followed by enough successes to push it out of the
-	// 2-slot ring: the window query can no longer see it even though the
-	// time window covers it.
-	m.Record(Observation{Latency: time.Millisecond, Err: errBoom})
-	m.Record(Observation{Latency: time.Millisecond})
-	m.Record(Observation{Latency: time.Millisecond})
-	if got := m.WindowAvailability(time.Hour); got != 1 {
-		t.Errorf("WindowAvailability = %v, want 1 after failure evicted", got)
-	}
-
-	// Non-positive sizes keep the default: of 5 000 records the window
-	// sees the last 4 096. One failure is still among them after 4 999
-	// records and gone after the 5 000th.
-	d := NewMonitor("svc", WithClock(v), WithRecentSize(0))
-	for i := 0; i < 5000-defaultRecentSize; i++ {
-		d.Record(Observation{Latency: time.Millisecond, Err: errBoom})
-	}
-	for i := 0; i < defaultRecentSize-1; i++ {
-		d.Record(Observation{Latency: time.Millisecond})
-	}
-	if got, want := d.WindowAvailability(time.Hour), float64(defaultRecentSize-1)/defaultRecentSize; got != want {
-		t.Errorf("WithRecentSize(0): WindowAvailability after 4999 records = %v, want %v", got, want)
-	}
-	d.Record(Observation{Latency: time.Millisecond})
-	if got := d.WindowAvailability(time.Hour); got != 1 {
-		t.Errorf("WithRecentSize(0): WindowAvailability after 5000 records = %v, want 1", got)
 	}
 }
 
@@ -161,28 +110,161 @@ func TestSnapshot(t *testing.T) {
 	}
 }
 
+// TestMonitorConcurrentAccess: writers and readers share one monitor with
+// no lock between them; once the writers stop, every total is exact.
 func TestMonitorConcurrentAccess(t *testing.T) {
+	const writers, perWriter = 8, 500
+	obs := func(g, i int) Observation {
+		o := Observation{Latency: time.Duration(i)*time.Microsecond + time.Duration(g), Attempts: 1 + i%3}
+		if i%10 == 0 {
+			o.Err = errBoom
+		}
+		return o
+	}
+	var retries, successes uint64
+	var sum time.Duration
+	for g := 0; g < writers; g++ {
+		for i := 0; i < perWriter; i++ {
+			o := obs(g, i)
+			retries += uint64(o.Attempts - 1)
+			if o.Err == nil {
+				successes++
+				sum += o.Latency
+			}
+		}
+	}
+
 	m := NewMonitor("svc")
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for g := 0; g < writers; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				var err error
-				if i%10 == 0 {
-					err = errBoom
-				}
-				m.Record(Observation{Latency: time.Duration(i) * time.Microsecond, Err: err, Params: []float64{float64(i)}})
+			for i := 0; i < perWriter; i++ {
+				m.Record(obs(g, i))
 				m.RecordQuality(0.5)
 				_ = m.Availability()
+				_ = m.MeanLatency()
+				_, _ = m.MeanQuality()
 				_ = m.Snapshot()
 			}
 		}(g)
 	}
 	wg.Wait()
-	if got := m.Count(); got != 4000 {
-		t.Errorf("Count = %d, want 4000", got)
+
+	s := m.Snapshot()
+	if s.Count != writers*perWriter || m.Count() != s.Count {
+		t.Errorf("Count = %d (Snapshot %d), want %d", m.Count(), s.Count, writers*perWriter)
+	}
+	if want := uint64(writers * perWriter / 10); s.Failures != want {
+		t.Errorf("Failures = %d, want %d", s.Failures, want)
+	}
+	if s.Retries != retries || m.Retries() != retries {
+		t.Errorf("Retries = %d (Snapshot %d), want %d", m.Retries(), s.Retries, retries)
+	}
+	if s.QualityCount != writers*perWriter || s.MeanQuality != 0.5 {
+		t.Errorf("quality = (%v, %d), want (0.5, %d)", s.MeanQuality, s.QualityCount, writers*perWriter)
+	}
+	if d := m.LatencyDistribution(); d.Count != successes || d.Sum != sum {
+		t.Errorf("distribution holds %d latencies summing to %v, want %d summing to %v", d.Count, d.Sum, successes, sum)
+	}
+	if want := sum / time.Duration(successes); s.MeanLatency != want {
+		t.Errorf("MeanLatency = %v, want %v", s.MeanLatency, want)
+	}
+	if min, max := obs(0, 1).Latency, obs(writers-1, perWriter-1).Latency; s.MinLatency != min || s.MaxLatency != max {
+		t.Errorf("Min/Max = %v/%v, want %v/%v", s.MinLatency, s.MaxLatency, min, max)
+	}
+}
+
+// TestMonitorLatencyIsExactNanoseconds: latencies are kept in integer
+// nanoseconds, so a sole success reads back as itself and a mean is the
+// exact sum divided by the successes, truncated once.
+func TestMonitorLatencyIsExactNanoseconds(t *testing.T) {
+	sole := func(d time.Duration) {
+		t.Helper()
+		m := NewMonitor("svc")
+		m.Record(Observation{Latency: d})
+		if s := m.Snapshot(); s.MinLatency != d || s.MaxLatency != d || s.MeanLatency != d {
+			t.Fatalf("sole success of %v reads back min %v, max %v, mean %v", d, s.MinLatency, s.MaxLatency, s.MeanLatency)
+		}
+	}
+	sole(249 * time.Nanosecond)
+
+	rng := rand.New(rand.NewSource(1))
+	all := NewMonitor("svc")
+	var sum time.Duration
+	lo, hi := time.Duration(math.MaxInt64), time.Duration(0)
+	const n = 10000
+	for i := 0; i < n; i++ {
+		d := time.Duration(1 + rng.Int63n(int64(2*time.Millisecond)))
+		sole(d)
+		all.Record(Observation{Latency: d})
+		sum += d
+		lo, hi = min(lo, d), max(hi, d)
+	}
+	s := all.Snapshot()
+	if want := sum / n; s.MeanLatency != want || all.MeanLatency() != want {
+		t.Errorf("MeanLatency = %v (accessor %v), want %v", s.MeanLatency, all.MeanLatency(), want)
+	}
+	if s.MinLatency != lo || s.MaxLatency != hi {
+		t.Errorf("Min/Max = %v/%v, want %v/%v", s.MinLatency, s.MaxLatency, lo, hi)
+	}
+}
+
+// TestMonitorRecordAllocs pins the lock-free path: recording a success or
+// a failure, and the histogram observation under it, allocate nothing.
+func TestMonitorRecordAllocs(t *testing.T) {
+	m := NewMonitor("svc")
+	ok := Observation{Latency: time.Millisecond, Params: []float64{1}, Attempts: 2}
+	failed := Observation{Latency: time.Millisecond, Err: errBoom}
+	if allocs := testing.AllocsPerRun(1000, func() { m.Record(ok) }); allocs != 0 {
+		t.Errorf("Record(success) allocates %v per op, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { m.Record(failed) }); allocs != 0 {
+		t.Errorf("Record(failure) allocates %v per op, want 0", allocs)
+	}
+	h := NewHistogram()
+	if allocs := testing.AllocsPerRun(1000, func() { h.Observe(123 * time.Microsecond) }); allocs != 0 {
+		t.Errorf("Histogram.Observe allocates %v per op, want 0", allocs)
+	}
+}
+
+// allocatedBy reports the bytes fn allocates, by runtime.MemStats.
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// keptMonitor holds the monitor a test or benchmark builds, as a Registry
+// would, so it lives on the heap instead of the caller's stack.
+var keptMonitor *Monitor
+
+// TestMonitorCostFollowsWhatItRecorded: a monitor that lives for one
+// pipeline run and sees ten observations costs its histogram (≈5 KB);
+// monitors once carried a 4 096-slot ring and a 2 048-float sample beside
+// it (≈190 KB).
+func TestMonitorCostFollowsWhatItRecorded(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation sizes are not the product's under the race detector")
+	}
+	var snap Snapshot
+	got := allocatedBy(func() {
+		m := NewMonitor("stage")
+		keptMonitor = m
+		for i := 0; i < 10; i++ {
+			m.Record(Observation{Latency: time.Duration(i+1) * time.Millisecond})
+		}
+		snap = m.Snapshot()
+	})
+	if snap.Count != 10 {
+		t.Fatalf("Snapshot.Count = %d, want 10", snap.Count)
+	}
+	t.Logf("NewMonitor + 10 Records + Snapshot: %d bytes", got)
+	if got >= 16<<10 {
+		t.Errorf("NewMonitor + 10 Records + Snapshot allocated %d bytes, want < 16 KB", got)
 	}
 }
 

@@ -10,12 +10,11 @@ import (
 type Registry struct {
 	mu       sync.RWMutex
 	monitors map[string]*Monitor
-	opts     []Option
 }
 
-// NewRegistry returns a Registry whose lazily created monitors use opts.
-func NewRegistry(opts ...Option) *Registry {
-	return &Registry{monitors: make(map[string]*Monitor), opts: opts}
+// NewRegistry returns an empty Registry.
+func NewRegistry() *Registry {
+	return &Registry{monitors: make(map[string]*Monitor)}
 }
 
 // Monitor returns the monitor for name, creating it on first use.
@@ -31,7 +30,7 @@ func (r *Registry) Monitor(name string) *Monitor {
 	if m, ok := r.monitors[name]; ok {
 		return m
 	}
-	m = NewMonitor(name, r.opts...)
+	m = NewMonitor(name)
 	r.monitors[name] = m
 	return m
 }

@@ -1,9 +1,12 @@
 package nlu
 
 import (
+	"runtime/debug"
 	"testing"
+	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/raceflag"
 )
 
 func TestInstrumentRecordsPerDocument(t *testing.T) {
@@ -64,6 +67,54 @@ func TestInstrumentNilDetaches(t *testing.T) {
 	if got := hist.Snapshot().Count; got != 1 {
 		t.Errorf("detached engine still recorded: count = %d, want 1", got)
 	}
+}
+
+// TestInstrumentedAnalyzeAllocs guards what process-wide instrumentation
+// may cost: Analyze with Instrument(set) makes exactly the allocations of
+// Analyze with Instrument(nil), and the instruments count every document.
+// The wall-clock ratio is logged, not asserted; the benchmark measures the
+// analysis path as nlu.analyze_us.
+func TestInstrumentedAnalyzeAllocs(t *testing.T) {
+	const doc = "Acme Corporation reported excellent quarterly earnings, and analysts " +
+		"in Germany praised the remarkable growth of the technology market."
+	const runs = 50
+	e := NewEngine(ProfileAlpha)
+	set := metrics.NewSet()
+	t.Cleanup(func() { Instrument(nil) })
+	analyze := func() { e.Analyze(doc) }
+
+	// GC stays off so the scratch pool is not drained mid-measurement.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	Instrument(nil)
+	plain := testing.AllocsPerRun(runs, analyze)
+	Instrument(set)
+	inst := testing.AllocsPerRun(runs, analyze)
+	// The race detector makes sync.Pool drop items at random.
+	if inst != plain && !raceflag.Enabled {
+		t.Errorf("instrumented Analyze allocates %v per document, uninstrumented %v", inst, plain)
+	}
+	// AllocsPerRun calls its function once more than runs, to warm up.
+	if got := set.Histogram("richsdk_nlu_analyze_seconds", "").Snapshot().Count; got != runs+1 {
+		t.Errorf("analyze histogram count = %d, want %d", got, runs+1)
+	}
+	if got := set.Counter("richsdk_nlu_scratch_gets_total", "").Value(); got != runs+1 {
+		t.Errorf("scratch gets = %d, want %d", got, runs+1)
+	}
+	if set.Counter("richsdk_nlu_tokens_total", "").Value() == 0 {
+		t.Error("tokens counter stayed zero")
+	}
+
+	batch := func() time.Duration {
+		start := time.Now()
+		for i := 0; i < 400; i++ {
+			analyze()
+		}
+		return time.Since(start)
+	}
+	ti := batch()
+	Instrument(nil)
+	tp := batch()
+	t.Logf("400 analyses: instrumented %v, uninstrumented %v (%+.1f%%)", ti, tp, 100*(float64(ti)/float64(tp)-1))
 }
 
 // TestInstrumentedAnalysisIdentical pins that instrumentation never

@@ -2,6 +2,7 @@ package search
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/lexicon"
 	"repro/internal/metrics"
@@ -50,6 +51,44 @@ func TestWithMetricsRecordsQueries(t *testing.T) {
 	if got := gauge.Value(); got != int64(idx.dict.Len()) {
 		t.Errorf("dict gauge = %d, want %d", got, idx.dict.Len())
 	}
+}
+
+// TestInstrumentedSearchAllocs guards what permanently instrumenting the
+// query path may cost: on a server-scale corpus an instrumented index's
+// Search makes exactly the allocations of an uninstrumented twin, and its
+// instruments count every query. The wall-clock ratio is logged, not
+// asserted; the benchmark measures the query path as search.query_us.
+func TestInstrumentedSearchAllocs(t *testing.T) {
+	corpus := webcorpus.Generate(webcorpus.Config{Seed: 8, NumDocs: 600})
+	set := metrics.NewSet()
+	plain, inst := BuildIndex(corpus), BuildIndex(corpus, WithMetrics(set))
+	queries := []string{"market growth technology", "Acme Corporation", "energy policy europe", "quarterly earnings"}
+	const runs = 20
+	for _, q := range queries {
+		search := func(idx *Index) func() {
+			return func() { idx.Search(q, TuningG, Options{Limit: 10}) }
+		}
+		if p, i := testing.AllocsPerRun(runs, search(plain)), testing.AllocsPerRun(runs, search(inst)); i != p {
+			t.Errorf("q=%q: instrumented Search allocates %v per query, uninstrumented %v", q, i, p)
+		}
+	}
+	// AllocsPerRun calls its function once more than runs, to warm up.
+	if got, want := set.Histogram("richsdk_search_query_seconds", "").Snapshot().Count, uint64(len(queries)*(runs+1)); got != want {
+		t.Errorf("query histogram count = %d, want %d", got, want)
+	}
+	if set.Counter("richsdk_search_blocks_total", "", metrics.Label{Name: "outcome", Value: "scanned"}).Value() == 0 {
+		t.Error("scanned-block counter stayed zero")
+	}
+
+	batch := func(idx *Index) time.Duration {
+		start := time.Now()
+		for i := 0; i < 200; i++ {
+			idx.Search(queries[i%len(queries)], TuningG, Options{Limit: 10})
+		}
+		return time.Since(start)
+	}
+	ti, tp := batch(inst), batch(plain)
+	t.Logf("200 queries: instrumented %v, uninstrumented %v (%+.1f%%)", ti, tp, 100*(float64(ti)/float64(tp)-1))
 }
 
 func TestWithMetricsEmptyQueryStillObserved(t *testing.T) {

@@ -24,16 +24,6 @@ func BenchmarkSummarize10k(b *testing.B) {
 	}
 }
 
-func BenchmarkPercentile10k(b *testing.B) {
-	xs := benchSeries(10000)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Percentile(xs, 99); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkFitLinear1k(b *testing.B) {
 	n := 1000
 	xs := make([]float64, n)
@@ -64,13 +54,5 @@ func BenchmarkFitMulti3Features(b *testing.B) {
 		if _, err := FitMulti(feats, ys); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkReservoirObserve(b *testing.B) {
-	r := NewReservoir(1024, rand.New(rand.NewSource(1)).Float64)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r.Observe(float64(i))
 	}
 }

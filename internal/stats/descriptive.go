@@ -1,9 +1,9 @@
 // Package stats provides the statistical and mathematical analysis
 // substrate for the rich SDK and the personalized knowledge base. It stands
 // in for the Apache Commons Math library used by the paper: descriptive
-// statistics, histograms, linear / polynomial / multiple regression,
-// correlation, exponentially weighted averages, reservoir sampling, and
-// streaming percentile estimation.
+// statistics, linear / polynomial / multiple regression (batch and as
+// running normal equations), and correlation. Latency distributions are
+// not kept here: internal/metrics' Histogram is their one type.
 package stats
 
 import (
@@ -84,60 +84,6 @@ func Median(xs []float64) float64 {
 	return (cp[n/2-1] + cp[n/2]) / 2
 }
 
-// Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
-// interpolation between closest ranks. It returns ErrEmpty for empty input
-// and an error for out-of-range p. xs is not modified.
-func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if p < 0 || p > 100 {
-		return 0, fmt.Errorf("stats: percentile %v out of range [0,100]", p)
-	}
-	cp := make([]float64, len(xs))
-	copy(cp, xs)
-	sort.Float64s(cp)
-	return percentileSorted(cp, p), nil
-}
-
-// Percentiles returns the percentiles for each p in ps (0 <= p <= 100),
-// sorting xs only once. It returns ErrEmpty for empty input and an error
-// for any out-of-range p. xs is not modified.
-func Percentiles(xs []float64, ps ...float64) ([]float64, error) {
-	if len(xs) == 0 {
-		return nil, ErrEmpty
-	}
-	for _, p := range ps {
-		if p < 0 || p > 100 {
-			return nil, fmt.Errorf("stats: percentile %v out of range [0,100]", p)
-		}
-	}
-	cp := make([]float64, len(xs))
-	copy(cp, xs)
-	sort.Float64s(cp)
-	out := make([]float64, len(ps))
-	for i, p := range ps {
-		out[i] = percentileSorted(cp, p)
-	}
-	return out, nil
-}
-
-// percentileSorted reads the p-th percentile from an already-sorted,
-// non-empty slice using linear interpolation between closest ranks.
-func percentileSorted(sorted []float64, p float64) float64 {
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
 // Correlation returns the Pearson correlation coefficient between xs and ys.
 // It returns an error if the lengths differ, fewer than two points are
 // given, or either series has zero variance.
@@ -161,36 +107,3 @@ func Correlation(xs, ys []float64) (float64, error) {
 	}
 	return sxy / math.Sqrt(sxx*syy), nil
 }
-
-// EWMA is an exponentially weighted moving average. The zero value is not
-// ready; construct with NewEWMA. EWMA is not safe for concurrent use.
-type EWMA struct {
-	alpha float64
-	value float64
-	init  bool
-}
-
-// NewEWMA returns an EWMA with smoothing factor alpha in (0, 1]. Larger
-// alpha weights recent observations more heavily.
-func NewEWMA(alpha float64) *EWMA {
-	if alpha <= 0 || alpha > 1 {
-		alpha = 0.2
-	}
-	return &EWMA{alpha: alpha}
-}
-
-// Observe folds x into the average.
-func (e *EWMA) Observe(x float64) {
-	if !e.init {
-		e.value = x
-		e.init = true
-		return
-	}
-	e.value = e.alpha*x + (1-e.alpha)*e.value
-}
-
-// Value returns the current average, or 0 before any observation.
-func (e *EWMA) Value() float64 { return e.value }
-
-// Initialized reports whether at least one observation has been folded in.
-func (e *EWMA) Initialized() bool { return e.init }

@@ -83,68 +83,6 @@ func TestMedianDoesNotMutate(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	tests := []struct {
-		p    float64
-		want float64
-	}{
-		{0, 1},
-		{100, 10},
-		{50, 5.5},
-		{25, 3.25},
-		{90, 9.1},
-	}
-	for _, tt := range tests {
-		got, err := Percentile(xs, tt.p)
-		if err != nil {
-			t.Fatalf("Percentile(%v) error = %v", tt.p, err)
-		}
-		if !almostEqual(got, tt.want, 1e-9) {
-			t.Errorf("Percentile(%v) = %v, want %v", tt.p, got, tt.want)
-		}
-	}
-}
-
-func TestPercentiles(t *testing.T) {
-	xs := []float64{10, 1, 5, 3, 8, 2, 9, 4, 7, 6}
-	got, err := Percentiles(xs, 0, 25, 50, 90, 100)
-	if err != nil {
-		t.Fatalf("Percentiles error = %v", err)
-	}
-	// Each value must agree with the single-percentile path.
-	for i, p := range []float64{0, 25, 50, 90, 100} {
-		want, _ := Percentile(xs, p)
-		if !almostEqual(got[i], want, 1e-9) {
-			t.Errorf("Percentiles[%v] = %v, want %v", p, got[i], want)
-		}
-	}
-	if xs[0] != 10 {
-		t.Errorf("Percentiles mutated input: %v", xs)
-	}
-	if _, err := Percentiles(nil, 50); err != ErrEmpty {
-		t.Errorf("empty input error = %v, want ErrEmpty", err)
-	}
-	if _, err := Percentiles(xs, 50, 101); err == nil {
-		t.Error("out-of-range p should error")
-	}
-	if out, err := Percentiles(xs); err != nil || len(out) != 0 {
-		t.Errorf("no-percentile call = %v, %v; want empty, nil", out, err)
-	}
-}
-
-func TestPercentileErrors(t *testing.T) {
-	if _, err := Percentile(nil, 50); err != ErrEmpty {
-		t.Errorf("empty input error = %v, want ErrEmpty", err)
-	}
-	if _, err := Percentile([]float64{1}, -1); err == nil {
-		t.Error("p=-1 should error")
-	}
-	if _, err := Percentile([]float64{1}, 101); err == nil {
-		t.Error("p=101 should error")
-	}
-}
-
 func TestCorrelation(t *testing.T) {
 	// Perfect positive correlation.
 	xs := []float64{1, 2, 3, 4}
@@ -179,34 +117,6 @@ func TestCorrelationErrors(t *testing.T) {
 	}
 }
 
-func TestEWMA(t *testing.T) {
-	e := NewEWMA(0.5)
-	if e.Initialized() {
-		t.Error("fresh EWMA should not be initialized")
-	}
-	e.Observe(10)
-	if e.Value() != 10 {
-		t.Errorf("first observation: Value = %v, want 10", e.Value())
-	}
-	e.Observe(20)
-	if e.Value() != 15 {
-		t.Errorf("Value = %v, want 15", e.Value())
-	}
-	e.Observe(15)
-	if e.Value() != 15 {
-		t.Errorf("Value = %v, want 15", e.Value())
-	}
-}
-
-func TestEWMAInvalidAlphaDefaults(t *testing.T) {
-	e := NewEWMA(-1)
-	e.Observe(1)
-	e.Observe(2)
-	if v := e.Value(); v <= 1 || v >= 2 {
-		t.Errorf("default-alpha EWMA Value = %v, want within (1, 2)", v)
-	}
-}
-
 func TestMeanPropertyBounds(t *testing.T) {
 	// Property: mean is always within [min, max] of the sample.
 	f := func(xs []float64) bool {
@@ -224,41 +134,6 @@ func TestMeanPropertyBounds(t *testing.T) {
 			return false
 		}
 		return s.Mean >= s.Min-1e-6 && s.Mean <= s.Max+1e-6
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPercentileMonotonicProperty(t *testing.T) {
-	// Property: percentile is monotone non-decreasing in p.
-	f := func(raw []float64, p1, p2 float64) bool {
-		clean := raw[:0]
-		for _, x := range raw {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) {
-				clean = append(clean, x)
-			}
-		}
-		if len(clean) == 0 {
-			return true
-		}
-		p1 = math.Mod(math.Abs(p1), 101)
-		p2 = math.Mod(math.Abs(p2), 101)
-		if p1 > 100 {
-			p1 = 100
-		}
-		if p2 > 100 {
-			p2 = 100
-		}
-		if p1 > p2 {
-			p1, p2 = p2, p1
-		}
-		v1, err1 := Percentile(clean, p1)
-		v2, err2 := Percentile(clean, p2)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		return v1 <= v2
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
