@@ -14,10 +14,9 @@ vet:
 # race runs the full suite under the race detector, including the cache
 # layer's concurrency tests (sharded stores, singleflight cancellation,
 # concurrent disk writers). Timing-sensitive guards
-# (TestPipelineOverheadCacheHit, TestTraceOverheadFacade,
-# TestShardedCacheShape, TestRDFInferenceShape's and TestE21ChaosShape's
-# timing legs) skip themselves here; run plain
-# `make test` to exercise them.
+# (TestTraceOverheadFacade, TestShardedCacheShape, TestRDFInferenceShape's
+# and TestE21ChaosShape's timing legs) and the allocation-count guards
+# skip themselves here; run plain `make test` to exercise them.
 race:
 	$(GO) test -race ./...
 
@@ -65,9 +64,15 @@ flake:
 # what forward chaining seeded from recorded changes must not miss; its
 # coverage varies with map iteration order, so the engine would spend the
 # budget minimising inputs it takes for new — a history is at most 160 ops
-# and fails with the op's index, so minimisation is off). Plain `go test`
-# replays only the committed seed corpora under testdata/fuzz; a failure
-# found here is written there.
+# and fails with the op's index, so minimisation is off), the one-pass
+# HTML text extraction against the function it replaced with ASCII-only
+# case folding (FuzzExtractText; minimisation off too, it stalls the
+# engine the same way), the cache-key encoding (FuzzCacheKey: different
+# requests encode differently, equal ones key equally) and a pipeline
+# stage's slot ring against a sequential model (FuzzVia: order, counters,
+# Abort's error, the in-flight bound, cancellation, goroutines). Plain
+# `go test` replays only the committed seed corpora under testdata/fuzz;
+# a failure found here is written there.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSearchQuery$$' -fuzztime $(FUZZTIME) ./internal/search
@@ -80,6 +85,9 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeAnalysis$$' -fuzztime $(FUZZTIME) ./internal/nlu
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResults$$' -fuzztime $(FUZZTIME) ./internal/search
 	$(GO) test -run '^$$' -fuzz '^FuzzMonitor$$' -fuzztime $(FUZZTIME) ./internal/metrics
+	$(GO) test -run '^$$' -fuzz '^FuzzExtractText$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 0s ./internal/webcorpus
+	$(GO) test -run '^$$' -fuzz '^FuzzCacheKey$$' -fuzztime $(FUZZTIME) ./internal/service
+	$(GO) test -run '^$$' -fuzz '^FuzzVia$$' -fuzztime $(FUZZTIME) ./internal/pipeline
 
 # cover runs the full suite with per-package coverage percentages.
 cover:

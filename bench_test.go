@@ -125,7 +125,8 @@ func Example_findExperiment() {
 // pipeline's cache-hit fast path ("pipeline") against a hand-inlined
 // replica of the pre-pipeline monolithic Invoke ("seed-inline"). The two
 // sub-benchmarks bound the cost of the chain's indirection on the hottest
-// path in the SDK; TestPipelineOverheadCacheHit guards the ratio.
+// path in the SDK; TestCacheHitAllocsChainEqualsInline (internal/core)
+// guards what it allocates.
 func BenchmarkE1Caching(b *testing.B) {
 	b.Run("experiment", func(b *testing.B) { benchExperiment(b, "E1") })
 	req := service.Request{Op: "analyze", Text: benchDoc}
@@ -249,7 +250,7 @@ func newSeedInlineCacheHit(b testing.TB) func(service.Request) (service.Response
 		reg := regs[name]
 		mu.Unlock()
 		useCache := reg.cacheable && !io.noCache
-		key := "svc:" + name + ":" + req.CacheKey()
+		key := req.CacheKey("svc:" + name + ":")
 		if useCache {
 			if resp, err := mem.Get(key); err == nil {
 				return resp, nil
@@ -303,78 +304,6 @@ func newSeedInlineInvoke(b testing.TB) func(context.Context, service.Request) (s
 		predictor.Observe(params, elapsed)
 		mu.Unlock()
 		return resp, nil
-	}
-}
-
-// TestPipelineOverheadCacheHit is the bench guard for the middleware
-// refactor: the composed chain may cost at most 8% over the hand-inlined
-// seed path on the cache-hit fast path. The budget is 8% rather than a
-// tighter bound because the measured gap is bimodal across process
-// states on a small shared box — ±20ns with heap and code layout, on a
-// ~450ns path where 5% is only ~22ns — while the regressions this guard
-// exists for (an extra allocation, a second lock, per-call key hashing)
-// each cost well above 8%. The two paths run in alternating-order
-// batches, the comparison uses each path's fastest batch, and an
-// over-budget first pass is re-measured once at triple resolution
-// before failing.
-func TestPipelineOverheadCacheHit(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing guard skipped in -short mode")
-	}
-	if raceflag.Enabled {
-		t.Skip("timing guard skipped under the race detector: instrumentation distorts relative costs")
-	}
-	req := service.Request{Op: "analyze", Text: benchDoc}
-	batch := func(invoke func(service.Request) (service.Response, error)) time.Duration {
-		const iters = 2000
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			if _, err := invoke(req); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return time.Since(start)
-	}
-
-	pipeline := newPipelineCacheHit(t)
-	seed := newSeedInlineCacheHit(t)
-	// Warm both paths (cache primed, branch predictors settled).
-	for i := 0; i < 3; i++ {
-		batch(pipeline)
-		batch(seed)
-	}
-
-	// Both paths allocate per call (the cache key), so GC pauses are one
-	// big noise source: run collections between batches, never inside a
-	// timed window. Background load is the other; see the doc comment for
-	// how the measurement deals with it.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	measure := func(rounds int) (pBest, sBest time.Duration) {
-		pBest, sBest = 1<<62, 1<<62
-		for r := 0; r < rounds; r++ {
-			if r%8 == 0 {
-				runtime.GC()
-			}
-			var p, s time.Duration
-			if r%2 == 0 {
-				p, s = batch(pipeline), batch(seed)
-			} else {
-				s, p = batch(seed), batch(pipeline)
-			}
-			pBest, sBest = min(pBest, p), min(sBest, s)
-		}
-		return pBest, sBest
-	}
-	pBest, sBest := measure(120)
-	if float64(pBest-sBest)/float64(sBest) > 0.08 {
-		pBest, sBest = measure(360)
-	}
-	overhead := float64(pBest-sBest) / float64(sBest)
-	perOp := func(d time.Duration) time.Duration { return d / 2000 }
-	t.Logf("cache hit: pipeline %v/op, seed-inline %v/op, overhead %.2f%%",
-		perOp(pBest), perOp(sBest), overhead*100)
-	if overhead > 0.08 {
-		t.Errorf("middleware pipeline costs %.2f%% over the seed fast path, budget is 8%%", overhead*100)
 	}
 }
 
@@ -472,9 +401,9 @@ func BenchmarkTraceOverhead(b *testing.B) {
 // TestTraceOverheadFacade is the observability overhead guard: with 100%
 // sampling, tracing may add at most 5% to a cache-hit invocation measured
 // end-to-end through the HTTP façade — the smallest unit of work a caller
-// of the SDK-as-a-service can buy. The same alternating-order, best-batch,
-// re-measure-once design as TestPipelineOverheadCacheHit cancels machine
-// drift; GC stays enabled here (each round trip allocates
+// of the SDK-as-a-service can buy. Alternating-order batches, each
+// path's best batch and one re-measure at triple resolution cancel
+// machine drift; GC stays enabled here (each round trip allocates
 // request/recorder/JSON state on both sides equally) with forced
 // collections between batches.
 func TestTraceOverheadFacade(t *testing.T) {
@@ -538,7 +467,7 @@ func TestTraceOverheadFacade(t *testing.T) {
 func shardedShapeKeys(n int) []string {
 	keys := make([]string, n)
 	for i := range keys {
-		keys[i] = "svc:bench:" + service.Request{Op: "analyze", Key: fmt.Sprint(i)}.CacheKey()
+		keys[i] = service.Request{Op: "analyze", Key: fmt.Sprint(i)}.CacheKey("svc:bench:")
 	}
 	return keys
 }
@@ -561,7 +490,7 @@ func shardedShapeKeys(n int) []string {
 // neither always runs first, e.g. into a GC-cooled cache), and the
 // comparison uses each implementation's fastest batch — the minimum is
 // the run least disturbed by the scheduler, which is the intrinsic cost
-// a shape test is after. Mirrors TestPipelineOverheadCacheHit in spirit.
+// a shape test is after. Mirrors TestTraceOverheadFacade in spirit.
 func TestShardedCacheShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing guard skipped in -short mode")

@@ -8,6 +8,8 @@
 package aggregate
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"strings"
 
@@ -27,35 +29,33 @@ type EntityCount struct {
 // thus indicate which named entities ... are most relevant to the search
 // query".
 func Entities(analyses []nlu.Analysis) []EntityCount {
-	type acc struct{ docs, mentions int }
-	accs := make(map[string]*acc)
-	for _, a := range analyses {
-		seen := make(map[string]bool)
+	at := make(map[string]int) // entity ID → index in out
+	out := []EntityCount{}     // never nil: no analyses aggregate to [], not null
+	var lastDoc []int          // per entity, the last document that counted it
+	for d, a := range analyses {
 		for _, m := range a.Entities {
-			e := accs[m.EntityID]
-			if e == nil {
-				e = &acc{}
-				accs[m.EntityID] = e
+			i, ok := at[m.EntityID]
+			if !ok {
+				i = len(out)
+				at[m.EntityID] = i
+				out = append(out, EntityCount{EntityID: m.EntityID})
+				lastDoc = append(lastDoc, -1)
 			}
-			e.mentions++
-			if !seen[m.EntityID] {
-				seen[m.EntityID] = true
-				e.docs++
+			out[i].Mentions++
+			if lastDoc[i] != d {
+				lastDoc[i] = d
+				out[i].Documents++
 			}
 		}
 	}
-	out := make([]EntityCount, 0, len(accs))
-	for id, a := range accs {
-		out = append(out, EntityCount{EntityID: id, Documents: a.docs, Mentions: a.mentions})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Documents != out[j].Documents {
-			return out[i].Documents > out[j].Documents
+	slices.SortFunc(out, func(x, y EntityCount) int {
+		if x.Documents != y.Documents {
+			return cmp.Compare(y.Documents, x.Documents)
 		}
-		if out[i].Mentions != out[j].Mentions {
-			return out[i].Mentions > out[j].Mentions
+		if x.Mentions != y.Mentions {
+			return cmp.Compare(y.Mentions, x.Mentions)
 		}
-		return out[i].EntityID < out[j].EntityID
+		return strings.Compare(x.EntityID, y.EntityID)
 	})
 	return out
 }
@@ -63,21 +63,27 @@ func Entities(analyses []nlu.Analysis) []EntityCount {
 // Keywords aggregates keyword counts across analyses, sorted by total
 // count then text. Keywords are not disambiguated (paper §2.2).
 func Keywords(analyses []nlu.Analysis, k int) []nlu.Keyword {
-	counts := make(map[string]int)
+	at := make(map[string]int) // keyword text → index in out
+	out := []nlu.Keyword{}
 	for _, a := range analyses {
 		for _, kw := range a.Keywords {
-			counts[kw.Text] += kw.Count
+			i, ok := at[kw.Text]
+			if !ok {
+				i = len(out)
+				at[kw.Text] = i
+				out = append(out, nlu.Keyword{Text: kw.Text})
+			}
+			out[i].Count += kw.Count
 		}
 	}
-	out := make([]nlu.Keyword, 0, len(counts))
-	for text, c := range counts {
-		out = append(out, nlu.Keyword{Text: text, Count: c, Score: float64(c)})
+	for i := range out {
+		out[i].Score = float64(out[i].Count)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
+	slices.SortFunc(out, func(x, y nlu.Keyword) int {
+		if x.Count != y.Count {
+			return cmp.Compare(y.Count, x.Count)
 		}
-		return out[i].Text < out[j].Text
+		return strings.Compare(x.Text, y.Text)
 	})
 	if k > 0 && len(out) > k {
 		out = out[:k]
@@ -98,38 +104,33 @@ type EntitySentiment struct {
 // per-document entity scores, weighted equally per document. Sorted by
 // mean score descending (most favorably represented first).
 func Sentiments(analyses []nlu.Analysis) []EntitySentiment {
-	type acc struct {
-		sum      float64
-		docs     int
-		mentions int
-	}
-	accs := make(map[string]*acc)
+	at := make(map[string]int) // entity ID → index in out
+	out := []EntitySentiment{}
 	for _, a := range analyses {
 		for _, es := range a.EntitySentiments {
-			e := accs[es.EntityID]
-			if e == nil {
-				e = &acc{}
-				accs[es.EntityID] = e
+			i, ok := at[es.EntityID]
+			if !ok {
+				i = len(out)
+				at[es.EntityID] = i
+				out = append(out, EntitySentiment{EntityID: es.EntityID})
 			}
-			e.sum += es.Score
-			e.docs++
-			e.mentions += es.Mentions
+			// MeanScore holds the running sum until every document is in.
+			out[i].MeanScore += es.Score
+			out[i].Documents++
+			out[i].Mentions += es.Mentions
 		}
 	}
-	out := make([]EntitySentiment, 0, len(accs))
-	for id, a := range accs {
-		out = append(out, EntitySentiment{
-			EntityID:  id,
-			MeanScore: a.sum / float64(a.docs),
-			Documents: a.docs,
-			Mentions:  a.mentions,
-		})
+	for i := range out {
+		out[i].MeanScore /= float64(out[i].Documents)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].MeanScore != out[j].MeanScore {
-			return out[i].MeanScore > out[j].MeanScore
+	slices.SortFunc(out, func(x, y EntitySentiment) int {
+		if x.MeanScore != y.MeanScore {
+			if x.MeanScore > y.MeanScore {
+				return -1
+			}
+			return 1
 		}
-		return out[i].EntityID < out[j].EntityID
+		return strings.Compare(x.EntityID, y.EntityID)
 	})
 	return out
 }

@@ -564,7 +564,7 @@ func (c *Client) InvokeCategory(ctx context.Context, category string, req servic
 	// Category-level cache: any service's response satisfies the request,
 	// so a hit needs no ranking. An unknown category can have no entry and
 	// falls through to Rank's ErrUnknownCategory.
-	key := "cat:" + category + ":" + req.CacheKey()
+	key := req.CacheKey("cat:" + category + ":")
 	if !io.noCache {
 		if resp, err := c.memcache.Get(key); err == nil {
 			return resp, nil, nil

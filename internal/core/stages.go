@@ -89,7 +89,7 @@ func TraceStage(tr *trace.Tracer) Middleware {
 // interface on purpose: the hit probe below is the hottest line in the
 // SDK, and the concrete type lets the compiler inline the whole probe
 // (shard pick + LRU lookup). Routing it through the interface measured
-// ~3% on the end-to-end cache-hit path (TestPipelineOverheadCacheHit).
+// ~3% on the end-to-end cache-hit path (BenchmarkE1Caching).
 // A single-shard Sharded behaves exactly like a Memory (the cache
 // package's conformance suite runs the same tests over both), so no
 // generality is lost for tests or alternative wirings.
@@ -99,7 +99,7 @@ func CacheStage(mem *cache.Sharded[service.Response], flight *cache.Group[servic
 			if !call.reg.cacheable || call.NoCache {
 				return next(ctx, call)
 			}
-			key := call.reg.cachePrefix + call.Req.CacheKey()
+			key := call.Req.CacheKey(call.reg.cachePrefix)
 			parent := call.span
 			sp := parent.Child("cache")
 			// Hit fast path first: probing the cache before building the

@@ -411,115 +411,3 @@ func TestTrySubmitClosedPool(t *testing.T) {
 		t.Fatalf("err = %v, want ErrPoolClosed", err)
 	}
 }
-
-func TestSubmitCtxRuns(t *testing.T) {
-	p, err := NewPool(1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	f := SubmitCtx(context.Background(), p, func() (int, error) { return 42, nil })
-	if v, err := f.GetTimeout(time.Second); err != nil || v != 42 {
-		t.Fatalf("f = %d, %v", v, err)
-	}
-}
-
-func TestSubmitCtxAlreadyCancelled(t *testing.T) {
-	p, err := NewPool(1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	ran := false
-	f := SubmitCtx(ctx, p, func() (int, error) { ran = true; return 1, nil })
-	if _, err := f.GetTimeout(time.Second); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if ran {
-		t.Error("cancelled submission still ran")
-	}
-}
-
-func TestSubmitCtxQueuedTaskSkippedAfterCancel(t *testing.T) {
-	p, err := NewPool(1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	release := make(chan struct{})
-	busy := Submit(p, func() (int, error) { <-release; return 1, nil })
-	// The worker is occupied, so this task sits in the queue.
-	ctx, cancel := context.WithCancel(context.Background())
-	var ran atomic.Bool
-	queued := SubmitCtx(ctx, p, func() (int, error) { ran.Store(true); return 2, nil })
-	cancel() // cancel while queued
-	close(release)
-	if _, err := queued.GetTimeout(time.Second); !errors.Is(err, context.Canceled) {
-		t.Fatalf("queued err = %v, want context.Canceled", err)
-	}
-	if ran.Load() {
-		t.Error("doomed queued task ran to completion despite cancellation")
-	}
-	if v, err := busy.GetTimeout(time.Second); err != nil || v != 1 {
-		t.Fatalf("busy = %d, %v", v, err)
-	}
-}
-
-func TestSubmitCtxUnblocksSaturatedEnqueue(t *testing.T) {
-	p, err := NewPool(1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	release := make(chan struct{})
-	busy := Submit(p, func() (int, error) { <-release; return 1, nil })
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan *Future[int], 1)
-	go func() {
-		// Blocks: no queue slot and the only worker is busy.
-		done <- SubmitCtx(ctx, p, func() (int, error) { return 2, nil })
-	}()
-	time.Sleep(10 * time.Millisecond) // let the submitter block
-	cancel()
-	select {
-	case f := <-done:
-		if _, err := f.GetTimeout(time.Second); !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("cancellation did not unblock the saturated enqueue")
-	}
-	close(release)
-	if v, err := busy.GetTimeout(time.Second); err != nil || v != 1 {
-		t.Fatalf("busy = %d, %v", v, err)
-	}
-}
-
-func TestSubmitCtxClosedPool(t *testing.T) {
-	p, err := NewPool(1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Close()
-	f := SubmitCtx(context.Background(), p, func() (int, error) { return 1, nil })
-	if _, err := f.GetTimeout(time.Second); !errors.Is(err, ErrPoolClosed) {
-		t.Fatalf("err = %v, want ErrPoolClosed", err)
-	}
-}
-
-func TestSubmitCtxCancelCausePropagates(t *testing.T) {
-	p, err := NewPool(1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	cause := errors.New("stage aborted")
-	ctx, cancel := context.WithCancelCause(context.Background())
-	cancel(cause)
-	f := SubmitCtx(ctx, p, func() (int, error) { return 1, nil })
-	if _, err := f.GetTimeout(time.Second); !errors.Is(err, cause) {
-		t.Fatalf("err = %v, want the cancellation cause", err)
-	}
-}

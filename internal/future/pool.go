@@ -1,7 +1,6 @@
 package future
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -103,51 +102,6 @@ func TrySubmit[T any](p *Pool, fn func() (T, error)) *Future[T] {
 	default:
 		p.mu.Unlock()
 		f.Fail(ErrPoolSaturated)
-	}
-	return f
-}
-
-// SubmitCtx is Submit bound to a context. Cancellation propagates into the
-// pool at every step: a task whose context is already cancelled is never
-// enqueued, a submitter blocked on a full queue unblocks when the context
-// is cancelled, and a task still queued when the context is cancelled fails
-// fast — with the context's cause — instead of running doomed work to
-// completion.
-func SubmitCtx[T any](ctx context.Context, p *Pool, fn func() (T, error)) *Future[T] {
-	f := New[T]()
-	if ctx.Err() != nil {
-		f.Fail(context.Cause(ctx))
-		return f
-	}
-	task := func() {
-		// Re-check at execution time: the context may have been cancelled
-		// while the task sat in the queue.
-		if ctx.Err() != nil {
-			f.Fail(context.Cause(ctx))
-			return
-		}
-		v, err := fn()
-		if err != nil {
-			f.Fail(err)
-			return
-		}
-		f.Complete(v)
-	}
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		f.Fail(ErrPoolClosed)
-		return f
-	}
-	// As in Submit, the enqueue holds the lock so Close cannot close the
-	// channel mid-send; the select adds a context escape hatch so a
-	// cancelled caller does not stay wedged behind a saturated queue.
-	select {
-	case p.tasks <- task:
-		p.mu.Unlock()
-	case <-ctx.Done():
-		p.mu.Unlock()
-		f.Fail(context.Cause(ctx))
 	}
 	return f
 }

@@ -2,11 +2,13 @@ package pipeline
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
 	"strings"
+	"unsafe"
 
 	"repro/internal/aggregate"
 	"repro/internal/core"
@@ -353,6 +355,10 @@ func (cfg *AnalysisConfig) finish(ctx context.Context, p *Pipeline, docs *Flow[i
 		Stages:  p.Stats(),
 		Skipped: p.SkippedErrors(),
 	}
+	if len(res.Docs) > 0 {
+		res.Analyses = make([]nlu.Analysis, 0, len(res.Docs))
+		res.PerDoc = make([][]nlu.Analysis, 0, len(res.Docs))
+	}
 	for _, d := range res.Docs {
 		res.Analyses = append(res.Analyses, d.Primary())
 		res.PerDoc = append(res.PerDoc, d.Analyses)
@@ -407,14 +413,51 @@ func (cfg *AnalysisConfig) fetch(ctx context.Context, url string) (string, error
 	if resp.StatusCode != http.StatusOK {
 		return "", fmt.Errorf("HTTP %d", resp.StatusCode)
 	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxPageBytes+1))
-	if err != nil {
-		return "", err
-	}
-	if len(body) > maxPageBytes {
+	page, err := readPage(resp.Body, resp.ContentLength)
+	if errors.Is(err, errPageTooLarge) {
 		return "", fmt.Errorf("page at %s exceeds %d bytes", url, maxPageBytes)
 	}
-	return string(body), nil
+	return page, err
+}
+
+var errPageTooLarge = errors.New("page too large")
+
+// readPage reads a page of at most maxPageBytes into one buffer, sized
+// from the declared length when there is one within the cap, and returns
+// the buffer as the page without copying it. The buffer has a byte to
+// spare, so a body that ends where it said it would is seen to end
+// without the buffer growing; one that runs on grows it as io.ReadAll
+// would, up to the cap.
+func readPage(body io.Reader, declared int64) (string, error) {
+	if declared > maxPageBytes {
+		return "", errPageTooLarge
+	}
+	size := 512
+	if declared >= 0 {
+		size = int(declared) + 1
+	}
+	buf := make([]byte, 0, size)
+	for {
+		n, err := body.Read(buf[len(buf):min(cap(buf), maxPageBytes+1)])
+		buf = buf[:len(buf)+n]
+		if len(buf) > maxPageBytes {
+			return "", errPageTooLarge
+		}
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return "", err
+		}
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+	}
+	if len(buf) == 0 {
+		return "", nil
+	}
+	// Nothing writes buf after this; the string is its only reference.
+	return unsafe.String(&buf[0], len(buf)), nil
 }
 
 // indexed pairs an item with its stable position in the source stream, so

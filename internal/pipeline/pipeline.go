@@ -1,9 +1,8 @@
 // Package pipeline implements a generic staged dataflow engine: typed
 // stages connected by bounded channels, with a configurable number of
-// fan-out workers per stage (backed by internal/future's bounded pools),
-// context cancellation, per-stage error policy (skip, retry, abort),
-// natural backpressure, and per-stage counters plus latency summaries fed
-// into internal/metrics.
+// fan-out workers per stage, context cancellation, per-stage error policy
+// (skip, retry, abort), natural backpressure, and per-stage counters plus
+// latency summaries fed into internal/metrics.
 //
 // The engine exists for the paper's core workload — the Fig. 3/5 loop
 // search → fetch → analyze → aggregate → store → infer — which
@@ -29,7 +28,6 @@ import (
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/future"
 	"repro/internal/metrics"
 	"repro/internal/trace"
 )
@@ -97,8 +95,8 @@ func WithClock(clk clock.Clock) Option {
 // WithInstruments registers per-stage in-flight and queue-depth gauges
 // in set, labelled stage="<name>", for every Via stage: in-flight is how
 // many items the stage has dispatched to workers but not yet collected,
-// queue depth how many completed-or-running result futures sit in its
-// ordering channel. Stage names are reused across pipeline runs sharing
+// queue depth how many cells of its ordering ring are taken (by an item
+// waiting, running or done but not yet handed on). Stage names are reused across pipeline runs sharing
 // one set (registration is idempotent), so long-lived servers see the
 // live occupancy of the current run. A nil set is ignored.
 func WithInstruments(set *metrics.Set) Option {
@@ -304,6 +302,19 @@ func SourceFunc[T any](p *Pipeline, name string, gen func(ctx context.Context, e
 // Via connects f through stage s and returns the stage's output flow. It
 // is a package function rather than a method because Go methods cannot
 // introduce new type parameters.
+//
+// A stage is a ring of Workers+Buffer cells and three goroutine roles.
+// The dispatcher takes a cell for each item it pulls from upstream — the
+// cell after the one it took last, so cells are taken in stream order —
+// writes the item into it and queues the cell's index for the workers.
+// The stage's Workers long-lived goroutines run s.Fn on the queued cells,
+// write each result into its cell and report the index on the completion
+// channel. The collector, which receives completions in any order, hands
+// results downstream in dispatch order and then frees their cells; the
+// dispatcher blocks while every cell is taken, which is the stage's
+// backpressure. Each cell has one owner at a time — dispatcher, then a
+// worker, then the collector — and every hand-over is a channel
+// operation, so the ring needs no lock and an item costs no allocation.
 func Via[In, Out any](f *Flow[In], s Stage[In, Out]) *Flow[Out] {
 	p := f.p
 	workers := s.Workers
@@ -322,26 +333,27 @@ func Via[In, Out any](f *Flow[In], s Stage[In, Out]) *Flow[Out] {
 		"Items dispatched to a stage's workers and not yet collected.",
 		metrics.Label{Name: "stage", Value: s.Name})
 	queueG := p.set.Gauge("richsdk_pipeline_stage_queue_depth",
-		"Result futures waiting in a stage's ordering channel.",
+		"Taken cells of a stage's ordering ring: items waiting, running, or done and not yet handed on.",
 		metrics.Label{Name: "stage", Value: s.Name})
 	parent := trace.SpanFromContext(p.ctx)
 	out := make(chan Out)
-	pool, err := future.NewPool(workers, 0)
-	if err != nil {
-		// Unreachable: workers is clamped ≥ 1 above.
-		panic(err)
-	}
-	// inflight carries result futures from dispatcher to collector in
-	// dispatch order, preserving stream order and bounding the stage's
-	// outstanding work: once it fills, the dispatcher blocks, which
-	// blocks the upstream stage — backpressure end to end.
-	inflight := make(chan *future.Future[Out], workers+buffer)
 
-	p.wg.Add(2)
+	n := workers + buffer
+	cells := make([]cell[In, Out], n)
+	// taken holds one token per cell the dispatcher has taken and the
+	// collector not yet freed: sending takes a cell, receiving frees the
+	// oldest. queued carries cell indices from dispatcher to workers,
+	// completed from workers to collector; neither can fill, since at
+	// most n cells are taken.
+	taken := make(chan struct{}, n)
+	queued := make(chan int, n)
+	completed := make(chan int, n)
+
+	p.wg.Add(2 + workers)
 	go func() { // dispatcher
 		defer p.wg.Done()
-		defer close(inflight)
-		for {
+		defer close(queued)
+		for next := 0; ; next = (next + 1) % n {
 			var item In
 			var ok bool
 			select {
@@ -353,48 +365,84 @@ func Via[In, Out any](f *Flow[In], s Stage[In, Out]) *Flow[Out] {
 				return
 			}
 			c.in.Add(1)
-			inflightG.Inc()
-			fut := future.SubmitCtx(p.ctx, pool, func() (Out, error) {
-				return runItem(p, s, c, mon, parent, item)
-			})
 			select {
-			case inflight <- fut:
-				queueG.Set(int64(len(inflight)))
+			case taken <- struct{}{}:
 			case <-p.ctx.Done():
-				inflightG.Dec()
 				return
 			}
+			inflightG.Inc()
+			queueG.Set(int64(len(taken)))
+			cells[next].item = item
+			queued <- next
 		}
 	}()
+	var live atomic.Int32
+	live.Store(int32(workers))
+	worker := func() {
+		defer p.wg.Done()
+		for i := range queued {
+			cl := &cells[i]
+			if p.ctx.Err() != nil {
+				// Cancelled while queued: fail fast rather than run
+				// doomed work.
+				cl.err = context.Cause(p.ctx)
+			} else {
+				cl.v, cl.err = runItem(p, s, c, mon, parent, cl.item)
+			}
+			var zero In
+			cl.item = zero
+			completed <- i
+		}
+		if live.Add(-1) == 0 {
+			close(completed)
+		}
+	}
+	for range workers {
+		go worker()
+	}
 	go func() { // collector
 		defer p.wg.Done()
-		defer pool.Close()
 		defer close(out)
-		for fut := range inflight {
-			queueG.Set(int64(len(inflight)))
-			v, err := fut.Get()
-			inflightG.Dec()
-			if err != nil {
-				if p.ctx.Err() != nil {
-					continue // already shutting down; just drain
-				}
-				if s.Policy == Skip {
+		ready := make([]bool, n)
+		head := 0
+		for i := range completed {
+			ready[i] = true
+			for ; ready[head]; head = (head + 1) % n {
+				ready[head] = false
+				cl := &cells[head]
+				v, err := cl.v, cl.err
+				*cl = cell[In, Out]{}
+				inflightG.Dec()
+				switch {
+				case p.ctx.Err() != nil:
+					// Shutting down: drain, and deliver nothing more, so
+					// what went downstream is a prefix of the stream.
+				case err == nil:
+					select {
+					case out <- v:
+						c.out.Add(1)
+					case <-p.ctx.Done():
+					}
+				case s.Policy == Skip:
 					c.skipped.Add(1)
 					p.noteSkip(s.Name, err)
-					continue
+				default:
+					p.abort(s.Name, err)
 				}
-				p.abort(s.Name, err)
-				continue // drain remaining futures so the dispatcher exits
-			}
-			select {
-			case out <- v:
-				c.out.Add(1)
-			case <-p.ctx.Done():
-				// Keep draining so upstream goroutines unblock.
+				<-taken
+				queueG.Set(int64(len(taken)))
 			}
 		}
 	}()
 	return &Flow[Out]{p: p, ch: out}
+}
+
+// cell is one slot of a Via stage's ordering ring: the item a worker
+// processes, then the result the collector delivers.
+type cell[In, Out any] struct {
+	item In
+	v    Out
+	err  error
 }
 
 // runItem applies s.Fn to one item with the stage's retry budget,

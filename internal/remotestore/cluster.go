@@ -551,10 +551,10 @@ func (cl *Cluster) replicate(ctx context.Context, key string, encoded []byte, de
 	acks := make(chan nodeAck, len(owners))
 	for _, node := range owners {
 		node := node
-		// Submit, not SubmitCtx: the op function must run even if ctx is
-		// already dead (it sends exactly one ack; the quorum accounting
-		// below relies on len(owners) sends). Cancellation still cuts the
-		// actual I/O short through the request context.
+		// The op function runs even if ctx is already dead (it sends
+		// exactly one ack; the quorum accounting below relies on
+		// len(owners) sends). Cancellation still cuts the actual I/O
+		// short through the request context.
 		future.Submit(cl.pool, func() (struct{}, error) {
 			err := cl.nodeWrite(ctx, node, key, encoded, del)
 			acks <- nodeAck{node: node, err: err, at: cl.clk.Since(start)}

@@ -8,10 +8,13 @@ package service
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Common errors surfaced by service implementations.
@@ -45,33 +48,62 @@ type Request struct {
 	Params map[string]string `json:"params,omitempty"`
 }
 
-// CacheKey returns a stable digest of the request suitable as a cache key:
-// two identical requests always produce the same key.
-func (r Request) CacheKey() string {
-	h := sha256.New()
-	h.Write([]byte(r.Op))
-	h.Write([]byte{0})
-	h.Write([]byte(r.Key))
-	h.Write([]byte{0})
-	h.Write([]byte(r.Query))
-	h.Write([]byte{0})
-	h.Write([]byte(r.Text))
-	h.Write([]byte{0})
-	h.Write(r.Data)
-	if len(r.Params) > 0 {
-		keys := make([]string, 0, len(r.Params))
-		for k := range r.Params {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			h.Write([]byte{0})
-			h.Write([]byte(k))
-			h.Write([]byte{1})
-			h.Write([]byte(r.Params[k]))
-		}
+// CacheKey returns prefix followed by a stable digest of the request,
+// suitable as a cache key: two equal requests always produce the same key,
+// and two different ones a different encoding to digest. The encoding
+// writes every field as its uvarint length and then its bytes — Op, Key,
+// Query, Text, Data — then the number of params, then each param's key
+// and value the same way, in key order. Lengths, not separators, mark
+// where a field ends, so no byte a caller puts in a field can move a
+// boundary. The digest is the first 16 bytes of the encoding's SHA-256,
+// in hex; the key is the one allocation CacheKey makes.
+func (r Request) CacheKey(prefix string) string {
+	bp := keyScratch.Get().(*[]byte)
+	enc := r.appendKeyEncoding((*bp)[:0])
+	sum := sha256.Sum256(enc)
+	if cap(enc) <= maxPooledKeyScratch {
+		*bp = enc
+		keyScratch.Put(bp)
 	}
-	return hex.EncodeToString(h.Sum(nil)[:16])
+	var digest [2 * keyDigestBytes]byte
+	hex.Encode(digest[:], sum[:keyDigestBytes])
+	return prefix + string(digest[:])
+}
+
+// keyDigestBytes is how much of the SHA-256 a cache key carries.
+const keyDigestBytes = 16
+
+// maxPooledKeyScratch caps the encoding buffers CacheKey keeps for reuse:
+// one large document must not pin its size in the pool for good.
+const maxPooledKeyScratch = 64 << 10
+
+var keyScratch = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b }}
+
+// appendKeyEncoding appends the request's cache-key encoding to buf.
+func (r Request) appendKeyEncoding(buf []byte) []byte {
+	field := func(buf []byte, s string) []byte {
+		return append(binary.AppendUvarint(buf, uint64(len(s))), s...)
+	}
+	buf = field(buf, r.Op)
+	buf = field(buf, r.Key)
+	buf = field(buf, r.Query)
+	buf = field(buf, r.Text)
+	buf = append(binary.AppendUvarint(buf, uint64(len(r.Data))), r.Data...)
+	buf = binary.AppendUvarint(buf, uint64(len(r.Params)))
+	if len(r.Params) == 0 {
+		return buf
+	}
+	var stack [8]string
+	keys := stack[:0]
+	for k := range r.Params {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		buf = field(buf, k)
+		buf = field(buf, r.Params[k])
+	}
+	return buf
 }
 
 // ArgSize returns the total size in bytes of the request's payload

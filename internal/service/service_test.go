@@ -19,7 +19,7 @@ func echoService(name, category string) Func {
 func TestRequestCacheKeyStable(t *testing.T) {
 	a := Request{Op: "analyze", Text: "hello", Params: map[string]string{"x": "1", "y": "2"}}
 	b := Request{Op: "analyze", Text: "hello", Params: map[string]string{"y": "2", "x": "1"}}
-	if a.CacheKey() != b.CacheKey() {
+	if a.CacheKey("") != b.CacheKey("") {
 		t.Error("identical requests with reordered params produced different keys")
 	}
 }
@@ -34,9 +34,9 @@ func TestRequestCacheKeyDistinguishes(t *testing.T) {
 		{Op: "analyze", Text: "hello", Data: []byte{1}},
 		{Op: "analyze", Text: "hello", Params: map[string]string{"a": "b"}},
 	}
-	seen := map[string]bool{base.CacheKey(): true}
+	seen := map[string]bool{base.CacheKey(""): true}
 	for i, v := range variants {
-		k := v.CacheKey()
+		k := v.CacheKey("")
 		if seen[k] {
 			t.Errorf("variant %d collided: %+v", i, v)
 		}
@@ -48,7 +48,7 @@ func TestRequestCacheKeyFieldBoundaries(t *testing.T) {
 	// Field-boundary ambiguity must not produce colliding keys.
 	a := Request{Op: "ab", Key: "c"}
 	b := Request{Op: "a", Key: "bc"}
-	if a.CacheKey() == b.CacheKey() {
+	if a.CacheKey("") == b.CacheKey("") {
 		t.Error("field boundary collision")
 	}
 }
@@ -58,7 +58,7 @@ func TestRequestCacheKeyProperty(t *testing.T) {
 	f := func(op, key, query, text string, data []byte) bool {
 		r1 := Request{Op: op, Key: key, Query: query, Text: text, Data: data}
 		r2 := Request{Op: op, Key: key, Query: query, Text: text, Data: data}
-		return r1.CacheKey() == r2.CacheKey()
+		return r1.CacheKey("") == r2.CacheKey("")
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -5,6 +5,8 @@ import (
 	"html"
 	"net/http"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // RenderHTML renders the document as a minimal HTML page.
@@ -49,42 +51,108 @@ func splitParagraphs(body string) []string {
 // analyzable plain text from a fetched page — the step between "fetch HTML
 // documents corresponding to URLs returned from a Web search" and "pass
 // them to natural language understanding services" (paper §2.2).
-func ExtractText(htmlSrc string) string {
+//
+// Tags and the contents of script and style elements go; a tag counts as
+// whitespace; entities are unescaped; every run of unicode.IsSpace runes
+// becomes one space, with none at either end. Tag names match in ASCII
+// case only, as HTML's do, and are matched at the page's own offsets, so
+// no character outside ASCII can shift one. One pass over the page writes
+// the text into one buffer; a page whose text holds an '&' then pays for
+// unescaping it and collapsing again.
+func ExtractText(page string) string {
 	var b strings.Builder
-	inTag := false
-	inScript := false
-	i := 0
-	lower := strings.ToLower(htmlSrc)
-	for i < len(htmlSrc) {
-		ch := htmlSrc[i]
-		if !inTag && ch == '<' {
-			if strings.HasPrefix(lower[i:], "<script") || strings.HasPrefix(lower[i:], "<style") {
+	b.Grow(len(page))
+	inTag, inScript := false, false
+	space := false // a whitespace run is pending between two words
+	amp := false
+	for i := 0; i < len(page); {
+		ch := page[i]
+		switch {
+		case inTag:
+			if ch == '>' {
+				inTag = false
+				space = true
+			}
+			i++
+			continue
+		case ch == '<':
+			rest := page[i:]
+			if hasPrefixFold(rest, "<script") || hasPrefixFold(rest, "<style") {
 				inScript = true
 			}
-			if inScript && (strings.HasPrefix(lower[i:], "</script") || strings.HasPrefix(lower[i:], "</style")) {
+			if inScript && (hasPrefixFold(rest, "</script") || hasPrefixFold(rest, "</style")) {
 				inScript = false
 			}
 			inTag = true
 			i++
 			continue
+		case inScript:
+			i++
+			continue
 		}
-		if inTag {
-			if ch == '>' {
-				inTag = false
-				b.WriteByte(' ')
+		// A word: every byte up to the next space or tag, written at once.
+		j := i
+		for j < len(page) {
+			c := page[j]
+			if c == '<' {
+				break
 			}
-			i++
+			if c < utf8.RuneSelf {
+				if asciiSpace[c] {
+					break
+				}
+				amp = amp || c == '&'
+				j++
+				continue
+			}
+			r, size := utf8.DecodeRuneInString(page[j:])
+			if unicode.IsSpace(r) {
+				break
+			}
+			j += size
+		}
+		if j == i {
+			// Not a word but the space that ends one.
+			_, size := utf8.DecodeRuneInString(page[i:])
+			space = true
+			i += size
 			continue
 		}
-		if inScript {
-			i++
-			continue
+		if space && b.Len() > 0 {
+			b.WriteByte(' ')
 		}
-		b.WriteByte(ch)
-		i++
+		space = false
+		b.WriteString(page[i:j])
+		i = j
 	}
-	text := html.UnescapeString(b.String())
-	return strings.Join(strings.Fields(text), " ")
+	if !amp {
+		return b.String()
+	}
+	// Whitespace ends an entity, so collapsing before unescaping leaves
+	// every entity as it was; what an entity unescapes to may be
+	// whitespace itself, hence the second collapse.
+	return strings.Join(strings.Fields(html.UnescapeString(b.String())), " ")
+}
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace reports as space.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// hasPrefixFold reports whether s begins with prefix, folding ASCII upper
+// case in s; prefix must be lower case.
+func hasPrefixFold(s, prefix string) bool {
+	if len(s) < len(prefix) {
+		return false
+	}
+	for i := 0; i < len(prefix); i++ {
+		c := s[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if c != prefix[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // Handler serves the corpus over HTTP:
