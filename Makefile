@@ -68,9 +68,12 @@ flake:
 # HTML text extraction against the function it replaced with ASCII-only
 # case folding (FuzzExtractText; minimisation off too, it stalls the
 # engine the same way), the cache-key encoding (FuzzCacheKey: different
-# requests encode differently, equal ones key equally) and a pipeline
+# requests encode differently, equal ones key equally), a pipeline
 # stage's slot ring against a sequential model (FuzzVia: order, counters,
-# Abort's error, the in-flight bound, cancellation, goroutines). Plain
+# Abort's error, the in-flight bound, cancellation, goroutines) and the SDK
+# cache against a per-shard map + list LRU (FuzzSharded: answers, LRU
+# order, stats, TTL, fills a Clear overtakes; each cache draws a random
+# shard-hash seed, so coverage varies run to run and minimisation is off). Plain
 # `go test` replays only the committed seed corpora under testdata/fuzz;
 # a failure found here is written there.
 FUZZTIME ?= 10s
@@ -88,14 +91,16 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzExtractText$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 0s ./internal/webcorpus
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheKey$$' -fuzztime $(FUZZTIME) ./internal/service
 	$(GO) test -run '^$$' -fuzz '^FuzzVia$$' -fuzztime $(FUZZTIME) ./internal/pipeline
+	$(GO) test -run '^$$' -fuzz '^FuzzSharded$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 0s ./internal/cache
 
 # cover runs the full suite with per-package coverage percentages.
 cover:
 	$(GO) test -cover ./...
 
 # bench runs the experiment benchmarks (E1–E22, A1–A4) from bench_test.go
-# plus the cache micro-benchmarks (BenchmarkCacheHitParallel compares the
-# single-mutex and sharded stores at 1/8/64-goroutine parallelism).
+# plus the cache micro-benchmarks (BenchmarkCacheHitParallel compares a
+# one-shard cache with the default shard count at 1/8/64-goroutine
+# parallelism).
 # Narrow with BENCH, e.g. `make bench BENCH=BenchmarkE1Caching` or
 # `make bench BENCH=BenchmarkCacheHitParallel`.
 BENCH ?= .

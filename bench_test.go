@@ -227,8 +227,7 @@ type seedInvokeOpts struct {
 // registration lookup, the "svc:"+name+":" key concatenation, and a direct
 // cache Get — no middleware indirection. The cache itself is the same
 // sharded LRU the Client constructs, so the guard isolates the chain's
-// indirection; sharded-vs-single-mutex cost has its own guard
-// (TestShardedCacheShape).
+// indirection.
 func newSeedInlineCacheHit(b testing.TB) func(service.Request) (service.Response, error) {
 	b.Helper()
 	type seedReg struct {
@@ -460,150 +459,6 @@ func TestTraceOverheadFacade(t *testing.T) {
 	}
 }
 
-// shardedShapeKeys builds SDK-realistic cache keys (a service prefix plus
-// a sha256-hex request key, as CacheStage produces) and primes both caches
-// with them. Capacities carry 2x headroom so the hash split across shards
-// never evicts (the shape under test is the hit path).
-func shardedShapeKeys(n int) []string {
-	keys := make([]string, n)
-	for i := range keys {
-		keys[i] = service.Request{Op: "analyze", Key: fmt.Sprint(i)}.CacheKey("svc:bench:")
-	}
-	return keys
-}
-
-// TestShardedCacheShape is the tentpole guard for the sharded cache: the
-// sharded hit path may cost at most 10% over the single-mutex Memory when
-// single-threaded, and must deliver at least 2x its throughput at 64-way
-// parallelism on machines with enough cores for parallelism to be real
-// (GOMAXPROCS >= 8; below that the parallel leg only logs).
-//
-// The relative bound carries an absolute floor: shard selection is a
-// constant ~2-3ns (sampled-key hash plus one index), so on a machine
-// whose whole hit path is ~30ns the intrinsic ratio already brushes 10%,
-// while the regressions this guard exists for — rehashing the full key,
-// an allocation, a second lock — each cost 9ns or more. Failing requires
-// both bounds: overhead above 10% AND above 4ns per op, re-measured once
-// at triple resolution before declaring it real.
-//
-// Rounds interleave the two implementations with alternating order (so
-// neither always runs first, e.g. into a GC-cooled cache), and the
-// comparison uses each implementation's fastest batch — the minimum is
-// the run least disturbed by the scheduler, which is the intrinsic cost
-// a shape test is after. Mirrors TestTraceOverheadFacade in spirit.
-func TestShardedCacheShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing guard skipped in -short mode")
-	}
-	if raceflag.Enabled {
-		t.Skip("timing guard skipped under the race detector: instrumentation distorts relative costs")
-	}
-	const nkeys = 1024
-	keys := shardedShapeKeys(nkeys)
-	single := cache.NewMemory[int](2 * nkeys)
-	sharded := cache.NewSharded[int](2*nkeys, cache.WithShards(16))
-	defer sharded.Close()
-	for i, k := range keys {
-		single.Set(k, i)
-		sharded.Set(k, i)
-	}
-
-	get := func(m cache.Store[int]) func() error {
-		return func() error {
-			for _, k := range keys {
-				if _, err := m.Get(k); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-	}
-	batch := func(do func() error) time.Duration {
-		const iters = 40
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			if err := do(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return time.Since(start)
-	}
-
-	singleGet, shardedGet := get(single), get(sharded)
-	for i := 0; i < 3; i++ { // settle caches and branch predictors
-		batch(shardedGet)
-		batch(singleGet)
-	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	measure := func(rounds int) (shBest, sgBest time.Duration) {
-		shBest, sgBest = 1<<62, 1<<62
-		for r := 0; r < rounds; r++ {
-			if r%8 == 0 {
-				runtime.GC()
-			}
-			var sh, sg time.Duration
-			if r%2 == 0 {
-				sh, sg = batch(shardedGet), batch(singleGet)
-			} else {
-				sg, sh = batch(singleGet), batch(shardedGet)
-			}
-			shBest, sgBest = min(shBest, sh), min(sgBest, sg)
-		}
-		return shBest, sgBest
-	}
-	perOp := func(d time.Duration) time.Duration { return d / (40 * nkeys) }
-	overBudget := func(sh, sg time.Duration) bool {
-		return float64(sh-sg)/float64(sg) > 0.10 && perOp(sh-sg) > 4*time.Nanosecond
-	}
-	shBest, sgBest := measure(60)
-	if overBudget(shBest, sgBest) {
-		shBest, sgBest = measure(180) // could be interference; re-measure before failing
-	}
-	overhead := float64(shBest-sgBest) / float64(sgBest)
-	t.Logf("single-threaded hit: sharded %v/op, single-mutex %v/op, overhead %.2f%% (+%v/op)",
-		perOp(shBest), perOp(sgBest), overhead*100, perOp(shBest-sgBest))
-	if overBudget(shBest, sgBest) {
-		t.Errorf("sharded cache costs %.2f%% (+%v/op) over single-mutex when single-threaded, budget is 10%% and 4ns/op",
-			overhead*100, perOp(shBest-sgBest))
-	}
-
-	// Parallel leg: 64 goroutines each performing a fixed slice of Gets.
-	parallel := func(m cache.Store[int]) time.Duration {
-		const goroutines, opsPer = 64, 20000
-		var wg sync.WaitGroup
-		start := time.Now()
-		for g := 0; g < goroutines; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				i := g * 131
-				for n := 0; n < opsPer; n++ {
-					if _, err := m.Get(keys[i%nkeys]); err != nil {
-						t.Error(err)
-						return
-					}
-					i += 7
-				}
-			}(g)
-		}
-		wg.Wait()
-		return time.Since(start)
-	}
-	parallel(sharded) // warm scheduler
-	parallel(single)
-	var shPar, sgPar time.Duration
-	for b := 0; b < 8; b++ {
-		shPar += parallel(sharded)
-		sgPar += parallel(single)
-	}
-	speedup := float64(sgPar) / float64(shPar)
-	t.Logf("64-way parallel hit: sharded %v, single-mutex %v, speedup %.2fx (GOMAXPROCS=%d)",
-		shPar, sgPar, speedup, runtime.GOMAXPROCS(0))
-	if runtime.GOMAXPROCS(0) >= 8 && speedup < 2 {
-		t.Errorf("sharded cache is only %.2fx single-mutex throughput at 64-way parallelism, want >= 2x", speedup)
-	}
-}
-
 // rdfShapeRules is the linear reachability rule set TestRDFInferenceShape
 // chains over: on a linear rule set semi-naive evaluation derives every
 // fact exactly once, which is the property the guard pins.
@@ -625,8 +480,7 @@ func rdfShapeRules() []rdf.Rule {
 	}
 }
 
-// TestRDFInferenceShape guards the PR 5 inference rewrite the way
-// TestShardedCacheShape guards the sharded cache, by what a seed
+// TestRDFInferenceShape guards the semi-naive inference engine by what a seed
 // determines: on a 1000-node linear chain the semi-naive evaluator must
 // reach the exact C(1000,2) closure while firing each rule exactly once
 // per derived fact (ChainStats.Derivations == Derived), chaining the

@@ -1,17 +1,17 @@
 // Package cache implements the rich SDK's caching substrate (paper §2):
 // responses from remote services are cached locally to avoid redundant
 // service calls, cut latency, and keep applications running when a service
-// is unreachable. It provides a bounded in-memory LRU cache with per-entry
-// TTL (Memory), a sharded variant for concurrent hit-path scalability
-// (Sharded), request de-duplication (single-flight), and a persistent disk
-// cache.
+// is unreachable. It provides one cache, Sharded — a bounded LRU with a
+// TTL, split into independently locked shards so concurrent hits for
+// different keys take different locks — and request de-duplication
+// (Group, Fill), whose fills a Clear that overtakes them cannot undo.
 package cache
 
 import (
 	"container/list"
 	"errors"
-	"math/rand/v2"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/clock"
@@ -23,13 +23,13 @@ var ErrNotFound = errors.New("cache: not found")
 // Stats counts cache activity. Hits, Misses, Evictions, and Expired are
 // monotonic activity counters: Delete and Clear remove entries without
 // rewinding them. Size is computed live at Stats() time, so it always
-// reflects the current entry count (expired-but-uncollected entries
-// included; see Len).
+// reflects the current entry count, expired entries no Get has reclaimed
+// yet included.
 type Stats struct {
 	Hits      uint64
 	Misses    uint64
 	Evictions uint64
-	Expired   uint64 // expired entries reclaimed by Get/Contains/Purge
+	Expired   uint64 // expired entries reclaimed by Get, the only reclaimer
 	Size      int    // current number of entries, expired ones included
 }
 
@@ -52,57 +52,24 @@ func (s *Stats) add(o Stats) {
 	s.Size += o.Size
 }
 
-// Store is the surface shared by the cache implementations (Memory and
-// Sharded), so call sites — core.CacheStage, Fill, GetOrFill, the
-// conformance suite — can take either. The unexported peek keeps the
-// interface closed to this package: both implementations must agree on
-// stats-neutral probing for single-flight re-checks.
-type Store[V any] interface {
-	Get(key string) (V, error)
-	Set(key string, value V)
-	SetTTL(key string, value V, ttl time.Duration)
-	Delete(key string) bool
-	Contains(key string) bool
-	Len() int
-	Clear()
-	Purge() int
-	Keys() []string
-	Stats() Stats
-	// Close stops any background janitor. A store without one treats
-	// Close as a no-op; Close is idempotent.
-	Close()
-
-	// peek returns the live value for key without touching LRU order or
-	// any statistic. It is the stats-neutral lookup Fill uses for its
-	// in-flight re-check, so one logical lookup records exactly one
-	// hit or miss (the caller's probe).
-	peek(key string) (V, bool)
-}
-
-// options collects the knobs shared by Memory and Sharded. Options are
-// deliberately non-generic: the same WithTTL value configures a cache of
-// any value type.
+// options collects a cache's knobs. Options are deliberately non-generic:
+// the same WithTTL value configures a cache of any value type.
 type options struct {
-	ttl     time.Duration
-	clk     clock.Clock
-	jitter  float64       // fraction of TTL randomized per entry
-	janitor time.Duration // background purge interval; 0 disables
-	shards  int           // Sharded only; Memory ignores it
+	ttl    time.Duration
+	clk    clock.Clock
+	shards int // 0 sizes the shard count to the machine; set only by this package's tests
 }
 
-func defaultOptions() options {
-	return options{clk: clock.Real()}
-}
-
-// Option configures a Memory or Sharded cache.
+// Option configures a Sharded cache.
 type Option func(*options)
 
-// WithTTL sets a default time-to-live applied to every Set.
+// WithTTL sets the time-to-live applied to every Set; 0 (the default)
+// means entries never expire.
 func WithTTL(ttl time.Duration) Option {
 	return func(o *options) { o.ttl = ttl }
 }
 
-// WithClock sets the clock used for expiry decisions and the janitor.
+// WithClock sets the clock used for expiry decisions.
 func WithClock(c clock.Clock) Option {
 	return func(o *options) {
 		if c != nil {
@@ -111,57 +78,17 @@ func WithClock(c clock.Clock) Option {
 	}
 }
 
-// WithTTLJitter spreads each entry's effective TTL uniformly over
-// [ttl·(1-frac), ttl·(1+frac)], de-synchronizing the expiry of entries
-// stored together so they do not stampede the backend when they all lapse
-// at once. frac is clamped to [0, 1]; 0 disables jitter.
-func WithTTLJitter(frac float64) Option {
-	return func(o *options) {
-		switch {
-		case frac < 0:
-			o.jitter = 0
-		case frac > 1:
-			o.jitter = 1
-		default:
-			o.jitter = frac
-		}
-	}
-}
-
-// WithJanitor runs a background goroutine that purges expired entries
-// every interval on the cache's clock, so expired entries stop pinning
-// memory until capacity eviction reaches them. Stop it with Close.
-func WithJanitor(interval time.Duration) Option {
-	return func(o *options) {
-		if interval > 0 {
-			o.janitor = interval
-		}
-	}
-}
-
-// WithShards sets a Sharded cache's shard count, rounded up to a power of
-// two and capped so every shard holds at least one entry. Memory ignores
-// it. 0 picks a default sized to the machine's parallelism.
-func WithShards(n int) Option {
-	return func(o *options) { o.shards = n }
-}
-
-// Memory is a bounded in-memory LRU cache with optional per-entry TTL. It
-// is safe for concurrent use, but every operation serializes on one
-// mutex; for read-heavy concurrent workloads prefer Sharded.
-type Memory[V any] struct {
+// shard is one independently locked LRU of a Sharded cache: a map for
+// lookup and a list for recency, front = most recently used.
+type shard[V any] struct {
 	mu       sync.Mutex
 	capacity int
-	ttl      time.Duration // default TTL; 0 means entries never expire
-	jitter   float64
+	ttl      time.Duration // 0 means entries never expire
 	clk      clock.Clock
-	ll       *list.List // front = most recently used
+	ll       *list.List
 	items    map[string]*list.Element
 	stats    Stats
-	jan      *janitor
 }
-
-var _ Store[int] = (*Memory[int])(nil)
 
 type entry[V any] struct {
 	key     string
@@ -169,46 +96,19 @@ type entry[V any] struct {
 	expires time.Time // zero means no expiry
 }
 
-// NewMemory returns an LRU cache holding at most capacity entries.
-// capacity must be >= 1; smaller values are clamped to 1.
-func NewMemory[V any](capacity int, opts ...Option) *Memory[V] {
-	o := defaultOptions()
-	for _, fn := range opts {
-		fn(&o)
-	}
-	m := newMemory[V](capacity, o)
-	if o.janitor > 0 {
-		m.jan = newJanitor(o.janitor, o.clk, func() { m.Purge() })
-	}
-	return m
-}
-
-// newMemory builds the cache without starting a janitor; Sharded uses it
-// for its shards so one janitor serves the whole cache.
-func newMemory[V any](capacity int, o options) *Memory[V] {
-	m := new(Memory[V])
-	initMemory(m, capacity, o)
-	return m
-}
-
-// initMemory initializes a zero Memory in place, so Sharded can lay its
-// shards out in one contiguous slice without copying a constructed value
-// (Memory holds a mutex; copying one would trip go vet's copylocks).
-func initMemory[V any](m *Memory[V], capacity int, o options) {
-	if capacity < 1 {
-		capacity = 1
-	}
+// init initializes a zero shard in place, so Sharded can lay its shards
+// out in one contiguous slice without copying a mutex.
+func (m *shard[V]) init(capacity int, o options) {
 	m.capacity = capacity
 	m.ttl = o.ttl
-	m.jitter = o.jitter
 	m.clk = o.clk
 	m.ll = list.New()
 	m.items = make(map[string]*list.Element, capacity)
 }
 
-// Get returns the cached value for key. It returns ErrNotFound if the key
-// is absent or its entry has expired; expired entries are removed.
-func (m *Memory[V]) Get(key string) (V, error) {
+// get returns the cached value for key, or ErrNotFound if the key is
+// absent or its entry has expired; an expired entry is removed.
+func (m *shard[V]) get(key string) (V, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var zero V
@@ -229,8 +129,8 @@ func (m *Memory[V]) Get(key string) (V, error) {
 	return en.value, nil
 }
 
-// peek implements Store: a lookup with no LRU or stats side effects.
-func (m *Memory[V]) peek(key string) (V, bool) {
+// peek is a lookup with no LRU or stats side effects.
+func (m *shard[V]) peek(key string) (V, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var zero V
@@ -245,28 +145,19 @@ func (m *Memory[V]) peek(key string) (V, bool) {
 	return en.value, true
 }
 
-// Set stores value under key with the cache's default TTL.
-func (m *Memory[V]) Set(key string, value V) {
-	m.SetTTL(key, value, m.ttl)
-}
-
-// SetTTL stores value under key with an explicit TTL; ttl <= 0 means the
-// entry never expires. With jitter configured, the effective TTL is
-// randomized around ttl (see WithTTLJitter).
-func (m *Memory[V]) SetTTL(key string, value V, ttl time.Duration) {
+// set stores value under key, evicting the LRU tail when the shard is
+// over capacity. With gen non-nil it stores only while *gen still reads
+// want; the check runs under the shard lock, which Clear takes after it
+// bumps the generation, so no store lands after a Clear that it lost to.
+func (m *shard[V]) set(key string, value V, gen *atomic.Uint64, want uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if gen != nil && gen.Load() != want {
+		return
+	}
 	var expires time.Time
-	if ttl > 0 {
-		if m.jitter > 0 {
-			// Uniform over [1-j, 1+j); rand/v2's global state is cheap
-			// enough for the write path.
-			ttl = time.Duration(float64(ttl) * (1 + m.jitter*(2*rand.Float64()-1)))
-			if ttl <= 0 {
-				ttl = 1
-			}
-		}
-		expires = m.clk.Now().Add(ttl)
+	if m.ttl > 0 {
+		expires = m.clk.Now().Add(m.ttl)
 	}
 	if el, ok := m.items[key]; ok {
 		en := el.Value.(*entry[V])
@@ -278,18 +169,14 @@ func (m *Memory[V]) SetTTL(key string, value V, ttl time.Duration) {
 	el := m.ll.PushFront(&entry[V]{key: key, value: value, expires: expires})
 	m.items[key] = el
 	if m.ll.Len() > m.capacity {
-		oldest := m.ll.Back()
-		if oldest != nil {
-			m.removeElement(oldest)
-			m.stats.Evictions++
-		}
+		m.removeElement(m.ll.Back())
+		m.stats.Evictions++
 	}
 }
 
-// Delete removes key if present and reports whether it was found (even if
-// expired). It adjusts no activity counter — the counters are monotonic —
-// but Stats.Size and Len shrink immediately.
-func (m *Memory[V]) Delete(key string) bool {
+// remove deletes key if present, expired or not, and reports whether it
+// was found.
+func (m *shard[V]) remove(key string) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	el, ok := m.items[key]
@@ -300,81 +187,14 @@ func (m *Memory[V]) Delete(key string) bool {
 	return true
 }
 
-// Contains reports whether key is present and live, without affecting LRU
-// order or hit/miss statistics. An expired entry found here is lazily
-// reclaimed (counted in Stats.Expired) instead of pinning its slot until
-// capacity eviction or a Purge reaches it.
-func (m *Memory[V]) Contains(key string) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	el, ok := m.items[key]
-	if !ok {
-		return false
-	}
-	en := el.Value.(*entry[V])
-	if !en.expires.IsZero() && !m.clk.Now().Before(en.expires) {
-		m.removeElement(el)
-		m.stats.Expired++
-		return false
-	}
-	return true
-}
-
-// Len returns the number of entries currently held, including expired
-// ones that no Get/Contains/Purge has collected yet. It equals
-// Stats().Size at the same instant; with a janitor running, both drop to
-// the live count within one sweep interval of entries expiring.
-func (m *Memory[V]) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.ll.Len()
-}
-
-// Clear removes every entry. Activity counters are preserved (they are
-// monotonic); Size drops to 0.
-func (m *Memory[V]) Clear() {
+func (m *shard[V]) clear() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.ll.Init()
 	m.items = make(map[string]*list.Element, m.capacity)
 }
 
-// Purge removes all expired entries and returns how many were removed.
-func (m *Memory[V]) Purge() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	now := m.clk.Now()
-	var removed int
-	for el := m.ll.Back(); el != nil; {
-		prev := el.Prev()
-		en := el.Value.(*entry[V])
-		if !en.expires.IsZero() && !now.Before(en.expires) {
-			m.removeElement(el)
-			m.stats.Expired++
-			removed++
-		}
-		el = prev
-	}
-	return removed
-}
-
-// Keys returns the live keys from most to least recently used.
-func (m *Memory[V]) Keys() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	now := m.clk.Now()
-	keys := make([]string, 0, m.ll.Len())
-	for el := m.ll.Front(); el != nil; el = el.Next() {
-		en := el.Value.(*entry[V])
-		if en.expires.IsZero() || now.Before(en.expires) {
-			keys = append(keys, en.key)
-		}
-	}
-	return keys
-}
-
-// Stats returns a copy of the activity counters.
-func (m *Memory[V]) Stats() Stats {
+func (m *shard[V]) snapshot() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	s := m.stats
@@ -382,46 +202,8 @@ func (m *Memory[V]) Stats() Stats {
 	return s
 }
 
-// Close stops the janitor, if one was configured with WithJanitor. It is
-// idempotent and safe to call on a cache without a janitor.
-func (m *Memory[V]) Close() { m.jan.stop() }
-
 // removeElement must be called with the lock held.
-func (m *Memory[V]) removeElement(el *list.Element) {
+func (m *shard[V]) removeElement(el *list.Element) {
 	m.ll.Remove(el)
-	en := el.Value.(*entry[V])
-	delete(m.items, en.key)
-}
-
-// janitor periodically purges expired entries on the cache's clock. A nil
-// janitor is inert, so Close works uniformly whether or not one runs.
-type janitor struct {
-	quit chan struct{}
-	done chan struct{}
-	once sync.Once
-}
-
-func newJanitor(interval time.Duration, clk clock.Clock, purge func()) *janitor {
-	j := &janitor{quit: make(chan struct{}), done: make(chan struct{})}
-	go func() {
-		defer close(j.done)
-		for {
-			select {
-			case <-clk.After(interval):
-				purge()
-			case <-j.quit:
-				return
-			}
-		}
-	}()
-	return j
-}
-
-// stop halts the sweep goroutine and waits for it to exit.
-func (j *janitor) stop() {
-	if j == nil {
-		return
-	}
-	j.once.Do(func() { close(j.quit) })
-	<-j.done
+	delete(m.items, el.Value.(*entry[V]).key)
 }

@@ -4,70 +4,21 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/clock"
 )
 
-// The Memory/Sharded behavioural contract lives in conformance_test.go and
-// runs against both implementations. This file covers the pieces outside
-// that contract: statistics edge cases, TTL jitter, the single-flight
-// group, GetOrFill/Fill, and the disk cache.
+// The behavioural contract of Get/Set/Delete/Clear/Stats lives in
+// conformance_test.go (at one and eight shards) and in FuzzSharded. This
+// file covers the pieces outside it: statistics edge cases, the
+// single-flight group, Fill and its generation rule, and the hit path's
+// allocation pins.
 
 func TestHitRatioZero(t *testing.T) {
 	if (Stats{}).HitRatio() != 0 {
 		t.Error("empty HitRatio should be 0")
-	}
-}
-
-func TestMemoryTTLJitterBounds(t *testing.T) {
-	v := clock.NewVirtual(time.Unix(0, 0))
-	m := NewMemory[int](256, WithClock(v), WithTTLJitter(0.5))
-	defer m.Close()
-	const ttl = time.Minute
-	for i := 0; i < 128; i++ {
-		m.SetTTL(fmt.Sprintf("k%d", i), i, ttl)
-	}
-	// All entries live at ttl*(1-j): nothing may expire before the lower
-	// jitter bound.
-	v.Advance(29 * time.Second)
-	if n := m.Purge(); n != 0 {
-		t.Errorf("%d entries expired before ttl*(1-jitter)", n)
-	}
-	// All entries dead at ttl*(1+j).
-	v.Advance(62 * time.Second)
-	m.Purge()
-	if got := m.Len(); got != 0 {
-		t.Errorf("Len = %d after ttl*(1+jitter), want 0", got)
-	}
-	// With 128 entries jittered over a 60s window, at least one should
-	// have expired strictly before and one strictly after the nominal
-	// TTL with overwhelming probability — i.e. expiry is de-synchronized.
-	m2 := NewMemory[int](256, WithClock(v), WithTTLJitter(0.5))
-	defer m2.Close()
-	for i := 0; i < 128; i++ {
-		m2.SetTTL(fmt.Sprintf("k%d", i), i, ttl)
-	}
-	v.Advance(ttl)
-	early := m2.Purge()
-	if early == 0 || early == 128 {
-		t.Errorf("jitter did not spread expiry: %d/128 expired at the nominal TTL", early)
-	}
-}
-
-func TestWithTTLJitterClamped(t *testing.T) {
-	o := defaultOptions()
-	WithTTLJitter(-1)(&o)
-	if o.jitter != 0 {
-		t.Errorf("negative jitter = %v, want 0", o.jitter)
-	}
-	WithTTLJitter(7)(&o)
-	if o.jitter != 1 {
-		t.Errorf("oversized jitter = %v, want 1", o.jitter)
 	}
 }
 
@@ -230,34 +181,38 @@ func TestGroupDoCtxSurvivingWaiterShares(t *testing.T) {
 	}
 }
 
-func TestGetOrFill(t *testing.T) {
-	m := NewMemory[string](4)
+// A caller probes with Get and fills on a miss, as CacheStage does: one
+// fill, and exactly one recorded lookup per call.
+func TestProbeThenFill(t *testing.T) {
+	m := NewSharded[string](4)
 	g := NewGroup[string]()
-	ctx := context.Background()
 	var fills int
-	fill := func() (string, error) {
-		fills++
-		return "value", nil
+	lookup := func() (string, bool, error) {
+		if v, err := m.Get("k"); err == nil {
+			return v, true, nil
+		}
+		v, err := Fill(context.Background(), m, g, "k", func() (string, error) {
+			fills++
+			return "value", nil
+		})
+		return v, false, err
 	}
-	v, hit, err := GetOrFill(ctx, m, g, "k", fill)
-	if err != nil || hit || v != "value" {
-		t.Errorf("first GetOrFill = (%q, %v, %v)", v, hit, err)
+	if v, hit, err := lookup(); err != nil || hit || v != "value" {
+		t.Errorf("first lookup = (%q, %v, %v)", v, hit, err)
 	}
-	v, hit, err = GetOrFill(ctx, m, g, "k", fill)
-	if err != nil || !hit || v != "value" {
-		t.Errorf("second GetOrFill = (%q, %v, %v), want cache hit", v, hit, err)
+	if v, hit, err := lookup(); err != nil || !hit || v != "value" {
+		t.Errorf("second lookup = (%q, %v, %v), want cache hit", v, hit, err)
 	}
 	if fills != 1 {
 		t.Errorf("fill called %d times, want 1", fills)
 	}
-	// Exactly one lookup per call: 1 miss (first) + 1 hit (second).
 	if s := m.Stats(); s.Hits != 1 || s.Misses != 1 {
 		t.Errorf("stats = %+v, want 1 hit / 1 miss", s)
 	}
 }
 
 func TestFillIsStatsNeutral(t *testing.T) {
-	m := NewMemory[string](4)
+	m := NewSharded[string](4)
 	g := NewGroup[string]()
 	v, err := Fill(context.Background(), m, g, "k", func() (string, error) { return "value", nil })
 	if err != nil || v != "value" {
@@ -273,23 +228,25 @@ func TestFillIsStatsNeutral(t *testing.T) {
 	}
 }
 
-func TestGetOrFillErrorNotCached(t *testing.T) {
-	m := NewMemory[string](4)
+func TestFillErrorNotCached(t *testing.T) {
+	m := NewSharded[string](4)
 	g := NewGroup[string]()
 	ctx := context.Background()
 	boom := errors.New("boom")
-	if _, _, err := GetOrFill(ctx, m, g, "k", func() (string, error) { return "", boom }); !errors.Is(err, boom) {
+	if _, err := Fill(ctx, m, g, "k", func() (string, error) { return "", boom }); !errors.Is(err, boom) {
 		t.Errorf("error = %v, want boom", err)
 	}
-	// Error results must not be cached; next call should retry the fill.
-	v, hit, err := GetOrFill(ctx, m, g, "k", func() (string, error) { return "ok", nil })
-	if err != nil || hit || v != "ok" {
-		t.Errorf("retry = (%q, %v, %v)", v, hit, err)
+	// Error results must not be cached; the next call fills again.
+	if _, err := m.Get("k"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("Get after a failed fill = %v, want ErrNotFound", err)
+	}
+	if v, err := Fill(ctx, m, g, "k", func() (string, error) { return "ok", nil }); err != nil || v != "ok" {
+		t.Errorf("retry = (%q, %v)", v, err)
 	}
 }
 
-func TestGetOrFillConcurrentSingleFill(t *testing.T) {
-	m := NewMemory[int](16)
+func TestFillConcurrentSingleFill(t *testing.T) {
+	m := NewSharded[int](16)
 	g := NewGroup[int]()
 	ctx := context.Background()
 	var mu sync.Mutex
@@ -300,7 +257,10 @@ func TestGetOrFillConcurrentSingleFill(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, _, err := GetOrFill(ctx, m, g, "hot", func() (int, error) {
+			if _, err := m.Get("hot"); err == nil {
+				return
+			}
+			v, err := Fill(ctx, m, g, "hot", func() (int, error) {
 				mu.Lock()
 				fills++
 				mu.Unlock()
@@ -308,7 +268,7 @@ func TestGetOrFillConcurrentSingleFill(t *testing.T) {
 				return 9, nil
 			})
 			if err != nil || v != 9 {
-				t.Errorf("GetOrFill = (%d, %v)", v, err)
+				t.Errorf("Fill = (%d, %v)", v, err)
 			}
 		}()
 	}
@@ -316,30 +276,29 @@ func TestGetOrFillConcurrentSingleFill(t *testing.T) {
 	if fills != 1 {
 		t.Errorf("fill executed %d times, want 1 (single-flight)", fills)
 	}
-	// Each of the 20 callers probed once and missed (the stampede raced
-	// the single fill); none of the in-flight re-checks may add a second
-	// miss for the same logical lookup, so hit ratio stays exact.
+	// Each caller probed once; none of the in-flight re-checks may add a
+	// second lookup, so the hit ratio stays exact.
 	s := m.Stats()
 	if s.Hits+s.Misses != callers {
 		t.Errorf("recorded %d lookups for %d callers: %+v", s.Hits+s.Misses, callers, s)
 	}
 }
 
-// GetOrFill with a cancelled duplicate: the waiter unblocks with ctx.Err()
-// while the leader's fill still lands in the cache.
-func TestGetOrFillContextCancelledWaiter(t *testing.T) {
-	m := NewMemory[int](16)
+// A cancelled duplicate unblocks with ctx.Err() while the leader's fill
+// still lands in the cache.
+func TestFillContextCancelledWaiter(t *testing.T) {
+	m := NewSharded[int](16)
 	g := NewGroup[int]()
 	release := make(chan struct{})
 	leaderDone := make(chan struct{})
 	go func() {
 		defer close(leaderDone)
-		v, _, err := GetOrFill(context.Background(), m, g, "k", func() (int, error) {
+		v, err := Fill(context.Background(), m, g, "k", func() (int, error) {
 			<-release
 			return 5, nil
 		})
 		if err != nil || v != 5 {
-			t.Errorf("leader GetOrFill = (%d, %v)", v, err)
+			t.Errorf("leader Fill = (%d, %v)", v, err)
 		}
 	}()
 	for g.Waiters("k") == -1 {
@@ -348,7 +307,7 @@ func TestGetOrFillContextCancelledWaiter(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, _, err := GetOrFill(ctx, m, g, "k", func() (int, error) { return 0, nil })
+		_, err := Fill(ctx, m, g, "k", func() (int, error) { return 0, nil })
 		errc <- err
 	}()
 	for g.Waiters("k") < 1 {
@@ -358,10 +317,10 @@ func TestGetOrFillContextCancelledWaiter(t *testing.T) {
 	select {
 	case err := <-errc:
 		if !errors.Is(err, context.Canceled) {
-			t.Errorf("cancelled GetOrFill error = %v, want context.Canceled", err)
+			t.Errorf("cancelled Fill error = %v, want context.Canceled", err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("cancelled GetOrFill still blocked")
+		t.Fatal("cancelled Fill still blocked")
 	}
 	close(release)
 	<-leaderDone
@@ -370,195 +329,70 @@ func TestGetOrFillContextCancelledWaiter(t *testing.T) {
 	}
 }
 
-// Fill and GetOrFill accept any Store implementation; run the single-flight
-// path against the sharded cache too.
-func TestGetOrFillSharded(t *testing.T) {
-	s := NewSharded[int](64, WithShards(8))
-	defer s.Close()
-	g := NewGroup[int]()
-	ctx := context.Background()
-	fills := 0
-	for i := 0; i < 2; i++ {
-		v, hit, err := GetOrFill(ctx, s, g, "k", func() (int, error) {
-			fills++
-			return 3, nil
-		})
-		if err != nil || v != 3 || hit != (i == 1) {
-			t.Errorf("call %d = (%d, %v, %v)", i, v, hit, err)
+// A Clear that overtakes a running fill wins: the fill's result answers
+// its caller but is not cached, so the next Get misses.
+func TestFillOvertakenByClearNotCached(t *testing.T) {
+	for _, shards := range []int{1, 8} {
+		m := NewSharded[int](16, withShards(shards))
+		g := NewGroup[int]()
+		started, release := make(chan struct{}), make(chan struct{})
+		got := make(chan int, 1)
+		go func() {
+			v, err := Fill(context.Background(), m, g, "key", func() (int, error) {
+				close(started)
+				<-release
+				return 1, nil
+			})
+			if err != nil {
+				t.Errorf("Fill: %v", err)
+			}
+			got <- v
+		}()
+		<-started
+		m.Clear()
+		close(release)
+		if v := <-got; v != 1 {
+			t.Errorf("%d shards: Fill returned %d, want the fill's 1", shards, v)
 		}
-	}
-	if fills != 1 {
-		t.Errorf("fills = %d, want 1", fills)
-	}
-}
-
-func TestDiskRoundTrip(t *testing.T) {
-	d, err := NewDisk(t.TempDir(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	type payload struct {
-		Name  string `json:"name"`
-		Score int    `json:"score"`
-	}
-	in := payload{Name: "svc", Score: 42}
-	if err := d.Set("key1", in, 0); err != nil {
-		t.Fatal(err)
-	}
-	var out payload
-	if err := d.Get("key1", &out); err != nil {
-		t.Fatal(err)
-	}
-	if out != in {
-		t.Errorf("round trip = %+v, want %+v", out, in)
-	}
-}
-
-func TestDiskMissAndDelete(t *testing.T) {
-	d, err := NewDisk(t.TempDir(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out string
-	if err := d.Get("missing", &out); !errors.Is(err, ErrNotFound) {
-		t.Errorf("Get missing = %v, want ErrNotFound", err)
-	}
-	if err := d.Delete("missing"); err != nil {
-		t.Errorf("Delete missing = %v, want nil", err)
-	}
-	if err := d.Set("k", "v", 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Delete("k"); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Get("k", &out); !errors.Is(err, ErrNotFound) {
-		t.Error("entry survived Delete")
-	}
-}
-
-func TestDiskTTL(t *testing.T) {
-	v := clock.NewVirtual(time.Unix(0, 0))
-	d, err := NewDisk(t.TempDir(), v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Set("k", 1, time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	var out int
-	if err := d.Get("k", &out); err != nil {
-		t.Fatalf("fresh entry: %v", err)
-	}
-	v.Advance(2 * time.Minute)
-	if err := d.Get("k", &out); !errors.Is(err, ErrNotFound) {
-		t.Error("entry should have expired")
-	}
-}
-
-func TestDiskLenClear(t *testing.T) {
-	d, err := NewDisk(t.TempDir(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if err := d.Set(fmt.Sprintf("k%d", i), i, 0); err != nil {
+		if v, err := m.Get("key"); !errors.Is(err, ErrNotFound) {
+			t.Errorf("%d shards: Get after Clear overtook the fill = (%d, %v), want ErrNotFound", shards, v, err)
+		}
+		// The next fill starts after the Clear and is cached as usual.
+		if _, err := Fill(context.Background(), m, g, "key", func() (int, error) { return 2, nil }); err != nil {
 			t.Fatal(err)
 		}
-	}
-	n, err := d.Len()
-	if err != nil || n != 5 {
-		t.Errorf("Len = (%d, %v), want 5", n, err)
-	}
-	if err := d.Clear(); err != nil {
-		t.Fatal(err)
-	}
-	n, _ = d.Len()
-	if n != 0 {
-		t.Errorf("Len after Clear = %d", n)
-	}
-}
-
-func TestDiskSurvivesReopen(t *testing.T) {
-	dir := t.TempDir()
-	d1, err := NewDisk(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d1.Set("persistent", "hello", 0); err != nil {
-		t.Fatal(err)
-	}
-	d2, err := NewDisk(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out string
-	if err := d2.Get("persistent", &out); err != nil || out != "hello" {
-		t.Errorf("reopened Get = (%q, %v)", out, err)
-	}
-}
-
-func TestDiskUnencodableValue(t *testing.T) {
-	d, err := NewDisk(t.TempDir(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Set("k", make(chan int), 0); err == nil {
-		t.Error("encoding a channel should fail")
-	}
-}
-
-// Concurrent Sets of the same key must never interleave on a shared temp
-// file: every Get must decode a complete entry written by exactly one of
-// the writers. Run under `make race`.
-func TestDiskConcurrentSetSameKey(t *testing.T) {
-	dir := t.TempDir()
-	d, err := NewDisk(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	type payload struct {
-		Writer int    `json:"writer"`
-		Body   string `json:"body"`
-	}
-	const writers, rounds = 8, 50
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			body := fmt.Sprintf("writer-%d-%s", w, string(make([]byte, 4096)))
-			for r := 0; r < rounds; r++ {
-				if err := d.Set("contested", payload{Writer: w, Body: body}, 0); err != nil {
-					t.Errorf("Set: %v", err)
-					return
-				}
-				var got payload
-				switch err := d.Get("contested", &got); {
-				case errors.Is(err, ErrNotFound):
-					// A concurrent rename can briefly race the read on
-					// some filesystems; absence is fine, torn data is not.
-				case err != nil:
-					t.Errorf("Get decoded a torn entry: %v", err)
-					return
-				default:
-					if got.Writer < 0 || got.Writer >= writers || len(got.Body) != len(body) {
-						t.Errorf("Get = writer %d with %d-byte body, want a complete entry", got.Writer, len(got.Body))
-						return
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	// No temp files may leak once every writer has finished.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if filepath.Ext(e.Name()) == ".tmp" {
-			t.Errorf("leaked temp file %s", e.Name())
+		if v, err := m.Get("key"); err != nil || v != 2 {
+			t.Errorf("%d shards: Get after a fresh fill = (%d, %v), want (2, nil)", shards, v, err)
 		}
+	}
+}
+
+// The hit path and an overwrite of a present key allocate nothing, with
+// keys of the SDK's shape (a service prefix and 32 hex digits, which take
+// the sampled-key hash) and short ones (which take FNV-1a).
+func TestShardedAllocs(t *testing.T) {
+	m := NewSharded[int](1024, WithTTL(time.Hour))
+	keys := make([]string, 0, 64)
+	for i := 0; i < 32; i++ {
+		keys = append(keys, fmt.Sprintf("svc:nlu-alpha:%032x", uint64(i)*0x9e3779b97f4a7c15), strconv.Itoa(i))
+	}
+	for i, k := range keys {
+		m.Set(k, i)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		for _, k := range keys {
+			if _, err := m.Get(k); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); allocs != 0 {
+		t.Errorf("Get hit: %.1f allocations per %d lookups, want 0", allocs, len(keys))
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		for i, k := range keys {
+			m.Set(k, i)
+		}
+	}); allocs != 0 {
+		t.Errorf("Set over a present key: %.1f allocations per %d stores, want 0", allocs, len(keys))
 	}
 }

@@ -12,29 +12,29 @@ import (
 	"repro/internal/clock"
 )
 
-// The conformance suite runs the full Memory behavioural contract against
-// every Store implementation. strictLRU marks implementations whose
-// eviction and Keys order follow a single global LRU list; a multi-shard
-// cache tracks recency per shard, so those subtests apply only to the
-// single-list implementations.
+// The conformance suite runs the cache's behavioural contract at one shard
+// and at eight. strictLRU marks the one-shard cache, whose eviction follows
+// a single global LRU list; a multi-shard cache tracks recency per shard,
+// so the global-order subtests apply only to the single list. FuzzSharded
+// checks per-shard order at both counts against a model.
 type cacheImpl struct {
 	name      string
 	strictLRU bool
-	mk        func(capacity int, opts ...Option) Store[int]
+	shards    int
+}
+
+func (impl cacheImpl) mk(capacity int, opts ...Option) *Sharded[int] {
+	return NewSharded[int](capacity, append(opts, withShards(impl.shards))...)
+}
+
+// withShards overrides the GOMAXPROCS-derived shard count; it is rounded up
+// to a power of two and halved like the default.
+func withShards(n int) Option {
+	return func(o *options) { o.shards = n }
 }
 
 func cacheImpls() []cacheImpl {
-	return []cacheImpl{
-		{"memory", true, func(c int, o ...Option) Store[int] {
-			return NewMemory[int](c, o...)
-		}},
-		{"sharded-1", true, func(c int, o ...Option) Store[int] {
-			return NewSharded[int](c, append(o, WithShards(1))...)
-		}},
-		{"sharded-8", false, func(c int, o ...Option) Store[int] {
-			return NewSharded[int](c, append(o, WithShards(8))...)
-		}},
-	}
+	return []cacheImpl{{"sharded-1", true, 1}, {"sharded-8", false, 8}}
 }
 
 func forEachImpl(t *testing.T, f func(t *testing.T, impl cacheImpl)) {
@@ -46,7 +46,6 @@ func forEachImpl(t *testing.T, f func(t *testing.T, impl cacheImpl)) {
 func TestStoreGetSet(t *testing.T) {
 	forEachImpl(t, func(t *testing.T, impl cacheImpl) {
 		m := impl.mk(8)
-		defer m.Close()
 		if _, err := m.Get("a"); !errors.Is(err, ErrNotFound) {
 			t.Errorf("Get on empty = %v, want ErrNotFound", err)
 		}
@@ -60,8 +59,8 @@ func TestStoreGetSet(t *testing.T) {
 		if v != 2 {
 			t.Errorf("updated Get = %d, want 2", v)
 		}
-		if m.Len() != 1 {
-			t.Errorf("Len = %d, want 1", m.Len())
+		if n := m.Stats().Size; n != 1 {
+			t.Errorf("Size = %d, want 1", n)
 		}
 	})
 }
@@ -72,7 +71,6 @@ func TestStoreLRUEviction(t *testing.T) {
 			t.Skip("global LRU order applies only to single-list caches")
 		}
 		m := impl.mk(3)
-		defer m.Close()
 		m.Set("a", 1)
 		m.Set("b", 2)
 		m.Set("c", 3)
@@ -99,7 +97,6 @@ func TestStoreTTLExpiry(t *testing.T) {
 	forEachImpl(t, func(t *testing.T, impl cacheImpl) {
 		v := clock.NewVirtual(time.Unix(0, 0))
 		m := impl.mk(10, WithTTL(time.Minute), WithClock(v))
-		defer m.Close()
 		m.Set("k", 7)
 		if _, err := m.Get("k"); err != nil {
 			t.Fatalf("fresh entry: %v", err)
@@ -118,114 +115,21 @@ func TestStoreTTLExpiry(t *testing.T) {
 	})
 }
 
-func TestStoreSetTTLOverride(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, impl cacheImpl) {
-		v := clock.NewVirtual(time.Unix(0, 0))
-		m := impl.mk(10, WithTTL(time.Second), WithClock(v))
-		defer m.Close()
-		m.SetTTL("forever", 1, 0) // explicit no-expiry overrides default
-		v.Advance(time.Hour)
-		if _, err := m.Get("forever"); err != nil {
-			t.Errorf("no-TTL entry expired: %v", err)
-		}
-	})
-}
-
 func TestStoreDeleteContains(t *testing.T) {
 	forEachImpl(t, func(t *testing.T, impl cacheImpl) {
 		m := impl.mk(8)
-		defer m.Close()
 		m.Set("a", 1)
-		if !m.Contains("a") {
-			t.Error("Contains(a) = false")
-		}
 		if !m.Delete("a") {
 			t.Error("Delete(a) = false, want true")
 		}
 		if m.Delete("a") {
 			t.Error("second Delete(a) = true, want false")
 		}
-		if m.Contains("a") {
-			t.Error("Contains after Delete = true")
+		if _, err := m.Get("a"); !errors.Is(err, ErrNotFound) {
+			t.Errorf("Get after Delete = %v, want ErrNotFound", err)
 		}
-	})
-}
-
-// Contains must lazily reclaim an expired entry — counting it in
-// Stats.Expired — instead of leaving it pinning a slot until capacity
-// eviction happens to reach it.
-func TestStoreContainsReclaimsExpired(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, impl cacheImpl) {
-		v := clock.NewVirtual(time.Unix(0, 0))
-		m := impl.mk(8, WithClock(v))
-		defer m.Close()
-		m.SetTTL("a", 1, time.Second)
-		v.Advance(2 * time.Second)
-		if m.Contains("a") {
-			t.Error("Contains should be false for expired entry")
-		}
-		if m.Len() != 0 {
-			t.Errorf("Len after Contains on expired = %d, want 0 (lazy reclaim)", m.Len())
-		}
-		s := m.Stats()
-		if s.Expired != 1 {
-			t.Errorf("Expired = %d, want 1", s.Expired)
-		}
-		if s.Hits != 0 || s.Misses != 0 {
-			t.Errorf("Contains must not touch hit/miss counters: %+v", s)
-		}
-	})
-}
-
-func TestStorePurge(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, impl cacheImpl) {
-		v := clock.NewVirtual(time.Unix(0, 0))
-		m := impl.mk(10, WithClock(v))
-		defer m.Close()
-		m.SetTTL("a", 1, time.Second)
-		m.SetTTL("b", 2, time.Hour)
-		m.SetTTL("c", 3, 0)
-		v.Advance(time.Minute)
-		if removed := m.Purge(); removed != 1 {
-			t.Errorf("Purge removed %d, want 1", removed)
-		}
-		if m.Len() != 2 {
-			t.Errorf("Len after Purge = %d, want 2", m.Len())
-		}
-	})
-}
-
-func TestStoreKeysMRUOrder(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, impl cacheImpl) {
-		if !impl.strictLRU {
-			t.Skip("global MRU order applies only to single-list caches")
-		}
-		m := impl.mk(8)
-		defer m.Close()
-		m.Set("a", 1)
-		m.Set("b", 2)
-		m.Set("c", 3)
-		if _, err := m.Get("a"); err != nil {
-			t.Fatal(err)
-		}
-		keys := m.Keys()
-		if len(keys) != 3 || keys[0] != "a" {
-			t.Errorf("Keys = %v, want a first (MRU)", keys)
-		}
-	})
-}
-
-func TestStoreKeysLiveOnly(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, impl cacheImpl) {
-		v := clock.NewVirtual(time.Unix(0, 0))
-		m := impl.mk(8, WithClock(v))
-		defer m.Close()
-		m.SetTTL("dead", 1, time.Second)
-		m.SetTTL("live", 2, time.Hour)
-		v.Advance(time.Minute)
-		keys := m.Keys()
-		if len(keys) != 1 || keys[0] != "live" {
-			t.Errorf("Keys = %v, want [live]", keys)
+		if n := m.Stats().Size; n != 0 {
+			t.Errorf("Size after Delete = %d, want 0", n)
 		}
 	})
 }
@@ -233,12 +137,11 @@ func TestStoreKeysLiveOnly(t *testing.T) {
 func TestStoreClear(t *testing.T) {
 	forEachImpl(t, func(t *testing.T, impl cacheImpl) {
 		m := impl.mk(8)
-		defer m.Close()
 		m.Set("a", 1)
 		m.Set("b", 2)
 		m.Clear()
-		if m.Len() != 0 {
-			t.Errorf("Len after Clear = %d", m.Len())
+		if n := m.Stats().Size; n != 0 {
+			t.Errorf("Size after Clear = %d", n)
 		}
 		if _, err := m.Get("a"); !errors.Is(err, ErrNotFound) {
 			t.Error("entry survived Clear")
@@ -249,11 +152,10 @@ func TestStoreClear(t *testing.T) {
 func TestStoreCapacityClamped(t *testing.T) {
 	forEachImpl(t, func(t *testing.T, impl cacheImpl) {
 		m := impl.mk(0)
-		defer m.Close()
 		m.Set("a", 1)
 		m.Set("b", 2)
-		if m.Len() != 1 {
-			t.Errorf("Len = %d, want 1 (capacity clamped)", m.Len())
+		if n := m.Stats().Size; n != 1 {
+			t.Errorf("Size = %d, want 1 (capacity clamped)", n)
 		}
 	})
 }
@@ -261,7 +163,6 @@ func TestStoreCapacityClamped(t *testing.T) {
 func TestStoreHitRatio(t *testing.T) {
 	forEachImpl(t, func(t *testing.T, impl cacheImpl) {
 		m := impl.mk(8)
-		defer m.Close()
 		m.Set("a", 1)
 		if _, err := m.Get("a"); err != nil {
 			t.Fatal(err)
@@ -278,7 +179,6 @@ func TestStoreHitRatio(t *testing.T) {
 func TestStoreConcurrent(t *testing.T) {
 	forEachImpl(t, func(t *testing.T, impl cacheImpl) {
 		m := impl.mk(128)
-		defer m.Close()
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {
 			wg.Add(1)
@@ -294,22 +194,21 @@ func TestStoreConcurrent(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-		if m.Len() > 128 {
-			t.Errorf("Len = %d exceeds capacity", m.Len())
+		if n := m.Stats().Size; n > 128 {
+			t.Errorf("Size = %d exceeds capacity", n)
 		}
 	})
 }
 
 func TestStoreNeverExceedsCapacityProperty(t *testing.T) {
 	forEachImpl(t, func(t *testing.T, impl cacheImpl) {
-		// Property: after any sequence of Sets, Len <= capacity.
+		// Property: after any sequence of Sets, Size <= capacity.
 		f := func(keys []uint8, capRaw uint8) bool {
 			capacity := int(capRaw%16) + 1
 			m := impl.mk(capacity)
-			defer m.Close()
 			for i, k := range keys {
 				m.Set(strconv.Itoa(int(k)), i)
-				if m.Len() > capacity {
+				if m.Stats().Size > capacity {
 					return false
 				}
 			}
@@ -326,7 +225,6 @@ func TestStoreLastWriteWinsProperty(t *testing.T) {
 		// Property: a Get immediately after Set returns the Set value.
 		f := func(key uint8, vals []int) bool {
 			m := impl.mk(8)
-			defer m.Close()
 			k := strconv.Itoa(int(key))
 			for _, v := range vals {
 				m.Set(k, v)
@@ -343,54 +241,21 @@ func TestStoreLastWriteWinsProperty(t *testing.T) {
 	})
 }
 
-// Len and Stats.Size must agree at any instant, and with a janitor
-// running both converge to the live count after entries expire.
-func TestStoreLenMatchesStatsSizeWithJanitor(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, impl cacheImpl) {
-		v := clock.NewVirtual(time.Unix(0, 0))
-		m := impl.mk(16, WithClock(v), WithJanitor(time.Second))
-		defer m.Close()
-		m.SetTTL("short", 1, time.Second)
-		m.SetTTL("long", 2, time.Hour)
-		if l, s := m.Len(), m.Stats().Size; l != 2 || s != 2 {
-			t.Fatalf("Len, Size = %d, %d; want 2, 2", l, s)
-		}
-		// Wait for the sweeper goroutine to park on the virtual clock, so
-		// the Advance below is guaranteed to wake it.
-		for v.Pending() == 0 {
-			time.Sleep(time.Millisecond)
-		}
-		// Advance past the TTL: the janitor wakes and reclaims the
-		// expired entry; poll for its purge to land.
-		v.Advance(2 * time.Second)
-		deadline := time.Now().Add(2 * time.Second)
-		for m.Len() != 1 && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		if l, s := m.Len(), m.Stats().Size; l != 1 || s != 1 {
-			t.Errorf("after janitor sweep Len, Size = %d, %d; want 1, 1", l, s)
-		}
-		if got := m.Stats().Expired; got != 1 {
-			t.Errorf("Expired = %d, want 1", got)
-		}
-	})
-}
-
 // Per-shard capacity splitting: the shard capacities sum to the total, so
 // no matter how keys distribute, the cache never exceeds its configured
 // capacity and every shard respects its own slice.
 func TestShardedEvictionDistribution(t *testing.T) {
 	const capacity, shards = 64, 8
-	s := NewSharded[int](capacity, WithShards(shards))
-	defer s.Close()
-	if got := s.ShardCount(); got != shards {
-		t.Fatalf("ShardCount = %d, want %d", got, shards)
+	s := NewSharded[int](capacity, withShards(shards))
+	if got := len(s.shards); got != shards {
+		t.Fatalf("%d shards, want %d", got, shards)
 	}
 	for i := 0; i < 50*capacity; i++ {
 		s.Set(fmt.Sprintf("key-%d", i), i)
 	}
-	if s.Len() > capacity {
-		t.Errorf("Len = %d exceeds total capacity %d", s.Len(), capacity)
+	size := s.Stats().Size
+	if size > capacity {
+		t.Errorf("Size = %d exceeds total capacity %d", size, capacity)
 	}
 	per := s.ShardStats()
 	total, evictions := 0, uint64(0)
@@ -401,8 +266,8 @@ func TestShardedEvictionDistribution(t *testing.T) {
 		total += ss.Size
 		evictions += ss.Evictions
 	}
-	if total != s.Len() {
-		t.Errorf("sum of shard sizes = %d, Len = %d", total, s.Len())
+	if total != size {
+		t.Errorf("sum of shard sizes = %d, Size = %d", total, size)
 	}
 	if evictions == 0 {
 		t.Error("expected evictions after overfilling every shard")
@@ -415,25 +280,27 @@ func TestShardedEvictionDistribution(t *testing.T) {
 // An uneven capacity spreads the remainder over the first shards and
 // still sums exactly to the configured total.
 func TestShardedUnevenCapacitySplit(t *testing.T) {
-	s := NewSharded[int](10, WithShards(4))
-	defer s.Close()
+	s := NewSharded[int](10, withShards(4))
+	for i, want := range []int{3, 3, 2, 2} {
+		if got := s.shards[i].capacity; got != want {
+			t.Errorf("shard %d capacity = %d, want %d", i, got, want)
+		}
+	}
 	for i := 0; i < 500; i++ {
 		s.Set(strconv.Itoa(i), i)
 	}
-	if s.Len() > 10 {
-		t.Errorf("Len = %d exceeds capacity 10", s.Len())
+	if n := s.Stats().Size; n > 10 {
+		t.Errorf("Size = %d exceeds capacity 10", n)
 	}
 }
 
 // A shard count above the capacity is halved until every shard can hold
 // at least one entry.
 func TestShardedShardCountClamped(t *testing.T) {
-	s := NewSharded[int](4, WithShards(64))
-	defer s.Close()
-	if got := s.ShardCount(); got > 4 {
-		t.Errorf("ShardCount = %d, want <= capacity 4", got)
+	if got := len(NewSharded[int](4, withShards(64)).shards); got > 4 {
+		t.Errorf("%d shards, want <= capacity 4", got)
 	}
-	if got := NewSharded[int](1).ShardCount(); got != 1 {
-		t.Errorf("capacity-1 ShardCount = %d, want 1", got)
+	if got := len(NewSharded[int](1).shards); got != 1 {
+		t.Errorf("capacity 1: %d shards, want 1", got)
 	}
 }

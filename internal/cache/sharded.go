@@ -4,34 +4,32 @@ import (
 	"hash/maphash"
 	"math/bits"
 	"runtime"
-	"time"
+	"sync/atomic"
+
+	"repro/internal/clock"
 )
 
 // Sharded is a bounded LRU cache split across N power-of-two shards, each
-// an independent Memory with its own mutex, LRU list, and statistics. Keys
-// map to shards by a seeded constant-cost hash over a sample of the key
-// (see shard), so concurrent lookups for different keys contend on
-// different locks — the memcached-style
-// answer to the single-mutex hit path serializing every cache hit in the
-// process (PAPERS.md: Nishtala et al., "Scaling Memcache at Facebook").
+// with its own mutex, LRU list, and statistics. Keys map to shards by a
+// seeded constant-cost hash over a sample of the key (see shard), so
+// concurrent lookups for different keys contend on different locks — the
+// memcached-style answer to a single-mutex hit path serializing every
+// cache hit in the process (PAPERS.md: Nishtala et al., "Scaling Memcache
+// at Facebook").
 //
-// The total capacity is divided across the shards (the sum of shard
-// capacities never exceeds the configured capacity), so Len() ≤ capacity
-// always holds. Eviction is per shard: a hot shard evicts its own LRU
+// The total capacity is divided across the shards (the shard capacities
+// sum to exactly the configured capacity), so the cache never holds more
+// entries than that. Eviction is per shard: a hot shard evicts its own LRU
 // tail even while other shards have room, which is the usual sharding
 // trade-off against a global LRU order.
 //
-// Sharded implements the same Get/Set/SetTTL/Delete/Contains/Len/Clear/
-// Purge/Keys/Stats surface as Memory (the Store interface) and is safe
-// for concurrent use.
+// Sharded is safe for concurrent use.
 type Sharded[V any] struct {
-	shards []Memory[V] // laid out contiguously; one less pointer chase per op
-	shift  uint        // 64 - log2(len(shards)): the multiply's top bits pick the shard
+	shards []shard[V] // laid out contiguously; one less pointer chase per op
+	shift  uint       // 64 - log2(len(shards)): the multiply's top bits pick the shard
 	seed   uint64
-	jan    *janitor
+	gen    atomic.Uint64 // bumped by Clear; Fill stores only under the generation it started in
 }
-
-var _ Store[int] = (*Sharded[int])(nil)
 
 // defaultShards picks a power-of-two shard count sized to the machine's
 // parallelism: contention scales with runnable goroutines, which scale
@@ -56,12 +54,10 @@ func ceilPow2(n int) int {
 
 // NewSharded returns a sharded LRU cache holding at most capacity entries
 // in total. capacity must be >= 1; smaller values are clamped to 1. The
-// shard count (WithShards, or a GOMAXPROCS-derived default) is rounded up
-// to a power of two and then halved until every shard holds at least one
-// entry. A WithJanitor interval starts one background sweeper covering
-// all shards; stop it with Close.
+// shard count follows GOMAXPROCS (see defaultShards) and is halved until
+// every shard holds at least one entry.
 func NewSharded[V any](capacity int, opts ...Option) *Sharded[V] {
-	o := defaultOptions()
+	o := options{clk: clock.Real()}
 	for _, fn := range opts {
 		fn(&o)
 	}
@@ -77,7 +73,7 @@ func NewSharded[V any](capacity int, opts ...Option) *Sharded[V] {
 		n >>= 1
 	}
 	s := &Sharded[V]{
-		shards: make([]Memory[V], n),
+		shards: make([]shard[V], n),
 		shift:  uint(64 - bits.Len(uint(n-1))),
 		seed:   new(maphash.Hash).Sum64(), // a per-cache random 64-bit seed
 	}
@@ -89,10 +85,7 @@ func NewSharded[V any](capacity int, opts ...Option) *Sharded[V] {
 		if i < rem {
 			c++
 		}
-		initMemory(&s.shards[i], c, o)
-	}
-	if o.janitor > 0 {
-		s.jan = newJanitor(o.janitor, o.clk, func() { s.Purge() })
+		s.shards[i].init(c, o)
 	}
 	return s
 }
@@ -103,8 +96,8 @@ func NewSharded[V any](capacity int, opts ...Option) *Sharded[V] {
 // hashing all of it (byte-wise FNV-1a, or even maphash.String) adds a
 // measurable fraction to a ~35ns hit path that already pays the map's own
 // full-key hash. Spreading across shards only needs a few well-mixed
-// bits, so shardHash samples the head and tail instead of the whole key.
-func (s *Sharded[V]) shard(key string) *Memory[V] {
+// bits, so shard samples the head and tail instead of the whole key.
+func (s *Sharded[V]) shard(key string) *shard[V] {
 	n := len(key)
 	if n < 8 {
 		return s.shardShort(key)
@@ -123,7 +116,7 @@ func (s *Sharded[V]) shard(key string) *Memory[V] {
 // shardShort covers keys under 8 bytes, kept out of shard so the common
 // path stays within the inlining budget: FNV-1a over the whole key, with
 // a final Fibonacci multiply so the top bits are usable as an index.
-func (s *Sharded[V]) shardShort(key string) *Memory[V] {
+func (s *Sharded[V]) shardShort(key string) *shard[V] {
 	h := s.seed ^ 14695981039346656037 // FNV-1a offset basis
 	for i := 0; i < len(key); i++ {
 		h ^= uint64(key[i])
@@ -140,68 +133,24 @@ func le64(s string) uint64 {
 		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
 }
 
-// ShardCount reports how many shards the cache was built with.
-func (s *Sharded[V]) ShardCount() int { return len(s.shards) }
-
 // Get returns the cached value for key. It returns ErrNotFound if the key
 // is absent or its entry has expired; expired entries are removed.
-func (s *Sharded[V]) Get(key string) (V, error) { return s.shard(key).Get(key) }
+func (s *Sharded[V]) Get(key string) (V, error) { return s.shard(key).get(key) }
 
-// peek implements Store: a lookup with no LRU or stats side effects.
-func (s *Sharded[V]) peek(key string) (V, bool) { return s.shard(key).peek(key) }
-
-// Set stores value under key with the cache's default TTL.
-func (s *Sharded[V]) Set(key string, value V) { s.shard(key).Set(key, value) }
-
-// SetTTL stores value under key with an explicit TTL; ttl <= 0 means the
-// entry never expires.
-func (s *Sharded[V]) SetTTL(key string, value V, ttl time.Duration) {
-	s.shard(key).SetTTL(key, value, ttl)
-}
+// Set stores value under key with the cache's TTL.
+func (s *Sharded[V]) Set(key string, value V) { s.shard(key).set(key, value, nil, 0) }
 
 // Delete removes key if present and reports whether it was found.
-func (s *Sharded[V]) Delete(key string) bool { return s.shard(key).Delete(key) }
+func (s *Sharded[V]) Delete(key string) bool { return s.shard(key).remove(key) }
 
-// Contains reports whether key is present and live, lazily reclaiming an
-// expired entry (see Memory.Contains).
-func (s *Sharded[V]) Contains(key string) bool { return s.shard(key).Contains(key) }
-
-// Len returns the number of entries across all shards, including expired
-// ones not yet collected.
-func (s *Sharded[V]) Len() int {
-	n := 0
-	for i := range s.shards {
-		n += s.shards[i].Len()
-	}
-	return n
-}
-
-// Clear removes every entry from every shard.
+// Clear removes every entry from every shard. Activity counters are
+// preserved (they are monotonic); Size drops to 0. A Fill whose fill was
+// already running when Clear began does not cache its result.
 func (s *Sharded[V]) Clear() {
+	s.gen.Add(1)
 	for i := range s.shards {
-		s.shards[i].Clear()
+		s.shards[i].clear()
 	}
-}
-
-// Purge removes all expired entries across shards and returns how many
-// were removed.
-func (s *Sharded[V]) Purge() int {
-	n := 0
-	for i := range s.shards {
-		n += s.shards[i].Purge()
-	}
-	return n
-}
-
-// Keys returns the live keys, most-to-least recently used within each
-// shard, concatenated in shard order. Unlike Memory.Keys, the combined
-// order is not a global MRU ranking — recency is tracked per shard.
-func (s *Sharded[V]) Keys() []string {
-	var keys []string
-	for i := range s.shards {
-		keys = append(keys, s.shards[i].Keys()...)
-	}
-	return keys
 }
 
 // Stats returns the activity counters summed across shards. Size is the
@@ -209,7 +158,7 @@ func (s *Sharded[V]) Keys() []string {
 func (s *Sharded[V]) Stats() Stats {
 	var total Stats
 	for i := range s.shards {
-		total.add(s.shards[i].Stats())
+		total.add(s.shards[i].snapshot())
 	}
 	return total
 }
@@ -219,11 +168,7 @@ func (s *Sharded[V]) Stats() Stats {
 func (s *Sharded[V]) ShardStats() []Stats {
 	out := make([]Stats, len(s.shards))
 	for i := range s.shards {
-		out[i] = s.shards[i].Stats()
+		out[i] = s.shards[i].snapshot()
 	}
 	return out
 }
-
-// Close stops the janitor, if one was configured with WithJanitor. It is
-// idempotent and safe to call on a cache without a janitor.
-func (s *Sharded[V]) Close() { s.jan.stop() }

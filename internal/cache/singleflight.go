@@ -88,44 +88,29 @@ func (g *Group[V]) Waiters(key string) int {
 	return c.dups
 }
 
-// GetOrFill returns the cached value for key, or — on a miss — invokes fill
-// (de-duplicated across concurrent callers) and caches its result. hit
-// reports whether the value came from the cache. ctx bounds only the wait
-// for another caller's in-flight fill (see DoCtx); a caller that becomes
-// the leader runs fill to completion.
-//
-// Exactly one cache lookup is recorded per call — the initial probe — so
-// Stats.HitRatio stays meaningful under cold concurrent load.
-func GetOrFill[V any](ctx context.Context, m Store[V], g *Group[V], key string, fill func() (V, error)) (v V, hit bool, err error) {
-	if v, err := m.Get(key); err == nil {
-		return v, true, nil
-	}
-	v, err = Fill(ctx, m, g, key, fill)
-	return v, false, err
-}
-
 // Fill invokes fill for key — de-duplicated across concurrent callers — and
-// caches its result. It is the miss half of GetOrFill, for callers that
-// have already probed the cache themselves. Fill is stats-neutral: the
-// in-flight re-check that lets an earlier duplicate's result win uses a
-// hidden peek, so the caller's probe remains the only recorded lookup and
-// misses are not double-counted. ctx bounds the wait for an in-flight
-// leader, as in DoCtx.
-func Fill[V any](ctx context.Context, m Store[V], g *Group[V], key string, fill func() (V, error)) (V, error) {
+// caches its result. It is the miss half of a lookup: callers probe with
+// Get first, so Fill is stats-neutral. Its in-flight re-check, which lets
+// an earlier duplicate's result win, uses a hidden peek, so the caller's
+// probe remains the only recorded lookup and misses are not double-counted.
+// ctx bounds the wait for an in-flight leader, as in DoCtx.
+//
+// A result is cached only if m was not cleared while fill ran: fill may
+// have computed it from state the Clear meant to invalidate. The result is
+// still returned to the callers that waited for it.
+func Fill[V any](ctx context.Context, m *Sharded[V], g *Group[V], key string, fill func() (V, error)) (V, error) {
 	v, err, _ := g.DoCtx(ctx, key, func() (V, error) {
-		// Re-check inside the flight: an earlier duplicate may have
-		// already filled the cache. peek keeps the re-check out of the
-		// hit/miss counters — the caller's probe already recorded this
-		// logical lookup.
-		if v, ok := m.peek(key); ok {
+		sh := m.shard(key)
+		if v, ok := sh.peek(key); ok {
 			return v, nil
 		}
+		gen := m.gen.Load()
 		v, err := fill()
 		if err != nil {
 			var zero V
 			return zero, err
 		}
-		m.Set(key, v)
+		sh.set(key, v, &m.gen, gen)
 		return v, nil
 	})
 	return v, err

@@ -69,19 +69,6 @@ type Config struct {
 	// CacheTTL expires cached responses. 0 means no expiry. The paper
 	// notes cached values can become obsolete; a TTL bounds staleness.
 	CacheTTL time.Duration
-	// CacheShards sets the response cache's shard count (rounded up to a
-	// power of two, capped at CacheSize). 0 picks a default sized to the
-	// machine's parallelism. Concurrent cache hits for different keys
-	// contend per shard instead of on one global mutex.
-	CacheShards int
-	// CacheTTLJitter spreads each cached response's effective TTL over
-	// [TTL·(1-j), TTL·(1+j)], de-synchronizing expiry stampedes. 0
-	// disables jitter; values are clamped to [0, 1].
-	CacheTTLJitter float64
-	// CacheJanitor runs a background sweep reclaiming expired cache
-	// entries every interval (on Clock), so they stop pinning memory
-	// until capacity eviction. 0 disables the janitor; Close stops it.
-	CacheJanitor time.Duration
 	// Scorer ranks services. Nil means Equation 1 with DefaultWeights.
 	Scorer rank.Scorer
 	// DefaultRetry applies to services registered without their own
@@ -190,11 +177,7 @@ func NewClient(cfg Config) (*Client, error) {
 		registry: service.NewRegistry(),
 		monitors: metrics.NewRegistry(),
 		memcache: cache.NewSharded[service.Response](cfg.CacheSize,
-			cache.WithTTL(cfg.CacheTTL),
-			cache.WithClock(cfg.Clock),
-			cache.WithShards(cfg.CacheShards),
-			cache.WithTTLJitter(cfg.CacheTTLJitter),
-			cache.WithJanitor(cfg.CacheJanitor)),
+			cache.WithTTL(cfg.CacheTTL), cache.WithClock(cfg.Clock)),
 		flight:     cache.NewGroup[service.Response](),
 		pool:       pool,
 		predictors: NewPredictorSet(cfg.Predict),
@@ -214,12 +197,9 @@ func NewClient(cfg Config) (*Client, error) {
 // exposition and experiments; nil when shedding is disabled.
 func (c *Client) Shedder() *Shedder { return c.shedder }
 
-// Close releases the client's async pool — waiting for in-flight async
-// invocations to finish — and stops the cache janitor, if configured.
-func (c *Client) Close() {
-	c.pool.Close()
-	c.memcache.Close()
-}
+// Close releases the client's async pool, waiting for in-flight async
+// invocations to finish.
+func (c *Client) Close() { c.pool.Close() }
 
 // RegisterOption customizes one service registration.
 type RegisterOption func(*registration)
@@ -593,14 +573,18 @@ func (c *Client) InvokeCategory(ctx context.Context, category string, req servic
 		}
 		steps = append(steps, failover.Step{Service: c.stepService(reg, &io), Policy: policy})
 	}
-	resp, attempts, err := failover.Chain(ctx, c.cfg.Clock, steps, req)
-	if err != nil {
-		return service.Response{}, attempts, err
+	if !cacheable || io.noCache {
+		return failover.Chain(ctx, c.cfg.Clock, steps, req)
 	}
-	if cacheable && !io.noCache {
-		c.memcache.Set(key, resp)
-	}
-	return resp, attempts, nil
+	// Fill, as in CacheStage: concurrent identical calls share one chain,
+	// and a chain that an InvalidateCache overtook is not cached. A caller
+	// served by another's chain gets no attempts, as on a cache hit.
+	var attempts []failover.Attempt
+	resp, err := cache.Fill(ctx, c.memcache, c.flight, key, func() (resp service.Response, err error) {
+		resp, attempts, err = failover.Chain(ctx, c.cfg.Clock, steps, req)
+		return resp, err
+	})
+	return resp, attempts, err
 }
 
 // InvokeCategoryAsync runs InvokeCategory on the SDK pool. Pool saturation
@@ -639,7 +623,10 @@ func (c *Client) CacheStats() cache.Stats { return c.memcache.Stats() }
 func (c *Client) CacheShardStats() []cache.Stats { return c.memcache.ShardStats() }
 
 // InvalidateCache drops every cached response (paper §2: "consistency
-// issues may arise in which a cached value is obsolete").
+// issues may arise in which a cached value is obsolete"). A backend call
+// already in flight when it runs still answers the callers waiting on it,
+// but its response is not cached: once InvalidateCache returns, the cache
+// holds only responses from backend calls that started after it began.
 func (c *Client) InvalidateCache() { c.memcache.Clear() }
 
 // stepService adapts a registration's chain to a service.Service for

@@ -141,6 +141,65 @@ func TestInvalidateCache(t *testing.T) {
 	}
 }
 
+// An InvalidateCache that lands while a backend call is running wins: the
+// call's response answers its caller but is not cached, so the next call
+// reaches the backend again — through the per-service cache (Invoke) and
+// the category cache (InvokeCategory) alike.
+func TestInvalidateCacheDuringBackendCall(t *testing.T) {
+	for _, viaCategory := range []bool{false, true} {
+		c := newClient(t, Config{})
+		var calls atomic.Int32
+		var gate atomic.Pointer[chan struct{}]
+		entered := make(chan struct{}, 1)
+		svc := service.Func{
+			Meta: service.Info{Name: "slow", Category: "nlu", CostPerCall: 1},
+			Fn: func(context.Context, service.Request) (service.Response, error) {
+				n := calls.Add(1)
+				if g := gate.Load(); g != nil {
+					entered <- struct{}{}
+					<-*g
+				}
+				return service.Response{Body: []byte(fmt.Sprint("answer ", n))}, nil
+			},
+		}
+		if err := c.Register(svc, WithCacheable()); err != nil {
+			t.Fatal(err)
+		}
+		invoke := func() string {
+			req := service.Request{Text: "x"}
+			var resp service.Response
+			var err error
+			if viaCategory {
+				resp, _, err = c.InvokeCategory(context.Background(), "nlu", req)
+			} else {
+				resp, err = c.Invoke(context.Background(), "slow", req)
+			}
+			if err != nil {
+				t.Error(err)
+			}
+			return string(resp.Body)
+		}
+
+		release := make(chan struct{})
+		gate.Store(&release)
+		first := make(chan string, 1)
+		go func() { first <- invoke() }()
+		<-entered
+		c.InvalidateCache()
+		gate.Store(nil)
+		close(release)
+		if got := <-first; got != "answer 1" {
+			t.Errorf("category %v: overtaken call answered %q, want %q", viaCategory, got, "answer 1")
+		}
+		if got := invoke(); got != "answer 2" {
+			t.Errorf("category %v: call after the invalidation answered %q, want a fresh %q", viaCategory, got, "answer 2")
+		}
+		if got := invoke(); got != "answer 2" {
+			t.Errorf("category %v: repeat call answered %q, want the cached %q", viaCategory, got, "answer 2")
+		}
+	}
+}
+
 func TestInvokeRetriesPerRegisteredPolicy(t *testing.T) {
 	c := newClient(t, Config{})
 	var n int32

@@ -84,15 +84,8 @@ func TraceStage(tr *trace.Tracer) Middleware {
 // through untouched. The invocation context governs the single-flight
 // wait: a caller whose ctx is cancelled while another caller's fill is in
 // flight returns ctx.Err() immediately instead of waiting out the leader.
-//
-// mem is the concrete *cache.Sharded rather than the cache.Store
-// interface on purpose: the hit probe below is the hottest line in the
-// SDK, and the concrete type lets the compiler inline the whole probe
-// (shard pick + LRU lookup). Routing it through the interface measured
-// ~3% on the end-to-end cache-hit path (BenchmarkE1Caching).
-// A single-shard Sharded behaves exactly like a Memory (the cache
-// package's conformance suite runs the same tests over both), so no
-// generality is lost for tests or alternative wirings.
+// A miss fills through cache.Fill, so a response whose backend call an
+// InvalidateCache overtook answers its callers but is not cached.
 func CacheStage(mem *cache.Sharded[service.Response], flight *cache.Group[service.Response]) Middleware {
 	return func(next Invoker) Invoker {
 		return func(ctx context.Context, call *Call) (service.Response, error) {
@@ -104,9 +97,8 @@ func CacheStage(mem *cache.Sharded[service.Response], flight *cache.Group[servic
 			sp := parent.Child("cache")
 			// Hit fast path first: probing the cache before building the
 			// fill closure keeps the hit entirely allocation-free beyond
-			// the key itself. Fill (not GetOrFill) on the miss path — it
-			// is stats-neutral, so the probe stays the only recorded
-			// cache lookup.
+			// the key itself. Fill is stats-neutral, so the probe stays
+			// the only recorded cache lookup.
 			if resp, err := mem.Get(key); err == nil {
 				sp.SetAttr("cache", "hit")
 				sp.End()

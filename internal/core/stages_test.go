@@ -62,7 +62,7 @@ func TestQuotaStagePassThroughWithoutQuota(t *testing.T) {
 }
 
 func TestCacheStageServesHitsAndRespectsNoCache(t *testing.T) {
-	mem := cache.NewSharded[service.Response](16, cache.WithShards(1))
+	mem := cache.NewSharded[service.Response](16)
 	flight := cache.NewGroup[service.Response]()
 	var calls int
 	inv := Compose(fixed(service.Response{Body: []byte("v")}, nil, &calls), CacheStage(mem, flight))
@@ -91,7 +91,7 @@ func TestCacheStageServesHitsAndRespectsNoCache(t *testing.T) {
 }
 
 func TestCacheStageKeysAreServiceScoped(t *testing.T) {
-	mem := cache.NewSharded[service.Response](16, cache.WithShards(1))
+	mem := cache.NewSharded[service.Response](16)
 	flight := cache.NewGroup[service.Response]()
 	var calls int
 	inv := Compose(fixed(service.Response{}, nil, &calls), CacheStage(mem, flight))

@@ -30,7 +30,7 @@ func RunA1(scale Scale) ([]A1Row, Table, error) {
 	concurrency := 16
 	rounds := scale.n(40)
 	run := func(useFlight bool, ttl time.Duration) (int, float64) {
-		mem := cache.NewMemory[int](1024, cache.WithTTL(ttl))
+		mem := cache.NewSharded[int](1024, cache.WithTTL(ttl))
 		group := cache.NewGroup[int]()
 		var mu sync.Mutex
 		backendCalls := 0
@@ -50,11 +50,11 @@ func RunA1(scale Scale) ([]A1Row, Table, error) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					if useFlight {
-						_, _, _ = cache.GetOrFill(context.Background(), mem, group, key, fill)
+					if _, err := mem.Get(key); err == nil {
 						return
 					}
-					if _, err := mem.Get(key); err == nil {
+					if useFlight {
+						_, _ = cache.Fill(context.Background(), mem, group, key, fill)
 						return
 					}
 					v, err := fill()

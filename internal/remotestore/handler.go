@@ -13,13 +13,22 @@ import (
 // without callers noticing the difference.
 func (cl *Cluster) Handler() http.Handler {
 	mux := http.NewServeMux()
+	// failed answers a store error: 400 for a key checkKey refuses, which
+	// no node could take either, and 502 for the nodes' failure otherwise.
+	failed := func(w http.ResponseWriter, err error) {
+		status := http.StatusBadGateway
+		if errors.Is(err, errBadKey) {
+			status = http.StatusBadRequest
+		}
+		http.Error(w, err.Error(), status)
+	}
 	mux.HandleFunc("PUT /kv/{key}", func(w http.ResponseWriter, r *http.Request) {
 		data, ok := readObject(w, r, DefaultMaxObjectBytes)
 		if !ok {
 			return
 		}
 		if err := cl.PutCtx(r.Context(), r.PathValue("key"), data); err != nil {
-			http.Error(w, err.Error(), http.StatusBadGateway)
+			failed(w, err)
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)
@@ -35,12 +44,12 @@ func (cl *Cluster) Handler() http.Handler {
 		case errors.Is(err, ErrOffline):
 			http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		default:
-			http.Error(w, err.Error(), http.StatusBadGateway)
+			failed(w, err)
 		}
 	})
 	mux.HandleFunc("DELETE /kv/{key}", func(w http.ResponseWriter, r *http.Request) {
 		if err := cl.DeleteCtx(r.Context(), r.PathValue("key")); err != nil {
-			http.Error(w, err.Error(), http.StatusBadGateway)
+			failed(w, err)
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)

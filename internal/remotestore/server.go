@@ -33,6 +33,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/kvstore"
 	"repro/internal/xrand"
@@ -46,6 +47,7 @@ const DefaultMaxObjectBytes = 64 << 20
 // Server is a simulated cloud key-value store:
 //
 //	PUT    /kv/{key}   body -> 204 | 413 when the body exceeds the object limit
+//	                   | 400 when the key is not valid UTF-8
 //	GET    /kv/{key}   -> 200 body | 404
 //	DELETE /kv/{key}   -> 204
 //	GET    /keys       -> JSON array of keys
@@ -189,12 +191,18 @@ func (s *Server) Handler() http.Handler {
 		}
 	}
 	mux.HandleFunc("PUT /kv/{key}", wrap(func(w http.ResponseWriter, r *http.Request) {
+		// A key that is not valid UTF-8 would list, as JSON, as another.
+		key := r.PathValue("key")
+		if !utf8.ValidString(key) {
+			http.Error(w, fmt.Sprintf("key %q is not valid UTF-8", key), http.StatusBadRequest)
+			return
+		}
 		data, ok := readObject(w, r, s.maxBytes)
 		if !ok {
 			return
 		}
 		s.bytesIn.Add(int64(len(data)))
-		if err := s.store.Put(r.PathValue("key"), data); err != nil {
+		if err := s.store.Put(key, data); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}

@@ -22,14 +22,23 @@ type transport struct {
 	http *http.Client
 }
 
+// errBadKey marks the keys checkKey refuses, so the gateway can answer 400.
+var errBadKey = errors.New("remotestore: key cannot be stored")
+
 // checkKey refuses the keys one URL path segment cannot carry to a node's
 // mux: it matches no empty segment, cleans "." and ".." away, and takes a
-// segment that unescapes to exactly "/" for a trailing slash. The client
-// calls it before it touches a cache, a mirror, a queue or a node.
+// segment that unescapes to exactly "/" for a trailing slash. It also
+// refuses keys that are not valid UTF-8: they would read back exactly but
+// list as something else, since the key listing is JSON, which carries
+// each invalid byte as U+FFFD. The client calls it before it touches a
+// cache, a mirror, a queue or a node.
 func checkKey(key string) error {
 	switch key {
 	case "", ".", "..", "/":
-		return fmt.Errorf("remotestore: key %q cannot be stored: it is not a URL path segment", key)
+		return fmt.Errorf("%w: %q is not a URL path segment", errBadKey, key)
+	}
+	if !utf8.ValidString(key) {
+		return fmt.Errorf("%w: %q is not valid UTF-8", errBadKey, key)
 	}
 	return nil
 }
