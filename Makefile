@@ -68,9 +68,11 @@ flake:
 # HTML text extraction against the function it replaced with ASCII-only
 # case folding (FuzzExtractText; minimisation off too, it stalls the
 # engine the same way), the cache-key encoding (FuzzCacheKey: different
-# requests encode differently, equal ones key equally), a pipeline
-# stage's slot ring against a sequential model (FuzzVia: order, counters,
-# Abort's error, the in-flight bound, cancellation, goroutines) and the SDK
+# requests encode differently, equal ones key equally), the analysis
+# engine's slot-ring stage against a sequential model (FuzzVia: order,
+# counters, one run per item, an abort's error, the in-flight bound,
+# cancellation, goroutines; byte 2's low bit picks the error policy, its
+# other bits are ignored) and the SDK
 # cache against a per-shard map + list LRU (FuzzSharded: answers, LRU
 # order, stats, TTL, fills a Clear overtakes; each cache draws a random
 # shard-hash seed, so coverage varies run to run and minimisation is off). Plain

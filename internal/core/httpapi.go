@@ -35,15 +35,7 @@ import (
 type API struct {
 	client *Client
 	mux    *http.ServeMux
-	extra  []extraMetrics
 	sets   []*metrics.Set
-}
-
-// extraMetrics is an additional monitor registry rendered on /metrics, for
-// example an analysis pipeline's per-stage monitors.
-type extraMetrics struct {
-	prefix, label string
-	reg           *metrics.Registry
 }
 
 var _ http.Handler = (*API)(nil)
@@ -51,20 +43,9 @@ var _ http.Handler = (*API)(nil)
 // APIOption customizes the HTTP façade.
 type APIOption func(*API)
 
-// WithExtraMetrics renders reg's snapshots on /metrics as <prefix>_*
-// families labelled <label>="<monitor name>", alongside the client's own
-// service metrics.
-func WithExtraMetrics(prefix, label string, reg *metrics.Registry) APIOption {
-	return func(a *API) {
-		if reg != nil {
-			a.extra = append(a.extra, extraMetrics{prefix: prefix, label: label, reg: reg})
-		}
-	}
-}
-
 // WithInstruments renders every family registered in set — the substrate
-// counters, gauges, and histograms from search, rdf, nlu, intern, and
-// pipeline instrumentation — on /metrics alongside the client's own
+// counters, gauges, and histograms from search, rdf, nlu and intern
+// instrumentation — on /metrics alongside the client's own
 // families. May be given multiple times; nil sets are ignored.
 func WithInstruments(set *metrics.Set) APIOption {
 	return func(a *API) {
@@ -302,9 +283,6 @@ func (a *API) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	tw := metrics.NewTextWriter(w)
 	metrics.WriteSnapshots(tw, "richsdk_service", "service", a.client.Stats())
-	for _, ex := range a.extra {
-		metrics.WriteSnapshots(tw, ex.prefix, ex.label, ex.reg.Snapshots())
-	}
 	for _, set := range a.sets {
 		set.Expose(tw)
 	}

@@ -75,9 +75,7 @@ func TestAPIStatsContent(t *testing.T) {
 var promLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z0-9_]+="(\\.|[^"\\])*"(,[a-zA-Z0-9_]+="(\\.|[^"\\])*")*\})? (NaN|[+-]Inf|[0-9eE+.-]+)$`)
 
 func TestAPIMetricsPrometheusText(t *testing.T) {
-	extra := metrics.NewRegistry()
-	extra.Monitor("fetch").Record(metrics.Observation{Latency: 5e6})
-	srv, _, _ := newObsAPIServer(t, WithExtraMetrics("richsdk_pipeline_stage", "stage", extra))
+	srv, _, _ := newObsAPIServer(t)
 	for i := 0; i < 2; i++ {
 		r := postJSON(t, srv.URL+"/v1/invoke", invokeBody{Service: "echo", Request: service.Request{Text: "q"}})
 		r.Body.Close()
@@ -127,7 +125,6 @@ func TestAPIMetricsPrometheusText(t *testing.T) {
 		`richsdk_service_latency_seconds{service="echo",quantile="0.5"}`,
 		`richsdk_service_latency_seconds{service="echo",quantile="0.95"}`,
 		`richsdk_service_latency_seconds{service="echo",quantile="0.99"}`,
-		`richsdk_pipeline_stage_invocations_total{stage="fetch"} 1`,
 		`richsdk_cache_hits_total 1`,
 		`richsdk_breaker_state{service="echo"} 0`,
 		`richsdk_traces_sampled_total 2`,

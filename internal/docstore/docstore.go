@@ -10,7 +10,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -52,9 +54,9 @@ type Meta struct {
 }
 
 // Store is a directory-backed document store. Searches live under
-// dir/searches, analyses under dir/analyses. Safe for concurrent use by a
-// single process via write-to-temp-then-rename, with AnalyzeOnce calls for
-// the same (document, engine) single-flighted.
+// dir/searches, analyses under dir/analyses. Safe for concurrent use: each
+// write goes to a temporary file of its own and is renamed into place, and
+// AnalyzeOnceE calls for the same (document, engine) are single-flighted.
 type Store struct {
 	dir    string
 	clk    clock.Clock
@@ -154,7 +156,7 @@ func (s *Store) LoadAnalysis(docText, engine string) (nlu.Analysis, bool, error)
 	var a nlu.Analysis
 	err := readJSON(s.analysisPath(docText, engine), &a)
 	if err != nil {
-		if os.IsNotExist(unwrapPathError(err)) {
+		if errors.Is(err, fs.ErrNotExist) {
 			return nlu.Analysis{}, false, nil
 		}
 		return nlu.Analysis{}, false, err
@@ -162,28 +164,21 @@ func (s *Store) LoadAnalysis(docText, engine string) (nlu.Analysis, bool, error)
 	return a, true, nil
 }
 
-// AnalyzeOnce returns the stored analysis if present, otherwise runs
-// analyze, stores, and returns its result. cached reports whether the
-// store satisfied the request without a fresh analysis. Concurrent callers
-// for the same (document, engine) are single-flighted: exactly one runs
-// analyze, the rest share its result.
-func (s *Store) AnalyzeOnce(docText, engine string, analyze func(string) nlu.Analysis) (a nlu.Analysis, cached bool, err error) {
-	return s.AnalyzeOnceE(docText, engine, func(t string) (nlu.Analysis, error) {
-		return analyze(t), nil
-	})
-}
-
-// analyzeRes carries an AnalyzeOnce outcome through the single-flight
+// analyzeRes carries an AnalyzeOnceE outcome through the single-flight
 // group.
 type analyzeRes struct {
 	a      nlu.Analysis
 	cached bool
 }
 
-// AnalyzeOnceE is AnalyzeOnce for analyzers that can fail — a remote NLU
-// service behind the SDK, for example. The analysis is persisted only on
-// success; failures are returned to every caller sharing the flight and
-// nothing is stored, so a later call retries.
+// AnalyzeOnceE returns the stored analysis if present, otherwise runs
+// analyze — a remote NLU service behind the SDK, for example — stores, and
+// returns its result. cached reports whether the store satisfied the
+// request without a fresh analysis. Concurrent callers for the same
+// (document, engine) are single-flighted: exactly one runs analyze, the
+// rest share its result. The analysis is persisted only on success;
+// failures are returned to every caller sharing the flight and nothing is
+// stored, so a later call retries.
 func (s *Store) AnalyzeOnceE(docText, engine string, analyze func(string) (nlu.Analysis, error)) (a nlu.Analysis, cached bool, err error) {
 	key := s.analysisPath(docText, engine)
 	ran := false
@@ -222,11 +217,25 @@ func writeJSON(path string, v any) error {
 	if err != nil {
 		return fmt.Errorf("docstore: encode: %w", err)
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	// Each write stages its bytes in a file of its own, so concurrent
+	// writers of one path never rename each other's temporary file away.
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
+	if err != nil {
 		return fmt.Errorf("docstore: write: %w", err)
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Chmod(0o644) // CreateTemp's is 0o600
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		_ = os.Remove(tmp.Name())
+		return fmt.Errorf("docstore: write: %w", err)
+	}
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		_ = os.Remove(tmp.Name())
 		return fmt.Errorf("docstore: rename: %w", err)
 	}
 	return nil
@@ -241,19 +250,4 @@ func readJSON(path string, v any) error {
 		return fmt.Errorf("docstore: decode %s: %w", filepath.Base(path), err)
 	}
 	return nil
-}
-
-func unwrapPathError(err error) error {
-	for {
-		type unwrapper interface{ Unwrap() error }
-		u, ok := err.(unwrapper)
-		if !ok {
-			return err
-		}
-		next := u.Unwrap()
-		if next == nil {
-			return err
-		}
-		err = next
-	}
 }

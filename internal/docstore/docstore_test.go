@@ -2,6 +2,8 @@ package docstore
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -150,15 +152,15 @@ func TestAnalysisKeyedByEngine(t *testing.T) {
 func TestAnalyzeOnce(t *testing.T) {
 	s, _ := newStore(t)
 	calls := 0
-	analyze := func(text string) nlu.Analysis {
+	analyze := func(text string) (nlu.Analysis, error) {
 		calls++
-		return nlu.Analysis{Engine: "x", Sentiment: 0.9}
+		return nlu.Analysis{Engine: "x", Sentiment: 0.9}, nil
 	}
-	a1, cached1, err := s.AnalyzeOnce("document body", "x", analyze)
+	a1, cached1, err := s.AnalyzeOnceE("document body", "x", analyze)
 	if err != nil || cached1 {
 		t.Fatalf("first = (%v, %v)", cached1, err)
 	}
-	a2, cached2, err := s.AnalyzeOnce("document body", "x", analyze)
+	a2, cached2, err := s.AnalyzeOnceE("document body", "x", analyze)
 	if err != nil || !cached2 {
 		t.Fatalf("second = (%v, %v), want cached", cached2, err)
 	}
@@ -203,10 +205,10 @@ func TestAnalyzeOnceConcurrent(t *testing.T) {
 	const callers = 16
 	var calls atomic.Int32
 	release := make(chan struct{})
-	analyze := func(text string) nlu.Analysis {
+	analyze := func(text string) (nlu.Analysis, error) {
 		calls.Add(1)
 		<-release // hold the flight open so every caller piles on
-		return nlu.Analysis{Engine: "x", Sentiment: 0.5}
+		return nlu.Analysis{Engine: "x", Sentiment: 0.5}, nil
 	}
 
 	var wg sync.WaitGroup
@@ -216,7 +218,7 @@ func TestAnalyzeOnceConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, cached, err := s.AnalyzeOnce("contended doc", "x", analyze)
+			_, cached, err := s.AnalyzeOnceE("contended doc", "x", analyze)
 			if err != nil {
 				errs <- err
 				return
@@ -265,5 +267,54 @@ func TestAnalyzeOnceEFailureNotStored(t *testing.T) {
 	}
 	if a.Sentiment != 1 {
 		t.Errorf("Sentiment = %v, want 1", a.Sentiment)
+	}
+}
+
+// TestConcurrentSaveAnalysisOnePath: writers of one (document, engine)
+// that race — two Stores over one directory, or callers outside
+// AnalyzeOnceE's flight — must each land a whole file and leave no
+// temporary file behind.
+func TestConcurrentSaveAnalysisOnePath(t *testing.T) {
+	dir := t.TempDir()
+	stores := make([]*Store, 2)
+	for i := range stores {
+		s, err := New(dir, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stores[i] = s
+	}
+	const writers = 64
+	var wg sync.WaitGroup
+	errs := make(chan error, writers)
+	for i := range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			a := nlu.Analysis{Engine: "x", Sentiment: float64(i)}
+			if err := stores[i%2].SaveAnalysis("shared doc", "x", a); err != nil {
+				errs <- err
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	a, ok, err := stores[0].LoadAnalysis("shared doc", "x")
+	if err != nil || !ok || a.Engine != "x" {
+		t.Fatalf("LoadAnalysis = (%+v, %v, %v), want one writer's analysis", a, ok, err)
+	}
+	entries, err := os.ReadDir(filepath.Join(dir, "analyses"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Errorf("analyses/ holds %v, want the one analysis file", names)
 	}
 }

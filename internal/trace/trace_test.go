@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/raceflag"
 )
 
 func newTestTracer(t *testing.T, opts ...Option) *Tracer {
@@ -438,4 +440,38 @@ func BenchmarkSpanStartEnd(b *testing.B) {
 			sp.End()
 		}
 	})
+}
+
+// TestSpanPathAllocs pins the per-invocation span path — StartSpan, Child,
+// SetAttr, the child's End, the root's End — at zero allocations on a nil
+// tracer, on an unsampled one and on a sampled one whose pool is warm.
+// (A child on a fresh record allocates once: its slot's attribute slice.)
+func TestSpanPathAllocs(t *testing.T) {
+	ctx := context.Background()
+	path := func(tr *Tracer) func() {
+		return func() {
+			sp := tr.StartSpan(ctx, "invoke")
+			c := sp.Child("cache")
+			c.SetAttr("cache", "hit")
+			c.End()
+			sp.End()
+		}
+	}
+	var nilT *Tracer
+	if got := testing.AllocsPerRun(100, path(nilT)); got != 0 {
+		t.Errorf("nil tracer: %v allocs per span path, want 0", got)
+	}
+	if got := testing.AllocsPerRun(100, path(newTestTracer(t, WithSampleRate(0)))); got != 0 {
+		t.Errorf("WithSampleRate(0): %v allocs per span path, want 0", got)
+	}
+	if raceflag.Enabled {
+		t.Skip("the race detector makes sync.Pool drop records; the sampled leg needs a warm pool")
+	}
+	sampled := newTestTracer(t, WithCapacity(1))
+	for range 4 { // fill the ring and hand both records' slots their attributes
+		path(sampled)()
+	}
+	if got := testing.AllocsPerRun(100, path(sampled)); got != 0 {
+		t.Errorf("sampled, warm pool: %v allocs per span path, want 0", got)
+	}
 }
