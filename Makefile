@@ -75,7 +75,11 @@ flake:
 # other bits are ignored) and the SDK
 # cache against a per-shard map + list LRU (FuzzSharded: answers, LRU
 # order, stats, TTL, fills a Clear overtakes; each cache draws a random
-# shard-hash seed, so coverage varies run to run and minimisation is off). Plain
+# shard-hash seed, so coverage varies run to run and minimisation is off),
+# and the store's body reader and PUT size check against io.ReadAll over
+# io.LimitReader (FuzzReadBody: bytes, errors and the accept/413/400
+# answer for exact, short, long, unknown and huge declared lengths under
+# short reads; minimisation off, it stalls the engine on a fresh cache). Plain
 # `go test` replays only the committed seed corpora under testdata/fuzz;
 # a failure found here is written there.
 FUZZTIME ?= 10s
@@ -87,6 +91,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzChainHistory$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 0s ./internal/rdf
 	$(GO) test -run '^$$' -fuzz '^FuzzChainRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/codec
 	$(GO) test -run '^$$' -fuzz '^FuzzKeysDecode$$' -fuzztime $(FUZZTIME) ./internal/remotestore
+	$(GO) test -run '^$$' -fuzz '^FuzzReadBody$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 0s ./internal/remotestore
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeAnalysis$$' -fuzztime $(FUZZTIME) ./internal/nlu
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResults$$' -fuzztime $(FUZZTIME) ./internal/search
 	$(GO) test -run '^$$' -fuzz '^FuzzMonitor$$' -fuzztime $(FUZZTIME) ./internal/metrics

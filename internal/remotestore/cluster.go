@@ -91,7 +91,8 @@ type ClusterConfig struct {
 	// Local, if non-nil, mirrors every write locally so reads keep
 	// working while disconnected (the paper's local storage service).
 	Local kvstore.Store
-	// Timeout bounds each HTTP request. 0 means 10 seconds.
+	// Timeout bounds each attempt at a node, reading the reply included.
+	// 0 or negative means 10 seconds.
 	Timeout time.Duration
 	// MaxPending caps the offline write-back queue (distinct keys).
 	// 0 means DefaultMaxPending; negative means unbounded, for callers
@@ -137,9 +138,10 @@ type Cluster struct {
 
 	ring *ring.Ring
 
-	httpc *http.Client // shared by every node's transport
-	nmu   sync.RWMutex
-	nodes map[string]*transport
+	rt      http.RoundTripper // shared by every node's transport
+	timeout time.Duration
+	nmu     sync.RWMutex
+	nodes   map[string]*transport
 
 	memcache *cache.Sharded[[]byte]
 
@@ -213,7 +215,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if len(cfg.Nodes) == 0 {
 		return nil, errors.New("remotestore: cluster needs at least one node")
 	}
-	if cfg.Timeout == 0 {
+	if cfg.Timeout <= 0 {
 		cfg.Timeout = 10 * time.Second
 	}
 	cdc := cfg.Codec
@@ -276,11 +278,12 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		breakers: breakers,
 		pool:     pool,
 		ring:     ring.New(ringOpts...),
-		httpc:    &http.Client{Timeout: cfg.Timeout},
+		timeout:  cfg.Timeout,
 		nodes:    make(map[string]*transport, len(cfg.Nodes)),
 		queue:    newWriteQueue(maxPending),
 		inst:     newClusterInstruments(cfg.Metrics),
 	}
+	cl.rt = nodeRoundTripper()
 	if cfg.CacheSize > 0 {
 		cl.memcache = cache.NewSharded[[]byte](cfg.CacheSize, cache.WithTTL(cfg.CacheTTL))
 	}
@@ -292,12 +295,32 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 
 var _ Store = (*Cluster)(nil)
 
+// nodeRoundTripper returns the RoundTripper a cluster's node calls go
+// through. While http.DefaultTransport is the stdlib *http.Transport, it is
+// a clone of it, kept per cluster, whose idle pool is not split per host:
+// a cluster's only hosts are its nodes, and with the default two idle
+// connections per host every caller past the second dials afresh. A
+// RoundTripper a program installed as http.DefaultTransport (a tracing
+// wrapper, say) is used as it is. So the result is an *http.Transport
+// exactly when the cluster owns it.
+func nodeRoundTripper() http.RoundTripper {
+	t, ok := http.DefaultTransport.(*http.Transport)
+	if !ok {
+		return http.DefaultTransport
+	}
+	t = t.Clone()
+	if t.MaxIdleConns > 0 {
+		t.MaxIdleConnsPerHost = t.MaxIdleConns
+	}
+	return t
+}
+
 // AddNode joins a store node to the ring. New keys start landing on it
 // immediately; call Rebalance to move existing replicas onto it.
 func (cl *Cluster) AddNode(name string) {
 	cl.nmu.Lock()
 	if _, ok := cl.nodes[name]; !ok {
-		cl.nodes[name] = &transport{base: name, http: cl.httpc}
+		cl.nodes[name] = &transport{base: name, rt: cl.rt, timeout: cl.timeout}
 		cl.ring.Add(name)
 	}
 	cl.nmu.Unlock()
@@ -325,8 +348,13 @@ func (cl *Cluster) Replicas() int { return cl.replicas }
 func (cl *Cluster) WriteQuorum() int { return cl.quorum }
 
 // Close releases the fan-out pool, waiting for in-flight background
-// replication to finish.
-func (cl *Cluster) Close() { cl.pool.Close() }
+// replication to finish, and then the idle connections to the nodes.
+func (cl *Cluster) Close() {
+	cl.pool.Close()
+	if t, ok := cl.rt.(*http.Transport); ok {
+		t.CloseIdleConnections()
+	}
+}
 
 // SetOffline switches the client into (or out of) offline mode. Going
 // offline is also automatic when a write cannot reach quorum because its

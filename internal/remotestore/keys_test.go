@@ -13,6 +13,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 	"unicode/utf8"
 
 	"repro/internal/core"
@@ -344,7 +345,7 @@ func TestKeysBodyCap(t *testing.T) {
 		_, _ = w.Write([]byte(`"last"]`))
 	}))
 	t.Cleanup(hs.Close)
-	tr := &transport{base: hs.URL, http: hs.Client()}
+	tr := &transport{base: hs.URL, rt: hs.Client().Transport, timeout: 10 * time.Second}
 	if keys, err := tr.keys(context.Background()); err == nil {
 		t.Errorf("a key listing over 16 MB decoded into %d keys", len(keys))
 	}

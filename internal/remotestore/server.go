@@ -25,6 +25,7 @@
 package remotestore
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -278,11 +279,17 @@ func (s *Server) Handler() http.Handler {
 }
 
 // readObject reads a PUT body of at most max bytes; on failure it has
-// written the response and returns false. It reads one byte past the limit:
-// landing there means the body is oversized, and the correct answer is 413,
-// not a silently truncated object stored with success.
+// written the response and returns false. A body whose declared length
+// already exceeds max is answered 413 unread. Otherwise it reads one byte
+// past the limit: landing there means the body is oversized, and the
+// correct answer is 413, not a silently truncated object stored with
+// success.
 func readObject(w http.ResponseWriter, r *http.Request, max int64) ([]byte, bool) {
-	data, err := io.ReadAll(io.LimitReader(r.Body, max+1))
+	if r.ContentLength > max {
+		http.Error(w, fmt.Sprintf("object exceeds %d-byte limit", max), http.StatusRequestEntityTooLarge)
+		return nil, false
+	}
+	data, err := readBody(r.Body, r.ContentLength, max+1)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return nil, false
@@ -292,6 +299,29 @@ func readObject(w http.ResponseWriter, r *http.Request, max int64) ([]byte, bool
 		return nil, false
 	}
 	return data, true
+}
+
+// maxPresize caps how much of a body's declared length readBody allocates
+// before the bytes arrive. The length is the sender's word: a request that
+// declares 64 MiB and then stalls must not pin 64 MiB. A longer body grows
+// its buffer as it arrives, as io.ReadAll's does.
+const maxPresize = 64 << 10
+
+// readBody returns what io.ReadAll(io.LimitReader(r, limit)) returns, or
+// io.ReadAll(r) for a negative limit, reading a body of declared length
+// size (-1 if unknown) into one buffer when the length is at most
+// maxPresize. The buffer has bytes.MinRead to spare, so the closing EOF
+// lands without growing it.
+func readBody(r io.Reader, size, limit int64) ([]byte, error) {
+	n := min(max(size, 0), maxPresize)
+	if limit >= 0 {
+		n = min(n, limit)
+		r = io.LimitReader(r, limit)
+	}
+	var b bytes.Buffer
+	b.Grow(int(n) + bytes.MinRead)
+	_, err := b.ReadFrom(r)
+	return b.Bytes(), err
 }
 
 // ErrRemote classifies remote failures for the client.

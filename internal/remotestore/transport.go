@@ -10,16 +10,21 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
+	"time"
 	"unicode/utf8"
 )
 
 // transport is the Cluster's raw HTTP edge to one store node: its /kv and
 // /keys endpoints, context-aware so callers can cancel in-flight network
 // I/O. It holds no policy — no caching, codecs, offline queues, or retries
-// — just the wire protocol and the transport/application error split.
+// — just the wire protocol and the transport/application error split. It
+// calls the RoundTripper itself, without an http.Client: a node never
+// redirects and sets no cookies, so all a request needs on top of the
+// round trip is its deadline.
 type transport struct {
-	base string
-	http *http.Client
+	base    string
+	rt      http.RoundTripper
+	timeout time.Duration // bounds each request, reading the reply included
 }
 
 // errBadKey marks the keys checkKey refuses, so the gateway can answer 400.
@@ -50,89 +55,107 @@ func (t *transport) kvURL(key string) string {
 	return t.base + "/kv/" + url.PathEscape(key)
 }
 
+// do sends one request to the node under a deadline of t.timeout. On
+// success the caller reads what it needs of the response, drains it and
+// only then calls cancel, which ends the deadline: the body is read under
+// it, and a drained body hands its connection back to the pool. A failed
+// round trip comes back as a transportError around the *url.Error
+// http.Client would have returned, so the error still names the method and
+// the URL.
+func (t *transport) do(ctx context.Context, method, target string, body []byte) (*http.Response, context.CancelFunc, error) {
+	ctx, cancel := context.WithTimeout(ctx, t.timeout)
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, target, rd)
+	if err != nil {
+		cancel()
+		return nil, nil, fmt.Errorf("remotestore: build %s: %w", method, err)
+	}
+	resp, err := t.rt.RoundTrip(req)
+	if err != nil {
+		cancel()
+		op := method[:1] + strings.ToLower(method[1:])
+		return nil, nil, &transportError{&url.Error{Op: op, URL: target, Err: err}}
+	}
+	return resp, cancel, nil
+}
+
+// statusError classifies a reply other than the one op expects: 503 is the
+// node being unavailable, any other status an application answer.
+func statusError(status int, op string) error {
+	if status == http.StatusServiceUnavailable {
+		return &transportError{&remoteError{status: status, msg: op}}
+	}
+	return &remoteError{status: status, msg: op}
+}
+
 func (t *transport) put(ctx context.Context, key string, encoded []byte) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, t.kvURL(key), bytes.NewReader(encoded))
+	resp, cancel, err := t.do(ctx, http.MethodPut, t.kvURL(key), encoded)
 	if err != nil {
-		return fmt.Errorf("remotestore: build put: %w", err)
+		return err
 	}
-	resp, err := t.http.Do(req)
-	if err != nil {
-		return &transportError{err}
-	}
+	defer cancel()
 	defer drain(resp)
 	if resp.StatusCode != http.StatusNoContent {
-		if resp.StatusCode == http.StatusServiceUnavailable {
-			return &transportError{&remoteError{status: resp.StatusCode, msg: "put"}}
-		}
-		return &remoteError{status: resp.StatusCode, msg: "put"}
+		return statusError(resp.StatusCode, "put")
 	}
 	return nil
 }
 
+// get reads key's stored bytes. A reply cut off mid-body — the deadline
+// expiring, the connection dropping — is the node failing to answer, not
+// an answer: it is a transport failure, retried and counted like one.
 func (t *transport) get(ctx context.Context, key string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, t.kvURL(key), nil)
+	resp, cancel, err := t.do(ctx, http.MethodGet, t.kvURL(key), nil)
 	if err != nil {
-		return nil, fmt.Errorf("remotestore: build get: %w", err)
+		return nil, err
 	}
-	resp, err := t.http.Do(req)
-	if err != nil {
-		return nil, &transportError{err}
-	}
+	defer cancel()
 	defer drain(resp)
 	switch resp.StatusCode {
 	case http.StatusOK:
 	case http.StatusNotFound:
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, key)
-	case http.StatusServiceUnavailable:
-		return nil, &transportError{&remoteError{status: resp.StatusCode, msg: "get"}}
 	default:
-		return nil, &remoteError{status: resp.StatusCode, msg: "get"}
+		return nil, statusError(resp.StatusCode, "get")
 	}
-	data, err := io.ReadAll(resp.Body)
+	data, err := readBody(resp.Body, resp.ContentLength, -1)
 	if err != nil {
-		return nil, fmt.Errorf("remotestore: read body: %w", err)
+		return nil, &transportError{fmt.Errorf("read body: %w", err)}
 	}
 	return data, nil
 }
 
 func (t *transport) del(ctx context.Context, key string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, t.kvURL(key), nil)
+	resp, cancel, err := t.do(ctx, http.MethodDelete, t.kvURL(key), nil)
 	if err != nil {
-		return fmt.Errorf("remotestore: build delete: %w", err)
+		return err
 	}
-	resp, err := t.http.Do(req)
-	if err != nil {
-		return &transportError{err}
-	}
+	defer cancel()
 	defer drain(resp)
 	if resp.StatusCode != http.StatusNoContent {
-		if resp.StatusCode == http.StatusServiceUnavailable {
-			return &transportError{&remoteError{status: resp.StatusCode, msg: "delete"}}
-		}
-		return &remoteError{status: resp.StatusCode, msg: "delete"}
+		return statusError(resp.StatusCode, "delete")
 	}
 	return nil
 }
 
+// keys reads the node's key listing; a listing cut off mid-body is a
+// transport failure, as in get.
 func (t *transport) keys(ctx context.Context) ([]string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, t.base+"/keys", nil)
+	resp, cancel, err := t.do(ctx, http.MethodGet, t.base+"/keys", nil)
 	if err != nil {
-		return nil, fmt.Errorf("remotestore: build keys: %w", err)
+		return nil, err
 	}
-	resp, err := t.http.Do(req)
-	if err != nil {
-		return nil, &transportError{err}
-	}
+	defer cancel()
 	defer drain(resp)
 	if resp.StatusCode != http.StatusOK {
-		if resp.StatusCode == http.StatusServiceUnavailable {
-			return nil, &transportError{&remoteError{status: resp.StatusCode, msg: "keys"}}
-		}
-		return nil, &remoteError{status: resp.StatusCode, msg: "keys"}
+		return nil, statusError(resp.StatusCode, "keys")
 	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxKeysBody))
+	body, err := readBody(resp.Body, resp.ContentLength, maxKeysBody)
 	if err != nil {
-		return nil, fmt.Errorf("remotestore: read keys: %w", err)
+		return nil, &transportError{fmt.Errorf("read keys: %w", err)}
 	}
 	return decodeKeys(body)
 }
