@@ -69,10 +69,10 @@ flake:
 # case folding (FuzzExtractText; minimisation off too, it stalls the
 # engine the same way), the cache-key encoding (FuzzCacheKey: different
 # requests encode differently, equal ones key equally), the analysis
-# engine's slot-ring stage against a sequential model (FuzzVia: order,
-# counters, one run per item, an abort's error, the in-flight bound,
-# cancellation, goroutines; byte 2's low bit picks the error policy, its
-# other bits are ignored) and the SDK
+# runner against a sequential model (FuzzRun: documents by index, exact
+# stage counts, Skipped in document order, an abort's error, one fetch and
+# analysis per document, cancellation, no runner goroutine left; byte 1's
+# low bit picks the error policy, its other bits are ignored) and the SDK
 # cache against a per-shard map + list LRU (FuzzSharded: answers, LRU
 # order, stats, TTL, fills a Clear overtakes; each cache draws a random
 # shard-hash seed, so coverage varies run to run and minimisation is off),
@@ -97,7 +97,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzMonitor$$' -fuzztime $(FUZZTIME) ./internal/metrics
 	$(GO) test -run '^$$' -fuzz '^FuzzExtractText$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 0s ./internal/webcorpus
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheKey$$' -fuzztime $(FUZZTIME) ./internal/service
-	$(GO) test -run '^$$' -fuzz '^FuzzVia$$' -fuzztime $(FUZZTIME) ./internal/pipeline
+	$(GO) test -run '^$$' -fuzz '^FuzzRun$$' -fuzztime $(FUZZTIME) ./internal/pipeline
 	$(GO) test -run '^$$' -fuzz '^FuzzSharded$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 0s ./internal/cache
 
 # cover runs the full suite with per-package coverage percentages.

@@ -4,8 +4,8 @@
 //
 // The Fig. 3 loop — search the (synthetic) web for a topic, fetch each
 // result's HTML over real local HTTP, extract text, analyze every document
-// with an NLU service, and aggregate per-entity sentiment — runs on the
-// streaming internal/pipeline engine with a bounded fetch/analyze fan-out.
+// with an NLU service, and aggregate per-entity sentiment — runs on
+// internal/pipeline's runner with a bounded fetch/analyze fan-out.
 // Search and analysis go through the rich SDK client, so caching and
 // monitoring apply; the fetched documents, the query, and every analysis
 // are persisted so the run can be repeated without re-invoking anything
@@ -149,7 +149,7 @@ func run() error {
 		fmt.Printf("  %-16s %d\n", kw.Text, kw.Count)
 	}
 
-	// The engine's per-stage view of the run.
+	// The runner's per-stage view of the run.
 	fmt.Println("\npipeline stages:")
 	for _, s := range res.Stages {
 		fmt.Printf("  %-10s in %2d out %2d  mean %6s  p95 %6s\n",

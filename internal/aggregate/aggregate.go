@@ -29,9 +29,15 @@ type EntityCount struct {
 // thus indicate which named entities ... are most relevant to the search
 // query".
 func Entities(analyses []nlu.Analysis) []EntityCount {
-	at := make(map[string]int) // entity ID → index in out
-	out := []EntityCount{}     // never nil: no analyses aggregate to [], not null
-	var lastDoc []int          // per entity, the last document that counted it
+	mentions := 0
+	for _, a := range analyses {
+		mentions += len(a.Entities)
+	}
+	// Sized once for every mention being a new entity. out is never nil:
+	// no analyses aggregate to [], not null.
+	at := make(map[string]int, mentions) // entity ID → index in out
+	out := make([]EntityCount, 0, mentions)
+	lastDoc := make([]int, 0, mentions) // per entity, the last document that counted it
 	for d, a := range analyses {
 		for _, m := range a.Entities {
 			i, ok := at[m.EntityID]
@@ -63,8 +69,12 @@ func Entities(analyses []nlu.Analysis) []EntityCount {
 // Keywords aggregates keyword counts across analyses, sorted by total
 // count then text. Keywords are not disambiguated (paper §2.2).
 func Keywords(analyses []nlu.Analysis, k int) []nlu.Keyword {
-	at := make(map[string]int) // keyword text → index in out
-	out := []nlu.Keyword{}
+	n := 0
+	for _, a := range analyses {
+		n += len(a.Keywords)
+	}
+	at := make(map[string]int, n) // keyword text → index in out
+	out := make([]nlu.Keyword, 0, n)
 	for _, a := range analyses {
 		for _, kw := range a.Keywords {
 			i, ok := at[kw.Text]
@@ -104,8 +114,12 @@ type EntitySentiment struct {
 // per-document entity scores, weighted equally per document. Sorted by
 // mean score descending (most favorably represented first).
 func Sentiments(analyses []nlu.Analysis) []EntitySentiment {
-	at := make(map[string]int) // entity ID → index in out
-	out := []EntitySentiment{}
+	n := 0
+	for _, a := range analyses {
+		n += len(a.EntitySentiments)
+	}
+	at := make(map[string]int, n) // entity ID → index in out
+	out := make([]EntitySentiment, 0, n)
 	for _, a := range analyses {
 		for _, es := range a.EntitySentiments {
 			i, ok := at[es.EntityID]

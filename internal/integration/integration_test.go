@@ -242,7 +242,7 @@ func TestSearchAnalyzeAggregateKBPipeline(t *testing.T) {
 	}
 
 	// Search via the SDK, fetch each hit over real HTTP, and analyze with
-	// every NLU service — the Fig. 3 loop, on the streaming engine with a
+	// every NLU service — the Fig. 3 loop, on the pipeline's runner with a
 	// bounded fan-out. Search and analysis calls stay cached and monitored
 	// because the pipeline invokes them through the same client.
 	res, err := pipeline.AnalysisConfig{

@@ -16,12 +16,13 @@ import (
 	"repro/internal/nlu"
 	"repro/internal/search"
 	"repro/internal/service"
+	"repro/internal/trace"
 	"repro/internal/webcorpus"
 )
 
 // AnalysisConfig wires the paper's canonical analytics workload — the
 // Fig. 3/5 loop query → search → fetch documents → NLU-analyze →
-// aggregate → persist → knowledge-base sink — onto the streaming engine.
+// aggregate → persist → knowledge-base sink — onto the package's runner.
 // Search and analysis go through the rich SDK's core.Client, so caching,
 // circuit breaking, quotas, deadlines, and monitoring all apply to every
 // call the pipeline makes.
@@ -78,8 +79,9 @@ type AnalysisConfig struct {
 
 // DocResult is one document's trip through the pipeline.
 type DocResult struct {
-	// Index is the document's position in the source stream (search
-	// rank for Run, slice index for RunDocs), stable across skips.
+	// Index is the document's position among the run's documents
+	// (search rank for Run, slice index for RunDocs), stable across
+	// skips.
 	Index int
 	// Doc is the fetched document.
 	Doc docstore.SavedDoc
@@ -105,7 +107,8 @@ type AnalysisResult struct {
 	Hits int
 	// SearchID is the docstore snapshot ID ("" without a Store).
 	SearchID string
-	// Docs are the analyzed documents in stream order.
+	// Docs are the analyzed documents in index order; nil when none
+	// survived.
 	Docs []DocResult
 	// Analyses are the primary-engine analyses, one per doc.
 	Analyses []nlu.Analysis
@@ -118,7 +121,8 @@ type AnalysisResult struct {
 	Keywords   []nlu.Keyword
 	// CachedAnalyses counts analyses served from the docstore.
 	CachedAnalyses int
-	// Stages are the engine's per-stage counters and latency summaries.
+	// Stages are the run's per-stage counters and latency summaries, the
+	// source stage (search or docs) first.
 	Stages []StageStats
 	// Skipped holds the errors behind dropped documents (bounded).
 	Skipped []error
@@ -178,64 +182,14 @@ func (cfg AnalysisConfig) Run(ctx context.Context, query string) (*AnalysisResul
 	root.SetAttr("query", query)
 	defer root.End()
 
-	p := newPipeline(ctx)
-	hits := 0
-	// Stage 1 — search: one SDK invocation, fanned out into a stream of
-	// (rank, result) items.
-	results := sourceFunc(p, "search", func(ctx context.Context, emit func(indexed[search.Result]) error) error {
-		params := map[string]string{"limit": strconv.Itoa(cfg.Limit)}
-		if cfg.Offset > 0 {
-			params["offset"] = strconv.Itoa(cfg.Offset)
-		}
-		if cfg.NewsOnly {
-			params["news"] = "true"
-		}
-		if cfg.Expand {
-			params["expand"] = "true"
-		}
-		req := service.Request{
-			Op:     "search",
-			Query:  query,
-			Params: params,
-		}
-		resp, err := cfg.Client.Invoke(ctx, cfg.Search, req, cfg.invokeOpts()...)
-		if err != nil {
-			return fmt.Errorf("search %q: %w", query, err)
-		}
-		found, err := search.DecodeResults(resp)
-		if err != nil {
-			return err
-		}
-		hits = len(found.Results)
-		for i, r := range found.Results {
-			if err := emit(indexed[search.Result]{i, r}); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-
-	// Stage 2 — fetch: each hit's page over real HTTP, text extracted.
-	base := strings.TrimSuffix(cfg.FetchURL, "/")
-	docs := via(results, stage[indexed[search.Result], indexed[docstore.SavedDoc]]{
-		name:    "fetch",
-		workers: cfg.Workers,
-		policy:  cfg.policy(),
-		fn: func(ctx context.Context, item indexed[search.Result]) (indexed[docstore.SavedDoc], error) {
-			page, err := cfg.fetch(ctx, base+"/docs/"+item.v.DocID)
-			if err != nil {
-				return indexed[docstore.SavedDoc]{}, fmt.Errorf("fetch %s: %w", item.v.DocID, err)
-			}
-			return indexed[docstore.SavedDoc]{item.i, docstore.SavedDoc{
-				URL:   item.v.URL,
-				Title: item.v.Title,
-				HTML:  page,
-				Text:  webcorpus.ExtractText(page),
-			}}, nil
-		},
-	})
-
-	res, err := cfg.finish(ctx, p, docs, query, &hits)
+	hits, err := cfg.search(ctx, root, query)
+	if err != nil {
+		root.SetError(err)
+		return nil, err
+	}
+	r := cfg.newRunner(ctx, root, len(hits))
+	r.fetches, r.hits, r.base = true, hits, strings.TrimSuffix(cfg.FetchURL, "/")
+	res, err := cfg.finish(ctx, r, query, "search")
 	if err != nil {
 		root.SetError(err)
 		return nil, err
@@ -255,6 +209,43 @@ func (cfg AnalysisConfig) Run(ctx context.Context, query string) (*AnalysisResul
 	return res, nil
 }
 
+// search is Run's source stage: one SDK invocation under a "search" span,
+// whose hits are the run's documents in rank order.
+func (cfg *AnalysisConfig) search(ctx context.Context, root trace.Span, query string) ([]search.Result, error) {
+	sp := root.Child("search")
+	defer sp.End()
+	if sp.Recording() {
+		ctx = trace.ContextWithSpan(ctx, sp)
+	}
+	params := map[string]string{"limit": strconv.Itoa(cfg.Limit)}
+	if cfg.Offset > 0 {
+		params["offset"] = strconv.Itoa(cfg.Offset)
+	}
+	if cfg.NewsOnly {
+		params["news"] = "true"
+	}
+	if cfg.Expand {
+		params["expand"] = "true"
+	}
+	req := service.Request{Op: "search", Query: query, Params: params}
+	resp, err := cfg.Client.Invoke(ctx, cfg.Search, req, cfg.invokeOpts()...)
+	var found search.Results
+	if err != nil {
+		err = fmt.Errorf("search %q: %w", query, err)
+	} else {
+		found, err = search.DecodeResults(resp)
+	}
+	if err != nil {
+		if ctx.Err() != nil {
+			return nil, context.Cause(ctx)
+		}
+		sp.SetError(err)
+		return nil, stageError("search", err)
+	}
+	sp.SetInt("emitted", int64(len(found.Results)))
+	return found.Results, nil
+}
+
 // RunDocs executes the analyze → aggregate → sink tail of the pipeline
 // over already-fetched documents — re-analysis of a stored search
 // snapshot, or a corpus that never came from a search.
@@ -265,13 +256,14 @@ func (cfg AnalysisConfig) RunDocs(ctx context.Context, label string, docs []docs
 	ctx, root := cfg.Client.Tracer().Start(ctx, "analysis")
 	root.SetAttr("query", label)
 	defer root.End()
-	p := newPipeline(ctx)
-	items := make([]indexed[docstore.SavedDoc], len(docs))
+	sp := root.Child("docs")
+	sp.SetInt("emitted", int64(len(docs)))
+	sp.End()
+	r := cfg.newRunner(ctx, root, len(docs))
 	for i, d := range docs {
-		items[i] = indexed[docstore.SavedDoc]{i, d}
+		r.slots[i].res = DocResult{Index: i, Doc: d}
 	}
-	hits := len(docs)
-	res, err := cfg.finish(ctx, p, source(p, "docs", items), label, &hits)
+	res, err := cfg.finish(ctx, r, label, "docs")
 	if err != nil {
 		root.SetError(err)
 		return nil, err
@@ -280,56 +272,15 @@ func (cfg AnalysisConfig) RunDocs(ctx context.Context, label string, docs []docs
 	return res, nil
 }
 
-// finish wires the shared tail — analyze, aggregate, persist, sink — onto
-// a flow of indexed documents and runs the pipeline to completion.
-func (cfg *AnalysisConfig) finish(ctx context.Context, p *pipeline, docs *flow[indexed[docstore.SavedDoc]], query string, hits *int) (*AnalysisResult, error) {
-	// Stage 3 — analyze: every document through every NLU service, via
-	// the SDK (and the docstore's analyze-once guard when configured).
-	analyzed := via(docs, stage[indexed[docstore.SavedDoc], DocResult]{
-		name:    "analyze",
-		workers: cfg.Workers,
-		policy:  cfg.policy(),
-		fn: func(ctx context.Context, item indexed[docstore.SavedDoc]) (DocResult, error) {
-			analyses := make([]nlu.Analysis, 0, len(cfg.NLU))
-			cached := 0
-			for _, name := range cfg.NLU {
-				a, fromStore, err := cfg.analyzeOne(ctx, name, item.v.Text)
-				if err != nil {
-					return DocResult{}, fmt.Errorf("analyze %s with %s: %w", item.v.URL, name, err)
-				}
-				if fromStore {
-					cached++
-				}
-				analyses = append(analyses, a)
-			}
-			return DocResult{Index: item.i, Doc: item.v, Analyses: analyses, Cached: cached}, nil
-		},
-	})
-
-	// Stage 4 — aggregate: the terminal collector; cross-document
-	// aggregation itself needs the whole stream, so it runs on the
-	// collected results below.
-	col := collect(analyzed, "aggregate")
-	if err := p.wait(); err != nil {
+// finish runs r to completion and builds the answer — documents in index
+// order, the aggregates over the primary analyses — and feeds the sink.
+// source names the stage the documents came from.
+func (cfg *AnalysisConfig) finish(ctx context.Context, r *runner, query, source string) (*AnalysisResult, error) {
+	if err := r.run(); err != nil {
 		return nil, err
 	}
-
-	res := &AnalysisResult{
-		Query:   query,
-		Hits:    *hits,
-		Docs:    *col,
-		Stages:  p.stats(),
-		Skipped: p.skippedErrors(),
-	}
-	if len(res.Docs) > 0 {
-		res.Analyses = make([]nlu.Analysis, 0, len(res.Docs))
-		res.PerDoc = make([][]nlu.Analysis, 0, len(res.Docs))
-	}
-	for _, d := range res.Docs {
-		res.Analyses = append(res.Analyses, d.Primary())
-		res.PerDoc = append(res.PerDoc, d.Analyses)
-		res.CachedAnalyses += d.Cached
-	}
+	res := &AnalysisResult{Query: query, Hits: len(r.slots)}
+	r.collect(res, source)
 	res.Entities = aggregate.Entities(res.Analyses)
 	res.Sentiments = aggregate.Sentiments(res.Analyses)
 	res.Keywords = aggregate.Keywords(res.Analyses, 10)
@@ -339,6 +290,41 @@ func (cfg *AnalysisConfig) finish(ctx context.Context, p *pipeline, docs *flow[i
 		}
 	}
 	return res, nil
+}
+
+// fetchHit is the fetch stage for one search hit: its page over HTTP,
+// text extracted.
+func (cfg *AnalysisConfig) fetchHit(ctx context.Context, base string, hit search.Result) (docstore.SavedDoc, error) {
+	page, err := cfg.fetch(ctx, base+"/docs/"+hit.DocID)
+	if err != nil {
+		return docstore.SavedDoc{}, fmt.Errorf("fetch %s: %w", hit.DocID, err)
+	}
+	return docstore.SavedDoc{
+		URL:   hit.URL,
+		Title: hit.Title,
+		HTML:  page,
+		Text:  webcorpus.ExtractText(page),
+	}, nil
+}
+
+// analyzeDoc is the analyze stage for one document: its text through
+// every NLU service, via the SDK (and the docstore's analyze-once guard
+// when configured). It returns the analyses in cfg.NLU order and how many
+// of them the docstore held.
+func (cfg *AnalysisConfig) analyzeDoc(ctx context.Context, doc *docstore.SavedDoc) ([]nlu.Analysis, int, error) {
+	analyses := make([]nlu.Analysis, 0, len(cfg.NLU))
+	cached := 0
+	for _, name := range cfg.NLU {
+		a, fromStore, err := cfg.analyzeOne(ctx, name, doc.Text)
+		if err != nil {
+			return nil, 0, fmt.Errorf("analyze %s with %s: %w", doc.URL, name, err)
+		}
+		if fromStore {
+			cached++
+		}
+		analyses = append(analyses, a)
+	}
+	return analyses, cached, nil
 }
 
 // analyzeOne analyzes text with one service, preferring the docstore's
@@ -424,11 +410,4 @@ func readPage(body io.Reader, declared int64) (string, error) {
 	}
 	// Nothing writes buf after this; the string is its only reference.
 	return unsafe.String(&buf[0], len(buf)), nil
-}
-
-// indexed pairs an item with its stable position in the source stream, so
-// results can be mapped back to inputs even after skips.
-type indexed[T any] struct {
-	i int
-	v T
 }

@@ -1,20 +1,24 @@
 // Package pipeline runs the paper's Fig. 3/5 analytics loop — query →
 // search → fetch → NLU-analyze → aggregate → persist → knowledge-base sink
 // — as AnalysisConfig.Run and RunDocs (analysis.go), on the small private
-// streaming engine in this file: typed stages connected by channels, a
-// number of fan-out workers per stage, context cancellation, a per-stage
-// error policy (skip or abort), backpressure, and per-stage counters plus
-// latency summaries. An item is tried once; retries belong to the SDK
-// chain the stages invoke services through.
+// runner in this file.
 //
-// Ordering: a stage dispatches items to its workers in arrival order and
-// collects results in that same order, so parallelism inside a stage never
-// reorders the stream. Downstream stages (and collect) therefore see items
-// in exactly the order the source emitted them, minus skipped ones.
+// A run's documents are known before the first of them is fetched — the
+// search hits, or the documents RunDocs was given — so the runner works on
+// their indices. Run's fetch workers claim the next index from a counter
+// and hand each fetched index to the analyze workers over one channel
+// that holds them all; RunDocs starts only the analyze workers. Each
+// stage has cfg.Workers workers, and the two stages overlap. A document's
+// result lands in its own slot, and the run reads the slots in index
+// order once every worker has returned, so parallelism never reorders the
+// documents and a run leaves no goroutine behind.
 //
-// Backpressure: every inter-stage channel is unbuffered and every stage
-// holds at most workers+buffer items in flight, so a slow stage throttles
-// the stages upstream of it instead of letting queues grow without bound.
+// Error policy: abort (the default) or skip, for fetch and analyze alike.
+// A document is tried once; retries belong to the SDK chain the stages
+// invoke services through. Under abort, the run is cancelled when every
+// document before the first failing one has settled, so the error is that
+// of the lowest-index failing document whatever the timing; under skip,
+// AnalysisResult.Skipped lists failures in document order.
 package pipeline
 
 import (
@@ -25,103 +29,29 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/nlu"
+	"repro/internal/search"
 	"repro/internal/trace"
 )
 
-// policy selects how a stage responds to an item whose processing failed.
+// policy selects how a run responds to a document whose fetch or analysis
+// failed.
 type policy int
 
 const (
-	// abort cancels the whole pipeline; wait returns the failing item's
-	// error. The zero value: losing data must be opted into.
+	// abort cancels the run; it returns the lowest-index failing
+	// document's error. The zero value: losing data must be opted into.
 	abort policy = iota
-	// skip drops the failed item, counts it in the stage's stats, and
-	// keeps the stream flowing — the right policy when one bad document
+	// skip drops the failed document, counts it in its stage's stats,
+	// and keeps the run going — the right policy when one bad document
 	// must not sink a thousand good ones.
 	skip
 )
 
-// stage describes one processing step: fn applied to every item of the
-// input stream by workers concurrent workers.
-type stage[In, Out any] struct {
-	// name identifies the stage in stats and spans.
-	name string
-	// workers is the fan-out width. Values < 1 mean 1 (sequential).
-	workers int
-	// buffer is how many completed-but-undelivered results the stage may
-	// hold beyond its in-flight work, bounding its memory use. Values < 1
-	// mean workers.
-	buffer int
-	// policy is what to do when fn fails: abort (default) or skip.
-	policy policy
-	// fn transforms one item. It must honor ctx cancellation for the
-	// pipeline to shut down promptly.
-	fn func(ctx context.Context, item In) (Out, error)
-}
-
-// pipeline is one run of the engine: build it with newPipeline, wire
-// stages with sourceFunc / via / drain / collect, then wait for
-// completion. A pipeline is single-use.
-type pipeline struct {
-	ctx    context.Context
-	cancel context.CancelCauseFunc
-	wg     sync.WaitGroup
-
-	mu      sync.Mutex
-	stages  []*counters
-	skipped []error // first few skip-policy errors, for diagnosis
-}
-
-// maxSkippedErrors bounds how many skip-policy errors a pipeline retains.
+// maxSkippedErrors bounds how many skip-policy errors a run retains.
 const maxSkippedErrors = 32
 
-// newPipeline returns an empty pipeline whose stages run under a context
-// derived from ctx: cancelling ctx cancels the pipeline.
-func newPipeline(ctx context.Context) *pipeline {
-	runCtx, cancel := context.WithCancelCause(ctx)
-	return &pipeline{ctx: runCtx, cancel: cancel}
-}
-
-// wait blocks until every stage has drained and returns the pipeline's
-// outcome: nil on success, the aborting stage's error after an abort, or
-// the context cause if the surrounding context was cancelled.
-func (p *pipeline) wait() error {
-	p.wg.Wait()
-	cancelled := p.ctx.Err() != nil
-	cause := context.Cause(p.ctx)
-	p.cancel(nil) // release the context once everything has drained
-	if !cancelled {
-		return nil
-	}
-	if cause != nil {
-		return cause
-	}
-	return context.Canceled
-}
-
-// skippedErrors returns the errors behind skipped items (bounded; the
-// per-stage counts in stats are exact).
-func (p *pipeline) skippedErrors() []error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]error, len(p.skipped))
-	copy(out, p.skipped)
-	return out
-}
-
-func (p *pipeline) noteSkip(stage string, err error) {
-	p.mu.Lock()
-	if len(p.skipped) < maxSkippedErrors {
-		p.skipped = append(p.skipped, fmt.Errorf("pipeline: stage %s: %w", stage, err))
-	}
-	p.mu.Unlock()
-}
-
-func (p *pipeline) fail(stage string, err error) {
-	p.cancel(fmt.Errorf("pipeline: stage %s: %w", stage, err))
-}
-
-// StageStats is a point-in-time summary of one stage.
+// StageStats is a summary of one stage of a run.
 type StageStats struct {
 	Name    string
 	In      int64 // items received
@@ -134,296 +64,226 @@ type StageStats struct {
 	Failures uint64
 }
 
-// stats summarizes every stage in wiring order. A source stage records no
-// latency and has no monitor, so its Mean, P95 and Failures are 0.
-func (p *pipeline) stats() []StageStats {
-	p.mu.Lock()
-	stages := make([]*counters, len(p.stages))
-	copy(stages, p.stages)
-	p.mu.Unlock()
-	out := make([]StageStats, 0, len(stages))
-	for _, c := range stages {
-		var snap metrics.Snapshot
-		if c.mon != nil {
-			snap = c.mon.Snapshot()
-		}
-		out = append(out, StageStats{
-			Name:     c.name,
-			In:       c.in.Load(),
-			Out:      c.out.Load(),
-			Skipped:  c.skipped.Load(),
-			Mean:     snap.MeanLatency,
-			P95:      snap.P95Latency,
-			Failures: snap.Failures,
-		})
+// docSlot is one document's place in a run. The workers that handle the
+// document write it; the run reads it once they have all returned.
+type docSlot struct {
+	// res carries the document from the start — given (RunDocs) or
+	// fetched (Run) — and its analyses once they are in.
+	res DocResult
+	// stage names where err happened; both are set, and settled, under
+	// runner.mu.
+	stage   string
+	err     error
+	settled bool
+}
+
+// runner is one run's fetch and analyze workers over a known list of
+// documents.
+type runner struct {
+	cfg    *AnalysisConfig
+	ctx    context.Context
+	cancel context.CancelCauseFunc
+	// parent is the run's root span; every stage span is its child.
+	parent trace.Span
+	slots  []docSlot
+	// fetches is set by Run: its fetch workers fetch hits[i] under base
+	// into slot i. RunDocs leaves it unset and fills the slots itself.
+	fetches bool
+	hits    []search.Result
+	base    string
+
+	fetchMon, analyzeMon *metrics.Monitor
+	wg                   sync.WaitGroup
+	next                 atomic.Int64 // the next index a fetch worker claims
+	fetchers             atomic.Int32 // fetch workers still running
+	fetched              chan int     // indices ready to analyze
+
+	mu     sync.Mutex
+	prefix int // slots[:prefix] have settled
+}
+
+// newRunner returns a runner over n documents whose workers run under a
+// context derived from ctx, below the span parent.
+func (cfg *AnalysisConfig) newRunner(ctx context.Context, parent trace.Span, n int) *runner {
+	runCtx, cancel := context.WithCancelCause(ctx)
+	return &runner{
+		cfg: cfg, ctx: runCtx, cancel: cancel, parent: parent,
+		slots:   make([]docSlot, n),
+		fetched: make(chan int, n),
 	}
-	return out
 }
 
-// counters is one stage's live counter set, with the monitor the stage
-// records each item's latency into (nil for a source stage).
-type counters struct {
-	name             string
-	mon              *metrics.Monitor
-	in, out, skipped atomic.Int64
-}
-
-func (p *pipeline) newCounters(name string, mon *metrics.Monitor) *counters {
-	c := &counters{name: name, mon: mon}
-	p.mu.Lock()
-	p.stages = append(p.stages, c)
-	p.mu.Unlock()
-	return c
-}
-
-// flow is a typed stream of items moving between stages of one pipeline.
-type flow[T any] struct {
-	p  *pipeline
-	ch <-chan T
-}
-
-// source emits items, in order, as a new flow.
-func source[T any](p *pipeline, name string, items []T) *flow[T] {
-	return sourceFunc(p, name, func(_ context.Context, emit func(T) error) error {
-		for _, item := range items {
-			if err := emit(item); err != nil {
-				return err
-			}
+// run starts the workers — fetch and analyze when the runner fetches,
+// analyze alone otherwise — and returns once every one of them has
+// returned: nil, the lowest-index failure under abort, or the context's
+// cause after a cancel from outside.
+func (r *runner) run() error {
+	w := min(r.cfg.Workers, len(r.slots))
+	r.analyzeMon = metrics.NewMonitor("analyze")
+	if r.fetches {
+		r.fetchMon = metrics.NewMonitor("fetch")
+		r.fetchers.Store(int32(w))
+		r.wg.Add(w)
+		for range w {
+			go r.fetchWorker()
 		}
+	} else {
+		for i := range r.slots {
+			r.fetched <- i
+		}
+		close(r.fetched)
+	}
+	r.wg.Add(w)
+	for range w {
+		go r.analyzeWorker()
+	}
+	r.wg.Wait()
+	cancelled := r.ctx.Err() != nil
+	cause := context.Cause(r.ctx)
+	r.cancel(nil)
+	if !cancelled {
 		return nil
-	})
-}
-
-// sourceFunc runs gen as the pipeline's source: each emit call feeds one
-// item downstream, blocking for backpressure and returning an error once
-// the pipeline is cancelled (gen should stop then). A non-nil error from
-// gen — other than the cancellation error emit handed it — aborts the
-// pipeline.
-func sourceFunc[T any](p *pipeline, name string, gen func(ctx context.Context, emit func(T) error) error) *flow[T] {
-	c := p.newCounters(name, nil)
-	out := make(chan T)
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		defer close(out)
-		// When the pipeline context carries a trace span (the run's root),
-		// the source runs under its own child span, so SDK invocations made
-		// by gen — a search call, say — nest inside the stage span.
-		sp := trace.SpanFromContext(p.ctx).Child(name)
-		genCtx := p.ctx
-		if sp.Recording() {
-			genCtx = trace.ContextWithSpan(genCtx, sp)
-		}
-		emit := func(v T) error {
-			select {
-			case out <- v:
-				c.out.Add(1)
-				return nil
-			case <-p.ctx.Done():
-				return context.Cause(p.ctx)
-			}
-		}
-		err := gen(genCtx, emit)
-		sp.SetInt("emitted", c.out.Load())
-		if err != nil && p.ctx.Err() == nil {
-			sp.SetError(err)
-			p.fail(name, err)
-		}
-		sp.End()
-	}()
-	return &flow[T]{p: p, ch: out}
-}
-
-// via connects f through stage s and returns the stage's output flow.
-//
-// A stage is a ring of workers+buffer cells and three goroutine roles.
-// The dispatcher takes a cell for each item it pulls from upstream — the
-// cell after the one it took last, so cells are taken in stream order —
-// writes the item into it and queues the cell's index for the workers.
-// The stage's workers long-lived goroutines run s.fn on the queued cells,
-// write each result into its cell and report the index on the completion
-// channel. The collector, which receives completions in any order, hands
-// results downstream in dispatch order and then frees their cells; the
-// dispatcher blocks while every cell is taken, which is the stage's
-// backpressure. Each cell has one owner at a time — dispatcher, then a
-// worker, then the collector — and every hand-over is a channel
-// operation, so the ring needs no lock and an item costs no allocation.
-func via[In, Out any](f *flow[In], s stage[In, Out]) *flow[Out] {
-	p := f.p
-	workers := max(s.workers, 1)
-	buffer := s.buffer
-	if buffer < 1 {
-		buffer = workers
 	}
-	mon := metrics.NewMonitor(s.name)
-	c := p.newCounters(s.name, mon)
-	parent := trace.SpanFromContext(p.ctx)
-	out := make(chan Out)
-
-	n := workers + buffer
-	cells := make([]cell[In, Out], n)
-	// taken holds one token per cell the dispatcher has taken and the
-	// collector not yet freed: sending takes a cell, receiving frees the
-	// oldest. queued carries cell indices from dispatcher to workers,
-	// completed from workers to collector; neither can fill, since at
-	// most n cells are taken.
-	taken := make(chan struct{}, n)
-	queued := make(chan int, n)
-	completed := make(chan int, n)
-
-	p.wg.Add(2 + workers)
-	go func() { // dispatcher
-		defer p.wg.Done()
-		defer close(queued)
-		for next := 0; ; next = (next + 1) % n {
-			var item In
-			var ok bool
-			select {
-			case item, ok = <-f.ch:
-				if !ok {
-					return
-				}
-			case <-p.ctx.Done():
-				return
-			}
-			c.in.Add(1)
-			select {
-			case taken <- struct{}{}:
-			case <-p.ctx.Done():
-				return
-			}
-			cells[next].item = item
-			queued <- next
-		}
-	}()
-	var live atomic.Int32
-	live.Store(int32(workers))
-	worker := func() {
-		defer p.wg.Done()
-		for i := range queued {
-			cl := &cells[i]
-			if p.ctx.Err() != nil {
-				// Cancelled while queued: fail fast rather than run
-				// doomed work.
-				cl.err = context.Cause(p.ctx)
-			} else {
-				cl.v, cl.err = runItem(p, s, mon, parent, cl.item)
-			}
-			var zero In
-			cl.item = zero
-			completed <- i
-		}
-		if live.Add(-1) == 0 {
-			close(completed)
-		}
-	}
-	for range workers {
-		go worker()
-	}
-	go func() { // collector
-		defer p.wg.Done()
-		defer close(out)
-		ready := make([]bool, n)
-		head := 0
-		for i := range completed {
-			ready[i] = true
-			for ; ready[head]; head = (head + 1) % n {
-				ready[head] = false
-				cl := &cells[head]
-				v, err := cl.v, cl.err
-				*cl = cell[In, Out]{}
-				switch {
-				case p.ctx.Err() != nil:
-					// Shutting down: drain, and deliver nothing more, so
-					// what went downstream is a prefix of the stream.
-				case err == nil:
-					select {
-					case out <- v:
-						c.out.Add(1)
-					case <-p.ctx.Done():
-					}
-				case s.policy == skip:
-					c.skipped.Add(1)
-					p.noteSkip(s.name, err)
-				default:
-					p.fail(s.name, err)
-				}
-				<-taken
-			}
-		}
-	}()
-	return &flow[Out]{p: p, ch: out}
+	return cause
 }
 
-// cell is one slot of a via stage's ordering ring: the item a worker
-// processes, then the result the collector delivers.
-type cell[In, Out any] struct {
-	item In
-	v    Out
-	err  error
+// fetchWorker fetches documents in index order until none is left or the
+// run is cancelled; the last fetch worker to return closes fetched.
+func (r *runner) fetchWorker() {
+	defer r.wg.Done()
+	for {
+		i := int(r.next.Add(1) - 1)
+		if i >= len(r.slots) || r.ctx.Err() != nil {
+			break
+		}
+		ctx, sp := r.item("fetch")
+		start := time.Now()
+		doc, err := r.cfg.fetchHit(ctx, r.base, r.hits[i])
+		record(r.fetchMon, sp, start, err)
+		if err != nil {
+			r.settle(i, "fetch", err)
+			continue
+		}
+		r.slots[i].res = DocResult{Index: i, Doc: doc}
+		r.fetched <- i
+	}
+	if r.fetchers.Add(-1) == 0 {
+		close(r.fetched)
+	}
 }
 
-// runItem applies s.fn to one item, recording its latency and outcome in
-// the stage monitor. On a traced run each item gets a span (named for the
-// stage) whose context flows into fn, so SDK invocations made while
-// processing the item join the run's trace tree.
-func runItem[In, Out any](p *pipeline, s stage[In, Out], mon *metrics.Monitor, parent trace.Span, item In) (Out, error) {
-	sp := parent.Child(s.name)
-	ctx := p.ctx
+// analyzeWorker analyzes fetched documents until fetched is closed. An
+// index taken after the run was cancelled is dropped, not analyzed.
+func (r *runner) analyzeWorker() {
+	defer r.wg.Done()
+	for i := range r.fetched {
+		if r.ctx.Err() != nil {
+			continue
+		}
+		s := &r.slots[i]
+		ctx, sp := r.item("analyze")
+		start := time.Now()
+		analyses, cached, err := r.cfg.analyzeDoc(ctx, &s.res.Doc)
+		record(r.analyzeMon, sp, start, err)
+		s.res.Analyses, s.res.Cached = analyses, cached
+		r.settle(i, "analyze", err)
+	}
+}
+
+// item opens one document's span in stage name and returns the context
+// the stage's work runs under.
+func (r *runner) item(name string) (context.Context, trace.Span) {
+	sp := r.parent.Child(name)
 	if sp.Recording() {
-		ctx = trace.ContextWithSpan(ctx, sp)
+		return trace.ContextWithSpan(r.ctx, sp), sp
 	}
-	start := time.Now()
-	v, err := s.fn(ctx, item)
+	return r.ctx, sp
+}
+
+// record closes an item's span and folds its latency and outcome into
+// the stage monitor.
+func record(mon *metrics.Monitor, sp trace.Span, start time.Time, err error) {
 	mon.Record(metrics.Observation{Latency: time.Since(start), Err: err})
 	if err != nil {
 		sp.SetError(err)
 	}
 	sp.End()
-	return v, err
 }
 
-// drain terminates a flow: fn runs once per item, sequentially, in stream
-// order. A non-nil error from fn aborts the pipeline.
-func drain[T any](f *flow[T], name string, fn func(ctx context.Context, item T) error) {
-	p := f.p
-	mon := metrics.NewMonitor(name)
-	c := p.newCounters(name, mon)
-	parent := trace.SpanFromContext(p.ctx)
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		for item := range f.ch {
-			c.in.Add(1)
-			sp := parent.Child(name)
-			ctx := p.ctx
-			if sp.Recording() {
-				ctx = trace.ContextWithSpan(ctx, sp)
-			}
-			start := time.Now()
-			err := fn(ctx, item)
-			mon.Record(metrics.Observation{Latency: time.Since(start), Err: err})
-			if err != nil {
-				sp.SetError(err)
-				sp.End()
-				if p.ctx.Err() == nil {
-					p.fail(name, err)
-				}
-				continue // keep draining so upstream unblocks
-			}
-			sp.End()
-			c.out.Add(1)
+// settle marks document i done — analyzed, or failed in stage with err —
+// and advances the settled prefix. Under abort, the prefix reaching a
+// failure cancels the run with it.
+func (r *runner) settle(i int, stage string, err error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	s := &r.slots[i]
+	s.stage, s.err, s.settled = stage, err, true
+	for ; r.prefix < len(r.slots) && r.slots[r.prefix].settled; r.prefix++ {
+		if s := &r.slots[r.prefix]; s.err != nil && r.cfg.policy() == abort && r.ctx.Err() == nil {
+			r.cancel(stageError(s.stage, s.err))
 		}
-	}()
+	}
 }
 
-// collect terminates a flow by gathering every item, in stream order, into
-// the slice it returns, which is complete once the pipeline's wait returns.
-func collect[T any](f *flow[T], name string) *[]T {
-	var items []T
-	drain(f, name, func(_ context.Context, item T) error {
-		items = append(items, item)
-		return nil
-	})
-	return &items
+func stageError(stage string, err error) error {
+	return fmt.Errorf("pipeline: stage %s: %w", stage, err)
+}
+
+// collect reads a finished run's slots in index order into res: the
+// surviving documents, each under one "aggregate" span and observation,
+// the skip errors, and the stages' stats, the source stage first.
+func (r *runner) collect(res *AnalysisResult, source string) {
+	n := int64(len(r.slots))
+	var fetchFailed, analyzeFailed int64
+	for i := range r.slots {
+		if s := &r.slots[i]; s.err != nil {
+			if len(res.Skipped) < maxSkippedErrors {
+				res.Skipped = append(res.Skipped, stageError(s.stage, s.err))
+			}
+			if s.stage == "fetch" {
+				fetchFailed++
+			} else {
+				analyzeFailed++
+			}
+		}
+	}
+	fetched := n - fetchFailed
+	kept := fetched - analyzeFailed
+	aggregateMon := metrics.NewMonitor("aggregate")
+	if kept > 0 {
+		res.Docs = make([]DocResult, 0, kept)
+		res.Analyses = make([]nlu.Analysis, 0, kept)
+		res.PerDoc = make([][]nlu.Analysis, 0, kept)
+	}
+	for i := range r.slots {
+		s := &r.slots[i]
+		if s.err != nil {
+			continue
+		}
+		sp := r.parent.Child("aggregate")
+		start := time.Now()
+		res.Docs = append(res.Docs, s.res)
+		res.Analyses = append(res.Analyses, s.res.Primary())
+		res.PerDoc = append(res.PerDoc, s.res.Analyses)
+		res.CachedAnalyses += s.res.Cached
+		record(aggregateMon, sp, start, nil)
+	}
+
+	res.Stages = make([]StageStats, 0, 4)
+	res.Stages = append(res.Stages, StageStats{Name: source, Out: n})
+	if r.fetches {
+		res.Stages = append(res.Stages, stageStats("fetch", r.fetchMon, n, fetched, fetchFailed))
+	}
+	res.Stages = append(res.Stages,
+		stageStats("analyze", r.analyzeMon, fetched, kept, analyzeFailed),
+		stageStats("aggregate", aggregateMon, kept, kept, 0))
+}
+
+// stageStats is one recorded stage's counts and its monitor's summary.
+func stageStats(name string, mon *metrics.Monitor, in, out, skipped int64) StageStats {
+	snap := mon.Snapshot()
+	return StageStats{
+		Name: name, In: in, Out: out, Skipped: skipped,
+		Mean: snap.MeanLatency, P95: snap.P95Latency, Failures: snap.Failures,
+	}
 }
