@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race check bench-test flake fuzz cover bench bench-rdf bench-search bench-nlu bench-metrics bench-store bench-loop bench-chaos bench-cloud loadgen-smoke cloud-smoke fmt fmt-check
+.PHONY: build test vet race check bench-test flake fuzz cover bench-rdf bench-search bench-nlu bench-metrics bench-store bench-loop bench-chaos loadgen-smoke fmt fmt-check
 
 build:
 	$(GO) build ./...
@@ -14,20 +14,22 @@ vet:
 # race runs the full suite under the race detector, including the cache
 # layer's concurrency tests (sharded stores, singleflight cancellation,
 # concurrent disk writers). Timing-sensitive guards
-# (TestTraceOverheadFacade, TestShardedCacheShape, TestRDFInferenceShape's
-# and TestE21ChaosShape's timing legs) and the allocation-count guards
-# skip themselves here; run plain `make test` to exercise them.
+# (TestTraceOverheadFacade, TestCloudStoreShape's Throughput4v1 and
+# Scale1to8, TestRDFInferenceShape's and TestStormShedding's timing legs)
+# and the allocation-count guards skip themselves here; run plain
+# `make test` to exercise them.
 race:
 	$(GO) test -race ./...
 
 # check is the pre-merge gate. loadgen-smoke drives the facade through a
 # short saturating burst with adaptive shedding on, catching harness or
-# admission-control regressions the unit tests can miss; cloud-smoke runs
-# the sharded-store experiment at reduced scale with value verification
-# on every read, catching placement or replication regressions.
+# admission-control regressions the unit tests can miss. Placement and
+# replication are checked in the suite itself: TestCloudStoreShape's
+# Scale1to8 checks every read returns its own key's value over 1/2/4/8
+# nodes.
 # bench-test covers the nested benchmark module, which `./...` at the root
 # neither compiles nor tests.
-check: fmt-check vet race loadgen-smoke cloud-smoke bench-test
+check: fmt-check vet race loadgen-smoke bench-test
 
 # bench-test builds and tests the repository benchmark (bench/ is a module
 # of its own that wraps internal/ APIs) and runs its smoke workload, so an
@@ -104,15 +106,9 @@ fuzz:
 cover:
 	$(GO) test -cover ./...
 
-# bench runs the experiment benchmarks (E1–E22, A1–A4) from bench_test.go
-# plus the cache micro-benchmarks (BenchmarkCacheHitParallel compares a
-# one-shard cache with the default shard count at 1/8/64-goroutine
-# parallelism).
-# Narrow with BENCH, e.g. `make bench BENCH=BenchmarkE1Caching` or
-# `make bench BENCH=BenchmarkCacheHitParallel`.
+# The bench-* targets run in-package Go benchmarks; narrow any of them
+# with BENCH, e.g. `make bench-rdf BENCH=BenchmarkSolveJoin`.
 BENCH ?= .
-bench:
-	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem . ./internal/cache
 
 # bench-rdf runs the RDF engine benchmarks: the interned store vs the
 # frozen pre-PR string-keyed baseline (internal/rdf/rdfref) on joins
@@ -178,32 +174,21 @@ bench-store:
 bench-loop:
 	$(GO) test -run '^$$' -bench '^BenchmarkFig5Cycle$$' -benchmem ./internal/integration
 
-# bench-chaos runs the chaos/load experiment (E21) at full scale: the
-# loadgen harness drives the facade closed-loop at 4x+ saturation through
-# a seeded fault storm, once without and once with the adaptive shed
-# stage, and prints the goodput/latency comparison table.
+# bench-chaos runs the chaos storm (E21) at full scale from the command
+# line: loadgen drives the facade closed-loop with 256 workers, far past
+# the 4-wide 2 ms backend's saturation, through a seeded fault storm, once
+# without and once with the adaptive shed stage, printing each run's
+# goodput, shed, timeout and latency report. TestStormShedding
+# (cmd/loadgen) asserts the same rig at reduced scale.
 bench-chaos:
-	$(GO) run ./cmd/benchmark -run E21
-
-# bench-cloud runs the sharded cloud store experiment (E22) at full
-# scale: 1/2/4/8 capacity-limited store nodes behind the consistent-hash
-# cluster client, measuring aggregate write/read throughput and p99, then
-# killing one node mid-read-storm to measure served availability.
-bench-cloud:
-	$(GO) run ./cmd/benchmark -run E22
+	$(GO) run ./cmd/loadgen -workers 256 -duration 3s -timeout 25ms -storm
+	$(GO) run ./cmd/loadgen -workers 256 -duration 3s -timeout 25ms -storm -shed-target 10ms -shed-max-inflight 64
 
 # loadgen-smoke is a deterministic half-second saturating burst through
 # the in-process rig; it exits non-zero if the harness sends nothing,
 # produces zero goodput, or the shed stage rejects nothing.
 loadgen-smoke:
 	$(GO) run ./cmd/loadgen -smoke
-
-# cloud-smoke is E22 at reduced scale as a correctness gate: every read
-# verifies the stored value through the sharded client, so a placement,
-# quorum, or failover bug exits non-zero. Timing columns at this scale
-# are indicative only.
-cloud-smoke:
-	$(GO) run ./cmd/benchmark -run E22 -scale 0.15
 
 fmt:
 	gofmt -w .

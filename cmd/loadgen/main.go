@@ -87,12 +87,7 @@ func run() error {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	if *storm {
-		faults := []loadgen.Fault{
-			{Name: "failburst", On: func() { svc.SetFailRate(0.7) }, Off: func() { svc.SetFailRate(0) }},
-			{Name: "latspike", On: func() { svc.SetExtraLatency(20 * *svcLatency) }, Off: func() { svc.SetExtraLatency(0) }},
-			{Name: "flap", On: func() { svc.SetDown(true) }, Off: func() { svc.SetDown(false) }},
-		}
-		sched := loadgen.RandomStorms(*seed, *duration, *storms, faults)
+		sched := loadgen.RandomStorms(*seed, *duration, *storms, stormFaults(svc, *svcLatency))
 		for _, ev := range sched.Events() {
 			fmt.Printf("chaos: t=%-10v %s\n", ev.At.Round(time.Millisecond), ev.Name)
 		}
@@ -148,6 +143,16 @@ func buildRig(latency time.Duration, capacity int, seed int64, shedTarget time.D
 		return nil, nil, nil, err
 	}
 	return svc, core.NewAPI(client), client, nil
+}
+
+// stormFaults is the -storm chaos vocabulary against the rig's backend:
+// 70% failure bursts, latency spikes of 20 service times, and down-flaps.
+func stormFaults(svc *simsvc.Service, latency time.Duration) []loadgen.Fault {
+	return []loadgen.Fault{
+		{Name: "failburst", On: func() { svc.SetFailRate(0.7) }, Off: func() { svc.SetFailRate(0) }},
+		{Name: "latspike", On: func() { svc.SetExtraLatency(20 * latency) }, Off: func() { svc.SetExtraLatency(0) }},
+		{Name: "flap", On: func() { svc.SetDown(true) }, Off: func() { svc.SetDown(false) }},
+	}
 }
 
 func printReport(rep loadgen.Report, client *core.Client) {

@@ -8,7 +8,7 @@
 // key-value and cloud stores, codecs, and statistics).
 //
 // See README.md for a tour, DESIGN.md for the system inventory, and
-// EXPERIMENTS.md for the paper-claim-by-claim evaluation. The benchmarks in
-// bench_test.go regenerate every experiment table; cmd/benchmark prints
-// them.
+// EXPERIMENTS.md for the paper-claim-by-claim evaluation: its first table
+// names the test or benchmark that checks each claim, in the package that
+// owns the behaviour.
 package repro

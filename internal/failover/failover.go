@@ -2,8 +2,7 @@
 // retrying unresponsive services a user-specified number of times, falling
 // over to lower-ranked services with similar functionality until a
 // responsive one is found (with a per-service retry count), and invoking
-// multiple services redundantly — all of them, the first to succeed, or a
-// quorum.
+// multiple services redundantly, all of them at once.
 package failover
 
 import (
@@ -248,77 +247,4 @@ func InvokeAll(ctx context.Context, clk clock.Clock, svcs []service.Service, req
 	}
 	wg.Wait()
 	return results
-}
-
-// InvokeFirst invokes every service in parallel and returns as soon as one
-// succeeds, cancelling the rest. If all fail it returns the joined errors.
-func InvokeFirst(ctx context.Context, svcs []service.Service, req service.Request) (service.Response, string, error) {
-	if len(svcs) == 0 {
-		return service.Response{}, "", errors.New("failover: no services")
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type outcome struct {
-		name string
-		resp service.Response
-		err  error
-	}
-	ch := make(chan outcome, len(svcs))
-	for _, svc := range svcs {
-		go func(svc service.Service) {
-			resp, err := svc.Invoke(ctx, req)
-			ch <- outcome{name: svc.Info().Name, resp: resp, err: err}
-		}(svc)
-	}
-	var errs []error
-	for range svcs {
-		o := <-ch
-		if o.err == nil {
-			return o.resp, o.name, nil
-		}
-		errs = append(errs, fmt.Errorf("%s: %w", o.name, o.err))
-	}
-	return service.Response{}, "", fmt.Errorf("failover: all services failed: %w", errors.Join(errs...))
-}
-
-// Quorum invokes every service in parallel and succeeds once quorum
-// responses have arrived, returning those successes. If too many services
-// fail for the quorum to be reachable it fails fast with the joined errors.
-func Quorum(ctx context.Context, clk clock.Clock, svcs []service.Service, req service.Request, quorum int) ([]Result, error) {
-	if quorum < 1 || quorum > len(svcs) {
-		return nil, fmt.Errorf("failover: quorum %d out of range [1, %d]", quorum, len(svcs))
-	}
-	if clk == nil {
-		clk = clock.Real()
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	ch := make(chan Result, len(svcs))
-	for _, svc := range svcs {
-		go func(svc service.Service) {
-			start := clk.Now()
-			resp, err := svc.Invoke(ctx, req)
-			ch <- Result{Service: svc.Info().Name, Response: resp, Err: err, Latency: clk.Since(start)}
-		}(svc)
-	}
-	var successes []Result
-	var errs []error
-	remaining := len(svcs)
-	for remaining > 0 {
-		r := <-ch
-		remaining--
-		if r.Err == nil {
-			successes = append(successes, r)
-			if len(successes) >= quorum {
-				return successes, nil
-			}
-		} else {
-			errs = append(errs, fmt.Errorf("%s: %w", r.Service, r.Err))
-			if len(successes)+remaining < quorum {
-				return successes, fmt.Errorf("failover: quorum %d unreachable (%d successes): %w", quorum, len(successes), errors.Join(errs...))
-			}
-		}
-	}
-	// Unreachable: the loop exits via one of the two returns above.
-	return successes, fmt.Errorf("failover: quorum %d not reached (%d successes): %w", quorum, len(successes), errors.Join(errs...))
 }

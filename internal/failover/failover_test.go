@@ -260,97 +260,37 @@ func TestInvokeAllResultsInOrder(t *testing.T) {
 }
 
 func TestInvokeAllParallel(t *testing.T) {
-	// Three services each sleeping 30ms must finish in ~max, not ~sum.
+	// Parallel, not sequential, by a gate instead of a stopwatch: each of
+	// the three services blocks until all three have started, so a
+	// sequential InvokeAll never returns and the watchdog fails the test.
+	const n = 3
+	var started atomic.Int32
+	allStarted := make(chan struct{})
 	mk := func(name string) service.Service {
 		return service.Func{
 			Meta: service.Info{Name: name, Category: "t"},
 			Fn: func(context.Context, service.Request) (service.Response, error) {
-				time.Sleep(30 * time.Millisecond)
-				return service.Response{}, nil
+				if started.Add(1) == n {
+					close(allStarted)
+				}
+				<-allStarted
+				return service.Response{Body: []byte(name)}, nil
 			},
 		}
 	}
-	svcs := []service.Service{mk("a"), mk("b"), mk("c")}
-	start := time.Now()
-	InvokeAll(context.Background(), nil, svcs, service.Request{})
-	if elapsed := time.Since(start); elapsed > 80*time.Millisecond {
-		t.Errorf("elapsed = %v, want ~30ms (parallel)", elapsed)
-	}
-}
-
-func TestInvokeFirstReturnsFastestSuccess(t *testing.T) {
-	slow := service.Func{
-		Meta: service.Info{Name: "slow", Category: "t"},
-		Fn: func(ctx context.Context, _ service.Request) (service.Response, error) {
-			select {
-			case <-time.After(500 * time.Millisecond):
-				return service.Response{Body: []byte("slow")}, nil
-			case <-ctx.Done():
-				return service.Response{}, ctx.Err()
+	done := make(chan []Result)
+	go func() {
+		done <- InvokeAll(context.Background(), nil, []service.Service{mk("a"), mk("b"), mk("c")}, service.Request{})
+	}()
+	select {
+	case results := <-done:
+		for i, r := range results {
+			if r.Err != nil || string(r.Response.Body) != string(rune('a'+i)) {
+				t.Errorf("result %d = %+v", i, r)
 			}
-		},
-	}
-	fast := alwaysOK("fast")
-	resp, name, err := InvokeFirst(context.Background(), []service.Service{slow, fast}, service.Request{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if name != "fast" || string(resp.Body) != "fast" {
-		t.Errorf("winner = %s, want fast", name)
-	}
-}
-
-func TestInvokeFirstAllFail(t *testing.T) {
-	svcs := []service.Service{
-		alwaysFail("a", service.ErrUnavailable),
-		alwaysFail("b", service.ErrUnavailable),
-	}
-	_, _, err := InvokeFirst(context.Background(), svcs, service.Request{})
-	if err == nil {
-		t.Error("expected failure")
-	}
-}
-
-func TestInvokeFirstEmpty(t *testing.T) {
-	if _, _, err := InvokeFirst(context.Background(), nil, service.Request{}); err == nil {
-		t.Error("empty service list should error")
-	}
-}
-
-func TestQuorumReached(t *testing.T) {
-	svcs := []service.Service{
-		alwaysOK("a"),
-		alwaysFail("b", service.ErrUnavailable),
-		alwaysOK("c"),
-	}
-	results, err := Quorum(context.Background(), nil, svcs, service.Request{}, 2)
-	if err != nil {
-		t.Fatalf("Quorum error = %v", err)
-	}
-	if len(results) != 2 {
-		t.Errorf("got %d successes, want 2", len(results))
-	}
-}
-
-func TestQuorumUnreachableFailsFast(t *testing.T) {
-	svcs := []service.Service{
-		alwaysFail("a", service.ErrUnavailable),
-		alwaysFail("b", service.ErrUnavailable),
-		alwaysOK("c"),
-	}
-	_, err := Quorum(context.Background(), nil, svcs, service.Request{}, 3)
-	if err == nil {
-		t.Error("quorum 3 with 2 failures should fail")
-	}
-}
-
-func TestQuorumInvalid(t *testing.T) {
-	svcs := []service.Service{alwaysOK("a")}
-	if _, err := Quorum(context.Background(), nil, svcs, service.Request{}, 0); err == nil {
-		t.Error("quorum 0 should error")
-	}
-	if _, err := Quorum(context.Background(), nil, svcs, service.Request{}, 2); err == nil {
-		t.Error("quorum > len should error")
+		}
+	case <-time.After(time.Minute):
+		t.Fatalf("InvokeAll did not return: %d of %d services started, so they ran one at a time", started.Load(), n)
 	}
 }
 

@@ -154,13 +154,12 @@ func runAsync(t *testing.T, fn func()) {
 // checkNoGoroutinesLeft fails the test unless the goroutine count is back
 // at before. Every goroutine a run starts is joined before it returns, but
 // one that has just called Done may still be unwinding, so the check
-// yields to it first; a leaked goroutine never goes away.
+// yields to it first — for up to ten seconds, since under the race
+// detector beside other test binaries an unwinding goroutine can wait
+// that long for a thread; a leaked goroutine never goes away.
 func checkNoGoroutinesLeft(t testing.TB, before int, what string) {
 	t.Helper()
-	for range 10_000 {
-		if runtime.NumGoroutine() <= before {
-			break
-		}
+	for start := time.Now(); runtime.NumGoroutine() > before && time.Since(start) < 10*time.Second; {
 		runtime.Gosched()
 	}
 	if n := runtime.NumGoroutine(); n != before {

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,10 +18,14 @@ import (
 	"repro/internal/raceflag"
 )
 
-// TestCloudStoreShape is the tier-1 guard for the sharded cloud store
-// (ISSUE 10 acceptance): a sharded N=4/R=2 client must agree key-for-key
-// with a map-backed oracle, show ≥2x aggregate write throughput at 4
-// nodes vs 1, and serve 100% of reads with one node killed.
+// TestCloudStoreShape is the tier-1 guard for the sharded cloud store: a
+// sharded N=4/R=2 client must agree key-for-key with a map-backed oracle,
+// show ≥2x aggregate write throughput at 4 nodes vs 1, and serve 100% of
+// reads with one node killed. Over 1/2/4/8 capacity-limited nodes at
+// R=min(2,N) (Scale1to8, one subtest per node count) every read returns
+// its own key's value, killing one node mid-read-storm costs no read at
+// N ≥ 2 and visibly costs reads at N=1, and 8 nodes read ≥2x and write
+// ≥1.5x faster than 1.
 //
 // On the throughput leg's replication settings: at R=2/W=2 every write
 // costs two node requests, so 4 nodes vs 1 (where R collapses to 1) has an
@@ -32,6 +37,7 @@ func TestCloudStoreShape(t *testing.T) {
 	t.Run("OracleEquivalence", testShapeOracleEquivalence)
 	t.Run("KillOneNodeReads", testShapeKillOneNodeReads)
 	t.Run("Throughput4v1", testShapeThroughput)
+	t.Run("Scale1to8", testShapeScale1to8)
 }
 
 func testShapeOracleEquivalence(t *testing.T) {
@@ -117,17 +123,18 @@ func testShapeKillOneNodeReads(t *testing.T) {
 // the model under which aggregate throughput is governed by node count
 // (each node serves `capacity` requests per `latency`), so the sharding
 // gain is machine-independent.
-func shapeServers(t *testing.T, n int, capacity int, latency time.Duration) []string {
+func shapeServers(t *testing.T, n int, capacity int, latency time.Duration) ([]string, []*Server) {
 	t.Helper()
 	urls := make([]string, n)
+	servers := make([]*Server, n)
 	for i := 0; i < n; i++ {
 		srv := NewServer(nil, WithCapacity(capacity))
 		srv.SetLatency(latency)
 		hs := httptest.NewServer(srv.Handler())
 		t.Cleanup(hs.Close)
-		urls[i] = hs.URL
+		urls[i], servers[i] = hs.URL, srv
 	}
-	return urls
+	return urls, servers
 }
 
 // shapeWriteRate drives `writers` concurrent writers through cl for `ops`
@@ -183,9 +190,12 @@ func testShapeThroughput(t *testing.T) {
 		t.Cleanup(cl.Close)
 		return cl
 	}
-	one := mkCluster(shapeServers(t, 1, capacity, latency), 1)
-	fourR1 := mkCluster(shapeServers(t, 4, capacity, latency), 1)
-	fourR2 := mkCluster(shapeServers(t, 4, capacity, latency), 2)
+	urls1, _ := shapeServers(t, 1, capacity, latency)
+	urls4, _ := shapeServers(t, 4, capacity, latency)
+	urls4r2, _ := shapeServers(t, 4, capacity, latency)
+	one := mkCluster(urls1, 1)
+	fourR1 := mkCluster(urls4, 1)
+	fourR2 := mkCluster(urls4r2, 2)
 
 	// Alternate measurement order and keep each configuration's best
 	// batch, so a scheduling hiccup in one round cannot decide the ratio.
@@ -221,4 +231,156 @@ func testShapeThroughput(t *testing.T) {
 	if r2Gain < 1.3 {
 		t.Errorf("4-node R=2 aggregate write throughput gain = %.2fx, want >= 1.3x (ideal 2x)", r2Gain)
 	}
+}
+
+// The node-count sweep is E22 at its full scale: every node is a 4-wide,
+// 2 ms backend (~2000 req/s), driven by 32 closed-loop callers — enough to
+// saturate 8 nodes — over 240 keys, each holding its own value.
+const (
+	sweepCapacity = 4
+	sweepLatency  = 2 * time.Millisecond
+	sweepCallers  = 32
+	sweepKeys     = 240
+)
+
+func sweepKey(i int) string   { return fmt.Sprintf("key-%03d", i%sweepKeys) }
+func sweepValue(i int) string { return fmt.Sprintf("value-%d", i%sweepKeys) }
+
+// newSweepCluster builds n sweep nodes behind a cluster at R=min(2,n) with
+// no client cache, so every read reaches a node.
+func newSweepCluster(t *testing.T, n int) (*Cluster, []*Server) {
+	t.Helper()
+	urls, servers := shapeServers(t, n, sweepCapacity, sweepLatency)
+	cl, err := NewCluster(ClusterConfig{
+		Nodes:     urls,
+		Replicas:  2,
+		Seed:      1,
+		Workers:   2 * sweepCallers,
+		CacheSize: 0,
+		Retry:     failover.RetryPolicy{MaxAttempts: 2, Backoff: time.Millisecond, Jitter: failover.FullJitter},
+		Breaker:   core.BreakerConfig{Threshold: 4, Cooldown: 300 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	if want := min(2, n); cl.Replicas() != want {
+		t.Fatalf("n=%d: replicas = %d, want %d", n, cl.Replicas(), want)
+	}
+	return cl, servers
+}
+
+// sweepDrive makes ops calls of fn from sweepCallers closed-loop callers,
+// each taking the next index, and returns how long they took.
+func sweepDrive(ops int, fn func(i int)) time.Duration {
+	var (
+		wg   sync.WaitGroup
+		next atomic.Int64
+	)
+	start := time.Now()
+	for w := 0; w < sweepCallers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < ops; i = int(next.Add(1)) - 1 {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+	return time.Since(start)
+}
+
+// sweepWrite puts every sweep key's own value through cl and returns how
+// long the writes took.
+func sweepWrite(t *testing.T, cl *Cluster) time.Duration {
+	t.Helper()
+	d := sweepDrive(sweepKeys, func(i int) {
+		if err := cl.Put(sweepKey(i), []byte(sweepValue(i))); err != nil {
+			t.Errorf("put %s: %v", sweepKey(i), err)
+		}
+	})
+	if cl.Offline() {
+		t.Fatal("the cluster went offline during the writes — they were queued, not stored")
+	}
+	return d
+}
+
+// sweepRead reads sweepKey(i) for i in [0, reads) and returns how long the
+// reads took and how many returned that key's own value. before, when
+// set, runs ahead of the i-th read.
+func sweepRead(cl *Cluster, reads int, before func(i int)) (time.Duration, int) {
+	var served atomic.Int64
+	d := sweepDrive(reads, func(i int) {
+		if before != nil {
+			before(i)
+		}
+		if got, err := cl.Get(sweepKey(i)); err == nil && string(got) == sweepValue(i) {
+			served.Add(1)
+		}
+	})
+	return d, int(served.Load())
+}
+
+// testShapeScale1to8 is E22: one rig per node count, each taken through
+// the same phases in one pass (sweepPass). Reads scale ~N (no replication
+// cost) and writes ~N/R (ideal 4x at N=8, R=2); the timing half demands a
+// real gain at 8 nodes, not the ideal, and is skipped under -race and
+// -short.
+func testShapeScale1to8(t *testing.T) {
+	write := map[int]time.Duration{}
+	read := map[int]time.Duration{}
+	for _, n := range []int{1, 2, 4, 8} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) { write[n], read[n] = sweepPass(t, n) })
+	}
+	if raceflag.Enabled || testing.Short() {
+		t.Log("timing-sensitive: the scaling gains are not asserted under -race or -short")
+		return
+	}
+	if t.Failed() {
+		return // a pass that failed timed nothing worth comparing
+	}
+	writeGain := float64(write[1]) / float64(write[8])
+	readGain := float64(read[1]) / float64(read[8])
+	t.Logf("8 nodes vs 1: writes %.2fx (ideal 4x), reads %.2fx (ideal 8x)", writeGain, readGain)
+	if readGain < 2.0 {
+		t.Errorf("8-node read gain = %.2fx, want >= 2x", readGain)
+	}
+	if writeGain < 1.5 {
+		t.Errorf("8-node write gain = %.2fx, want >= 1.5x", writeGain)
+	}
+}
+
+// sweepPass builds a rig of n sweep nodes and takes it through E22's
+// phases: 240 timed writes; 480 timed reads, each of which must return its
+// key's own value; and 240 reads with node 0 killed halfway through. From
+// N=2 up every key has a live replica, so the kill costs no read and some
+// reads fail over; at N=1 the reads issued after the kill are lost — if
+// they were not, the kill never happened and the N ≥ 2 rows prove
+// nothing. It returns how long the writes and the verified reads took.
+func sweepPass(t *testing.T, n int) (write, read time.Duration) {
+	cl, servers := newSweepCluster(t, n)
+	write = sweepWrite(t, cl)
+	const reads = 2 * sweepKeys
+	read, served := sweepRead(cl, reads, nil)
+	if served != reads {
+		t.Errorf("%d/%d reads returned their key's value", served, reads)
+	}
+	const killReads = sweepKeys
+	failovers := cl.Stats().ReadFailovers
+	_, served = sweepRead(cl, killReads, func(i int) {
+		if i == killReads/2 {
+			servers[0].SetDown(true)
+		}
+	})
+	failovers = cl.Stats().ReadFailovers - failovers
+	switch {
+	case n == 1 && served > killReads*9/10:
+		t.Errorf("served %d/%d reads with its only node killed mid-run, want a visible loss", served, killReads)
+	case n > 1 && served != killReads:
+		t.Errorf("served %d/%d reads through the kill, want all", served, killReads)
+	case n > 1 && failovers == 0:
+		t.Errorf("recorded no read failovers despite a dead node")
+	}
+	return write, read
 }
