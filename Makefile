@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race check bench-test flake fuzz cover bench-rdf bench-search bench-nlu bench-metrics bench-store bench-loop bench-chaos loadgen-smoke fmt fmt-check
+.PHONY: build test vet race check bench-test flake api fuzz cover bench-rdf bench-search bench-nlu bench-metrics bench-store bench-loop bench-chaos loadgen-smoke fmt fmt-check
 
 build:
 	$(GO) build ./...
@@ -53,6 +53,14 @@ flake:
 		echo "$$out" | grep -v '^--- FAIL' | grep -E '^(FAIL|panic:|ok )' || true; \
 	done; exit $$status
 
+# api lists internal/'s exported surface: TestExportedNamesHaveReaders
+# (api_test.go) run verbosely prints, per package, the names a program
+# reads, those only their own package uses, those only tests read and
+# those api_allowlist.txt keeps, and fails on any name that is neither
+# read nor allowlisted and on any stale or reasonless allowlist line.
+api:
+	$(GO) test -count=1 -run '^TestExportedNamesHaveReaders$$' -v .
+
 # fuzz runs every Fuzz* target for FUZZTIME each, one at a time (go test
 # takes one -fuzz target per package run): the search, NLU and RDF parsers,
 # the codec chain over sequences of mixed-size values (FuzzChainRoundTrip:
@@ -81,7 +89,11 @@ flake:
 # and the store's body reader and PUT size check against io.ReadAll over
 # io.LimitReader (FuzzReadBody: bytes, errors and the accept/413/400
 # answer for exact, short, long, unknown and huge declared lengths under
-# short reads; minimisation off, it stalls the engine on a fresh cache). Plain
+# short reads; minimisation off, it stalls the engine on a fresh cache),
+# the SQL engine's SELECT … WHERE … ORDER BY … LIMIT over a small typed
+# table, indexed or not, against a naive scan of its rows (FuzzSelect), and
+# CSV → table → RDF → table → CSV against the input up to the documented
+# type normalisation (FuzzCSVRoundTrip). Plain
 # `go test` replays only the committed seed corpora under testdata/fuzz;
 # a failure found here is written there.
 FUZZTIME ?= 10s
@@ -101,6 +113,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheKey$$' -fuzztime $(FUZZTIME) ./internal/service
 	$(GO) test -run '^$$' -fuzz '^FuzzRun$$' -fuzztime $(FUZZTIME) ./internal/pipeline
 	$(GO) test -run '^$$' -fuzz '^FuzzSharded$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 0s ./internal/cache
+	$(GO) test -run '^$$' -fuzz '^FuzzSelect$$' -fuzztime $(FUZZTIME) ./internal/rdbms
+	$(GO) test -run '^$$' -fuzz '^FuzzCSVRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/csvconv
 
 # cover runs the full suite with per-package coverage percentages.
 cover:

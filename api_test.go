@@ -1,0 +1,532 @@
+package repro_test
+
+import (
+	"bufio"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path"
+	"path/filepath"
+	"regexp"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// allowlistFile names the exported identifiers in internal/ that no
+// program reads but that stay exported on purpose, one per line as
+// "pkg.Name<TAB>reason".
+const allowlistFile = "api_allowlist.txt"
+
+// The three reasons an allowlist line may give.
+var reasonForms = []*regexp.Regexp{
+	regexp.MustCompile(`^test seam: ([a-z0-9]+(?:, [a-z0-9]+)*)$`),
+	regexp.MustCompile("^claim ([EA][0-9]+): (Test[A-Za-z0-9_]+)$"),
+	regexp.MustCompile(`^paper (?:Fig\. [0-9]+|§[0-9.]+): \S.*$`),
+}
+
+// goFile is one parsed Go file of the module tree (bench/ included).
+type goFile struct {
+	dir  string // slash-separated, relative to the repository root
+	test bool
+	ast  *ast.File
+}
+
+// apiPackage is one internal/ package under the lister.
+type apiPackage struct {
+	name     string
+	dir      string
+	exported map[string]ast.Node // top-level exported func, type, var, const
+	methods  map[string][]*ast.FuncDecl
+	decls    map[string]ast.Node // every top-level type, exported or not
+}
+
+// apiIndex is what the lister knows of the tree.
+type apiIndex struct {
+	files []goFile
+	pkgs  map[string]*apiPackage // by import path
+	// read[path][name] is set when a non-test file of another package
+	// writes pkg.Name, or a read name's exported signature names it.
+	read    map[string]map[string]bool
+	named   map[string]map[string]bool            // named by an allowlisted name's signature
+	ownUse  map[string]map[string]bool            // a non-test file of its own package uses it
+	testUse map[string]map[string]map[string]bool // path → name → package names of the tests that use it
+}
+
+// loadAPI parses every Go file of the module tree and resolves which
+// exported identifiers of the non-test-imported internal/ packages have
+// readers. The allowlisted names (pkg.Name) stay exported, so what their
+// signatures name stays exported too.
+func loadAPI(t *testing.T, allowed map[string]allowLine) *apiIndex {
+	t.Helper()
+	fset := token.NewFileSet()
+	x := &apiIndex{
+		pkgs:    map[string]*apiPackage{},
+		read:    map[string]map[string]bool{},
+		named:   map[string]map[string]bool{},
+		ownUse:  map[string]map[string]bool{},
+		testUse: map[string]map[string]map[string]bool{},
+	}
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if p != "." && (strings.HasPrefix(d.Name(), ".") || strings.HasPrefix(d.Name(), "_") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		x.files = append(x.files, goFile{dir: filepath.ToSlash(filepath.Dir(p)), test: strings.HasSuffix(p, "_test.go"), ast: f})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The packages under the lister: internal/ packages that a non-test
+	// file imports. Test helpers (the frozen reference engines, plaintest)
+	// are imported by tests only and so fall outside.
+	for _, f := range x.files {
+		if f.test {
+			continue
+		}
+		for _, imp := range f.ast.Imports {
+			p := strings.Trim(imp.Path.Value, `"`)
+			if dir, ok := strings.CutPrefix(p, "repro/"); ok && strings.HasPrefix(dir, "internal/") {
+				x.pkgs[p] = &apiPackage{dir: dir, exported: map[string]ast.Node{}, methods: map[string][]*ast.FuncDecl{}, decls: map[string]ast.Node{}}
+			}
+		}
+	}
+	for _, f := range x.files {
+		pkg := x.pkgs["repro/"+f.dir]
+		if pkg == nil || f.test {
+			continue
+		}
+		pkg.name = f.ast.Name.Name
+		for _, d := range f.ast.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv != nil {
+					if r := receiverType(d.Recv.List[0].Type); r != "" {
+						pkg.methods[r] = append(pkg.methods[r], d)
+					}
+				} else if d.Name.IsExported() {
+					pkg.exported[d.Name.Name] = d
+				}
+			case *ast.GenDecl:
+				var typ ast.Expr // a const group's type carries over to untyped specs
+				for _, s := range d.Specs {
+					switch s := s.(type) {
+					case *ast.TypeSpec:
+						pkg.decls[s.Name.Name] = s
+						if s.Name.IsExported() {
+							pkg.exported[s.Name.Name] = s
+						}
+					case *ast.ValueSpec:
+						if s.Type != nil || len(s.Values) > 0 {
+							typ = s.Type
+						}
+						for _, n := range s.Names {
+							if n.IsExported() {
+								pkg.exported[n.Name] = &ast.ValueSpec{Names: []*ast.Ident{n}, Type: typ}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+
+	byDirName := map[string]string{} // directory → package name, tests' _test suffix dropped
+	for _, f := range x.files {
+		byDirName[f.dir] = strings.TrimSuffix(f.ast.Name.Name, "_test")
+	}
+	for _, f := range x.files {
+		imports := importNames(f.ast, x.pkgs)
+		own := x.pkgs["repro/"+f.dir]
+		useBy := func(p, name string) {
+			if !f.test {
+				mark(x.read, p, name)
+				return
+			}
+			if x.testUse[p] == nil {
+				x.testUse[p] = map[string]map[string]bool{}
+			}
+			if x.testUse[p][name] == nil {
+				x.testUse[p][name] = map[string]bool{}
+			}
+			x.testUse[p][name][byDirName[f.dir]] = true
+		}
+		var visit func(ast.Node) bool
+		visit = func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if id, ok := n.X.(*ast.Ident); ok {
+					if p, ok := imports[id.Name]; ok {
+						useBy(p, n.Sel.Name)
+						return false
+					}
+				}
+				ast.Inspect(n.X, visit) // n.Sel is a field or method, not a top-level name
+				return false
+			case *ast.Ident:
+				if own == nil || f.ast.Name.Name != own.name {
+					return true
+				}
+				if decl, ok := own.exported[n.Name]; ok && !introduces(decl, n) {
+					if f.test {
+						useBy("repro/"+f.dir, n.Name)
+					} else {
+						mark(x.ownUse, "repro/"+f.dir, n.Name)
+					}
+				}
+			}
+			return true
+		}
+		ast.Inspect(f.ast, visit)
+	}
+
+	// A read name's exported signature, field types and exported methods
+	// make the names they mention read as well; an allowlisted name's keep
+	// theirs exported, too.
+	var roots, kept [][2]string
+	for p, names := range x.read {
+		for n := range names {
+			roots = append(roots, [2]string{p, n})
+		}
+	}
+	for p, pkg := range x.pkgs {
+		for n := range pkg.exported {
+			if _, ok := allowed[pkg.name+"."+n]; ok {
+				kept = append(kept, [2]string{p, n})
+			}
+		}
+	}
+	x.closeOver(roots, x.read)
+	x.closeOver(kept, x.named)
+	return x
+}
+
+// closeOver marks in m every name the signatures of work mention,
+// transitively.
+func (x *apiIndex) closeOver(work [][2]string, m map[string]map[string]bool) {
+	seen := map[[2]string]bool{}
+	for len(work) > 0 {
+		w := work[len(work)-1]
+		work = work[:len(work)-1]
+		pkg := x.pkgs[w[0]]
+		if pkg == nil || seen[w] {
+			continue
+		}
+		seen[w] = true
+		decl := pkg.exported[w[1]]
+		if decl == nil {
+			decl = pkg.decls[w[1]]
+		}
+		if decl == nil {
+			continue
+		}
+		var f *ast.File
+		for _, g := range x.files {
+			if g.dir == pkg.dir && !g.test && within(g.ast, decl) {
+				f = g.ast
+			}
+		}
+		imports := importNames(f, x.pkgs)
+		named := func(e ast.Node) {
+			walkTypes(e, func(p, name string) {
+				if p == "" {
+					p = w[0]
+				} else if p = imports[p]; p == "" {
+					return
+				}
+				if x.pkgs[p] != nil && (x.pkgs[p].exported[name] != nil || x.pkgs[p].decls[name] != nil) {
+					mark(m, p, name)
+					work = append(work, [2]string{p, name})
+				}
+			})
+		}
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			named(d.Type)
+		case *ast.ValueSpec:
+			if d.Type != nil {
+				named(d.Type)
+			}
+		case *ast.TypeSpec:
+			if d.TypeParams != nil {
+				named(d.TypeParams)
+			}
+			named(exportedSurface(d.Type))
+			for _, m := range pkg.methods[w[1]] {
+				if m.Name.IsExported() {
+					named(m.Type)
+				}
+			}
+		}
+	}
+}
+
+func mark(m map[string]map[string]bool, p, name string) {
+	if m[p] == nil {
+		m[p] = map[string]bool{}
+	}
+	m[p][name] = true
+}
+
+// importNames maps a file's local names for the lister's packages to
+// their import paths.
+func importNames(f *ast.File, pkgs map[string]*apiPackage) map[string]string {
+	m := map[string]string{}
+	if f == nil {
+		return m
+	}
+	for _, imp := range f.Imports {
+		p := strings.Trim(imp.Path.Value, `"`)
+		if pkgs[p] == nil {
+			continue
+		}
+		name := path.Base(p)
+		if imp.Name != nil {
+			name = imp.Name.Name
+		}
+		m[name] = p
+	}
+	return m
+}
+
+// walkTypes calls fn for every type name in e: ("", Name) for a name of
+// the package itself, (pkg, Name) for a qualified one.
+func walkTypes(e ast.Node, fn func(pkg, name string)) {
+	var visit func(ast.Node) bool
+	visit = func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.Field:
+			ast.Inspect(n.Type, visit) // a field or parameter name is no type
+			return false
+		case *ast.SelectorExpr:
+			if id, ok := n.X.(*ast.Ident); ok {
+				fn(id.Name, n.Sel.Name)
+			}
+			return false
+		case *ast.Ident:
+			fn("", n.Name)
+		}
+		return true
+	}
+	ast.Inspect(e, visit)
+}
+
+// exportedSurface drops a struct's unexported fields and an interface's
+// unexported methods: only what another package can name is signature.
+func exportedSurface(e ast.Expr) ast.Node {
+	var keep func(*ast.FieldList) *ast.FieldList
+	keep = func(l *ast.FieldList) *ast.FieldList {
+		out := &ast.FieldList{}
+		for _, fld := range l.List {
+			if len(fld.Names) == 0 {
+				out.List = append(out.List, fld) // embedded
+				continue
+			}
+			for _, n := range fld.Names {
+				if n.IsExported() {
+					out.List = append(out.List, fld)
+					break
+				}
+			}
+		}
+		return out
+	}
+	switch e := e.(type) {
+	case *ast.StructType:
+		return keep(e.Fields)
+	case *ast.InterfaceType:
+		return keep(e.Methods)
+	}
+	return e
+}
+
+// receiverType is the type name a method is declared on.
+func receiverType(e ast.Expr) string {
+	switch e := e.(type) {
+	case *ast.StarExpr:
+		return receiverType(e.X)
+	case *ast.IndexExpr:
+		return receiverType(e.X)
+	case *ast.IndexListExpr:
+		return receiverType(e.X)
+	case *ast.Ident:
+		return e.Name
+	}
+	return ""
+}
+
+// introduces reports whether id is the name a declaration introduces.
+func introduces(decl ast.Node, id *ast.Ident) bool {
+	switch d := decl.(type) {
+	case *ast.FuncDecl:
+		return d.Name == id
+	case *ast.TypeSpec:
+		return d.Name == id
+	case *ast.ValueSpec:
+		return d.Names[0] == id
+	}
+	return false
+}
+
+func within(f *ast.File, n ast.Node) bool { return f.Pos() <= n.Pos() && n.End() <= f.End() }
+
+// allowLine is one parsed line of the allowlist.
+type allowLine struct {
+	line            int
+	pkg, name       string
+	reason, problem string
+}
+
+func readAllowlist(t *testing.T) []allowLine {
+	t.Helper()
+	f, err := os.Open(allowlistFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var out []allowLine
+	sc := bufio.NewScanner(f)
+	for i := 1; sc.Scan(); i++ {
+		l := allowLine{line: i}
+		name, reason, ok := strings.Cut(sc.Text(), "\t")
+		l.pkg, l.name, _ = strings.Cut(name, ".")
+		l.reason = reason
+		switch {
+		case !ok || strings.TrimSpace(reason) == "":
+			l.problem = "no reason: want pkg.Name<TAB>reason"
+		case l.name == "" || !ast.IsExported(l.name):
+			l.problem = "want pkg.Name with an exported Name"
+		default:
+			l.problem = "reason is none of `test seam: <packages>`, `claim <E#/A#>: <home test>`, `paper <Fig./§>: <feature>`"
+			for _, re := range reasonForms {
+				if re.MatchString(reason) {
+					l.problem = ""
+				}
+			}
+		}
+		out = append(out, l)
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestExportedNamesHaveReaders holds internal/'s exported surface to what
+// programs use. Every top-level exported func, type, var and const in the
+// non-test files of an internal/ package that some non-test file imports
+// must be read — written as pkg.Name in a non-test file of another
+// package (bench/, cmd/ and examples/ included), or named by the exported
+// signature, exported field types or exported methods of a read name — or
+// be listed in api_allowlist.txt with one of three reasons. A line whose
+// name is read or gone, or that gives no valid reason, fails too. Run with
+// -v (`make api`) for the per-package inventory.
+func TestExportedNamesHaveReaders(t *testing.T) {
+	allowed := map[string]allowLine{}
+	for _, l := range readAllowlist(t) {
+		key := l.pkg + "." + l.name
+		if l.problem != "" {
+			t.Errorf("%s:%d: %s: %s", allowlistFile, l.line, key, l.problem)
+			continue
+		}
+		if _, dup := allowed[key]; dup {
+			t.Errorf("%s:%d: %s listed twice", allowlistFile, l.line, key)
+		}
+		allowed[key] = l
+	}
+	x := loadAPI(t, allowed)
+
+	paths := make([]string, 0, len(x.pkgs))
+	for p := range x.pkgs {
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
+	byName := map[string]string{} // package name → import path
+	total, unread := 0, 0
+	for _, p := range paths {
+		pkg := x.pkgs[p]
+		byName[pkg.name] = p
+		names := make([]string, 0, len(pkg.exported))
+		for n := range pkg.exported {
+			names = append(names, n)
+		}
+		sort.Strings(names)
+		var read, kept, own, tested, listed []string
+		for _, n := range names {
+			total++
+			key := pkg.name + "." + n
+			if x.read[p][n] {
+				read = append(read, n)
+				continue
+			}
+			unread++
+			if _, ok := allowed[key]; ok {
+				listed = append(listed, n)
+				continue
+			}
+			switch {
+			case x.named[p][n]:
+				kept = append(kept, n)
+			case x.ownUse[p][n]:
+				own = append(own, n)
+				t.Errorf("%s is used only inside %s: unexport it", key, pkg.dir)
+			case len(x.testUse[p][n]) > 0:
+				tested = append(tested, n)
+				t.Errorf("%s is read only by tests: delete it with them, or allowlist it as a test seam", key)
+			default:
+				t.Errorf("%s has no reader: delete it", key)
+			}
+		}
+		t.Logf("%s: read %v; named by an allowlisted signature %v; own-package only %v; test only %v; allowlisted %v",
+			pkg.dir, read, kept, own, tested, listed)
+	}
+	t.Logf("%d exported names in %d packages, %d with no reader outside their package, %d allowlist lines", total, len(paths), unread, len(allowed))
+
+	homes := map[string]string{} // claim ID → its home test
+	for _, r := range claimRows(t) {
+		if m := function.FindStringSubmatch(r.home); m != nil {
+			homes[r.id] = m[2]
+		}
+	}
+	for key, l := range allowed {
+		p := byName[l.pkg]
+		switch {
+		case p == "" || x.pkgs[p].exported[l.name] == nil:
+			t.Errorf("%s:%d: %s does not exist: drop the line", allowlistFile, l.line, key)
+			continue
+		case x.read[p][l.name]:
+			t.Errorf("%s:%d: %s is read by a program now: drop the line", allowlistFile, l.line, key)
+			continue
+		}
+		for i, re := range reasonForms {
+			m := re.FindStringSubmatch(l.reason)
+			switch {
+			case m == nil:
+			case i == 0:
+				for _, user := range strings.Split(m[1], ", ") {
+					if !x.testUse[p][l.name][user] {
+						t.Errorf("%s:%d: %s: no test of package %s uses it", allowlistFile, l.line, key, user)
+					}
+				}
+			case i == 1 && homes[m[1]] != m[2]:
+				t.Errorf("%s:%d: %s: %s is not %s's home test in EXPERIMENTS.md", allowlistFile, l.line, key, m[2], m[1])
+			}
+		}
+	}
+}

@@ -32,9 +32,8 @@ func main() {
 
 func run() error {
 	// A custom middleware stage: every invocation — cache hits included —
-	// passes through it, like an http.RoundTripper wrapper. Client-wide
-	// here; core.WithMiddleware scopes a stage to one registration and
-	// core.WithInvokeMiddleware to one call.
+	// passes through it, like an http.RoundTripper wrapper, on every
+	// service of the client (Config.Middleware).
 	var pipelineCalls atomic.Int64
 	audit := func(next core.Invoker) core.Invoker {
 		return func(ctx context.Context, call *core.Call) (service.Response, error) {

@@ -11,8 +11,8 @@ import (
 // it may be desirable to use multiple ... relationship extraction services.
 // The results from these services could be combined.")
 
-// ConsensusRelation is one relation with the services that found it.
-type ConsensusRelation struct {
+// consensusRelation is one relation with the services that found it.
+type consensusRelation struct {
 	Relation nlu.Relation `json:"relation"`
 	// Services that reported it, sorted.
 	Services []string `json:"services"`
@@ -21,9 +21,9 @@ type ConsensusRelation struct {
 	Confidence float64 `json:"confidence"`
 }
 
-// RelationConsensus combines relation findings from several services
+// relationConsensus combines relation findings from several services
 // analyzing the same document, sorted by confidence descending then key.
-func RelationConsensus(perService []nlu.Analysis) []ConsensusRelation {
+func relationConsensus(perService []nlu.Analysis) []consensusRelation {
 	if len(perService) == 0 {
 		return nil
 	}
@@ -50,7 +50,7 @@ func RelationConsensus(perService []nlu.Analysis) []ConsensusRelation {
 		}
 	}
 	n := float64(len(perService))
-	out := make([]ConsensusRelation, 0, len(accs))
+	out := make([]consensusRelation, 0, len(accs))
 	for _, e := range accs {
 		svcs := make([]string, 0, len(e.services))
 		for s := range e.services {
@@ -58,7 +58,7 @@ func RelationConsensus(perService []nlu.Analysis) []ConsensusRelation {
 		}
 		sort.Strings(svcs)
 		meanConf := e.confSum / float64(e.count)
-		out = append(out, ConsensusRelation{
+		out = append(out, consensusRelation{
 			Relation:   e.rel,
 			Services:   svcs,
 			Confidence: float64(len(svcs)) / n * meanConf,

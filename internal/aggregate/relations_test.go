@@ -21,7 +21,7 @@ func TestRelationConsensusAgreementBoostsConfidence(t *testing.T) {
 		analysisWithRelations("beta", acq),
 		analysisWithRelations("gamma", rel("company:acme", "kb:sued", "company:globex", 0.8)),
 	}
-	got := RelationConsensus(perService)
+	got := relationConsensus(perService)
 	if len(got) != 2 {
 		t.Fatalf("consensus = %+v", got)
 	}
@@ -39,10 +39,10 @@ func TestRelationConsensusAgreementBoostsConfidence(t *testing.T) {
 }
 
 func TestRelationConsensusEmpty(t *testing.T) {
-	if got := RelationConsensus(nil); got != nil {
+	if got := relationConsensus(nil); got != nil {
 		t.Errorf("consensus = %v", got)
 	}
-	if got := RelationConsensus([]nlu.Analysis{{Engine: "a"}}); len(got) != 0 {
+	if got := relationConsensus([]nlu.Analysis{{Engine: "a"}}); len(got) != 0 {
 		t.Errorf("no-relations consensus = %v", got)
 	}
 }
@@ -53,8 +53,8 @@ func TestRelationConsensusDeterministic(t *testing.T) {
 			rel("x", "kb:praised", "y", 0.5),
 			rel("x", "kb:acquired", "y", 0.5)),
 	}
-	g1 := RelationConsensus(perService)
-	g2 := RelationConsensus(perService)
+	g1 := relationConsensus(perService)
+	g2 := relationConsensus(perService)
 	for i := range g1 {
 		if nlu.RelationKey(g1[i].Relation) != nlu.RelationKey(g2[i].Relation) {
 			t.Fatal("order unstable")

@@ -17,8 +17,8 @@ import (
 	"repro/internal/clock"
 )
 
-// ErrNotFound is returned by Get when the key is absent or expired.
-var ErrNotFound = errors.New("cache: not found")
+// errNotFound is returned by Get when the key is absent or expired.
+var errNotFound = errors.New("cache: not found")
 
 // Stats counts cache activity. Hits, Misses, Evictions, and Expired are
 // monotonic activity counters: Delete and Clear remove entries without
@@ -106,7 +106,7 @@ func (m *shard[V]) init(capacity int, o options) {
 	m.items = make(map[string]*list.Element, capacity)
 }
 
-// get returns the cached value for key, or ErrNotFound if the key is
+// get returns the cached value for key, or errNotFound if the key is
 // absent or its entry has expired; an expired entry is removed.
 func (m *shard[V]) get(key string) (V, error) {
 	m.mu.Lock()
@@ -115,14 +115,14 @@ func (m *shard[V]) get(key string) (V, error) {
 	el, ok := m.items[key]
 	if !ok {
 		m.stats.Misses++
-		return zero, ErrNotFound
+		return zero, errNotFound
 	}
 	en := el.Value.(*entry[V])
 	if !en.expires.IsZero() && !m.clk.Now().Before(en.expires) {
 		m.removeElement(el)
 		m.stats.Expired++
 		m.stats.Misses++
-		return zero, ErrNotFound
+		return zero, errNotFound
 	}
 	m.ll.MoveToFront(el)
 	m.stats.Hits++

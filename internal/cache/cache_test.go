@@ -181,7 +181,7 @@ func TestGroupDoCtxSurvivingWaiterShares(t *testing.T) {
 	}
 }
 
-// A caller probes with Get and fills on a miss, as CacheStage does: one
+// A caller probes with Get and fills on a miss, as core's cacheStage does: one
 // fill, and exactly one recorded lookup per call.
 func TestProbeThenFill(t *testing.T) {
 	m := NewSharded[string](4)
@@ -237,7 +237,7 @@ func TestFillErrorNotCached(t *testing.T) {
 		t.Errorf("error = %v, want boom", err)
 	}
 	// Error results must not be cached; the next call fills again.
-	if _, err := m.Get("k"); !errors.Is(err, ErrNotFound) {
+	if _, err := m.Get("k"); !errors.Is(err, errNotFound) {
 		t.Errorf("Get after a failed fill = %v, want ErrNotFound", err)
 	}
 	if v, err := Fill(ctx, m, g, "k", func() (string, error) { return "ok", nil }); err != nil || v != "ok" {
@@ -354,7 +354,7 @@ func TestFillOvertakenByClearNotCached(t *testing.T) {
 		if v := <-got; v != 1 {
 			t.Errorf("%d shards: Fill returned %d, want the fill's 1", shards, v)
 		}
-		if v, err := m.Get("key"); !errors.Is(err, ErrNotFound) {
+		if v, err := m.Get("key"); !errors.Is(err, errNotFound) {
 			t.Errorf("%d shards: Get after Clear overtook the fill = (%d, %v), want ErrNotFound", shards, v, err)
 		}
 		// The next fill starts after the Clear and is cached as usual.

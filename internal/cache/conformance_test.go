@@ -46,7 +46,7 @@ func forEachImpl(t *testing.T, f func(t *testing.T, impl cacheImpl)) {
 func TestStoreGetSet(t *testing.T) {
 	forEachImpl(t, func(t *testing.T, impl cacheImpl) {
 		m := impl.mk(8)
-		if _, err := m.Get("a"); !errors.Is(err, ErrNotFound) {
+		if _, err := m.Get("a"); !errors.Is(err, errNotFound) {
 			t.Errorf("Get on empty = %v, want ErrNotFound", err)
 		}
 		m.Set("a", 1)
@@ -79,7 +79,7 @@ func TestStoreLRUEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 		m.Set("d", 4)
-		if _, err := m.Get("b"); !errors.Is(err, ErrNotFound) {
+		if _, err := m.Get("b"); !errors.Is(err, errNotFound) {
 			t.Error("b should have been evicted")
 		}
 		for _, k := range []string{"a", "c", "d"} {
@@ -106,7 +106,7 @@ func TestStoreTTLExpiry(t *testing.T) {
 			t.Errorf("entry expired early: %v", err)
 		}
 		v.Advance(2 * time.Second)
-		if _, err := m.Get("k"); !errors.Is(err, ErrNotFound) {
+		if _, err := m.Get("k"); !errors.Is(err, errNotFound) {
 			t.Error("entry should have expired")
 		}
 		if s := m.Stats(); s.Expired != 1 {
@@ -125,7 +125,7 @@ func TestStoreDeleteContains(t *testing.T) {
 		if m.Delete("a") {
 			t.Error("second Delete(a) = true, want false")
 		}
-		if _, err := m.Get("a"); !errors.Is(err, ErrNotFound) {
+		if _, err := m.Get("a"); !errors.Is(err, errNotFound) {
 			t.Errorf("Get after Delete = %v, want ErrNotFound", err)
 		}
 		if n := m.Stats().Size; n != 0 {
@@ -143,7 +143,7 @@ func TestStoreClear(t *testing.T) {
 		if n := m.Stats().Size; n != 0 {
 			t.Errorf("Size after Clear = %d", n)
 		}
-		if _, err := m.Get("a"); !errors.Is(err, ErrNotFound) {
+		if _, err := m.Get("a"); !errors.Is(err, errNotFound) {
 			t.Error("entry survived Clear")
 		}
 	})
@@ -187,7 +187,7 @@ func TestStoreConcurrent(t *testing.T) {
 				for i := 0; i < 1000; i++ {
 					k := strconv.Itoa(i % 200)
 					m.Set(k, i)
-					if _, err := m.Get(k); err != nil && !errors.Is(err, ErrNotFound) {
+					if _, err := m.Get(k); err != nil && !errors.Is(err, errNotFound) {
 						t.Errorf("Get error: %v", err)
 					}
 				}

@@ -133,7 +133,7 @@ func le64(s string) uint64 {
 		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
 }
 
-// Get returns the cached value for key. It returns ErrNotFound if the key
+// Get returns the cached value for key. It returns errNotFound if the key
 // is absent or its entry has expired; expired entries are removed.
 func (s *Sharded[V]) Get(key string) (V, error) { return s.shard(key).get(key) }
 

@@ -19,7 +19,7 @@ var ErrBreakerOpen = errors.New("core: circuit breaker open")
 // BreakerConfig configures per-service circuit breakers.
 type BreakerConfig struct {
 	// Threshold is the number of consecutive transient failures
-	// (service.ErrUnavailable or ErrDeadline) that trips the breaker.
+	// (service.ErrUnavailable or errDeadline) that trips the breaker.
 	// Zero disables circuit breaking.
 	Threshold int
 	// Cooldown is how long an open breaker rejects invocations before
@@ -96,7 +96,7 @@ func (b *Breaker) Allow() bool {
 // closes it.
 func (b *Breaker) Record(err error) {
 	transient := err != nil &&
-		(errors.Is(err, service.ErrUnavailable) || errors.Is(err, ErrDeadline))
+		(errors.Is(err, service.ErrUnavailable) || errors.Is(err, errDeadline))
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if !transient {

@@ -59,8 +59,8 @@ func TestBreakerPermanentErrorsDoNotTrip(t *testing.T) {
 func TestBreakerDeadlineCountsAsTransient(t *testing.T) {
 	clk := clock.NewVirtual(time.Unix(0, 0))
 	b := newBreaker(BreakerConfig{Threshold: 2, Cooldown: time.Minute}, clk)
-	b.Record(fmt.Errorf("slow: %w", ErrDeadline))
-	b.Record(fmt.Errorf("slow: %w", ErrDeadline))
+	b.Record(fmt.Errorf("slow: %w", errDeadline))
+	b.Record(fmt.Errorf("slow: %w", errDeadline))
 	if !b.Tripped() {
 		t.Fatal("deadline failures must count toward the threshold")
 	}
@@ -152,7 +152,7 @@ func TestBreakerStageEndToEnd(t *testing.T) {
 }
 
 // TestBreakerRetriesWithinOneInvokeCountOnce checks the stage order: the
-// breaker wraps outside RetryStage, so an invocation that retries N times
+// breaker wraps outside retryStage, so an invocation that retries N times
 // records one outcome, not N.
 func TestBreakerRetriesWithinOneInvokeCountOnce(t *testing.T) {
 	clk := clock.NewVirtual(time.Unix(0, 0))

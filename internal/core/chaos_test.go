@@ -150,8 +150,8 @@ func TestRetryExhaustionCountsOnceTowardBreaker(t *testing.T) {
 
 func TestLatencyStormTripsBreakerViaDeadline(t *testing.T) {
 	// A latency spike (not an outright failure) must still open the
-	// breaker: the deadline stage converts too-slow into ErrDeadline,
-	// which the breaker counts as transient. Real clock — DeadlineStage's
+	// breaker: the deadline stage converts too-slow into errDeadline,
+	// which the breaker counts as transient. Real clock — deadlineStage's
 	// timeout runs on context machinery.
 	svc := simsvc.New(simsvc.Config{
 		Info:    service.Info{Name: "spiky", Category: "cog"},
@@ -180,8 +180,8 @@ func TestLatencyStormTripsBreakerViaDeadline(t *testing.T) {
 	svc.SetExtraLatency(200 * time.Millisecond)
 	for i := 0; i < 3; i++ {
 		_, err := c.Invoke(ctx, "spiky", service.Request{})
-		if !errors.Is(err, ErrDeadline) {
-			t.Fatalf("spiked call %d: err = %v, want ErrDeadline", i, err)
+		if !errors.Is(err, errDeadline) {
+			t.Fatalf("spiked call %d: err = %v, want errDeadline", i, err)
 		}
 	}
 	if st := breakerStateOf(t, c, "spiky"); st != "open" {

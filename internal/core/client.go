@@ -9,8 +9,8 @@
 // offers score-based ranking and selection (Equations 1 and 2), ranked
 // failover across a category, and synchronous, asynchronous
 // (ListenableFuture style), and redundant invocation. Custom stages inject
-// client-wide (Config.Middleware), per registration (WithMiddleware), or
-// per invocation (WithInvokeMiddleware). An HTTP façade (httpapi.go)
+// client-wide (Config.Middleware), per registration (withMiddleware), or
+// per invocation (withInvokeMiddleware). An HTTP façade (httpapi.go)
 // exposes the SDK to applications written in other languages.
 package core
 
@@ -36,15 +36,15 @@ import (
 
 // Errors returned by the client.
 var (
-	// ErrUnknownService is returned for invocations of unregistered
+	// errUnknownService is returned for invocations of unregistered
 	// service names.
-	ErrUnknownService = errors.New("core: unknown service")
-	// ErrUnknownCategory is returned for category invocations with no
+	errUnknownService = errors.New("core: unknown service")
+	// errUnknownCategory is returned for category invocations with no
 	// registered services.
-	ErrUnknownCategory = errors.New("core: unknown category")
-	// ErrClientQuota is returned when the SDK's client-side quota for a
+	errUnknownCategory = errors.New("core: unknown category")
+	// errClientQuota is returned when the SDK's client-side quota for a
 	// service is exhausted (the remote call is not attempted).
-	ErrClientQuota = errors.New("core: client-side quota exhausted")
+	errClientQuota = errors.New("core: client-side quota exhausted")
 )
 
 // QualityFunc rates the quality of a service response; higher is better
@@ -52,10 +52,10 @@ var (
 // services").
 type QualityFunc func(req service.Request, resp service.Response) float64
 
-// ParamsFunc extracts latency parameters from a request (paper §2: "latency
+// paramsFunc extracts latency parameters from a request (paper §2: "latency
 // parameters are provided by users"). The default extracts the argument
 // size in bytes.
-type ParamsFunc func(req service.Request) []float64
+type paramsFunc func(req service.Request) []float64
 
 // Config configures a Client. The zero value is usable: real clock, a
 // 4096-entry cache with no TTL, Equation 1 scoring with default weights,
@@ -82,18 +82,18 @@ type Config struct {
 	// Predict configures latency predictors. The zero value uses the
 	// predict package defaults with peer-average fallback.
 	Predict predict.Config
-	// Breaker enables per-service circuit breakers (BreakerStage) when
+	// Breaker enables per-service circuit breakers (breakerStage) when
 	// Threshold > 0.
 	Breaker BreakerConfig
-	// Deadline enables predicted-latency deadlines (DeadlineStage) when
+	// Deadline enables predicted-latency deadlines (deadlineStage) when
 	// Factor > 0.
 	Deadline DeadlineConfig
-	// Shed enables adaptive admission control (ShedStage) when TargetP99
-	// > 0: over-limit calls fail fast with ErrShed instead of queueing
+	// Shed enables adaptive admission control (shedStage) when TargetP99
+	// > 0: over-limit calls fail fast with errShed instead of queueing
 	// the facade into collapse.
 	Shed ShedConfig
 	// Tracer enables distributed-style tracing of invocations: a root span
-	// per call (TraceStage) with one child span per middleware stage. Nil
+	// per call (traceStage) with one child span per middleware stage. Nil
 	// disables tracing; a tracer with SampleRate 0 is treated as disabled.
 	Tracer *trace.Tracer
 	// Middleware is injected outermost into every registration's chain,
@@ -132,13 +132,13 @@ func (c *Config) fill() {
 // the middleware chain composed for it at registration time.
 type registration struct {
 	name        string // svc.Info().Name, cached off the hot path
-	cachePrefix string // "svc:<name>:", precomputed for CacheStage
-	spanName    string // "invoke <name>", precomputed for TraceStage
+	cachePrefix string // "svc:<name>:", precomputed for cacheStage
+	spanName    string // "invoke <name>", precomputed for traceStage
 	svc         service.Service
 	retry       *failover.RetryPolicy
 	policy      failover.RetryPolicy // retry resolved against the client default
 	quality     QualityFunc
-	params      ParamsFunc
+	params      paramsFunc
 	quota       *service.Quota
 	cacheable   bool
 	mw          []Middleware
@@ -155,7 +155,7 @@ type Client struct {
 	memcache   *cache.Sharded[service.Response]
 	flight     *cache.Group[service.Response]
 	pool       *future.Pool
-	predictors *PredictorSet
+	predictors *predictorSet
 	breakers   *BreakerSet // nil when Config.Breaker is disabled
 	shedder    *Shedder    // nil when Config.Shed is disabled
 
@@ -180,7 +180,7 @@ func NewClient(cfg Config) (*Client, error) {
 			cache.WithTTL(cfg.CacheTTL), cache.WithClock(cfg.Clock)),
 		flight:     cache.NewGroup[service.Response](),
 		pool:       pool,
-		predictors: NewPredictorSet(cfg.Predict),
+		predictors: newPredictorSet(cfg.Predict),
 	}
 	empty := make(map[string]*registration)
 	c.regs.Store(&empty)
@@ -188,7 +188,7 @@ func NewClient(cfg Config) (*Client, error) {
 		c.breakers = NewBreakerSet(cfg.Breaker, cfg.Clock)
 	}
 	if cfg.Shed.TargetP99 > 0 {
-		c.shedder = NewShedder(cfg.Shed, cfg.Clock)
+		c.shedder = newShedder(cfg.Shed, cfg.Clock)
 	}
 	return c, nil
 }
@@ -217,15 +217,15 @@ func WithQuality(f QualityFunc) RegisterOption {
 	return func(r *registration) { r.quality = f }
 }
 
-// WithLatencyParams sets the user's latency-parameter extractor for the
+// withLatencyParams sets the user's latency-parameter extractor for the
 // service.
-func WithLatencyParams(f ParamsFunc) RegisterOption {
+func withLatencyParams(f paramsFunc) RegisterOption {
 	return func(r *registration) { r.params = f }
 }
 
-// WithClientQuota makes the SDK refuse invocations beyond the quota without
+// withClientQuota makes the SDK refuse invocations beyond the quota without
 // calling the remote service, preserving a limited allowance.
-func WithClientQuota(q *service.Quota) RegisterOption {
+func withClientQuota(q *service.Quota) RegisterOption {
 	return func(r *registration) { r.quota = q }
 }
 
@@ -236,10 +236,10 @@ func WithCacheable() RegisterOption {
 	return func(r *registration) { r.cacheable = true }
 }
 
-// WithMiddleware injects mw into this registration's chain, outside the
+// withMiddleware injects mw into this registration's chain, outside the
 // built-in stages (so it observes every call, cache hits included) and
 // inside any client-wide Config.Middleware.
-func WithMiddleware(mw ...Middleware) RegisterOption {
+func withMiddleware(mw ...Middleware) RegisterOption {
 	return func(r *registration) { r.mw = append(r.mw, mw...) }
 }
 
@@ -264,7 +264,7 @@ func (c *Client) Register(svc service.Service, opts ...RegisterOption) error {
 	if reg.retry != nil {
 		reg.policy = *reg.retry
 	}
-	reg.invoke = Compose(transport(), c.stages(reg)...)
+	reg.invoke = compose(transport(), c.stages(reg)...)
 	old := *c.regs.Load()
 	next := make(map[string]*registration, len(old)+1)
 	for k, v := range old {
@@ -282,26 +282,26 @@ func (c *Client) stages(reg *registration) []Middleware {
 	if c.cfg.Tracer.Enabled() {
 		// Outermost of all, so the root span covers custom middleware too
 		// and Call.Span is live for it.
-		mw = append(mw, TraceStage(c.cfg.Tracer))
+		mw = append(mw, traceStage(c.cfg.Tracer))
 	}
 	mw = append(mw, c.cfg.Middleware...)
 	mw = append(mw, reg.mw...)
-	mw = append(mw, CacheStage(c.memcache, c.flight))
+	mw = append(mw, cacheStage(c.memcache, c.flight))
 	if c.breakers != nil {
-		mw = append(mw, BreakerStage(c.breakers))
+		mw = append(mw, breakerStage(c.breakers))
 	}
 	if c.shedder != nil {
-		// After the breaker on purpose: see ShedStage.
-		mw = append(mw, ShedStage(c.shedder))
+		// After the breaker on purpose: see shedStage.
+		mw = append(mw, shedStage(c.shedder))
 	}
-	mw = append(mw, QuotaStage())
+	mw = append(mw, quotaStage())
 	if c.cfg.Deadline.Factor > 0 {
-		mw = append(mw, DeadlineStage(c.PredictLatency, c.cfg.Deadline))
+		mw = append(mw, deadlineStage(c.PredictLatency, c.cfg.Deadline))
 	}
 	mw = append(mw,
-		MonitorStage(c.monitors),
-		PredictStage(c.predictors),
-		RetryStage(c.cfg.Clock),
+		monitorStage(c.monitors),
+		predictStage(c.predictors),
+		retryStage(c.cfg.Clock),
 	)
 	return mw
 }
@@ -364,14 +364,14 @@ func parseInvokeOpts(opts []InvokeOption) invokeOpts {
 	return io
 }
 
-// Retry overrides the retry policy for this invocation.
-func Retry(p failover.RetryPolicy) InvokeOption {
+// retryPolicy overrides the retry policy for this invocation.
+func retryPolicy(p failover.RetryPolicy) InvokeOption {
 	return func(o *invokeOpts) { o.retry = &p }
 }
 
-// WithInvokeMiddleware injects mw outermost around this invocation's chain
+// withInvokeMiddleware injects mw outermost around this invocation's chain
 // (for category invocation, around each attempted service's chain).
-func WithInvokeMiddleware(mw ...Middleware) InvokeOption {
+func withInvokeMiddleware(mw ...Middleware) InvokeOption {
 	return func(o *invokeOpts) { o.mw = append(o.mw, mw...) }
 }
 
@@ -403,7 +403,7 @@ var callPool = sync.Pool{New: func() any { return new(Call) }}
 func (c *Client) run(ctx context.Context, reg *registration, req *service.Request, io invokeOpts) (service.Response, error) {
 	inv := reg.invoke
 	if len(io.mw) > 0 {
-		inv = Compose(inv, io.mw...)
+		inv = compose(inv, io.mw...)
 	}
 	call := callPool.Get().(*Call)
 	c.fillCall(call, reg, req, io)
@@ -426,7 +426,7 @@ func (c *Client) Invoke(ctx context.Context, name string, req service.Request, o
 	}
 	reg, ok := c.reg(name)
 	if !ok {
-		return service.Response{}, fmt.Errorf("%w: %s", ErrUnknownService, name)
+		return service.Response{}, fmt.Errorf("%w: %s", errUnknownService, name)
 	}
 	return c.run(ctx, reg, &req, io)
 }
@@ -450,7 +450,7 @@ func (c *Client) InvokeAsync(ctx context.Context, name string, req service.Reque
 func (c *Client) PredictLatency(name string, params []float64) (time.Duration, error) {
 	reg, ok := c.reg(name)
 	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrUnknownService, name)
+		return 0, fmt.Errorf("%w: %s", errUnknownService, name)
 	}
 	peers := c.peerMeansMS(reg.svc.Info().Category, name)
 	return c.predictors.Predict(name, params, peers)
@@ -477,7 +477,7 @@ func (c *Client) peerMeansMS(category, exclude string) []float64 {
 func (c *Client) Estimates(category string, req service.Request) ([]rank.Estimate, error) {
 	svcs := c.registry.Category(category)
 	if len(svcs) == 0 {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownCategory, category)
+		return nil, fmt.Errorf("%w: %s", errUnknownCategory, category)
 	}
 	ests := make([]rank.Estimate, 0, len(svcs))
 	for _, svc := range svcs {
@@ -543,7 +543,7 @@ func (c *Client) InvokeCategory(ctx context.Context, category string, req servic
 	}
 	// Category-level cache: any service's response satisfies the request,
 	// so a hit needs no ranking. An unknown category can have no entry and
-	// falls through to Rank's ErrUnknownCategory.
+	// falls through to Rank's errUnknownCategory.
 	key := req.CacheKey("cat:" + category + ":")
 	if !io.noCache {
 		if resp, err := c.memcache.Get(key); err == nil {
@@ -576,7 +576,7 @@ func (c *Client) InvokeCategory(ctx context.Context, category string, req servic
 	if !cacheable || io.noCache {
 		return failover.Chain(ctx, c.cfg.Clock, steps, req)
 	}
-	// Fill, as in CacheStage: concurrent identical calls share one chain,
+	// Fill, as in cacheStage: concurrent identical calls share one chain,
 	// and a chain that an InvalidateCache overtook is not cached. A caller
 	// served by another's chain gets no attempts, as on a cache hit.
 	var attempts []failover.Attempt
@@ -603,7 +603,7 @@ func (c *Client) InvokeCategoryAsync(ctx context.Context, category string, req s
 func (c *Client) InvokeAll(ctx context.Context, category string, req service.Request) ([]failover.Result, error) {
 	svcs := c.registry.Category(category)
 	if len(svcs) == 0 {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownCategory, category)
+		return nil, fmt.Errorf("%w: %s", errUnknownCategory, category)
 	}
 	var io invokeOpts
 	wrapped := make([]service.Service, len(svcs))

@@ -73,8 +73,8 @@ func TestInvokeCategoryAsync(t *testing.T) {
 	}
 	// Unknown category surfaces through the future.
 	fut = c.InvokeCategoryAsync(context.Background(), "ghost", service.Request{})
-	if _, err := fut.Get(); !errors.Is(err, ErrUnknownCategory) {
-		t.Errorf("error = %v, want ErrUnknownCategory", err)
+	if _, err := fut.Get(); !errors.Is(err, errUnknownCategory) {
+		t.Errorf("error = %v, want errUnknownCategory", err)
 	}
 }
 
@@ -261,7 +261,7 @@ func TestPerCallRetryOverride(t *testing.T) {
 	}
 	// ...but a per-call override of 5 attempts succeeds.
 	atomic.StoreInt32(&n, 0)
-	if _, err := c.Invoke(context.Background(), "f", service.Request{}, Retry(failoverPolicy(5))); err != nil {
+	if _, err := c.Invoke(context.Background(), "f", service.Request{}, retryPolicy(failoverPolicy(5))); err != nil {
 		t.Errorf("override retry failed: %v", err)
 	}
 }

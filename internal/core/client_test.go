@@ -41,8 +41,8 @@ func countingService(name, category string, fail *atomic.Bool) (service.Service,
 func TestInvokeUnknownService(t *testing.T) {
 	c := newClient(t, Config{})
 	_, err := c.Invoke(context.Background(), "nope", service.Request{})
-	if !errors.Is(err, ErrUnknownService) {
-		t.Errorf("error = %v, want ErrUnknownService", err)
+	if !errors.Is(err, errUnknownService) {
+		t.Errorf("error = %v, want errUnknownService", err)
 	}
 }
 
@@ -246,7 +246,7 @@ func TestClientQuotaBlocksWithoutInvoking(t *testing.T) {
 	c := newClient(t, Config{})
 	svc, calls := countingService("lim", "nlu", nil)
 	q := service.NewQuota(2, time.Hour, nil)
-	if err := c.Register(svc, WithClientQuota(q)); err != nil {
+	if err := c.Register(svc, withClientQuota(q)); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
@@ -255,8 +255,8 @@ func TestClientQuotaBlocksWithoutInvoking(t *testing.T) {
 		}
 	}
 	_, err := c.Invoke(context.Background(), "lim", service.Request{})
-	if !errors.Is(err, ErrClientQuota) {
-		t.Errorf("error = %v, want ErrClientQuota", err)
+	if !errors.Is(err, errClientQuota) {
+		t.Errorf("error = %v, want errClientQuota", err)
 	}
 	if *calls != 2 {
 		t.Errorf("service called %d times, want 2 (third blocked client-side)", *calls)
@@ -350,8 +350,8 @@ func TestInvokeCategoryFailsOver(t *testing.T) {
 func TestInvokeCategoryUnknown(t *testing.T) {
 	c := newClient(t, Config{})
 	_, _, err := c.InvokeCategory(context.Background(), "ghost", service.Request{})
-	if !errors.Is(err, ErrUnknownCategory) {
-		t.Errorf("error = %v, want ErrUnknownCategory", err)
+	if !errors.Is(err, errUnknownCategory) {
+		t.Errorf("error = %v, want errUnknownCategory", err)
 	}
 }
 
@@ -408,8 +408,8 @@ func TestPredictLatencyFromHistory(t *testing.T) {
 
 func TestPredictLatencyUnknownService(t *testing.T) {
 	c := newClient(t, Config{})
-	if _, err := c.PredictLatency("nope", nil); !errors.Is(err, ErrUnknownService) {
-		t.Errorf("error = %v, want ErrUnknownService", err)
+	if _, err := c.PredictLatency("nope", nil); !errors.Is(err, errUnknownService) {
+		t.Errorf("error = %v, want errUnknownService", err)
 	}
 }
 

@@ -100,18 +100,18 @@ func (a *API) writeErr(w http.ResponseWriter, status int, err error) {
 
 func errStatus(err error) int {
 	switch {
-	case errors.Is(err, ErrUnknownService), errors.Is(err, ErrUnknownCategory):
+	case errors.Is(err, errUnknownService), errors.Is(err, errUnknownCategory):
 		return http.StatusNotFound
 	case errors.Is(err, service.ErrBadRequest):
 		return http.StatusBadRequest
-	// ErrShed also maps to 429: like a quota rejection it means "back
+	// errShed also maps to 429: like a quota rejection it means "back
 	// off and retry later", and it must stay cheap — a shed response is
 	// the facade's pressure-relief valve under saturation.
-	case errors.Is(err, ErrClientQuota), errors.Is(err, service.ErrQuotaExceeded), errors.Is(err, ErrShed):
+	case errors.Is(err, errClientQuota), errors.Is(err, service.ErrQuotaExceeded), errors.Is(err, errShed):
 		return http.StatusTooManyRequests
-	// ErrDeadline first: a deadline-bounded hang usually also wraps the
+	// errDeadline first: a deadline-bounded hang usually also wraps the
 	// service's unavailability, and the timeout is the sharper diagnosis.
-	case errors.Is(err, ErrDeadline):
+	case errors.Is(err, errDeadline):
 		return http.StatusGatewayTimeout
 	case errors.Is(err, ErrBreakerOpen), errors.Is(err, service.ErrUnavailable):
 		return http.StatusServiceUnavailable

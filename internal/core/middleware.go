@@ -29,11 +29,11 @@ type Invoker func(ctx context.Context, call *Call) (service.Response, error)
 // recorded on call (Attempts, Elapsed).
 type Middleware func(next Invoker) Invoker
 
-// Compose wraps base with mw, first element outermost, and returns the
+// compose wraps base with mw, first element outermost, and returns the
 // resulting Invoker:
 //
-//	Compose(t, a, b)(ctx, call) == a(b(t))(ctx, call)
-func Compose(base Invoker, mw ...Middleware) Invoker {
+//	compose(t, a, b)(ctx, call) == a(b(t))(ctx, call)
+func compose(base Invoker, mw ...Middleware) Invoker {
 	for i := len(mw) - 1; i >= 0; i-- {
 		base = mw[i](base)
 	}
@@ -55,17 +55,17 @@ type Call struct {
 	// NoCache bypasses the response cache for this call.
 	NoCache bool
 	// Attempts is the number of transport attempts made, recorded by
-	// RetryStage.
+	// retryStage.
 	Attempts int
 	// Elapsed is the measured transport time including retries and
-	// backoff, recorded by RetryStage.
+	// backoff, recorded by retryStage.
 	Elapsed time.Duration
 
 	reg           *registration
-	retryOverride *failover.RetryPolicy // Retry invoke option, else reg.policy
+	retryOverride *failover.RetryPolicy // retryPolicy invoke option, else reg.policy
 	params        []float64
 
-	// span is the innermost open trace span for this call. TraceStage sets
+	// span is the innermost open trace span for this call. traceStage sets
 	// the root; each built-in stage swaps in its child around next so inner
 	// stages nest correctly. The zero Span (tracing disabled or the trace
 	// unsampled) is inert, so stages never need to test it.

@@ -27,7 +27,7 @@ func TestComposeOrder(t *testing.T) {
 		order = append(order, "base")
 		return service.Response{}, nil
 	})
-	inv := Compose(base, tagMW(&order, "a"), tagMW(&order, "b"))
+	inv := compose(base, tagMW(&order, "a"), tagMW(&order, "b"))
 	if _, err := inv(context.Background(), &Call{}); err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestComposeEmptyIsBase(t *testing.T) {
 		called = true
 		return service.Response{}, nil
 	})
-	if _, err := Compose(base)(context.Background(), &Call{}); err != nil || !called {
+	if _, err := compose(base)(context.Background(), &Call{}); err != nil || !called {
 		t.Fatalf("called = %v, err = %v", called, err)
 	}
 }
@@ -84,7 +84,7 @@ func TestRegistrationMiddlewareIsPerService(t *testing.T) {
 	c := newClient(t, Config{})
 	s1, _ := countingService("s1", "nlu", nil)
 	s2, _ := countingService("s2", "nlu", nil)
-	c.MustRegister(s1, WithMiddleware(countMW(&seen)))
+	c.MustRegister(s1, withMiddleware(countMW(&seen)))
 	c.MustRegister(s2)
 	for i := 0; i < 2; i++ {
 		if _, err := c.Invoke(context.Background(), "s1", service.Request{Text: "x"}); err != nil {
@@ -105,7 +105,7 @@ func TestInvokeMiddlewareIsPerInvocation(t *testing.T) {
 	svc, _ := countingService("s1", "nlu", nil)
 	c.MustRegister(svc)
 	if _, err := c.Invoke(context.Background(), "s1", service.Request{Text: "x"},
-		WithInvokeMiddleware(countMW(&seen))); err != nil {
+		withInvokeMiddleware(countMW(&seen))); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Invoke(context.Background(), "s1", service.Request{Text: "x"}); err != nil {
@@ -120,7 +120,7 @@ func TestMiddlewareObservesCacheHits(t *testing.T) {
 	var seen atomic.Int32
 	c := newClient(t, Config{})
 	svc, calls := countingService("cached", "nlu", nil)
-	c.MustRegister(svc, WithCacheable(), WithMiddleware(countMW(&seen)))
+	c.MustRegister(svc, WithCacheable(), withMiddleware(countMW(&seen)))
 	req := service.Request{Op: "analyze", Text: "same"}
 	for i := 0; i < 10; i++ {
 		if _, err := c.Invoke(context.Background(), "cached", req); err != nil {
@@ -143,7 +143,7 @@ func TestMiddlewareShortCircuitSkipsEverything(t *testing.T) {
 			return service.Response{Body: []byte("canned")}, nil
 		}
 	})
-	c.MustRegister(svc, WithMiddleware(canned))
+	c.MustRegister(svc, withMiddleware(canned))
 	resp, err := c.Invoke(context.Background(), "s1", service.Request{Text: "x"})
 	if err != nil || string(resp.Body) != "canned" {
 		t.Fatalf("resp = %q, err = %v", resp.Body, err)
@@ -166,7 +166,7 @@ func TestMiddlewareErrorPropagates(t *testing.T) {
 		}
 	})
 	c.MustRegister(svc)
-	_, err := c.Invoke(context.Background(), "s1", service.Request{Text: "x"}, WithInvokeMiddleware(reject))
+	_, err := c.Invoke(context.Background(), "s1", service.Request{Text: "x"}, withInvokeMiddleware(reject))
 	if !errors.Is(err, boom) {
 		t.Errorf("err = %v, want the middleware's error", err)
 	}
@@ -179,7 +179,7 @@ func TestLatencyParamsComputedLazilyAndOnce(t *testing.T) {
 	var extracted atomic.Int32
 	c := newClient(t, Config{})
 	svc, _ := countingService("cached", "nlu", nil)
-	c.MustRegister(svc, WithCacheable(), WithLatencyParams(func(req service.Request) []float64 {
+	c.MustRegister(svc, WithCacheable(), withLatencyParams(func(req service.Request) []float64 {
 		extracted.Add(1)
 		return []float64{float64(req.ArgSize())}
 	}))
@@ -202,7 +202,7 @@ func TestInvokeCategoryAppliesInvokeMiddleware(t *testing.T) {
 	s1, _ := countingService("s1", "nlu", nil)
 	c.MustRegister(s1)
 	_, _, err := c.InvokeCategory(context.Background(), "nlu", service.Request{Text: "x"},
-		WithInvokeMiddleware(countMW(&seen)))
+		withInvokeMiddleware(countMW(&seen)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,7 +51,7 @@ func newFacadeCacheHit(tb testing.TB, tr *trace.Tracer) func() error {
 // even two timestamp reads register as whole percents — which is why the
 // enforced budget is end-to-end, not on the bare client. The "disabled"
 // variant registers a tracer with sample rate 0: the client omits the
-// TraceStage entirely, so it must match "untraced" within noise.
+// traceStage entirely, so it must match "untraced" within noise.
 func BenchmarkTraceOverhead(b *testing.B) {
 	req := service.Request{Op: "analyze", Text: benchDoc}
 	clientBench := func(tr *trace.Tracer) func(*testing.B) {

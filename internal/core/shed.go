@@ -13,14 +13,14 @@ import (
 	"repro/internal/service"
 )
 
-// ErrShed is returned when the adaptive admission controller refuses a
+// errShed is returned when the adaptive admission controller refuses a
 // call: the client is over its concurrency limit and taking more work
 // would push admitted requests past the latency target. The HTTP facade
 // maps it to 429, the fast "try again later" that keeps an overloaded
 // facade responsive instead of letting every caller queue into collapse.
-var ErrShed = errors.New("core: overloaded, call shed")
+var errShed = errors.New("core: overloaded, call shed")
 
-// ShedConfig configures the adaptive admission-control stage (ShedStage).
+// ShedConfig configures the adaptive admission-control stage (shedStage).
 // The controller is an AIMD loop on a concurrency limit: admitted-call
 // latency above TargetP99 multiplies the limit down; a healthy window with
 // demand pressure (rejections, or high utilization) grows it back
@@ -63,7 +63,7 @@ func (c *ShedConfig) fill() {
 	}
 }
 
-// Shedder is the adaptive admission controller behind ShedStage. The
+// Shedder is the adaptive admission controller behind shedStage. The
 // admit/release fast path is a pair of atomics; only the periodic
 // adaptation (once per Window) takes a lock. It is safe for concurrent
 // use.
@@ -85,9 +85,9 @@ type Shedder struct {
 	prevRejected uint64
 }
 
-// NewShedder returns a controller with the limit opened to MaxInFlight.
+// newShedder returns a controller with the limit opened to MaxInFlight.
 // A nil clk uses the real clock.
-func NewShedder(cfg ShedConfig, clk clock.Clock) *Shedder {
+func newShedder(cfg ShedConfig, clk clock.Clock) *Shedder {
 	cfg.fill()
 	if clk == nil {
 		clk = clock.Real()
@@ -221,20 +221,20 @@ func (s *Shedder) Rejected() uint64 { return s.rejected.Load() }
 // distribution, for /metrics exposition and experiment reporting.
 func (s *Shedder) LatencySnapshot() metrics.HistSnapshot { return s.hist.Snapshot() }
 
-// ShedStage is the adaptive load-shedding stage. It sits after the
+// shedStage is the adaptive load-shedding stage. It sits after the
 // breaker on purpose: breaker-open fast-fails never enter the admission
 // window, so their microsecond latencies cannot drag the windowed p99
 // down and crank the limit back open during an outage (and a shed call
 // never counts as a breaker failure). Rejected calls fail fast with
-// ErrShed; admitted calls are timed on the shedder's clock and their
+// errShed; admitted calls are timed on the shedder's clock and their
 // latency drives the AIMD loop.
-func ShedStage(s *Shedder) Middleware {
+func shedStage(s *Shedder) Middleware {
 	return func(next Invoker) Invoker {
 		return func(ctx context.Context, call *Call) (service.Response, error) {
 			parent := call.span
 			sp := parent.Child("shed")
 			if !s.TryAcquire() {
-				err := fmt.Errorf("%w: %s (inflight limit %d)", ErrShed, call.reg.name, s.Limit())
+				err := fmt.Errorf("%w: %s (inflight limit %d)", errShed, call.reg.name, s.Limit())
 				sp.SetAttr("shed", "rejected")
 				sp.SetError(err)
 				sp.End()

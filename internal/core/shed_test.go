@@ -13,7 +13,7 @@ import (
 )
 
 func TestShedderAdmitsUnderLimit(t *testing.T) {
-	s := NewShedder(ShedConfig{TargetP99: 10 * time.Millisecond, MaxInFlight: 2, MinInFlight: 1}, nil)
+	s := newShedder(ShedConfig{TargetP99: 10 * time.Millisecond, MaxInFlight: 2, MinInFlight: 1}, nil)
 	if !s.TryAcquire() || !s.TryAcquire() {
 		t.Fatal("first two acquires should be admitted")
 	}
@@ -31,7 +31,7 @@ func TestShedderAdmitsUnderLimit(t *testing.T) {
 
 func TestShedderAIMDDecreasesOverTarget(t *testing.T) {
 	clk := clock.NewVirtual(time.Unix(0, 0))
-	s := NewShedder(ShedConfig{
+	s := newShedder(ShedConfig{
 		TargetP99:   5 * time.Millisecond,
 		MaxInFlight: 64, MinInFlight: 2,
 		Window: 10 * time.Millisecond, DecreaseFactor: 0.5,
@@ -67,7 +67,7 @@ func TestShedderAIMDDecreasesOverTarget(t *testing.T) {
 
 func TestShedderRecoversAfterPressure(t *testing.T) {
 	clk := clock.NewVirtual(time.Unix(0, 0))
-	s := NewShedder(ShedConfig{
+	s := newShedder(ShedConfig{
 		TargetP99:   5 * time.Millisecond,
 		MaxInFlight: 64, MinInFlight: 2,
 		Window: 10 * time.Millisecond, DecreaseFactor: 0.5,
@@ -104,7 +104,7 @@ func TestShedderRecoversAfterPressure(t *testing.T) {
 }
 
 func TestShedderConcurrentInvariant(t *testing.T) {
-	s := NewShedder(ShedConfig{TargetP99: time.Millisecond, MaxInFlight: 8, MinInFlight: 8}, nil)
+	s := newShedder(ShedConfig{TargetP99: time.Millisecond, MaxInFlight: 8, MinInFlight: 8}, nil)
 	var peak atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < 64; g++ {
@@ -154,8 +154,8 @@ func TestShedStageRejectsWithErrShed(t *testing.T) {
 	<-started
 	// The single slot is held: the second call must shed fast.
 	_, err := c.Invoke(context.Background(), "slow", service.Request{})
-	if !errors.Is(err, ErrShed) {
-		t.Fatalf("second call err = %v, want ErrShed", err)
+	if !errors.Is(err, errShed) {
+		t.Fatalf("second call err = %v, want errShed", err)
 	}
 	close(block)
 	if err := <-done; err != nil {

@@ -19,18 +19,18 @@ import (
 // The built-in stages, in the order the Client composes them (outermost
 // first):
 //
-//	TraceStage    — root span per invocation (only when Config.Tracer is set)
-//	CacheStage    — response cache + single-flight de-duplication
-//	BreakerStage  — circuit breaker (only when Config.Breaker enables it)
-//	ShedStage     — adaptive admission control (only when Config.Shed
+//	traceStage    — root span per invocation (only when Config.Tracer is set)
+//	cacheStage    — response cache + single-flight de-duplication
+//	breakerStage  — circuit breaker (only when Config.Breaker enables it)
+//	shedStage     — adaptive admission control (only when Config.Shed
 //	                enables it; after the breaker so open-circuit
 //	                fast-fails stay out of the admission window)
-//	QuotaStage    — client-side quota enforcement
-//	DeadlineStage — predicted-latency deadline (only when Config.Deadline
+//	quotaStage    — client-side quota enforcement
+//	deadlineStage — predicted-latency deadline (only when Config.Deadline
 //	                enables it)
-//	MonitorStage  — latency/availability observation + quality rating
-//	PredictStage  — latency-parameter observation
-//	RetryStage    — per-service retries (failover.InvokeFunc)
+//	monitorStage  — latency/availability observation + quality rating
+//	predictStage  — latency-parameter observation
+//	retryStage    — per-service retries (failover.InvokeFunc)
 //
 // Every stage on a traced call opens a child span around the rest of the
 // chain and annotates its decision (cache hit/miss, breaker state, quota
@@ -40,24 +40,24 @@ import (
 // nesting correct without any context allocation on the hot path; the zero
 // Span makes all of it inert when tracing is off or the trace unsampled.
 //
-// Client-wide (Config.Middleware), per-registration (WithMiddleware), and
-// per-invocation (WithInvokeMiddleware) middleware wrap outside the whole
+// Client-wide (Config.Middleware), per-registration (withMiddleware), and
+// per-invocation (withInvokeMiddleware) middleware wrap outside the whole
 // stack, so custom stages observe every call including cache hits. Each
 // stage is independently constructible and testable; a Client is just one
 // particular composition.
 
-// ErrDeadline is returned when DeadlineStage's predicted-latency deadline
+// errDeadline is returned when deadlineStage's predicted-latency deadline
 // expires before the service responds. The circuit breaker counts it as a
 // transient failure: a too-slow service is treated like an unavailable one.
-var ErrDeadline = errors.New("core: predicted-latency deadline exceeded")
+var errDeadline = errors.New("core: predicted-latency deadline exceeded")
 
-// TraceStage opens the root span for each invocation, named for the
+// traceStage opens the root span for each invocation, named for the
 // registration ("invoke <service>") and joined to any span already in ctx
 // (an HTTP request span, a pipeline item span). It is composed outermost
 // when Config.Tracer is set, so the span covers custom middleware too and
 // Call.Span lets them annotate it. Unsampled invocations carry the zero
 // Span and cost nothing downstream.
-func TraceStage(tr *trace.Tracer) Middleware {
+func traceStage(tr *trace.Tracer) Middleware {
 	return func(next Invoker) Invoker {
 		return func(ctx context.Context, call *Call) (service.Response, error) {
 			sp := tr.StartSpan(ctx, call.reg.spanName)
@@ -77,7 +77,7 @@ func TraceStage(tr *trace.Tracer) Middleware {
 	}
 }
 
-// CacheStage serves cacheable calls from the client's sharded LRU,
+// cacheStage serves cacheable calls from the client's sharded LRU,
 // de-duplicating concurrent misses for the same key through flight so one
 // backend call feeds every waiter (paper §2: caching avoids redundant
 // service calls). Calls that are not cacheable, or carry NoCache, pass
@@ -86,7 +86,7 @@ func TraceStage(tr *trace.Tracer) Middleware {
 // flight returns ctx.Err() immediately instead of waiting out the leader.
 // A miss fills through cache.Fill, so a response whose backend call an
 // InvalidateCache overtook answers its callers but is not cached.
-func CacheStage(mem *cache.Sharded[service.Response], flight *cache.Group[service.Response]) Middleware {
+func cacheStage(mem *cache.Sharded[service.Response], flight *cache.Group[service.Response]) Middleware {
 	return func(next Invoker) Invoker {
 		return func(ctx context.Context, call *Call) (service.Response, error) {
 			if !call.reg.cacheable || call.NoCache {
@@ -116,10 +116,10 @@ func CacheStage(mem *cache.Sharded[service.Response], flight *cache.Group[servic
 	}
 }
 
-// QuotaStage refuses calls beyond the registration's client-side quota
+// quotaStage refuses calls beyond the registration's client-side quota
 // without invoking the service, preserving a limited allowance (paper
 // §2.2). Calls without a quota pass through.
-func QuotaStage() Middleware {
+func quotaStage() Middleware {
 	return func(next Invoker) Invoker {
 		return func(ctx context.Context, call *Call) (service.Response, error) {
 			parent := call.span
@@ -129,7 +129,7 @@ func QuotaStage() Middleware {
 			case q == nil:
 				sp.SetAttr("quota", "none")
 			case !q.Take():
-				err := fmt.Errorf("%w: %s", ErrClientQuota, call.reg.name)
+				err := fmt.Errorf("%w: %s", errClientQuota, call.reg.name)
 				sp.SetAttr("quota", "rejected")
 				sp.SetError(err)
 				sp.End()
@@ -146,12 +146,12 @@ func QuotaStage() Middleware {
 	}
 }
 
-// BreakerStage consults the service's circuit breaker before the call and
+// breakerStage consults the service's circuit breaker before the call and
 // records the outcome after: consecutive transient failures trip the
 // breaker, which then rejects calls with ErrBreakerOpen until its cooldown
 // admits a probe. Client.Rank demotes tripped services, feeding observed
 // availability back into selection.
-func BreakerStage(set *BreakerSet) Middleware {
+func breakerStage(set *BreakerSet) Middleware {
 	return func(next Invoker) Invoker {
 		return func(ctx context.Context, call *Call) (service.Response, error) {
 			parent := call.span
@@ -177,7 +177,7 @@ func BreakerStage(set *BreakerSet) Middleware {
 	}
 }
 
-// DeadlineConfig configures DeadlineStage.
+// DeadlineConfig configures deadlineStage.
 type DeadlineConfig struct {
 	// Factor multiplies the predicted latency to produce the call's
 	// deadline. Zero disables the stage.
@@ -195,14 +195,14 @@ func (c *DeadlineConfig) fill() {
 	}
 }
 
-// DeadlineStage bounds each call at Factor × the service's predicted
+// deadlineStage bounds each call at Factor × the service's predicted
 // latency (clamped to [Floor, Cap]), derived from the same parameterized
 // prediction that drives ranking (paper §2). Services with no prediction
 // yet run unbounded. When the stage's own deadline — not the caller's —
-// expires, the error wraps ErrDeadline so the breaker treats the service as
+// expires, the error wraps errDeadline so the breaker treats the service as
 // unavailable. The deadline runs on real time (context machinery); virtual-
 // clock simulations should leave the stage disabled.
-func DeadlineStage(predictLatency func(name string, params []float64) (time.Duration, error), cfg DeadlineConfig) Middleware {
+func deadlineStage(predictLatency func(name string, params []float64) (time.Duration, error), cfg DeadlineConfig) Middleware {
 	cfg.fill()
 	return func(next Invoker) Invoker {
 		return func(ctx context.Context, call *Call) (service.Response, error) {
@@ -232,7 +232,7 @@ func DeadlineStage(predictLatency func(name string, params []float64) (time.Dura
 			resp, err := next(dctx, call)
 			call.span = parent
 			if err != nil && errors.Is(dctx.Err(), context.DeadlineExceeded) && ctx.Err() == nil {
-				err = fmt.Errorf("%w: %s after %v: %w", ErrDeadline, call.reg.name, d, err)
+				err = fmt.Errorf("%w: %s after %v: %w", errDeadline, call.reg.name, d, err)
 				sp.SetError(err)
 			}
 			sp.End()
@@ -241,12 +241,12 @@ func DeadlineStage(predictLatency func(name string, params []float64) (time.Dura
 	}
 }
 
-// MonitorStage records every call that reaches the service — latency,
+// monitorStage records every call that reaches the service — latency,
 // availability, attempts — into the service's monitor, and rates successful
 // responses with the registration's quality function (paper §2: monitoring
 // and data collection, service quality evaluation). Latency parameters go
-// to PredictStage alone.
-func MonitorStage(monitors *metrics.Registry) Middleware {
+// to predictStage alone.
+func monitorStage(monitors *metrics.Registry) Middleware {
 	return func(next Invoker) Invoker {
 		return func(ctx context.Context, call *Call) (service.Response, error) {
 			parent := call.span
@@ -273,10 +273,10 @@ func MonitorStage(monitors *metrics.Registry) Middleware {
 	}
 }
 
-// PredictStage feeds successful calls' (latency parameters, latency) pairs
+// predictStage feeds successful calls' (latency parameters, latency) pairs
 // into the service's latency predictor (paper §2: predicting latency from
 // latency parameters).
-func PredictStage(set *PredictorSet) Middleware {
+func predictStage(set *predictorSet) Middleware {
 	return func(next Invoker) Invoker {
 		return func(ctx context.Context, call *Call) (service.Response, error) {
 			parent := call.span
@@ -293,11 +293,11 @@ func PredictStage(set *PredictorSet) Middleware {
 	}
 }
 
-// RetryStage applies the call's retry policy to the rest of the chain
+// retryStage applies the call's retry policy to the rest of the chain
 // (paper §2.1: retrying unresponsive services a per-service number of
 // times), recording the attempt count and total elapsed time — including
 // backoff — on the call for the observation stages outside it.
-func RetryStage(clk clock.Clock) Middleware {
+func retryStage(clk clock.Clock) Middleware {
 	return func(next Invoker) Invoker {
 		return func(ctx context.Context, call *Call) (service.Response, error) {
 			parent := call.span
@@ -332,24 +332,24 @@ func RetryStage(clk clock.Clock) Middleware {
 	}
 }
 
-// PredictorSet owns the per-service latency predictors of one Client.
+// predictorSet owns the per-service latency predictors of one Client.
 // predict.Predictor is not itself safe for concurrent use, so every Observe
 // and Predict runs under the set's lock. It is safe for concurrent use.
-type PredictorSet struct {
+type predictorSet struct {
 	cfg predict.Config
 
 	mu sync.Mutex
 	m  map[string]*predict.Predictor
 }
 
-// NewPredictorSet returns an empty set producing predictors from cfg.
-func NewPredictorSet(cfg predict.Config) *PredictorSet {
-	return &PredictorSet{cfg: cfg, m: make(map[string]*predict.Predictor)}
+// newPredictorSet returns an empty set producing predictors from cfg.
+func newPredictorSet(cfg predict.Config) *predictorSet {
+	return &predictorSet{cfg: cfg, m: make(map[string]*predict.Predictor)}
 }
 
 // predictor returns the named service's predictor, creating and registering
 // it on first use so no observation is ever dropped. Callers must hold mu.
-func (s *PredictorSet) predictor(name string) *predict.Predictor {
+func (s *predictorSet) predictor(name string) *predict.Predictor {
 	p := s.m[name]
 	if p == nil {
 		p = predict.New(s.cfg)
@@ -360,7 +360,7 @@ func (s *PredictorSet) predictor(name string) *predict.Predictor {
 
 // Observe records that an invocation of name with the given latency
 // parameters took lat.
-func (s *PredictorSet) Observe(name string, params []float64, lat time.Duration) {
+func (s *predictorSet) Observe(name string, params []float64, lat time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.predictor(name).Observe(params, lat)
@@ -369,7 +369,7 @@ func (s *PredictorSet) Observe(name string, params []float64, lat time.Duration)
 // Predict estimates the latency of invoking name with the given parameters;
 // peersMS carries mean latencies of similar services for the peer fallback
 // policies.
-func (s *PredictorSet) Predict(name string, params, peersMS []float64) (time.Duration, error) {
+func (s *predictorSet) Predict(name string, params, peersMS []float64) (time.Duration, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.predictor(name).Predict(params, peersMS)

@@ -25,7 +25,7 @@ func fixed(resp service.Response, err error, calls *int) Invoker {
 	}
 }
 
-// cacheableReg builds the minimal registration a CacheStage test call
+// cacheableReg builds the minimal registration a cacheStage test call
 // needs: a name, the cacheable flag, and the precomputed key prefix that
 // Register would normally derive.
 func cacheableReg(name string) *registration {
@@ -34,14 +34,14 @@ func cacheableReg(name string) *registration {
 
 func TestQuotaStageRefusesWithoutInvoking(t *testing.T) {
 	var calls int
-	inv := Compose(fixed(service.Response{Body: []byte("ok")}, nil, &calls), QuotaStage())
+	inv := compose(fixed(service.Response{Body: []byte("ok")}, nil, &calls), quotaStage())
 	call := &Call{reg: &registration{name: "q", quota: service.NewQuota(1, time.Hour, nil)}}
 	if _, err := inv(context.Background(), call); err != nil {
 		t.Fatal(err)
 	}
 	_, err := inv(context.Background(), call)
-	if !errors.Is(err, ErrClientQuota) {
-		t.Errorf("err = %v, want ErrClientQuota", err)
+	if !errors.Is(err, errClientQuota) {
+		t.Errorf("err = %v, want errClientQuota", err)
 	}
 	if calls != 1 {
 		t.Errorf("inner calls = %d, want 1 (quota must refuse before invoking)", calls)
@@ -50,7 +50,7 @@ func TestQuotaStageRefusesWithoutInvoking(t *testing.T) {
 
 func TestQuotaStagePassThroughWithoutQuota(t *testing.T) {
 	var calls int
-	inv := Compose(fixed(service.Response{}, nil, &calls), QuotaStage())
+	inv := compose(fixed(service.Response{}, nil, &calls), quotaStage())
 	for i := 0; i < 3; i++ {
 		if _, err := inv(context.Background(), &Call{reg: &registration{name: "q"}}); err != nil {
 			t.Fatal(err)
@@ -65,7 +65,7 @@ func TestCacheStageServesHitsAndRespectsNoCache(t *testing.T) {
 	mem := cache.NewSharded[service.Response](16)
 	flight := cache.NewGroup[service.Response]()
 	var calls int
-	inv := Compose(fixed(service.Response{Body: []byte("v")}, nil, &calls), CacheStage(mem, flight))
+	inv := compose(fixed(service.Response{Body: []byte("v")}, nil, &calls), cacheStage(mem, flight))
 	req := service.Request{Op: "x", Text: "t"}
 
 	for i := 0; i < 5; i++ {
@@ -94,7 +94,7 @@ func TestCacheStageKeysAreServiceScoped(t *testing.T) {
 	mem := cache.NewSharded[service.Response](16)
 	flight := cache.NewGroup[service.Response]()
 	var calls int
-	inv := Compose(fixed(service.Response{}, nil, &calls), CacheStage(mem, flight))
+	inv := compose(fixed(service.Response{}, nil, &calls), cacheStage(mem, flight))
 	req := service.Request{Op: "x", Text: "t"}
 	for _, name := range []string{"a", "b"} {
 		if _, err := inv(context.Background(), &Call{reg: cacheableReg(name), Req: req}); err != nil {
@@ -116,7 +116,7 @@ func TestRetryStageRecordsAttemptsAndBackoffElapsed(t *testing.T) {
 		}
 		return service.Response{Body: []byte("ok")}, nil
 	})
-	inv := Compose(flaky, RetryStage(clk))
+	inv := compose(flaky, retryStage(clk))
 	call := &Call{reg: &registration{name: "s", policy: failover.RetryPolicy{MaxAttempts: 3, Backoff: 10 * time.Millisecond}}}
 
 	done := make(chan error, 1)
@@ -145,13 +145,13 @@ func TestRetryStageRecordsAttemptsAndBackoffElapsed(t *testing.T) {
 func TestMonitorStageRecordsOutcomeAndQuality(t *testing.T) {
 	reg := metrics.NewRegistry()
 	var calls int
-	okInv := Compose(fixed(service.Response{Body: []byte("ok")}, nil, &calls), MonitorStage(reg))
+	okInv := compose(fixed(service.Response{Body: []byte("ok")}, nil, &calls), monitorStage(reg))
 	call := &Call{
 		reg: &registration{
 			name:    "m",
 			quality: func(service.Request, service.Response) float64 { return 0.75 },
 		},
-		Elapsed:  5 * time.Millisecond, // as RetryStage would have recorded
+		Elapsed:  5 * time.Millisecond, // as retryStage would have recorded
 		Attempts: 3,
 	}
 	if _, err := okInv(context.Background(), call); err != nil {
@@ -168,7 +168,7 @@ func TestMonitorStageRecordsOutcomeAndQuality(t *testing.T) {
 		t.Errorf("quality = %v/%d, want 0.75/1", snap.MeanQuality, snap.QualityCount)
 	}
 
-	failInv := Compose(fixed(service.Response{}, fmt.Errorf("down: %w", service.ErrUnavailable), &calls), MonitorStage(reg))
+	failInv := compose(fixed(service.Response{}, fmt.Errorf("down: %w", service.ErrUnavailable), &calls), monitorStage(reg))
 	if _, err := failInv(context.Background(), &Call{reg: &registration{name: "m"}, Attempts: 1}); err == nil {
 		t.Fatal("want error")
 	}
@@ -182,17 +182,17 @@ func TestMonitorStageRecordsOutcomeAndQuality(t *testing.T) {
 }
 
 func TestPredictStageObservesSuccessesOnly(t *testing.T) {
-	set := NewPredictorSet(predict.Config{MinObservations: 1})
+	set := newPredictorSet(predict.Config{MinObservations: 1})
 	var calls int
 	params := func(service.Request) []float64 { return []float64{42} }
 
-	failInv := Compose(fixed(service.Response{}, fmt.Errorf("down: %w", service.ErrUnavailable), &calls), PredictStage(set))
+	failInv := compose(fixed(service.Response{}, fmt.Errorf("down: %w", service.ErrUnavailable), &calls), predictStage(set))
 	_, _ = failInv(context.Background(), &Call{reg: &registration{name: "p", params: params}})
 	if _, err := set.Predict("p", []float64{42}, nil); !errors.Is(err, predict.ErrNoData) {
 		t.Errorf("err = %v, want ErrNoData (failures must not be observed)", err)
 	}
 
-	okInv := Compose(fixed(service.Response{}, nil, &calls), PredictStage(set))
+	okInv := compose(fixed(service.Response{}, nil, &calls), predictStage(set))
 	call := &Call{reg: &registration{name: "p", params: params}, Elapsed: 7 * time.Millisecond}
 	if _, err := okInv(context.Background(), call); err != nil {
 		t.Fatal(err)
@@ -221,11 +221,11 @@ func TestDeadlineStageBoundsSlowCalls(t *testing.T) {
 	predictFn := func(name string, params []float64) (time.Duration, error) {
 		return 10 * time.Millisecond, nil
 	}
-	inv := Compose(hangingInvoker(), DeadlineStage(predictFn, DeadlineConfig{Factor: 2, Floor: time.Millisecond}))
+	inv := compose(hangingInvoker(), deadlineStage(predictFn, DeadlineConfig{Factor: 2, Floor: time.Millisecond}))
 	start := time.Now()
 	_, err := inv(context.Background(), &Call{reg: &registration{name: "slow"}})
-	if !errors.Is(err, ErrDeadline) {
-		t.Fatalf("err = %v, want ErrDeadline", err)
+	if !errors.Is(err, errDeadline) {
+		t.Fatalf("err = %v, want errDeadline", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("call took %v, deadline did not bound it", elapsed)
@@ -237,7 +237,7 @@ func TestDeadlineStagePassesThroughWithoutPrediction(t *testing.T) {
 		return 0, predict.ErrNoData
 	}
 	var calls int
-	inv := Compose(fixed(service.Response{Body: []byte("ok")}, nil, &calls), DeadlineStage(predictFn, DeadlineConfig{Factor: 2}))
+	inv := compose(fixed(service.Response{Body: []byte("ok")}, nil, &calls), deadlineStage(predictFn, DeadlineConfig{Factor: 2}))
 	resp, err := inv(context.Background(), &Call{reg: &registration{name: "s"}})
 	if err != nil || string(resp.Body) != "ok" {
 		t.Fatalf("resp = %q, err = %v", resp.Body, err)
@@ -248,7 +248,7 @@ func TestDeadlineStageDoesNotMaskCallerCancellation(t *testing.T) {
 	predictFn := func(name string, params []float64) (time.Duration, error) {
 		return time.Hour, nil // stage deadline far away
 	}
-	inv := Compose(hangingInvoker(), DeadlineStage(predictFn, DeadlineConfig{Factor: 1}))
+	inv := compose(hangingInvoker(), deadlineStage(predictFn, DeadlineConfig{Factor: 1}))
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(5 * time.Millisecond)
@@ -258,7 +258,7 @@ func TestDeadlineStageDoesNotMaskCallerCancellation(t *testing.T) {
 	if err == nil {
 		t.Fatal("want error")
 	}
-	if errors.Is(err, ErrDeadline) {
+	if errors.Is(err, errDeadline) {
 		t.Errorf("err = %v; caller cancellation must not be reported as the stage's deadline", err)
 	}
 }
@@ -268,11 +268,11 @@ func TestDeadlineStageHonorsFloorAndCap(t *testing.T) {
 		return time.Hour, nil
 	}
 	// Cap of 15ms bounds the hour-long prediction.
-	inv := Compose(hangingInvoker(), DeadlineStage(predictFn, DeadlineConfig{Factor: 3, Cap: 15 * time.Millisecond}))
+	inv := compose(hangingInvoker(), deadlineStage(predictFn, DeadlineConfig{Factor: 3, Cap: 15 * time.Millisecond}))
 	start := time.Now()
 	_, err := inv(context.Background(), &Call{reg: &registration{name: "s"}})
-	if !errors.Is(err, ErrDeadline) {
-		t.Fatalf("err = %v, want ErrDeadline", err)
+	if !errors.Is(err, errDeadline) {
+		t.Fatalf("err = %v, want errDeadline", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("call took %v, cap did not bound it", elapsed)
@@ -281,7 +281,7 @@ func TestDeadlineStageHonorsFloorAndCap(t *testing.T) {
 
 // TestClientDeadlineEndToEnd drives the deadline through the whole client:
 // a service trained fast turns unresponsive, and the predicted-latency
-// deadline converts the hang into ErrDeadline instead of blocking.
+// deadline converts the hang into errDeadline instead of blocking.
 func TestClientDeadlineEndToEnd(t *testing.T) {
 	c := newClient(t, Config{
 		Deadline: DeadlineConfig{Factor: 2, Floor: 30 * time.Millisecond},
@@ -308,8 +308,8 @@ func TestClientDeadlineEndToEnd(t *testing.T) {
 	hang.Store(true)
 	start := time.Now()
 	_, err := c.Invoke(context.Background(), "moody", service.Request{Text: "now hang"})
-	if !errors.Is(err, ErrDeadline) {
-		t.Fatalf("err = %v, want ErrDeadline", err)
+	if !errors.Is(err, errDeadline) {
+		t.Fatalf("err = %v, want errDeadline", err)
 	}
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Errorf("hang lasted %v; deadline should have cut it near the 30ms floor", elapsed)
@@ -317,7 +317,7 @@ func TestClientDeadlineEndToEnd(t *testing.T) {
 }
 
 func TestPredictorSetNeverDropsObservations(t *testing.T) {
-	set := NewPredictorSet(predict.Config{MinObservations: 4})
+	set := newPredictorSet(predict.Config{MinObservations: 4})
 	// Interleave Predict (which used to allocate a throwaway predictor)
 	// with Observe; every observation must land in the same predictor.
 	for i := 0; i < 4; i++ {
@@ -330,7 +330,7 @@ func TestPredictorSetNeverDropsObservations(t *testing.T) {
 }
 
 func TestPredictorSetConcurrentAccess(t *testing.T) {
-	set := NewPredictorSet(predict.Config{MinObservations: 2})
+	set := newPredictorSet(predict.Config{MinObservations: 2})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

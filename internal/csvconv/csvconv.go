@@ -1,18 +1,16 @@
 // Package csvconv implements the personalized knowledge base's format
-// conversions (paper §3): CSV files into relational tables, relational rows
-// into RDF statements (and back), RDF statements into CSV, and rows into
-// key-value records. "The ability to convert data between different formats
-// is a key property of our personalized knowledge base."
+// conversions (paper §3): relational rows into RDF statements, statements
+// into a subject/predicate/object table (and back), and statements into
+// CSV; CSV into tables is rdbms's ImportCSV. "The ability to convert data
+// between different formats is a key property of our personalized
+// knowledge base."
 package csvconv
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
-	"repro/internal/kvstore"
 	"repro/internal/rdbms"
 	"repro/internal/rdf"
 )
@@ -20,7 +18,9 @@ import (
 // TableToStatements converts each table row into RDF statements: the
 // subject is ns + the row's value in subjectCol, and every other column
 // becomes one predicate with the cell value as a literal object. NULL cells
-// produce no statement.
+// produce no statement, and nor does a row whose subject is NULL. A value
+// is written as its column's type renders it, so a table that rdbms
+// ImportCSV typed gives "01" back as 1, "1.50" as 1.5 and "TRUE" as true.
 func TableToStatements(t *rdbms.Table, subjectCol, ns string) ([]rdf.Statement, error) {
 	schema := t.Schema()
 	si := schema.Index(subjectCol)
@@ -92,9 +92,9 @@ func TableToStatementsBack(t *rdbms.Table) ([]rdf.Statement, error) {
 	return out, nil
 }
 
-// CSVToStatements reads CSV with a header row directly into statements,
+// csvToStatements reads CSV with a header row directly into statements,
 // combining ImportCSV and TableToStatements without keeping the table.
-func CSVToStatements(r io.Reader, subjectCol, ns string) ([]rdf.Statement, error) {
+func csvToStatements(r io.Reader, subjectCol, ns string) ([]rdf.Statement, error) {
 	db := rdbms.NewDB()
 	t, err := db.ImportCSV("tmp", r)
 	if err != nil {
@@ -111,89 +111,6 @@ func StatementsToCSV(w io.Writer, stmts []rdf.Statement) error {
 	}
 	for _, s := range stmts {
 		if err := cw.Write([]string{s.S.Value, s.P.Value, s.O.Value}); err != nil {
-			return fmt.Errorf("csvconv: write row: %w", err)
-		}
-	}
-	cw.Flush()
-	if err := cw.Error(); err != nil {
-		return fmt.Errorf("csvconv: flush: %w", err)
-	}
-	return nil
-}
-
-// RowsToKV stores each table row as a JSON object in the key-value store,
-// keyed by keyCol's value. Rows with NULL keys are skipped and counted in
-// skipped.
-func RowsToKV(t *rdbms.Table, keyCol string, store kvstore.Store) (stored, skipped int, err error) {
-	schema := t.Schema()
-	ki := schema.Index(keyCol)
-	if ki < 0 {
-		return 0, 0, fmt.Errorf("csvconv: no key column %q", keyCol)
-	}
-	for _, row := range t.Rows() {
-		if row[ki].Null {
-			skipped++
-			continue
-		}
-		obj := make(map[string]string, len(schema))
-		for ci, col := range schema {
-			if row[ci].Null {
-				continue
-			}
-			obj[col.Name] = row[ci].String()
-		}
-		data, err := json.Marshal(obj)
-		if err != nil {
-			return stored, skipped, fmt.Errorf("csvconv: encode row: %w", err)
-		}
-		if err := store.Put(row[ki].String(), data); err != nil {
-			return stored, skipped, fmt.Errorf("csvconv: store row: %w", err)
-		}
-		stored++
-	}
-	return stored, skipped, nil
-}
-
-// KVToCSV exports every key-value pair (values must be the JSON objects
-// RowsToKV writes) as CSV. Columns are the union of all object keys,
-// sorted; the row key is written in a leading "_key" column.
-func KVToCSV(store kvstore.Store, w io.Writer) error {
-	keys, err := store.Keys()
-	if err != nil {
-		return fmt.Errorf("csvconv: list keys: %w", err)
-	}
-	objs := make([]map[string]string, 0, len(keys))
-	colSet := make(map[string]bool)
-	for _, k := range keys {
-		data, err := store.Get(k)
-		if err != nil {
-			return fmt.Errorf("csvconv: get %s: %w", k, err)
-		}
-		var obj map[string]string
-		if err := json.Unmarshal(data, &obj); err != nil {
-			return fmt.Errorf("csvconv: decode %s: %w", k, err)
-		}
-		for c := range obj {
-			colSet[c] = true
-		}
-		objs = append(objs, obj)
-	}
-	cols := make([]string, 0, len(colSet))
-	for c := range colSet {
-		cols = append(cols, c)
-	}
-	sort.Strings(cols)
-	cw := csv.NewWriter(w)
-	if err := cw.Write(append([]string{"_key"}, cols...)); err != nil {
-		return fmt.Errorf("csvconv: write header: %w", err)
-	}
-	for i, k := range keys {
-		rec := make([]string, 0, len(cols)+1)
-		rec = append(rec, k)
-		for _, c := range cols {
-			rec = append(rec, objs[i][c])
-		}
-		if err := cw.Write(rec); err != nil {
 			return fmt.Errorf("csvconv: write row: %w", err)
 		}
 	}

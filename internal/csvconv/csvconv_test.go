@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/kvstore"
 	"repro/internal/rdbms"
 	"repro/internal/rdf"
 )
@@ -95,7 +94,7 @@ func TestStatementsTableRoundTrip(t *testing.T) {
 }
 
 func TestCSVToStatementsDirect(t *testing.T) {
-	stmts, err := CSVToStatements(strings.NewReader(peopleCSV), "id", "kb:")
+	stmts, err := csvToStatements(strings.NewReader(peopleCSV), "id", "kb:")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,59 +114,6 @@ func TestStatementsToCSV(t *testing.T) {
 	want := "subject,predicate,object\nkb:p1,kb:name,alice\n"
 	if out.String() != want {
 		t.Errorf("csv = %q, want %q", out.String(), want)
-	}
-}
-
-func TestRowsToKVAndBack(t *testing.T) {
-	_, tab := importedTable(t)
-	store := kvstore.NewMemory()
-	stored, skipped, err := RowsToKV(tab, "id", store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stored != 3 || skipped != 0 {
-		t.Errorf("stored/skipped = %d/%d", stored, skipped)
-	}
-	data, err := store.Get("p1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), `"name":"alice"`) {
-		t.Errorf("record = %s", data)
-	}
-	var out strings.Builder
-	if err := KVToCSV(store, &out); err != nil {
-		t.Fatal(err)
-	}
-	csvText := out.String()
-	if !strings.HasPrefix(csvText, "_key,age,id,name\n") {
-		t.Errorf("header = %q", csvText)
-	}
-	if !strings.Contains(csvText, "p2,25,p2,bob") {
-		t.Errorf("missing row: %q", csvText)
-	}
-}
-
-func TestRowsToKVSkipsNullKeys(t *testing.T) {
-	db := rdbms.NewDB()
-	tab, err := db.ImportCSV("t", strings.NewReader("k,v\na,1\n,2\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := kvstore.NewMemory()
-	stored, skipped, err := RowsToKV(tab, "k", store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stored != 1 || skipped != 1 {
-		t.Errorf("stored/skipped = %d/%d, want 1/1", stored, skipped)
-	}
-}
-
-func TestRowsToKVBadColumn(t *testing.T) {
-	_, tab := importedTable(t)
-	if _, _, err := RowsToKV(tab, "ghost", kvstore.NewMemory()); err == nil {
-		t.Error("missing key column accepted")
 	}
 }
 

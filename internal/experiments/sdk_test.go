@@ -104,8 +104,8 @@ func TestE2RankingShape(t *testing.T) {
 		{rank.Weights{Gamma: 1}, "balanced-quality"},
 	} {
 		for _, sc := range []rank.Scorer{rank.Weighted{W: c.w}, rank.Normalized{W: c.w}} {
-			if b, err := rank.Best(traded, sc); err != nil || b.Name != c.want {
-				t.Errorf("%T%+v: Best = (%s, %v), want %s", sc, c.w, b.Name, err, c.want)
+			if b := rank.Rank(traded, sc)[0]; b.Name != c.want {
+				t.Errorf("%T%+v: top = %s, want %s", sc, c.w, b.Name, c.want)
 			}
 		}
 	}
@@ -367,10 +367,7 @@ func TestA2ScoreAblationShape(t *testing.T) {
 			regret *float64
 			match  *int
 		}{{rank.Weighted{W: rank.DefaultWeights}, &regret1, &match1}, {rank.Normalized{W: rank.DefaultWeights}, &regret2, &match2}} {
-			pick, err := rank.Best(ests, p.sc)
-			if err != nil {
-				t.Fatal(err)
-			}
+			pick := rank.Rank(ests, p.sc)[0]
 			u := utility.Score(pick.Estimate, ests)
 			*p.regret += u - bestU
 			if u == bestU {

@@ -27,30 +27,30 @@ import (
 type Jitter int
 
 const (
-	// NoJitter sleeps the exact computed backoff (the historical
+	// noJitter sleeps the exact computed backoff (the historical
 	// behavior; callers retry in lockstep).
-	NoJitter Jitter = iota
+	noJitter Jitter = iota
 	// FullJitter sleeps uniform(0, wait] — the strategy with the best
 	// contention spread in the AWS analysis, and the default for the SDK
 	// core's retry stage.
 	FullJitter
-	// EqualJitter sleeps wait/2 + uniform(0, wait/2], keeping at least
+	// equalJitter sleeps wait/2 + uniform(0, wait/2], keeping at least
 	// half the deterministic delay while still decorrelating callers.
-	EqualJitter
+	equalJitter
 )
 
 // jitterSrc is the package-level RNG for backoff jitter. It is shared —
 // and mutex-guarded — precisely so that concurrent callers draw different
 // values: a per-call seeded source would reproduce the lockstep the jitter
-// exists to break. SeedJitter pins the stream for deterministic tests.
+// exists to break. seedJitter pins the stream for deterministic tests.
 var (
 	jitterMu  sync.Mutex
 	jitterSrc = xrand.New(1)
 )
 
-// SeedJitter reseeds the shared jitter stream. Tests use it to make
+// seedJitter reseeds the shared jitter stream. Tests use it to make
 // jittered backoff schedules reproducible run to run.
-func SeedJitter(seed int64) {
+func seedJitter(seed int64) {
 	jitterMu.Lock()
 	jitterSrc.Reseed(seed)
 	jitterMu.Unlock()
@@ -60,7 +60,7 @@ func SeedJitter(seed int64) {
 // result is always in (0, wait] so a positive backoff never degenerates to
 // a zero-sleep hot loop.
 func jitterWait(wait time.Duration, j Jitter) time.Duration {
-	if wait <= 0 || j == NoJitter {
+	if wait <= 0 || j == noJitter {
 		return wait
 	}
 	jitterMu.Lock()
@@ -73,7 +73,7 @@ func jitterWait(wait time.Duration, j Jitter) time.Duration {
 			w = 1
 		}
 		return w
-	case EqualJitter:
+	case equalJitter:
 		half := wait / 2
 		w := half + time.Duration(u*float64(wait-half))
 		if w <= 0 {
@@ -98,7 +98,7 @@ type RetryPolicy struct {
 	// MaxBackoff caps the wait; 0 means uncapped.
 	MaxBackoff time.Duration
 	// Jitter randomizes each slept backoff to decorrelate concurrent
-	// retriers. The zero value (NoJitter) preserves the exact historical
+	// retriers. The zero value (noJitter) preserves the exact historical
 	// schedule.
 	Jitter Jitter
 	// RetryOn decides whether an error is retryable. Nil means retry on
@@ -133,7 +133,7 @@ func Invoke(ctx context.Context, clk clock.Clock, svc service.Service, req servi
 
 // InvokeFunc is Invoke for a bare attempt function: it applies policy to
 // fn, which performs one attempt. It exists for callers — such as the SDK
-// core's RetryStage — whose single attempt is not a service.Service but a
+// core's retryStage — whose single attempt is not a service.Service but a
 // composed pipeline.
 func InvokeFunc(ctx context.Context, clk clock.Clock, fn func(ctx context.Context) (service.Response, error), policy RetryPolicy) (service.Response, int, error) {
 	if clk == nil {

@@ -63,7 +63,7 @@ func backoffSchedule(t *testing.T, policy RetryPolicy) []time.Duration {
 // On the pre-fix code (no Jitter field, deterministic sleeps) the two
 // schedules were identical every time, so the herd retried in lockstep.
 func TestFullJitterBreaksLockstep(t *testing.T) {
-	SeedJitter(7)
+	seedJitter(7)
 	policy := RetryPolicy{
 		MaxAttempts:   4,
 		Backoff:       100 * time.Millisecond,
@@ -96,9 +96,9 @@ func TestFullJitterDeterministicUnderSeed(t *testing.T) {
 		MaxBackoff:    200 * time.Millisecond,
 		Jitter:        FullJitter,
 	}
-	SeedJitter(123)
+	seedJitter(123)
 	a := backoffSchedule(t, policy)
-	SeedJitter(123)
+	seedJitter(123)
 	b := backoffSchedule(t, policy)
 	if len(a) != len(b) {
 		t.Fatalf("schedule lengths differ: %v vs %v", a, b)
@@ -111,18 +111,18 @@ func TestFullJitterDeterministicUnderSeed(t *testing.T) {
 }
 
 // TestJitterBounds checks each mode's slept value stays within its
-// contract: FullJitter in (0, wait], EqualJitter in (wait/2, wait],
-// NoJitter exactly wait.
+// contract: FullJitter in (0, wait], equalJitter in (wait/2, wait],
+// noJitter exactly wait.
 func TestJitterBounds(t *testing.T) {
-	SeedJitter(99)
+	seedJitter(99)
 	base := 80 * time.Millisecond
 	mk := func(j Jitter) RetryPolicy {
 		return RetryPolicy{MaxAttempts: 6, Backoff: base, BackoffFactor: 2, MaxBackoff: base, Jitter: j}
 	}
 	// With MaxBackoff == Backoff every un-jittered wait is exactly base.
-	for _, w := range backoffSchedule(t, mk(NoJitter)) {
+	for _, w := range backoffSchedule(t, mk(noJitter)) {
 		if w != base {
-			t.Errorf("NoJitter slept %v, want exactly %v", w, base)
+			t.Errorf("noJitter slept %v, want exactly %v", w, base)
 		}
 	}
 	for _, w := range backoffSchedule(t, mk(FullJitter)) {
@@ -130,9 +130,9 @@ func TestJitterBounds(t *testing.T) {
 			t.Errorf("FullJitter slept %v, want in (0, %v]", w, base)
 		}
 	}
-	for _, w := range backoffSchedule(t, mk(EqualJitter)) {
+	for _, w := range backoffSchedule(t, mk(equalJitter)) {
 		if w < base/2 || w > base {
-			t.Errorf("EqualJitter slept %v, want in [%v, %v]", w, base/2, base)
+			t.Errorf("equalJitter slept %v, want in [%v, %v]", w, base/2, base)
 		}
 	}
 }
@@ -141,7 +141,7 @@ func TestJitterBounds(t *testing.T) {
 // envelope still grows — the un-jittered base doubles underneath, so the
 // max possible sleep per retry follows the exponential schedule.
 func TestJitterPreservesGrowthEnvelope(t *testing.T) {
-	SeedJitter(5)
+	seedJitter(5)
 	policy := RetryPolicy{
 		MaxAttempts:   4,
 		Backoff:       10 * time.Millisecond,

@@ -5,7 +5,7 @@ import "testing"
 func BenchmarkFutureCompleteGet(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		f := New[int]()
+		f := newFuture[int]()
 		f.Complete(i)
 		if v, err := f.Get(); err != nil || v != i {
 			b.Fatal("bad result")
@@ -34,9 +34,9 @@ func BenchmarkAllOf8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		fs := make([]*Future[int], 8)
 		for j := range fs {
-			fs[j] = Completed(j)
+			fs[j] = completed(j)
 		}
-		if _, err := All(fs...).Get(); err != nil {
+		if _, err := allOf(fs...).Get(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -14,13 +14,13 @@ import (
 	"time"
 )
 
-// ErrTimeout is returned by GetTimeout when the deadline passes before the
+// errTimeout is returned by GetTimeout when the deadline passes before the
 // future completes.
-var ErrTimeout = errors.New("future: timed out")
+var errTimeout = errors.New("future: timed out")
 
-// ErrCancelled is the error carried by a future that was cancelled before
+// errCancelled is the error carried by a future that was cancelled before
 // completing.
-var ErrCancelled = errors.New("future: cancelled")
+var errCancelled = errors.New("future: cancelled")
 
 // Future is the result of an asynchronous computation, mirroring the
 // ListenableFuture interface the paper builds on: IsDone, blocking Get,
@@ -33,22 +33,22 @@ type Future[T any] struct {
 	listeners []func(T, error)
 }
 
-// New returns an incomplete Future whose value will be supplied via
+// newFuture returns an incomplete Future whose value will be supplied via
 // Complete or Fail.
-func New[T any]() *Future[T] {
+func newFuture[T any]() *Future[T] {
 	return &Future[T]{done: make(chan struct{})}
 }
 
-// Completed returns an already-successful future holding v.
-func Completed[T any](v T) *Future[T] {
-	f := New[T]()
+// completed returns an already-successful future holding v.
+func completed[T any](v T) *Future[T] {
+	f := newFuture[T]()
 	f.Complete(v)
 	return f
 }
 
-// Failed returns an already-failed future holding err.
-func Failed[T any](err error) *Future[T] {
-	f := New[T]()
+// failed returns an already-failed future holding err.
+func failed[T any](err error) *Future[T] {
+	f := newFuture[T]()
 	f.Fail(err)
 	return f
 }
@@ -67,11 +67,11 @@ func (f *Future[T]) Fail(err error) bool {
 	return f.settle(zero, err)
 }
 
-// Cancel settles the future with ErrCancelled. It reports false if the
+// Cancel settles the future with errCancelled. It reports false if the
 // future was already settled.
 func (f *Future[T]) Cancel() bool {
 	var zero T
-	return f.settle(zero, ErrCancelled)
+	return f.settle(zero, errCancelled)
 }
 
 func (f *Future[T]) settle(v T, err error) bool {
@@ -109,7 +109,7 @@ func (f *Future[T]) Get() (T, error) {
 	return f.value, f.err
 }
 
-// GetTimeout blocks for at most d. It returns ErrTimeout if the future has
+// GetTimeout blocks for at most d. It returns errTimeout if the future has
 // not settled in time; the future itself is unaffected.
 func (f *Future[T]) GetTimeout(d time.Duration) (T, error) {
 	select {
@@ -117,7 +117,7 @@ func (f *Future[T]) GetTimeout(d time.Duration) (T, error) {
 		return f.value, f.err
 	case <-time.After(d):
 		var zero T
-		return zero, ErrTimeout
+		return zero, errTimeout
 	}
 }
 
@@ -155,10 +155,10 @@ func (f *Future[T]) Listen(fn func(T, error)) {
 	f.mu.Unlock()
 }
 
-// Go runs fn in a new goroutine and returns a future for its result. For
+// goFuture runs fn in a new goroutine and returns a future for its result. For
 // bounded concurrency use Pool.Submit instead.
-func Go[T any](fn func() (T, error)) *Future[T] {
-	f := New[T]()
+func goFuture[T any](fn func() (T, error)) *Future[T] {
+	f := newFuture[T]()
 	go func() {
 		v, err := fn()
 		if err != nil {
@@ -170,10 +170,10 @@ func Go[T any](fn func() (T, error)) *Future[T] {
 	return f
 }
 
-// Then returns a future for next applied to f's successful value; errors
+// then returns a future for next applied to f's successful value; errors
 // pass through without invoking next.
-func Then[T, U any](f *Future[T], next func(T) (U, error)) *Future[U] {
-	out := New[U]()
+func then[T, U any](f *Future[T], next func(T) (U, error)) *Future[U] {
+	out := newFuture[U]()
 	f.Listen(func(v T, err error) {
 		if err != nil {
 			out.Fail(err)
@@ -189,10 +189,10 @@ func Then[T, U any](f *Future[T], next func(T) (U, error)) *Future[U] {
 	return out
 }
 
-// All returns a future that completes with every input's value once all
+// allOf returns a future that completes with every input's value once all
 // succeed, or fails with the first error to occur.
-func All[T any](fs ...*Future[T]) *Future[[]T] {
-	out := New[[]T]()
+func allOf[T any](fs ...*Future[T]) *Future[[]T] {
+	out := newFuture[[]T]()
 	if len(fs) == 0 {
 		out.Complete(nil)
 		return out
@@ -220,10 +220,10 @@ func All[T any](fs ...*Future[T]) *Future[[]T] {
 	return out
 }
 
-// Any returns a future that completes with the first input to succeed, or —
+// anyOf returns a future that completes with the first input to succeed, or —
 // if every input fails — fails with the last error observed.
-func Any[T any](fs ...*Future[T]) *Future[T] {
-	out := New[T]()
+func anyOf[T any](fs ...*Future[T]) *Future[T] {
+	out := newFuture[T]()
 	if len(fs) == 0 {
 		out.Fail(errors.New("future: Any of zero futures"))
 		return out

@@ -12,7 +12,7 @@ import (
 var errBoom = errors.New("boom")
 
 func TestCompleteAndGet(t *testing.T) {
-	f := New[int]()
+	f := newFuture[int]()
 	if f.IsDone() {
 		t.Error("fresh future IsDone = true")
 	}
@@ -29,7 +29,7 @@ func TestCompleteAndGet(t *testing.T) {
 }
 
 func TestFail(t *testing.T) {
-	f := New[string]()
+	f := newFuture[string]()
 	if !f.Fail(errBoom) {
 		t.Error("Fail returned false")
 	}
@@ -40,7 +40,7 @@ func TestFail(t *testing.T) {
 }
 
 func TestFailNilError(t *testing.T) {
-	f := New[int]()
+	f := newFuture[int]()
 	f.Fail(nil)
 	_, err := f.Get()
 	if err == nil {
@@ -49,7 +49,7 @@ func TestFailNilError(t *testing.T) {
 }
 
 func TestSettleOnlyOnce(t *testing.T) {
-	f := New[int]()
+	f := newFuture[int]()
 	if !f.Complete(1) {
 		t.Error("first Complete = false")
 	}
@@ -66,20 +66,20 @@ func TestSettleOnlyOnce(t *testing.T) {
 }
 
 func TestCancel(t *testing.T) {
-	f := New[int]()
+	f := newFuture[int]()
 	if !f.Cancel() {
 		t.Error("Cancel = false")
 	}
 	_, err := f.Get()
-	if !errors.Is(err, ErrCancelled) {
-		t.Errorf("error = %v, want ErrCancelled", err)
+	if !errors.Is(err, errCancelled) {
+		t.Errorf("error = %v, want errCancelled", err)
 	}
 }
 
 func TestGetTimeout(t *testing.T) {
-	f := New[int]()
-	if _, err := f.GetTimeout(5 * time.Millisecond); !errors.Is(err, ErrTimeout) {
-		t.Errorf("error = %v, want ErrTimeout", err)
+	f := newFuture[int]()
+	if _, err := f.GetTimeout(5 * time.Millisecond); !errors.Is(err, errTimeout) {
+		t.Errorf("error = %v, want errTimeout", err)
 	}
 	f.Complete(7)
 	v, err := f.GetTimeout(time.Second)
@@ -89,7 +89,7 @@ func TestGetTimeout(t *testing.T) {
 }
 
 func TestGetContext(t *testing.T) {
-	f := New[int]()
+	f := newFuture[int]()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := f.GetContext(ctx); !errors.Is(err, context.Canceled) {
@@ -103,7 +103,7 @@ func TestGetContext(t *testing.T) {
 }
 
 func TestListenBeforeSettle(t *testing.T) {
-	f := New[int]()
+	f := newFuture[int]()
 	got := make(chan int, 1)
 	f.Listen(func(v int, err error) { got <- v })
 	f.Complete(5)
@@ -118,7 +118,7 @@ func TestListenBeforeSettle(t *testing.T) {
 }
 
 func TestListenAfterSettleRunsImmediately(t *testing.T) {
-	f := Completed(3)
+	f := completed(3)
 	var ran bool
 	f.Listen(func(v int, err error) { ran = v == 3 && err == nil })
 	if !ran {
@@ -127,7 +127,7 @@ func TestListenAfterSettleRunsImmediately(t *testing.T) {
 }
 
 func TestListenersRunInOrder(t *testing.T) {
-	f := New[int]()
+	f := newFuture[int]()
 	var order []int
 	var mu sync.Mutex
 	for i := 0; i < 5; i++ {
@@ -147,19 +147,19 @@ func TestListenersRunInOrder(t *testing.T) {
 }
 
 func TestGoSuccessAndFailure(t *testing.T) {
-	v, err := Go(func() (int, error) { return 10, nil }).Get()
+	v, err := goFuture(func() (int, error) { return 10, nil }).Get()
 	if err != nil || v != 10 {
 		t.Errorf("Go success = (%d, %v)", v, err)
 	}
-	_, err = Go(func() (int, error) { return 0, errBoom }).Get()
+	_, err = goFuture(func() (int, error) { return 0, errBoom }).Get()
 	if !errors.Is(err, errBoom) {
 		t.Errorf("Go failure = %v", err)
 	}
 }
 
 func TestThen(t *testing.T) {
-	f := Completed(4)
-	g := Then(f, func(v int) (string, error) {
+	f := completed(4)
+	g := then(f, func(v int) (string, error) {
 		if v != 4 {
 			return "", errBoom
 		}
@@ -172,9 +172,9 @@ func TestThen(t *testing.T) {
 }
 
 func TestThenPropagatesError(t *testing.T) {
-	f := Failed[int](errBoom)
+	f := failed[int](errBoom)
 	called := false
-	g := Then(f, func(int) (int, error) { called = true; return 0, nil })
+	g := then(f, func(int) (int, error) { called = true; return 0, nil })
 	if _, err := g.Get(); !errors.Is(err, errBoom) {
 		t.Errorf("error = %v, want boom", err)
 	}
@@ -184,15 +184,15 @@ func TestThenPropagatesError(t *testing.T) {
 }
 
 func TestThenNextError(t *testing.T) {
-	g := Then(Completed(1), func(int) (int, error) { return 0, errBoom })
+	g := then(completed(1), func(int) (int, error) { return 0, errBoom })
 	if _, err := g.Get(); !errors.Is(err, errBoom) {
 		t.Errorf("error = %v, want boom", err)
 	}
 }
 
 func TestAll(t *testing.T) {
-	fs := []*Future[int]{New[int](), New[int](), New[int]()}
-	all := All(fs...)
+	fs := []*Future[int]{newFuture[int](), newFuture[int](), newFuture[int]()}
+	all := allOf(fs...)
 	fs[2].Complete(3)
 	fs[0].Complete(1)
 	if all.IsDone() {
@@ -212,8 +212,8 @@ func TestAll(t *testing.T) {
 }
 
 func TestAllFirstError(t *testing.T) {
-	fs := []*Future[int]{New[int](), New[int]()}
-	all := All(fs...)
+	fs := []*Future[int]{newFuture[int](), newFuture[int]()}
+	all := allOf(fs...)
 	fs[1].Fail(errBoom)
 	if _, err := all.Get(); !errors.Is(err, errBoom) {
 		t.Errorf("error = %v, want boom", err)
@@ -222,15 +222,15 @@ func TestAllFirstError(t *testing.T) {
 }
 
 func TestAllEmpty(t *testing.T) {
-	vs, err := All[int]().Get()
+	vs, err := allOf[int]().Get()
 	if err != nil || vs != nil {
 		t.Errorf("All() = (%v, %v)", vs, err)
 	}
 }
 
 func TestAnyFirstSuccess(t *testing.T) {
-	fs := []*Future[int]{New[int](), New[int](), New[int]()}
-	any := Any(fs...)
+	fs := []*Future[int]{newFuture[int](), newFuture[int](), newFuture[int]()}
+	any := anyOf(fs...)
 	fs[0].Fail(errBoom)
 	fs[1].Complete(99)
 	v, err := any.Get()
@@ -241,8 +241,8 @@ func TestAnyFirstSuccess(t *testing.T) {
 }
 
 func TestAnyAllFail(t *testing.T) {
-	fs := []*Future[int]{New[int](), New[int]()}
-	any := Any(fs...)
+	fs := []*Future[int]{newFuture[int](), newFuture[int]()}
+	any := anyOf(fs...)
 	fs[0].Fail(errors.New("first"))
 	fs[1].Fail(errBoom)
 	if _, err := any.Get(); err == nil {
@@ -251,7 +251,7 @@ func TestAnyAllFail(t *testing.T) {
 }
 
 func TestAnyEmpty(t *testing.T) {
-	if _, err := Any[int]().Get(); err == nil {
+	if _, err := anyOf[int]().Get(); err == nil {
 		t.Error("Any() should fail")
 	}
 }
@@ -352,7 +352,7 @@ func TestPoolTaskError(t *testing.T) {
 func TestConcurrentSettleRace(t *testing.T) {
 	// Many goroutines racing to settle; exactly one must win.
 	for round := 0; round < 50; round++ {
-		f := New[int]()
+		f := newFuture[int]()
 		var wins int32
 		var wg sync.WaitGroup
 		for i := 0; i < 8; i++ {

@@ -51,7 +51,7 @@ func NewPool(workers, queueDepth int) (*Pool, error) {
 // blocks while the queue is full and returns a failed future if the pool is
 // closed.
 func Submit[T any](p *Pool, fn func() (T, error)) *Future[T] {
-	f := New[T]()
+	f := newFuture[T]()
 	task := func() {
 		v, err := fn()
 		if err != nil {
@@ -81,7 +81,7 @@ func Submit[T any](p *Pool, fn func() (T, error)) *Future[T] {
 // not stall on a saturated pool — the SDK's asynchronous invocation, for
 // example — use it to turn backpressure into an explicit, observable error.
 func TrySubmit[T any](p *Pool, fn func() (T, error)) *Future[T] {
-	f := New[T]()
+	f := newFuture[T]()
 	task := func() {
 		v, err := fn()
 		if err != nil {

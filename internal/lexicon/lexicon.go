@@ -16,22 +16,22 @@ type EntityKind int
 
 // Entity kinds.
 const (
-	KindCountry EntityKind = iota + 1
-	KindCompany
-	KindPerson
-	KindCity
+	kindCountry EntityKind = iota + 1
+	kindCompany
+	kindPerson
+	kindCity
 )
 
 // String returns the kind's conventional NER label.
 func (k EntityKind) String() string {
 	switch k {
-	case KindCountry:
+	case kindCountry:
 		return "Country"
-	case KindCompany:
+	case kindCompany:
 		return "Company"
-	case KindPerson:
+	case kindPerson:
 		return "Person"
-	case KindCity:
+	case kindCity:
 		return "City"
 	default:
 		return "Unknown"
@@ -68,128 +68,128 @@ func (e Entity) Surface() []string {
 
 // Countries is the country gazetteer.
 var Countries = []Entity{
-	{ID: "country:us", Name: "United States", Kind: KindCountry,
+	{ID: "country:us", Name: "United States", Kind: kindCountry,
 		Aliases: []string{"United States of America", "USA", "US", "America", "the states"},
 		Website: "http://www.usa.gov/", DBpedia: "http://dbpedia.org/resource/United_States",
 		Yago: "http://yago-knowledge.org/resource/United_States"},
-	{ID: "country:uk", Name: "United Kingdom", Kind: KindCountry,
+	{ID: "country:uk", Name: "United Kingdom", Kind: kindCountry,
 		Aliases: []string{"UK", "Britain", "Great Britain", "England"},
 		DBpedia: "http://dbpedia.org/resource/United_Kingdom"},
-	{ID: "country:de", Name: "Germany", Kind: KindCountry,
+	{ID: "country:de", Name: "Germany", Kind: kindCountry,
 		Aliases: []string{"Deutschland", "Federal Republic of Germany"},
 		DBpedia: "http://dbpedia.org/resource/Germany"},
-	{ID: "country:fr", Name: "France", Kind: KindCountry,
+	{ID: "country:fr", Name: "France", Kind: kindCountry,
 		Aliases: []string{"French Republic"},
 		DBpedia: "http://dbpedia.org/resource/France"},
-	{ID: "country:jp", Name: "Japan", Kind: KindCountry,
+	{ID: "country:jp", Name: "Japan", Kind: kindCountry,
 		Aliases: []string{"Nippon"},
 		DBpedia: "http://dbpedia.org/resource/Japan"},
-	{ID: "country:cn", Name: "China", Kind: KindCountry,
+	{ID: "country:cn", Name: "China", Kind: kindCountry,
 		Aliases: []string{"PRC", "People's Republic of China"},
 		DBpedia: "http://dbpedia.org/resource/China"},
-	{ID: "country:in", Name: "India", Kind: KindCountry,
+	{ID: "country:in", Name: "India", Kind: kindCountry,
 		Aliases: []string{"Republic of India", "Bharat"},
 		DBpedia: "http://dbpedia.org/resource/India"},
-	{ID: "country:br", Name: "Brazil", Kind: KindCountry,
+	{ID: "country:br", Name: "Brazil", Kind: kindCountry,
 		Aliases: []string{"Brasil"},
 		DBpedia: "http://dbpedia.org/resource/Brazil"},
-	{ID: "country:ca", Name: "Canada", Kind: KindCountry,
+	{ID: "country:ca", Name: "Canada", Kind: kindCountry,
 		DBpedia: "http://dbpedia.org/resource/Canada"},
-	{ID: "country:au", Name: "Australia", Kind: KindCountry,
+	{ID: "country:au", Name: "Australia", Kind: kindCountry,
 		Aliases: []string{"Commonwealth of Australia", "Oz"},
 		DBpedia: "http://dbpedia.org/resource/Australia"},
-	{ID: "country:ru", Name: "Russia", Kind: KindCountry,
+	{ID: "country:ru", Name: "Russia", Kind: kindCountry,
 		Aliases: []string{"Russian Federation"},
 		DBpedia: "http://dbpedia.org/resource/Russia"},
-	{ID: "country:it", Name: "Italy", Kind: KindCountry,
+	{ID: "country:it", Name: "Italy", Kind: kindCountry,
 		Aliases: []string{"Italian Republic"},
 		DBpedia: "http://dbpedia.org/resource/Italy"},
-	{ID: "country:es", Name: "Spain", Kind: KindCountry,
+	{ID: "country:es", Name: "Spain", Kind: kindCountry,
 		Aliases: []string{"Kingdom of Spain"},
 		DBpedia: "http://dbpedia.org/resource/Spain"},
-	{ID: "country:mx", Name: "Mexico", Kind: KindCountry,
+	{ID: "country:mx", Name: "Mexico", Kind: kindCountry,
 		Aliases: []string{"United Mexican States"},
 		DBpedia: "http://dbpedia.org/resource/Mexico"},
-	{ID: "country:kr", Name: "South Korea", Kind: KindCountry,
+	{ID: "country:kr", Name: "South Korea", Kind: kindCountry,
 		Aliases: []string{"Republic of Korea", "Korea"},
 		DBpedia: "http://dbpedia.org/resource/South_Korea"},
-	{ID: "country:nl", Name: "Netherlands", Kind: KindCountry,
+	{ID: "country:nl", Name: "Netherlands", Kind: kindCountry,
 		Aliases: []string{"Holland"},
 		DBpedia: "http://dbpedia.org/resource/Netherlands"},
-	{ID: "country:ch", Name: "Switzerland", Kind: KindCountry,
+	{ID: "country:ch", Name: "Switzerland", Kind: kindCountry,
 		Aliases: []string{"Swiss Confederation"},
 		DBpedia: "http://dbpedia.org/resource/Switzerland"},
-	{ID: "country:se", Name: "Sweden", Kind: KindCountry,
+	{ID: "country:se", Name: "Sweden", Kind: kindCountry,
 		DBpedia: "http://dbpedia.org/resource/Sweden"},
-	{ID: "country:no", Name: "Norway", Kind: KindCountry,
+	{ID: "country:no", Name: "Norway", Kind: kindCountry,
 		DBpedia: "http://dbpedia.org/resource/Norway"},
-	{ID: "country:eg", Name: "Egypt", Kind: KindCountry,
+	{ID: "country:eg", Name: "Egypt", Kind: kindCountry,
 		Aliases: []string{"Arab Republic of Egypt"},
 		DBpedia: "http://dbpedia.org/resource/Egypt"},
-	{ID: "country:za", Name: "South Africa", Kind: KindCountry,
+	{ID: "country:za", Name: "South Africa", Kind: kindCountry,
 		DBpedia: "http://dbpedia.org/resource/South_Africa"},
-	{ID: "country:ar", Name: "Argentina", Kind: KindCountry,
+	{ID: "country:ar", Name: "Argentina", Kind: kindCountry,
 		DBpedia: "http://dbpedia.org/resource/Argentina"},
-	{ID: "country:gr", Name: "Greece", Kind: KindCountry,
+	{ID: "country:gr", Name: "Greece", Kind: kindCountry,
 		Aliases: []string{"Hellenic Republic", "Hellas"},
 		DBpedia: "http://dbpedia.org/resource/Greece"},
-	{ID: "country:tr", Name: "Turkey", Kind: KindCountry,
+	{ID: "country:tr", Name: "Turkey", Kind: kindCountry,
 		Aliases: []string{"Turkiye"},
 		DBpedia: "http://dbpedia.org/resource/Turkey"},
-	{ID: "country:pl", Name: "Poland", Kind: KindCountry,
+	{ID: "country:pl", Name: "Poland", Kind: kindCountry,
 		DBpedia: "http://dbpedia.org/resource/Poland"},
-	{ID: "country:pt", Name: "Portugal", Kind: KindCountry,
+	{ID: "country:pt", Name: "Portugal", Kind: kindCountry,
 		DBpedia: "http://dbpedia.org/resource/Portugal"},
-	{ID: "country:ie", Name: "Ireland", Kind: KindCountry,
+	{ID: "country:ie", Name: "Ireland", Kind: kindCountry,
 		DBpedia: "http://dbpedia.org/resource/Ireland"},
-	{ID: "country:sg", Name: "Singapore", Kind: KindCountry,
+	{ID: "country:sg", Name: "Singapore", Kind: kindCountry,
 		DBpedia: "http://dbpedia.org/resource/Singapore"},
-	{ID: "country:th", Name: "Thailand", Kind: KindCountry,
+	{ID: "country:th", Name: "Thailand", Kind: kindCountry,
 		Aliases: []string{"Siam"},
 		DBpedia: "http://dbpedia.org/resource/Thailand"},
-	{ID: "country:vn", Name: "Vietnam", Kind: KindCountry,
+	{ID: "country:vn", Name: "Vietnam", Kind: kindCountry,
 		DBpedia: "http://dbpedia.org/resource/Vietnam"},
 }
 
 // Companies is the company gazetteer. Names are synthetic to keep the
 // corpus self-contained while exercising multi-word matching.
 var Companies = []Entity{
-	{ID: "company:acme", Name: "Acme Corporation", Kind: KindCompany, Aliases: []string{"Acme", "Acme Corp"}},
-	{ID: "company:globex", Name: "Globex Industries", Kind: KindCompany, Aliases: []string{"Globex"}},
-	{ID: "company:initech", Name: "Initech Systems", Kind: KindCompany, Aliases: []string{"Initech"}},
-	{ID: "company:umbra", Name: "Umbra Analytics", Kind: KindCompany, Aliases: []string{"Umbra"}},
-	{ID: "company:vertex", Name: "Vertex Capital", Kind: KindCompany, Aliases: []string{"Vertex"}},
-	{ID: "company:solara", Name: "Solara Energy", Kind: KindCompany, Aliases: []string{"Solara"}},
-	{ID: "company:nimbus", Name: "Nimbus Cloud Services", Kind: KindCompany, Aliases: []string{"Nimbus Cloud", "Nimbus"}},
-	{ID: "company:quanta", Name: "Quanta Robotics", Kind: KindCompany, Aliases: []string{"Quanta"}},
-	{ID: "company:helix", Name: "Helix Biotech", Kind: KindCompany, Aliases: []string{"Helix"}},
-	{ID: "company:orion", Name: "Orion Logistics", Kind: KindCompany, Aliases: []string{"Orion"}},
-	{ID: "company:zephyr", Name: "Zephyr Airlines", Kind: KindCompany, Aliases: []string{"Zephyr Air", "Zephyr"}},
-	{ID: "company:aurora", Name: "Aurora Motors", Kind: KindCompany, Aliases: []string{"Aurora"}},
-	{ID: "company:cobalt", Name: "Cobalt Mining Group", Kind: KindCompany, Aliases: []string{"Cobalt Group"}},
-	{ID: "company:pinnacle", Name: "Pinnacle Foods", Kind: KindCompany, Aliases: []string{"Pinnacle"}},
-	{ID: "company:stratos", Name: "Stratos Media", Kind: KindCompany, Aliases: []string{"Stratos"}},
-	{ID: "company:kestrel", Name: "Kestrel Defense", Kind: KindCompany, Aliases: []string{"Kestrel"}},
-	{ID: "company:meridian", Name: "Meridian Bank", Kind: KindCompany, Aliases: []string{"Meridian"}},
-	{ID: "company:tidal", Name: "Tidal Shipping", Kind: KindCompany, Aliases: []string{"Tidal"}},
-	{ID: "company:ember", Name: "Ember Semiconductors", Kind: KindCompany, Aliases: []string{"Ember Semi", "Ember"}},
-	{ID: "company:lattice", Name: "Lattice Pharmaceuticals", Kind: KindCompany, Aliases: []string{"Lattice Pharma", "Lattice"}},
+	{ID: "company:acme", Name: "Acme Corporation", Kind: kindCompany, Aliases: []string{"Acme", "Acme Corp"}},
+	{ID: "company:globex", Name: "Globex Industries", Kind: kindCompany, Aliases: []string{"Globex"}},
+	{ID: "company:initech", Name: "Initech Systems", Kind: kindCompany, Aliases: []string{"Initech"}},
+	{ID: "company:umbra", Name: "Umbra Analytics", Kind: kindCompany, Aliases: []string{"Umbra"}},
+	{ID: "company:vertex", Name: "Vertex Capital", Kind: kindCompany, Aliases: []string{"Vertex"}},
+	{ID: "company:solara", Name: "Solara Energy", Kind: kindCompany, Aliases: []string{"Solara"}},
+	{ID: "company:nimbus", Name: "Nimbus Cloud Services", Kind: kindCompany, Aliases: []string{"Nimbus Cloud", "Nimbus"}},
+	{ID: "company:quanta", Name: "Quanta Robotics", Kind: kindCompany, Aliases: []string{"Quanta"}},
+	{ID: "company:helix", Name: "Helix Biotech", Kind: kindCompany, Aliases: []string{"Helix"}},
+	{ID: "company:orion", Name: "Orion Logistics", Kind: kindCompany, Aliases: []string{"Orion"}},
+	{ID: "company:zephyr", Name: "Zephyr Airlines", Kind: kindCompany, Aliases: []string{"Zephyr Air", "Zephyr"}},
+	{ID: "company:aurora", Name: "Aurora Motors", Kind: kindCompany, Aliases: []string{"Aurora"}},
+	{ID: "company:cobalt", Name: "Cobalt Mining Group", Kind: kindCompany, Aliases: []string{"Cobalt Group"}},
+	{ID: "company:pinnacle", Name: "Pinnacle Foods", Kind: kindCompany, Aliases: []string{"Pinnacle"}},
+	{ID: "company:stratos", Name: "Stratos Media", Kind: kindCompany, Aliases: []string{"Stratos"}},
+	{ID: "company:kestrel", Name: "Kestrel Defense", Kind: kindCompany, Aliases: []string{"Kestrel"}},
+	{ID: "company:meridian", Name: "Meridian Bank", Kind: kindCompany, Aliases: []string{"Meridian"}},
+	{ID: "company:tidal", Name: "Tidal Shipping", Kind: kindCompany, Aliases: []string{"Tidal"}},
+	{ID: "company:ember", Name: "Ember Semiconductors", Kind: kindCompany, Aliases: []string{"Ember Semi", "Ember"}},
+	{ID: "company:lattice", Name: "Lattice Pharmaceuticals", Kind: kindCompany, Aliases: []string{"Lattice Pharma", "Lattice"}},
 }
 
-// People is the person gazetteer (synthetic public figures).
-var People = []Entity{
-	{ID: "person:akira-tanaka", Name: "Akira Tanaka", Kind: KindPerson, Aliases: []string{"Tanaka"}},
-	{ID: "person:maria-silva", Name: "Maria Silva", Kind: KindPerson, Aliases: []string{"Silva"}},
-	{ID: "person:john-whitfield", Name: "John Whitfield", Kind: KindPerson, Aliases: []string{"Whitfield"}},
-	{ID: "person:elena-petrova", Name: "Elena Petrova", Kind: KindPerson, Aliases: []string{"Petrova"}},
-	{ID: "person:omar-hassan", Name: "Omar Hassan", Kind: KindPerson, Aliases: []string{"Hassan"}},
-	{ID: "person:ingrid-larsen", Name: "Ingrid Larsen", Kind: KindPerson, Aliases: []string{"Larsen"}},
-	{ID: "person:wei-zhang", Name: "Wei Zhang", Kind: KindPerson, Aliases: []string{"Zhang"}},
-	{ID: "person:priya-sharma", Name: "Priya Sharma", Kind: KindPerson, Aliases: []string{"Sharma"}},
-	{ID: "person:carlos-mendez", Name: "Carlos Mendez", Kind: KindPerson, Aliases: []string{"Mendez"}},
-	{ID: "person:fatima-almasri", Name: "Fatima Almasri", Kind: KindPerson, Aliases: []string{"Almasri"}},
-	{ID: "person:david-okafor", Name: "David Okafor", Kind: KindPerson, Aliases: []string{"Okafor"}},
-	{ID: "person:sofia-rossi", Name: "Sofia Rossi", Kind: KindPerson, Aliases: []string{"Rossi"}},
+// people is the person gazetteer (synthetic public figures).
+var people = []Entity{
+	{ID: "person:akira-tanaka", Name: "Akira Tanaka", Kind: kindPerson, Aliases: []string{"Tanaka"}},
+	{ID: "person:maria-silva", Name: "Maria Silva", Kind: kindPerson, Aliases: []string{"Silva"}},
+	{ID: "person:john-whitfield", Name: "John Whitfield", Kind: kindPerson, Aliases: []string{"Whitfield"}},
+	{ID: "person:elena-petrova", Name: "Elena Petrova", Kind: kindPerson, Aliases: []string{"Petrova"}},
+	{ID: "person:omar-hassan", Name: "Omar Hassan", Kind: kindPerson, Aliases: []string{"Hassan"}},
+	{ID: "person:ingrid-larsen", Name: "Ingrid Larsen", Kind: kindPerson, Aliases: []string{"Larsen"}},
+	{ID: "person:wei-zhang", Name: "Wei Zhang", Kind: kindPerson, Aliases: []string{"Zhang"}},
+	{ID: "person:priya-sharma", Name: "Priya Sharma", Kind: kindPerson, Aliases: []string{"Sharma"}},
+	{ID: "person:carlos-mendez", Name: "Carlos Mendez", Kind: kindPerson, Aliases: []string{"Mendez"}},
+	{ID: "person:fatima-almasri", Name: "Fatima Almasri", Kind: kindPerson, Aliases: []string{"Almasri"}},
+	{ID: "person:david-okafor", Name: "David Okafor", Kind: kindPerson, Aliases: []string{"Okafor"}},
+	{ID: "person:sofia-rossi", Name: "Sofia Rossi", Kind: kindPerson, Aliases: []string{"Rossi"}},
 }
 
 // Positive and Negative are the sentiment lexicon; each word carries unit
@@ -284,9 +284,9 @@ var Vocabulary = []string{
 	"consumer", "citizen", "community", "public", "private",
 }
 
-// CommonWords are everyday verbs and function words that belong in the
+// commonWords are everyday verbs and function words that belong in the
 // spell-check dictionary but are neither stopwords nor topic vocabulary.
-var CommonWords = []string{
+var commonWords = []string{
 	"grew", "grow", "grows", "growing", "rose", "rise", "rises", "rising",
 	"fell", "fall", "falls", "falling", "made", "make", "makes", "making",
 	"took", "take", "takes", "taking", "gave", "give", "gives", "giving",
@@ -310,10 +310,10 @@ var CommonWords = []string{
 
 // AllEntities returns the concatenated gazetteer, sorted by ID.
 func AllEntities() []Entity {
-	out := make([]Entity, 0, len(Countries)+len(Companies)+len(People))
+	out := make([]Entity, 0, len(Countries)+len(Companies)+len(people))
 	out = append(out, Countries...)
 	out = append(out, Companies...)
-	out = append(out, People...)
+	out = append(out, people...)
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
@@ -378,7 +378,7 @@ func Dictionary() []string {
 		}
 	}
 	add(Vocabulary)
-	add(CommonWords)
+	add(commonWords)
 	add(Stopwords)
 	add(Positive)
 	add(Negative)

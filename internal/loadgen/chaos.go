@@ -16,15 +16,15 @@ type Event struct {
 }
 
 // Schedule is a deterministic sequence of chaos events. Build one with
-// NewSchedule (events are sorted by At), then Play it alongside a load
+// RandomStorms (events are sorted by At), then Play it alongside a load
 // run. The schedule owns no clock state between plays, so the same
 // schedule replays identically.
 type Schedule struct {
 	events []Event
 }
 
-// NewSchedule returns a schedule of the given events, sorted by At.
-func NewSchedule(events ...Event) *Schedule {
+// newSchedule returns a schedule of the given events, sorted by At.
+func newSchedule(events ...Event) *Schedule {
 	s := &Schedule{events: append([]Event(nil), events...)}
 	sort.SliceStable(s.events, func(i, j int) bool { return s.events[i].At < s.events[j].At })
 	return s
@@ -56,9 +56,9 @@ func (s *Schedule) Play(ctx context.Context) {
 	}
 }
 
-// Storm is the basic on/off pair: on fires at `at`, off fires at
+// storm is the basic on/off pair: on fires at `at`, off fires at
 // `at+dur`. Name both events after the fault for readable schedules.
-func Storm(at, dur time.Duration, name string, on, off func()) []Event {
+func storm(at, dur time.Duration, name string, on, off func()) []Event {
 	return []Event{
 		{At: at, Name: name + ":on", Do: on},
 		{At: at + dur, Name: name + ":off", Do: off},
@@ -93,7 +93,7 @@ func RandomStorms(seed int64, horizon time.Duration, n int, faults []Fault) *Sch
 		if at+dur > horizon {
 			dur = horizon - at
 		}
-		events = append(events, Storm(at, dur, f.Name, f.On, f.Off)...)
+		events = append(events, storm(at, dur, f.Name, f.On, f.Off)...)
 	}
-	return NewSchedule(events...)
+	return newSchedule(events...)
 }

@@ -179,7 +179,7 @@ func TestScheduleFiresInOrderAndIsDeterministic(t *testing.T) {
 			<-mu
 		}
 	}
-	s := NewSchedule(
+	s := newSchedule(
 		Event{At: 20 * time.Millisecond, Name: "b", Do: add("b")},
 		Event{At: 5 * time.Millisecond, Name: "a", Do: add("a")},
 		Event{At: 30 * time.Millisecond, Name: "c", Do: add("c")},
@@ -208,7 +208,7 @@ func TestScheduleFiresInOrderAndIsDeterministic(t *testing.T) {
 
 func TestSchedulePlayRespectsContext(t *testing.T) {
 	fired := false
-	s := NewSchedule(Event{At: time.Hour, Name: "never", Do: func() { fired = true }})
+	s := newSchedule(Event{At: time.Hour, Name: "never", Do: func() { fired = true }})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	start := time.Now()

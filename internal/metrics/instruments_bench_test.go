@@ -106,7 +106,7 @@ func BenchmarkSetExpose(b *testing.B) {
 }
 
 // BenchmarkMonitorRecord is one successful observation recorded into a
-// service monitor from one goroutine: the lock-free path MonitorStage
+// service monitor from one goroutine: the lock-free path core's monitorStage
 // takes on every non-cached call.
 func BenchmarkMonitorRecord(b *testing.B) {
 	m := NewMonitor("svc")

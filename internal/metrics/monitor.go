@@ -18,7 +18,7 @@ type Observation struct {
 	// Err is the invocation error, nil on success.
 	Err error
 	// Params are the latency parameters for this invocation. The monitor
-	// does not retain them (core.PredictStage feeds internal/predict, the
+	// does not retain them (core's predictStage feeds internal/predict, the
 	// one owner of that history); the field survives only because
 	// bench/probes.go sets it, and a later benchmark issue can drop it.
 	Params []float64

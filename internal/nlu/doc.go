@@ -94,7 +94,7 @@ func (d *doc) scan(text string, v *vocabTables, extra *intern.Frozen[string]) {
 		tok := text[start:end]
 		if c := tok[0]; c >= 'A' && c <= 'Z' {
 			sp.flags |= fCapital
-		} else if c >= 0x80 && IsCapitalized(tok) {
+		} else if c >= 0x80 && isCapitalized(tok) {
 			sp.flags |= fCapital
 		}
 		ascii := true
@@ -204,7 +204,7 @@ func (d *doc) tokenAt(off int32) int {
 	return i
 }
 
-// heuristicMentions is HeuristicMentions on spans: capitalized runs not
+// heuristicMentions is the package function heuristicMentions on spans: capitalized runs not
 // covered by a gazetteer mention become Unknown entities. covered must
 // be sorted by Start and non-overlapping (the matcher's output order),
 // which lets a two-pointer sweep replace the per-byte coverage map.
@@ -256,7 +256,7 @@ type kwPair struct {
 	count int32
 }
 
-// keywords is ExtractKeywords on spans: counts accumulate into the
+// keywords is the package function extractKeywords on spans: counts accumulate into the
 // ID-indexed scratch slice (sparse-reset on release) instead of a
 // per-document map. The comparator is a strict total order (texts are
 // unique), so the output is identical regardless of accumulation order.
@@ -336,7 +336,7 @@ func (d *doc) scanSentiment(v *vocabTables) {
 	}
 }
 
-// entitySentiments is EntitySentiments on spans and the precomputed hit
+// entitySentiments is the package function entitySentiments on spans and the precomputed hit
 // list, with small parallel slices instead of a per-document accumulator
 // map. Additions happen in exactly the reference order (mention by
 // mention, hit by hit), keeping the floating-point sums bit-identical.
@@ -378,7 +378,7 @@ func (d *doc) entitySentiments(mentions []Mention) []EntitySentiment {
 	return out
 }
 
-// concepts is ExtractConcepts on spans: votes accumulate into a dense
+// concepts is the package function extractConcepts on spans: votes accumulate into a dense
 // label-indexed slice (the label space is the small fixed taxonomy).
 func (d *doc) concepts(v *vocabTables, mentions []Mention, k int) []Concept {
 	if len(d.votes) < len(v.conceptLabels) {
@@ -441,7 +441,7 @@ func (d *doc) concepts(v *vocabTables, mentions []Mention, k int) []Concept {
 	return out
 }
 
-// relations is ExtractRelations on spans with the compiled trigger
+// relations is the package function extractRelations on spans with the compiled trigger
 // table: sentence IDs come from the span flags, mention positions from
 // binary search, and trigger words from a vocabulary-indexed predicate
 // table.

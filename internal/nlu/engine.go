@@ -58,7 +58,7 @@ var (
 // string-based implementation it is pinned against lives in nluref.
 type Engine struct {
 	profile Profile
-	matcher *Matcher
+	matcher *matcher
 }
 
 // NewEngine returns an engine with the given profile over the built-in
@@ -72,7 +72,7 @@ func NewEngine(profile Profile) *Engine {
 	}
 	return &Engine{
 		profile: profile,
-		matcher: NewMatcher(lexicon.AllEntities()),
+		matcher: newMatcher(lexicon.AllEntities()),
 	}
 }
 

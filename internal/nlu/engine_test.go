@@ -161,7 +161,7 @@ func TestDecodeAnalysisBadBody(t *testing.T) {
 
 func TestKeywordsExcludeStopwordsAndShort(t *testing.T) {
 	tokens := Tokenize("the the the market market growth of at it is")
-	kws := ExtractKeywords(tokens, lexicon.StopwordSet(), 10)
+	kws := extractKeywords(tokens, lexicon.StopwordSet(), 10)
 	for _, k := range kws {
 		if k.Text == "the" || k.Text == "of" || k.Text == "it" {
 			t.Errorf("stopword %q extracted", k.Text)
@@ -174,7 +174,7 @@ func TestKeywordsExcludeStopwordsAndShort(t *testing.T) {
 
 func TestKeywordsTopK(t *testing.T) {
 	tokens := Tokenize("alpha beta gamma delta epsilon zeta market economy trade policy")
-	kws := ExtractKeywords(tokens, lexicon.StopwordSet(), 3)
+	kws := extractKeywords(tokens, lexicon.StopwordSet(), 3)
 	if len(kws) != 3 {
 		t.Errorf("got %d keywords, want 3", len(kws))
 	}
@@ -183,9 +183,9 @@ func TestKeywordsTopK(t *testing.T) {
 func TestConceptsFromTopicsAndKinds(t *testing.T) {
 	text := "Acme Corporation stock surged as earnings beat forecasts in the market."
 	tokens := Tokenize(text)
-	m := NewMatcher(lexicon.AllEntities())
+	m := newMatcher(lexicon.AllEntities())
 	mentions := m.Match(text, tokens)
-	cs := ExtractConcepts(tokens, mentions, 5)
+	cs := extractConcepts(tokens, mentions, 5)
 	labels := map[string]bool{}
 	for _, c := range cs {
 		labels[c.Label] = true

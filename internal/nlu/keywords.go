@@ -5,11 +5,11 @@ import (
 	"sort"
 )
 
-// ExtractKeywords returns the top-k keywords by score. The score is term
+// extractKeywords returns the top-k keywords by score. The score is term
 // frequency damped by log-length so long documents don't drown short ones;
 // stopwords, short tokens, and numbers are excluded. Ties break
 // alphabetically for determinism.
-func ExtractKeywords(tokens []Token, stop map[string]bool, k int) []Keyword {
+func extractKeywords(tokens []Token, stop map[string]bool, k int) []Keyword {
 	counts := make(map[string]int)
 	total := 0
 	for _, t := range tokens {
@@ -72,9 +72,9 @@ var kindConcepts = map[string]string{
 	"City":    "/geography/cities",
 }
 
-// ExtractConcepts derives taxonomy labels from the document's topic words
+// extractConcepts derives taxonomy labels from the document's topic words
 // and entity kinds, with confidence proportional to evidence count.
-func ExtractConcepts(tokens []Token, mentions []Mention, k int) []Concept {
+func extractConcepts(tokens []Token, mentions []Mention, k int) []Concept {
 	votes := make(map[string]int)
 	for _, t := range tokens {
 		if label, ok := topicConcepts[t.Lower]; ok {

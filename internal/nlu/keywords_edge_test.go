@@ -1,8 +1,8 @@
-package nlu_test
+package nlu
 
-// Edge-case coverage for ExtractKeywords and ExtractConcepts, asserted
+// Edge-case coverage for extractKeywords and extractConcepts, asserted
 // against both the live package and the frozen nluref reference so the
-// public string-based helpers and the engines' interned path can never
+// string-based helpers and the engines' interned path can never
 // drift apart on the boundaries: all-stopword documents, k=0, and the
 // deterministic alphabetical tie-break.
 
@@ -11,20 +11,19 @@ import (
 	"testing"
 
 	"repro/internal/lexicon"
-	"repro/internal/nlu"
 	"repro/internal/nlu/nluref"
 )
 
 // keywordsBoth runs both implementations over the same text and fails if
 // they disagree, returning the live result.
-func keywordsBoth(t *testing.T, text string, k int) []nlu.Keyword {
+func keywordsBoth(t *testing.T, text string, k int) []Keyword {
 	t.Helper()
 	stop := lexicon.StopwordSet()
-	got := nlu.ExtractKeywords(nlu.Tokenize(text), stop, k)
+	got := extractKeywords(Tokenize(text), stop, k)
 	refRaw := nluref.ExtractKeywords(nluref.Tokenize(text), stop, k)
-	ref := make([]nlu.Keyword, len(refRaw))
+	ref := make([]Keyword, len(refRaw))
 	for i, kw := range refRaw {
-		ref[i] = nlu.Keyword(kw)
+		ref[i] = Keyword(kw)
 	}
 	if len(refRaw) == 0 {
 		ref = nil
@@ -35,14 +34,14 @@ func keywordsBoth(t *testing.T, text string, k int) []nlu.Keyword {
 	return got
 }
 
-func conceptsBoth(t *testing.T, text string, k int) []nlu.Concept {
+func conceptsBoth(t *testing.T, text string, k int) []Concept {
 	t.Helper()
-	tokens := nlu.Tokenize(text)
-	got := nlu.ExtractConcepts(tokens, nil, k)
+	tokens := Tokenize(text)
+	got := extractConcepts(tokens, nil, k)
 	refRaw := nluref.ExtractConcepts(nluref.Tokenize(text), nil, k)
-	ref := make([]nlu.Concept, len(refRaw))
+	ref := make([]Concept, len(refRaw))
 	for i, c := range refRaw {
-		ref[i] = nlu.Concept(c)
+		ref[i] = Concept(c)
 	}
 	if len(refRaw) == 0 {
 		ref = nil
@@ -127,13 +126,13 @@ func TestExtractConceptsTieBreakAlphabetical(t *testing.T) {
 }
 
 func TestExtractConceptsMentionKindVotes(t *testing.T) {
-	tokens := nlu.Tokenize("nothing topical here")
-	mentions := []nlu.Mention{
+	tokens := Tokenize("nothing topical here")
+	mentions := []Mention{
 		{EntityID: "country:de", Kind: "Country"},
 		{EntityID: "company:acme", Kind: "Company"},
 		{EntityID: "country:fr", Kind: "Country"},
 	}
-	got := nlu.ExtractConcepts(tokens, mentions, 5)
+	got := extractConcepts(tokens, mentions, 5)
 	refRaw := nluref.ExtractConcepts(nluref.Tokenize("nothing topical here"), []nluref.Mention{
 		{EntityID: "country:de", Kind: "Country"},
 		{EntityID: "company:acme", Kind: "Company"},
@@ -143,7 +142,7 @@ func TestExtractConceptsMentionKindVotes(t *testing.T) {
 		t.Fatalf("len %d != ref %d", len(got), len(refRaw))
 	}
 	for i := range got {
-		if got[i] != nlu.Concept(refRaw[i]) {
+		if got[i] != Concept(refRaw[i]) {
 			t.Fatalf("concept %d: %+v != %+v", i, got[i], refRaw[i])
 		}
 	}

@@ -26,10 +26,10 @@ type idEntry struct {
 	kind      string
 }
 
-// Matcher performs gazetteer-based NER with longest-match-wins semantics.
-// Construct once with NewMatcher and share; it is immutable and safe for
+// matcher performs gazetteer-based NER with longest-match-wins semantics.
+// Construct once with newMatcher and share; it is immutable and safe for
 // concurrent use.
-type Matcher struct {
+type matcher struct {
 	// byFirst maps the first (lower-cased) token of each surface form to
 	// its candidate entries, longest first. It backs the public Match.
 	byFirst map[string][]gazEntry
@@ -46,8 +46,8 @@ type Matcher struct {
 // "US" must not match the pronoun "us", but "germany" may match "Germany".
 const acronymMaxLen = 3
 
-// NewMatcher compiles the given gazetteer entities into a matcher.
-func NewMatcher(entities []lexicon.Entity) *Matcher {
+// newMatcher compiles the given gazetteer entities into a matcher.
+func newMatcher(entities []lexicon.Entity) *matcher {
 	v := vocab()
 	extra := intern.NewDict[string]()
 	nVocab := uint32(v.dict.Len())
@@ -57,7 +57,7 @@ func NewMatcher(entities []lexicon.Entity) *Matcher {
 		}
 		return nVocab + extra.Intern(w)
 	}
-	m := &Matcher{
+	m := &matcher{
 		byFirst:   make(map[string][]gazEntry),
 		idByFirst: make(map[uint32][]idEntry),
 	}
@@ -109,7 +109,7 @@ func NewMatcher(entities []lexicon.Entity) *Matcher {
 // Document tokens and entry tokens resolve through the same injective
 // vocabulary∪overflow mapping, so ID equality coincides exactly with
 // lower-cased string equality.
-func (m *Matcher) matchDoc(text string, d *doc) []Mention {
+func (m *matcher) matchDoc(text string, d *doc) []Mention {
 	spans := d.spans
 	var out []Mention
 	for i := 0; i < len(spans); {
@@ -162,7 +162,7 @@ func sortByLenDesc(entries []gazEntry) {
 
 // Match finds gazetteer entity mentions in the token stream, scanning left
 // to right with longest-match-wins and no overlaps.
-func (m *Matcher) Match(text string, tokens []Token) []Mention {
+func (m *matcher) Match(text string, tokens []Token) []Mention {
 	var out []Mention
 	for i := 0; i < len(tokens); {
 		entries := m.byFirst[tokens[i].Lower]
@@ -204,12 +204,12 @@ func (m *Matcher) Match(text string, tokens []Token) []Mention {
 	return out
 }
 
-// HeuristicMentions finds capitalized token runs that the gazetteer did not
+// heuristicMentions finds capitalized token runs that the gazetteer did not
 // match and reports them as Unknown entities. Sentence-initial single
 // capitalized words are skipped (ordinary sentence case), as are stopwords
 // — this is the recall-over-precision half of NER that some engine
 // profiles enable.
-func HeuristicMentions(text string, tokens []Token, covered []Mention, stop map[string]bool) []Mention {
+func heuristicMentions(text string, tokens []Token, covered []Mention, stop map[string]bool) []Mention {
 	coveredAt := make(map[int]bool)
 	for _, m := range covered {
 		for b := m.Start; b < m.End; b++ {
@@ -219,13 +219,13 @@ func HeuristicMentions(text string, tokens []Token, covered []Mention, stop map[
 	var out []Mention
 	for i := 0; i < len(tokens); {
 		t := tokens[i]
-		if !IsCapitalized(t.Text) || coveredAt[t.Start] || stop[t.Lower] {
+		if !isCapitalized(t.Text) || coveredAt[t.Start] || stop[t.Lower] {
 			i++
 			continue
 		}
 		// Collect the full capitalized run.
 		j := i
-		for j < len(tokens) && IsCapitalized(tokens[j].Text) && !coveredAt[tokens[j].Start] && !stop[tokens[j].Lower] {
+		for j < len(tokens) && isCapitalized(tokens[j].Text) && !coveredAt[tokens[j].Start] && !stop[tokens[j].Lower] {
 			j++
 		}
 		runLen := j - i

@@ -8,7 +8,7 @@ import (
 
 func matchText(t *testing.T, text string) []Mention {
 	t.Helper()
-	m := NewMatcher(lexicon.AllEntities())
+	m := newMatcher(lexicon.AllEntities())
 	return m.Match(text, Tokenize(text))
 }
 
@@ -102,9 +102,9 @@ func TestMatcherOffsetsSliceSource(t *testing.T) {
 func TestHeuristicMentions(t *testing.T) {
 	text := "Yesterday Zorblax Dynamics unveiled a new engine."
 	tokens := Tokenize(text)
-	m := NewMatcher(lexicon.AllEntities())
+	m := newMatcher(lexicon.AllEntities())
 	covered := m.Match(text, tokens)
-	hs := HeuristicMentions(text, tokens, covered, lexicon.StopwordSet())
+	hs := heuristicMentions(text, tokens, covered, lexicon.StopwordSet())
 	if len(hs) != 1 {
 		t.Fatalf("heuristic mentions = %+v, want 1", hs)
 	}
@@ -119,7 +119,7 @@ func TestHeuristicMentions(t *testing.T) {
 func TestHeuristicSkipsSentenceInitialSingles(t *testing.T) {
 	text := "Revenue grew. Analysts cheered."
 	tokens := Tokenize(text)
-	hs := HeuristicMentions(text, tokens, nil, lexicon.StopwordSet())
+	hs := heuristicMentions(text, tokens, nil, lexicon.StopwordSet())
 	if len(hs) != 0 {
 		t.Errorf("sentence-initial words flagged as entities: %+v", hs)
 	}
@@ -128,9 +128,9 @@ func TestHeuristicSkipsSentenceInitialSingles(t *testing.T) {
 func TestHeuristicSkipsCoveredSpans(t *testing.T) {
 	text := "Acme Corporation shares rose."
 	tokens := Tokenize(text)
-	m := NewMatcher(lexicon.AllEntities())
+	m := newMatcher(lexicon.AllEntities())
 	covered := m.Match(text, tokens)
-	hs := HeuristicMentions(text, tokens, covered, lexicon.StopwordSet())
+	hs := heuristicMentions(text, tokens, covered, lexicon.StopwordSet())
 	if len(hs) != 0 {
 		t.Errorf("covered span re-reported: %+v", hs)
 	}

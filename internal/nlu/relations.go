@@ -24,10 +24,10 @@ type Relation struct {
 	Confidence float64 `json:"confidence"`
 }
 
-// RelationTriggers maps trigger words to canonical predicates. The
+// relationTriggers maps trigger words to canonical predicates. The
 // vocabulary matches the corpus generator's templates plus common business
 // relations, and users may extend it per engine.
-var RelationTriggers = map[string]string{
+var relationTriggers = map[string]string{
 	"acquired":   "kb:acquired",
 	"acquires":   "kb:acquired",
 	"bought":     "kb:acquired",
@@ -50,13 +50,13 @@ var RelationTriggers = map[string]string{
 // a relation to be emitted.
 const maxTriggerDistance = 12
 
-// ExtractRelations finds trigger-mediated relations between entity mention
-// pairs within a sentence. triggers may be nil to use RelationTriggers.
+// extractRelations finds trigger-mediated relations between entity mention
+// pairs within a sentence. triggers may be nil to use relationTriggers.
 // Results are sorted by text order then predicate, deterministic for a
 // given input.
-func ExtractRelations(text string, tokens []Token, mentions []Mention, triggers map[string]string) []Relation {
+func extractRelations(text string, tokens []Token, mentions []Mention, triggers map[string]string) []Relation {
 	if triggers == nil {
-		triggers = RelationTriggers
+		triggers = relationTriggers
 	}
 	if len(mentions) < 2 {
 		return nil

@@ -9,9 +9,9 @@ import (
 func extract(t *testing.T, text string) []Relation {
 	t.Helper()
 	tokens := Tokenize(text)
-	m := NewMatcher(lexicon.AllEntities())
+	m := newMatcher(lexicon.AllEntities())
 	mentions := m.Match(text, tokens)
-	return ExtractRelations(text, tokens, mentions, nil)
+	return extractRelations(text, tokens, mentions, nil)
 }
 
 func TestExtractAcquisition(t *testing.T) {
@@ -99,10 +99,10 @@ func TestExtractMultipleRelations(t *testing.T) {
 func TestExtractCustomTriggers(t *testing.T) {
 	text := "Acme Corporation sponsors Globex Industries."
 	tokens := Tokenize(text)
-	m := NewMatcher(lexicon.AllEntities())
+	m := newMatcher(lexicon.AllEntities())
 	mentions := m.Match(text, tokens)
 	custom := map[string]string{"sponsors": "kb:sponsors"}
-	rels := ExtractRelations(text, tokens, mentions, custom)
+	rels := extractRelations(text, tokens, mentions, custom)
 	if len(rels) != 1 || rels[0].Predicate != "kb:sponsors" {
 		t.Errorf("relations = %+v", rels)
 	}

@@ -50,10 +50,10 @@ func scanSentiment(tokens []Token, weights map[string]float64) []sentimentHit {
 	return hits
 }
 
-// DocumentSentiment scores the whole document in [-1, 1]: the weighted sum
+// documentSentiment scores the whole document in [-1, 1]: the weighted sum
 // of sentiment hits squashed by tanh so long documents saturate rather than
 // overflow.
-func DocumentSentiment(tokens []Token, weights map[string]float64) float64 {
+func documentSentiment(tokens []Token, weights map[string]float64) float64 {
 	hits := scanSentiment(tokens, weights)
 	if len(hits) == 0 {
 		return 0
@@ -69,11 +69,11 @@ func DocumentSentiment(tokens []Token, weights map[string]float64) float64 {
 // contribute to that entity's sentiment.
 const entitySentimentWindow = 8
 
-// EntitySentiments scores each mentioned entity from the sentiment hits
+// entitySentiments scores each mentioned entity from the sentiment hits
 // within a window around its mentions — the paper's per-entity sentiment
 // (offered by Watson Developer Cloud) rather than one score for a document
 // that "may describe several different entities".
-func EntitySentiments(tokens []Token, mentions []Mention, weights map[string]float64) []EntitySentiment {
+func entitySentiments(tokens []Token, mentions []Mention, weights map[string]float64) []EntitySentiment {
 	hits := scanSentiment(tokens, weights)
 	if len(mentions) == 0 {
 		return nil

@@ -7,7 +7,7 @@ import (
 )
 
 func docScore(text string) float64 {
-	return DocumentSentiment(Tokenize(text), lexicon.SentimentWeights())
+	return documentSentiment(Tokenize(text), lexicon.SentimentWeights())
 }
 
 func TestDocumentSentimentPolarity(t *testing.T) {
@@ -60,12 +60,12 @@ func TestEntitySentimentSeparation(t *testing.T) {
 		"Meanwhile analysts watched the markets with detached interest across many regions and several sectors overall. " +
 		"Globex Industries suffered terrible losses and a dismal decline amid the deepening scandal."
 	tokens := Tokenize(text)
-	m := NewMatcher(lexicon.AllEntities())
+	m := newMatcher(lexicon.AllEntities())
 	mentions := m.Match(text, tokens)
 	if len(mentions) != 2 {
 		t.Fatalf("mentions = %+v", mentions)
 	}
-	es := EntitySentiments(tokens, mentions, lexicon.SentimentWeights())
+	es := entitySentiments(tokens, mentions, lexicon.SentimentWeights())
 	if len(es) != 2 {
 		t.Fatalf("entity sentiments = %+v", es)
 	}
@@ -84,9 +84,9 @@ func TestEntitySentimentSeparation(t *testing.T) {
 func TestEntitySentimentMentionCounts(t *testing.T) {
 	text := "France grew. France prospered. Germany stalled."
 	tokens := Tokenize(text)
-	m := NewMatcher(lexicon.AllEntities())
+	m := newMatcher(lexicon.AllEntities())
 	mentions := m.Match(text, tokens)
-	es := EntitySentiments(tokens, mentions, lexicon.SentimentWeights())
+	es := entitySentiments(tokens, mentions, lexicon.SentimentWeights())
 	counts := map[string]int{}
 	for _, e := range es {
 		counts[e.EntityID] = e.Mentions
@@ -98,7 +98,7 @@ func TestEntitySentimentMentionCounts(t *testing.T) {
 
 func TestEntitySentimentEmpty(t *testing.T) {
 	tokens := Tokenize("Nothing notable here.")
-	if es := EntitySentiments(tokens, nil, lexicon.SentimentWeights()); es != nil {
+	if es := entitySentiments(tokens, nil, lexicon.SentimentWeights()); es != nil {
 		t.Errorf("EntitySentiments = %v, want nil", es)
 	}
 }

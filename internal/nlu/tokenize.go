@@ -134,9 +134,9 @@ func isWordRuneAt(text string, i int) bool {
 	return isWordRune(r)
 }
 
-// Sentences splits text into sentences on ., !, ?, … boundaries, trimming
+// sentences splits text into sentences on ., !, ?, … boundaries, trimming
 // whitespace and dropping empties.
-func Sentences(text string) []string {
+func sentences(text string) []string {
 	var out []string
 	var b strings.Builder
 	flush := func() {
@@ -156,8 +156,8 @@ func Sentences(text string) []string {
 	return out
 }
 
-// IsCapitalized reports whether the token begins with an upper-case letter.
-func IsCapitalized(tok string) bool {
+// isCapitalized reports whether the token begins with an upper-case letter.
+func isCapitalized(tok string) bool {
 	for _, r := range tok {
 		return unicode.IsUpper(r)
 	}

@@ -69,7 +69,7 @@ func TestTokenizeNonASCIILetters(t *testing.T) {
 }
 
 func TestSentencesEllipsis(t *testing.T) {
-	got := Sentences("One fades… Two returns. Three")
+	got := sentences("One fades… Two returns. Three")
 	want := []string{"One fades…", "Two returns.", "Three"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("Sentences = %v, want %v", got, want)

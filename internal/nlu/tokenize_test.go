@@ -80,7 +80,7 @@ func TestTokenizeLowerPrecomputed(t *testing.T) {
 }
 
 func TestSentences(t *testing.T) {
-	got := Sentences("One here. Two there! Is three? Four")
+	got := sentences("One here. Two there! Is three? Four")
 	want := []string{"One here.", "Two there!", "Is three?", "Four"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("Sentences = %v, want %v", got, want)
@@ -88,7 +88,7 @@ func TestSentences(t *testing.T) {
 }
 
 func TestSentencesEmpty(t *testing.T) {
-	if got := Sentences("   "); len(got) != 0 {
+	if got := sentences("   "); len(got) != 0 {
 		t.Errorf("Sentences(blank) = %v", got)
 	}
 }
@@ -101,8 +101,8 @@ func TestIsCapitalized(t *testing.T) {
 		{"Hello", true}, {"hello", false}, {"HELLO", true}, {"", false}, {"123", false},
 	}
 	for _, tt := range tests {
-		if got := IsCapitalized(tt.in); got != tt.want {
-			t.Errorf("IsCapitalized(%q) = %v, want %v", tt.in, got, tt.want)
+		if got := isCapitalized(tt.in); got != tt.want {
+			t.Errorf("isCapitalized(%q) = %v, want %v", tt.in, got, tt.want)
 		}
 	}
 }

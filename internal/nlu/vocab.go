@@ -50,9 +50,8 @@ var (
 )
 
 // vocab returns the shared tables, building them on first use. The build
-// snapshots RelationTriggers and topicConcepts at that point; the public
-// ExtractRelations function still reads the live map for callers that
-// extend it.
+// snapshots relationTriggers and topicConcepts at that point; the
+// string-based extractRelations still reads the live map it is given.
 func vocab() *vocabTables {
 	vocabOnce.Do(buildVocab)
 	return vocabTab
@@ -69,7 +68,7 @@ func buildVocab() {
 	for _, w := range sortedKeys(topicConcepts) {
 		d.Intern(w)
 	}
-	for _, w := range sortedKeys(RelationTriggers) {
+	for _, w := range sortedKeys(relationTriggers) {
 		d.Intern(w)
 	}
 	f := d.Freeze()
@@ -127,7 +126,7 @@ func buildVocab() {
 	}
 
 	predSet := make(map[string]bool)
-	for _, p := range RelationTriggers {
+	for _, p := range relationTriggers {
 		predSet[p] = true
 	}
 	v.predicates = sortedKeys(predSet)
@@ -135,7 +134,7 @@ func buildVocab() {
 	for i, p := range v.predicates {
 		predIdx[p] = uint16(i + 1)
 	}
-	for w, p := range RelationTriggers {
+	for w, p := range relationTriggers {
 		if id, ok := f.Lookup(w); ok {
 			v.triggerOf[id] = predIdx[p]
 		}

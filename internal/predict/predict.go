@@ -36,15 +36,15 @@ type DefaultPolicy int
 // Default policies. They are consulted only when the target service lacks
 // enough observations to fit a model.
 const (
-	// DefaultNone makes prediction fail with ErrNoData when there is no
+	// defaultNone makes prediction fail with ErrNoData when there is no
 	// model and no peer data.
-	DefaultNone DefaultPolicy = iota + 1
+	defaultNone DefaultPolicy = iota + 1
 	// DefaultPeerAverage uses the average latency of similar services.
 	DefaultPeerAverage
-	// DefaultPeerMedian uses the median latency of similar services.
-	DefaultPeerMedian
-	// DefaultUser uses a user-provided constant.
-	DefaultUser
+	// defaultPeerMedian uses the median latency of similar services.
+	defaultPeerMedian
+	// defaultUser uses a user-provided constant.
+	defaultUser
 )
 
 // Config configures a Predictor.
@@ -52,9 +52,9 @@ type Config struct {
 	// MinObservations is the number of observations required before a
 	// model is fitted. Below it the default policy applies. Default 8.
 	MinObservations int
-	// Policy selects the fallback behaviour. Default DefaultNone.
+	// Policy selects the fallback behaviour. Default defaultNone.
 	Policy DefaultPolicy
-	// UserDefault is the fallback latency for DefaultUser.
+	// UserDefault is the fallback latency for defaultUser.
 	UserDefault time.Duration
 	// KNeighbors is the neighbourhood size for the k-NN estimate used
 	// when regression fails (for example, collinear parameters).
@@ -67,7 +67,7 @@ func (c *Config) fill() {
 		c.MinObservations = 8
 	}
 	if c.Policy == 0 {
-		c.Policy = DefaultNone
+		c.Policy = defaultNone
 	}
 	if c.KNeighbors <= 0 {
 		c.KNeighbors = 3
@@ -161,11 +161,11 @@ func (p *Predictor) Predict(params []float64, peersMS []float64) (time.Duration,
 		if len(peersMS) > 0 {
 			return msToDuration(stats.Mean(peersMS)), nil
 		}
-	case DefaultPeerMedian:
+	case defaultPeerMedian:
 		if len(peersMS) > 0 {
 			return msToDuration(stats.Median(peersMS)), nil
 		}
-	case DefaultUser:
+	case defaultUser:
 		return p.cfg.UserDefault, nil
 	}
 	return 0, ErrNoData

@@ -57,10 +57,10 @@ func TestPredictNoDataPolicies(t *testing.T) {
 		want    time.Duration
 		wantErr bool
 	}{
-		{"none fails", Config{Policy: DefaultNone}, peers, 0, true},
+		{"none fails", Config{Policy: defaultNone}, peers, 0, true},
 		{"peer average", Config{Policy: DefaultPeerAverage}, peers, ms(40), false},
-		{"peer median", Config{Policy: DefaultPeerMedian}, peers, ms(20), false},
-		{"user default", Config{Policy: DefaultUser, UserDefault: ms(33)}, nil, ms(33), false},
+		{"peer median", Config{Policy: defaultPeerMedian}, peers, ms(20), false},
+		{"user default", Config{Policy: defaultUser, UserDefault: ms(33)}, nil, ms(33), false},
 		{"peer average without peers fails", Config{Policy: DefaultPeerAverage}, nil, 0, true},
 	}
 	for _, tt := range tests {

@@ -59,11 +59,11 @@ func (p *refPredictor) Predict(params []float64, peersMS []float64) (time.Durati
 		if len(peersMS) > 0 {
 			return msToDuration(stats.Mean(peersMS)), nil
 		}
-	case DefaultPeerMedian:
+	case defaultPeerMedian:
 		if len(peersMS) > 0 {
 			return msToDuration(stats.Median(peersMS)), nil
 		}
-	case DefaultUser:
+	case defaultUser:
 		return p.cfg.UserDefault, nil
 	}
 	return 0, ErrNoData

@@ -7,10 +7,7 @@
 // with support for user-supplied custom scoring.
 package rank
 
-import (
-	"errors"
-	"sort"
-)
+import "sort"
 
 // Estimate carries the predicted properties of one service, produced from
 // the SDK's collected monitoring data (or defaults when data is missing).
@@ -114,10 +111,6 @@ type Scored struct {
 	Score float64
 }
 
-// ErrNoCandidates is returned when ranking is asked to choose among zero
-// services.
-var ErrNoCandidates = errors.New("rank: no candidate services")
-
 // Rank scores every estimate and returns them sorted by ascending score
 // (best first). Ties preserve input order, making ranking deterministic.
 func Rank(estimates []Estimate, scorer Scorer) []Scored {
@@ -127,26 +120,4 @@ func Rank(estimates []Estimate, scorer Scorer) []Scored {
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Score < out[j].Score })
 	return out
-}
-
-// Best returns the top-ranked estimate.
-func Best(estimates []Estimate, scorer Scorer) (Scored, error) {
-	if len(estimates) == 0 {
-		return Scored{}, ErrNoCandidates
-	}
-	ranked := Rank(estimates, scorer)
-	return ranked[0], nil
-}
-
-// Order returns the service names from best to worst — the order in which
-// failover should try services (paper §2.1: "start with higher ranked
-// services and continue with lower ranked services until a responsive
-// service is found").
-func Order(estimates []Estimate, scorer Scorer) []string {
-	ranked := Rank(estimates, scorer)
-	names := make([]string, len(ranked))
-	for i, r := range ranked {
-		names[i] = r.Name
-	}
-	return names
 }

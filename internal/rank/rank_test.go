@@ -1,7 +1,6 @@
 package rank
 
 import (
-	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -25,34 +24,25 @@ func TestWeightedEquation1(t *testing.T) {
 
 func TestWeightedLatencyOnlyPicksFastest(t *testing.T) {
 	scorer := Weighted{W: Weights{Alpha: 1}}
-	best, err := Best(candidates, scorer)
-	if err != nil {
-		t.Fatal(err)
-	}
+	best := Rank(candidates, scorer)[0]
 	if best.Name != "fast-expensive" {
-		t.Errorf("Best = %s, want fast-expensive", best.Name)
+		t.Errorf("top = %s, want fast-expensive", best.Name)
 	}
 }
 
 func TestWeightedCostOnlyPicksCheapest(t *testing.T) {
 	scorer := Weighted{W: Weights{Beta: 1}}
-	best, err := Best(candidates, scorer)
-	if err != nil {
-		t.Fatal(err)
-	}
+	best := Rank(candidates, scorer)[0]
 	if best.Name != "slow-cheap" {
-		t.Errorf("Best = %s, want slow-cheap", best.Name)
+		t.Errorf("top = %s, want slow-cheap", best.Name)
 	}
 }
 
 func TestWeightedQualityOnlyPicksBestQuality(t *testing.T) {
 	scorer := Weighted{W: Weights{Gamma: 1}}
-	best, err := Best(candidates, scorer)
-	if err != nil {
-		t.Fatal(err)
-	}
+	best := Rank(candidates, scorer)[0]
 	if best.Name != "balanced" {
-		t.Errorf("Best = %s, want balanced", best.Name)
+		t.Errorf("top = %s, want balanced", best.Name)
 	}
 }
 
@@ -113,12 +103,9 @@ func TestNormalizedScoreBounded(t *testing.T) {
 func TestCustomScorer(t *testing.T) {
 	// A scorer that only cares about name length.
 	scorer := Custom(func(e Estimate, _ []Estimate) float64 { return float64(len(e.Name)) })
-	best, err := Best(candidates, scorer)
-	if err != nil {
-		t.Fatal(err)
-	}
+	best := Rank(candidates, scorer)[0]
 	if best.Name != "balanced" {
-		t.Errorf("Best = %s, want balanced (shortest name)", best.Name)
+		t.Errorf("top = %s, want balanced (shortest name)", best.Name)
 	}
 }
 
@@ -143,17 +130,16 @@ func TestRankAscendingAndStable(t *testing.T) {
 	}
 }
 
+// TestOrder checks the failover order Rank gives (paper §2.1: "start
+// with higher ranked services and continue with lower ranked services").
 func TestOrder(t *testing.T) {
-	got := Order(candidates, Weighted{W: Weights{Alpha: 1}})
+	var got []string
+	for _, s := range Rank(candidates, Weighted{W: Weights{Alpha: 1}}) {
+		got = append(got, s.Name)
+	}
 	want := []string{"fast-expensive", "balanced", "slow-cheap"}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Order = %v, want %v", got, want)
-	}
-}
-
-func TestBestEmpty(t *testing.T) {
-	if _, err := Best(nil, Weighted{W: DefaultWeights}); !errors.Is(err, ErrNoCandidates) {
-		t.Errorf("error = %v, want ErrNoCandidates", err)
+		t.Errorf("order = %v, want %v", got, want)
 	}
 }
 
@@ -171,20 +157,14 @@ func TestEq1VsEq2CanDisagree(t *testing.T) {
 		{Name: "low-latency", ResponseTimeMS: 90, Cost: 10, Quality: 0},
 		{Name: "cheap", ResponseTimeMS: 100, Cost: 1, Quality: 0},
 	}
-	b1, err := Best(ests, Weighted{W: DefaultWeights})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := Best(ests, Normalized{W: DefaultWeights})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b1 := Rank(ests, Weighted{W: DefaultWeights})[0]
+	b2 := Rank(ests, Normalized{W: DefaultWeights})[0]
 	// Eq1: low-latency = 100, cheap = 101 -> low-latency wins.
 	// Eq2: low-latency = 0.9+1.0 = 1.9, cheap = 1.0+0.1 = 1.1 -> cheap wins.
 	if b1.Name != "low-latency" {
-		t.Errorf("Eq1 Best = %s, want low-latency", b1.Name)
+		t.Errorf("Eq1 top = %s, want low-latency", b1.Name)
 	}
 	if b2.Name != "cheap" {
-		t.Errorf("Eq2 Best = %s, want cheap", b2.Name)
+		t.Errorf("Eq2 top = %s, want cheap", b2.Name)
 	}
 }

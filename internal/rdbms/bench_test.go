@@ -22,7 +22,7 @@ func benchDB(b *testing.B, rows int, index bool) *DB {
 		b.Fatal(err)
 	}
 	for i := 0; i < rows; i++ {
-		row := Row{IntV(int64(i)), TextV(fmt.Sprintf("name%d", i%500)), FloatV(float64(i % 100))}
+		row := Row{intV(int64(i)), TextV(fmt.Sprintf("name%d", i%500)), floatV(float64(i % 100))}
 		if err := t.Insert(row); err != nil {
 			b.Fatal(err)
 		}
@@ -34,7 +34,7 @@ func BenchmarkParseSelect(b *testing.B) {
 	q := "SELECT id, name FROM bench WHERE score > 50 AND name = 'name7' ORDER BY id DESC LIMIT 10"
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Parse(q); err != nil {
+		if _, err := parseStatement(q); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -34,7 +34,7 @@ func (db *DB) ImportCSV(name string, r io.Reader) (*Table, error) {
 	for ri, rec := range body {
 		row := make(Row, len(schema))
 		for ci := range schema {
-			v, err := Coerce(rec[ci], schema[ci].Type)
+			v, err := coerce(rec[ci], schema[ci].Type)
 			if err != nil {
 				return nil, fmt.Errorf("rdbms: csv row %d: %w", ri+2, err)
 			}
@@ -70,11 +70,11 @@ func inferType(body [][]string, ci int) Type {
 	case !sawAny:
 		return TypeText
 	case isInt:
-		return TypeInt
+		return typeInt
 	case isFloat:
-		return TypeFloat
+		return typeFloat
 	case isBool:
-		return TypeBool
+		return typeBool
 	default:
 		return TypeText
 	}
@@ -108,8 +108,8 @@ func (t *Table) ExportCSV(w io.Writer) error {
 	return nil
 }
 
-// ExportResultCSV writes a query result as CSV with a header row.
-func ExportResultCSV(rs ResultSet, w io.Writer) error {
+// exportResultCSV writes a query result as CSV with a header row.
+func exportResultCSV(rs ResultSet, w io.Writer) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write(rs.Columns); err != nil {
 		return fmt.Errorf("rdbms: write header: %w", err)

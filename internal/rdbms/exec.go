@@ -15,36 +15,36 @@ type ResultSet struct {
 // Exec parses and executes one SQL statement against the database. Writes
 // return an empty ResultSet with Rows nil; SELECTs return data.
 func (db *DB) Exec(sql string) (ResultSet, error) {
-	stmt, err := Parse(sql)
+	stmt, err := parseStatement(sql)
 	if err != nil {
 		return ResultSet{}, err
 	}
 	switch s := stmt.(type) {
-	case CreateStmt:
+	case createStmt:
 		if _, err := db.Create(s.Table, s.Schema); err != nil {
 			return ResultSet{}, err
 		}
 		return ResultSet{}, nil
-	case CreateIndexStmt:
+	case createIndexStmt:
 		t, err := db.Table(s.Table)
 		if err != nil {
 			return ResultSet{}, err
 		}
 		return ResultSet{}, t.CreateIndex(s.Column)
-	case InsertStmt:
+	case insertStmt:
 		return ResultSet{}, db.execInsert(s)
-	case SelectStmt:
+	case selectStmt:
 		return db.execSelect(s)
-	case UpdateStmt:
+	case updateStmt:
 		return ResultSet{}, db.execUpdate(s)
-	case DeleteStmt:
+	case deleteStmt:
 		return ResultSet{}, db.execDelete(s)
 	default:
 		return ResultSet{}, fmt.Errorf("rdbms: unhandled statement %T", stmt)
 	}
 }
 
-func (db *DB) execInsert(s InsertStmt) error {
+func (db *DB) execInsert(s insertStmt) error {
 	t, err := db.Table(s.Table)
 	if err != nil {
 		return err
@@ -70,12 +70,12 @@ func (db *DB) execInsert(s InsertStmt) error {
 		}
 		row := make(Row, len(schema))
 		for i := range row {
-			row[i] = NullV(schema[i].Type)
+			row[i] = nullV(schema[i].Type)
 		}
 		for k, ci := range colIdx {
 			v := vals[k]
 			if v.Null {
-				row[ci] = NullV(schema[ci].Type)
+				row[ci] = nullV(schema[ci].Type)
 				continue
 			}
 			row[ci] = v
@@ -89,13 +89,16 @@ func (db *DB) execInsert(s InsertStmt) error {
 
 // matchIDs returns the candidate row ids for a WHERE clause, using an index
 // when the clause is a simple equality on an indexed column, else a full
-// scan. The bool reports whether filtering is still required.
-func matchIDs(t *Table, where Expr) ([]int, bool) {
-	if b, ok := where.(Binary); ok && b.Op == "=" {
-		if col, ok := b.L.(ColRef); ok {
-			if lit, ok := b.R.(Lit); ok {
+// scan. Callers still filter the candidates with the clause: the index is
+// keyed by each value's text, so it also hands back rows whose value only
+// renders the same: NULL renders as the empty string does, and a NULL
+// literal compares false with every row.
+func matchIDs(t *Table, where expression) []int {
+	if b, ok := where.(binaryExpr); ok && b.Op == "=" {
+		if col, ok := b.L.(colRef); ok {
+			if lit, ok := b.R.(literal); ok {
 				if ids, indexed := t.lookup(col.Name, lit.V); indexed {
-					return ids, false
+					return ids
 				}
 			}
 		}
@@ -105,11 +108,11 @@ func matchIDs(t *Table, where Expr) ([]int, bool) {
 		ids = append(ids, id)
 		return nil
 	})
-	return ids, where != nil
+	return ids
 }
 
-func filterRows(t *Table, where Expr) ([]Row, error) {
-	ids, needFilter := matchIDs(t, where)
+func filterRows(t *Table, where expression) ([]Row, error) {
+	ids := matchIDs(t, where)
 	schema := t.Schema()
 	out := make([]Row, 0, len(ids))
 	for _, id := range ids {
@@ -117,12 +120,12 @@ func filterRows(t *Table, where Expr) ([]Row, error) {
 		if row == nil {
 			continue
 		}
-		if needFilter {
+		if where != nil {
 			v, err := where.Eval(row, schema)
 			if err != nil {
 				return nil, err
 			}
-			if v.Null || v.Type != TypeBool || !v.Bool {
+			if v.Null || v.Type != typeBool || !v.Bool {
 				continue
 			}
 		}
@@ -131,7 +134,7 @@ func filterRows(t *Table, where Expr) ([]Row, error) {
 	return out, nil
 }
 
-func (db *DB) execSelect(s SelectStmt) (ResultSet, error) {
+func (db *DB) execSelect(s selectStmt) (ResultSet, error) {
 	t, err := db.Table(s.Table)
 	if err != nil {
 		return ResultSet{}, err
@@ -177,7 +180,7 @@ func (db *DB) execSelect(s SelectStmt) (ResultSet, error) {
 		}
 		var sortErr error
 		sort.SliceStable(rows, func(i, j int) bool {
-			cmp, err := Compare(rows[i][oi], rows[j][oi])
+			cmp, err := compareValues(rows[i][oi], rows[j][oi])
 			if err != nil && sortErr == nil {
 				sortErr = err
 			}
@@ -204,7 +207,7 @@ func (db *DB) execSelect(s SelectStmt) (ResultSet, error) {
 	return out, nil
 }
 
-func aggregateSelect(s SelectStmt, schema Schema, rows []Row) (ResultSet, error) {
+func aggregateSelect(s selectStmt, schema Schema, rows []Row) (ResultSet, error) {
 	// Validate items: with GROUP BY, plain columns must be the group
 	// column; without, only aggregates are allowed.
 	groupIdx := -1
@@ -277,10 +280,10 @@ func aggregateSelect(s SelectStmt, schema Schema, rows []Row) (ResultSet, error)
 	return out, nil
 }
 
-func applyAgg(it SelectItem, schema Schema, rows []Row) (Value, error) {
+func applyAgg(it selectItem, schema Schema, rows []Row) (Value, error) {
 	if it.Agg == "COUNT" {
 		if it.Column == "*" {
-			return IntV(int64(len(rows))), nil
+			return intV(int64(len(rows))), nil
 		}
 		ci := schema.Index(it.Column)
 		if ci < 0 {
@@ -292,7 +295,7 @@ func applyAgg(it SelectItem, schema Schema, rows []Row) (Value, error) {
 				n++
 			}
 		}
-		return IntV(n), nil
+		return intV(n), nil
 	}
 	ci := schema.Index(it.Column)
 	if ci < 0 {
@@ -317,7 +320,7 @@ func applyAgg(it SelectItem, schema Schema, rows []Row) (Value, error) {
 		case "MIN":
 			if count == 0 {
 				minV = v
-			} else if cmp, err := Compare(v, minV); err != nil {
+			} else if cmp, err := compareValues(v, minV); err != nil {
 				return Value{}, err
 			} else if cmp < 0 {
 				minV = v
@@ -326,7 +329,7 @@ func applyAgg(it SelectItem, schema Schema, rows []Row) (Value, error) {
 		case "MAX":
 			if count == 0 {
 				maxV = v
-			} else if cmp, err := Compare(v, maxV); err != nil {
+			} else if cmp, err := compareValues(v, maxV); err != nil {
 				return Value{}, err
 			} else if cmp > 0 {
 				maxV = v
@@ -338,12 +341,12 @@ func applyAgg(it SelectItem, schema Schema, rows []Row) (Value, error) {
 	}
 	switch it.Agg {
 	case "SUM":
-		return FloatV(sum), nil
+		return floatV(sum), nil
 	case "AVG":
 		if count == 0 {
-			return NullV(TypeFloat), nil
+			return nullV(typeFloat), nil
 		}
-		return FloatV(sum / float64(count)), nil
+		return floatV(sum / float64(count)), nil
 	case "MIN":
 		if count == 0 {
 			return Value{Null: true}, nil
@@ -357,7 +360,7 @@ func applyAgg(it SelectItem, schema Schema, rows []Row) (Value, error) {
 	}
 }
 
-func (db *DB) execUpdate(s UpdateStmt) error {
+func (db *DB) execUpdate(s updateStmt) error {
 	t, err := db.Table(s.Table)
 	if err != nil {
 		return err
@@ -373,29 +376,29 @@ func (db *DB) execUpdate(s UpdateStmt) error {
 		setCols[k] = ci
 		v := s.Values[k]
 		if !v.Null && v.Type != schema[ci].Type {
-			if schema[ci].Type == TypeFloat && v.Type == TypeInt {
-				v = FloatV(float64(v.Int))
+			if schema[ci].Type == typeFloat && v.Type == typeInt {
+				v = floatV(float64(v.Int))
 			} else {
 				return fmt.Errorf("rdbms: column %q wants %s, got %s", c, schema[ci].Type, v.Type)
 			}
 		}
 		if v.Null {
-			v = NullV(schema[ci].Type)
+			v = nullV(schema[ci].Type)
 		}
 		vals[k] = v
 	}
-	ids, needFilter := matchIDs(t, s.Where)
+	ids := matchIDs(t, s.Where)
 	for _, id := range ids {
 		row := t.row(id)
 		if row == nil {
 			continue
 		}
-		if needFilter {
+		if s.Where != nil {
 			v, err := s.Where.Eval(row, schema)
 			if err != nil {
 				return err
 			}
-			if v.Null || v.Type != TypeBool || !v.Bool {
+			if v.Null || v.Type != typeBool || !v.Bool {
 				continue
 			}
 		}
@@ -404,24 +407,24 @@ func (db *DB) execUpdate(s UpdateStmt) error {
 	return nil
 }
 
-func (db *DB) execDelete(s DeleteStmt) error {
+func (db *DB) execDelete(s deleteStmt) error {
 	t, err := db.Table(s.Table)
 	if err != nil {
 		return err
 	}
 	schema := t.Schema()
-	ids, needFilter := matchIDs(t, s.Where)
+	ids := matchIDs(t, s.Where)
 	for _, id := range ids {
 		row := t.row(id)
 		if row == nil {
 			continue
 		}
-		if needFilter {
+		if s.Where != nil {
 			v, err := s.Where.Eval(row, schema)
 			if err != nil {
 				return err
 			}
-			if v.Null || v.Type != TypeBool || !v.Bool {
+			if v.Null || v.Type != typeBool || !v.Bool {
 				continue
 			}
 		}

@@ -6,90 +6,90 @@ import (
 	"strings"
 )
 
-// Stmt is a parsed SQL statement.
-type Stmt interface{ isStmt() }
+// statement is a parsed SQL statement.
+type statement interface{ isStmt() }
 
-// CreateStmt is CREATE TABLE name (col TYPE, ...).
-type CreateStmt struct {
+// createStmt is CREATE TABLE name (col TYPE, ...).
+type createStmt struct {
 	Table  string
 	Schema Schema
 }
 
-// CreateIndexStmt is CREATE INDEX ON table (column).
-type CreateIndexStmt struct {
+// createIndexStmt is CREATE INDEX ON table (column).
+type createIndexStmt struct {
 	Table  string
 	Column string
 }
 
-// InsertStmt is INSERT INTO table [(cols)] VALUES (...), (...).
-type InsertStmt struct {
+// insertStmt is INSERT INTO table [(cols)] VALUES (...), (...).
+type insertStmt struct {
 	Table   string
 	Columns []string // empty means schema order
 	Rows    [][]Value
 }
 
-// SelectItem is one projection: a column, * (Star), or an aggregate.
-type SelectItem struct {
+// selectItem is one projection: a column, * (Star), or an aggregate.
+type selectItem struct {
 	Star   bool
 	Column string
 	Agg    string // COUNT, SUM, AVG, MIN, MAX; empty for plain column
 }
 
-// SelectStmt is SELECT items FROM table [WHERE expr] [GROUP BY col]
+// selectStmt is SELECT items FROM table [WHERE expr] [GROUP BY col]
 // [ORDER BY col [ASC|DESC]] [LIMIT n].
-type SelectStmt struct {
+type selectStmt struct {
 	Table   string
-	Items   []SelectItem
-	Where   Expr
+	Items   []selectItem
+	Where   expression
 	GroupBy string
 	OrderBy string
 	Desc    bool
 	Limit   int // -1 means no limit
 }
 
-// UpdateStmt is UPDATE table SET col = v, ... [WHERE expr].
-type UpdateStmt struct {
+// updateStmt is UPDATE table SET col = v, ... [WHERE expr].
+type updateStmt struct {
 	Table   string
 	Columns []string
 	Values  []Value
-	Where   Expr
+	Where   expression
 }
 
-// DeleteStmt is DELETE FROM table [WHERE expr].
-type DeleteStmt struct {
+// deleteStmt is DELETE FROM table [WHERE expr].
+type deleteStmt struct {
 	Table string
-	Where Expr
+	Where expression
 }
 
-func (CreateStmt) isStmt()      {}
-func (CreateIndexStmt) isStmt() {}
-func (InsertStmt) isStmt()      {}
-func (SelectStmt) isStmt()      {}
-func (UpdateStmt) isStmt()      {}
-func (DeleteStmt) isStmt()      {}
+func (createStmt) isStmt()      {}
+func (createIndexStmt) isStmt() {}
+func (insertStmt) isStmt()      {}
+func (selectStmt) isStmt()      {}
+func (updateStmt) isStmt()      {}
+func (deleteStmt) isStmt()      {}
 
-// Expr is a WHERE-clause expression over a row.
-type Expr interface {
+// expression is a WHERE-clause expression over a row.
+type expression interface {
 	Eval(row Row, schema Schema) (Value, error)
 }
 
-// ColRef references a column by name.
-type ColRef struct{ Name string }
+// colRef references a column by name.
+type colRef struct{ Name string }
 
-// Lit is a literal value.
-type Lit struct{ V Value }
+// literal is a literal value.
+type literal struct{ V Value }
 
-// Binary applies an operator: comparison or AND/OR.
-type Binary struct {
+// binaryExpr applies an operator: comparison or AND/OR.
+type binaryExpr struct {
 	Op   string
-	L, R Expr
+	L, R expression
 }
 
-// Not negates a boolean expression.
-type Not struct{ E Expr }
+// notExpr negates a boolean expression.
+type notExpr struct{ E expression }
 
 // Eval implements Expr.
-func (c ColRef) Eval(row Row, schema Schema) (Value, error) {
+func (c colRef) Eval(row Row, schema Schema) (Value, error) {
 	i := schema.Index(c.Name)
 	if i < 0 {
 		return Value{}, fmt.Errorf("rdbms: no column %q", c.Name)
@@ -98,31 +98,31 @@ func (c ColRef) Eval(row Row, schema Schema) (Value, error) {
 }
 
 // Eval implements Expr.
-func (l Lit) Eval(Row, Schema) (Value, error) { return l.V, nil }
+func (l literal) Eval(Row, Schema) (Value, error) { return l.V, nil }
 
 // Eval implements Expr.
-func (b Binary) Eval(row Row, schema Schema) (Value, error) {
+func (b binaryExpr) Eval(row Row, schema Schema) (Value, error) {
 	lv, err := b.L.Eval(row, schema)
 	if err != nil {
 		return Value{}, err
 	}
 	switch b.Op {
 	case "AND", "OR":
-		if lv.Type != TypeBool || lv.Null {
+		if lv.Type != typeBool || lv.Null {
 			return Value{}, fmt.Errorf("rdbms: %s needs boolean operands", b.Op)
 		}
 		// Short circuit.
 		if b.Op == "AND" && !lv.Bool {
-			return BoolV(false), nil
+			return boolV(false), nil
 		}
 		if b.Op == "OR" && lv.Bool {
-			return BoolV(true), nil
+			return boolV(true), nil
 		}
 		rv, err := b.R.Eval(row, schema)
 		if err != nil {
 			return Value{}, err
 		}
-		if rv.Type != TypeBool || rv.Null {
+		if rv.Type != typeBool || rv.Null {
 			return Value{}, fmt.Errorf("rdbms: %s needs boolean operands", b.Op)
 		}
 		return rv, nil
@@ -133,40 +133,40 @@ func (b Binary) Eval(row Row, schema Schema) (Value, error) {
 	}
 	// SQL semantics: comparisons with NULL are false.
 	if lv.Null || rv.Null {
-		return BoolV(false), nil
+		return boolV(false), nil
 	}
-	cmp, err := Compare(lv, rv)
+	cmp, err := compareValues(lv, rv)
 	if err != nil {
 		return Value{}, err
 	}
 	switch b.Op {
 	case "=":
-		return BoolV(cmp == 0), nil
+		return boolV(cmp == 0), nil
 	case "!=", "<>":
-		return BoolV(cmp != 0), nil
+		return boolV(cmp != 0), nil
 	case "<":
-		return BoolV(cmp < 0), nil
+		return boolV(cmp < 0), nil
 	case "<=":
-		return BoolV(cmp <= 0), nil
+		return boolV(cmp <= 0), nil
 	case ">":
-		return BoolV(cmp > 0), nil
+		return boolV(cmp > 0), nil
 	case ">=":
-		return BoolV(cmp >= 0), nil
+		return boolV(cmp >= 0), nil
 	default:
 		return Value{}, fmt.Errorf("rdbms: unknown operator %q", b.Op)
 	}
 }
 
 // Eval implements Expr.
-func (n Not) Eval(row Row, schema Schema) (Value, error) {
+func (n notExpr) Eval(row Row, schema Schema) (Value, error) {
 	v, err := n.E.Eval(row, schema)
 	if err != nil {
 		return Value{}, err
 	}
-	if v.Type != TypeBool || v.Null {
+	if v.Type != typeBool || v.Null {
 		return Value{}, fmt.Errorf("rdbms: NOT needs a boolean operand")
 	}
-	return BoolV(!v.Bool), nil
+	return boolV(!v.Bool), nil
 }
 
 // parser consumes tokens.
@@ -175,8 +175,8 @@ type parser struct {
 	pos  int
 }
 
-// Parse parses one SQL statement.
-func Parse(input string) (Stmt, error) {
+// parseStatement parses one SQL statement.
+func parseStatement(input string) (statement, error) {
 	toks, err := lex(input)
 	if err != nil {
 		return nil, err
@@ -224,7 +224,7 @@ func (p *parser) ident() (string, error) {
 	return "", fmt.Errorf("rdbms: expected identifier at %d, got %q", t.pos, t.text)
 }
 
-func (p *parser) statement() (Stmt, error) {
+func (p *parser) statement() (statement, error) {
 	t := p.peek()
 	if t.kind != tokKeyword {
 		return nil, fmt.Errorf("rdbms: expected statement at %d, got %q", t.pos, t.text)
@@ -245,7 +245,7 @@ func (p *parser) statement() (Stmt, error) {
 	}
 }
 
-func (p *parser) create() (Stmt, error) {
+func (p *parser) create() (statement, error) {
 	p.next() // CREATE
 	if p.accept(tokKeyword, "INDEX") {
 		if _, err := p.expect(tokKeyword, "ON"); err != nil {
@@ -265,7 +265,7 @@ func (p *parser) create() (Stmt, error) {
 		if _, err := p.expect(tokPunct, ")"); err != nil {
 			return nil, err
 		}
-		return CreateIndexStmt{Table: table, Column: col}, nil
+		return createIndexStmt{Table: table, Column: col}, nil
 	}
 	if _, err := p.expect(tokKeyword, "TABLE"); err != nil {
 		return nil, err
@@ -287,7 +287,7 @@ func (p *parser) create() (Stmt, error) {
 		if typeTok.kind != tokIdent && typeTok.kind != tokKeyword {
 			return nil, fmt.Errorf("rdbms: expected type at %d", typeTok.pos)
 		}
-		ty, err := ParseType(typeTok.text)
+		ty, err := parseType(typeTok.text)
 		if err != nil {
 			return nil, err
 		}
@@ -300,10 +300,10 @@ func (p *parser) create() (Stmt, error) {
 		}
 		break
 	}
-	return CreateStmt{Table: table, Schema: schema}, nil
+	return createStmt{Table: table, Schema: schema}, nil
 }
 
-func (p *parser) insert() (Stmt, error) {
+func (p *parser) insert() (statement, error) {
 	p.next() // INSERT
 	if _, err := p.expect(tokKeyword, "INTO"); err != nil {
 		return nil, err
@@ -357,7 +357,7 @@ func (p *parser) insert() (Stmt, error) {
 			break
 		}
 	}
-	return InsertStmt{Table: table, Columns: cols, Rows: rows}, nil
+	return insertStmt{Table: table, Columns: cols, Rows: rows}, nil
 }
 
 func (p *parser) literal() (Value, error) {
@@ -369,13 +369,13 @@ func (p *parser) literal() (Value, error) {
 			if err != nil {
 				return Value{}, fmt.Errorf("rdbms: bad number %q: %w", t.text, err)
 			}
-			return FloatV(f), nil
+			return floatV(f), nil
 		}
 		n, err := strconv.ParseInt(t.text, 10, 64)
 		if err != nil {
 			return Value{}, fmt.Errorf("rdbms: bad number %q: %w", t.text, err)
 		}
-		return IntV(n), nil
+		return intV(n), nil
 	case tokString:
 		return TextV(t.text), nil
 	case tokKeyword:
@@ -383,17 +383,17 @@ func (p *parser) literal() (Value, error) {
 		case "NULL":
 			return Value{Null: true}, nil
 		case "TRUE":
-			return BoolV(true), nil
+			return boolV(true), nil
 		case "FALSE":
-			return BoolV(false), nil
+			return boolV(false), nil
 		}
 	}
 	return Value{}, fmt.Errorf("rdbms: expected literal at %d, got %q", t.pos, t.text)
 }
 
-func (p *parser) selectStmt() (Stmt, error) {
+func (p *parser) selectStmt() (statement, error) {
 	p.next() // SELECT
-	stmt := SelectStmt{Limit: -1}
+	stmt := selectStmt{Limit: -1}
 	for {
 		item, err := p.selectItem()
 		if err != nil {
@@ -460,43 +460,43 @@ func (p *parser) selectStmt() (Stmt, error) {
 
 var aggNames = map[string]bool{"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true}
 
-func (p *parser) selectItem() (SelectItem, error) {
+func (p *parser) selectItem() (selectItem, error) {
 	t := p.peek()
 	if t.kind == tokPunct && t.text == "*" {
 		p.next()
-		return SelectItem{Star: true}, nil
+		return selectItem{Star: true}, nil
 	}
 	if t.kind == tokKeyword && aggNames[t.text] {
 		agg := p.next().text
 		if _, err := p.expect(tokPunct, "("); err != nil {
-			return SelectItem{}, err
+			return selectItem{}, err
 		}
 		var col string
 		if p.accept(tokPunct, "*") {
 			if agg != "COUNT" {
-				return SelectItem{}, fmt.Errorf("rdbms: %s(*) is not supported", agg)
+				return selectItem{}, fmt.Errorf("rdbms: %s(*) is not supported", agg)
 			}
 			col = "*"
 		} else {
 			c, err := p.ident()
 			if err != nil {
-				return SelectItem{}, err
+				return selectItem{}, err
 			}
 			col = c
 		}
 		if _, err := p.expect(tokPunct, ")"); err != nil {
-			return SelectItem{}, err
+			return selectItem{}, err
 		}
-		return SelectItem{Agg: agg, Column: col}, nil
+		return selectItem{Agg: agg, Column: col}, nil
 	}
 	col, err := p.ident()
 	if err != nil {
-		return SelectItem{}, err
+		return selectItem{}, err
 	}
-	return SelectItem{Column: col}, nil
+	return selectItem{Column: col}, nil
 }
 
-func (p *parser) update() (Stmt, error) {
+func (p *parser) update() (statement, error) {
 	p.next() // UPDATE
 	table, err := p.ident()
 	if err != nil {
@@ -505,7 +505,7 @@ func (p *parser) update() (Stmt, error) {
 	if _, err := p.expect(tokKeyword, "SET"); err != nil {
 		return nil, err
 	}
-	stmt := UpdateStmt{Table: table}
+	stmt := updateStmt{Table: table}
 	for {
 		col, err := p.ident()
 		if err != nil {
@@ -534,7 +534,7 @@ func (p *parser) update() (Stmt, error) {
 	return stmt, nil
 }
 
-func (p *parser) deleteStmt() (Stmt, error) {
+func (p *parser) deleteStmt() (statement, error) {
 	p.next() // DELETE
 	if _, err := p.expect(tokKeyword, "FROM"); err != nil {
 		return nil, err
@@ -543,7 +543,7 @@ func (p *parser) deleteStmt() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	stmt := DeleteStmt{Table: table}
+	stmt := deleteStmt{Table: table}
 	if p.accept(tokKeyword, "WHERE") {
 		w, err := p.expr()
 		if err != nil {
@@ -555,7 +555,7 @@ func (p *parser) deleteStmt() (Stmt, error) {
 }
 
 // expr parses OR-level expressions (lowest precedence).
-func (p *parser) expr() (Expr, error) {
+func (p *parser) expr() (expression, error) {
 	left, err := p.andExpr()
 	if err != nil {
 		return nil, err
@@ -565,12 +565,12 @@ func (p *parser) expr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		left = Binary{Op: "OR", L: left, R: right}
+		left = binaryExpr{Op: "OR", L: left, R: right}
 	}
 	return left, nil
 }
 
-func (p *parser) andExpr() (Expr, error) {
+func (p *parser) andExpr() (expression, error) {
 	left, err := p.notExpr()
 	if err != nil {
 		return nil, err
@@ -580,23 +580,23 @@ func (p *parser) andExpr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		left = Binary{Op: "AND", L: left, R: right}
+		left = binaryExpr{Op: "AND", L: left, R: right}
 	}
 	return left, nil
 }
 
-func (p *parser) notExpr() (Expr, error) {
+func (p *parser) notExpr() (expression, error) {
 	if p.accept(tokKeyword, "NOT") {
 		e, err := p.notExpr()
 		if err != nil {
 			return nil, err
 		}
-		return Not{E: e}, nil
+		return notExpr{E: e}, nil
 	}
 	return p.comparison()
 }
 
-func (p *parser) comparison() (Expr, error) {
+func (p *parser) comparison() (expression, error) {
 	if p.accept(tokPunct, "(") {
 		e, err := p.expr()
 		if err != nil {
@@ -618,20 +618,20 @@ func (p *parser) comparison() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return Binary{Op: t.text, L: left, R: right}, nil
+		return binaryExpr{Op: t.text, L: left, R: right}, nil
 	}
 	return left, nil
 }
 
-func (p *parser) operand() (Expr, error) {
+func (p *parser) operand() (expression, error) {
 	t := p.peek()
 	if t.kind == tokIdent {
 		p.next()
-		return ColRef{Name: t.text}, nil
+		return colRef{Name: t.text}, nil
 	}
 	v, err := p.literal()
 	if err != nil {
 		return nil, err
 	}
-	return Lit{V: v}, nil
+	return literal{V: v}, nil
 }

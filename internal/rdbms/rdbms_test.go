@@ -338,7 +338,7 @@ func TestCSVImportExportRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	schema := tab.Schema()
-	wantTypes := []Type{TypeText, TypeInt, TypeFloat, TypeBool}
+	wantTypes := []Type{TypeText, typeInt, typeFloat, typeBool}
 	for i, wt := range wantTypes {
 		if schema[i].Type != wt {
 			t.Errorf("column %s inferred %s, want %s", schema[i].Name, schema[i].Type, wt)
@@ -375,7 +375,7 @@ func TestExportResultCSV(t *testing.T) {
 	db := seededDB(t)
 	rs := mustExec(t, db, "SELECT name, age FROM people ORDER BY age DESC LIMIT 1")
 	var out strings.Builder
-	if err := ExportResultCSV(rs, &out); err != nil {
+	if err := exportResultCSV(rs, &out); err != nil {
 		t.Fatal(err)
 	}
 	want := "name,age\ncarol,35\n"

@@ -42,8 +42,8 @@ type Table struct {
 	indexes map[string]map[string][]int // column -> value-string -> row ids
 }
 
-// NewTable creates a table. Column names must be unique (case-insensitive).
-func NewTable(name string, schema Schema) (*Table, error) {
+// newTable creates a table. Column names must be unique (case-insensitive).
+func newTable(name string, schema Schema) (*Table, error) {
 	if name == "" {
 		return nil, errors.New("rdbms: empty table name")
 	}
@@ -93,8 +93,8 @@ func (t *Table) Insert(row Row) error {
 		want := t.schema[i].Type
 		if v.Type != want {
 			// Int literals are acceptable for float columns.
-			if want == TypeFloat && v.Type == TypeInt {
-				row[i] = FloatV(float64(v.Int))
+			if want == typeFloat && v.Type == typeInt {
+				row[i] = floatV(float64(v.Int))
 				continue
 			}
 			return fmt.Errorf("rdbms: column %q wants %s, got %s", t.schema[i].Name, want, v.Type)
@@ -261,7 +261,7 @@ func NewDB() *DB {
 
 // Create adds a new table. Duplicate names (case-insensitive) error.
 func (db *DB) Create(name string, schema Schema) (*Table, error) {
-	t, err := NewTable(name, schema)
+	t, err := newTable(name, schema)
 	if err != nil {
 		return nil, err
 	}

@@ -18,39 +18,39 @@ type Type int
 
 // Column types.
 const (
-	TypeInt Type = iota + 1
-	TypeFloat
+	typeInt Type = iota + 1
+	typeFloat
 	TypeText
-	TypeBool
+	typeBool
 )
 
 // String returns the SQL name of the type.
 func (t Type) String() string {
 	switch t {
-	case TypeInt:
+	case typeInt:
 		return "INT"
-	case TypeFloat:
+	case typeFloat:
 		return "FLOAT"
 	case TypeText:
 		return "TEXT"
-	case TypeBool:
+	case typeBool:
 		return "BOOL"
 	default:
 		return "UNKNOWN"
 	}
 }
 
-// ParseType parses a SQL type name (case-insensitive, with common aliases).
-func ParseType(s string) (Type, error) {
+// parseType parses a SQL type name (case-insensitive, with common aliases).
+func parseType(s string) (Type, error) {
 	switch strings.ToUpper(s) {
 	case "INT", "INTEGER", "BIGINT":
-		return TypeInt, nil
+		return typeInt, nil
 	case "FLOAT", "DOUBLE", "REAL", "DECIMAL":
-		return TypeFloat, nil
+		return typeFloat, nil
 	case "TEXT", "VARCHAR", "STRING", "CHAR":
 		return TypeText, nil
 	case "BOOL", "BOOLEAN":
-		return TypeBool, nil
+		return typeBool, nil
 	default:
 		return 0, fmt.Errorf("rdbms: unknown type %q", s)
 	}
@@ -67,11 +67,11 @@ type Value struct {
 }
 
 // Convenience constructors.
-func IntV(v int64) Value     { return Value{Type: TypeInt, Int: v} }
-func FloatV(v float64) Value { return Value{Type: TypeFloat, Float: v} }
+func intV(v int64) Value     { return Value{Type: typeInt, Int: v} }
+func floatV(v float64) Value { return Value{Type: typeFloat, Float: v} }
 func TextV(v string) Value   { return Value{Type: TypeText, Text: v} }
-func BoolV(v bool) Value     { return Value{Type: TypeBool, Bool: v} }
-func NullV(t Type) Value     { return Value{Type: t, Null: true} }
+func boolV(v bool) Value     { return Value{Type: typeBool, Bool: v} }
+func nullV(t Type) Value     { return Value{Type: t, Null: true} }
 
 // String renders the value for display and CSV export.
 func (v Value) String() string {
@@ -79,11 +79,11 @@ func (v Value) String() string {
 		return ""
 	}
 	switch v.Type {
-	case TypeInt:
+	case typeInt:
 		return strconv.FormatInt(v.Int, 10)
-	case TypeFloat:
+	case typeFloat:
 		return strconv.FormatFloat(v.Float, 'g', -1, 64)
-	case TypeBool:
+	case typeBool:
 		return strconv.FormatBool(v.Bool)
 	default:
 		return v.Text
@@ -96,18 +96,18 @@ func (v Value) AsFloat() (float64, error) {
 		return 0, errors.New("rdbms: NULL is not numeric")
 	}
 	switch v.Type {
-	case TypeInt:
+	case typeInt:
 		return float64(v.Int), nil
-	case TypeFloat:
+	case typeFloat:
 		return v.Float, nil
 	default:
 		return 0, fmt.Errorf("rdbms: %s is not numeric", v.Type)
 	}
 }
 
-// Compare orders two values of compatible types: -1, 0, +1. NULLs sort
+// compareValues orders two values of compatible types: -1, 0, +1. NULLs sort
 // before everything and equal each other.
-func Compare(a, b Value) (int, error) {
+func compareValues(a, b Value) (int, error) {
 	if a.Null && b.Null {
 		return 0, nil
 	}
@@ -118,7 +118,7 @@ func Compare(a, b Value) (int, error) {
 		return 1, nil
 	}
 	// Numeric cross-type comparison.
-	if (a.Type == TypeInt || a.Type == TypeFloat) && (b.Type == TypeInt || b.Type == TypeFloat) {
+	if (a.Type == typeInt || a.Type == typeFloat) && (b.Type == typeInt || b.Type == typeFloat) {
 		af, _ := a.AsFloat()
 		bf, _ := b.AsFloat()
 		switch {
@@ -136,7 +136,7 @@ func Compare(a, b Value) (int, error) {
 	switch a.Type {
 	case TypeText:
 		return strings.Compare(a.Text, b.Text), nil
-	case TypeBool:
+	case typeBool:
 		switch {
 		case a.Bool == b.Bool:
 			return 0, nil
@@ -150,31 +150,31 @@ func Compare(a, b Value) (int, error) {
 	}
 }
 
-// Coerce converts a raw string into a value of the target type, used by CSV
+// coerce converts a raw string into a value of the target type, used by CSV
 // import and literal binding. Empty strings become NULL.
-func Coerce(raw string, t Type) (Value, error) {
+func coerce(raw string, t Type) (Value, error) {
 	if raw == "" {
-		return NullV(t), nil
+		return nullV(t), nil
 	}
 	switch t {
-	case TypeInt:
+	case typeInt:
 		n, err := strconv.ParseInt(raw, 10, 64)
 		if err != nil {
 			return Value{}, fmt.Errorf("rdbms: %q is not an INT: %w", raw, err)
 		}
-		return IntV(n), nil
-	case TypeFloat:
+		return intV(n), nil
+	case typeFloat:
 		f, err := strconv.ParseFloat(raw, 64)
 		if err != nil {
 			return Value{}, fmt.Errorf("rdbms: %q is not a FLOAT: %w", raw, err)
 		}
-		return FloatV(f), nil
-	case TypeBool:
+		return floatV(f), nil
+	case typeBool:
 		b, err := strconv.ParseBool(strings.ToLower(raw))
 		if err != nil {
 			return Value{}, fmt.Errorf("rdbms: %q is not a BOOL: %w", raw, err)
 		}
-		return BoolV(b), nil
+		return boolV(b), nil
 	default:
 		return TextV(raw), nil
 	}

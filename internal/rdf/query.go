@@ -233,7 +233,7 @@ func parsePattern(s string) (Statement, error) {
 	}
 	var out [3]Term
 	for i, f := range fields {
-		t, err := ParseTerm(f)
+		t, err := parseTerm(f)
 		if err != nil {
 			return Statement{}, err
 		}

@@ -408,12 +408,12 @@ func TestParseTerm(t *testing.T) {
 		{"bare", NewIRI("bare")},
 	}
 	for _, tt := range tests {
-		got, err := ParseTerm(tt.in)
+		got, err := parseTerm(tt.in)
 		if err != nil || got != tt.want {
-			t.Errorf("ParseTerm(%q) = (%v, %v), want %v", tt.in, got, err, tt.want)
+			t.Errorf("parseTerm(%q) = (%v, %v), want %v", tt.in, got, err, tt.want)
 		}
 	}
-	if _, err := ParseTerm("  "); err == nil {
+	if _, err := parseTerm("  "); err == nil {
 		t.Error("empty term accepted")
 	}
 }

@@ -32,8 +32,8 @@ type TermKind int
 const (
 	IRI TermKind = iota + 1
 	Literal
-	Blank
-	Var
+	blankKind
+	varKind
 )
 
 // Term is one RDF term.
@@ -45,11 +45,11 @@ type Term struct {
 // Convenience constructors.
 func NewIRI(v string) Term     { return Term{Kind: IRI, Value: v} }
 func NewLiteral(v string) Term { return Term{Kind: Literal, Value: v} }
-func NewBlank(v string) Term   { return Term{Kind: Blank, Value: v} }
-func NewVar(v string) Term     { return Term{Kind: Var, Value: v} }
+func NewBlank(v string) Term   { return Term{Kind: blankKind, Value: v} }
+func NewVar(v string) Term     { return Term{Kind: varKind, Value: v} }
 
 // IsVar reports whether the term is a variable.
-func (t Term) IsVar() bool { return t.Kind == Var }
+func (t Term) IsVar() bool { return t.Kind == varKind }
 
 // Zero reports whether the term is the zero Term (wildcard in Match).
 func (t Term) Zero() bool { return t.Kind == 0 && t.Value == "" }
@@ -61,9 +61,9 @@ func (t Term) String() string {
 		return "<" + t.Value + ">"
 	case Literal:
 		return fmt.Sprintf("%q", t.Value)
-	case Blank:
+	case blankKind:
 		return "_:" + t.Value
-	case Var:
+	case varKind:
 		return "?" + t.Value
 	default:
 		return "_"
@@ -428,9 +428,9 @@ func countDec(counts map[uint32]int, id uint32) {
 	}
 }
 
-// ParseTerm parses a Turtle-like term: <iri>, "literal", _:blank, ?var, or
+// parseTerm parses a Turtle-like term: <iri>, "literal", _:blank, ?var, or
 // a bare word (treated as an IRI).
-func ParseTerm(s string) (Term, error) {
+func parseTerm(s string) (Term, error) {
 	s = strings.TrimSpace(s)
 	switch {
 	case s == "":

@@ -77,7 +77,7 @@ func TestOfflineQueueCoalesces(t *testing.T) {
 func TestOfflineQueueUnbounded(t *testing.T) {
 	_, c, _ := newPair(t, ClusterConfig{Local: kvstore.NewMemory(), MaxPending: -1})
 	c.SetOffline(true)
-	const n = DefaultMaxPending + 100
+	const n = defaultMaxPending + 100
 	for i := 0; i < n; i++ {
 		if err := c.Put(fmt.Sprintf("k%05d", i), []byte("v")); err != nil {
 			t.Fatal(err)

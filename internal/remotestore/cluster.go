@@ -21,17 +21,17 @@ import (
 	"repro/internal/service"
 )
 
-// ErrNotFound is returned by Get for absent keys.
-var ErrNotFound = errors.New("remotestore: not found")
+// errNotFound is returned by Get for absent keys.
+var errNotFound = errors.New("remotestore: not found")
 
-// ErrOffline is returned when an operation needs the remote store but the
+// errOffline is returned when an operation needs the remote store but the
 // client is offline and no local fallback exists.
-var ErrOffline = errors.New("remotestore: offline")
+var errOffline = errors.New("remotestore: offline")
 
-// ErrNoQuorum is returned (wrapped) when a replicated write cannot reach
+// errNoQuorum is returned (wrapped) when a replicated write cannot reach
 // its write quorum and the failure is not a connectivity loss that the
 // offline queue can absorb.
-var ErrNoQuorum = errors.New("remotestore: write quorum not reached")
+var errNoQuorum = errors.New("remotestore: write quorum not reached")
 
 // Store is the enhanced data store surface kb and docstore callers hold, so
 // they need not care how many servers sit behind it — or whether a test or
@@ -78,7 +78,7 @@ type ClusterConfig struct {
 	WriteQuorum int
 	// VirtualNodes and Seed configure ring placement; every client of the
 	// same cluster must use identical values. Zero VirtualNodes means
-	// ring.DefaultVirtualNodes.
+	// the ring's default, 64.
 	VirtualNodes int
 	Seed         uint64
 	// Codec transforms values before upload (typically Chain{Gzip,
@@ -95,7 +95,7 @@ type ClusterConfig struct {
 	// 0 or negative means 10 seconds.
 	Timeout time.Duration
 	// MaxPending caps the offline write-back queue (distinct keys).
-	// 0 means DefaultMaxPending; negative means unbounded, for callers
+	// 0 means defaultMaxPending; negative means unbounded, for callers
 	// that would rather grow than drop.
 	MaxPending int
 	// Breaker configures the per-node circuit breakers. Zero Threshold
@@ -262,7 +262,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	maxPending := cfg.MaxPending
 	if maxPending == 0 {
-		maxPending = DefaultMaxPending
+		maxPending = defaultMaxPending
 	}
 	ringOpts := []ring.Option{ring.WithSeed(cfg.Seed)}
 	if cfg.VirtualNodes > 0 {
@@ -465,7 +465,7 @@ func (cl *Cluster) nodeDo(ctx context.Context, node string, op func(ctx context.
 	if br != nil && (!abandoned || br.Tripped()) {
 		br.Record(err)
 	}
-	if err != nil && !abandoned && !errors.Is(err, ErrNotFound) {
+	if err != nil && !abandoned && !errors.Is(err, errNotFound) {
 		// Not-found is an expected application answer — counting it as a
 		// node error would make routine probes inflate a healthy node's
 		// error rate.
@@ -634,7 +634,7 @@ func (cl *Cluster) replicate(ctx context.Context, key string, encoded []byte, de
 		}
 		return nil
 	}
-	err := fmt.Errorf("%w: %d/%d acks from %v: %w", ErrNoQuorum, got, need, owners, errors.Join(errs...))
+	err := fmt.Errorf("%w: %d/%d acks from %v: %w", errNoQuorum, got, need, owners, errors.Join(errs...))
 	if cerr := ctx.Err(); cerr != nil {
 		return fmt.Errorf("%w: %w", cerr, err)
 	}
@@ -705,7 +705,7 @@ func (cl *Cluster) GetCtx(ctx context.Context, key string) ([]byte, error) {
 					cl.memcache.Set(key, cp)
 				}
 				return value, nil
-			case errors.Is(err, ErrNotFound):
+			case errors.Is(err, errNotFound):
 				// This replica answered and does not have the key. With
 				// W<R it may simply have missed the write; keep asking.
 				sawNotFound = true
@@ -714,7 +714,7 @@ func (cl *Cluster) GetCtx(ctx context.Context, key string) ([]byte, error) {
 			}
 		}
 		if sawNotFound {
-			return nil, fmt.Errorf("%w: %s", ErrNotFound, key)
+			return nil, fmt.Errorf("%w: %s", errNotFound, key)
 		}
 		if lastErr != nil && !unreachable(lastErr) {
 			return nil, lastErr
@@ -731,11 +731,11 @@ func (cl *Cluster) GetCtx(ctx context.Context, key string) ([]byte, error) {
 			return value, nil
 		}
 		if errors.Is(err, kvstore.ErrNotFound) {
-			return nil, fmt.Errorf("%w: %s", ErrNotFound, key)
+			return nil, fmt.Errorf("%w: %s", errNotFound, key)
 		}
 		return nil, err
 	}
-	return nil, ErrOffline
+	return nil, errOffline
 }
 
 // Keys scatter-gathers /keys from every node in parallel and returns the
@@ -752,7 +752,7 @@ func (cl *Cluster) KeysCtx(ctx context.Context) ([]string, error) {
 		if cl.local != nil {
 			return cl.local.Keys()
 		}
-		return nil, ErrOffline
+		return nil, errOffline
 	}
 	nodes := cl.ring.Nodes()
 	if len(nodes) == 0 {

@@ -88,7 +88,7 @@ func testShapeOracleEquivalence(t *testing.T) {
 	// Deleted keys are absent from both.
 	for i := 3; i < n; i += 11 {
 		k := fmt.Sprintf("key-%03d", i)
-		if _, err := tc.cl.Get(k); !errors.Is(err, ErrNotFound) {
+		if _, err := tc.cl.Get(k); !errors.Is(err, errNotFound) {
 			t.Fatalf("deleted key %s on the cluster: Get = %v, want ErrNotFound", k, err)
 		}
 	}
@@ -128,7 +128,7 @@ func shapeServers(t *testing.T, n int, capacity int, latency time.Duration) ([]s
 	urls := make([]string, n)
 	servers := make([]*Server, n)
 	for i := 0; i < n; i++ {
-		srv := NewServer(nil, WithCapacity(capacity))
+		srv := NewServer(nil, withCapacity(capacity))
 		srv.SetLatency(latency)
 		hs := httptest.NewServer(srv.Handler())
 		t.Cleanup(hs.Close)

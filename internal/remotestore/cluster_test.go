@@ -100,7 +100,7 @@ func TestClusterRoundTrip(t *testing.T) {
 	if err := tc.cl.Delete("key-3"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tc.cl.Get("key-3"); !errors.Is(err, ErrNotFound) {
+	if _, err := tc.cl.Get("key-3"); !errors.Is(err, errNotFound) {
 		t.Fatalf("after delete Get = %v, want ErrNotFound", err)
 	}
 }
@@ -168,7 +168,7 @@ func TestClusterNotFoundConsultsAllReplicas(t *testing.T) {
 		t.Fatalf("Get = (%q, %v); a primary miss must fall through to the replica", got, err)
 	}
 	// A key on no replica is authoritatively absent.
-	if _, err := tc.cl.Get("really-missing"); !errors.Is(err, ErrNotFound) {
+	if _, err := tc.cl.Get("really-missing"); !errors.Is(err, errNotFound) {
 		t.Fatalf("Get(missing) = %v, want ErrNotFound", err)
 	}
 }

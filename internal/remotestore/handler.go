@@ -2,7 +2,6 @@ package remotestore
 
 import (
 	"encoding/json"
-	"errors"
 	"net/http"
 )
 
@@ -13,43 +12,29 @@ import (
 // without callers noticing the difference.
 func (cl *Cluster) Handler() http.Handler {
 	mux := http.NewServeMux()
-	// failed answers a store error: 400 for a key checkKey refuses, which
-	// no node could take either, and 502 for the nodes' failure otherwise.
-	failed := func(w http.ResponseWriter, err error) {
-		status := http.StatusBadGateway
-		if errors.Is(err, errBadKey) {
-			status = http.StatusBadRequest
-		}
-		http.Error(w, err.Error(), status)
-	}
 	mux.HandleFunc("PUT /kv/{key}", func(w http.ResponseWriter, r *http.Request) {
-		data, ok := readObject(w, r, DefaultMaxObjectBytes)
+		data, ok := readObject(w, r, defaultMaxObjectBytes)
 		if !ok {
 			return
 		}
 		if err := cl.PutCtx(r.Context(), r.PathValue("key"), data); err != nil {
-			failed(w, err)
+			writeKVError(w, err, http.StatusBadGateway)
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)
 	})
 	mux.HandleFunc("GET /kv/{key}", func(w http.ResponseWriter, r *http.Request) {
 		data, err := cl.GetCtx(r.Context(), r.PathValue("key"))
-		switch {
-		case err == nil:
-			w.Header().Set("Content-Type", "application/octet-stream")
-			_, _ = w.Write(data)
-		case errors.Is(err, ErrNotFound):
-			http.NotFound(w, r)
-		case errors.Is(err, ErrOffline):
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		default:
-			failed(w, err)
+		if err != nil {
+			writeKVError(w, err, http.StatusBadGateway)
+			return
 		}
+		w.Header().Set("Content-Type", "application/octet-stream")
+		_, _ = w.Write(data)
 	})
 	mux.HandleFunc("DELETE /kv/{key}", func(w http.ResponseWriter, r *http.Request) {
 		if err := cl.DeleteCtx(r.Context(), r.PathValue("key")); err != nil {
-			failed(w, err)
+			writeKVError(w, err, http.StatusBadGateway)
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)

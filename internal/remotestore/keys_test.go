@@ -122,7 +122,7 @@ func checkKeyRoundTrip(t *testing.T, s Store, held func() int, replicas int) {
 	}
 	for i, k := range valid {
 		got, err := s.Get(k)
-		if i%2 == 0 && !errors.Is(err, ErrNotFound) {
+		if i%2 == 0 && !errors.Is(err, errNotFound) {
 			t.Errorf("after Delete: Get(%q) = (%q, %v), want ErrNotFound", k, got, err)
 		}
 		if i%2 == 1 && (err != nil || !bytes.Equal(got, value(k))) {
@@ -151,7 +151,7 @@ func checkKeyRoundTrip(t *testing.T, s Store, held func() int, replicas int) {
 		if err := s.Put(k, value(k)); err == nil {
 			t.Errorf("Put(%q) = nil, want an error", k)
 		}
-		if _, err := s.Get(k); err == nil || errors.Is(err, ErrNotFound) {
+		if _, err := s.Get(k); err == nil || errors.Is(err, errNotFound) {
 			t.Errorf("Get(%q) = %v, want a refusal", k, err)
 		}
 		if err := s.Delete(k); err == nil {

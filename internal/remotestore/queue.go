@@ -2,11 +2,11 @@ package remotestore
 
 import "sort"
 
-// DefaultMaxPending bounds the offline write-back queue when
+// defaultMaxPending bounds the offline write-back queue when
 // ClusterConfig.MaxPending is zero. During a long outage a busy client can
 // queue writes far faster than a reconnect will ever drain them; an
 // unbounded queue turns an availability incident into a memory incident.
-const DefaultMaxPending = 4096
+const defaultMaxPending = 4096
 
 // writeQueue is the offline write-back queue: an ordered, per-key-coalesced
 // buffer of writes awaiting Sync. A later write to a key already queued

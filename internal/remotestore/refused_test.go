@@ -52,7 +52,7 @@ func newRefusingRig(t *testing.T, n int) *refusingRig {
 	var urls []string
 	for i := 0; i < n; i++ {
 		st := &brokenStore{Store: kvstore.NewMemory(), refused: rig.refused}
-		hs := httptest.NewServer(NewServer(st, WithMaxBytes(10)).Handler())
+		hs := httptest.NewServer(NewServer(st, withMaxBytes(10)).Handler())
 		t.Cleanup(hs.Close)
 		rig.nodes[hs.URL] = st
 		urls = append(urls, hs.URL)
@@ -106,7 +106,7 @@ func checkRefusedPut(t *testing.T, rig *refusingRig) {
 	if err := s.Put("fresh", big); err == nil {
 		t.Fatal("Put of 100 bytes under a new key returned nil")
 	}
-	if got, err := s.Get("fresh"); !errors.Is(err, ErrNotFound) {
+	if got, err := s.Get("fresh"); !errors.Is(err, errNotFound) {
 		t.Errorf("after a 413 on a new key: Get = (%q, %v), want ErrNotFound", got, err)
 	}
 	if got, err := mirror.Get("fresh"); !errors.Is(err, kvstore.ErrNotFound) {
@@ -118,8 +118,8 @@ func checkRefusedPut(t *testing.T, rig *refusingRig) {
 	if err == nil {
 		t.Fatal("Put to nodes answering 500 returned nil")
 	}
-	if !errors.Is(err, ErrNoQuorum) {
-		t.Errorf("Put to nodes answering 500: error %v, want ErrNoQuorum", err)
+	if !errors.Is(err, errNoQuorum) {
+		t.Errorf("Put to nodes answering 500: error %v, want errNoQuorum", err)
 	}
 	if s.Offline() {
 		t.Error("a 500 is an answer: the client must not go offline on it")
@@ -169,7 +169,7 @@ func TestGetStoreErrorIsNot404(t *testing.T) {
 		// The mirror holds k, but a node that answers is not an outage to
 		// fall back from.
 		got, err := rig.cl.Get("k")
-		if err == nil || errors.Is(err, ErrNotFound) || errors.Is(err, ErrOffline) {
+		if err == nil || errors.Is(err, errNotFound) || errors.Is(err, errOffline) {
 			t.Errorf("Get from a node that cannot read = (%q, %v), want the node's own error", got, err)
 		}
 		if rig.cl.Offline() {

@@ -49,14 +49,14 @@ func TestPutGetDeleteRoundTrip(t *testing.T) {
 	if err := c.Delete("k1"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Get("k1"); !errors.Is(err, ErrNotFound) {
+	if _, err := c.Get("k1"); !errors.Is(err, errNotFound) {
 		t.Errorf("after delete Get = %v, want ErrNotFound", err)
 	}
 }
 
 func TestGetMissing(t *testing.T) {
 	_, c, _ := newPair(t, ClusterConfig{})
-	if _, err := c.Get("never"); !errors.Is(err, ErrNotFound) {
+	if _, err := c.Get("never"); !errors.Is(err, errNotFound) {
 		t.Errorf("error = %v, want ErrNotFound", err)
 	}
 }
@@ -201,7 +201,7 @@ func TestOfflineDeleteSyncs(t *testing.T) {
 	if _, err := c.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Get("gone"); !errors.Is(err, ErrNotFound) {
+	if _, err := c.Get("gone"); !errors.Is(err, errNotFound) {
 		t.Errorf("deleted key survives sync: %v", err)
 	}
 }
@@ -286,8 +286,8 @@ func TestLocalMirrorFasterPathExists(t *testing.T) {
 func TestOfflineNoFallbackErrors(t *testing.T) {
 	_, c, _ := newPair(t, ClusterConfig{})
 	c.SetOffline(true)
-	if _, err := c.Get("k"); !errors.Is(err, ErrOffline) {
-		t.Errorf("error = %v, want ErrOffline", err)
+	if _, err := c.Get("k"); !errors.Is(err, errOffline) {
+		t.Errorf("error = %v, want errOffline", err)
 	}
 }
 

@@ -34,16 +34,15 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-	"unicode/utf8"
 
 	"repro/internal/kvstore"
 	"repro/internal/xrand"
 )
 
-// DefaultMaxObjectBytes bounds PUT payloads unless overridden with
-// WithMaxBytes. Real cloud stores reject oversized objects (S3: 5 GB per
+// defaultMaxObjectBytes bounds PUT payloads unless overridden with
+// withMaxBytes. Real cloud stores reject oversized objects (S3: 5 GB per
 // single PUT) rather than silently truncating them.
-const DefaultMaxObjectBytes = 64 << 20
+const defaultMaxObjectBytes = 64 << 20
 
 // Server is a simulated cloud key-value store:
 //
@@ -76,23 +75,23 @@ type Server struct {
 // ServerOption configures optional server behaviour.
 type ServerOption func(*Server)
 
-// WithMaxBytes overrides the per-object PUT size limit.
-func WithMaxBytes(n int64) ServerOption {
+// withMaxBytes overrides the per-object PUT size limit.
+func withMaxBytes(n int64) ServerOption {
 	return func(s *Server) { s.maxBytes = n }
 }
 
-// WithSeed seeds the server's fault-injection RNG (default seed 1), so
+// withSeed seeds the server's fault-injection RNG (default seed 1), so
 // scripted 5xx bursts are reproducible run to run.
-func WithSeed(seed int64) ServerOption {
+func withSeed(seed int64) ServerOption {
 	return func(s *Server) { s.rng = xrand.New(seed) }
 }
 
-// WithCapacity bounds how many requests the node serves concurrently;
+// withCapacity bounds how many requests the node serves concurrently;
 // excess requests queue (respecting the request context) rather than fail.
 // Real store nodes have finite worker pools — modelling that is what makes
 // aggregate throughput grow with node count in the sharding experiments
 // instead of one in-process node absorbing unlimited parallelism.
-func WithCapacity(n int) ServerOption {
+func withCapacity(n int) ServerOption {
 	return func(s *Server) {
 		if n > 0 {
 			s.sem = make(chan struct{}, n)
@@ -106,7 +105,7 @@ func NewServer(store kvstore.Store, opts ...ServerOption) *Server {
 	if store == nil {
 		store = kvstore.NewMemory()
 	}
-	s := &Server{store: store, maxBytes: DefaultMaxObjectBytes, rng: xrand.New(1)}
+	s := &Server{store: store, maxBytes: defaultMaxObjectBytes, rng: xrand.New(1)}
 	for _, o := range opts {
 		o(s)
 	}
@@ -194,8 +193,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("PUT /kv/{key}", wrap(func(w http.ResponseWriter, r *http.Request) {
 		// A key that is not valid UTF-8 would list, as JSON, as another.
 		key := r.PathValue("key")
-		if !utf8.ValidString(key) {
-			http.Error(w, fmt.Sprintf("key %q is not valid UTF-8", key), http.StatusBadRequest)
+		if err := checkKey(key); err != nil {
+			writeKVError(w, err, http.StatusInternalServerError)
 			return
 		}
 		data, ok := readObject(w, r, s.maxBytes)
@@ -204,21 +203,17 @@ func (s *Server) Handler() http.Handler {
 		}
 		s.bytesIn.Add(int64(len(data)))
 		if err := s.store.Put(key, data); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
+			writeKVError(w, err, http.StatusInternalServerError)
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)
 	}))
 	mux.HandleFunc("GET /kv/{key}", wrap(func(w http.ResponseWriter, r *http.Request) {
 		data, err := s.store.Get(r.PathValue("key"))
-		if errors.Is(err, kvstore.ErrNotFound) {
-			http.NotFound(w, r)
-			return
-		}
 		if err != nil {
-			// Not a 404: the client takes that for an answer, "no such
-			// key", and stops asking the other replicas.
-			http.Error(w, err.Error(), http.StatusInternalServerError)
+			// Only a missing key is a 404: the client takes that for an
+			// answer, "no such key", and stops asking the other replicas.
+			writeKVError(w, err, http.StatusInternalServerError)
 			return
 		}
 		w.Header().Set("Content-Type", "application/octet-stream")
@@ -258,7 +253,7 @@ func (s *Server) Handler() http.Handler {
 	}))
 	mux.HandleFunc("DELETE /kv/{key}", wrap(func(w http.ResponseWriter, r *http.Request) {
 		if err := s.store.Delete(r.PathValue("key")); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
+			writeKVError(w, err, http.StatusInternalServerError)
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)
@@ -278,6 +273,35 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// writeKVError answers a failed /kv/{key} request, on a node (Handler
+// above) and on the gateway (Cluster.Handler) alike: 400 for a key
+// checkKey refuses or a body that cannot be read, 413 for a body over the
+// limit, 404 for a missing key, 503 for a client that is offline, and
+// otherwise — the store behind the route failed — the route's own 5xx:
+// 500 on a node, 502 on the gateway.
+func writeKVError(w http.ResponseWriter, err error, otherwise int) {
+	status := otherwise
+	switch {
+	case errors.Is(err, errBadKey), errors.As(err, new(badBody)):
+		status = http.StatusBadRequest
+	case errors.As(err, new(tooLarge)):
+		status = http.StatusRequestEntityTooLarge
+	case errors.Is(err, kvstore.ErrNotFound), errors.Is(err, errNotFound):
+		status = http.StatusNotFound
+	case errors.Is(err, errOffline):
+		status = http.StatusServiceUnavailable
+	}
+	http.Error(w, err.Error(), status)
+}
+
+// tooLarge is the failure of a PUT body over its route's limit of n bytes.
+type tooLarge int64
+
+func (n tooLarge) Error() string { return fmt.Sprintf("object exceeds %d-byte limit", int64(n)) }
+
+// badBody is the failure to read a PUT body.
+type badBody struct{ error }
+
 // readObject reads a PUT body of at most max bytes; on failure it has
 // written the response and returns false. A body whose declared length
 // already exceeds max is answered 413 unread. Otherwise it reads one byte
@@ -285,17 +309,17 @@ func (s *Server) Handler() http.Handler {
 // correct answer is 413, not a silently truncated object stored with
 // success.
 func readObject(w http.ResponseWriter, r *http.Request, max int64) ([]byte, bool) {
+	var err error
+	var data []byte
 	if r.ContentLength > max {
-		http.Error(w, fmt.Sprintf("object exceeds %d-byte limit", max), http.StatusRequestEntityTooLarge)
-		return nil, false
+		err = tooLarge(max)
+	} else if data, err = readBody(r.Body, r.ContentLength, max+1); err != nil {
+		err = badBody{err}
+	} else if int64(len(data)) > max {
+		err = tooLarge(max)
 	}
-	data, err := readBody(r.Body, r.ContentLength, max+1)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return nil, false
-	}
-	if int64(len(data)) > max {
-		http.Error(w, fmt.Sprintf("object exceeds %d-byte limit", max), http.StatusRequestEntityTooLarge)
+		writeKVError(w, err, http.StatusBadRequest)
 		return nil, false
 	}
 	return data, true

@@ -70,7 +70,7 @@ func putFiller(t *testing.T, url string, fill byte, n int64) int {
 // -race runs.
 func bodyCapCases(t *testing.T, run func(t *testing.T, url string, limit int64, node *Server)) {
 	t.Run("node", func(t *testing.T) {
-		srv := NewServer(nil, WithMaxBytes(1024))
+		srv := NewServer(nil, withMaxBytes(1024))
 		hs := httptest.NewServer(srv.Handler())
 		defer hs.Close()
 		run(t, hs.URL, 1024, srv)
@@ -82,7 +82,7 @@ func bodyCapCases(t *testing.T, run func(t *testing.T, url string, limit int64, 
 		srv, cl, _ := newPair(t, ClusterConfig{})
 		gw := httptest.NewServer(cl.Handler())
 		defer gw.Close()
-		run(t, gw.URL, DefaultMaxObjectBytes, srv)
+		run(t, gw.URL, defaultMaxObjectBytes, srv)
 	})
 }
 
@@ -146,7 +146,7 @@ func TestPutExactLimitRoundTrips(t *testing.T) {
 // TestServerFailRateInjection scripts a random-5xx burst and verifies it is
 // total at rate 1, absent at rate 0, and deterministic under a fixed seed.
 func TestServerFailRateInjection(t *testing.T) {
-	srv := NewServer(nil, WithSeed(42))
+	srv := NewServer(nil, withSeed(42))
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
 

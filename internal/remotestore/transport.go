@@ -117,7 +117,7 @@ func (t *transport) get(ctx context.Context, key string) ([]byte, error) {
 	switch resp.StatusCode {
 	case http.StatusOK:
 	case http.StatusNotFound:
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, key)
+		return nil, fmt.Errorf("%w: %s", errNotFound, key)
 	default:
 		return nil, statusError(resp.StatusCode, "get")
 	}

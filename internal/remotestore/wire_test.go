@@ -129,7 +129,7 @@ func TestClusterReusesConnections(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if _, err := tr.get(context.Background(), "warm"); !errors.Is(err, ErrNotFound) {
+				if _, err := tr.get(context.Background(), "warm"); !errors.Is(err, errNotFound) {
 					t.Errorf("warm-up get = %v, want not found", err)
 				}
 			}()
@@ -154,7 +154,7 @@ func TestClusterReusesConnections(t *testing.T) {
 						errs <- err
 						return
 					}
-				} else if _, err := c.Get(key); err != nil && !errors.Is(err, ErrNotFound) {
+				} else if _, err := c.Get(key); err != nil && !errors.Is(err, errNotFound) {
 					errs <- err
 					return
 				}
@@ -239,7 +239,7 @@ func TestTransportAllocs(t *testing.T) {
 // reply that declares the largest object and then sends a few bytes, ending
 // at EOF or in an error, costs about what it sent, not what it declared.
 func TestDeclaredLengthIsNotTrusted(t *testing.T) {
-	const declared = DefaultMaxObjectBytes
+	const declared = defaultMaxObjectBytes
 	sent := []byte("a few bytes")
 	allocated := func(fn func()) uint64 {
 		var before, after runtime.MemStats
@@ -258,7 +258,7 @@ func TestDeclaredLengthIsNotTrusted(t *testing.T) {
 		req := httptest.NewRequest(http.MethodPut, "/kv/k", body())
 		req.ContentLength = declared
 		rec := httptest.NewRecorder()
-		n := allocated(func() { readObject(rec, req, DefaultMaxObjectBytes) })
+		n := allocated(func() { readObject(rec, req, defaultMaxObjectBytes) })
 		t.Logf("PUT declaring %d bytes, sending %d (cut %v): %d bytes allocated, status %d", declared, len(sent), cut, n, rec.Code)
 		if n > 1<<20 {
 			t.Errorf("PUT declaring %d bytes, sending %d (cut %v): allocated %d bytes, want at most 1 MiB", declared, len(sent), cut, n)
@@ -302,7 +302,7 @@ func TestClusterLeavesNoGoroutines(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, err := c.Get(key); err != nil && !errors.Is(err, ErrNotFound) {
+				if _, err := c.Get(key); err != nil && !errors.Is(err, errNotFound) {
 					t.Error(err)
 					return
 				}

@@ -21,10 +21,10 @@ import (
 	"sync"
 )
 
-// DefaultVirtualNodes is the per-node point count used when the option is
+// defaultVirtualNodes is the per-node point count used when the option is
 // left zero. 64 points per node keeps the max/mean shard imbalance under
 // ~15% for small clusters while keeping Add/Remove cost trivial.
-const DefaultVirtualNodes = 64
+const defaultVirtualNodes = 64
 
 // point is one virtual node: a position on the ring owned by a node.
 type point struct {
@@ -47,7 +47,7 @@ type Ring struct {
 type Option func(*Ring)
 
 // WithVirtualNodes sets how many points each node projects onto the ring
-// (default DefaultVirtualNodes). Higher is smoother and slightly slower to
+// (default defaultVirtualNodes). Higher is smoother and slightly slower to
 // mutate; lookups stay O(log points) regardless.
 func WithVirtualNodes(n int) Option {
 	return func(r *Ring) {
@@ -65,7 +65,7 @@ func WithSeed(seed uint64) Option {
 
 // New returns an empty ring.
 func New(opts ...Option) *Ring {
-	r := &Ring{vnodes: DefaultVirtualNodes, nodes: make(map[string]struct{})}
+	r := &Ring{vnodes: defaultVirtualNodes, nodes: make(map[string]struct{})}
 	for _, o := range opts {
 		o(r)
 	}

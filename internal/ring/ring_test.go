@@ -150,8 +150,8 @@ func TestAddRemoveIdempotent(t *testing.T) {
 	if r.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", r.Len())
 	}
-	if got := len(r.points); got != 2*DefaultVirtualNodes {
-		t.Fatalf("points = %d, want %d (duplicate Add must not add points)", got, 2*DefaultVirtualNodes)
+	if got := len(r.points); got != 2*defaultVirtualNodes {
+		t.Fatalf("points = %d, want %d (duplicate Add must not add points)", got, 2*defaultVirtualNodes)
 	}
 	r.Remove("missing")
 	r.Remove("a")

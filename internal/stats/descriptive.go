@@ -13,8 +13,8 @@ import (
 	"sort"
 )
 
-// ErrEmpty is returned by operations that require at least one observation.
-var ErrEmpty = errors.New("stats: no observations")
+// errEmpty is returned by operations that require at least one observation.
+var errEmpty = errors.New("stats: no observations")
 
 // Summary holds descriptive statistics for a sample.
 type Summary struct {
@@ -27,11 +27,11 @@ type Summary struct {
 	Sum      float64
 }
 
-// Summarize computes descriptive statistics over xs. It returns ErrEmpty if
+// Summarize computes descriptive statistics over xs. It returns errEmpty if
 // xs is empty.
 func Summarize(xs []float64) (Summary, error) {
 	if len(xs) == 0 {
-		return Summary{}, ErrEmpty
+		return Summary{}, errEmpty
 	}
 	s := Summary{N: len(xs), Min: xs[0], Max: xs[0]}
 	for _, x := range xs {
@@ -84,10 +84,10 @@ func Median(xs []float64) float64 {
 	return (cp[n/2-1] + cp[n/2]) / 2
 }
 
-// Correlation returns the Pearson correlation coefficient between xs and ys.
+// correlation returns the Pearson correlation coefficient between xs and ys.
 // It returns an error if the lengths differ, fewer than two points are
 // given, or either series has zero variance.
-func Correlation(xs, ys []float64) (float64, error) {
+func correlation(xs, ys []float64) (float64, error) {
 	if len(xs) != len(ys) {
 		return 0, fmt.Errorf("stats: length mismatch %d != %d", len(xs), len(ys))
 	}

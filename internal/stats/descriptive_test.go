@@ -49,8 +49,8 @@ func TestSummarize(t *testing.T) {
 }
 
 func TestSummarizeEmpty(t *testing.T) {
-	if _, err := Summarize(nil); err != ErrEmpty {
-		t.Errorf("Summarize(nil) error = %v, want ErrEmpty", err)
+	if _, err := Summarize(nil); err != errEmpty {
+		t.Errorf("Summarize(nil) error = %v, want errEmpty", err)
 	}
 }
 
@@ -87,7 +87,7 @@ func TestCorrelation(t *testing.T) {
 	// Perfect positive correlation.
 	xs := []float64{1, 2, 3, 4}
 	ys := []float64{2, 4, 6, 8}
-	r, err := Correlation(xs, ys)
+	r, err := correlation(xs, ys)
 	if err != nil {
 		t.Fatalf("Correlation error = %v", err)
 	}
@@ -96,7 +96,7 @@ func TestCorrelation(t *testing.T) {
 	}
 	// Perfect negative correlation.
 	ysNeg := []float64{8, 6, 4, 2}
-	r, err = Correlation(xs, ysNeg)
+	r, err = correlation(xs, ysNeg)
 	if err != nil {
 		t.Fatalf("Correlation error = %v", err)
 	}
@@ -106,13 +106,13 @@ func TestCorrelation(t *testing.T) {
 }
 
 func TestCorrelationErrors(t *testing.T) {
-	if _, err := Correlation([]float64{1}, []float64{1, 2}); err == nil {
+	if _, err := correlation([]float64{1}, []float64{1, 2}); err == nil {
 		t.Error("mismatched lengths should error")
 	}
-	if _, err := Correlation([]float64{1}, []float64{2}); err == nil {
+	if _, err := correlation([]float64{1}, []float64{2}); err == nil {
 		t.Error("single point should error")
 	}
-	if _, err := Correlation([]float64{1, 1}, []float64{2, 3}); err == nil {
+	if _, err := correlation([]float64{1, 1}, []float64{2, 3}); err == nil {
 		t.Error("zero-variance series should error")
 	}
 }

@@ -56,22 +56,22 @@ func (m LinearModel) Predict(x float64) float64 {
 	return m.Intercept + m.Slope*x
 }
 
-// PolyModel is a fitted polynomial regression
+// polyModel is a fitted polynomial regression
 // y = Coef[0] + Coef[1]*x + ... + Coef[d]*x^d.
-type PolyModel struct {
+type polyModel struct {
 	Coef []float64
 	R2   float64
 	N    int
 }
 
-// FitPoly fits a degree-d polynomial by least squares using the normal
+// fitPoly fits a degree-d polynomial by least squares using the normal
 // equations. degree must be >= 1 and len(xs) must exceed the degree.
-func FitPoly(xs, ys []float64, degree int) (PolyModel, error) {
+func fitPoly(xs, ys []float64, degree int) (polyModel, error) {
 	if degree < 1 {
-		return PolyModel{}, fmt.Errorf("stats: degree %d < 1", degree)
+		return polyModel{}, fmt.Errorf("stats: degree %d < 1", degree)
 	}
 	if len(xs) != len(ys) {
-		return PolyModel{}, fmt.Errorf("stats: length mismatch %d != %d", len(xs), len(ys))
+		return polyModel{}, fmt.Errorf("stats: length mismatch %d != %d", len(xs), len(ys))
 	}
 	// One observation is the row [1, x, x^2, ..., x^d]; the accumulator
 	// supplies the leading 1.
@@ -87,9 +87,9 @@ func FitPoly(xs, ys []float64, degree int) (PolyModel, error) {
 	}
 	coef, err := ls.Solve()
 	if err != nil {
-		return PolyModel{}, err
+		return polyModel{}, err
 	}
-	m := PolyModel{Coef: coef, N: len(xs)}
+	m := polyModel{Coef: coef, N: len(xs)}
 	my := Mean(ys)
 	var ssRes, ssTot float64
 	for i := range xs {
@@ -106,7 +106,7 @@ func FitPoly(xs, ys []float64, degree int) (PolyModel, error) {
 }
 
 // Predict evaluates the polynomial at x using Horner's rule.
-func (m PolyModel) Predict(x float64) float64 {
+func (m polyModel) Predict(x float64) float64 {
 	var y float64
 	for i := len(m.Coef) - 1; i >= 0; i-- {
 		y = y*x + m.Coef[i]
@@ -130,7 +130,7 @@ func FitMulti(features [][]float64, ys []float64) (MultiModel, error) {
 		return MultiModel{}, fmt.Errorf("stats: length mismatch %d != %d", len(features), len(ys))
 	}
 	if len(features) == 0 {
-		return MultiModel{}, ErrEmpty
+		return MultiModel{}, errEmpty
 	}
 	k := len(features[0])
 	var ls LeastSquares

@@ -76,9 +76,9 @@ func TestFitPolyExactQuadratic(t *testing.T) {
 	for i, x := range xs {
 		ys[i] = 1 - 2*x + 0.5*x*x
 	}
-	m, err := FitPoly(xs, ys, 2)
+	m, err := fitPoly(xs, ys, 2)
 	if err != nil {
-		t.Fatalf("FitPoly error = %v", err)
+		t.Fatalf("fitPoly error = %v", err)
 	}
 	want := []float64{1, -2, 0.5}
 	for i, w := range want {
@@ -92,13 +92,13 @@ func TestFitPolyExactQuadratic(t *testing.T) {
 }
 
 func TestFitPolyErrors(t *testing.T) {
-	if _, err := FitPoly([]float64{1, 2}, []float64{1, 2}, 0); err == nil {
+	if _, err := fitPoly([]float64{1, 2}, []float64{1, 2}, 0); err == nil {
 		t.Error("degree 0 should error")
 	}
-	if _, err := FitPoly([]float64{1, 2}, []float64{1, 2}, 2); err == nil {
+	if _, err := fitPoly([]float64{1, 2}, []float64{1, 2}, 2); err == nil {
 		t.Error("too few points should error")
 	}
-	if _, err := FitPoly([]float64{1, 2, 3}, []float64{1, 2}, 1); err == nil {
+	if _, err := fitPoly([]float64{1, 2, 3}, []float64{1, 2}, 1); err == nil {
 		t.Error("mismatched lengths should error")
 	}
 }
@@ -162,14 +162,14 @@ func TestSolveLinearSystemPivoting(t *testing.T) {
 	}
 }
 
-// batchLeastSquares is the batch normal-equations solver that FitPoly and
+// batchLeastSquares is the batch normal-equations solver that fitPoly and
 // FitMulti used before LeastSquares replaced it, frozen as the oracle: it
 // accumulates A^T A and A^T y over explicit [1, x...] rows in one pass and
 // back-substitutes into a fresh slice.
 func batchLeastSquares(a [][]float64, y []float64) ([]float64, error) {
 	n := len(a)
 	if n == 0 {
-		return nil, ErrEmpty
+		return nil, errEmpty
 	}
 	k := len(a[0])
 	ata := make([][]float64, k)
@@ -230,7 +230,7 @@ func batchLeastSquares(a [][]float64, y []float64) ([]float64, error) {
 // TestLeastSquaresMatchesBatchSolver pins the incremental accumulator to
 // the batch solver bit for bit: ragged rows against their zero-padded
 // forms, a solve after every added row (Solve must not disturb the sums),
-// and FitMulti / FitPoly end to end.
+// and FitMulti / fitPoly end to end.
 func TestLeastSquaresMatchesBatchSolver(t *testing.T) {
 	sameBits := func(got, want []float64) bool {
 		if len(got) != len(want) {
@@ -309,8 +309,8 @@ func TestLeastSquaresMatchesBatchSolver(t *testing.T) {
 			}
 		}
 		want, _ = batchLeastSquares(rows, ys)
-		if m, err := FitPoly(xs, ys, maxWidth); err != nil || !sameBits(m.Coef, want) {
-			t.Fatalf("seed %d: FitPoly = %v, %v; batch solver %v", seed, m.Coef, err, want)
+		if m, err := fitPoly(xs, ys, maxWidth); err != nil || !sameBits(m.Coef, want) {
+			t.Fatalf("seed %d: fitPoly = %v, %v; batch solver %v", seed, m.Coef, err, want)
 		}
 	}
 }

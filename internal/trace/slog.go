@@ -28,7 +28,7 @@ func (h LogHandler) Enabled(ctx context.Context, level slog.Level) bool {
 // Handle implements slog.Handler, adding trace_id and span_id when ctx
 // carries a recording span.
 func (h LogHandler) Handle(ctx context.Context, r slog.Record) error {
-	if sp := SpanFromContext(ctx); sp.Recording() {
+	if sp := spanFromContext(ctx); sp.Recording() {
 		r.AddAttrs(
 			slog.String("trace_id", sp.TraceID()),
 			slog.Int("span_id", sp.SpanID()),

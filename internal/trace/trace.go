@@ -21,7 +21,7 @@
 //   - Timestamps come from a coarse clock — an atomic nanosecond value a
 //     background ticker refreshes (default every millisecond) — instead of
 //     a time.Now call per event. Sub-millisecond spans therefore read as
-//     zero duration; WithPreciseTimestamps restores time.Now for offline
+//     zero duration; withPreciseTimestamps restores time.Now for offline
 //     analysis where fidelity beats throughput.
 //   - The ring store takes one short mutex hold per finished trace
 //     (publish) and per reader snapshot; live span recording never locks.
@@ -43,11 +43,11 @@ import (
 const (
 	// DefaultCapacity is how many finished traces the ring retains.
 	DefaultCapacity = 64
-	// DefaultMaxSpans bounds the spans recorded per trace; spans beyond
+	// defaultMaxSpans bounds the spans recorded per trace; spans beyond
 	// it are counted as dropped.
-	DefaultMaxSpans = 1024
-	// DefaultClockInterval is the coarse clock's refresh period.
-	DefaultClockInterval = time.Millisecond
+	defaultMaxSpans = 1024
+	// defaultClockInterval is the coarse clock's refresh period.
+	defaultClockInterval = time.Millisecond
 )
 
 // Attr is one span annotation.
@@ -197,8 +197,8 @@ func ContextWithSpan(ctx context.Context, sp Span) context.Context {
 	return context.WithValue(ctx, spanKey{}, sp)
 }
 
-// SpanFromContext returns the span carried by ctx, or a no-op Span.
-func SpanFromContext(ctx context.Context) Span {
+// spanFromContext returns the span carried by ctx, or a no-op Span.
+func spanFromContext(ctx context.Context) Span {
 	sp, _ := ctx.Value(spanKey{}).(Span)
 	return sp
 }
@@ -232,16 +232,16 @@ func WithMaxSpans(n int) Option {
 	}
 }
 
-// WithPreciseTimestamps makes every span start/end call time.Now instead
+// withPreciseTimestamps makes every span start/end call time.Now instead
 // of reading the coarse clock — exact sub-millisecond durations at a
 // per-event cost the SDK's fast paths notice.
-func WithPreciseTimestamps() Option {
+func withPreciseTimestamps() Option {
 	return func(t *Tracer) { t.precise = true }
 }
 
-// WithClockInterval sets the coarse clock's refresh period (and thereby
+// withClockInterval sets the coarse clock's refresh period (and thereby
 // span timestamp resolution).
-func WithClockInterval(d time.Duration) Option {
+func withClockInterval(d time.Duration) Option {
 	return func(t *Tracer) {
 		if d > 0 {
 			t.tick = d
@@ -289,14 +289,14 @@ type Tracer struct {
 }
 
 // New returns a Tracer sampling every trace into a DefaultCapacity-deep
-// ring, DefaultMaxSpans spans per trace, with millisecond-resolution
+// ring, defaultMaxSpans spans per trace, with millisecond-resolution
 // timestamps. Call Close when done to stop the tracer's clock.
 func New(opts ...Option) *Tracer {
 	t := &Tracer{
 		rate:     1,
 		capacity: DefaultCapacity,
-		maxSpans: DefaultMaxSpans,
-		tick:     DefaultClockInterval,
+		maxSpans: defaultMaxSpans,
+		tick:     defaultClockInterval,
 		randf:    rand.Float64,
 		stop:     make(chan struct{}),
 	}
@@ -360,7 +360,7 @@ func (t *Tracer) StartSpan(ctx context.Context, name string) Span {
 	if t == nil {
 		return Span{}
 	}
-	if parent := SpanFromContext(ctx); parent.rec != nil {
+	if parent := spanFromContext(ctx); parent.rec != nil {
 		return parent.Child(name)
 	}
 	if t.rate <= 0 || (t.rate < 1 && t.randf() >= t.rate) {

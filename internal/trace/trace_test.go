@@ -22,7 +22,7 @@ func newTestTracer(t *testing.T, opts ...Option) *Tracer {
 }
 
 func TestSpanTree(t *testing.T) {
-	tr := newTestTracer(t, WithPreciseTimestamps())
+	tr := newTestTracer(t, withPreciseTimestamps())
 	ctx, root := tr.Start(context.Background(), "invoke")
 	if !root.Recording() {
 		t.Fatal("root span not recording at sample rate 1")
@@ -155,7 +155,7 @@ func TestSampleRateZeroAndNilTracer(t *testing.T) {
 	if _, ok := nilT.Trace("deadbeef"); ok {
 		t.Error("nil tracer returned a trace")
 	}
-	if SpanFromContext(ctx).Recording() {
+	if spanFromContext(ctx).Recording() {
 		t.Error("nil tracer leaked a span into the context")
 	}
 }
@@ -255,7 +255,7 @@ func TestZeroSpanIsInert(t *testing.T) {
 		t.Error("child of zero span records")
 	}
 	ctx := ContextWithSpan(context.Background(), sp)
-	if SpanFromContext(ctx).Recording() {
+	if spanFromContext(ctx).Recording() {
 		t.Error("zero span stored in context")
 	}
 }
@@ -308,7 +308,7 @@ func TestConcurrentChildren(t *testing.T) {
 }
 
 func TestCoarseClockAdvances(t *testing.T) {
-	tr := newTestTracer(t, WithClockInterval(time.Millisecond))
+	tr := newTestTracer(t, withClockInterval(time.Millisecond))
 	sp := tr.StartSpan(context.Background(), "slow")
 	time.Sleep(20 * time.Millisecond)
 	sp.End()

@@ -22,8 +22,8 @@ import (
 	"repro/internal/xrand"
 )
 
-// Labels is the closed vocabulary of scene labels.
-var Labels = []string{
+// labels is the closed vocabulary of scene labels.
+var labels = []string{
 	"person", "crowd", "building", "skyline", "car", "truck", "road",
 	"tree", "forest", "mountain", "river", "ocean", "beach", "sky",
 	"dog", "cat", "bird", "horse", "food", "drink", "table", "chair",
@@ -49,7 +49,7 @@ type Image struct {
 func Generate(id string, seed int64) Image {
 	rng := xrand.New(seed)
 	n := 1 + rng.Intn(5)
-	labels := xrand.Sample(rng, Labels, n)
+	labels := xrand.Sample(rng, labels, n)
 	sort.Strings(labels)
 	return Image{
 		ID:         id,
@@ -86,9 +86,9 @@ func (img Image) Encode() []byte {
 	return buf.Bytes()
 }
 
-// Decode parses the binary form back into an Image. It is what a perfect
+// decode parses the binary form back into an Image. It is what a perfect
 // recognizer sees; engines add noise on top.
-func Decode(id string, data []byte) (Image, error) {
+func decode(id string, data []byte) (Image, error) {
 	if len(data) < len(magic)+6 || string(data[:len(magic)]) != magic {
 		return Image{}, fmt.Errorf("vision: %s is not an encoded image", id)
 	}
@@ -173,7 +173,7 @@ func NewEngine(p Profile) *Engine { return &Engine{profile: p} }
 
 // Recognize analyzes one encoded image.
 func (e *Engine) Recognize(id string, data []byte) (Recognition, error) {
-	img, err := Decode(id, data)
+	img, err := decode(id, data)
 	if err != nil {
 		return Recognition{}, err
 	}
@@ -189,7 +189,7 @@ func (e *Engine) Recognize(id string, data []byte) (Recognition, error) {
 		rec.Tags = append(rec.Tags, Tag{Label: l, Confidence: clamp01(conf)})
 	}
 	if rng.Bernoulli(e.profile.SpuriousRate) {
-		wrong := Labels[rng.Intn(len(Labels))]
+		wrong := labels[rng.Intn(len(labels))]
 		rec.Tags = append(rec.Tags, Tag{Label: wrong, Confidence: clamp01(0.4 + 0.2*rng.Float64())})
 	}
 	sort.Slice(rec.Tags, func(i, j int) bool {

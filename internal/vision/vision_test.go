@@ -34,7 +34,7 @@ func TestGenerateDeterministic(t *testing.T) {
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	img := Generate("img-rt", 42)
 	data := img.Encode()
-	back, err := Decode(img.ID, data)
+	back, err := decode(img.ID, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 func TestEncodeDecodeProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		img := Generate("p", seed)
-		back, err := Decode("p", img.Encode())
+		back, err := decode("p", img.Encode())
 		return err == nil && reflect.DeepEqual(back.TrueLabels, img.TrueLabels)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -59,7 +59,7 @@ func TestEncodeDecodeProperty(t *testing.T) {
 
 func TestDecodeRejectsGarbage(t *testing.T) {
 	for _, data := range [][]byte{nil, []byte("x"), []byte("NOTMAGIC-------"), Generate("g", 1).Encode()[:8]} {
-		if _, err := Decode("bad", data); err == nil {
+		if _, err := decode("bad", data); err == nil {
 			t.Errorf("Decode accepted %d garbage bytes", len(data))
 		}
 	}
