@@ -15,9 +15,9 @@ import (
 	"testing"
 )
 
-// allowlistFile names the exported identifiers in internal/ that no
-// program reads but that stay exported on purpose, one per line as
-// "pkg.Name<TAB>reason".
+// allowlistFile names the identifiers in internal/ that no program reads
+// but that stay on purpose, one per line as "pkg.Name<TAB>reason": exported
+// names no other package reads, and package-private test seams.
 const allowlistFile = "api_allowlist.txt"
 
 // The three reasons an allowlist line may give.
@@ -53,6 +53,17 @@ type apiIndex struct {
 	named   map[string]map[string]bool            // named by an allowlisted name's signature
 	ownUse  map[string]map[string]bool            // a non-test file of its own package uses it
 	testUse map[string]map[string]map[string]bool // path → name → package names of the tests that use it
+	// private holds the package-private top-level names of every
+	// internal/ package, keyed "pkg.name".
+	private map[string]*privateName
+}
+
+// privateName is a package-private top-level func, type, var or const.
+type privateName struct {
+	pos    token.Position
+	decl   ast.Node
+	used   bool // named by a non-test file of its package beyond its declaration
+	tested bool // named by a test file of its package
 }
 
 // loadAPI parses every Go file of the module tree and resolves which
@@ -214,7 +225,93 @@ func loadAPI(t *testing.T, allowed map[string]allowLine) *apiIndex {
 	}
 	x.closeOver(roots, x.read)
 	x.closeOver(kept, x.named)
+	x.private = loadPrivate(fset, x.files)
 	return x
+}
+
+// loadPrivate collects the package-private top-level names declared in
+// the non-test files of each internal/ package and marks which files of
+// that package name them. A name is named by an identifier spelling it
+// outside its own declaration; the part of a selector after the dot, a
+// function's or method's own name, a receiver, and a field or parameter
+// name are not namings. A local declaration that shadows the name still
+// counts as one.
+func loadPrivate(fset *token.FileSet, files []goFile) map[string]*privateName {
+	private := map[string]*privateName{}
+	byDir := map[string]map[string]*privateName{} // dir → name → entry
+	add := func(f goFile, id *ast.Ident, decl ast.Node) {
+		if id.IsExported() || id.Name == "_" || id.Name == "init" {
+			return
+		}
+		if byDir[f.dir] == nil {
+			byDir[f.dir] = map[string]*privateName{}
+		}
+		p := &privateName{pos: fset.Position(id.Pos()), decl: decl}
+		byDir[f.dir][id.Name] = p
+		private[f.ast.Name.Name+"."+id.Name] = p
+	}
+	for _, f := range files {
+		if f.test || !strings.HasPrefix(f.dir+"/", "internal/") {
+			continue
+		}
+		for _, d := range f.ast.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					add(f, d.Name, d)
+				}
+			case *ast.GenDecl:
+				for _, s := range d.Specs {
+					switch s := s.(type) {
+					case *ast.TypeSpec:
+						add(f, s.Name, s)
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							add(f, n, s)
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, f := range files {
+		names := byDir[f.dir]
+		if names == nil || strings.HasSuffix(f.ast.Name.Name, "_test") {
+			continue
+		}
+		var visit func(ast.Node) bool
+		visit = func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				ast.Inspect(n.X, visit)
+				return false
+			case *ast.FuncDecl:
+				ast.Inspect(n.Type, visit)
+				if n.Body != nil {
+					ast.Inspect(n.Body, visit)
+				}
+				return false
+			case *ast.Field:
+				ast.Inspect(n.Type, visit)
+				return false
+			case *ast.Ident:
+				p := names[n.Name]
+				if p == nil || p.decl.Pos() <= n.Pos() && n.End() <= p.decl.End() {
+					return true
+				}
+				if f.test {
+					p.tested = true
+				} else {
+					p.used = true
+				}
+			}
+			return true
+		}
+		for _, d := range f.ast.Decls {
+			ast.Inspect(d, visit)
+		}
+	}
+	return private
 }
 
 // closeOver marks in m every name the signatures of work mention,
@@ -410,8 +507,8 @@ func readAllowlist(t *testing.T) []allowLine {
 		switch {
 		case !ok || strings.TrimSpace(reason) == "":
 			l.problem = "no reason: want pkg.Name<TAB>reason"
-		case l.name == "" || !ast.IsExported(l.name):
-			l.problem = "want pkg.Name with an exported Name"
+		case l.name == "":
+			l.problem = "want pkg.Name"
 		default:
 			l.problem = "reason is none of `test seam: <packages>`, `claim <E#/A#>: <home test>`, `paper <Fig./§>: <feature>`"
 			for _, re := range reasonForms {
@@ -428,15 +525,18 @@ func readAllowlist(t *testing.T) []allowLine {
 	return out
 }
 
-// TestExportedNamesHaveReaders holds internal/'s exported surface to what
+// TestExportedNamesHaveReaders holds internal/'s surface to what
 // programs use. Every top-level exported func, type, var and const in the
 // non-test files of an internal/ package that some non-test file imports
 // must be read — written as pkg.Name in a non-test file of another
 // package (bench/, cmd/ and examples/ included), or named by the exported
 // signature, exported field types or exported methods of a read name — or
-// be listed in api_allowlist.txt with one of three reasons. A line whose
-// name is read or gone, or that gives no valid reason, fails too. Run with
-// -v (`make api`) for the per-package inventory.
+// be listed in api_allowlist.txt with one of three reasons. Every
+// package-private top-level name in a non-test file of an internal/
+// package must be named by a non-test file of its package beyond its own
+// declaration, or be listed as pkg.name with the reason `test seam: pkg`.
+// A line whose name is read or gone, or that gives no valid reason, fails
+// too. Run with -v (`make api`) for the per-package inventory.
 func TestExportedNamesHaveReaders(t *testing.T) {
 	allowed := map[string]allowLine{}
 	for _, l := range readAllowlist(t) {
@@ -498,6 +598,27 @@ func TestExportedNamesHaveReaders(t *testing.T) {
 	}
 	t.Logf("%d exported names in %d packages, %d with no reader outside their package, %d allowlist lines", total, len(paths), unread, len(allowed))
 
+	keys := make([]string, 0, len(x.private))
+	for key := range x.private {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	var seams []string
+	for _, key := range keys {
+		p := x.private[key]
+		_, listed := allowed[key]
+		switch {
+		case p.used:
+		case listed:
+			seams = append(seams, key)
+		case p.tested:
+			t.Errorf("%s: %s is named only by tests: delete it with them, or allowlist it as a test seam", p.pos, key)
+		default:
+			t.Errorf("%s: %s is named nowhere: delete it", p.pos, key)
+		}
+	}
+	t.Logf("%d package-private names, test seams %v", len(keys), seams)
+
 	homes := map[string]string{} // claim ID → its home test
 	for _, r := range claimRows(t) {
 		if m := function.FindStringSubmatch(r.home); m != nil {
@@ -505,6 +626,17 @@ func TestExportedNamesHaveReaders(t *testing.T) {
 		}
 	}
 	for key, l := range allowed {
+		if !ast.IsExported(l.name) {
+			switch p := x.private[key]; {
+			case p == nil:
+				t.Errorf("%s:%d: %s does not exist: drop the line", allowlistFile, l.line, key)
+			case p.used:
+				t.Errorf("%s:%d: %s is named by a program now: drop the line", allowlistFile, l.line, key)
+			case !p.tested || l.reason != "test seam: "+l.pkg:
+				t.Errorf("%s:%d: %s: want the reason `test seam: %s`, from a test of its package that uses it", allowlistFile, l.line, key, l.pkg)
+			}
+			continue
+		}
 		p := byName[l.pkg]
 		switch {
 		case p == "" || x.pkgs[p].exported[l.name] == nil:

@@ -92,17 +92,6 @@ func TableToStatementsBack(t *rdbms.Table) ([]rdf.Statement, error) {
 	return out, nil
 }
 
-// csvToStatements reads CSV with a header row directly into statements,
-// combining ImportCSV and TableToStatements without keeping the table.
-func csvToStatements(r io.Reader, subjectCol, ns string) ([]rdf.Statement, error) {
-	db := rdbms.NewDB()
-	t, err := db.ImportCSV("tmp", r)
-	if err != nil {
-		return nil, err
-	}
-	return TableToStatements(t, subjectCol, ns)
-}
-
 // StatementsToCSV writes statements as subject,predicate,object CSV.
 func StatementsToCSV(w io.Writer, stmts []rdf.Statement) error {
 	cw := csv.NewWriter(w)

@@ -93,16 +93,6 @@ func TestStatementsTableRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCSVToStatementsDirect(t *testing.T) {
-	stmts, err := csvToStatements(strings.NewReader(peopleCSV), "id", "kb:")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stmts) != 5 {
-		t.Errorf("statements = %d, want 5", len(stmts))
-	}
-}
-
 func TestStatementsToCSV(t *testing.T) {
 	stmts := []rdf.Statement{
 		{S: rdf.NewIRI("kb:p1"), P: rdf.NewIRI("kb:name"), O: rdf.NewLiteral("alice")},

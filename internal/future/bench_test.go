@@ -28,16 +28,3 @@ func BenchmarkPoolSubmit(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkAllOf8(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		fs := make([]*Future[int], 8)
-		for j := range fs {
-			fs[j] = completed(j)
-		}
-		if _, err := allOf(fs...).Get(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -39,20 +39,6 @@ func newFuture[T any]() *Future[T] {
 	return &Future[T]{done: make(chan struct{})}
 }
 
-// completed returns an already-successful future holding v.
-func completed[T any](v T) *Future[T] {
-	f := newFuture[T]()
-	f.Complete(v)
-	return f
-}
-
-// failed returns an already-failed future holding err.
-func failed[T any](err error) *Future[T] {
-	f := newFuture[T]()
-	f.Fail(err)
-	return f
-}
-
 // Complete fulfils the future with v and runs listeners synchronously in
 // registration order. It reports false if the future was already settled.
 func (f *Future[T]) Complete(v T) bool { return f.settle(v, nil) }
@@ -153,97 +139,4 @@ func (f *Future[T]) Listen(fn func(T, error)) {
 	}
 	f.listeners = append(f.listeners, fn)
 	f.mu.Unlock()
-}
-
-// goFuture runs fn in a new goroutine and returns a future for its result. For
-// bounded concurrency use Pool.Submit instead.
-func goFuture[T any](fn func() (T, error)) *Future[T] {
-	f := newFuture[T]()
-	go func() {
-		v, err := fn()
-		if err != nil {
-			f.Fail(err)
-			return
-		}
-		f.Complete(v)
-	}()
-	return f
-}
-
-// then returns a future for next applied to f's successful value; errors
-// pass through without invoking next.
-func then[T, U any](f *Future[T], next func(T) (U, error)) *Future[U] {
-	out := newFuture[U]()
-	f.Listen(func(v T, err error) {
-		if err != nil {
-			out.Fail(err)
-			return
-		}
-		u, err := next(v)
-		if err != nil {
-			out.Fail(err)
-			return
-		}
-		out.Complete(u)
-	})
-	return out
-}
-
-// allOf returns a future that completes with every input's value once all
-// succeed, or fails with the first error to occur.
-func allOf[T any](fs ...*Future[T]) *Future[[]T] {
-	out := newFuture[[]T]()
-	if len(fs) == 0 {
-		out.Complete(nil)
-		return out
-	}
-	var mu sync.Mutex
-	remaining := len(fs)
-	values := make([]T, len(fs))
-	for i, f := range fs {
-		i, f := i, f
-		f.Listen(func(v T, err error) {
-			if err != nil {
-				out.Fail(err)
-				return
-			}
-			mu.Lock()
-			values[i] = v
-			remaining--
-			last := remaining == 0
-			mu.Unlock()
-			if last {
-				out.Complete(values)
-			}
-		})
-	}
-	return out
-}
-
-// anyOf returns a future that completes with the first input to succeed, or —
-// if every input fails — fails with the last error observed.
-func anyOf[T any](fs ...*Future[T]) *Future[T] {
-	out := newFuture[T]()
-	if len(fs) == 0 {
-		out.Fail(errors.New("future: Any of zero futures"))
-		return out
-	}
-	var mu sync.Mutex
-	remaining := len(fs)
-	for _, f := range fs {
-		f.Listen(func(v T, err error) {
-			if err == nil {
-				out.Complete(v)
-				return
-			}
-			mu.Lock()
-			remaining--
-			last := remaining == 0
-			mu.Unlock()
-			if last {
-				out.Fail(err)
-			}
-		})
-	}
-	return out
 }

@@ -118,7 +118,8 @@ func TestListenBeforeSettle(t *testing.T) {
 }
 
 func TestListenAfterSettleRunsImmediately(t *testing.T) {
-	f := completed(3)
+	f := newFuture[int]()
+	f.Complete(3)
 	var ran bool
 	f.Listen(func(v int, err error) { ran = v == 3 && err == nil })
 	if !ran {
@@ -143,116 +144,6 @@ func TestListenersRunInOrder(t *testing.T) {
 		if v != i {
 			t.Fatalf("listeners ran out of order: %v", order)
 		}
-	}
-}
-
-func TestGoSuccessAndFailure(t *testing.T) {
-	v, err := goFuture(func() (int, error) { return 10, nil }).Get()
-	if err != nil || v != 10 {
-		t.Errorf("Go success = (%d, %v)", v, err)
-	}
-	_, err = goFuture(func() (int, error) { return 0, errBoom }).Get()
-	if !errors.Is(err, errBoom) {
-		t.Errorf("Go failure = %v", err)
-	}
-}
-
-func TestThen(t *testing.T) {
-	f := completed(4)
-	g := then(f, func(v int) (string, error) {
-		if v != 4 {
-			return "", errBoom
-		}
-		return "four", nil
-	})
-	s, err := g.Get()
-	if err != nil || s != "four" {
-		t.Errorf("Then = (%q, %v)", s, err)
-	}
-}
-
-func TestThenPropagatesError(t *testing.T) {
-	f := failed[int](errBoom)
-	called := false
-	g := then(f, func(int) (int, error) { called = true; return 0, nil })
-	if _, err := g.Get(); !errors.Is(err, errBoom) {
-		t.Errorf("error = %v, want boom", err)
-	}
-	if called {
-		t.Error("next ran despite upstream failure")
-	}
-}
-
-func TestThenNextError(t *testing.T) {
-	g := then(completed(1), func(int) (int, error) { return 0, errBoom })
-	if _, err := g.Get(); !errors.Is(err, errBoom) {
-		t.Errorf("error = %v, want boom", err)
-	}
-}
-
-func TestAll(t *testing.T) {
-	fs := []*Future[int]{newFuture[int](), newFuture[int](), newFuture[int]()}
-	all := allOf(fs...)
-	fs[2].Complete(3)
-	fs[0].Complete(1)
-	if all.IsDone() {
-		t.Error("All settled before every input")
-	}
-	fs[1].Complete(2)
-	vs, err := all.Get()
-	if err != nil {
-		t.Fatalf("All error = %v", err)
-	}
-	for i, v := range vs {
-		if v != i+1 {
-			t.Errorf("values = %v, want [1 2 3]", vs)
-			break
-		}
-	}
-}
-
-func TestAllFirstError(t *testing.T) {
-	fs := []*Future[int]{newFuture[int](), newFuture[int]()}
-	all := allOf(fs...)
-	fs[1].Fail(errBoom)
-	if _, err := all.Get(); !errors.Is(err, errBoom) {
-		t.Errorf("error = %v, want boom", err)
-	}
-	fs[0].Complete(1) // late success must be harmless
-}
-
-func TestAllEmpty(t *testing.T) {
-	vs, err := allOf[int]().Get()
-	if err != nil || vs != nil {
-		t.Errorf("All() = (%v, %v)", vs, err)
-	}
-}
-
-func TestAnyFirstSuccess(t *testing.T) {
-	fs := []*Future[int]{newFuture[int](), newFuture[int](), newFuture[int]()}
-	any := anyOf(fs...)
-	fs[0].Fail(errBoom)
-	fs[1].Complete(99)
-	v, err := any.Get()
-	if err != nil || v != 99 {
-		t.Errorf("Any = (%d, %v), want (99, nil)", v, err)
-	}
-	fs[2].Complete(1)
-}
-
-func TestAnyAllFail(t *testing.T) {
-	fs := []*Future[int]{newFuture[int](), newFuture[int]()}
-	any := anyOf(fs...)
-	fs[0].Fail(errors.New("first"))
-	fs[1].Fail(errBoom)
-	if _, err := any.Get(); err == nil {
-		t.Error("Any of all-failed should fail")
-	}
-}
-
-func TestAnyEmpty(t *testing.T) {
-	if _, err := anyOf[int]().Get(); err == nil {
-		t.Error("Any() should fail")
 	}
 }
 

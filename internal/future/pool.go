@@ -51,15 +51,7 @@ func NewPool(workers, queueDepth int) (*Pool, error) {
 // blocks while the queue is full and returns a failed future if the pool is
 // closed.
 func Submit[T any](p *Pool, fn func() (T, error)) *Future[T] {
-	f := newFuture[T]()
-	task := func() {
-		v, err := fn()
-		if err != nil {
-			f.Fail(err)
-			return
-		}
-		f.Complete(v)
-	}
+	f, task := settleTask(fn)
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -81,15 +73,7 @@ func Submit[T any](p *Pool, fn func() (T, error)) *Future[T] {
 // not stall on a saturated pool — the SDK's asynchronous invocation, for
 // example — use it to turn backpressure into an explicit, observable error.
 func TrySubmit[T any](p *Pool, fn func() (T, error)) *Future[T] {
-	f := newFuture[T]()
-	task := func() {
-		v, err := fn()
-		if err != nil {
-			f.Fail(err)
-			return
-		}
-		f.Complete(v)
-	}
+	f, task := settleTask(fn)
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -104,6 +88,20 @@ func TrySubmit[T any](p *Pool, fn func() (T, error)) *Future[T] {
 		f.Fail(ErrPoolSaturated)
 	}
 	return f
+}
+
+// settleTask returns a future for fn's result and the task that runs fn
+// and settles the future with its value or error.
+func settleTask[T any](fn func() (T, error)) (*Future[T], func()) {
+	f := newFuture[T]()
+	return f, func() {
+		v, err := fn()
+		if err != nil {
+			f.Fail(err)
+			return
+		}
+		f.Complete(v)
+	}
 }
 
 // Close stops accepting tasks and waits for queued and running tasks to

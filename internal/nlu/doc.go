@@ -192,9 +192,9 @@ func (d *doc) value(v *vocabTables, id uint32) string {
 }
 
 // tokenAt returns the index of the token containing byte offset off, or
-// the first token after it, or the last token — the same answer the
-// reference implementation's linear scan gives, found by binary search
-// over the sorted non-overlapping spans.
+// the first token after it, or the last token (-1 in a document without
+// tokens) — the same answer nluref's linear scan gives, found by binary
+// search over the sorted non-overlapping spans.
 func (d *doc) tokenAt(off int32) int {
 	spans := d.spans
 	i := sort.Search(len(spans), func(j int) bool { return spans[j].end > off })
@@ -204,10 +204,13 @@ func (d *doc) tokenAt(off int32) int {
 	return i
 }
 
-// heuristicMentions is the package function heuristicMentions on spans: capitalized runs not
-// covered by a gazetteer mention become Unknown entities. covered must
-// be sorted by Start and non-overlapping (the matcher's output order),
-// which lets a two-pointer sweep replace the per-byte coverage map.
+// heuristicMentions finds capitalized token runs that no gazetteer
+// mention covers and reports them as Unknown entities — the
+// recall-over-precision half of NER that some engine profiles enable.
+// Stopwords break a run, and a single sentence-initial capitalized word
+// is skipped as ordinary sentence case. covered must be sorted by Start
+// and non-overlapping (the matcher's output order), which lets a
+// two-pointer sweep test coverage.
 func (d *doc) heuristicMentions(text string, covered []Mention) []Mention {
 	spans := d.spans
 	mi := 0
@@ -256,10 +259,13 @@ type kwPair struct {
 	count int32
 }
 
-// keywords is the package function extractKeywords on spans: counts accumulate into the
-// ID-indexed scratch slice (sparse-reset on release) instead of a
-// per-document map. The comparator is a strict total order (texts are
-// unique), so the output is identical regardless of accumulation order.
+// keywords returns the top-k keywords by score: term frequency damped by
+// log-length, so long documents don't drown short ones, over the tokens
+// flagged fKeyword (no stopwords, short tokens or numbers); ties break
+// alphabetically. Counts accumulate into the ID-indexed scratch slice
+// (sparse-reset on release). The comparator is a strict total order
+// (texts are unique), so the output is identical regardless of
+// accumulation order. k must be positive.
 func (d *doc) keywords(v *vocabTables, k int) []Keyword {
 	need := int(d.nVocab+d.nExtra) + d.local.Len()
 	if need > len(d.counts) {
@@ -276,7 +282,7 @@ func (d *doc) keywords(v *vocabTables, k int) []Keyword {
 		d.counts[sp.id]++
 		total++
 	}
-	if total == 0 || k <= 0 {
+	if total == 0 {
 		return nil
 	}
 	norm := math.Log(float64(total) + math.E)
@@ -308,8 +314,17 @@ func (d *doc) keywords(v *vocabTables, k int) []Keyword {
 	return out
 }
 
-// scanSentiment fills d.hits with the sentiment-bearing tokens, reading
-// weights and negation/intensification from the ID-indexed tables.
+// sentimentHit is one sentiment-bearing token with its resolved weight
+// after negation and intensification.
+type sentimentHit struct {
+	tokenIndex int
+	weight     float64
+}
+
+// scanSentiment fills d.hits with the sentiment-bearing tokens, applying
+// negation ("not good" flips) and intensification ("very good"
+// amplifies) from the two preceding tokens; weights and flags come from
+// the ID-indexed vocabulary tables.
 func (d *doc) scanSentiment(v *vocabTables) {
 	d.hits = d.hits[:0]
 	for i, sp := range d.spans {
@@ -336,10 +351,16 @@ func (d *doc) scanSentiment(v *vocabTables) {
 	}
 }
 
-// entitySentiments is the package function entitySentiments on spans and the precomputed hit
-// list, with small parallel slices instead of a per-document accumulator
-// map. Additions happen in exactly the reference order (mention by
-// mention, hit by hit), keeping the floating-point sums bit-identical.
+// entitySentimentWindow is how many tokens on each side of a mention
+// contribute to that entity's sentiment.
+const entitySentimentWindow = 8
+
+// entitySentiments scores each mentioned entity from the hits of
+// scanSentiment within entitySentimentWindow tokens of its mentions — the
+// paper's per-entity sentiment rather than one score for a document that
+// "may describe several different entities". Sums accumulate in small
+// parallel slices, mention by mention and hit by hit, the order nluref
+// adds them in, so the floats are bit-identical to it.
 func (d *doc) entitySentiments(mentions []Mention) []EntitySentiment {
 	if len(mentions) == 0 {
 		return nil
@@ -378,8 +399,11 @@ func (d *doc) entitySentiments(mentions []Mention) []EntitySentiment {
 	return out
 }
 
-// concepts is the package function extractConcepts on spans: votes accumulate into a dense
-// label-indexed slice (the label space is the small fixed taxonomy).
+// concepts derives the top-k taxonomy labels from the document's topic
+// words and its mentions' kinds, with confidence proportional to the
+// label's votes; ties break alphabetically. Votes accumulate into a
+// dense label-indexed slice (the label space is the small fixed
+// taxonomy). k must be positive.
 func (d *doc) concepts(v *vocabTables, mentions []Mention, k int) []Concept {
 	if len(d.votes) < len(v.conceptLabels) {
 		d.votes = make([]int32, len(v.conceptLabels))
@@ -408,7 +432,7 @@ func (d *doc) concepts(v *vocabTables, mentions []Mention, k int) []Concept {
 			votes[t-1]++
 		}
 	}
-	if n == 0 || k <= 0 {
+	if n == 0 {
 		return nil
 	}
 	maxVotes := int32(0)
@@ -441,12 +465,16 @@ func (d *doc) concepts(v *vocabTables, mentions []Mention, k int) []Concept {
 	return out
 }
 
-// relations is the package function extractRelations on spans with the compiled trigger
-// table: sentence IDs come from the span flags, mention positions from
-// binary search, and trigger words from a vocabulary-indexed predicate
-// table.
+// relations extracts a relation for each pair of mentions of different
+// entities in one sentence, at most maxTriggerDistance tokens apart,
+// with a trigger word between them: the first trigger names the
+// predicate, the mention earlier in the text is the subject, and
+// confidence decays with the distance. Sentence IDs come from the span
+// flags, mention positions from binary search, and triggers from a
+// vocabulary-indexed predicate table. Spurious mentions can exist in a
+// text without a single word token; such a text has no relations.
 func (d *doc) relations(v *vocabTables, text string, mentions []Mention) []Relation {
-	if len(mentions) < 2 {
+	if len(mentions) < 2 || len(d.spans) == 0 {
 		return nil
 	}
 	spans := d.spans

@@ -125,8 +125,9 @@ func (e *Engine) Analyze(text string) Analysis {
 	// Profile-driven false positives: fabricate a mention per sentence
 	// with some probability. Sentences and their whitespace-split words
 	// are walked in place rather than materialized — same sentence
-	// sequence and random draws as `for _, s := range Sentences(text)`
-	// with a strings.Fields pick, without the per-sentence allocations.
+	// sequence and random draws as nluref's loop over
+	// `nluref.Sentences(text)` with a strings.Fields pick, without the
+	// per-sentence allocations.
 	if e.profile.SpuriousRate > 0 {
 		for off := 0; ; {
 			s, next, more := nextSentence(text, off)
@@ -195,10 +196,11 @@ func (e *Engine) Analyze(text string) Analysis {
 }
 
 // nextSentence returns the trimmed sentence beginning at byte offset off
-// and the offset just past its terminator. more is false once off is at
-// the end of the text. The sequence of non-empty values is exactly what
-// Sentences(text) returns (including its replacement of invalid UTF-8
-// with U+FFFD), with empty flushes surfacing as s == "".
+// and the offset just past its terminator ('.', '!', '?' or '…'). more is
+// false once off is at the end of the text. The sequence of non-empty
+// values is exactly what nluref.Sentences(text) returns (including its
+// replacement of invalid UTF-8 with U+FFFD), with empty chunks surfacing
+// as s == "".
 func nextSentence(text string, off int) (s string, next int, more bool) {
 	if off >= len(text) {
 		return "", off, false
@@ -214,9 +216,9 @@ func nextSentence(text string, off int) (s string, next int, more bool) {
 	return sentenceChunk(text[off:]), len(text), true
 }
 
-// sentenceChunk reproduces one flush of the rune-builder in Sentences:
-// for valid UTF-8 that is just a trimmed substring; invalid bytes decode
-// to U+FFFD, which only then forces a rebuild.
+// sentenceChunk trims one sentence's bytes as nluref.Sentences does: for
+// valid UTF-8 that is just a trimmed substring; invalid bytes decode to
+// U+FFFD, which only then forces a rebuild.
 func sentenceChunk(chunk string) string {
 	if !utf8.ValidString(chunk) {
 		var b strings.Builder

@@ -160,8 +160,7 @@ func TestDecodeAnalysisBadBody(t *testing.T) {
 }
 
 func TestKeywordsExcludeStopwordsAndShort(t *testing.T) {
-	tokens := Tokenize("the the the market market growth of at it is")
-	kws := extractKeywords(tokens, lexicon.StopwordSet(), 10)
+	kws := analyze("the the the market market growth of at it is").Keywords
 	for _, k := range kws {
 		if k.Text == "the" || k.Text == "of" || k.Text == "it" {
 			t.Errorf("stopword %q extracted", k.Text)
@@ -173,8 +172,9 @@ func TestKeywordsExcludeStopwordsAndShort(t *testing.T) {
 }
 
 func TestKeywordsTopK(t *testing.T) {
-	tokens := Tokenize("alpha beta gamma delta epsilon zeta market economy trade policy")
-	kws := extractKeywords(tokens, lexicon.StopwordSet(), 3)
+	p := noiseFree
+	p.MaxKeywords = 3
+	kws := NewEngine(p).Analyze("alpha beta gamma delta epsilon zeta market economy trade policy").Keywords
 	if len(kws) != 3 {
 		t.Errorf("got %d keywords, want 3", len(kws))
 	}
@@ -182,10 +182,7 @@ func TestKeywordsTopK(t *testing.T) {
 
 func TestConceptsFromTopicsAndKinds(t *testing.T) {
 	text := "Acme Corporation stock surged as earnings beat forecasts in the market."
-	tokens := Tokenize(text)
-	m := newMatcher(lexicon.AllEntities())
-	mentions := m.Match(text, tokens)
-	cs := extractConcepts(tokens, mentions, 5)
+	cs := analyze(text).Concepts
 	labels := map[string]bool{}
 	for _, c := range cs {
 		labels[c.Label] = true

@@ -66,3 +66,28 @@ func FuzzTokenize(f *testing.F) {
 		}
 	})
 }
+
+// FuzzAnalyzeMatchesReference holds Engine.Analyze to the frozen nluref
+// engine on arbitrary ASCII text, every oracle profile: the marshaled
+// analyses must be byte-identical. Text with a byte >= 0x80 is skipped,
+// since nlu's tokenizer deliberately splits multibyte punctuation where
+// nluref glues it.
+func FuzzAnalyzeMatchesReference(f *testing.F) {
+	engines := make([]*nlu.Engine, len(oracleProfiles))
+	refs := make([]*nluref.Engine, len(oracleProfiles))
+	for i, p := range oracleProfiles {
+		engines[i], refs[i] = nlu.NewEngine(p.nu), nluref.NewEngine(p.ref)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		for i := 0; i < len(text); i++ {
+			if text[i] >= 0x80 {
+				return
+			}
+		}
+		for i, p := range oracleProfiles {
+			if got, want := mustJSON(t, engines[i].Analyze(text)), mustJSON(t, refs[i].Analyze(text)); got != want {
+				t.Fatalf("%s diverged on %q\n got: %s\nwant: %s", p.nu.Name, text, got, want)
+			}
+		}
+	})
+}

@@ -1,55 +1,58 @@
 package nlu
 
-// Edge-case coverage for extractKeywords and extractConcepts, asserted
-// against both the live package and the frozen nluref reference so the
-// string-based helpers and the engines' interned path can never
-// drift apart on the boundaries: all-stopword documents, k=0, and the
-// deterministic alphabetical tie-break.
+// Edge cases of the engine's keyword and concept extraction, each
+// asserted on Engine.Analyze and checked against the frozen nluref
+// engine with the same profile: all-stopword documents, the
+// deterministic alphabetical tie-break, truncation to MaxKeywords after
+// sorting, and concept votes from mention kinds.
 
 import (
 	"reflect"
 	"testing"
 
-	"repro/internal/lexicon"
 	"repro/internal/nlu/nluref"
 )
 
-// keywordsBoth runs both implementations over the same text and fails if
-// they disagree, returning the live result.
-func keywordsBoth(t *testing.T, text string, k int) []Keyword {
+// bothEngines analyzes text with a noise-free profile keeping k keywords
+// and k concepts, on the engine and on nluref, and fails unless the two
+// agree on keywords and concepts. It returns the engine's analysis.
+func bothEngines(t *testing.T, text string, k int) Analysis {
 	t.Helper()
-	stop := lexicon.StopwordSet()
-	got := extractKeywords(Tokenize(text), stop, k)
-	refRaw := nluref.ExtractKeywords(nluref.Tokenize(text), stop, k)
-	ref := make([]Keyword, len(refRaw))
-	for i, kw := range refRaw {
-		ref[i] = Keyword(kw)
+	p := noiseFree
+	p.MaxKeywords, p.MaxConcepts = k, k
+	got := NewEngine(p).Analyze(text)
+	ref := nluref.NewEngine(nluref.Profile(p)).Analyze(text)
+	refKws := make([]Keyword, len(ref.Keywords))
+	for i, kw := range ref.Keywords {
+		refKws[i] = Keyword(kw)
 	}
-	if len(refRaw) == 0 {
-		ref = nil
+	refCs := make([]Concept, len(ref.Concepts))
+	for i, c := range ref.Concepts {
+		refCs[i] = Concept(c)
 	}
-	if !reflect.DeepEqual(got, ref) {
-		t.Fatalf("keyword divergence for %q k=%d:\n got %+v\n ref %+v", text, k, got, ref)
+	if len(ref.Keywords) == 0 {
+		refKws = nil
+	}
+	if len(ref.Concepts) == 0 {
+		refCs = nil
+	}
+	if !reflect.DeepEqual(got.Keywords, refKws) {
+		t.Fatalf("keyword divergence for %q k=%d:\n got %+v\n ref %+v", text, k, got.Keywords, refKws)
+	}
+	if !reflect.DeepEqual(got.Concepts, refCs) {
+		t.Fatalf("concept divergence for %q k=%d:\n got %+v\n ref %+v", text, k, got.Concepts, refCs)
 	}
 	return got
 }
 
+func keywordsBoth(t *testing.T, text string, k int) []Keyword {
+	t.Helper()
+	return bothEngines(t, text, k).Keywords
+}
+
 func conceptsBoth(t *testing.T, text string, k int) []Concept {
 	t.Helper()
-	tokens := Tokenize(text)
-	got := extractConcepts(tokens, nil, k)
-	refRaw := nluref.ExtractConcepts(nluref.Tokenize(text), nil, k)
-	ref := make([]Concept, len(refRaw))
-	for i, c := range refRaw {
-		ref[i] = Concept(c)
-	}
-	if len(refRaw) == 0 {
-		ref = nil
-	}
-	if !reflect.DeepEqual(got, ref) {
-		t.Fatalf("concept divergence for %q k=%d:\n got %+v\n ref %+v", text, k, got, ref)
-	}
-	return got
+	return bothEngines(t, text, k).Concepts
 }
 
 func TestExtractKeywordsAllStopwords(t *testing.T) {
@@ -61,15 +64,6 @@ func TestExtractKeywordsAllStopwords(t *testing.T) {
 func TestExtractKeywordsShortAndNumericOnly(t *testing.T) {
 	if got := keywordsBoth(t, "a an 42 7 99 xy z 2026", 10); got != nil {
 		t.Errorf("short/numeric doc produced keywords: %+v", got)
-	}
-}
-
-func TestExtractKeywordsZeroK(t *testing.T) {
-	if got := keywordsBoth(t, "markets rallied strongly today", 0); got != nil {
-		t.Errorf("k=0 produced keywords: %+v", got)
-	}
-	if got := keywordsBoth(t, "markets rallied strongly today", -3); got != nil {
-		t.Errorf("k<0 produced keywords: %+v", got)
 	}
 }
 
@@ -99,12 +93,9 @@ func TestExtractKeywordsTruncationAfterSort(t *testing.T) {
 	}
 }
 
-func TestExtractConceptsEmptyAndZeroK(t *testing.T) {
+func TestExtractConceptsEmpty(t *testing.T) {
 	if got := conceptsBoth(t, "plain words without any taxonomy triggers", 5); got != nil {
 		t.Errorf("topicless doc produced concepts: %+v", got)
-	}
-	if got := conceptsBoth(t, "technology market climate", 0); got != nil {
-		t.Errorf("k=0 produced concepts: %+v", got)
 	}
 }
 
@@ -126,26 +117,12 @@ func TestExtractConceptsTieBreakAlphabetical(t *testing.T) {
 }
 
 func TestExtractConceptsMentionKindVotes(t *testing.T) {
-	tokens := Tokenize("nothing topical here")
-	mentions := []Mention{
-		{EntityID: "country:de", Kind: "Country"},
-		{EntityID: "company:acme", Kind: "Company"},
-		{EntityID: "country:fr", Kind: "Country"},
+	// Two countries and a company, no topic words.
+	a := bothEngines(t, "Germany, Acme Corporation and France.", 5)
+	if len(a.Entities) != 3 {
+		t.Fatalf("mentions = %+v, want 3", a.Entities)
 	}
-	got := extractConcepts(tokens, mentions, 5)
-	refRaw := nluref.ExtractConcepts(nluref.Tokenize("nothing topical here"), []nluref.Mention{
-		{EntityID: "country:de", Kind: "Country"},
-		{EntityID: "company:acme", Kind: "Company"},
-		{EntityID: "country:fr", Kind: "Country"},
-	}, 5)
-	if len(got) != len(refRaw) {
-		t.Fatalf("len %d != ref %d", len(got), len(refRaw))
-	}
-	for i := range got {
-		if got[i] != Concept(refRaw[i]) {
-			t.Fatalf("concept %d: %+v != %+v", i, got[i], refRaw[i])
-		}
-	}
+	got := a.Concepts
 	if len(got) != 2 || got[0].Label != "/geography/countries" || got[0].Confidence != 1.0 {
 		t.Errorf("concepts = %+v", got)
 	}

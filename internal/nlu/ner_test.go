@@ -1,15 +1,35 @@
 package nlu
 
-import (
-	"testing"
+import "testing"
 
-	"repro/internal/lexicon"
-)
+// noiseFree is a profile with no recall loss, no fabricated mentions, no
+// capitalized-run heuristics and no sentiment noise: its analysis of a
+// text is the text's gazetteer mentions, keywords, scores, concepts and
+// relations, exact.
+var noiseFree = Profile{Name: "nlu-noise-free"}
+
+// analyze runs text through a noise-free engine.
+func analyze(text string) Analysis { return NewEngine(noiseFree).Analyze(text) }
+
+// heuristicMentions returns the Unknown entities a noise-free engine
+// with capitalized-run heuristics finds in text: its mentions beside the
+// gazetteer's.
+func heuristicMentions(t *testing.T, text string) []Mention {
+	t.Helper()
+	p := noiseFree
+	p.UseHeuristics = true
+	var out []Mention
+	for _, m := range NewEngine(p).Analyze(text).Entities {
+		if m.Kind == "Unknown" {
+			out = append(out, m)
+		}
+	}
+	return out
+}
 
 func matchText(t *testing.T, text string) []Mention {
 	t.Helper()
-	m := newMatcher(lexicon.AllEntities())
-	return m.Match(text, Tokenize(text))
+	return analyze(text).Entities
 }
 
 func TestMatcherFindsCanonicalNames(t *testing.T) {
@@ -100,11 +120,7 @@ func TestMatcherOffsetsSliceSource(t *testing.T) {
 }
 
 func TestHeuristicMentions(t *testing.T) {
-	text := "Yesterday Zorblax Dynamics unveiled a new engine."
-	tokens := Tokenize(text)
-	m := newMatcher(lexicon.AllEntities())
-	covered := m.Match(text, tokens)
-	hs := heuristicMentions(text, tokens, covered, lexicon.StopwordSet())
+	hs := heuristicMentions(t, "Yesterday Zorblax Dynamics unveiled a new engine.")
 	if len(hs) != 1 {
 		t.Fatalf("heuristic mentions = %+v, want 1", hs)
 	}
@@ -117,20 +133,14 @@ func TestHeuristicMentions(t *testing.T) {
 }
 
 func TestHeuristicSkipsSentenceInitialSingles(t *testing.T) {
-	text := "Revenue grew. Analysts cheered."
-	tokens := Tokenize(text)
-	hs := heuristicMentions(text, tokens, nil, lexicon.StopwordSet())
+	hs := heuristicMentions(t, "Revenue grew. Analysts cheered.")
 	if len(hs) != 0 {
 		t.Errorf("sentence-initial words flagged as entities: %+v", hs)
 	}
 }
 
 func TestHeuristicSkipsCoveredSpans(t *testing.T) {
-	text := "Acme Corporation shares rose."
-	tokens := Tokenize(text)
-	m := newMatcher(lexicon.AllEntities())
-	covered := m.Match(text, tokens)
-	hs := heuristicMentions(text, tokens, covered, lexicon.StopwordSet())
+	hs := heuristicMentions(t, "Acme Corporation shares rose.")
 	if len(hs) != 0 {
 		t.Errorf("covered span re-reported: %+v", hs)
 	}

@@ -53,12 +53,13 @@ const maxTriggerDistance = 12
 // ExtractRelations finds trigger-mediated relations between entity mention
 // pairs within a sentence. triggers may be nil to use RelationTriggers.
 // Results are sorted by text order then predicate, deterministic for a
-// given input.
+// given input. A text without tokens has no relations, though spurious
+// mentions may still be fabricated from its punctuation.
 func ExtractRelations(text string, tokens []Token, mentions []Mention, triggers map[string]string) []Relation {
 	if triggers == nil {
 		triggers = RelationTriggers
 	}
-	if len(mentions) < 2 {
+	if len(mentions) < 2 || len(tokens) == 0 {
 		return nil
 	}
 	// Token index of each mention start and the sentence id per token.

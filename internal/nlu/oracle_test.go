@@ -4,15 +4,16 @@ package nlu_test
 // pre-interning implementation frozen verbatim, and every analysis here
 // must come out bit-identical between the two packages — entities,
 // keywords, sentiment floats, concepts, relations, field for field —
-// across all three engine profiles, including the profiles whose
-// drop/spurious/noise paths consume randomness. Equality is asserted on
+// across the three stock engine profiles, whose drop/spurious/noise
+// paths consume randomness, and a noise-free one. Equality is asserted on
 // the marshaled JSON, which distinguishes nil from empty slices and
 // pins every float bit (encoding/json renders the shortest exact
 // representation).
 //
 // The one deliberate divergence is multibyte tokenization, which nlu
 // fixes and nluref preserves; the oracle corpus is ASCII, so it is not
-// exercised here (tokenize_multibyte_test.go covers the fix).
+// exercised here (tokenize_multibyte_test.go covers the fix), and
+// FuzzAnalyzeMatchesReference holds the two equal on arbitrary ASCII.
 
 import (
 	"encoding/json"
@@ -26,6 +27,8 @@ import (
 	"repro/internal/webcorpus"
 )
 
+// oracleProfiles are the three stock profiles plus a noise-free one
+// that keeps fewer keywords and concepts than the defaults.
 var oracleProfiles = []struct {
 	nu  nlu.Profile
 	ref nluref.Profile
@@ -33,7 +36,12 @@ var oracleProfiles = []struct {
 	{nlu.ProfileAlpha, nluref.ProfileAlpha},
 	{nlu.ProfileBeta, nluref.ProfileBeta},
 	{nlu.ProfileGamma, nluref.ProfileGamma},
+	{nlu.Profile{Name: "nlu-noise-free", MaxKeywords: 2, MaxConcepts: 1}, nluref.Profile{Name: "nlu-noise-free", MaxKeywords: 2, MaxConcepts: 1}},
 }
+
+// wordlessText has no word token, yet nlu-beta fabricates spurious
+// mentions from its punctuation "sentences".
+const wordlessText = "````.``!``,```'`"
 
 // oracleTexts returns the generated document bodies plus hand-picked
 // edge cases: empty-ish inputs, punctuation-only sentences (spurious
@@ -113,6 +121,25 @@ func TestAnalyzeMatchesReference(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestAnalyzeWordlessText analyzes a text without word tokens on every
+// profile. Relation extraction once looked up the token of a spurious
+// mention in a document with no tokens and panicked with index -1,
+// which took down the facade's goroutine that ran the service.
+func TestAnalyzeWordlessText(t *testing.T) {
+	for _, p := range oracleProfiles {
+		a := nlu.NewEngine(p.nu).Analyze(wordlessText)
+		if p.nu.Name == nlu.ProfileBeta.Name && len(a.Entities) < 2 {
+			t.Errorf("%s: %d mentions, want the >= 2 spurious ones that reach relation extraction", p.nu.Name, len(a.Entities))
+		}
+		if len(a.Relations) != 0 {
+			t.Errorf("%s: relations %+v in a text without words", p.nu.Name, a.Relations)
+		}
+		if got, want := mustJSON(t, a), mustJSON(t, nluref.NewEngine(p.ref).Analyze(wordlessText)); got != want {
+			t.Errorf("%s diverged\n got: %s\nwant: %s", p.nu.Name, got, want)
+		}
 	}
 }
 

@@ -1,10 +1,5 @@
 package nlu
 
-import (
-	"sort"
-	"strings"
-)
-
 // Relationship extraction (paper §2.1: documents may be analyzed "for named
 // entity recognition or relationship extraction", and outputs from several
 // such services can be combined). A relation is extracted when two entity
@@ -49,97 +44,3 @@ var relationTriggers = map[string]string{
 // maxTriggerDistance bounds how many tokens may separate the mentions for
 // a relation to be emitted.
 const maxTriggerDistance = 12
-
-// extractRelations finds trigger-mediated relations between entity mention
-// pairs within a sentence. triggers may be nil to use relationTriggers.
-// Results are sorted by text order then predicate, deterministic for a
-// given input.
-func extractRelations(text string, tokens []Token, mentions []Mention, triggers map[string]string) []Relation {
-	if triggers == nil {
-		triggers = relationTriggers
-	}
-	if len(mentions) < 2 {
-		return nil
-	}
-	// Token index of each mention start and the sentence id per token.
-	sentenceOf := make([]int, len(tokens))
-	sid := 0
-	for i, t := range tokens {
-		if t.SentenceStart && i > 0 {
-			sid++
-		}
-		sentenceOf[i] = sid
-	}
-	tokenAt := func(byteOff int) int {
-		for i, t := range tokens {
-			if t.Start <= byteOff && byteOff < t.End {
-				return i
-			}
-			if t.Start > byteOff {
-				return i
-			}
-		}
-		return len(tokens) - 1
-	}
-	var out []Relation
-	for i := 0; i < len(mentions); i++ {
-		for j := i + 1; j < len(mentions); j++ {
-			a, b := mentions[i], mentions[j]
-			if a.EntityID == b.EntityID {
-				continue
-			}
-			ta, tb := tokenAt(a.Start), tokenAt(b.Start)
-			if sentenceOf[ta] != sentenceOf[tb] {
-				continue
-			}
-			lo, hi := ta, tb
-			if lo > hi {
-				lo, hi = hi, lo
-			}
-			if hi-lo > maxTriggerDistance {
-				continue
-			}
-			// Scan the span between the mentions for a trigger.
-			for k := lo + 1; k < hi; k++ {
-				pred, ok := triggers[tokens[k].Lower]
-				if !ok {
-					continue
-				}
-				distance := hi - lo
-				conf := 1 - float64(distance-1)/float64(maxTriggerDistance+4)
-				if conf < 0.1 {
-					conf = 0.1
-				}
-				// Direction: textual order (subject before object).
-				subj, obj := a, b
-				if ta > tb {
-					subj, obj = b, a
-				}
-				out = append(out, Relation{
-					SubjectID:  subj.EntityID,
-					Predicate:  pred,
-					ObjectID:   obj.EntityID,
-					Trigger:    tokens[k].Text,
-					Confidence: conf,
-				})
-				break // one relation per mention pair
-			}
-		}
-	}
-	sort.Slice(out, func(x, y int) bool {
-		if out[x].SubjectID != out[y].SubjectID {
-			return out[x].SubjectID < out[y].SubjectID
-		}
-		if out[x].Predicate != out[y].Predicate {
-			return out[x].Predicate < out[y].Predicate
-		}
-		return out[x].ObjectID < out[y].ObjectID
-	})
-	return out
-}
-
-// RelationKey renders a relation as "subject predicate object" for
-// cross-service comparison and deduplication.
-func RelationKey(r Relation) string {
-	return strings.Join([]string{r.SubjectID, r.Predicate, r.ObjectID}, " ")
-}

@@ -1,17 +1,10 @@
 package nlu
 
-import (
-	"testing"
-
-	"repro/internal/lexicon"
-)
+import "testing"
 
 func extract(t *testing.T, text string) []Relation {
 	t.Helper()
-	tokens := Tokenize(text)
-	m := newMatcher(lexicon.AllEntities())
-	mentions := m.Match(text, tokens)
-	return extractRelations(text, tokens, mentions, nil)
+	return analyze(text).Relations
 }
 
 func TestExtractAcquisition(t *testing.T) {
@@ -86,25 +79,13 @@ func TestExtractMultipleRelations(t *testing.T) {
 	}
 	keys := map[string]bool{}
 	for _, r := range rels {
-		keys[RelationKey(r)] = true
+		keys[r.SubjectID+" "+r.Predicate+" "+r.ObjectID] = true
 	}
 	if !keys["company:acme kb:acquired company:globex"] {
 		t.Errorf("missing acquisition: %v", keys)
 	}
 	if !keys["person:maria-silva kb:praised company:initech"] {
 		t.Errorf("missing praise: %v", keys)
-	}
-}
-
-func TestExtractCustomTriggers(t *testing.T) {
-	text := "Acme Corporation sponsors Globex Industries."
-	tokens := Tokenize(text)
-	m := newMatcher(lexicon.AllEntities())
-	mentions := m.Match(text, tokens)
-	custom := map[string]string{"sponsors": "kb:sponsors"}
-	rels := extractRelations(text, tokens, mentions, custom)
-	if len(rels) != 1 || rels[0].Predicate != "kb:sponsors" {
-		t.Errorf("relations = %+v", rels)
 	}
 }
 

@@ -1,14 +1,8 @@
 package nlu
 
-import (
-	"testing"
+import "testing"
 
-	"repro/internal/lexicon"
-)
-
-func docScore(text string) float64 {
-	return documentSentiment(Tokenize(text), lexicon.SentimentWeights())
-}
+func docScore(text string) float64 { return analyze(text).Sentiment }
 
 func TestDocumentSentimentPolarity(t *testing.T) {
 	pos := docScore("The excellent results were praised as a remarkable success with strong growth.")
@@ -59,13 +53,11 @@ func TestEntitySentimentSeparation(t *testing.T) {
 	text := "Acme Corporation reported excellent profits and strong impressive growth this quarter, winning praise. " +
 		"Meanwhile analysts watched the markets with detached interest across many regions and several sectors overall. " +
 		"Globex Industries suffered terrible losses and a dismal decline amid the deepening scandal."
-	tokens := Tokenize(text)
-	m := newMatcher(lexicon.AllEntities())
-	mentions := m.Match(text, tokens)
-	if len(mentions) != 2 {
-		t.Fatalf("mentions = %+v", mentions)
+	a := analyze(text)
+	if len(a.Entities) != 2 {
+		t.Fatalf("mentions = %+v", a.Entities)
 	}
-	es := entitySentiments(tokens, mentions, lexicon.SentimentWeights())
+	es := a.EntitySentiments
 	if len(es) != 2 {
 		t.Fatalf("entity sentiments = %+v", es)
 	}
@@ -83,10 +75,7 @@ func TestEntitySentimentSeparation(t *testing.T) {
 
 func TestEntitySentimentMentionCounts(t *testing.T) {
 	text := "France grew. France prospered. Germany stalled."
-	tokens := Tokenize(text)
-	m := newMatcher(lexicon.AllEntities())
-	mentions := m.Match(text, tokens)
-	es := entitySentiments(tokens, mentions, lexicon.SentimentWeights())
+	es := analyze(text).EntitySentiments
 	counts := map[string]int{}
 	for _, e := range es {
 		counts[e.EntityID] = e.Mentions
@@ -97,8 +86,7 @@ func TestEntitySentimentMentionCounts(t *testing.T) {
 }
 
 func TestEntitySentimentEmpty(t *testing.T) {
-	tokens := Tokenize("Nothing notable here.")
-	if es := entitySentiments(tokens, nil, lexicon.SentimentWeights()); es != nil {
+	if es := analyze("Nothing notable here.").EntitySentiments; es != nil {
 		t.Errorf("EntitySentiments = %v, want nil", es)
 	}
 }

@@ -134,28 +134,6 @@ func isWordRuneAt(text string, i int) bool {
 	return isWordRune(r)
 }
 
-// sentences splits text into sentences on ., !, ?, … boundaries, trimming
-// whitespace and dropping empties.
-func sentences(text string) []string {
-	var out []string
-	var b strings.Builder
-	flush := func() {
-		s := strings.TrimSpace(b.String())
-		if s != "" {
-			out = append(out, s)
-		}
-		b.Reset()
-	}
-	for _, r := range text {
-		b.WriteRune(r)
-		if r == '.' || r == '!' || r == '?' || r == '…' {
-			flush()
-		}
-	}
-	flush()
-	return out
-}
-
 // isCapitalized reports whether the token begins with an upper-case letter.
 func isCapitalized(tok string) bool {
 	for _, r := range tok {

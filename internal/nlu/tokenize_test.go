@@ -79,6 +79,22 @@ func TestTokenizeLowerPrecomputed(t *testing.T) {
 	}
 }
 
+// sentences collects the non-empty sentences nextSentence walks: the
+// sentences the engine draws its spurious mentions from.
+func sentences(text string) []string {
+	var out []string
+	for off := 0; ; {
+		s, next, more := nextSentence(text, off)
+		if !more {
+			return out
+		}
+		off = next
+		if s != "" {
+			out = append(out, s)
+		}
+	}
+}
+
 func TestSentences(t *testing.T) {
 	got := sentences("One here. Two there! Is three? Four")
 	want := []string{"One here.", "Two there!", "Is three?", "Four"}

@@ -49,9 +49,8 @@ var (
 	vocabTab  *vocabTables
 )
 
-// vocab returns the shared tables, building them on first use. The build
-// snapshots relationTriggers and topicConcepts at that point; the
-// string-based extractRelations still reads the live map it is given.
+// vocab returns the shared tables, building them on first use from
+// relationTriggers, topicConcepts, kindConcepts and the lexicon.
 func vocab() *vocabTables {
 	vocabOnce.Do(buildVocab)
 	return vocabTab

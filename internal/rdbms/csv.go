@@ -107,25 +107,3 @@ func (t *Table) ExportCSV(w io.Writer) error {
 	}
 	return nil
 }
-
-// exportResultCSV writes a query result as CSV with a header row.
-func exportResultCSV(rs ResultSet, w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(rs.Columns); err != nil {
-		return fmt.Errorf("rdbms: write header: %w", err)
-	}
-	for _, row := range rs.Rows {
-		rec := make([]string, len(row))
-		for i, v := range row {
-			rec[i] = v.String()
-		}
-		if err := cw.Write(rec); err != nil {
-			return fmt.Errorf("rdbms: write row: %w", err)
-		}
-	}
-	cw.Flush()
-	if err := cw.Error(); err != nil {
-		return fmt.Errorf("rdbms: flush: %w", err)
-	}
-	return nil
-}

@@ -371,19 +371,6 @@ func TestCSVImportExportRoundTrip(t *testing.T) {
 	}
 }
 
-func TestExportResultCSV(t *testing.T) {
-	db := seededDB(t)
-	rs := mustExec(t, db, "SELECT name, age FROM people ORDER BY age DESC LIMIT 1")
-	var out strings.Builder
-	if err := exportResultCSV(rs, &out); err != nil {
-		t.Fatal(err)
-	}
-	want := "name,age\ncarol,35\n"
-	if out.String() != want {
-		t.Errorf("csv = %q, want %q", out.String(), want)
-	}
-}
-
 func TestImportCSVErrors(t *testing.T) {
 	db := NewDB()
 	if _, err := db.ImportCSV("x", strings.NewReader("")); err == nil {

@@ -376,17 +376,6 @@ func (g *Graph) forEach(want triple, fn func(triple)) {
 
 func bound(t Term) bool { return !t.IsVar() && !t.Zero() }
 
-func matches(pattern, s Statement) bool {
-	return termMatches(pattern.S, s.S) && termMatches(pattern.P, s.P) && termMatches(pattern.O, s.O)
-}
-
-func termMatches(p, t Term) bool {
-	if !bound(p) {
-		return true
-	}
-	return p == t
-}
-
 // postingAdd appends c to the a→b posting list.
 func postingAdd(idx map[uint32]map[uint32][]uint32, a, b, c uint32) {
 	inner := idx[a]

@@ -1,14 +1,13 @@
 // Package stats provides the statistical and mathematical analysis
 // substrate for the rich SDK and the personalized knowledge base. It stands
 // in for the Apache Commons Math library used by the paper: descriptive
-// statistics, linear / polynomial / multiple regression (batch and as
-// running normal equations), and correlation. Latency distributions are
-// not kept here: internal/metrics' Histogram is their one type.
+// statistics and linear / multiple regression (batch and as running
+// normal equations). Latency distributions are not kept here:
+// internal/metrics' Histogram is their one type.
 package stats
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"sort"
 )
@@ -82,28 +81,4 @@ func Median(xs []float64) float64 {
 		return cp[n/2]
 	}
 	return (cp[n/2-1] + cp[n/2]) / 2
-}
-
-// correlation returns the Pearson correlation coefficient between xs and ys.
-// It returns an error if the lengths differ, fewer than two points are
-// given, or either series has zero variance.
-func correlation(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, fmt.Errorf("stats: length mismatch %d != %d", len(xs), len(ys))
-	}
-	if len(xs) < 2 {
-		return 0, fmt.Errorf("stats: need at least 2 points, got %d", len(xs))
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0, errors.New("stats: zero variance series")
-	}
-	return sxy / math.Sqrt(sxx*syy), nil
 }

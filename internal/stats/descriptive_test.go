@@ -83,40 +83,6 @@ func TestMedianDoesNotMutate(t *testing.T) {
 	}
 }
 
-func TestCorrelation(t *testing.T) {
-	// Perfect positive correlation.
-	xs := []float64{1, 2, 3, 4}
-	ys := []float64{2, 4, 6, 8}
-	r, err := correlation(xs, ys)
-	if err != nil {
-		t.Fatalf("Correlation error = %v", err)
-	}
-	if !almostEqual(r, 1, 1e-12) {
-		t.Errorf("Correlation = %v, want 1", r)
-	}
-	// Perfect negative correlation.
-	ysNeg := []float64{8, 6, 4, 2}
-	r, err = correlation(xs, ysNeg)
-	if err != nil {
-		t.Fatalf("Correlation error = %v", err)
-	}
-	if !almostEqual(r, -1, 1e-12) {
-		t.Errorf("Correlation = %v, want -1", r)
-	}
-}
-
-func TestCorrelationErrors(t *testing.T) {
-	if _, err := correlation([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("mismatched lengths should error")
-	}
-	if _, err := correlation([]float64{1}, []float64{2}); err == nil {
-		t.Error("single point should error")
-	}
-	if _, err := correlation([]float64{1, 1}, []float64{2, 3}); err == nil {
-		t.Error("zero-variance series should error")
-	}
-}
-
 func TestMeanPropertyBounds(t *testing.T) {
 	// Property: mean is always within [min, max] of the sample.
 	f := func(xs []float64) bool {

@@ -56,64 +56,6 @@ func (m LinearModel) Predict(x float64) float64 {
 	return m.Intercept + m.Slope*x
 }
 
-// polyModel is a fitted polynomial regression
-// y = Coef[0] + Coef[1]*x + ... + Coef[d]*x^d.
-type polyModel struct {
-	Coef []float64
-	R2   float64
-	N    int
-}
-
-// fitPoly fits a degree-d polynomial by least squares using the normal
-// equations. degree must be >= 1 and len(xs) must exceed the degree.
-func fitPoly(xs, ys []float64, degree int) (polyModel, error) {
-	if degree < 1 {
-		return polyModel{}, fmt.Errorf("stats: degree %d < 1", degree)
-	}
-	if len(xs) != len(ys) {
-		return polyModel{}, fmt.Errorf("stats: length mismatch %d != %d", len(xs), len(ys))
-	}
-	// One observation is the row [1, x, x^2, ..., x^d]; the accumulator
-	// supplies the leading 1.
-	var ls LeastSquares
-	powers := make([]float64, degree)
-	for i, x := range xs {
-		v := x
-		for j := range powers {
-			powers[j] = v
-			v *= x
-		}
-		ls.Add(powers, ys[i])
-	}
-	coef, err := ls.Solve()
-	if err != nil {
-		return polyModel{}, err
-	}
-	m := polyModel{Coef: coef, N: len(xs)}
-	my := Mean(ys)
-	var ssRes, ssTot float64
-	for i := range xs {
-		pred := m.Predict(xs[i])
-		ssRes += (ys[i] - pred) * (ys[i] - pred)
-		ssTot += (ys[i] - my) * (ys[i] - my)
-	}
-	if ssTot > 0 {
-		m.R2 = 1 - ssRes/ssTot
-	} else {
-		m.R2 = 1
-	}
-	return m, nil
-}
-
-// Predict evaluates the polynomial at x using Horner's rule.
-func (m polyModel) Predict(x float64) float64 {
-	var y float64
-	for i := len(m.Coef) - 1; i >= 0; i-- {
-		y = y*x + m.Coef[i]
-	}
-	return y
-}
-
 // MultiModel is a fitted multiple linear regression
 // y = Coef[0] + Coef[1]*x1 + ... + Coef[k]*xk.
 type MultiModel struct {

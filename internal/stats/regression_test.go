@@ -69,40 +69,6 @@ func TestFitLinearErrors(t *testing.T) {
 	}
 }
 
-func TestFitPolyExactQuadratic(t *testing.T) {
-	// y = 1 - 2x + 0.5x^2
-	xs := []float64{-2, -1, 0, 1, 2, 3}
-	ys := make([]float64, len(xs))
-	for i, x := range xs {
-		ys[i] = 1 - 2*x + 0.5*x*x
-	}
-	m, err := fitPoly(xs, ys, 2)
-	if err != nil {
-		t.Fatalf("fitPoly error = %v", err)
-	}
-	want := []float64{1, -2, 0.5}
-	for i, w := range want {
-		if !almostEqual(m.Coef[i], w, 1e-8) {
-			t.Errorf("Coef[%d] = %v, want %v", i, m.Coef[i], w)
-		}
-	}
-	if got := m.Predict(5); !almostEqual(got, 1-10+12.5, 1e-8) {
-		t.Errorf("Predict(5) = %v, want 3.5", got)
-	}
-}
-
-func TestFitPolyErrors(t *testing.T) {
-	if _, err := fitPoly([]float64{1, 2}, []float64{1, 2}, 0); err == nil {
-		t.Error("degree 0 should error")
-	}
-	if _, err := fitPoly([]float64{1, 2}, []float64{1, 2}, 2); err == nil {
-		t.Error("too few points should error")
-	}
-	if _, err := fitPoly([]float64{1, 2, 3}, []float64{1, 2}, 1); err == nil {
-		t.Error("mismatched lengths should error")
-	}
-}
-
 func TestFitMultiExact(t *testing.T) {
 	// y = 2 + 3a - b over a small grid.
 	var feats [][]float64
@@ -162,8 +128,8 @@ func TestSolveLinearSystemPivoting(t *testing.T) {
 	}
 }
 
-// batchLeastSquares is the batch normal-equations solver that fitPoly and
-// FitMulti used before LeastSquares replaced it, frozen as the oracle: it
+// batchLeastSquares is the batch normal-equations solver that FitMulti
+// used before LeastSquares replaced it, frozen as the oracle: it
 // accumulates A^T A and A^T y over explicit [1, x...] rows in one pass and
 // back-substitutes into a fresh slice.
 func batchLeastSquares(a [][]float64, y []float64) ([]float64, error) {
@@ -230,7 +196,7 @@ func batchLeastSquares(a [][]float64, y []float64) ([]float64, error) {
 // TestLeastSquaresMatchesBatchSolver pins the incremental accumulator to
 // the batch solver bit for bit: ragged rows against their zero-padded
 // forms, a solve after every added row (Solve must not disturb the sums),
-// and FitMulti / fitPoly end to end.
+// and FitMulti end to end.
 func TestLeastSquaresMatchesBatchSolver(t *testing.T) {
 	sameBits := func(got, want []float64) bool {
 		if len(got) != len(want) {
@@ -297,20 +263,6 @@ func TestLeastSquaresMatchesBatchSolver(t *testing.T) {
 		want, _ := batchLeastSquares(rows, ys)
 		if m, err := FitMulti(feats, ys); err != nil || !sameBits(m.Coef, want) {
 			t.Fatalf("seed %d: FitMulti = %v, %v; batch solver %v", seed, m.Coef, err, want)
-		}
-
-		xs := make([]float64, n)
-		for i := range xs {
-			x := rng.Float64() * 4
-			xs[i] = x
-			rows[i] = rows[i][:0]
-			for j, v := 0, 1.0; j <= maxWidth; j, v = j+1, v*x {
-				rows[i] = append(rows[i], v)
-			}
-		}
-		want, _ = batchLeastSquares(rows, ys)
-		if m, err := fitPoly(xs, ys, maxWidth); err != nil || !sameBits(m.Coef, want) {
-			t.Fatalf("seed %d: fitPoly = %v, %v; batch solver %v", seed, m.Coef, err, want)
 		}
 	}
 }
