@@ -100,7 +100,10 @@ api:
 # frozen nluref engine on ASCII text under every oracle profile
 # (FuzzAnalyzeMatchesReference; minimisation off: with it on the engine
 # sits at 0 execs/sec minimising each new input, ~145 000 execs in 80 s
-# on 2 cores against ~490 000 in 90 s with it off). Plain
+# on 2 cores against ~490 000 in 90 s with it off), and the PMI
+# builder's flat pair table against a map (FuzzPairCounts; minimisation
+# off: its growth runs make each minimising step slow, ~19 000 execs in
+# 16 s on 2 cores against ~40 000 in 10 s with it off). Plain
 # `go test` replays only the committed seed corpora under testdata/fuzz;
 # a failure found here is written there.
 FUZZTIME ?= 10s
@@ -123,6 +126,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSelect$$' -fuzztime $(FUZZTIME) ./internal/rdbms
 	$(GO) test -run '^$$' -fuzz '^FuzzCSVRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/csvconv
 	$(GO) test -run '^$$' -fuzz '^FuzzAnalyzeMatchesReference$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 0s ./internal/nlu
+	$(GO) test -run '^$$' -fuzz '^FuzzPairCounts$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 0s ./internal/lexicon
 
 # cover runs the full suite with per-package coverage percentages.
 cover:
@@ -149,7 +153,9 @@ bench-rdf:
 # block-max top-k evaluator vs the frozen seed full-scan baseline
 # (internal/search/searchref) at 1k/10k/50k-doc corpora
 # (BenchmarkSearchBaseline vs BenchmarkSearchPruned), plus the
-# query-expansion path (BenchmarkSearchExpanded) and index construction.
+# query-expansion path (BenchmarkSearchExpanded) and index construction
+# with expansion on, as programs build it, at 1k and 20k documents
+# (BenchmarkBuildIndex).
 bench-search:
 	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem ./internal/search
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/service"
@@ -119,6 +120,69 @@ func TestAPIInvokeAll(t *testing.T) {
 	}
 	if len(out.Results) != 1 || out.Results[0].Service != "echo" || out.Results[0].Error != "" {
 		t.Errorf("out = %+v", out)
+	}
+}
+
+func TestAPIInvokeAllServicePanic(t *testing.T) {
+	srv, c := newAPIServer(t)
+	boom := service.Func{
+		Meta: service.Info{Name: "boom", Category: "nlu"},
+		Fn: func(context.Context, service.Request) (service.Response, error) {
+			panic("index out of range [-1]")
+		},
+	}
+	echo2 := service.Func{
+		Meta: service.Info{Name: "echo2", Category: "nlu"},
+		Fn: func(_ context.Context, req service.Request) (service.Response, error) {
+			return service.Response{Body: []byte("echo2:" + req.Text), ContentType: "text/plain"}, nil
+		},
+	}
+	for _, svc := range []service.Service{boom, echo2} {
+		if err := c.Register(svc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	results, err := c.InvokeAll(context.Background(), "nlu", service.Request{Text: "x"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{"echo": "echo:x", "echo2": "echo2:x"}
+	for _, r := range results {
+		if body, ok := want[r.Service]; ok && (r.Err != nil || string(r.Response.Body) != body) {
+			t.Errorf("client: %s = %+v, want %q", r.Service, r, body)
+		}
+		if r.Service == "boom" && r.Err == nil {
+			t.Error("client: the panicking service reported no error")
+		}
+	}
+	resp := postJSON(t, srv.URL+"/v1/invoke-all", invokeBody{
+		Category: "nlu",
+		Request:  service.Request{Text: "x"},
+	})
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d", resp.StatusCode)
+	}
+	var out struct {
+		Results []struct {
+			Service  string           `json:"service"`
+			Response service.Response `json:"response"`
+			Error    string           `json:"error"`
+		} `json:"results"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Results) != 3 {
+		t.Fatalf("facade: %d results, want 3: %+v", len(out.Results), out)
+	}
+	for _, r := range out.Results {
+		if body, ok := want[r.Service]; ok && (r.Error != "" || string(r.Response.Body) != body) {
+			t.Errorf("facade: %s = %+v, want %q", r.Service, r, body)
+		}
+		if r.Service == "boom" && !strings.Contains(r.Error, "panicked") {
+			t.Errorf("facade: boom's error = %q, want the panic", r.Error)
+		}
 	}
 }
 

@@ -224,7 +224,8 @@ type Result struct {
 // waits for all of them — the paper's redundancy case, for example storing
 // the same data in several cloud databases, or sending a document to
 // several NLU services to compare and combine their output. The results
-// are returned in input order.
+// are returned in input order. A service that panics gets the panic as
+// its Result.Err; the other services' results are unaffected.
 func InvokeAll(ctx context.Context, clk clock.Clock, svcs []service.Service, req service.Request) []Result {
 	if clk == nil {
 		clk = clock.Real()
@@ -233,17 +234,18 @@ func InvokeAll(ctx context.Context, clk clock.Clock, svcs []service.Service, req
 	var wg sync.WaitGroup
 	for i, svc := range svcs {
 		wg.Add(1)
-		go func(i int, svc service.Service) {
+		go func(res *Result, svc service.Service) {
 			defer wg.Done()
+			res.Service = svc.Info().Name
 			start := clk.Now()
-			resp, err := svc.Invoke(ctx, req)
-			results[i] = Result{
-				Service:  svc.Info().Name,
-				Response: resp,
-				Err:      err,
-				Latency:  clk.Since(start),
-			}
-		}(i, svc)
+			defer func() {
+				if p := recover(); p != nil {
+					res.Response, res.Err = service.Response{}, fmt.Errorf("failover: %s panicked: %v", res.Service, p)
+				}
+				res.Latency = clk.Since(start)
+			}()
+			res.Response, res.Err = svc.Invoke(ctx, req)
+		}(&results[i], svc)
 	}
 	wg.Wait()
 	return results

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -256,6 +257,27 @@ func TestInvokeAllResultsInOrder(t *testing.T) {
 	}
 	if results[1].Err == nil {
 		t.Error("failure not reported")
+	}
+}
+
+func TestInvokeAllPanicIsThatServicesError(t *testing.T) {
+	boom := service.Func{
+		Meta: service.Info{Name: "boom", Category: "test"},
+		Fn: func(context.Context, service.Request) (service.Response, error) {
+			panic("index out of range")
+		},
+	}
+	results := InvokeAll(context.Background(), nil, []service.Service{alwaysOK("a"), boom, alwaysOK("c")}, service.Request{})
+	if len(results) != 3 {
+		t.Fatalf("got %d results", len(results))
+	}
+	for _, i := range []int{0, 2} {
+		if r := results[i]; r.Err != nil || string(r.Response.Body) != r.Service {
+			t.Errorf("result %d = %+v, want %s's answer", i, r, r.Service)
+		}
+	}
+	if r := results[1]; r.Service != "boom" || r.Err == nil || !strings.Contains(r.Err.Error(), "index out of range") {
+		t.Errorf("panicking service's result = %+v, want the panic as its error", r)
 	}
 }
 

@@ -1,8 +1,10 @@
 package lexicon
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 	"strings"
 
 	"repro/internal/intern"
@@ -88,11 +90,11 @@ func (x *Expander) Expand(term string, max int) []Expansion {
 
 // sortExpansions orders by weight descending, term ascending.
 func sortExpansions(s []Expansion) {
-	sort.Slice(s, func(i, j int) bool {
-		if s[i].Weight != s[j].Weight {
-			return s[i].Weight > s[j].Weight
+	slices.SortFunc(s, func(a, b Expansion) int {
+		if c := cmp.Compare(b.Weight, a.Weight); c != 0 {
+			return c
 		}
-		return s[i].Term < s[j].Term
+		return strings.Compare(a.Term, b.Term)
 	})
 }
 
@@ -185,51 +187,40 @@ func (c PMIConfig) fill() PMIConfig {
 }
 
 // PMIBuilder accumulates windowed term co-occurrence counts over a token
-// stream (the search index feeds it each document's filtered tokens at
-// build time) and turns them into a c-token table: for each term, the
+// stream (the search index feeds it each document's filtered term IDs
+// at build time) and turns them into a c-token table: for each term, the
 // terms it is most associated with by pointwise mutual information,
 //
 //	PMI(x, y) = log( count(x,y) · N / (count(x) · count(y)) ),
 //
-// where N is the total number of pair observations. Terms are interned
-// through the shared intern.Dict so the pair counters are a compact
-// uint64-keyed map rather than string-pair keys.
+// where N is the total number of pair observations. Terms are the IDs
+// of the caller's intern.Dict, so the builder keeps no vocabulary of its
+// own: occurrence counts are an ID-indexed slice and pair counts a flat
+// open-addressed table keyed by the packed ID pair.
 type PMIBuilder struct {
 	cfg   PMIConfig
 	dict  *intern.Dict[string]
 	occ   []int
-	pairs map[uint64]int
+	pairs pairTable
 	total int
 }
 
-// NewPMIBuilder returns an empty builder.
-func NewPMIBuilder(cfg PMIConfig) *PMIBuilder {
-	return &PMIBuilder{
-		cfg:   cfg.fill(),
-		dict:  intern.NewDict[string](),
-		pairs: make(map[uint64]int),
-	}
+// NewPMIBuilder returns an empty builder over dict's term IDs. dict must
+// stay unfrozen until Build has returned: Build names terms through it.
+func NewPMIBuilder(cfg PMIConfig, dict *intern.Dict[string]) *PMIBuilder {
+	return &PMIBuilder{cfg: cfg.fill(), dict: dict}
 }
 
-func (b *PMIBuilder) intern(t string) uint32 {
-	id := b.dict.Intern(t)
-	if int(id) == len(b.occ) {
-		b.occ = append(b.occ, 0)
+// AddIDs observes one document's term IDs, in order. The caller filters
+// stopwords and interns each term in the builder's dictionary; the
+// builder only windows and counts.
+func (b *PMIBuilder) AddIDs(ids []uint32) {
+	if n := b.dict.Len(); n > len(b.occ) {
+		b.occ = append(b.occ, make([]int, n-len(b.occ))...)
 	}
-	return id
-}
-
-// AddDoc observes one document's tokens, in order. The caller filters
-// stopwords; the builder only windows and counts.
-func (b *PMIBuilder) AddDoc(tokens []string) {
 	w := b.cfg.Window
-	ids := make([]uint32, len(tokens))
-	for i, t := range tokens {
-		id := b.intern(t)
-		ids[i] = id
-		b.occ[id]++
-	}
 	for i, x := range ids {
+		b.occ[x]++
 		end := i + w
 		if end >= len(ids) {
 			end = len(ids) - 1
@@ -243,7 +234,7 @@ func (b *PMIBuilder) AddDoc(tokens []string) {
 			if lo > hi {
 				lo, hi = hi, lo
 			}
-			b.pairs[uint64(lo)<<32|uint64(hi)]++
+			b.pairs.inc(uint64(lo)<<32 | uint64(hi))
 			b.total++
 		}
 	}
@@ -254,37 +245,114 @@ func (b *PMIBuilder) AddDoc(tokens []string) {
 // floor association weighs around 0.5 and weights approach 1 only for
 // extreme associations — comparable to, but never exceeding, the
 // gazetteer synonym weight. The result is deterministic for a given
-// input sequence regardless of map iteration order.
+// input sequence regardless of the pair table's slot order. Each
+// neighbour list is exactly as long as it is kept: the table lives as
+// long as the index, so the neighbours cut by MaxNeighbors must not stay
+// behind as capacity.
 func (b *PMIBuilder) Build() map[string][]Expansion {
 	type neighbor struct {
 		term uint32
 		pmi  float64
 	}
-	byTerm := make(map[uint32][]neighbor)
+	byTerm := make([][]neighbor, len(b.occ))
 	n := float64(b.total)
-	for key, c := range b.pairs {
-		if c < b.cfg.MinCount {
+	for _, e := range b.pairs.slots {
+		if e.n < b.cfg.MinCount {
 			continue
 		}
-		x, y := uint32(key>>32), uint32(key)
-		pmi := math.Log(float64(c) * n / (float64(b.occ[x]) * float64(b.occ[y])))
+		x, y := uint32(e.key>>32), uint32(e.key)
+		pmi := math.Log(float64(e.n) * n / (float64(b.occ[x]) * float64(b.occ[y])))
 		if pmi < b.cfg.MinPMI {
 			continue
 		}
 		byTerm[x] = append(byTerm[x], neighbor{y, pmi})
 		byTerm[y] = append(byTerm[y], neighbor{x, pmi})
 	}
-	table := make(map[string][]Expansion, len(byTerm))
+	terms, kept := 0, 0
+	for _, ns := range byTerm {
+		if len(ns) > 0 {
+			terms++
+			kept += min(len(ns), b.cfg.MaxNeighbors)
+		}
+	}
+	arena := make([]Expansion, kept)
+	table := make(map[string][]Expansion, terms)
+	var s []Expansion
 	for id, ns := range byTerm {
-		s := make([]Expansion, 0, len(ns))
+		if len(ns) == 0 {
+			continue
+		}
+		s = s[:0]
 		for _, nb := range ns {
 			s = append(s, Expansion{Term: b.dict.Value(nb.term), Weight: nb.pmi / (1 + nb.pmi)})
 		}
 		sortExpansions(s)
-		if len(s) > b.cfg.MaxNeighbors {
-			s = s[:b.cfg.MaxNeighbors]
-		}
-		table[b.dict.Value(id)] = s
+		k := copy(arena, s[:min(len(s), b.cfg.MaxNeighbors)])
+		table[b.dict.Value(uint32(id))], arena = arena[:k:k], arena[k:]
 	}
 	return table
+}
+
+// pairTable counts uint64 keys in one flat open-addressed array (linear
+// probing, Fibonacci hashing, doubled at half load). A slot is empty
+// while its count is zero, so every key, 0 included, can be counted, and
+// a full scan of slots visits each counted key once.
+type pairTable struct {
+	slots []pairSlot
+	used  int
+	shift uint // 64 - log2(len(slots))
+}
+
+type pairSlot struct {
+	key uint64
+	n   int
+}
+
+// inc adds one to key's count.
+func (t *pairTable) inc(key uint64) {
+	if 2*(t.used+1) > len(t.slots) {
+		t.grow()
+	}
+	mask := uint64(len(t.slots) - 1)
+	for i := t.home(key); ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		if s.n == 0 {
+			*s = pairSlot{key: key, n: 1}
+			t.used++
+			return
+		}
+		if s.key == key {
+			s.n++
+			return
+		}
+	}
+}
+
+// home is key's first probe slot: the top log2(len(slots)) bits of key
+// times 2^64/φ.
+func (t *pairTable) home(key uint64) uint64 {
+	return (key * 0x9e3779b97f4a7c15) >> t.shift
+}
+
+// grow doubles the slot array (1024 slots at first) and re-places every
+// counted key.
+func (t *pairTable) grow() {
+	old := t.slots
+	size := 2 * len(old)
+	if size == 0 {
+		size = 1024
+	}
+	t.slots = make([]pairSlot, size)
+	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	mask := uint64(size - 1)
+	for _, e := range old {
+		if e.n == 0 {
+			continue
+		}
+		i := t.home(e.key)
+		for t.slots[i].n != 0 {
+			i = (i + 1) & mask
+		}
+		t.slots[i] = e
+	}
 }

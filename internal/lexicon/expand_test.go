@@ -2,7 +2,24 @@ package lexicon
 
 import (
 	"testing"
+
+	"repro/internal/intern"
 )
+
+// newTestPMI returns a builder over a fresh dictionary and a function
+// that feeds it one document of terms, interning them as the search
+// index does.
+func newTestPMI(cfg PMIConfig) (*PMIBuilder, func(terms ...string)) {
+	dict := intern.NewDict[string]()
+	b := NewPMIBuilder(cfg, dict)
+	return b, func(terms ...string) {
+		ids := make([]uint32, len(terms))
+		for i, t := range terms {
+			ids[i] = dict.Intern(t)
+		}
+		b.AddIDs(ids)
+	}
+}
 
 func expansionTerms(s []Expansion) []string {
 	out := make([]string, len(s))
@@ -73,12 +90,12 @@ func TestExpanderCapAndOrder(t *testing.T) {
 }
 
 func TestPMIBuilder(t *testing.T) {
-	b := NewPMIBuilder(PMIConfig{Window: 3, MinCount: 3, MaxNeighbors: 4, MinPMI: 0.5})
+	b, addDoc := newTestPMI(PMIConfig{Window: 3, MinCount: 3, MaxNeighbors: 4, MinPMI: 0.5})
 	// "coffee beans" always co-occur; "coffee" and "tax" never share a
 	// window; background terms spread evenly.
 	for i := 0; i < 20; i++ {
-		b.AddDoc([]string{"coffee", "beans", "roast", "filler1", "filler2", "filler3", "tax", "policy"})
-		b.AddDoc([]string{"tax", "policy", "filler1", "filler2", "filler4", "filler3"})
+		addDoc("coffee", "beans", "roast", "filler1", "filler2", "filler3", "tax", "policy")
+		addDoc("tax", "policy", "filler1", "filler2", "filler4", "filler3")
 	}
 	table := b.Build()
 	if !hasTerm(table["coffee"], "beans") {
@@ -102,12 +119,36 @@ func TestPMIBuilder(t *testing.T) {
 	}
 }
 
+// TestPMINeighborListsHaveNoSlack: the table lives as long as the index
+// that built it, so the neighbours MaxNeighbors cuts must not stay
+// behind as capacity.
+func TestPMINeighborListsHaveNoSlack(t *testing.T) {
+	const maxNeighbors = 3
+	b, addDoc := newTestPMI(PMIConfig{Window: 8, MinCount: 2, MaxNeighbors: maxNeighbors, MinPMI: 0.1})
+	for i := 0; i < 20; i++ {
+		addDoc("hub", "a", "b", "c", "d", "e", "f", "g")
+		addDoc("x", "y", "hub", "z")
+		addDoc("p", "q", "r", "s", "t", "u", "v", "w", "o")
+	}
+	table := b.Build()
+	full := false
+	for term, ns := range table {
+		if cap(ns) != len(ns) || len(ns) > maxNeighbors {
+			t.Errorf("%q: neighbour list has len %d, cap %d, MaxNeighbors %d", term, len(ns), cap(ns), maxNeighbors)
+		}
+		full = full || len(ns) == maxNeighbors
+	}
+	if !full {
+		t.Fatal("no neighbour list reached MaxNeighbors: the cut is untested")
+	}
+}
+
 func TestPMIBuilderDeterministic(t *testing.T) {
 	build := func() map[string][]Expansion {
-		b := NewPMIBuilder(PMIConfig{Window: 4, MinCount: 2, MinPMI: 0.1})
+		b, addDoc := newTestPMI(PMIConfig{Window: 4, MinCount: 2, MinPMI: 0.1})
 		for i := 0; i < 10; i++ {
-			b.AddDoc([]string{"alpha", "beta", "gamma", "delta", "alpha", "beta"})
-			b.AddDoc([]string{"gamma", "delta", "epsilon", "zeta"})
+			addDoc("alpha", "beta", "gamma", "delta", "alpha", "beta")
+			addDoc("gamma", "delta", "epsilon", "zeta")
 		}
 		return b.Build()
 	}

@@ -97,25 +97,7 @@ func (d *doc) scan(text string, v *vocabTables, extra *intern.Frozen[string]) {
 		} else if c >= 0x80 && isCapitalized(tok) {
 			sp.flags |= fCapital
 		}
-		ascii := true
-		for i := 0; i < len(tok); i++ {
-			if tok[i] >= 0x80 {
-				ascii = false
-				break
-			}
-		}
-		lower := d.lower[:0]
-		if ascii {
-			for i := 0; i < len(tok); i++ {
-				c := tok[i]
-				if c >= 'A' && c <= 'Z' {
-					c += 'a' - 'A'
-				}
-				lower = append(lower, c)
-			}
-		} else {
-			lower = append(lower, strings.ToLower(tok)...)
-		}
+		lower := appendLower(d.lower[:0], tok)
 		d.lower = lower
 
 		eligible := len(lower) >= 3 && !numericBytes(lower)

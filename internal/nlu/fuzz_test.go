@@ -3,9 +3,9 @@ package nlu_test
 // FuzzTokenize asserts the tokenizer's structural invariants on
 // arbitrary byte soup — offsets in bounds and strictly ordered, Text
 // slicing back out of the input, Lower really being the lower-casing,
-// sentence flags starting the stream — and locks the tokenizer to the
-// frozen reference on pure-ASCII input, where the two are specified to
-// agree byte for byte.
+// sentence flags starting the stream — holds ScanLower to Tokenize's
+// Lower sequence, and locks the tokenizer to the frozen reference on
+// pure-ASCII input, where the two are specified to agree byte for byte.
 
 import (
 	"strings"
@@ -23,6 +23,7 @@ func FuzzTokenize(f *testing.F) {
 	f.Add("a\x80b\xff\xfe…")
 	f.Add("... !!! ??? 42% Q3, runners' it's")
 	f.Add("")
+	f.Add("İSTANBUL ÄÖÜ ǅemal ΣΑΣ Straße AZ ZEBRA")
 	f.Fuzz(func(t *testing.T, text string) {
 		tokens := nlu.Tokenize(text)
 		prevEnd := 0
@@ -41,6 +42,21 @@ func FuzzTokenize(f *testing.F) {
 			if i == 0 && !tok.SentenceStart {
 				t.Fatal("first token does not start a sentence")
 			}
+		}
+		// ScanLower yields exactly the Lower sequence, multibyte and
+		// invalid UTF-8 included, through a buffer it reuses.
+		n := 0
+		nlu.ScanLower(text, nil, func(lower []byte) {
+			if n >= len(tokens) {
+				t.Fatalf("ScanLower yields more than Tokenize's %d tokens", len(tokens))
+			}
+			if string(lower) != tokens[n].Lower {
+				t.Fatalf("ScanLower token %d = %q, Tokenize's Lower %q", n, lower, tokens[n].Lower)
+			}
+			n++
+		})
+		if n != len(tokens) {
+			t.Fatalf("ScanLower yields %d tokens, Tokenize %d", n, len(tokens))
 		}
 		// On pure-ASCII input the fixed tokenizer and the frozen
 		// reference must agree exactly.

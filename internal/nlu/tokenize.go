@@ -49,9 +49,41 @@ func Tokenize(text string) []Token {
 	return tokens
 }
 
-// scanWords is the tokenizer core shared by Tokenize and the engines'
-// pooled document scan: it walks text once and emits each token's byte
-// span plus whether it opens a sentence.
+// ScanLower walks text's tokens in order, the same tokens Tokenize
+// returns, and calls emit with each one's Lower form written into buf,
+// which is reused from token to token: lower is valid only until emit
+// returns. ScanLower returns the buffer, grown as needed, so a caller
+// scanning many texts allocates only when a token outgrows it.
+func ScanLower(text string, buf []byte, emit func(lower []byte)) []byte {
+	scanWords(text, func(start, end int, _ bool) {
+		buf = appendLower(buf[:0], text[start:end])
+		emit(buf)
+	})
+	return buf
+}
+
+// appendLower appends strings.ToLower(tok) to dst without building the
+// string: ASCII tokens are lowered byte by byte, and only a token with a
+// multibyte rune goes through strings.ToLower.
+func appendLower(dst []byte, tok string) []byte {
+	for i := 0; i < len(tok); i++ {
+		if tok[i] >= utf8.RuneSelf {
+			return append(dst, strings.ToLower(tok)...)
+		}
+	}
+	for i := 0; i < len(tok); i++ {
+		c := tok[i]
+		if c >= 'A' && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		dst = append(dst, c)
+	}
+	return dst
+}
+
+// scanWords is the tokenizer core shared by Tokenize, ScanLower and the
+// engines' pooled document scan: it walks text once and emits each
+// token's byte span plus whether it opens a sentence.
 //
 // ASCII is the fast path and keeps the historical rules exactly: letters
 // and digits are word bytes, '.', '!', '?' end sentences, and an

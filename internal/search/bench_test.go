@@ -14,14 +14,20 @@ func benchIndex(b *testing.B) *Index {
 	return BuildIndex(webcorpus.Generate(webcorpus.Config{Seed: 4, NumDocs: 1000}))
 }
 
-func BenchmarkBuildIndex1k(b *testing.B) {
-	corpus := webcorpus.Generate(webcorpus.Config{Seed: 4, NumDocs: 1000})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if idx := BuildIndex(corpus); idx == nil {
-			b.Fatal("nil index")
-		}
+// BenchmarkBuildIndex builds the index as programs do, with expansion
+// on, at 1k and 20k documents.
+func BenchmarkBuildIndex(b *testing.B) {
+	for _, n := range []int{1000, 20000} {
+		b.Run(fmt.Sprintf("docs=%d", n), func(b *testing.B) {
+			corpus := benchCorpus(n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if idx := BuildIndex(corpus, WithExpansion(lexicon.PMIConfig{})); idx == nil {
+					b.Fatal("nil index")
+				}
+			}
+		})
 	}
 }
 

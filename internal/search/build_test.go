@@ -1,0 +1,111 @@
+package search
+
+import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"testing"
+
+	"repro/internal/lexicon"
+	"repro/internal/raceflag"
+	"repro/internal/webcorpus"
+)
+
+// buildDigest hashes everything BuildIndex produces that a query can
+// observe: the dictionary in ID order, every term's postings, blocks and
+// list-wide bounds, the document lengths, their mean, the news bitmap,
+// and each term's expansions as the expander reports them.
+func buildDigest(idx *Index) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	u64 := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	str := func(s string) {
+		u64(uint64(len(s)))
+		h.Write([]byte(s))
+	}
+	u64(uint64(idx.dict.Len()))
+	for id := 0; id < idx.dict.Len(); id++ {
+		str(idx.dict.Value(uint32(id)))
+	}
+	u64(uint64(len(idx.terms)))
+	for _, tp := range idx.terms {
+		u64(uint64(len(tp.posts)))
+		for _, p := range tp.posts {
+			u64(uint64(p.doc)<<32 | uint64(p.freq))
+		}
+		u64(uint64(len(tp.blocks)))
+		for _, b := range tp.blocks {
+			u64(uint64(b.lastDoc)<<32 | uint64(b.maxTf)<<16 | uint64(b.maxTit))
+			u64(uint64(b.minLen))
+		}
+		u64(uint64(tp.maxTf)<<16 | uint64(tp.maxTit))
+		u64(uint64(tp.minLen))
+	}
+	u64(uint64(len(idx.docLen)))
+	for _, l := range idx.docLen {
+		u64(uint64(l))
+	}
+	u64(math.Float64bits(idx.avgLen))
+	for _, w := range idx.news {
+		u64(w)
+	}
+	for id := 0; id < idx.dict.Len(); id++ {
+		exps := idx.expander.Expand(idx.dict.Value(uint32(id)), math.MaxInt32)
+		u64(uint64(len(exps)))
+		for _, e := range exps {
+			str(e.Term)
+			u64(math.Float64bits(e.Weight))
+		}
+	}
+	return h.Sum64()
+}
+
+// TestBuildIndexDigest pins BuildIndex's output on the 1k seed-4 corpus
+// with expansion on, the configuration programs build. The constant was
+// computed on the per-token build that preceded the single pass, so the
+// two are held equal bit for bit; change it only with a change meant to
+// alter the index.
+func TestBuildIndexDigest(t *testing.T) {
+	const want uint64 = 0xe7984b2dce53dc08
+	idx := BuildIndex(webcorpus.Generate(webcorpus.Config{Seed: 4, NumDocs: 1000}), WithExpansion(lexicon.PMIConfig{}))
+	if got := buildDigest(idx); got != want {
+		t.Fatalf("index digest %#x, want %#x", got, want)
+	}
+}
+
+// TestBuildIndexAllocs bounds the allocations of a build with expansion
+// on, per document of the 1k seed-4 corpus. A token costs none: it is
+// lowered into a reused buffer and looked up by its bytes, so only a
+// term's first sighting, posting-list growth and the expansion tables
+// allocate (8.4 per document when the bound was set).
+func TestBuildIndexAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not the product's under the race detector")
+	}
+	const docs, maxPerDoc = 1000, 10
+	corpus := webcorpus.Generate(webcorpus.Config{Seed: 4, NumDocs: docs})
+	allocs := testing.AllocsPerRun(2, func() { BuildIndex(corpus, WithExpansion(lexicon.PMIConfig{})) })
+	if perDoc := allocs / docs; perDoc > maxPerDoc {
+		t.Errorf("BuildIndex makes %.1f allocations per document, want <= %d", perDoc, maxPerDoc)
+	}
+}
+
+// TestQueryTermsAllocs: compiling a query of up to eight terms makes one
+// allocation, the term slice, however its words are cased; the scan
+// lowers into a stack buffer and looks terms up by their bytes.
+func TestQueryTermsAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not the product's under the race detector")
+	}
+	idx := BuildIndex(webcorpus.Generate(webcorpus.Config{Seed: 21, NumDocs: 150}))
+	const q = "Market Technology growth the investment market"
+	if got := len(idx.queryTerms(q)); got != 4 {
+		t.Fatalf("queryTerms(%q) has %d terms, want 4", q, got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { idx.queryTerms(q) }); allocs > 1 {
+		t.Errorf("queryTerms(%q) makes %v allocations, want <= 1", q, allocs)
+	}
+}

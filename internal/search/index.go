@@ -20,7 +20,9 @@
 package search
 
 import (
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/intern"
@@ -90,7 +92,6 @@ type Index struct {
 	terms  []termPostings // indexed by term ID
 	docLen []uint32
 	avgLen float64
-	stop   map[string]bool
 	news   []uint64 // bitmap over docs: kind == "news"
 	// expander is the query-expansion source (nil when the index was
 	// built without WithExpansion). Expansion applies only when a search
@@ -180,56 +181,84 @@ func BuildIndex(c *webcorpus.Corpus, opts ...IndexOption) *Index {
 		o(&cfg)
 	}
 	dict := intern.NewDict[string]()
+	stop := lexicon.StopwordSet()
 	idx := &Index{
 		docs:   c.Docs,
 		docLen: make([]uint32, len(c.Docs)),
-		stop:   lexicon.StopwordSet(),
 		news:   make([]uint64, (len(c.Docs)+63)/64),
 	}
 	var pmi *lexicon.PMIBuilder
 	if cfg.expansion {
-		pmi = lexicon.NewPMIBuilder(cfg.pmi)
+		pmi = lexicon.NewPMIBuilder(cfg.pmi, dict)
 	}
-	var totalLen int
-	// Scratch maps are reused across documents; term IDs are dense so the
-	// per-doc term set stays small and cheap to reset.
-	tfs := make(map[uint32]int)
-	tits := make(map[uint32]int)
+	// One scan per body and title resolves each kept token straight to
+	// its term ID: the token is lowered into buf and looked up by its
+	// bytes, so only a term's first sighting allocates. A stopword never
+	// enters the dictionary, so only a miss needs the stopword check. tf
+	// and tit are ID-indexed counts of the current document and touched
+	// lists the IDs they hold, so resetting them costs what the document
+	// used.
+	var (
+		buf               []byte
+		bodyIDs, titleIDs []uint32
+		tf, tit           []int
+		touched           []uint32
+		totalLen          int
+	)
+	terms := func(text string, ids []uint32) []uint32 {
+		ids = ids[:0]
+		buf = nlu.ScanLower(text, buf, func(lower []byte) {
+			if len(lower) < 2 {
+				return
+			}
+			id, ok := intern.DictLookupBytes(dict, lower)
+			if !ok {
+				if stop[string(lower)] {
+					return
+				}
+				id = dict.Intern(string(lower))
+			}
+			ids = append(ids, id)
+		})
+		return ids
+	}
 	for i, d := range c.Docs {
 		if d.Kind == "news" {
 			idx.news[i>>6] |= 1 << (uint(i) & 63)
 		}
-		bodyToks := idx.filterTokens(d.Body)
-		titleToks := idx.filterTokens(d.Title)
-		idx.docLen[i] = uint32(len(bodyToks))
-		totalLen += len(bodyToks)
+		bodyIDs = terms(d.Body, bodyIDs)
+		titleIDs = terms(d.Title, titleIDs)
+		idx.docLen[i] = uint32(len(bodyIDs))
+		totalLen += len(bodyIDs)
 		if pmi != nil {
-			pmi.AddDoc(bodyToks)
-			pmi.AddDoc(titleToks)
-		}
-		clear(tfs)
-		clear(tits)
-		for _, t := range bodyToks {
-			tfs[dict.Intern(t)]++
-		}
-		for _, t := range titleToks {
-			tits[dict.Intern(t)]++
+			pmi.AddIDs(bodyIDs)
+			pmi.AddIDs(titleIDs)
 		}
 		if n := dict.Len(); n > len(idx.terms) {
 			idx.terms = append(idx.terms, make([]termPostings, n-len(idx.terms))...)
+			tf = append(tf, make([]int, n-len(tf))...)
+			tit = append(tit, make([]int, n-len(tit))...)
+		}
+		for _, id := range bodyIDs {
+			if tf[id] == 0 {
+				touched = append(touched, id)
+			}
+			tf[id]++
+		}
+		for _, id := range titleIDs {
+			if tf[id] == 0 && tit[id] == 0 {
+				touched = append(touched, id)
+			}
+			tit[id]++
 		}
 		// Documents are indexed in increasing order, so each append keeps
 		// the posting list sorted by doc with no explicit sort.
-		for tid, tf := range tfs {
-			idx.terms[tid].posts = append(idx.terms[tid].posts,
-				posting{doc: uint32(i), freq: packFreq(tf, tits[tid])})
+		for _, id := range touched {
+			idx.terms[id].posts = append(idx.terms[id].posts,
+				posting{doc: uint32(i), freq: packFreq(tf[id], tit[id])})
+			tf[id], tit[id] = 0, 0
 		}
-		for tid, tit := range tits {
-			if _, body := tfs[tid]; !body {
-				idx.terms[tid].posts = append(idx.terms[tid].posts,
-					posting{doc: uint32(i), freq: packFreq(0, tit)})
-			}
-		}
+		touched = touched[:0]
 	}
 	if len(c.Docs) > 0 {
 		idx.avgLen = float64(totalLen) / float64(len(c.Docs))
@@ -248,10 +277,12 @@ func BuildIndex(c *webcorpus.Corpus, opts ...IndexOption) *Index {
 		tp.posts, arena = arena[:n:n], arena[n:]
 		idx.buildBlocks(tp)
 	}
-	idx.dict = dict.Freeze()
-	if cfg.expansion {
+	// The PMI builder names its terms through dict, so it builds before
+	// the dictionary is frozen.
+	if pmi != nil {
 		idx.expander = lexicon.NewExpander().WithCooccurrence(pmi.Build())
 	}
+	idx.dict = dict.Freeze()
 	if cfg.set != nil {
 		idx.obs = newSearchObs(cfg.set)
 		// The dictionary is frozen, so the gauge is a one-shot reading.
@@ -299,22 +330,6 @@ func (idx *Index) buildBlocks(tp *termPostings) {
 		}
 		tp.blocks = append(tp.blocks, b)
 	}
-}
-
-// filterTokens lower-cases and filters text the same way the seed engine
-// did — tokens shorter than two bytes and stopwords are dropped —
-// returning the surviving tokens in document order (the PMI builder
-// needs the sequence, not just counts).
-func (idx *Index) filterTokens(text string) []string {
-	toks := nlu.Tokenize(text)
-	out := make([]string, 0, len(toks))
-	for _, tok := range toks {
-		if len(tok.Lower) < 2 || idx.stop[tok.Lower] {
-			continue
-		}
-		out = append(out, tok.Lower)
-	}
-	return out
 }
 
 // isNews reports whether doc is a news document (kind bitmap probe).
@@ -453,27 +468,21 @@ type qterm struct {
 	weight float64
 }
 
-// queryTerms tokenizes and dedupes the query, keeping only terms the
-// dictionary knows (anything else cannot match), sorted by term string
-// for determinism.
+// queryTerms scans the query, keeps the terms the dictionary knows
+// (anything else cannot match; stopwords and one-byte tokens never enter
+// it), and dedupes them, sorted by term string for determinism.
 func (idx *Index) queryTerms(query string) []qterm {
-	toks := idx.filterTokens(query)
-	if len(toks) == 0 {
-		return nil
-	}
-	sort.Strings(toks)
-	out := make([]qterm, 0, len(toks))
-	var prev string
-	for i, t := range toks {
-		if i > 0 && t == prev {
-			continue
-		}
-		prev = t
-		if id, ok := idx.dict.Lookup(t); ok {
+	out := make([]qterm, 0, 8)
+	var buf [64]byte
+	nlu.ScanLower(query, buf[:0], func(lower []byte) {
+		if id, ok := intern.LookupBytes(idx.dict, lower); ok {
 			out = append(out, qterm{id: id, weight: 1})
 		}
-	}
-	return out
+	})
+	slices.SortFunc(out, func(a, b qterm) int {
+		return strings.Compare(idx.dict.Value(a.id), idx.dict.Value(b.id))
+	})
+	return slices.CompactFunc(out, func(a, b qterm) bool { return a.id == b.id })
 }
 
 // expandQuery appends up to ExpandTerms weighted expansion terms when
