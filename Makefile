@@ -103,7 +103,10 @@ api:
 # on 2 cores against ~490 000 in 90 s with it off), and the PMI
 # builder's flat pair table against a map (FuzzPairCounts; minimisation
 # off: its growth runs make each minimising step slow, ~19 000 execs in
-# 16 s on 2 cores against ~40 000 in 10 s with it off). Plain
+# 16 s on 2 cores against ~40 000 in 10 s with it off), and the search
+# index's block-coded posting lists against plain slices under next,
+# seekBlock and find (FuzzPostingBlocks: gaps of 256 and 65 536 and
+# more, frequencies of 16 and 256 and more, header bounds exact). Plain
 # `go test` replays only the committed seed corpora under testdata/fuzz;
 # a failure found here is written there.
 FUZZTIME ?= 10s
@@ -127,6 +130,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCSVRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/csvconv
 	$(GO) test -run '^$$' -fuzz '^FuzzAnalyzeMatchesReference$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 0s ./internal/nlu
 	$(GO) test -run '^$$' -fuzz '^FuzzPairCounts$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 0s ./internal/lexicon
+	$(GO) test -run '^$$' -fuzz '^FuzzPostingBlocks$$' -fuzztime $(FUZZTIME) ./internal/search
 
 # cover runs the full suite with per-package coverage percentages.
 cover:
@@ -153,9 +157,11 @@ bench-rdf:
 # block-max top-k evaluator vs the frozen seed full-scan baseline
 # (internal/search/searchref) at 1k/10k/50k-doc corpora
 # (BenchmarkSearchBaseline vs BenchmarkSearchPruned), plus the
-# query-expansion path (BenchmarkSearchExpanded) and index construction
+# query-expansion path (BenchmarkSearchExpanded), index construction
 # with expansion on, as programs build it, at 1k and 20k documents
-# (BenchmarkBuildIndex).
+# (BenchmarkBuildIndex), and the traffic the repository benchmark sends:
+# three-word queries drawn from document bodies of the 20k seed-1 index,
+# alternating TuningG plain and TuningB expanded (BenchmarkSearchMix).
 bench-search:
 	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem ./internal/search
 

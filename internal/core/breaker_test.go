@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -219,5 +220,66 @@ func TestRankDemotesTrippedServices(t *testing.T) {
 	_ = resp
 	if len(attempts) != 1 || attempts[0].Service != "b" {
 		t.Errorf("attempts = %+v, want single attempt against b", attempts)
+	}
+}
+
+// TestBreakerPanickingProbeReopens: a half-open probe whose service
+// panics counts as a failed probe, so the breaker re-opens and a later
+// probe gets through rather than the probe slot staying taken.
+func TestBreakerPanickingProbeReopens(t *testing.T) {
+	clk := clock.NewVirtual(time.Unix(0, 0))
+	c := newClient(t, Config{
+		Clock:        clk,
+		Breaker:      BreakerConfig{Threshold: 1, Cooldown: time.Minute},
+		DefaultRetry: failover.RetryPolicy{MaxAttempts: 1},
+	})
+	const (
+		down = iota
+		panics
+		up
+	)
+	var mode atomic.Int32
+	c.MustRegister(service.Func{
+		Meta: service.Info{Name: "boom", Category: "t"},
+		Fn: func(context.Context, service.Request) (service.Response, error) {
+			switch mode.Load() {
+			case down:
+				return service.Response{}, transientErr()
+			case panics:
+				panic("probe")
+			}
+			return service.Response{Body: []byte("ok")}, nil
+		},
+	})
+	invoke := func() error {
+		res, err := c.InvokeAll(context.Background(), "t", service.Request{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res[0].Err
+	}
+	state := func() string { return c.BreakerStates()[0].State }
+
+	if err := invoke(); !errors.Is(err, service.ErrUnavailable) {
+		t.Fatalf("first call err = %v, want ErrUnavailable", err)
+	}
+	if state() != "open" {
+		t.Fatalf("breaker %s after a failure at threshold 1, want open", state())
+	}
+	mode.Store(panics)
+	clk.Advance(time.Minute)
+	if err := invoke(); err == nil || errors.Is(err, ErrBreakerOpen) {
+		t.Fatalf("probe err = %v, want the service's panic", err)
+	}
+	if state() != "open" {
+		t.Fatalf("breaker %s after a panicking probe, want open", state())
+	}
+	mode.Store(up)
+	clk.Advance(time.Minute)
+	if err := invoke(); err != nil {
+		t.Fatalf("later probe err = %v, want it let through", err)
+	}
+	if state() != "closed" {
+		t.Errorf("breaker %s after a good probe, want closed", state())
 	}
 }

@@ -243,11 +243,14 @@ func shedStage(s *Shedder) Middleware {
 			sp.SetAttr("shed", "admitted")
 			call.span = sp
 			start := s.clk.Now()
-			resp, err := next(ctx, call)
-			s.Release(s.clk.Since(start))
-			call.span = parent
-			sp.End()
-			return resp, err
+			// Deferred so that a panicking service gives its slot back
+			// too; the panic goes on up the stack.
+			defer func() {
+				s.Release(s.clk.Since(start))
+				call.span = parent
+				sp.End()
+			}()
+			return next(ctx, call)
 		}
 	}
 }

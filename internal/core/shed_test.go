@@ -176,3 +176,28 @@ func TestShedDisabledByDefault(t *testing.T) {
 		t.Error("Shedder() should be nil when Config.Shed is zero")
 	}
 }
+
+// TestShedSlotReleasedOnPanic: a service that panics gives its admission
+// slot back, so panicking calls cannot fill the window and shed every
+// later call.
+func TestShedSlotReleasedOnPanic(t *testing.T) {
+	c := newClient(t, Config{Shed: ShedConfig{TargetP99: 50 * time.Millisecond, MaxInFlight: 2, MinInFlight: 1}})
+	c.MustRegister(service.Func{
+		Meta: service.Info{Name: "boom", Category: "t"},
+		Fn: func(context.Context, service.Request) (service.Response, error) {
+			panic("boom")
+		},
+	})
+	for i := 0; i < 3; i++ {
+		res, err := c.InvokeAll(context.Background(), "t", service.Request{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res) != 1 || res[0].Err == nil || errors.Is(res[0].Err, errShed) {
+			t.Fatalf("call %d: results %+v, want the service's panic", i, res)
+		}
+	}
+	if n := c.Shedder().InFlight(); n != 0 {
+		t.Errorf("%d calls in flight after three panics, want 0", n)
+	}
+}

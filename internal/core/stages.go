@@ -168,14 +168,28 @@ func breakerStage(set *BreakerSet) Middleware {
 				sp.SetAttr("state", b.State())
 			}
 			call.span = sp
-			resp, err := next(ctx, call)
-			call.span = parent
-			b.Record(err)
-			sp.End()
+			// The outcome is recorded deferred, and stays errPanicked
+			// unless next returns: a panicking service counts as a
+			// failure, and a panicking half-open probe re-opens the
+			// breaker instead of holding the probe slot for good. The
+			// panic goes on up the stack.
+			err := errPanicked
+			defer func() {
+				call.span = parent
+				b.Record(err)
+				sp.End()
+			}()
+			var resp service.Response
+			resp, err = next(ctx, call)
 			return resp, err
 		}
 	}
 }
+
+// errPanicked is the outcome breakerStage records for a call whose
+// service panicked. It wraps ErrUnavailable, so it counts toward the
+// breaker's threshold.
+var errPanicked = fmt.Errorf("core: service panicked: %w", service.ErrUnavailable)
 
 // DeadlineConfig configures deadlineStage.
 type DeadlineConfig struct {

@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"slices"
 	"strings"
+	"sync"
 
 	"repro/internal/intern"
 )
@@ -41,11 +42,15 @@ type Expander struct {
 	cooc map[string][]Expansion
 }
 
-// NewExpander builds an expander over the gazetteer synonym table with
-// no co-occurrence source. Use WithCooccurrence to attach one.
+// NewExpander returns an expander over the gazetteer synonym table with
+// no co-occurrence source. Use WithCooccurrence to attach one. The table
+// is built once per process and shared: every Expander only reads it.
 func NewExpander() *Expander {
-	return &Expander{syn: synonymTable()}
+	return &Expander{syn: synonyms()}
 }
+
+// synonyms is the gazetteer synonym table, built on first use.
+var synonyms = sync.OnceValue(synonymTable)
 
 // WithCooccurrence returns a copy of x that also consults the given
 // corpus-derived table (term → neighbors, as produced by

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/intern"
+	"repro/internal/raceflag"
 )
 
 // newTestPMI returns a builder over a fresh dictionary and a function
@@ -183,5 +184,17 @@ func TestExpanderWithCooccurrence(t *testing.T) {
 		if e.Term == "usa" && e.Weight != synonymWeight {
 			t.Errorf("america -> usa weight %v, want synonym weight %v", e.Weight, synonymWeight)
 		}
+	}
+}
+
+// TestNewExpanderAllocs: the gazetteer synonym table is built once per
+// process, so an expander costs its own struct and nothing more.
+func TestNewExpanderAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not the product's under the race detector")
+	}
+	NewExpander() // the first call builds the table
+	if allocs := testing.AllocsPerRun(20, func() { NewExpander() }); allocs > 1 {
+		t.Errorf("NewExpander makes %v allocations, want <= 1", allocs)
 	}
 }

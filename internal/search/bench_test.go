@@ -121,3 +121,23 @@ func BenchmarkSearchExpanded(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkSearchMix is the query traffic the repository benchmark sends
+// to the search services: three-word queries drawn from document bodies
+// of the 20k seed-1 corpus, alternating TuningG plain and TuningB
+// expanded at limit 10. One op is one search.
+func BenchmarkSearchMix(b *testing.B) {
+	c := webcorpus.Generate(webcorpus.Config{Seed: 1, NumDocs: 20000})
+	idx := BuildIndex(c, WithExpansion(lexicon.PMIConfig{}))
+	queries := bodyQueries(c, 1024, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := queries[(i/2)%len(queries)]
+		if i%2 == 0 {
+			idx.Search(q, TuningG, Options{Limit: 10})
+		} else {
+			idx.Search(q, TuningB, Options{Limit: 10, Expand: true})
+		}
+	}
+}

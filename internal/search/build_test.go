@@ -5,14 +5,26 @@ import (
 	"hash/fnv"
 	"math"
 	"testing"
+	"unsafe"
 
 	"repro/internal/lexicon"
 	"repro/internal/raceflag"
 	"repro/internal/webcorpus"
 )
 
+// decodedList reads tp's postings back through a cursor, block by block.
+func decodedList(idx *Index, tp *termPostings) []posting {
+	c := newCursor(idx.arena, tp, 0, 0, 0)
+	var posts []posting
+	for ; c.cur() != ^uint32(0); c.pos++ {
+		posts = append(posts, posting{doc: c.cur(), freq: c.curFreq()})
+	}
+	return posts
+}
+
 // buildDigest hashes everything BuildIndex produces that a query can
-// observe: the dictionary in ID order, every term's postings, blocks and
+// observe: the dictionary in ID order, every term's decoded postings,
+// block bounds and
 // list-wide bounds, the document lengths, their mean, the news bitmap,
 // and each term's expansions as the expander reports them.
 func buildDigest(idx *Index) uint64 {
@@ -31,15 +43,18 @@ func buildDigest(idx *Index) uint64 {
 		str(idx.dict.Value(uint32(id)))
 	}
 	u64(uint64(len(idx.terms)))
-	for _, tp := range idx.terms {
-		u64(uint64(len(tp.posts)))
-		for _, p := range tp.posts {
+	for tid := range idx.terms {
+		tp := &idx.terms[tid]
+		posts := decodedList(idx, tp)
+		u64(uint64(len(posts)))
+		for _, p := range posts {
 			u64(uint64(p.doc)<<32 | uint64(p.freq))
 		}
 		u64(uint64(len(tp.blocks)))
-		for _, b := range tp.blocks {
-			u64(uint64(b.lastDoc)<<32 | uint64(b.maxTf)<<16 | uint64(b.maxTit))
-			u64(uint64(b.minLen))
+		for b := range tp.blocks {
+			maxTf, maxTit := tp.blockMax(b)
+			u64(uint64(tp.blocks[b].lastDoc)<<32 | uint64(maxTf)<<16 | uint64(maxTit))
+			u64(uint64(tp.blocks[b].minLen))
 		}
 		u64(uint64(tp.maxTf)<<16 | uint64(tp.maxTit))
 		u64(uint64(tp.minLen))
@@ -65,9 +80,10 @@ func buildDigest(idx *Index) uint64 {
 
 // TestBuildIndexDigest pins BuildIndex's output on the 1k seed-4 corpus
 // with expansion on, the configuration programs build. The constant was
-// computed on the per-token build that preceded the single pass, so the
-// two are held equal bit for bit; change it only with a change meant to
-// alter the index.
+// computed on the per-token build that preceded the single pass, and
+// kept through the move from plain posting slices to block codes (the
+// postings hashed are the decoded ones), so all three are held equal bit
+// for bit; change it only with a change meant to alter the index.
 func TestBuildIndexDigest(t *testing.T) {
 	const want uint64 = 0xe7984b2dce53dc08
 	idx := BuildIndex(webcorpus.Generate(webcorpus.Config{Seed: 4, NumDocs: 1000}), WithExpansion(lexicon.PMIConfig{}))
@@ -107,5 +123,25 @@ func TestQueryTermsAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { idx.queryTerms(q) }); allocs > 1 {
 		t.Errorf("queryTerms(%q) makes %v allocations, want <= 1", q, allocs)
+	}
+}
+
+// TestIndexBytesPerPosting bounds what the posting store of the 20k
+// seed-1 index costs per posting: the arena's codes plus every block
+// header and list header. Plain {doc, freq} slices took 8 bytes a
+// posting before headers.
+func TestIndexBytesPerPosting(t *testing.T) {
+	const maxPerPosting = 2.3
+	idx := BuildIndex(webcorpus.Generate(webcorpus.Config{Seed: 1, NumDocs: 20000}))
+	postings, blocks := 0, 0
+	for _, tp := range idx.terms {
+		postings += tp.n
+		blocks += len(tp.blocks)
+	}
+	bytes := len(idx.arena) + blocks*int(unsafe.Sizeof(block{})) + len(idx.terms)*int(unsafe.Sizeof(termPostings{}))
+	perPosting := float64(bytes) / float64(postings)
+	t.Logf("%d postings in %d blocks: %d bytes, %.3f per posting", postings, blocks, bytes, perPosting)
+	if perPosting > maxPerPosting {
+		t.Errorf("posting store takes %.3f bytes per posting, want <= %.1f", perPosting, maxPerPosting)
 	}
 }

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"encoding/binary"
 	"math"
 	"sort"
 )
@@ -19,7 +20,9 @@ import (
 
 // scorer precomputes one query's scoring profile. The score expressions
 // are kept token-for-token identical to the seed engine's (searchref) so
-// pruning decisions bound the very same floats the baseline computes.
+// pruning decisions bound the very same floats the baseline computes;
+// in particular no BM25 length norm is precomputed, since a compiler
+// free to fuse a multiply-add could round a stored norm differently.
 // TitleBoost is assumed non-negative and B in [0, 1]; the stock tunings
 // and the service layer never produce anything else.
 type scorer struct {
@@ -27,6 +30,10 @@ type scorer struct {
 	bm25       bool
 	k1, b      float64
 	titleBoost float64
+	// logT holds TF-IDF's math.Log(t) for tf < 16 and tit < 4, indexed
+	// tf | tit<<4: the same t, so the same logarithm, computed once per
+	// query rather than once per posting.
+	logT [64]float64
 }
 
 func newScorer(idx *Index, p Params) scorer {
@@ -37,12 +44,24 @@ func newScorer(idx *Index, p Params) scorer {
 	if b == 0 {
 		b = 0.75
 	}
-	return scorer{idx: idx, bm25: p.Scoring == BM25, k1: k1, b: b, titleBoost: p.TitleBoost}
+	s := scorer{idx: idx, bm25: p.Scoring == BM25, k1: k1, b: b, titleBoost: p.TitleBoost}
+	if !s.bm25 {
+		for i := range s.logT {
+			s.logT[i] = math.Log(s.combined(uint32(i&15), uint32(i>>4)))
+		}
+	}
+	return s
+}
+
+// combined is the frequency a posting scores with: its body frequency
+// plus its title frequency times the title boost.
+func (s *scorer) combined(tf, tit uint32) float64 {
+	return float64(tf) + s.titleBoost*float64(tit)
 }
 
 // idf for a term with document frequency df; always >= 0 (BM25's form is
 // strictly positive, TF-IDF's reaches 0 when a term is in every doc).
-func (s scorer) idf(df int) float64 {
+func (s *scorer) idf(df int) float64 {
 	n := float64(len(s.idx.docs))
 	if s.bm25 {
 		return math.Log(1 + (n-float64(df)+0.5)/(float64(df)+0.5))
@@ -50,18 +69,23 @@ func (s scorer) idf(df int) float64 {
 	return math.Log((n + 1) / (float64(df) + 1))
 }
 
-// score returns one posting's contribution (idf applied, query weight
-// not) and whether the posting matches at all (combined frequency > 0 —
-// a title-only posting under TitleBoost 0 does not match, mirroring the
+// score returns the contribution (idf applied, query weight not) of a
+// posting with packed frequencies freq in a document of length dl, and
+// whether the posting matches at all (combined frequency > 0 — a
+// title-only posting under TitleBoost 0 does not match, mirroring the
 // seed's "tf == 0 → skip" rule).
-func (s scorer) score(idf float64, p posting, dl uint32) (float64, bool) {
-	t := float64(p.tf()) + s.titleBoost*float64(p.tit())
+func (s *scorer) score(idf float64, freq, dl uint32) (float64, bool) {
+	tf, tit := freq&0xffff, freq>>16
+	t := s.combined(tf, tit)
 	if t == 0 {
 		return 0, false
 	}
 	if s.bm25 {
 		norm := t + s.k1*(1-s.b+s.b*float64(dl)/s.idx.avgLen)
 		return idf * t * (s.k1 + 1) / norm, true
+	}
+	if tf < 16 && tit < 4 {
+		return idf * (1 + s.logT[tf|tit<<4]), true
 	}
 	return idf * (1 + math.Log(t)), true
 }
@@ -71,7 +95,7 @@ func (s scorer) score(idf float64, p posting, dl uint32) (float64, bool) {
 // is monotone increasing in the combined frequency and (for BM25, with
 // b >= 0) decreasing in document length, so evaluating it at the
 // extremes bounds the block.
-func (s scorer) bound(idf float64, maxTf, maxTit uint16, minLen uint32) float64 {
+func (s *scorer) bound(idf float64, maxTf, maxTit uint16, minLen uint32) float64 {
 	t := float64(maxTf) + s.titleBoost*float64(maxTit)
 	if t <= 0 {
 		return 0
@@ -83,19 +107,100 @@ func (s scorer) bound(idf float64, maxTf, maxTit uint16, minLen uint32) float64 
 	return idf * (1 + math.Log(t))
 }
 
-// cursor walks one query term's posting list.
+// cursor walks one query term's posting list. pos counts postings from
+// the list's start and blk is the block seekBlock stands in; the block
+// holding the postings being read is decoded into docs once, when the
+// cursor first needs it, and its frequency codes are read in place.
 type cursor struct {
 	tp     *termPostings
+	arena  []byte
 	idf    float64
 	weight float64 // query-side weight (1 original, scaled for expansions)
 	ub     float64 // list-wide upper bound × weight, clamped at 0
 	pos    int
 	blk    int
+
+	base  int     // list index of the first posting in docs (-1: none)
+	n     uint    // postings in docs
+	freqs []byte  // its frequency codes
+	wide  bool    // whether they are 4-byte words (else tf | tit<<4 bytes)
+	bbBlk int     // block whose bound bb holds (-1: none)
+	bb    float64 // that block's upper bound × weight, clamped at 0
+	docs  [blockSize]uint32
 }
+
+func newCursor(arena []byte, tp *termPostings, idf, weight, ub float64) cursor {
+	return cursor{tp: tp, arena: arena, idf: idf, weight: weight, ub: ub, base: -1, bbBlk: -1}
+}
+
+// decode reads block b's documents into docs and points freqs at its
+// frequency codes.
+func (c *cursor) decode(b int) {
+	n := c.tp.blockLen(b)
+	code := c.arena[c.tp.blocks[b].off:]
+	gapW, freqW := int(code[0]&0xf), int(code[0]>>4)
+	code = code[1:]
+	doc := uint32(0)
+	if b > 0 {
+		doc = c.tp.blocks[b-1].lastDoc
+	}
+	docs := c.docs[:n]
+	switch gapW {
+	case 1:
+		for i, g := range code[:n] {
+			doc += uint32(g)
+			docs[i] = doc
+		}
+	case 2:
+		for i := range docs {
+			doc += uint32(binary.LittleEndian.Uint16(code[2*i:]))
+			docs[i] = doc
+		}
+	default:
+		for i := range docs {
+			doc += binary.LittleEndian.Uint32(code[4*i:])
+			docs[i] = doc
+		}
+	}
+	c.base, c.n = b*blockSize, uint(n)
+	c.freqs, c.wide = code[gapW*n:][:freqW*n], freqW == 4
+}
+
+// freq returns the packed tf | tit<<16 word of the decoded block's i-th
+// posting.
+func (c *cursor) freq(i int) uint32 {
+	if c.wide {
+		return binary.LittleEndian.Uint32(c.freqs[4*i:])
+	}
+	f := uint32(c.freqs[i])
+	return f&0xf | f>>4<<16
+}
+
+// cur returns the document at pos, or ^uint32(0) once the list is
+// exhausted.
+func (c *cursor) cur() uint32 {
+	if i := uint(c.pos - c.base); i < c.n {
+		return c.docs[i]
+	}
+	return c.enter()
+}
+
+// enter is cur's slow path: pos has left the decoded block.
+func (c *cursor) enter() uint32 {
+	if c.pos >= c.tp.n {
+		return ^uint32(0)
+	}
+	c.decode(c.pos / blockSize)
+	return c.docs[c.pos-c.base]
+}
+
+// curFreq returns the packed frequencies at pos; cur must have returned
+// a document first.
+func (c *cursor) curFreq() uint32 { return c.freq(c.pos - c.base) }
 
 // seekBlock advances the block pointer to the first block whose last
 // document is >= doc, pulling pos forward to the block start when blocks
-// are skipped (never backward).
+// are skipped (never backward). It reads headers only.
 func (c *cursor) seekBlock(doc uint32) {
 	if b := c.pos / blockSize; b > c.blk {
 		c.blk = b
@@ -108,30 +213,44 @@ func (c *cursor) seekBlock(doc uint32) {
 	}
 }
 
-// find binary-searches the current block for doc, leaving pos just past
-// doc on a hit and at the first larger posting on a miss. seekBlock must
-// have been called with the same doc first.
-func (c *cursor) find(doc uint32) (posting, bool) {
-	end := (c.blk + 1) * blockSize
-	if end > len(c.tp.posts) {
-		end = len(c.tp.posts)
+// blockBound returns the current block's upper bound × weight, clamped
+// at 0, computing it once per block.
+func (c *cursor) blockBound(sc *scorer) float64 {
+	if c.bbBlk != c.blk {
+		maxTf, maxTit := c.tp.blockMax(c.blk)
+		c.bb = c.weight * sc.bound(c.idf, maxTf, maxTit, uint32(c.tp.blocks[c.blk].minLen))
+		if c.bb < 0 {
+			c.bb = 0
+		}
+		c.bbBlk = c.blk
 	}
-	lo, hi := c.pos, end
+	return c.bb
+}
+
+// find binary-searches the current block for doc, leaving pos just past
+// doc on a hit and at the first larger posting on a miss, and returns
+// the hit's packed frequencies. seekBlock must have been called with the
+// same doc first; the block is decoded only if the cursor has not
+// decoded it already.
+func (c *cursor) find(doc uint32) (uint32, bool) {
+	if c.base != c.blk*blockSize {
+		c.decode(c.blk)
+	}
+	lo, hi := c.pos-c.base, int(c.n)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if c.tp.posts[mid].doc < doc {
+		if c.docs[mid] < doc {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	c.pos = lo
-	if lo < end && c.tp.posts[lo].doc == doc {
-		p := c.tp.posts[lo]
+	c.pos = c.base + lo
+	if lo < int(c.n) && c.docs[lo] == doc {
 		c.pos++
-		return p, true
+		return c.freq(lo), true
 	}
-	return posting{}, false
+	return 0, false
 }
 
 // heapEntry is one top-k candidate. The heap is a min-heap whose root is
@@ -205,7 +324,7 @@ func (idx *Index) evaluate(qterms []qterm, p Params, opts Options, stats *Stats)
 	cursors := make([]cursor, 0, len(qterms))
 	for _, q := range qterms {
 		tp := &idx.terms[q.id]
-		if len(tp.posts) == 0 {
+		if tp.n == 0 {
 			continue
 		}
 		if float64(tp.maxTf)+sc.titleBoost*float64(tp.maxTit) <= 0 {
@@ -213,11 +332,11 @@ func (idx *Index) evaluate(qterms []qterm, p Params, opts Options, stats *Stats)
 			// under TitleBoost 0): the whole term is skipped.
 			continue
 		}
-		ub := q.weight * sc.bound(sc.idf(len(tp.posts)), tp.maxTf, tp.maxTit, tp.minLen)
+		ub := q.weight * sc.bound(sc.idf(tp.n), tp.maxTf, tp.maxTit, tp.minLen)
 		if ub < 0 {
 			ub = 0 // a negative contribution is never better than absence
 		}
-		cursors = append(cursors, cursor{tp: tp, idf: sc.idf(len(tp.posts)), weight: q.weight, ub: ub})
+		cursors = append(cursors, newCursor(idx.arena, tp, sc.idf(tp.n), q.weight, ub))
 	}
 	if len(cursors) == 0 {
 		return []Result{}
@@ -235,7 +354,9 @@ func (idx *Index) evaluate(qterms []qterm, p Params, opts Options, stats *Stats)
 
 	k := opts.Limit + opts.Offset
 	topk := make([]heapEntry, 0, k)
-	theta := math.Inf(-1)
+	// bar is slack(θ), θ being the k-th best score: set when the heap
+	// fills and whenever its root changes, read only once it is full.
+	bar := 0.0
 	full := false
 	nonEss := 0
 	contrib := make([]float64, len(cursors))
@@ -246,7 +367,7 @@ func (idx *Index) evaluate(qterms []qterm, p Params, opts Options, stats *Stats)
 			// Terms whose cumulative upper bound cannot beat the
 			// threshold become non-essential; when every term is, no
 			// unseen document can enter the heap.
-			for nonEss < len(cursors) && prefix[nonEss] < slack(theta) {
+			for nonEss < len(cursors) && prefix[nonEss] < bar {
 				nonEss++
 			}
 			if nonEss == len(cursors) {
@@ -256,10 +377,7 @@ func (idx *Index) evaluate(qterms []qterm, p Params, opts Options, stats *Stats)
 		// Next candidate: smallest current doc among essential lists.
 		doc := ^uint32(0)
 		for i := nonEss; i < len(cursors); i++ {
-			c := &cursors[i]
-			if c.pos < len(c.tp.posts) && c.tp.posts[c.pos].doc < doc {
-				doc = c.tp.posts[c.pos].doc
-			}
+			doc = min(doc, cursors[i].cur())
 		}
 		if doc == ^uint32(0) {
 			break
@@ -269,8 +387,7 @@ func (idx *Index) evaluate(qterms []qterm, p Params, opts Options, stats *Stats)
 			// Kind filtering at score time: never score a document that
 			// cannot be returned.
 			for i := nonEss; i < len(cursors); i++ {
-				c := &cursors[i]
-				if c.pos < len(c.tp.posts) && c.tp.posts[c.pos].doc == doc {
+				if c := &cursors[i]; c.cur() == doc {
 					c.pos++
 				}
 			}
@@ -283,8 +400,8 @@ func (idx *Index) evaluate(qterms []qterm, p Params, opts Options, stats *Stats)
 		run := 0.0 // running partial for bound checks only
 		for i := nonEss; i < len(cursors); i++ {
 			c := &cursors[i]
-			if c.pos < len(c.tp.posts) && c.tp.posts[c.pos].doc == doc {
-				s, m := sc.score(c.idf, c.tp.posts[c.pos], idx.docLen[doc])
+			if c.cur() == doc {
+				s, m := sc.score(c.idf, c.curFreq(), idx.docLen[doc])
 				s *= c.weight
 				c.pos++
 				contrib[i], has[i] = s, m
@@ -296,7 +413,7 @@ func (idx *Index) evaluate(qterms []qterm, p Params, opts Options, stats *Stats)
 		}
 		abandoned := false
 		for j := nonEss - 1; j >= 0; j-- {
-			if full && run+prefix[j] < slack(theta) {
+			if full && run+prefix[j] < bar {
 				abandoned = true
 				break
 			}
@@ -310,12 +427,7 @@ func (idx *Index) evaluate(qterms []qterm, p Params, opts Options, stats *Stats)
 				below = prefix[j-1]
 			}
 			if full {
-				blk := &c.tp.blocks[c.blk]
-				bb := c.weight * sc.bound(c.idf, blk.maxTf, blk.maxTit, blk.minLen)
-				if bb < 0 {
-					bb = 0
-				}
-				if run+bb+below < slack(theta) {
+				if run+c.blockBound(&sc)+below < bar {
 					// Even this block's best posting plus every
 					// lower-bound term cannot lift the doc over the
 					// threshold: skip the block probe and the doc.
@@ -325,8 +437,8 @@ func (idx *Index) evaluate(qterms []qterm, p Params, opts Options, stats *Stats)
 				}
 			}
 			stats.BlockScans++
-			if p, found := c.find(doc); found {
-				s, m := sc.score(c.idf, p, idx.docLen[doc])
+			if freq, found := c.find(doc); found {
+				s, m := sc.score(c.idf, freq, idx.docLen[doc])
 				s *= c.weight
 				contrib[j], has[j] = s, m
 				if m {
@@ -357,11 +469,11 @@ func (idx *Index) evaluate(qterms []qterm, p Params, opts Options, stats *Stats)
 			topk = heapPush(topk, heapEntry{score, doc})
 			if len(topk) == k {
 				full = true
-				theta = topk[0].score
+				bar = slack(topk[0].score)
 			}
 		} else if score > topk[0].score {
 			heapReplaceRoot(topk, heapEntry{score, doc})
-			theta = topk[0].score
+			bar = slack(topk[0].score)
 		}
 	}
 

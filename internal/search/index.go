@@ -8,18 +8,22 @@
 //
 // The index is dictionary-coded: terms are interned to dense uint32 IDs
 // (through the shared internal/intern symbol table, frozen once the
-// build finishes) and postings are compact per-term
-// slices of {docID, packed tf/tit} sorted by document, carved into
-// fixed-size blocks carrying score upper-bound metadata (max body/title
-// frequency, min document length). Queries run through a block-max
-// MaxScore top-k evaluator (eval.go) that skips terms and blocks whose
-// upper bound cannot beat the current k-th best score, so query latency
-// stays near-flat as the corpus grows. The seed-era full-scan engine is
-// frozen in internal/search/searchref as the equivalence oracle and perf
-// baseline.
+// build finishes) and each term's postings, sorted by document, are
+// block-coded into one index-wide byte arena: blocks of 64 postings,
+// each a run of narrow fixed-width document gaps and (tf, tit) codes
+// whose widths the block picks for itself, under a header carrying the
+// block's arena offset and score upper-bound metadata (last document,
+// max body/title frequency, min document length). Queries run through a
+// block-max MaxScore top-k evaluator (eval.go) that skips terms and
+// blocks on their headers alone when their upper bound cannot beat the
+// current k-th best score, and decodes a block only when a cursor first
+// stands in it, so query latency stays near-flat as the corpus grows.
+// The seed-era full-scan engine is frozen in
+// internal/search/searchref as the equivalence oracle and perf baseline.
 package search
 
 import (
+	"encoding/binary"
 	"slices"
 	"sort"
 	"strings"
@@ -35,13 +39,14 @@ import (
 // blockSize is the posting-block granularity: each block of up to 64
 // postings carries its own score upper-bound metadata so the evaluator
 // can skip it wholesale when the block cannot beat the current
-// threshold. 64 keeps block metadata ~1.5% of posting bytes while
-// leaving blocks small enough that skipping one matters.
+// threshold, and picks its own code widths.
 const blockSize = 64
 
-// posting records one document containing a term: the document's dense
-// ID and the term's body (tf) and title (tit) frequencies packed into
-// one word. Frequencies saturate at 65535, far beyond any real document.
+// posting is one document of a term's list while BuildIndex gathers
+// it: the document's dense ID and the term's body (tf) and title (tit)
+// frequencies packed into one word. Frequencies saturate at 65535, far
+// beyond any real document. The index keeps no posting: codeList codes
+// each finished list into the arena.
 type posting struct {
 	doc  uint32
 	freq uint32 // tf in the low 16 bits, tit in the high 16
@@ -57,28 +62,151 @@ func packFreq(tf, tit int) uint32 {
 	return uint32(tf) | uint32(tit)<<16
 }
 
-func (p posting) tf() uint32  { return p.freq & 0xffff }
-func (p posting) tit() uint32 { return p.freq >> 16 }
-
-// block is the upper-bound metadata for one blockSize-chunk of a posting
-// list. maxTf/maxTit bound the packed frequencies and minLen the BM25
-// length normalizer, so score(maxTf + TitleBoost·maxTit, minLen) bounds
-// every posting in the block for any monotone scoring profile.
+// block is the header of one blockSize-chunk of a posting list: where
+// its codes start in Index.arena and the upper-bound metadata that lets
+// the evaluator skip it undecoded. maxTf/maxTit bound the frequencies
+// and minLen the BM25 length normalizer, so score(maxTf +
+// TitleBoost·maxTit, minLen) bounds every posting in the block for any
+// monotone scoring profile. The narrow fields saturate in the direction
+// that keeps them bounds: minLen at 0xffff (still no longer than any
+// document), maxTf/maxTit at 0xff, which the evaluator reads as "use the
+// list-wide maximum" (blockMax).
+//
+// The codes at off are a width byte, then one document gap per posting
+// (from the previous block's lastDoc, 0 for the first block) and one
+// frequency code per posting. The width byte's low nibble is the gap
+// width: 1 byte when every gap in the block is under 256, 2 under
+// 65 536, 4 otherwise. Its high nibble is the frequency width: 1 byte
+// holding tf | tit<<4 when both are under 16 throughout the block, the
+// 4-byte packed word otherwise. A block decodes with no per-posting
+// branch on width.
 type block struct {
 	lastDoc uint32 // doc of the block's final posting (skip key)
-	maxTf   uint16
-	maxTit  uint16
-	minLen  uint32
+	off     uint32
+	minLen  uint16
+	maxTf   uint8
+	maxTit  uint8
 }
 
-// termPostings is one term's posting list plus its block and list-wide
-// upper-bound metadata.
+// termPostings is one term's posting list: its block headers and
+// list-wide upper-bound metadata.
 type termPostings struct {
-	posts  []posting
 	blocks []block
+	n      int // postings (the term's document frequency)
 	maxTf  uint16
 	maxTit uint16
 	minLen uint32
+}
+
+// blockLen is how many postings block b holds.
+func (tp *termPostings) blockLen(b int) int {
+	return min(blockSize, tp.n-b*blockSize)
+}
+
+// blockMax reads block b's frequency bounds, widening a saturated one
+// to the list-wide maximum.
+func (tp *termPostings) blockMax(b int) (maxTf, maxTit uint16) {
+	blk := &tp.blocks[b]
+	maxTf, maxTit = uint16(blk.maxTf), uint16(blk.maxTit)
+	if maxTf == 0xff {
+		maxTf = tp.maxTf
+	}
+	if maxTit == 0xff {
+		maxTit = tp.maxTit
+	}
+	return maxTf, maxTit
+}
+
+// blockWidths picks the gap and frequency code widths of one block
+// whose first gap counts from prev.
+func blockWidths(posts []posting, prev uint32) (gapW, freqW int) {
+	maxGap, wideFreq := uint32(0), false
+	for _, p := range posts {
+		maxGap = max(maxGap, p.doc-prev)
+		prev = p.doc
+		wideFreq = wideFreq || p.freq&0xffff >= 16 || p.freq>>16 >= 16
+	}
+	switch {
+	case maxGap < 1<<8:
+		gapW = 1
+	case maxGap < 1<<16:
+		gapW = 2
+	default:
+		gapW = 4
+	}
+	if wideFreq {
+		return gapW, 4
+	}
+	return gapW, 1
+}
+
+// codedLen is how many arena bytes codeList writes for posts.
+func codedLen(posts []posting) int {
+	size, prev := 0, uint32(0)
+	for start := 0; start < len(posts); start += blockSize {
+		blk := posts[start:min(start+blockSize, len(posts))]
+		gapW, freqW := blockWidths(blk, prev)
+		size += 1 + len(blk)*(gapW+freqW)
+		prev = blk[len(blk)-1].doc
+	}
+	return size
+}
+
+// codeList codes one term's postings, sorted by document, onto arena in
+// blockSize blocks and returns the list's headers and bounds with the
+// grown arena. docLen reports a document's length for the minLen
+// bounds.
+func codeList(arena []byte, posts []posting, docLen func(doc uint32) uint32) (termPostings, []byte) {
+	tp := termPostings{n: len(posts)}
+	if len(posts) == 0 {
+		return tp, arena
+	}
+	tp.blocks = make([]block, 0, (len(posts)+blockSize-1)/blockSize)
+	tp.minLen = ^uint32(0)
+	prev := uint32(0)
+	for start := 0; start < len(posts); start += blockSize {
+		blk := posts[start:min(start+blockSize, len(posts))]
+		gapW, freqW := blockWidths(blk, prev)
+		off := uint32(len(arena))
+		var maxTf, maxTit uint16
+		minLen := ^uint32(0)
+		arena = append(arena, byte(gapW|freqW<<4))
+		for _, p := range blk {
+			arena = appendUint(arena, p.doc-prev, gapW)
+			prev = p.doc
+			maxTf = max(maxTf, uint16(p.freq))
+			maxTit = max(maxTit, uint16(p.freq>>16))
+			minLen = min(minLen, docLen(p.doc))
+		}
+		for _, p := range blk {
+			if freqW == 1 {
+				arena = append(arena, byte(p.freq&0xf|p.freq>>16<<4))
+			} else {
+				arena = appendUint(arena, p.freq, 4)
+			}
+		}
+		tp.blocks = append(tp.blocks, block{
+			lastDoc: prev,
+			off:     off,
+			minLen:  uint16(min(minLen, 0xffff)),
+			maxTf:   uint8(min(maxTf, 0xff)),
+			maxTit:  uint8(min(maxTit, 0xff)),
+		})
+		tp.maxTf, tp.maxTit = max(tp.maxTf, maxTf), max(tp.maxTit, maxTit)
+		tp.minLen = min(tp.minLen, minLen)
+	}
+	return tp, arena
+}
+
+// appendUint appends the low width bytes of v, little-endian.
+func appendUint(b []byte, v uint32, width int) []byte {
+	switch width {
+	case 1:
+		return append(b, byte(v))
+	case 2:
+		return binary.LittleEndian.AppendUint16(b, uint16(v))
+	}
+	return binary.LittleEndian.AppendUint32(b, v)
 }
 
 // Index is an immutable inverted index over a corpus. Build once, search
@@ -90,6 +218,7 @@ type Index struct {
 	// synchronization — intern.Frozen's contract).
 	dict   *intern.Frozen[string]
 	terms  []termPostings // indexed by term ID
+	arena  []byte         // every term's block codes (see block)
 	docLen []uint32
 	avgLen float64
 	news   []uint64 // bitmap over docs: kind == "news"
@@ -200,6 +329,7 @@ func BuildIndex(c *webcorpus.Corpus, opts ...IndexOption) *Index {
 	// used.
 	var (
 		buf               []byte
+		lists             [][]posting // indexed by term ID
 		bodyIDs, titleIDs []uint32
 		tf, tit           []int
 		touched           []uint32
@@ -234,8 +364,8 @@ func BuildIndex(c *webcorpus.Corpus, opts ...IndexOption) *Index {
 			pmi.AddIDs(bodyIDs)
 			pmi.AddIDs(titleIDs)
 		}
-		if n := dict.Len(); n > len(idx.terms) {
-			idx.terms = append(idx.terms, make([]termPostings, n-len(idx.terms))...)
+		if n := dict.Len(); n > len(lists) {
+			lists = append(lists, make([][]posting, n-len(lists))...)
 			tf = append(tf, make([]int, n-len(tf))...)
 			tit = append(tit, make([]int, n-len(tit))...)
 		}
@@ -254,8 +384,7 @@ func BuildIndex(c *webcorpus.Corpus, opts ...IndexOption) *Index {
 		// Documents are indexed in increasing order, so each append keeps
 		// the posting list sorted by doc with no explicit sort.
 		for _, id := range touched {
-			idx.terms[id].posts = append(idx.terms[id].posts,
-				posting{doc: uint32(i), freq: packFreq(tf[id], tit[id])})
+			lists[id] = append(lists[id], posting{doc: uint32(i), freq: packFreq(tf[id], tit[id])})
 			tf[id], tit[id] = 0, 0
 		}
 		touched = touched[:0]
@@ -263,19 +392,17 @@ func BuildIndex(c *webcorpus.Corpus, opts ...IndexOption) *Index {
 	if len(c.Docs) > 0 {
 		idx.avgLen = float64(totalLen) / float64(len(c.Docs))
 	}
-	// The index is immutable from here on, so the slack append left behind
-	// every posting list is dead weight for the life of the process: move
-	// the lists into one arena, each re-sliced to exactly its length.
-	total := 0
-	for tid := range idx.terms {
-		total += len(idx.terms[tid].posts)
+	// The index is immutable from here on: code every list into one
+	// arena sized to exactly what the codes take, and drop the lists.
+	size := 0
+	for _, posts := range lists {
+		size += codedLen(posts)
 	}
-	arena := make([]posting, total)
-	for tid := range idx.terms {
-		tp := &idx.terms[tid]
-		n := copy(arena, tp.posts)
-		tp.posts, arena = arena[:n:n], arena[n:]
-		idx.buildBlocks(tp)
+	idx.arena = make([]byte, 0, size)
+	idx.terms = make([]termPostings, len(lists))
+	docLen := func(doc uint32) uint32 { return idx.docLen[doc] }
+	for tid, posts := range lists {
+		idx.terms[tid], idx.arena = codeList(idx.arena, posts, docLen)
 	}
 	// The PMI builder names its terms through dict, so it builds before
 	// the dictionary is frozen.
@@ -291,45 +418,6 @@ func BuildIndex(c *webcorpus.Corpus, opts ...IndexOption) *Index {
 			metrics.Label{Name: "dict", Value: "search"}).Set(int64(idx.dict.Len()))
 	}
 	return idx
-}
-
-// buildBlocks carves tp's posting list into blockSize chunks and records
-// the per-block and list-wide upper-bound metadata.
-func (idx *Index) buildBlocks(tp *termPostings) {
-	n := len(tp.posts)
-	if n == 0 {
-		return
-	}
-	tp.blocks = make([]block, 0, (n+blockSize-1)/blockSize)
-	tp.minLen = ^uint32(0)
-	for start := 0; start < n; start += blockSize {
-		end := start + blockSize
-		if end > n {
-			end = n
-		}
-		b := block{lastDoc: tp.posts[end-1].doc, minLen: ^uint32(0)}
-		for _, p := range tp.posts[start:end] {
-			if tf := uint16(p.tf()); tf > b.maxTf {
-				b.maxTf = tf
-			}
-			if tit := uint16(p.tit()); tit > b.maxTit {
-				b.maxTit = tit
-			}
-			if l := idx.docLen[p.doc]; l < b.minLen {
-				b.minLen = l
-			}
-		}
-		if b.maxTf > tp.maxTf {
-			tp.maxTf = b.maxTf
-		}
-		if b.maxTit > tp.maxTit {
-			tp.maxTit = b.maxTit
-		}
-		if b.minLen < tp.minLen {
-			tp.minLen = b.minLen
-		}
-		tp.blocks = append(tp.blocks, b)
-	}
 }
 
 // isNews reports whether doc is a news document (kind bitmap probe).

@@ -202,22 +202,23 @@ func TestEmptyIndex(t *testing.T) {
 	}
 }
 
-// The index is immutable once built, so no posting list may carry append
-// slack: BuildIndex packs them into one arena, each cut to its length, in
-// document order as before.
+// The index is immutable once built, so the posting arena may carry no
+// append slack: BuildIndex sizes it to exactly the codes it holds. Every
+// list decodes in document order.
 func TestPostingListsHaveNoSlack(t *testing.T) {
 	idx, c := testIndex(t)
+	if cap(idx.arena) != len(idx.arena) {
+		t.Fatalf("posting arena has cap %d over len %d", cap(idx.arena), len(idx.arena))
+	}
 	total := 0
-	for tid, tp := range idx.terms {
-		if cap(tp.posts) != len(tp.posts) {
-			t.Fatalf("term %d (%q): posting list has cap %d over len %d", tid, idx.dict.Value(uint32(tid)), cap(tp.posts), len(tp.posts))
-		}
-		for i := 1; i < len(tp.posts); i++ {
-			if tp.posts[i-1].doc >= tp.posts[i].doc {
-				t.Fatalf("term %d: postings out of document order at %d", tid, i)
+	for tid := range idx.terms {
+		posts := decodedList(idx, &idx.terms[tid])
+		for i := 1; i < len(posts); i++ {
+			if posts[i-1].doc >= posts[i].doc {
+				t.Fatalf("term %d (%q): postings out of document order at %d", tid, idx.dict.Value(uint32(tid)), i)
 			}
 		}
-		total += len(tp.posts)
+		total += len(posts)
 	}
 	if total < len(c.Docs) {
 		t.Fatalf("index of %d documents holds %d postings", len(c.Docs), total)
