@@ -57,12 +57,15 @@ flake:
 # (api_test.go) run verbosely prints, per package, the exported names a
 # program reads, those only their own package uses, those only tests read
 # and those api_allowlist.txt keeps, then the package-private test seams
-# it keeps; it fails on any exported name that is neither read nor
-# allowlisted, on any package-private name no non-test file of its
-# package names that is not an allowlisted test seam, and on any stale or
-# reasonless allowlist line.
+# it keeps, then the knob pass: per config type, the fields a program
+# sets (with the programs) and the fields allowlisted (with the reason).
+# It fails on any exported name that is neither read nor allowlisted, on
+# any package-private name no non-test file of its package names that is
+# not an allowlisted test seam, on any config field no program sets that
+# is not allowlisted, and on any stale or reasonless allowlist line.
+# TestKnobPass runs the knob pass on a small in-memory tree.
 api:
-	$(GO) test -count=1 -run '^TestExportedNamesHaveReaders$$' -v .
+	$(GO) test -count=1 -run '^(TestExportedNamesHaveReaders|TestKnobPass)$$' -v .
 
 # fuzz runs every Fuzz* target for FUZZTIME each, one at a time (go test
 # takes one -fuzz target per package run): the search, NLU and RDF parsers,

@@ -2,6 +2,7 @@ package repro_test
 
 import (
 	"bufio"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -17,7 +18,8 @@ import (
 
 // allowlistFile names the identifiers in internal/ that no program reads
 // but that stay on purpose, one per line as "pkg.Name<TAB>reason": exported
-// names no other package reads, and package-private test seams.
+// names no other package reads, package-private test seams, and, as
+// "pkg.Type.Field<TAB>reason", config fields no program sets.
 const allowlistFile = "api_allowlist.txt"
 
 // The three reasons an allowlist line may give.
@@ -74,7 +76,6 @@ func loadAPI(t *testing.T, allowed map[string]allowLine) *apiIndex {
 	t.Helper()
 	fset := token.NewFileSet()
 	x := &apiIndex{
-		pkgs:    map[string]*apiPackage{},
 		read:    map[string]map[string]bool{},
 		named:   map[string]map[string]bool{},
 		ownUse:  map[string]map[string]bool{},
@@ -104,59 +105,7 @@ func loadAPI(t *testing.T, allowed map[string]allowLine) *apiIndex {
 		t.Fatal(err)
 	}
 
-	// The packages under the lister: internal/ packages that a non-test
-	// file imports. Test helpers (the frozen reference engines, plaintest)
-	// are imported by tests only and so fall outside.
-	for _, f := range x.files {
-		if f.test {
-			continue
-		}
-		for _, imp := range f.ast.Imports {
-			p := strings.Trim(imp.Path.Value, `"`)
-			if dir, ok := strings.CutPrefix(p, "repro/"); ok && strings.HasPrefix(dir, "internal/") {
-				x.pkgs[p] = &apiPackage{dir: dir, exported: map[string]ast.Node{}, methods: map[string][]*ast.FuncDecl{}, decls: map[string]ast.Node{}}
-			}
-		}
-	}
-	for _, f := range x.files {
-		pkg := x.pkgs["repro/"+f.dir]
-		if pkg == nil || f.test {
-			continue
-		}
-		pkg.name = f.ast.Name.Name
-		for _, d := range f.ast.Decls {
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				if d.Recv != nil {
-					if r := receiverType(d.Recv.List[0].Type); r != "" {
-						pkg.methods[r] = append(pkg.methods[r], d)
-					}
-				} else if d.Name.IsExported() {
-					pkg.exported[d.Name.Name] = d
-				}
-			case *ast.GenDecl:
-				var typ ast.Expr // a const group's type carries over to untyped specs
-				for _, s := range d.Specs {
-					switch s := s.(type) {
-					case *ast.TypeSpec:
-						pkg.decls[s.Name.Name] = s
-						if s.Name.IsExported() {
-							pkg.exported[s.Name.Name] = s
-						}
-					case *ast.ValueSpec:
-						if s.Type != nil || len(s.Values) > 0 {
-							typ = s.Type
-						}
-						for _, n := range s.Names {
-							if n.IsExported() {
-								pkg.exported[n.Name] = &ast.ValueSpec{Names: []*ast.Ident{n}, Type: typ}
-							}
-						}
-					}
-				}
-			}
-		}
-	}
+	x.pkgs = listerPackages(x.files)
 
 	byDirName := map[string]string{} // directory → package name, tests' _test suffix dropped
 	for _, f := range x.files {
@@ -227,6 +176,65 @@ func loadAPI(t *testing.T, allowed map[string]allowLine) *apiIndex {
 	x.closeOver(kept, x.named)
 	x.private = loadPrivate(fset, x.files)
 	return x
+}
+
+// listerPackages collects the packages under the lister, internal/
+// packages that a non-test file imports, with their top-level
+// declarations. Test helpers (the frozen reference engines, plaintest) are
+// imported by tests only and so fall outside.
+func listerPackages(files []goFile) map[string]*apiPackage {
+	pkgs := map[string]*apiPackage{}
+	for _, f := range files {
+		if f.test {
+			continue
+		}
+		for _, imp := range f.ast.Imports {
+			p := strings.Trim(imp.Path.Value, `"`)
+			if dir, ok := strings.CutPrefix(p, "repro/"); ok && strings.HasPrefix(dir, "internal/") {
+				pkgs[p] = &apiPackage{dir: dir, exported: map[string]ast.Node{}, methods: map[string][]*ast.FuncDecl{}, decls: map[string]ast.Node{}}
+			}
+		}
+	}
+	for _, f := range files {
+		pkg := pkgs["repro/"+f.dir]
+		if pkg == nil || f.test {
+			continue
+		}
+		pkg.name = f.ast.Name.Name
+		for _, d := range f.ast.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv != nil {
+					if r := receiverType(d.Recv.List[0].Type); r != "" {
+						pkg.methods[r] = append(pkg.methods[r], d)
+					}
+				} else if d.Name.IsExported() {
+					pkg.exported[d.Name.Name] = d
+				}
+			case *ast.GenDecl:
+				var typ ast.Expr // a const group's type carries over to untyped specs
+				for _, s := range d.Specs {
+					switch s := s.(type) {
+					case *ast.TypeSpec:
+						pkg.decls[s.Name.Name] = s
+						if s.Name.IsExported() {
+							pkg.exported[s.Name.Name] = s
+						}
+					case *ast.ValueSpec:
+						if s.Type != nil || len(s.Values) > 0 {
+							typ = s.Type
+						}
+						for _, n := range s.Names {
+							if n.IsExported() {
+								pkg.exported[n.Name] = &ast.ValueSpec{Names: []*ast.Ident{n}, Type: typ}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return pkgs
 }
 
 // loadPrivate collects the package-private top-level names declared in
@@ -312,6 +320,150 @@ func loadPrivate(fset *token.FileSet, files []goFile) map[string]*privateName {
 		}
 	}
 	return private
+}
+
+// knobType is one config type under the knob pass: an exported struct
+// type named Config or …Config, or failover.RetryPolicy.
+type knobType struct {
+	path   string   // import path of its package
+	key    string   // pkg.Type
+	fields []string // its exported fields, in declaration order
+	// set[field] holds the directories (internal/ dropped) of the
+	// non-test files of other packages that write it, tested[field] the
+	// package names of the tests that do.
+	set, tested map[string]map[string]bool
+}
+
+// knobTypes finds the config types of the lister's packages and who writes
+// their exported fields. A field is written as a key of a literal of its
+// type (pkg.Type{F: …}, or an element of a slice or map of it whose type
+// is elided), or by an assignment x.F = … in a file that imports its
+// package. The assignment is matched by name alone, so it can only count a
+// field as written that is not.
+func knobTypes(files []goFile, pkgs map[string]*apiPackage) []*knobType {
+	byKey := map[[2]string]*knobType{} // import path, type name
+	var out []*knobType
+	for p, pkg := range pkgs {
+		for n, decl := range pkg.exported {
+			ts, ok := decl.(*ast.TypeSpec)
+			if !ok || !strings.HasSuffix(n, "Config") && pkg.name+"."+n != "failover.RetryPolicy" {
+				continue
+			}
+			st, ok := ts.Type.(*ast.StructType)
+			if !ok {
+				continue
+			}
+			k := &knobType{path: p, key: pkg.name + "." + n, set: map[string]map[string]bool{}, tested: map[string]map[string]bool{}}
+			for _, fld := range st.Fields.List {
+				for _, id := range fld.Names {
+					if id.IsExported() {
+						k.fields = append(k.fields, id.Name)
+					}
+				}
+			}
+			byKey[[2]string{p, n}] = k
+			out = append(out, k)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
+
+	for _, f := range files {
+		imports := importNames(f.ast, pkgs)
+		own := "repro/" + f.dir
+		if pkgs[own] != nil && f.ast.Name.Name == pkgs[own].name {
+			imports[""] = own
+		}
+		imported := map[string]bool{}
+		for _, p := range imports {
+			imported[p] = true
+		}
+		testPkg := strings.TrimSuffix(f.ast.Name.Name, "_test")
+		write := func(k *knobType, field string) {
+			switch {
+			case f.test:
+				mark(k.tested, field, testPkg)
+			case k.path != own: // a package setting its own fields is no program turning them
+				mark(k.set, field, strings.TrimPrefix(f.dir, "internal/"))
+			}
+		}
+		// typeOf resolves a literal's type to a knob type, through one
+		// pointer.
+		typeOf := func(e ast.Expr) *knobType {
+			if s, ok := e.(*ast.StarExpr); ok {
+				e = s.X
+			}
+			switch e := e.(type) {
+			case *ast.Ident:
+				if p, ok := imports[""]; ok {
+					return byKey[[2]string{p, e.Name}]
+				}
+			case *ast.SelectorExpr:
+				if id, ok := e.X.(*ast.Ident); ok {
+					if p, ok := imports[id.Name]; ok {
+						return byKey[[2]string{p, e.Sel.Name}]
+					}
+				}
+			}
+			return nil
+		}
+		lit := func(k *knobType, e *ast.CompositeLit) {
+			for _, el := range e.Elts {
+				if kv, ok := el.(*ast.KeyValueExpr); ok {
+					if id, ok := kv.Key.(*ast.Ident); ok {
+						write(k, id.Name)
+					}
+				}
+			}
+		}
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				if k := typeOf(n.Type); k != nil {
+					lit(k, n)
+					return true
+				}
+				var elem ast.Expr
+				switch t := n.Type.(type) {
+				case *ast.ArrayType:
+					elem = t.Elt
+				case *ast.MapType:
+					elem = t.Value
+				}
+				if k := typeOf(elem); k != nil {
+					for _, el := range n.Elts {
+						if kv, ok := el.(*ast.KeyValueExpr); ok {
+							el = kv.Value
+						}
+						if u, ok := el.(*ast.UnaryExpr); ok {
+							el = u.X
+						}
+						if c, ok := el.(*ast.CompositeLit); ok && c.Type == nil {
+							lit(k, c)
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				for _, l := range n.Lhs {
+					sel, ok := l.(*ast.SelectorExpr)
+					if !ok {
+						continue
+					}
+					for _, k := range out {
+						if !imported[k.path] {
+							continue
+						}
+						for _, fld := range k.fields {
+							if fld == sel.Sel.Name {
+								write(k, fld)
+							}
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+	return out
 }
 
 // closeOver marks in m every name the signatures of work mention,
@@ -485,44 +637,118 @@ func within(f *ast.File, n ast.Node) bool { return f.Pos() <= n.Pos() && n.End()
 
 // allowLine is one parsed line of the allowlist.
 type allowLine struct {
-	line            int
-	pkg, name       string
-	reason, problem string
+	line             int
+	pkg, name, field string // field is set on a knob line, pkg.Type.Field
+	reason           string
 }
 
-func readAllowlist(t *testing.T) []allowLine {
-	t.Helper()
-	f, err := os.Open(allowlistFile)
-	if err != nil {
-		t.Fatal(err)
+func (l allowLine) key() string {
+	if l.field != "" {
+		return l.pkg + "." + l.name + "." + l.field
 	}
-	defer f.Close()
-	var out []allowLine
-	sc := bufio.NewScanner(f)
+	return l.pkg + "." + l.name
+}
+
+// parseAllowlist reads the allowlist's lines by key, and a problem for
+// each line without a valid reason and each key listed twice.
+func parseAllowlist(text string) (allowed map[string]allowLine, problems []string) {
+	allowed = map[string]allowLine{}
+	sc := bufio.NewScanner(strings.NewReader(text))
 	for i := 1; sc.Scan(); i++ {
 		l := allowLine{line: i}
 		name, reason, ok := strings.Cut(sc.Text(), "\t")
 		l.pkg, l.name, _ = strings.Cut(name, ".")
+		l.name, l.field, _ = strings.Cut(l.name, ".")
 		l.reason = reason
+		problem := ""
 		switch {
 		case !ok || strings.TrimSpace(reason) == "":
-			l.problem = "no reason: want pkg.Name<TAB>reason"
+			problem = "no reason: want pkg.Name<TAB>reason"
 		case l.name == "":
-			l.problem = "want pkg.Name"
+			problem = "want pkg.Name"
 		default:
-			l.problem = "reason is none of `test seam: <packages>`, `claim <E#/A#>: <home test>`, `paper <Fig./§>: <feature>`"
+			problem = "reason is none of `test seam: <packages>`, `claim <E#/A#>: <home test>`, `paper <Fig./§>: <feature>`"
 			for _, re := range reasonForms {
 				if re.MatchString(reason) {
-					l.problem = ""
+					problem = ""
 				}
 			}
 		}
-		out = append(out, l)
+		if _, dup := allowed[l.key()]; dup && problem == "" {
+			problem = "listed twice"
+		}
+		if problem != "" {
+			problems = append(problems, fmt.Sprintf("%s:%d: %s: %s", allowlistFile, l.line, l.key(), problem))
+			continue
+		}
+		allowed[l.key()] = l
 	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
+	return allowed, problems
+}
+
+// checkKnobs holds every exported field of the knob types to a program
+// that sets it or to an allowlist line pkg.Type.Field with a reason. A
+// `test seam:` line names packages whose tests set the field. It returns
+// one inventory line per type and one line per problem.
+func checkKnobs(types []*knobType, allowed map[string]allowLine, homes map[string]string) (report, problems []string) {
+	fields := map[string]*knobType{} // pkg.Type.Field → its type
+	total, set := 0, 0
+	for _, k := range types {
+		var bySet, listed []string
+		for _, fld := range k.fields {
+			key := k.key + "." + fld
+			fields[key] = k
+			total++
+			l, ok := allowed[key]
+			switch {
+			case len(k.set[fld]) > 0:
+				set++
+				setters := make([]string, 0, len(k.set[fld]))
+				for dir := range k.set[fld] {
+					setters = append(setters, dir)
+				}
+				sort.Strings(setters)
+				bySet = append(bySet, fld+" ← "+strings.Join(setters, ", "))
+			case ok:
+				listed = append(listed, fld+" — "+l.reason)
+			default:
+				problems = append(problems, key+" is set by no program: make it a constant, or allowlist it with a reason")
+			}
+		}
+		report = append(report, fmt.Sprintf("%s: set by a program: %s; allowlisted: %s", k.key, strings.Join(bySet, "; "), strings.Join(listed, "; ")))
 	}
-	return out
+	report = append(report, fmt.Sprintf("%d exported fields in %d config types, %d set by a program", total, len(types), set))
+
+	lines := make([]allowLine, 0, len(allowed))
+	for _, l := range allowed {
+		if l.field != "" {
+			lines = append(lines, l)
+		}
+	}
+	sort.Slice(lines, func(i, j int) bool { return lines[i].line < lines[j].line })
+	for _, l := range lines {
+		at := fmt.Sprintf("%s:%d: %s", allowlistFile, l.line, l.key())
+		k := fields[l.key()]
+		switch {
+		case k == nil:
+			problems = append(problems, at+" does not exist: drop the line")
+			continue
+		case len(k.set[l.field]) > 0:
+			problems = append(problems, at+" is set by a program now: drop the line")
+			continue
+		}
+		if m := reasonForms[0].FindStringSubmatch(l.reason); m != nil {
+			for _, user := range strings.Split(m[1], ", ") {
+				if !k.tested[l.field][user] {
+					problems = append(problems, fmt.Sprintf("%s: no test of package %s sets it", at, user))
+				}
+			}
+		}
+		if m := reasonForms[1].FindStringSubmatch(l.reason); m != nil && homes[m[1]] != m[2] {
+			problems = append(problems, fmt.Sprintf("%s: %s is not %s's home test in EXPERIMENTS.md", at, m[2], m[1]))
+		}
+	}
+	return report, problems
 }
 
 // TestExportedNamesHaveReaders holds internal/'s surface to what
@@ -535,20 +761,19 @@ func readAllowlist(t *testing.T) []allowLine {
 // package-private top-level name in a non-test file of an internal/
 // package must be named by a non-test file of its package beyond its own
 // declaration, or be listed as pkg.name with the reason `test seam: pkg`.
-// A line whose name is read or gone, or that gives no valid reason, fails
-// too. Run with -v (`make api`) for the per-package inventory.
+// Every exported field of a config type (knobTypes) must be set by a
+// non-test file of another package, or be listed as pkg.Type.Field with
+// a reason (checkKnobs). A line whose name is read, set or gone, or that
+// gives no valid reason, fails too. Run with -v (`make api`) for the
+// per-package and per-config inventory.
 func TestExportedNamesHaveReaders(t *testing.T) {
-	allowed := map[string]allowLine{}
-	for _, l := range readAllowlist(t) {
-		key := l.pkg + "." + l.name
-		if l.problem != "" {
-			t.Errorf("%s:%d: %s: %s", allowlistFile, l.line, key, l.problem)
-			continue
-		}
-		if _, dup := allowed[key]; dup {
-			t.Errorf("%s:%d: %s listed twice", allowlistFile, l.line, key)
-		}
-		allowed[key] = l
+	text, err := os.ReadFile(allowlistFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allowed, problems := parseAllowlist(string(text))
+	for _, p := range problems {
+		t.Error(p)
 	}
 	x := loadAPI(t, allowed)
 
@@ -626,6 +851,9 @@ func TestExportedNamesHaveReaders(t *testing.T) {
 		}
 	}
 	for key, l := range allowed {
+		if l.field != "" {
+			continue
+		}
 		if !ast.IsExported(l.name) {
 			switch p := x.private[key]; {
 			case p == nil:
@@ -659,6 +887,80 @@ func TestExportedNamesHaveReaders(t *testing.T) {
 			case i == 1 && homes[m[1]] != m[2]:
 				t.Errorf("%s:%d: %s: %s is not %s's home test in EXPERIMENTS.md", allowlistFile, l.line, key, m[2], m[1])
 			}
+		}
+	}
+
+	report, problems := checkKnobs(knobTypes(x.files, x.pkgs), allowed, homes)
+	for _, r := range report {
+		t.Log(r)
+	}
+	for _, p := range problems {
+		t.Error(p)
+	}
+}
+
+// TestKnobPass runs the knob pass on a small tree: a config type whose
+// fields a program sets by a literal key, by a key in a literal whose type
+// is elided, and by assignment; one field only a test sets; one only its
+// own package sets. It checks what the pass flags and which allowlist
+// lines it rejects.
+func TestKnobPass(t *testing.T) {
+	src := map[string]string{
+		"internal/foo/foo.go": `package foo
+type Config struct {
+	Prog, Elided, Assigned, TestOnly, Nobody int
+	private int
+}
+type Options struct{ Nobody int }
+func (c *Config) fill() { c.Nobody = 1 }`,
+		"internal/foo/foo_test.go": `package foo
+var _ = Config{TestOnly: 1, private: 2}`,
+		"cmd/app/main.go": `package main
+import "repro/internal/foo"
+func main() {
+	c := foo.Config{Prog: 1}
+	c.Assigned = 2
+	_ = []foo.Config{{Elided: 3}}
+}`,
+	}
+	fset := token.NewFileSet()
+	var files []goFile
+	for _, name := range []string{"cmd/app/main.go", "internal/foo/foo.go", "internal/foo/foo_test.go"} {
+		f, err := parser.ParseFile(fset, name, src[name], parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, goFile{dir: path.Dir(name), test: strings.HasSuffix(name, "_test.go"), ast: f})
+	}
+	types := knobTypes(files, listerPackages(files))
+	if len(types) != 1 || types[0].key != "foo.Config" {
+		t.Fatalf("knob types %v, want foo.Config alone", types)
+	}
+	const flagged = " is set by no program"
+	for _, tc := range []struct {
+		name, allowlist string
+		want            []string // the problems, in order, by a part of each
+	}{
+		{"no lines", "", []string{"foo.Config.TestOnly" + flagged, "foo.Config.Nobody" + flagged}},
+		{"both kept", "foo.Config.Nobody\tpaper §2: a knob\nfoo.Config.TestOnly\ttest seam: foo\n", nil},
+		{"malformed reason", "foo.Config.Nobody\tbecause\nfoo.Config.TestOnly\ttest seam: foo\n",
+			[]string{":1: foo.Config.Nobody: reason is none of", "foo.Config.Nobody" + flagged}},
+		{"no such field", "foo.Config.Gone\ttest seam: foo\nfoo.Config.Nobody\tpaper §2: a knob\nfoo.Config.TestOnly\ttest seam: foo\n",
+			[]string{":1: foo.Config.Gone does not exist"}},
+		{"set by a program", "foo.Config.Nobody\tpaper §2: a knob\nfoo.Config.Prog\tpaper §2: a knob\nfoo.Config.TestOnly\ttest seam: foo\n",
+			[]string{":2: foo.Config.Prog is set by a program now"}},
+		{"seam no test sets", "foo.Config.Nobody\ttest seam: foo\nfoo.Config.TestOnly\ttest seam: foo\n",
+			[]string{":1: foo.Config.Nobody: no test of package foo sets it"}},
+	} {
+		allowed, problems := parseAllowlist(tc.allowlist)
+		_, more := checkKnobs(types, allowed, nil)
+		problems = append(problems, more...)
+		ok := len(problems) == len(tc.want)
+		for i := 0; ok && i < len(problems); i++ {
+			ok = strings.Contains(problems[i], tc.want[i])
+		}
+		if !ok {
+			t.Errorf("%s: problems\n\t%s\nwant\n\t%s", tc.name, strings.Join(problems, "\n\t"), strings.Join(tc.want, "\n\t"))
 		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -10,54 +11,71 @@ import (
 	"repro/internal/service"
 )
 
-// TestInvokeAsyncSaturationSurfacesThroughFuture is the regression test for
-// the blocking-submit bug: with the pool's one worker busy and its one
-// queue slot taken, a further InvokeAsync must return immediately with a
-// future failed with future.ErrPoolSaturated instead of blocking the
-// caller.
-func TestInvokeAsyncSaturationSurfacesThroughFuture(t *testing.T) {
-	c := newClient(t, Config{AsyncWorkers: 1, AsyncQueue: 1})
-	// Buffered: the worker may reach its send before this goroutine
-	// reaches the receive, and a dropped signal would hang the test.
-	started := make(chan struct{}, 1)
-	release := make(chan struct{})
-	blocker := service.Func{
+// saturate registers the service "slow", whose calls block until the
+// returned release runs, and fills the client's async pool with it: every
+// worker busy and every queue slot taken. It returns the futures of the
+// busy and of the queued calls.
+func saturate(t *testing.T, c *Client) (busy, queued []*future.Future[service.Response], release func()) {
+	t.Helper()
+	// One slot per worker: the busy calls' signals must all land. The
+	// queued calls run after release, when nobody listens any more.
+	started := make(chan struct{}, asyncWorkers)
+	unblock := make(chan struct{})
+	var once sync.Once
+	release = func() { once.Do(func() { close(unblock) }) }
+	t.Cleanup(release) // runs before the client's Close, which waits for the workers
+	c.MustRegister(service.Func{
 		Meta: service.Info{Name: "slow", Category: "nlu"},
 		Fn: func(ctx context.Context, req service.Request) (service.Response, error) {
-			close(started)
-			<-release
+			select {
+			case started <- struct{}{}:
+			default:
+			}
+			<-unblock
 			return service.Response{Body: []byte("done")}, nil
 		},
+	})
+	for i := 0; i < asyncWorkers; i++ {
+		busy = append(busy, c.InvokeAsync(context.Background(), "slow", service.Request{Text: "busy"}))
 	}
-	defer close(release)
-	c.MustRegister(blocker)
+	for range busy {
+		<-started // every worker is now busy
+	}
+	for i := 0; i < asyncQueue; i++ {
+		queued = append(queued, c.InvokeAsync(context.Background(), "slow", service.Request{Text: "queued"}))
+	}
+	return busy, queued, release
+}
+
+// TestInvokeAsyncSaturationSurfacesThroughFuture is the regression test for
+// the blocking-submit bug: with the pool's workers busy and its queue
+// full, a further InvokeAsync must return immediately with a future failed
+// with future.ErrPoolSaturated instead of blocking the caller.
+func TestInvokeAsyncSaturationSurfacesThroughFuture(t *testing.T) {
+	c := newClient(t, Config{})
 	fast, _ := countingService("fast", "nlu", nil)
 	c.MustRegister(fast)
-
-	f1 := c.InvokeAsync(context.Background(), "slow", service.Request{Text: "a"})
-	<-started                                                                     // the single worker is now busy
-	f2 := c.InvokeAsync(context.Background(), "fast", service.Request{Text: "b"}) // fills the queue
+	busy, queued, release := saturate(t, c)
 
 	overflowDone := make(chan *future.Future[service.Response], 1)
 	go func() {
 		overflowDone <- c.InvokeAsync(context.Background(), "fast", service.Request{Text: "c"})
 	}()
-	var f3 *future.Future[service.Response]
+	var f *future.Future[service.Response]
 	select {
-	case f3 = <-overflowDone:
+	case f = <-overflowDone:
 	case <-time.After(5 * time.Second):
 		t.Fatal("InvokeAsync blocked on a saturated pool")
 	}
-	if _, err := f3.GetTimeout(time.Second); !errors.Is(err, future.ErrPoolSaturated) {
+	if _, err := f.GetTimeout(time.Second); !errors.Is(err, future.ErrPoolSaturated) {
 		t.Fatalf("overflow future err = %v, want ErrPoolSaturated", err)
 	}
 
-	release <- struct{}{} // let the worker drain
-	if resp, err := f1.GetTimeout(5 * time.Second); err != nil || string(resp.Body) != "done" {
-		t.Fatalf("f1 = %q, %v", resp.Body, err)
-	}
-	if _, err := f2.GetTimeout(5 * time.Second); err != nil {
-		t.Fatalf("queued future failed: %v", err)
+	release() // let the workers drain
+	for _, f := range append(busy, queued...) {
+		if resp, err := f.GetTimeout(5 * time.Second); err != nil || string(resp.Body) != "done" {
+			t.Fatalf("accepted future = %q, %v", resp.Body, err)
+		}
 	}
 }
 
@@ -76,28 +94,8 @@ func TestInvokeAsyncClosedPoolFailsFast(t *testing.T) {
 }
 
 func TestInvokeCategoryAsyncSaturationSurfacesThroughFuture(t *testing.T) {
-	c := newClient(t, Config{AsyncWorkers: 1, AsyncQueue: 1})
-	// Buffered: the worker may reach its send before this goroutine
-	// reaches the receive, and a dropped signal would hang the test.
-	started := make(chan struct{}, 1)
-	release := make(chan struct{})
-	blocker := service.Func{
-		Meta: service.Info{Name: "slow", Category: "nlu"},
-		Fn: func(ctx context.Context, req service.Request) (service.Response, error) {
-			select {
-			case started <- struct{}{}:
-			default:
-			}
-			<-release
-			return service.Response{}, nil
-		},
-	}
-	defer close(release)
-	c.MustRegister(blocker)
-
-	_ = c.InvokeAsync(context.Background(), "slow", service.Request{Text: "a"})
-	<-started                                                                   // worker busy
-	_ = c.InvokeAsync(context.Background(), "slow", service.Request{Text: "b"}) // queue full
+	c := newClient(t, Config{})
+	saturate(t, c)
 	f := c.InvokeCategoryAsync(context.Background(), "nlu", service.Request{Text: "c"})
 	if _, err := f.GetTimeout(time.Second); !errors.Is(err, future.ErrPoolSaturated) {
 		t.Fatalf("err = %v, want ErrPoolSaturated", err)

@@ -3,15 +3,14 @@
 // middleware pipeline (middleware.go, stages.go): a registry of services
 // grouped by functionality, and a per-registration chain of stages covering
 // response caching with single-flight de-duplication, circuit breaking,
-// client-side quotas, predicted-latency deadlines, per-service monitoring
+// admission control, predicted-latency deadlines, per-service monitoring
 // (performance, availability, quality), latency prediction from latency
 // parameters, and per-service retries. On top of the chain the Client
 // offers score-based ranking and selection (Equations 1 and 2), ranked
 // failover across a category, and synchronous, asynchronous
 // (ListenableFuture style), and redundant invocation. Custom stages inject
-// client-wide (Config.Middleware), per registration (withMiddleware), or
-// per invocation (withInvokeMiddleware). An HTTP façade (httpapi.go)
-// exposes the SDK to applications written in other languages.
+// client-wide (Config.Middleware). An HTTP façade (httpapi.go) exposes the
+// SDK to applications written in other languages.
 package core
 
 import (
@@ -42,9 +41,6 @@ var (
 	// errUnknownCategory is returned for category invocations with no
 	// registered services.
 	errUnknownCategory = errors.New("core: unknown category")
-	// errClientQuota is returned when the SDK's client-side quota for a
-	// service is exhausted (the remote call is not attempted).
-	errClientQuota = errors.New("core: client-side quota exhausted")
 )
 
 // QualityFunc rates the quality of a service response; higher is better
@@ -52,15 +48,13 @@ var (
 // services").
 type QualityFunc func(req service.Request, resp service.Response) float64
 
-// paramsFunc extracts latency parameters from a request (paper §2: "latency
-// parameters are provided by users"). The default extracts the argument
-// size in bytes.
-type paramsFunc func(req service.Request) []float64
-
 // Config configures a Client. The zero value is usable: real clock, a
 // 4096-entry cache with no TTL, Equation 1 scoring with default weights,
-// one retry for transient failures, an 8-worker async pool, and no circuit
-// breaking or deadlines.
+// one retry for transient failures, and no circuit breaking, shedding or
+// deadlines. Asynchronous invocations share a pool of asyncWorkers workers
+// and asyncQueue queued tasks (paper §2.1: "thread pools of limited
+// size"), and latency predictors fall back to the category's peer average
+// while a service has too little history.
 type Config struct {
 	// Clock is the SDK's timeline. Nil means the real clock.
 	Clock clock.Clock
@@ -74,14 +68,6 @@ type Config struct {
 	// DefaultRetry applies to services registered without their own
 	// policy. Zero means 2 attempts, no backoff.
 	DefaultRetry failover.RetryPolicy
-	// AsyncWorkers and AsyncQueue bound the thread pool used for
-	// asynchronous invocation (paper §2.1: "thread pools of limited
-	// size").  Zero means 8 workers, 256 queued tasks.
-	AsyncWorkers int
-	AsyncQueue   int
-	// Predict configures latency predictors. The zero value uses the
-	// predict package defaults with peer-average fallback.
-	Predict predict.Config
 	// Breaker enables per-service circuit breakers (breakerStage) when
 	// Threshold > 0.
 	Breaker BreakerConfig
@@ -115,18 +101,16 @@ func (c *Config) fill() {
 	if c.DefaultRetry.MaxAttempts == 0 {
 		c.DefaultRetry = failover.RetryPolicy{MaxAttempts: 2}
 	}
-	if c.AsyncWorkers <= 0 {
-		c.AsyncWorkers = 8
-	}
-	if c.AsyncQueue <= 0 {
-		c.AsyncQueue = 256
-	}
-	if c.Predict.Policy == 0 {
-		c.Predict.Policy = predict.DefaultPeerAverage
-	}
 	c.Breaker.fill()
 	c.Deadline.fill()
 }
+
+// The async pool's bounds: workers, and tasks queued beyond them before
+// InvokeAsync fails fast with future.ErrPoolSaturated.
+const (
+	asyncWorkers = 8
+	asyncQueue   = 256
+)
 
 // registration holds per-service configuration alongside the service, plus
 // the middleware chain composed for it at registration time.
@@ -135,13 +119,9 @@ type registration struct {
 	cachePrefix string // "svc:<name>:", precomputed for cacheStage
 	spanName    string // "invoke <name>", precomputed for traceStage
 	svc         service.Service
-	retry       *failover.RetryPolicy
-	policy      failover.RetryPolicy // retry resolved against the client default
+	policy      failover.RetryPolicy // WithRetry's, else the client default
 	quality     QualityFunc
-	params      paramsFunc
-	quota       *service.Quota
 	cacheable   bool
-	mw          []Middleware
 
 	invoke Invoker // the composed stage chain
 }
@@ -168,7 +148,7 @@ type Client struct {
 // NewClient returns a Client with the given configuration.
 func NewClient(cfg Config) (*Client, error) {
 	cfg.fill()
-	pool, err := future.NewPool(cfg.AsyncWorkers, cfg.AsyncQueue)
+	pool, err := future.NewPool(asyncWorkers, asyncQueue)
 	if err != nil {
 		return nil, fmt.Errorf("core: async pool: %w", err)
 	}
@@ -180,7 +160,7 @@ func NewClient(cfg Config) (*Client, error) {
 			cache.WithTTL(cfg.CacheTTL), cache.WithClock(cfg.Clock)),
 		flight:     cache.NewGroup[service.Response](),
 		pool:       pool,
-		predictors: newPredictorSet(cfg.Predict),
+		predictors: newPredictorSet(predict.Config{Policy: predict.DefaultPeerAverage}),
 	}
 	empty := make(map[string]*registration)
 	c.regs.Store(&empty)
@@ -208,7 +188,7 @@ type RegisterOption func(*registration)
 // "can be specified by the user and may be different for different
 // services").
 func WithRetry(p failover.RetryPolicy) RegisterOption {
-	return func(r *registration) { r.retry = &p }
+	return func(r *registration) { r.policy = p }
 }
 
 // WithQuality sets the user's quality-rating method for the service; it
@@ -217,30 +197,11 @@ func WithQuality(f QualityFunc) RegisterOption {
 	return func(r *registration) { r.quality = f }
 }
 
-// withLatencyParams sets the user's latency-parameter extractor for the
-// service.
-func withLatencyParams(f paramsFunc) RegisterOption {
-	return func(r *registration) { r.params = f }
-}
-
-// withClientQuota makes the SDK refuse invocations beyond the quota without
-// calling the remote service, preserving a limited allowance.
-func withClientQuota(q *service.Quota) RegisterOption {
-	return func(r *registration) { r.quota = q }
-}
-
 // WithCacheable marks the service's responses as cacheable. Caching "will
 // not be applicable for all remote services" (paper §2) — storage writes,
 // for example, must always reach the service — so it is opt-in per service.
 func WithCacheable() RegisterOption {
 	return func(r *registration) { r.cacheable = true }
-}
-
-// withMiddleware injects mw into this registration's chain, outside the
-// built-in stages (so it observes every call, cache hits included) and
-// inside any client-wide Config.Middleware.
-func withMiddleware(mw ...Middleware) RegisterOption {
-	return func(r *registration) { r.mw = append(r.mw, mw...) }
 }
 
 // Register adds a service to the SDK and composes its middleware chain.
@@ -253,16 +214,12 @@ func (c *Client) Register(svc service.Service, opts ...RegisterOption) error {
 	reg := &registration{
 		name:   svc.Info().Name,
 		svc:    svc,
-		params: func(req service.Request) []float64 { return []float64{float64(req.ArgSize())} },
+		policy: c.cfg.DefaultRetry,
 	}
 	reg.cachePrefix = "svc:" + reg.name + ":"
 	reg.spanName = "invoke " + reg.name
 	for _, o := range opts {
 		o(reg)
-	}
-	reg.policy = c.cfg.DefaultRetry
-	if reg.retry != nil {
-		reg.policy = *reg.retry
 	}
 	reg.invoke = compose(transport(), c.stages(reg)...)
 	old := *c.regs.Load()
@@ -278,14 +235,13 @@ func (c *Client) Register(svc service.Service, opts ...RegisterOption) error {
 // stages assembles the registration's chain, outermost first. See the
 // package-level order documented in stages.go.
 func (c *Client) stages(reg *registration) []Middleware {
-	mw := make([]Middleware, 0, len(c.cfg.Middleware)+len(reg.mw)+8)
+	mw := make([]Middleware, 0, len(c.cfg.Middleware)+8)
 	if c.cfg.Tracer.Enabled() {
 		// Outermost of all, so the root span covers custom middleware too
 		// and Call.Span is live for it.
 		mw = append(mw, traceStage(c.cfg.Tracer))
 	}
 	mw = append(mw, c.cfg.Middleware...)
-	mw = append(mw, reg.mw...)
 	mw = append(mw, cacheStage(c.memcache, c.flight))
 	if c.breakers != nil {
 		mw = append(mw, breakerStage(c.breakers))
@@ -294,7 +250,6 @@ func (c *Client) stages(reg *registration) []Middleware {
 		// After the breaker on purpose: see shedStage.
 		mw = append(mw, shedStage(c.shedder))
 	}
-	mw = append(mw, quotaStage())
 	if c.cfg.Deadline.Factor > 0 {
 		mw = append(mw, deadlineStage(c.PredictLatency, c.cfg.Deadline))
 	}
@@ -346,8 +301,7 @@ type InvokeOption func(*invokeOpts)
 
 type invokeOpts struct {
 	noCache bool
-	retry   *failover.RetryPolicy
-	mw      []Middleware
+	step    bool // a failover step: one attempt, the chain's step policy retries
 }
 
 // NoCache bypasses the response cache for this invocation.
@@ -364,28 +318,15 @@ func parseInvokeOpts(opts []InvokeOption) invokeOpts {
 	return io
 }
 
-// retryPolicy overrides the retry policy for this invocation.
-func retryPolicy(p failover.RetryPolicy) InvokeOption {
-	return func(o *invokeOpts) { o.retry = &p }
-}
-
-// withInvokeMiddleware injects mw outermost around this invocation's chain
-// (for category invocation, around each attempted service's chain).
-func withInvokeMiddleware(mw ...Middleware) InvokeOption {
-	return func(o *invokeOpts) { o.mw = append(o.mw, mw...) }
-}
-
-// fillCall populates the Call a registration's chain will execute,
-// resolving the effective retry policy (client default < registration <
-// invocation). It writes every Call field, so a recycled Call needs no
-// prior reset.
+// fillCall populates the Call a registration's chain will execute. It
+// writes every Call field, so a recycled Call needs no prior reset.
 func (c *Client) fillCall(call *Call, reg *registration, req *service.Request, io invokeOpts) {
 	call.Req = *req
 	call.NoCache = io.noCache
 	call.Attempts = 0
 	call.Elapsed = 0
 	call.reg = reg
-	call.retryOverride = io.retry
+	call.step = io.step
 	call.params = nil
 	call.span = trace.Span{}
 }
@@ -395,19 +336,14 @@ func (c *Client) fillCall(call *Call, reg *registration, req *service.Request, i
 // returns (see Call).
 var callPool = sync.Pool{New: func() any { return new(Call) }}
 
-// run sends one call through the registration's composed chain, wrapping
-// any per-invocation middleware around it. req is a pointer purely to
-// avoid copying the request an extra time on the hot path; it is copied
-// into the Call, never retained. io travels by value so the options never
-// escape to the heap.
+// run sends one call through the registration's composed chain. req is a
+// pointer purely to avoid copying the request an extra time on the hot
+// path; it is copied into the Call, never retained. io travels by value so
+// the options never escape to the heap.
 func (c *Client) run(ctx context.Context, reg *registration, req *service.Request, io invokeOpts) (service.Response, error) {
-	inv := reg.invoke
-	if len(io.mw) > 0 {
-		inv = compose(inv, io.mw...)
-	}
 	call := callPool.Get().(*Call)
 	c.fillCall(call, reg, req, io)
-	resp, err := inv(ctx, call)
+	resp, err := reg.invoke(ctx, call)
 	// A parked Call keeps its last request until reuse overwrites it or the
 	// next GC cycle releases the pool entry; both bound the retention, so no
 	// per-call reset is needed (fillCall rewrites every field on reuse).
@@ -416,7 +352,7 @@ func (c *Client) run(ctx context.Context, reg *registration, req *service.Reques
 }
 
 // Invoke synchronously calls the named service through its middleware
-// chain: caching, circuit breaking, quota enforcement, deadlines,
+// chain: caching, circuit breaking, admission control, deadlines,
 // monitoring, latency observation, and retries are all stages of the
 // composed pipeline.
 func (c *Client) Invoke(ctx context.Context, name string, req service.Request, opts ...InvokeOption) (service.Response, error) {
@@ -480,13 +416,9 @@ func (c *Client) Estimates(category string, req service.Request) ([]rank.Estimat
 		return nil, fmt.Errorf("%w: %s", errUnknownCategory, category)
 	}
 	ests := make([]rank.Estimate, 0, len(svcs))
+	params := []float64{float64(req.ArgSize())} // read, never kept, by the predictors
 	for _, svc := range svcs {
 		info := svc.Info()
-		reg, _ := c.reg(info.Name)
-		params := []float64{float64(req.ArgSize())}
-		if reg != nil {
-			params = reg.params(req)
-		}
 		var rtMS float64
 		if d, err := c.PredictLatency(info.Name, params); err == nil {
 			rtMS = float64(d) / float64(time.Millisecond)
@@ -534,8 +466,8 @@ func (c *Client) Select(category string, req service.Request) (string, error) {
 // lower-ranked services (each with its registered retry policy) until one
 // responds — the paper's ranked failover. Each attempted service runs
 // through its full middleware chain (minus the per-service cache, replaced
-// by the category-level cache here), so monitoring, breakers, quotas, and
-// deadlines all apply per attempt.
+// by the category-level cache here), so monitoring, breakers, shedding
+// and deadlines all apply per attempt.
 func (c *Client) InvokeCategory(ctx context.Context, category string, req service.Request, opts ...InvokeOption) (service.Response, []failover.Attempt, error) {
 	var io invokeOpts
 	if len(opts) > 0 {
@@ -561,17 +493,10 @@ func (c *Client) InvokeCategory(ctx context.Context, category string, req servic
 		if !ok {
 			continue
 		}
-		policy := c.cfg.DefaultRetry
-		if reg.retry != nil {
-			policy = *reg.retry
-		}
-		if io.retry != nil {
-			policy = *io.retry
-		}
 		if reg.cacheable {
 			cacheable = true
 		}
-		steps = append(steps, failover.Step{Service: c.stepService(reg, &io), Policy: policy})
+		steps = append(steps, failover.Step{Service: c.stepService(reg), Policy: reg.policy})
 	}
 	if !cacheable || io.noCache {
 		return failover.Chain(ctx, c.cfg.Clock, steps, req)
@@ -605,11 +530,10 @@ func (c *Client) InvokeAll(ctx context.Context, category string, req service.Req
 	if len(svcs) == 0 {
 		return nil, fmt.Errorf("%w: %s", errUnknownCategory, category)
 	}
-	var io invokeOpts
 	wrapped := make([]service.Service, len(svcs))
 	for i, svc := range svcs {
 		reg, _ := c.reg(svc.Info().Name)
-		wrapped[i] = c.stepService(reg, &io)
+		wrapped[i] = c.stepService(reg)
 	}
 	return failover.InvokeAll(ctx, c.cfg.Clock, wrapped, req), nil
 }
@@ -633,16 +557,11 @@ func (c *Client) InvalidateCache() { c.memcache.Clear() }
 // failover chains and redundant invocation: each attempt is a single pass
 // through the pipeline (retries belong to the chain's step policy), with
 // the per-service cache skipped so the category-level cache governs.
-func (c *Client) stepService(reg *registration, io *invokeOpts) service.Service {
+func (c *Client) stepService(reg *registration) service.Service {
 	return service.Func{
 		Meta: reg.svc.Info(),
 		Fn: func(ctx context.Context, req service.Request) (service.Response, error) {
-			step := invokeOpts{
-				noCache: true,
-				retry:   &failover.RetryPolicy{MaxAttempts: 1},
-				mw:      io.mw,
-			}
-			return c.run(ctx, reg, &req, step)
+			return c.run(ctx, reg, &req, invokeOpts{noCache: true, step: true})
 		},
 	}
 }

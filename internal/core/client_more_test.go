@@ -240,32 +240,6 @@ func TestEstimatesWithNoHistoryUseCostOnly(t *testing.T) {
 	}
 }
 
-func TestPerCallRetryOverride(t *testing.T) {
-	c := newClient(t, Config{})
-	var n int32
-	flaky := service.Func{
-		Meta: service.Info{Name: "f", Category: "t"},
-		Fn: func(context.Context, service.Request) (service.Response, error) {
-			if atomic.AddInt32(&n, 1) < 4 {
-				return service.Response{}, service.ErrUnavailable
-			}
-			return service.Response{}, nil
-		},
-	}
-	// Registered with a single attempt...
-	if err := c.Register(flaky, WithRetry(failoverPolicy(1))); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Invoke(context.Background(), "f", service.Request{}); err == nil {
-		t.Fatal("expected failure with 1 attempt")
-	}
-	// ...but a per-call override of 5 attempts succeeds.
-	atomic.StoreInt32(&n, 0)
-	if _, err := c.Invoke(context.Background(), "f", service.Request{}, retryPolicy(failoverPolicy(5))); err != nil {
-		t.Errorf("override retry failed: %v", err)
-	}
-}
-
 func TestMonitorRecordsFailuresFromInvoke(t *testing.T) {
 	c := newClient(t, Config{})
 	dead := service.Func{

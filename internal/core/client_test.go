@@ -242,27 +242,6 @@ func TestInvokeQualityRecorded(t *testing.T) {
 	}
 }
 
-func TestClientQuotaBlocksWithoutInvoking(t *testing.T) {
-	c := newClient(t, Config{})
-	svc, calls := countingService("lim", "nlu", nil)
-	q := service.NewQuota(2, time.Hour, nil)
-	if err := c.Register(svc, withClientQuota(q)); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := c.Invoke(context.Background(), "lim", service.Request{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	_, err := c.Invoke(context.Background(), "lim", service.Request{})
-	if !errors.Is(err, errClientQuota) {
-		t.Errorf("error = %v, want errClientQuota", err)
-	}
-	if *calls != 2 {
-		t.Errorf("service called %d times, want 2 (third blocked client-side)", *calls)
-	}
-}
-
 func TestInvokeAsyncWithCallback(t *testing.T) {
 	c := newClient(t, Config{})
 	svc, _ := countingService("a", "nlu", nil)

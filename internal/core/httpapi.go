@@ -107,7 +107,7 @@ func errStatus(err error) int {
 	// errShed also maps to 429: like a quota rejection it means "back
 	// off and retry later", and it must stay cheap — a shed response is
 	// the facade's pressure-relief valve under saturation.
-	case errors.Is(err, errClientQuota), errors.Is(err, service.ErrQuotaExceeded), errors.Is(err, errShed):
+	case errors.Is(err, service.ErrQuotaExceeded), errors.Is(err, errShed):
 		return http.StatusTooManyRequests
 	// errDeadline first: a deadline-bounded hang usually also wraps the
 	// service's unavailability, and the timeout is the sharper diagnosis.

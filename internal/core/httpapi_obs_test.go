@@ -321,7 +321,7 @@ func TestAPITracesEndpoints(t *testing.T) {
 			t.Errorf("span %q has dangling parent %d", s.Name, s.ParentID)
 		}
 	}
-	wantStages := []string{"cache", "breaker", "quota", "monitor", "predict", "retry", "attempt"}
+	wantStages := []string{"cache", "breaker", "monitor", "predict", "retry", "attempt"}
 	have := map[string]bool{}
 	for _, s := range full.Spans {
 		have[s.Name] = true

@@ -11,7 +11,7 @@ import (
 
 // This file defines the SDK's invocation pipeline. The paper's Fig. 2
 // presents the rich SDK as a stack of orthogonal features — caching,
-// monitoring, quality evaluation, ranking, failure handling, quotas — and
+// monitoring, quality evaluation, ranking, failure handling — and
 // the pipeline realizes that stack literally: every cross-cutting concern
 // is a Middleware (the http.RoundTripper / gRPC-interceptor pattern), and a
 // Client invocation is the composed chain applied to a transport that calls
@@ -61,9 +61,9 @@ type Call struct {
 	// backoff, recorded by retryStage.
 	Elapsed time.Duration
 
-	reg           *registration
-	retryOverride *failover.RetryPolicy // retryPolicy invoke option, else reg.policy
-	params        []float64
+	reg    *registration
+	step   bool // a failover step: one attempt, the chain's step policy retries
+	params []float64
 
 	// span is the innermost open trace span for this call. traceStage sets
 	// the root; each built-in stage swaps in its child around next so inner
@@ -75,12 +75,12 @@ type Call struct {
 // Name returns the target service's registered name.
 func (c *Call) Name() string { return c.reg.name }
 
-// Retry returns the effective retry policy for this call (client default <
-// registration < invocation), resolved lazily so calls the cache answers
-// never touch it.
+// Retry returns the effective retry policy for this call: the
+// registration's (WithRetry, else the client default), or a single attempt
+// for a failover step.
 func (c *Call) Retry() failover.RetryPolicy {
-	if c.retryOverride != nil {
-		return *c.retryOverride
+	if c.step {
+		return failover.RetryPolicy{MaxAttempts: 1}
 	}
 	return c.reg.policy
 }
@@ -96,12 +96,12 @@ func (c *Call) Service() service.Service { return c.reg.svc }
 // Cacheable reports whether the service opted into response caching.
 func (c *Call) Cacheable() bool { return c.reg.cacheable }
 
-// LatencyParams returns the call's latency parameters (paper §2), computing
-// them on first use so the cache-hit fast path never pays for a
-// user-supplied extractor.
+// LatencyParams returns the call's latency parameters (paper §2), the
+// request's argument size in bytes, computing them on first use so the
+// cache-hit fast path never pays for them.
 func (c *Call) LatencyParams() []float64 {
-	if c.params == nil && c.reg != nil && c.reg.params != nil {
-		c.params = c.reg.params(c.Req)
+	if c.params == nil {
+		c.params = []float64{float64(c.Req.ArgSize())}
 	}
 	return c.params
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -64,7 +65,8 @@ func countMW(n *atomic.Int32) Middleware {
 
 func TestClientWideMiddlewareSeesEveryService(t *testing.T) {
 	var seen atomic.Int32
-	c := newClient(t, Config{Middleware: []Middleware{countMW(&seen)}})
+	var order []string
+	c := newClient(t, Config{Middleware: []Middleware{countMW(&seen), tagMW(&order, "a"), tagMW(&order, "b")}})
 	s1, _ := countingService("s1", "nlu", nil)
 	s2, _ := countingService("s2", "nlu", nil)
 	c.MustRegister(s1)
@@ -77,50 +79,18 @@ func TestClientWideMiddlewareSeesEveryService(t *testing.T) {
 	if seen.Load() != 3 {
 		t.Errorf("client-wide middleware saw %d calls, want 3", seen.Load())
 	}
-}
-
-func TestRegistrationMiddlewareIsPerService(t *testing.T) {
-	var seen atomic.Int32
-	c := newClient(t, Config{})
-	s1, _ := countingService("s1", "nlu", nil)
-	s2, _ := countingService("s2", "nlu", nil)
-	c.MustRegister(s1, withMiddleware(countMW(&seen)))
-	c.MustRegister(s2)
-	for i := 0; i < 2; i++ {
-		if _, err := c.Invoke(context.Background(), "s1", service.Request{Text: "x"}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.Invoke(context.Background(), "s2", service.Request{Text: "x"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if seen.Load() != 2 {
-		t.Errorf("registration middleware saw %d calls, want 2 (s1 only)", seen.Load())
-	}
-}
-
-func TestInvokeMiddlewareIsPerInvocation(t *testing.T) {
-	var seen atomic.Int32
-	c := newClient(t, Config{})
-	svc, _ := countingService("s1", "nlu", nil)
-	c.MustRegister(svc)
-	if _, err := c.Invoke(context.Background(), "s1", service.Request{Text: "x"},
-		withInvokeMiddleware(countMW(&seen))); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Invoke(context.Background(), "s1", service.Request{Text: "x"}); err != nil {
-		t.Fatal(err)
-	}
-	if seen.Load() != 1 {
-		t.Errorf("invoke middleware saw %d calls, want 1", seen.Load())
+	// Config.Middleware runs in order, first element outermost.
+	want := strings.Repeat("a> b> <b <a ", 3)
+	if got := strings.Join(order, " ") + " "; got != want {
+		t.Errorf("order = %q, want %q", got, want)
 	}
 }
 
 func TestMiddlewareObservesCacheHits(t *testing.T) {
 	var seen atomic.Int32
-	c := newClient(t, Config{})
+	c := newClient(t, Config{Middleware: []Middleware{countMW(&seen)}})
 	svc, calls := countingService("cached", "nlu", nil)
-	c.MustRegister(svc, WithCacheable(), withMiddleware(countMW(&seen)))
+	c.MustRegister(svc, WithCacheable())
 	req := service.Request{Op: "analyze", Text: "same"}
 	for i := 0; i < 10; i++ {
 		if _, err := c.Invoke(context.Background(), "cached", req); err != nil {
@@ -136,14 +106,14 @@ func TestMiddlewareObservesCacheHits(t *testing.T) {
 }
 
 func TestMiddlewareShortCircuitSkipsEverything(t *testing.T) {
-	c := newClient(t, Config{})
-	svc, calls := countingService("s1", "nlu", nil)
 	canned := Middleware(func(next Invoker) Invoker {
 		return func(ctx context.Context, call *Call) (service.Response, error) {
 			return service.Response{Body: []byte("canned")}, nil
 		}
 	})
-	c.MustRegister(svc, withMiddleware(canned))
+	c := newClient(t, Config{Middleware: []Middleware{canned}})
+	svc, calls := countingService("s1", "nlu", nil)
+	c.MustRegister(svc)
 	resp, err := c.Invoke(context.Background(), "s1", service.Request{Text: "x"})
 	if err != nil || string(resp.Body) != "canned" {
 		t.Fatalf("resp = %q, err = %v", resp.Body, err)
@@ -157,16 +127,16 @@ func TestMiddlewareShortCircuitSkipsEverything(t *testing.T) {
 }
 
 func TestMiddlewareErrorPropagates(t *testing.T) {
-	c := newClient(t, Config{})
-	svc, calls := countingService("s1", "nlu", nil)
 	boom := errors.New("middleware rejected")
 	reject := Middleware(func(next Invoker) Invoker {
 		return func(ctx context.Context, call *Call) (service.Response, error) {
 			return service.Response{}, boom
 		}
 	})
+	c := newClient(t, Config{Middleware: []Middleware{reject}})
+	svc, calls := countingService("s1", "nlu", nil)
 	c.MustRegister(svc)
-	_, err := c.Invoke(context.Background(), "s1", service.Request{Text: "x"}, withInvokeMiddleware(reject))
+	_, err := c.Invoke(context.Background(), "s1", service.Request{Text: "x"})
 	if !errors.Is(err, boom) {
 		t.Errorf("err = %v, want the middleware's error", err)
 	}
@@ -176,13 +146,20 @@ func TestMiddlewareErrorPropagates(t *testing.T) {
 }
 
 func TestLatencyParamsComputedLazilyAndOnce(t *testing.T) {
-	var extracted atomic.Int32
-	c := newClient(t, Config{})
+	// Outermost, so it sees each call after every stage has run.
+	var computed atomic.Int32
+	after := Middleware(func(next Invoker) Invoker {
+		return func(ctx context.Context, call *Call) (service.Response, error) {
+			resp, err := next(ctx, call)
+			if call.params != nil {
+				computed.Add(1)
+			}
+			return resp, err
+		}
+	})
+	c := newClient(t, Config{Middleware: []Middleware{after}})
 	svc, _ := countingService("cached", "nlu", nil)
-	c.MustRegister(svc, WithCacheable(), withLatencyParams(func(req service.Request) []float64 {
-		extracted.Add(1)
-		return []float64{float64(req.ArgSize())}
-	}))
+	c.MustRegister(svc, WithCacheable())
 	req := service.Request{Op: "analyze", Text: "same"}
 	for i := 0; i < 10; i++ {
 		if _, err := c.Invoke(context.Background(), "cached", req); err != nil {
@@ -190,19 +167,21 @@ func TestLatencyParamsComputedLazilyAndOnce(t *testing.T) {
 		}
 	}
 	// Only the single cache miss reaches the observation stages; the nine
-	// cache hits must not pay for the user's extractor.
-	if extracted.Load() != 1 {
-		t.Errorf("params extracted %d times, want 1 (cache-hit fast path must skip it)", extracted.Load())
+	// cache hits must not pay for the parameters.
+	if computed.Load() != 1 {
+		t.Errorf("params computed on %d calls, want 1 (cache-hit fast path must skip it)", computed.Load())
 	}
 }
 
+// TestInvokeCategoryAppliesInvokeMiddleware checks that category
+// invocation runs each attempted service's whole chain, client-wide
+// middleware included.
 func TestInvokeCategoryAppliesInvokeMiddleware(t *testing.T) {
 	var seen atomic.Int32
-	c := newClient(t, Config{})
+	c := newClient(t, Config{Middleware: []Middleware{countMW(&seen)}})
 	s1, _ := countingService("s1", "nlu", nil)
 	c.MustRegister(s1)
-	_, _, err := c.InvokeCategory(context.Background(), "nlu", service.Request{Text: "x"},
-		withInvokeMiddleware(countMW(&seen)))
+	_, _, err := c.InvokeCategory(context.Background(), "nlu", service.Request{Text: "x"})
 	if err != nil {
 		t.Fatal(err)
 	}

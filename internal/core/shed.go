@@ -40,10 +40,10 @@ type ShedConfig struct {
 	// Window is how often the controller re-evaluates the limit against
 	// the latest latency window. Zero means 100ms.
 	Window time.Duration
-	// DecreaseFactor multiplies the limit on an over-target window.
-	// Zero means 0.75; values are clamped to (0, 1).
-	DecreaseFactor float64
 }
+
+// shedDecrease multiplies the limit on an over-target window.
+const shedDecrease = 0.75
 
 func (c *ShedConfig) fill() {
 	if c.MaxInFlight <= 0 {
@@ -57,9 +57,6 @@ func (c *ShedConfig) fill() {
 	}
 	if c.Window <= 0 {
 		c.Window = 100 * time.Millisecond
-	}
-	if c.DecreaseFactor <= 0 || c.DecreaseFactor >= 1 {
-		c.DecreaseFactor = 0.75
 	}
 }
 
@@ -168,7 +165,7 @@ func (s *Shedder) adapt() {
 	switch {
 	case win.Count > 0 && win.Quantile(0.99) > s.cfg.TargetP99:
 		// Over target: multiplicative decrease.
-		limit = int64(float64(limit) * s.cfg.DecreaseFactor)
+		limit = int64(float64(limit) * shedDecrease)
 		if limit < int64(s.cfg.MinInFlight) {
 			limit = int64(s.cfg.MinInFlight)
 		}

@@ -34,10 +34,10 @@ func TestShedderAIMDDecreasesOverTarget(t *testing.T) {
 	s := newShedder(ShedConfig{
 		TargetP99:   5 * time.Millisecond,
 		MaxInFlight: 64, MinInFlight: 2,
-		Window: 10 * time.Millisecond, DecreaseFactor: 0.5,
+		Window: 10 * time.Millisecond,
 	}, clk)
 	// A window of 50ms observations blows the 5ms target: the limit must
-	// halve on adaptation.
+	// fall by shedDecrease on adaptation.
 	for i := 0; i < 20; i++ {
 		if !s.TryAcquire() {
 			t.Fatal("acquire under open limit")
@@ -49,11 +49,11 @@ func TestShedderAIMDDecreasesOverTarget(t *testing.T) {
 		t.Fatal("acquire")
 	}
 	s.Release(50 * time.Millisecond) // triggers adapt
-	if got := s.Limit(); got != 32 {
-		t.Errorf("limit after over-target window = %d, want 32 (64 * 0.5)", got)
+	if got := s.Limit(); got != 48 {
+		t.Errorf("limit after over-target window = %d, want 48 (64 * 0.75)", got)
 	}
 	// Repeated over-target windows keep decreasing but floor at MinInFlight.
-	for w := 0; w < 10; w++ {
+	for w := 0; w < 12; w++ {
 		clk.Advance(20 * time.Millisecond)
 		if !s.TryAcquire() {
 			t.Fatal("acquire")
@@ -70,7 +70,7 @@ func TestShedderRecoversAfterPressure(t *testing.T) {
 	s := newShedder(ShedConfig{
 		TargetP99:   5 * time.Millisecond,
 		MaxInFlight: 64, MinInFlight: 2,
-		Window: 10 * time.Millisecond, DecreaseFactor: 0.5,
+		Window: 10 * time.Millisecond,
 	}, clk)
 	// Crush the limit to the floor.
 	for w := 0; w < 12; w++ {

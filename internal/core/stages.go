@@ -25,7 +25,6 @@ import (
 //	shedStage     — adaptive admission control (only when Config.Shed
 //	                enables it; after the breaker so open-circuit
 //	                fast-fails stay out of the admission window)
-//	quotaStage    — client-side quota enforcement
 //	deadlineStage — predicted-latency deadline (only when Config.Deadline
 //	                enables it)
 //	monitorStage  — latency/availability observation + quality rating
@@ -33,15 +32,14 @@ import (
 //	retryStage    — per-service retries (failover.InvokeFunc)
 //
 // Every stage on a traced call opens a child span around the rest of the
-// chain and annotates its decision (cache hit/miss, breaker state, quota
-// verdict, computed deadline, attempt count), so /v1/traces/{id} shows one
+// chain and annotates its decision (cache hit/miss, breaker state,
+// computed deadline, attempt count), so /v1/traces/{id} shows one
 // invocation's complete journey through the stack. The swap pattern —
 // stash call.span, install the child, restore after next returns — keeps
 // nesting correct without any context allocation on the hot path; the zero
 // Span makes all of it inert when tracing is off or the trace unsampled.
 //
-// Client-wide (Config.Middleware), per-registration (withMiddleware), and
-// per-invocation (withInvokeMiddleware) middleware wrap outside the whole
+// Client-wide middleware (Config.Middleware) wraps outside the whole
 // stack, so custom stages observe every call including cache hits. Each
 // stage is independently constructible and testable; a Client is just one
 // particular composition.
@@ -109,36 +107,6 @@ func cacheStage(mem *cache.Sharded[service.Response], flight *cache.Group[servic
 			resp, err := cache.Fill(ctx, mem, flight, key, func() (service.Response, error) {
 				return next(ctx, call)
 			})
-			call.span = parent
-			sp.End()
-			return resp, err
-		}
-	}
-}
-
-// quotaStage refuses calls beyond the registration's client-side quota
-// without invoking the service, preserving a limited allowance (paper
-// §2.2). Calls without a quota pass through.
-func quotaStage() Middleware {
-	return func(next Invoker) Invoker {
-		return func(ctx context.Context, call *Call) (service.Response, error) {
-			parent := call.span
-			sp := parent.Child("quota")
-			q := call.reg.quota
-			switch {
-			case q == nil:
-				sp.SetAttr("quota", "none")
-			case !q.Take():
-				err := fmt.Errorf("%w: %s", errClientQuota, call.reg.name)
-				sp.SetAttr("quota", "rejected")
-				sp.SetError(err)
-				sp.End()
-				return service.Response{}, err
-			default:
-				sp.SetAttr("quota", "ok")
-			}
-			call.span = sp
-			resp, err := next(ctx, call)
 			call.span = parent
 			sp.End()
 			return resp, err

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -30,35 +31,6 @@ func fixed(resp service.Response, err error, calls *int) Invoker {
 // Register would normally derive.
 func cacheableReg(name string) *registration {
 	return &registration{name: name, cacheable: true, cachePrefix: "svc:" + name + ":"}
-}
-
-func TestQuotaStageRefusesWithoutInvoking(t *testing.T) {
-	var calls int
-	inv := compose(fixed(service.Response{Body: []byte("ok")}, nil, &calls), quotaStage())
-	call := &Call{reg: &registration{name: "q", quota: service.NewQuota(1, time.Hour, nil)}}
-	if _, err := inv(context.Background(), call); err != nil {
-		t.Fatal(err)
-	}
-	_, err := inv(context.Background(), call)
-	if !errors.Is(err, errClientQuota) {
-		t.Errorf("err = %v, want errClientQuota", err)
-	}
-	if calls != 1 {
-		t.Errorf("inner calls = %d, want 1 (quota must refuse before invoking)", calls)
-	}
-}
-
-func TestQuotaStagePassThroughWithoutQuota(t *testing.T) {
-	var calls int
-	inv := compose(fixed(service.Response{}, nil, &calls), quotaStage())
-	for i := 0; i < 3; i++ {
-		if _, err := inv(context.Background(), &Call{reg: &registration{name: "q"}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if calls != 3 {
-		t.Errorf("inner calls = %d, want 3", calls)
-	}
 }
 
 func TestCacheStageServesHitsAndRespectsNoCache(t *testing.T) {
@@ -184,16 +156,16 @@ func TestMonitorStageRecordsOutcomeAndQuality(t *testing.T) {
 func TestPredictStageObservesSuccessesOnly(t *testing.T) {
 	set := newPredictorSet(predict.Config{MinObservations: 1})
 	var calls int
-	params := func(service.Request) []float64 { return []float64{42} }
+	req := service.Request{Text: strings.Repeat("x", 42)} // latency parameter 42
 
 	failInv := compose(fixed(service.Response{}, fmt.Errorf("down: %w", service.ErrUnavailable), &calls), predictStage(set))
-	_, _ = failInv(context.Background(), &Call{reg: &registration{name: "p", params: params}})
+	_, _ = failInv(context.Background(), &Call{Req: req, reg: &registration{name: "p"}})
 	if _, err := set.Predict("p", []float64{42}, nil); !errors.Is(err, predict.ErrNoData) {
 		t.Errorf("err = %v, want ErrNoData (failures must not be observed)", err)
 	}
 
 	okInv := compose(fixed(service.Response{}, nil, &calls), predictStage(set))
-	call := &Call{reg: &registration{name: "p", params: params}, Elapsed: 7 * time.Millisecond}
+	call := &Call{Req: req, reg: &registration{name: "p"}, Elapsed: 7 * time.Millisecond}
 	if _, err := okInv(context.Background(), call); err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +257,6 @@ func TestDeadlineStageHonorsFloorAndCap(t *testing.T) {
 func TestClientDeadlineEndToEnd(t *testing.T) {
 	c := newClient(t, Config{
 		Deadline: DeadlineConfig{Factor: 2, Floor: 30 * time.Millisecond},
-		Predict:  predict.Config{MinObservations: 2},
 	})
 	var hang atomic.Bool
 	svc := service.Func{
@@ -300,7 +271,7 @@ func TestClientDeadlineEndToEnd(t *testing.T) {
 		},
 	}
 	c.MustRegister(svc, WithRetry(failover.RetryPolicy{MaxAttempts: 1}))
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 8; i++ { // the predictor's default MinObservations
 		if _, err := c.Invoke(context.Background(), "moody", service.Request{Text: fmt.Sprintf("warm %d", i)}); err != nil {
 			t.Fatal(err)
 		}

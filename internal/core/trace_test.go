@@ -87,8 +87,7 @@ func TestTraceStageFullChain(t *testing.T) {
 	// Every stage that ran must appear, nested in composition order.
 	assertLink(t, byName, "cache", "invoke s1")
 	assertLink(t, byName, "breaker", "cache")
-	assertLink(t, byName, "quota", "breaker")
-	assertLink(t, byName, "deadline", "quota")
+	assertLink(t, byName, "deadline", "breaker")
 	assertLink(t, byName, "monitor", "deadline")
 	assertLink(t, byName, "predict", "monitor")
 	assertLink(t, byName, "retry", "predict")
@@ -98,9 +97,6 @@ func TestTraceStageFullChain(t *testing.T) {
 	}
 	if got := attrOf(byName["breaker"], "state"); got != "closed" {
 		t.Errorf("breaker state attr = %q, want closed", got)
-	}
-	if got := attrOf(byName["quota"], "quota"); got != "none" {
-		t.Errorf("quota attr = %q, want none", got)
 	}
 	if got := attrOf(byName["deadline"], "deadline"); got != "unbounded" {
 		t.Errorf("first-call deadline attr = %q, want unbounded (no prediction yet)", got)

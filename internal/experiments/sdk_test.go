@@ -189,7 +189,7 @@ func TestE4AsyncShape(t *testing.T) {
 	}
 
 	t.Run("Async", func(t *testing.T) {
-		c := newClient(t, core.Config{AsyncWorkers: 8})
+		c := newClient(t, core.Config{})
 		started := gated(t, c, "multi")
 		futs := make([]*future.Future[service.Response], n)
 		for i, name := range names {
@@ -398,7 +398,7 @@ func TestA3PredictAblationShape(t *testing.T) {
 		{"linear", func(x float64) float64 { return 2 + 0.05*x }},
 		{"quadratic", func(x float64) float64 { return 2 + 0.0004*x*x }},
 	} {
-		fitted := predict.New(predict.Config{MinObservations: 8, KNeighbors: 3})
+		fitted := predict.New(predict.Config{MinObservations: 8})
 		unfitted := predict.New(predict.Config{MinObservations: 1 << 30})
 		rng := xrand.New(77)
 		for i := 0; i < 64; i++ {

@@ -22,8 +22,7 @@ import (
 // in lockstep and re-spike the recovering service — the thundering herd
 // the AWS architecture blog's "Exponential Backoff And Jitter" analysis
 // quantifies. Jitter only perturbs the slept duration; the underlying
-// exponential schedule (and therefore the un-jittered cap behavior) is
-// unchanged.
+// constant schedule is unchanged.
 type Jitter int
 
 const (
@@ -34,9 +33,6 @@ const (
 	// contention spread in the AWS analysis, and the default for the SDK
 	// core's retry stage.
 	FullJitter
-	// equalJitter sleeps wait/2 + uniform(0, wait/2], keeping at least
-	// half the deterministic delay while still decorrelating callers.
-	equalJitter
 )
 
 // jitterSrc is the package-level RNG for backoff jitter. It is shared —
@@ -66,45 +62,21 @@ func jitterWait(wait time.Duration, j Jitter) time.Duration {
 	jitterMu.Lock()
 	u := jitterSrc.Float64()
 	jitterMu.Unlock()
-	switch j {
-	case FullJitter:
-		w := time.Duration(u * float64(wait))
-		if w <= 0 {
-			w = 1
-		}
-		return w
-	case equalJitter:
-		half := wait / 2
-		w := half + time.Duration(u*float64(wait-half))
-		if w <= 0 {
-			w = 1
-		}
-		return w
-	default:
-		return wait
-	}
+	return max(time.Duration(u*float64(wait)), 1)
 }
 
-// RetryPolicy controls how a single service is retried.
+// RetryPolicy controls how a single service is retried: only on
+// service.ErrUnavailable — permanent errors (bad request, quota) never
+// retry — with a constant wait between attempts.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of attempts including the first.
 	// Values below 1 are treated as 1 (no retry).
 	MaxAttempts int
-	// Backoff is the wait before the first retry.
+	// Backoff is the wait before each retry.
 	Backoff time.Duration
-	// BackoffFactor multiplies the wait after each retry; values below 1
-	// are treated as 1 (constant backoff).
-	BackoffFactor float64
-	// MaxBackoff caps the wait; 0 means uncapped.
-	MaxBackoff time.Duration
 	// Jitter randomizes each slept backoff to decorrelate concurrent
-	// retriers. The zero value (noJitter) preserves the exact historical
-	// schedule.
+	// retriers. The zero value (noJitter) sleeps Backoff exactly.
 	Jitter Jitter
-	// RetryOn decides whether an error is retryable. Nil means retry on
-	// service.ErrUnavailable only — permanent errors (bad request,
-	// quota) never retry by default.
-	RetryOn func(error) bool
 }
 
 func (p RetryPolicy) attempts() int {
@@ -112,13 +84,6 @@ func (p RetryPolicy) attempts() int {
 		return 1
 	}
 	return p.MaxAttempts
-}
-
-func (p RetryPolicy) retryable(err error) bool {
-	if p.RetryOn != nil {
-		return p.RetryOn(err)
-	}
-	return errors.Is(err, service.ErrUnavailable)
 }
 
 // Invoke calls svc with retries per policy, sleeping the backoff on clk
@@ -139,7 +104,6 @@ func InvokeFunc(ctx context.Context, clk clock.Clock, fn func(ctx context.Contex
 	if clk == nil {
 		clk = clock.Real()
 	}
-	wait := policy.Backoff
 	var lastErr error
 	maxAttempts := policy.attempts()
 	for attempt := 1; attempt <= maxAttempts; attempt++ {
@@ -148,21 +112,14 @@ func InvokeFunc(ctx context.Context, clk clock.Clock, fn func(ctx context.Contex
 			return resp, attempt, nil
 		}
 		lastErr = err
-		if !policy.retryable(err) || attempt == maxAttempts {
+		if !errors.Is(err, service.ErrUnavailable) || attempt == maxAttempts {
 			return service.Response{}, attempt, err
 		}
-		if wait > 0 {
+		if policy.Backoff > 0 {
 			select {
 			case <-ctx.Done():
 				return service.Response{}, attempt, fmt.Errorf("failover: %w (after %w)", ctx.Err(), lastErr)
-			case <-clk.After(jitterWait(wait, policy.Jitter)):
-			}
-			factor := policy.BackoffFactor
-			if factor > 1 {
-				wait = time.Duration(float64(wait) * factor)
-				if policy.MaxBackoff > 0 && wait > policy.MaxBackoff {
-					wait = policy.MaxBackoff
-				}
+			case <-clk.After(jitterWait(policy.Backoff, policy.Jitter)):
 			}
 		} else if ctx.Err() != nil {
 			return service.Response{}, attempt, fmt.Errorf("failover: %w (after %w)", ctx.Err(), lastErr)

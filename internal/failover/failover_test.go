@@ -83,50 +83,11 @@ func TestInvokeNoRetryOnPermanentError(t *testing.T) {
 	}
 }
 
-func TestInvokeCustomRetryOn(t *testing.T) {
-	svc := alwaysFail("q", service.ErrQuotaExceeded)
-	policy := RetryPolicy{
-		MaxAttempts: 3,
-		RetryOn:     func(err error) bool { return errors.Is(err, service.ErrQuotaExceeded) },
-	}
-	_, attempts, _ := Invoke(context.Background(), nil, svc, service.Request{}, policy)
-	if attempts != 3 {
-		t.Errorf("attempts = %d, want 3 (custom RetryOn)", attempts)
-	}
-}
-
 func TestInvokeZeroAttemptsClamped(t *testing.T) {
 	svc := alwaysOK("ok")
 	_, attempts, err := Invoke(context.Background(), nil, svc, service.Request{}, RetryPolicy{MaxAttempts: 0})
 	if err != nil || attempts != 1 {
 		t.Errorf("attempts = %d err = %v, want 1 nil", attempts, err)
-	}
-}
-
-func TestInvokeBackoffGrowsAndCaps(t *testing.T) {
-	// A recording clock captures the exact slept schedule: 1ms, then
-	// 10ms capped to 5ms, then 5ms again.
-	svc, _ := failNTimes("slow", 3)
-	policy := RetryPolicy{
-		MaxAttempts:   4,
-		Backoff:       time.Millisecond,
-		BackoffFactor: 10,
-		MaxBackoff:    5 * time.Millisecond,
-	}
-	clk := newRecordingClock()
-	_, _, err := Invoke(context.Background(), clk, svc, service.Request{}, policy)
-	if err != nil {
-		t.Fatalf("Invoke error = %v", err)
-	}
-	want := []time.Duration{time.Millisecond, 5 * time.Millisecond, 5 * time.Millisecond}
-	got := clk.waits()
-	if len(got) != len(want) {
-		t.Fatalf("slept %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("sleep %d = %v, want %v", i, got[i], want[i])
-		}
 	}
 }
 

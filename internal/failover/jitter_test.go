@@ -65,10 +65,9 @@ func backoffSchedule(t *testing.T, policy RetryPolicy) []time.Duration {
 func TestFullJitterBreaksLockstep(t *testing.T) {
 	seedJitter(7)
 	policy := RetryPolicy{
-		MaxAttempts:   4,
-		Backoff:       100 * time.Millisecond,
-		BackoffFactor: 2,
-		Jitter:        FullJitter,
+		MaxAttempts: 4,
+		Backoff:     100 * time.Millisecond,
+		Jitter:      FullJitter,
 	}
 	a := backoffSchedule(t, policy)
 	b := backoffSchedule(t, policy)
@@ -90,11 +89,9 @@ func TestFullJitterBreaksLockstep(t *testing.T) {
 // the shared jitter stream replays the exact same jittered schedule.
 func TestFullJitterDeterministicUnderSeed(t *testing.T) {
 	policy := RetryPolicy{
-		MaxAttempts:   5,
-		Backoff:       50 * time.Millisecond,
-		BackoffFactor: 2,
-		MaxBackoff:    200 * time.Millisecond,
-		Jitter:        FullJitter,
+		MaxAttempts: 5,
+		Backoff:     50 * time.Millisecond,
+		Jitter:      FullJitter,
 	}
 	seedJitter(123)
 	a := backoffSchedule(t, policy)
@@ -111,51 +108,23 @@ func TestFullJitterDeterministicUnderSeed(t *testing.T) {
 }
 
 // TestJitterBounds checks each mode's slept value stays within its
-// contract: FullJitter in (0, wait], equalJitter in (wait/2, wait],
-// noJitter exactly wait.
+// contract on the constant schedule: FullJitter in (0, Backoff], noJitter
+// exactly Backoff before every retry.
 func TestJitterBounds(t *testing.T) {
 	seedJitter(99)
 	base := 80 * time.Millisecond
 	mk := func(j Jitter) RetryPolicy {
-		return RetryPolicy{MaxAttempts: 6, Backoff: base, BackoffFactor: 2, MaxBackoff: base, Jitter: j}
+		return RetryPolicy{MaxAttempts: 6, Backoff: base, Jitter: j}
 	}
-	// With MaxBackoff == Backoff every un-jittered wait is exactly base.
-	for _, w := range backoffSchedule(t, mk(noJitter)) {
-		if w != base {
-			t.Errorf("noJitter slept %v, want exactly %v", w, base)
+	for _, j := range []Jitter{noJitter, FullJitter} {
+		ws := backoffSchedule(t, mk(j))
+		if len(ws) != 5 {
+			t.Errorf("jitter %d slept %v, want a wait before each of 5 retries", j, ws)
 		}
-	}
-	for _, w := range backoffSchedule(t, mk(FullJitter)) {
-		if w <= 0 || w > base {
-			t.Errorf("FullJitter slept %v, want in (0, %v]", w, base)
-		}
-	}
-	for _, w := range backoffSchedule(t, mk(equalJitter)) {
-		if w < base/2 || w > base {
-			t.Errorf("equalJitter slept %v, want in [%v, %v]", w, base/2, base)
-		}
-	}
-}
-
-// TestJitterPreservesGrowthEnvelope: jitter perturbs each sleep but the
-// envelope still grows — the un-jittered base doubles underneath, so the
-// max possible sleep per retry follows the exponential schedule.
-func TestJitterPreservesGrowthEnvelope(t *testing.T) {
-	seedJitter(5)
-	policy := RetryPolicy{
-		MaxAttempts:   4,
-		Backoff:       10 * time.Millisecond,
-		BackoffFactor: 10,
-		Jitter:        FullJitter,
-	}
-	ws := backoffSchedule(t, policy)
-	caps := []time.Duration{10 * time.Millisecond, 100 * time.Millisecond, time.Second}
-	if len(ws) != len(caps) {
-		t.Fatalf("schedule = %v, want %d sleeps", ws, len(caps))
-	}
-	for i, w := range ws {
-		if w <= 0 || w > caps[i] {
-			t.Errorf("sleep %d = %v, want in (0, %v] (exponential envelope)", i, w, caps[i])
+		for _, w := range ws {
+			if w <= 0 || w > base || j == noJitter && w != base {
+				t.Errorf("jitter %d slept %v, want in (0, %v], exactly it without jitter", j, w, base)
+			}
 		}
 	}
 }

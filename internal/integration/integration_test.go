@@ -20,7 +20,6 @@ import (
 	"repro/internal/lexicon"
 	"repro/internal/nlu"
 	"repro/internal/pipeline"
-	"repro/internal/predict"
 	"repro/internal/rdf"
 	"repro/internal/remotestore"
 	"repro/internal/search"
@@ -405,7 +404,6 @@ func TestBreakerAndDeadlineThroughFacade(t *testing.T) {
 	client, err := core.NewClient(core.Config{
 		Breaker:      core.BreakerConfig{Threshold: 2, Cooldown: 50 * time.Millisecond},
 		Deadline:     core.DeadlineConfig{Factor: 2, Floor: 30 * time.Millisecond},
-		Predict:      predict.Config{MinObservations: 2},
 		DefaultRetry: failover.RetryPolicy{MaxAttempts: 1},
 	})
 	if err != nil {
@@ -489,7 +487,7 @@ func TestBreakerAndDeadlineThroughFacade(t *testing.T) {
 
 	// Train the moody service fast, then hang it: the predicted-latency
 	// deadline converts the hang into a 504 instead of a stuck request.
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 8; i++ { // the predictor's default MinObservations
 		if got := invoke("moody", fmt.Sprintf("warm %d", i)); got != http.StatusOK {
 			t.Fatalf("warmup %d -> HTTP %d, want 200", i, got)
 		}

@@ -23,6 +23,7 @@ import (
 	"repro/internal/codec"
 	"repro/internal/csvconv"
 	"repro/internal/kvstore"
+	"repro/internal/lexicon"
 	"repro/internal/nlu"
 	"repro/internal/rdbms"
 	"repro/internal/rdf"
@@ -45,9 +46,6 @@ type Config struct {
 	// LoadRemote: a *remotestore.Cluster over one node or many, or a
 	// wrapper around one.
 	Remote remotestore.Store
-	// Dictionary overrides the spell-check dictionary. Nil uses the
-	// built-in lexicon dictionary.
-	Dictionary []string
 }
 
 // KB is a personalized knowledge base. Its components are individually
@@ -88,10 +86,6 @@ func New(cfg Config) (*KB, error) {
 	if len(chain) > 0 {
 		cdc = chain
 	}
-	dict := cfg.Dictionary
-	if dict == nil {
-		dict = defaultDictionary()
-	}
 	if cfg.Dir != "" {
 		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 			return nil, fmt.Errorf("kb: create dir: %w", err)
@@ -103,7 +97,7 @@ func New(cfg Config) (*KB, error) {
 		graph:  rdf.NewGraph(),
 		kv:     kvstore.NewMemory(),
 		disamb: nlu.NewDisambiguator(),
-		spell:  spell.NewChecker(dict, nil),
+		spell:  spell.NewChecker(lexicon.Dictionary(), nil),
 		cdc:    cdc,
 	}, nil
 }
@@ -516,8 +510,4 @@ func (k *KB) LoadRemote(key string) ([]byte, error) {
 		return nil, fmt.Errorf("kb: no remote store configured")
 	}
 	return k.cfg.Remote.Get(key)
-}
-
-func defaultDictionary() []string {
-	return lexiconDictionary()
 }

@@ -160,36 +160,24 @@ func surfaceTokens(e Entity, stop map[string]bool) []string {
 	return out
 }
 
-// PMIConfig tunes the corpus-derived co-occurrence table.
-type PMIConfig struct {
-	// Window is the co-occurrence window in tokens: a pair is observed
-	// when two distinct terms appear within Window positions of each
-	// other. 0 means 8.
-	Window int
-	// MinCount drops pairs observed fewer times (noise floor). 0 means 3.
-	MinCount int
-	// MaxNeighbors caps each term's neighbor list. 0 means 8.
-	MaxNeighbors int
-	// MinPMI drops pairs whose pointwise mutual information is below the
-	// floor; only clearly positive associations survive. 0 means 1.0.
-	MinPMI float64
-}
+// PMIConfig is search.WithExpansion's argument. It has no fields: the
+// co-occurrence table is built with the constants below. The type stays
+// because the benchmark program (bench/, a module of its own) passes
+// PMIConfig{} to search.WithExpansion.
+type PMIConfig struct{}
 
-func (c PMIConfig) fill() PMIConfig {
-	if c.Window <= 0 {
-		c.Window = 8
-	}
-	if c.MinCount <= 0 {
-		c.MinCount = 3
-	}
-	if c.MaxNeighbors <= 0 {
-		c.MaxNeighbors = 8
-	}
-	if c.MinPMI <= 0 {
-		c.MinPMI = 1.0
-	}
-	return c
-}
+// The co-occurrence table's build constants. A pair is observed when two
+// distinct terms appear within pmiWindow positions of each other. Pairs
+// observed fewer than pmiMinCount times (the noise floor) or whose
+// pointwise mutual information is below pmiMinPMI are dropped, so only
+// clearly positive associations survive, and each term keeps at most
+// pmiMaxNeighbors neighbours.
+const (
+	pmiWindow       = 8
+	pmiMinCount     = 3
+	pmiMinPMI       = 1.0
+	pmiMaxNeighbors = 8
+)
 
 // PMIBuilder accumulates windowed term co-occurrence counts over a token
 // stream (the search index feeds it each document's filtered term IDs
@@ -203,7 +191,6 @@ func (c PMIConfig) fill() PMIConfig {
 // own: occurrence counts are an ID-indexed slice and pair counts a flat
 // open-addressed table keyed by the packed ID pair.
 type PMIBuilder struct {
-	cfg   PMIConfig
 	dict  *intern.Dict[string]
 	occ   []int
 	pairs pairTable
@@ -212,8 +199,8 @@ type PMIBuilder struct {
 
 // NewPMIBuilder returns an empty builder over dict's term IDs. dict must
 // stay unfrozen until Build has returned: Build names terms through it.
-func NewPMIBuilder(cfg PMIConfig, dict *intern.Dict[string]) *PMIBuilder {
-	return &PMIBuilder{cfg: cfg.fill(), dict: dict}
+func NewPMIBuilder(dict *intern.Dict[string]) *PMIBuilder {
+	return &PMIBuilder{dict: dict}
 }
 
 // AddIDs observes one document's term IDs, in order. The caller filters
@@ -223,10 +210,9 @@ func (b *PMIBuilder) AddIDs(ids []uint32) {
 	if n := b.dict.Len(); n > len(b.occ) {
 		b.occ = append(b.occ, make([]int, n-len(b.occ))...)
 	}
-	w := b.cfg.Window
 	for i, x := range ids {
 		b.occ[x]++
-		end := i + w
+		end := i + pmiWindow
 		if end >= len(ids) {
 			end = len(ids) - 1
 		}
@@ -252,7 +238,7 @@ func (b *PMIBuilder) AddIDs(ids []uint32) {
 // gazetteer synonym weight. The result is deterministic for a given
 // input sequence regardless of the pair table's slot order. Each
 // neighbour list is exactly as long as it is kept: the table lives as
-// long as the index, so the neighbours cut by MaxNeighbors must not stay
+// long as the index, so the neighbours cut by pmiMaxNeighbors must not stay
 // behind as capacity.
 func (b *PMIBuilder) Build() map[string][]Expansion {
 	type neighbor struct {
@@ -262,12 +248,12 @@ func (b *PMIBuilder) Build() map[string][]Expansion {
 	byTerm := make([][]neighbor, len(b.occ))
 	n := float64(b.total)
 	for _, e := range b.pairs.slots {
-		if e.n < b.cfg.MinCount {
+		if e.n < pmiMinCount {
 			continue
 		}
 		x, y := uint32(e.key>>32), uint32(e.key)
 		pmi := math.Log(float64(e.n) * n / (float64(b.occ[x]) * float64(b.occ[y])))
-		if pmi < b.cfg.MinPMI {
+		if pmi < pmiMinPMI {
 			continue
 		}
 		byTerm[x] = append(byTerm[x], neighbor{y, pmi})
@@ -277,7 +263,7 @@ func (b *PMIBuilder) Build() map[string][]Expansion {
 	for _, ns := range byTerm {
 		if len(ns) > 0 {
 			terms++
-			kept += min(len(ns), b.cfg.MaxNeighbors)
+			kept += min(len(ns), pmiMaxNeighbors)
 		}
 	}
 	arena := make([]Expansion, kept)
@@ -292,7 +278,7 @@ func (b *PMIBuilder) Build() map[string][]Expansion {
 			s = append(s, Expansion{Term: b.dict.Value(nb.term), Weight: nb.pmi / (1 + nb.pmi)})
 		}
 		sortExpansions(s)
-		k := copy(arena, s[:min(len(s), b.cfg.MaxNeighbors)])
+		k := copy(arena, s[:min(len(s), pmiMaxNeighbors)])
 		table[b.dict.Value(uint32(id))], arena = arena[:k:k], arena[k:]
 	}
 	return table

@@ -1,6 +1,7 @@
 package lexicon
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/intern"
@@ -10,9 +11,9 @@ import (
 // newTestPMI returns a builder over a fresh dictionary and a function
 // that feeds it one document of terms, interning them as the search
 // index does.
-func newTestPMI(cfg PMIConfig) (*PMIBuilder, func(terms ...string)) {
+func newTestPMI() (*PMIBuilder, func(terms ...string)) {
 	dict := intern.NewDict[string]()
-	b := NewPMIBuilder(cfg, dict)
+	b := NewPMIBuilder(dict)
 	return b, func(terms ...string) {
 		ids := make([]uint32, len(terms))
 		for i, t := range terms {
@@ -91,12 +92,14 @@ func TestExpanderCapAndOrder(t *testing.T) {
 }
 
 func TestPMIBuilder(t *testing.T) {
-	b, addDoc := newTestPMI(PMIConfig{Window: 3, MinCount: 3, MaxNeighbors: 4, MinPMI: 0.5})
+	b, addDoc := newTestPMI()
 	// "coffee beans" always co-occur; "coffee" and "tax" never share a
-	// window; background terms spread evenly.
+	// window (nine fillers keep them pmiWindow apart); background terms
+	// spread evenly.
+	fillers := strings.Fields("f1 f2 f3 f4 f5 f6 f7 f8 f9")
 	for i := 0; i < 20; i++ {
-		addDoc("coffee", "beans", "roast", "filler1", "filler2", "filler3", "tax", "policy")
-		addDoc("tax", "policy", "filler1", "filler2", "filler4", "filler3")
+		addDoc(append(append([]string{"coffee", "beans", "roast"}, fillers...), "tax", "policy")...)
+		addDoc("tax", "policy", "tax", "policy")
 	}
 	table := b.Build()
 	if !hasTerm(table["coffee"], "beans") {
@@ -109,8 +112,8 @@ func TestPMIBuilder(t *testing.T) {
 		t.Errorf("tax neighbors = %v, want policy", expansionTerms(table["tax"]))
 	}
 	for term, ns := range table {
-		if len(ns) > 4 {
-			t.Errorf("%q has %d neighbors, cap is 4", term, len(ns))
+		if len(ns) > pmiMaxNeighbors {
+			t.Errorf("%q has %d neighbors, cap is %d", term, len(ns), pmiMaxNeighbors)
 		}
 		for _, e := range ns {
 			if e.Weight <= 0 || e.Weight >= 1 {
@@ -121,32 +124,31 @@ func TestPMIBuilder(t *testing.T) {
 }
 
 // TestPMINeighborListsHaveNoSlack: the table lives as long as the index
-// that built it, so the neighbours MaxNeighbors cuts must not stay
+// that built it, so the neighbours pmiMaxNeighbors cuts must not stay
 // behind as capacity.
 func TestPMINeighborListsHaveNoSlack(t *testing.T) {
-	const maxNeighbors = 3
-	b, addDoc := newTestPMI(PMIConfig{Window: 8, MinCount: 2, MaxNeighbors: maxNeighbors, MinPMI: 0.1})
+	b, addDoc := newTestPMI()
 	for i := 0; i < 20; i++ {
-		addDoc("hub", "a", "b", "c", "d", "e", "f", "g")
+		addDoc("hub", "a", "b", "c", "d", "e", "f", "g", "h", "i") // hub's window holds a … h
 		addDoc("x", "y", "hub", "z")
 		addDoc("p", "q", "r", "s", "t", "u", "v", "w", "o")
 	}
 	table := b.Build()
 	full := false
 	for term, ns := range table {
-		if cap(ns) != len(ns) || len(ns) > maxNeighbors {
-			t.Errorf("%q: neighbour list has len %d, cap %d, MaxNeighbors %d", term, len(ns), cap(ns), maxNeighbors)
+		if cap(ns) != len(ns) || len(ns) > pmiMaxNeighbors {
+			t.Errorf("%q: neighbour list has len %d, cap %d, pmiMaxNeighbors %d", term, len(ns), cap(ns), pmiMaxNeighbors)
 		}
-		full = full || len(ns) == maxNeighbors
+		full = full || len(ns) == pmiMaxNeighbors
 	}
 	if !full {
-		t.Fatal("no neighbour list reached MaxNeighbors: the cut is untested")
+		t.Fatal("no neighbour list reached pmiMaxNeighbors: the cut is untested")
 	}
 }
 
 func TestPMIBuilderDeterministic(t *testing.T) {
 	build := func() map[string][]Expansion {
-		b, addDoc := newTestPMI(PMIConfig{Window: 4, MinCount: 2, MinPMI: 0.1})
+		b, addDoc := newTestPMI()
 		for i := 0; i < 10; i++ {
 			addDoc("alpha", "beta", "gamma", "delta", "alpha", "beta")
 			addDoc("gamma", "delta", "epsilon", "zeta")
@@ -154,6 +156,9 @@ func TestPMIBuilderDeterministic(t *testing.T) {
 		return b.Build()
 	}
 	a, b := build(), build()
+	if len(a) == 0 {
+		t.Fatal("empty table: nothing to compare")
+	}
 	if len(a) != len(b) {
 		t.Fatalf("table sizes differ: %d vs %d", len(a), len(b))
 	}

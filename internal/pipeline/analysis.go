@@ -24,8 +24,9 @@ import (
 // Fig. 3/5 loop query → search → fetch documents → NLU-analyze →
 // aggregate → persist → knowledge-base sink — onto the package's runner.
 // Search and analysis go through the rich SDK's core.Client, so caching,
-// circuit breaking, quotas, deadlines, and monitoring all apply to every
-// call the pipeline makes.
+// circuit breaking, shedding, deadlines, and monitoring all apply to every
+// call the pipeline makes. The search asks for the top Limit hits of the
+// whole corpus, news and other pages alike.
 type AnalysisConfig struct {
 	// Client is the rich SDK client the pipeline invokes services
 	// through. Required. Its tracer, if it has one, traces every run: an
@@ -47,12 +48,6 @@ type AnalysisConfig struct {
 	HTTPClient *http.Client
 	// Limit caps search results. Values < 1 mean 10.
 	Limit int
-	// Offset skips that many top-ranked search hits before the pipeline
-	// consumes Limit of them (pagination across runs). Values < 1 mean 0.
-	Offset int
-	// NewsOnly restricts the search to news documents (paper §2.2's
-	// news-story restriction).
-	NewsOnly bool
 	// Expand turns on the search engine's query expansion, broadening
 	// the search with alias and co-occurrence terms. The engine must have
 	// been built with expansion tables for this to have any effect.
@@ -68,9 +63,6 @@ type AnalysisConfig struct {
 	// dropped (and counted) instead of aborting the run. Each document is
 	// tried once; search and NLU calls retry inside the SDK chain.
 	SkipFailedDocs bool
-	// NoCache bypasses the SDK response cache for search and analysis
-	// calls (cold-path measurements).
-	NoCache bool
 	// Sentiments, when non-nil, receives the aggregated per-entity
 	// sentiment after the stream drains — the pipeline's knowledge-base
 	// sink (kb.StoreWebSentiments turns them into RDF facts).
@@ -157,13 +149,6 @@ func (cfg *AnalysisConfig) policy() policy {
 	return abort
 }
 
-func (cfg *AnalysisConfig) invokeOpts() []core.InvokeOption {
-	if cfg.NoCache {
-		return []core.InvokeOption{core.NoCache()}
-	}
-	return nil
-}
-
 // Run executes the full pipeline for one query: search through the SDK,
 // fetch every hit over HTTP, analyze each document with every configured
 // NLU service, aggregate, persist, and feed the sentiment sink.
@@ -218,17 +203,11 @@ func (cfg *AnalysisConfig) search(ctx context.Context, root trace.Span, query st
 		ctx = trace.ContextWithSpan(ctx, sp)
 	}
 	params := map[string]string{"limit": strconv.Itoa(cfg.Limit)}
-	if cfg.Offset > 0 {
-		params["offset"] = strconv.Itoa(cfg.Offset)
-	}
-	if cfg.NewsOnly {
-		params["news"] = "true"
-	}
 	if cfg.Expand {
 		params["expand"] = "true"
 	}
 	req := service.Request{Op: "search", Query: query, Params: params}
-	resp, err := cfg.Client.Invoke(ctx, cfg.Search, req, cfg.invokeOpts()...)
+	resp, err := cfg.Client.Invoke(ctx, cfg.Search, req)
 	var found search.Results
 	if err != nil {
 		err = fmt.Errorf("search %q: %w", query, err)
@@ -340,7 +319,7 @@ func (cfg *AnalysisConfig) analyzeOne(ctx context.Context, name, text string) (n
 }
 
 func (cfg *AnalysisConfig) invokeNLU(ctx context.Context, name, text string) (nlu.Analysis, error) {
-	resp, err := cfg.Client.Invoke(ctx, name, service.Request{Op: "analyze", Text: text}, cfg.invokeOpts()...)
+	resp, err := cfg.Client.Invoke(ctx, name, service.Request{Op: "analyze", Text: text})
 	if err != nil {
 		return nlu.Analysis{}, err
 	}

@@ -139,7 +139,6 @@ func TestAnalysisRunPersistsAndReusesStore(t *testing.T) {
 		FetchURL: web.URL,
 		Limit:    5,
 		Store:    store,
-		NoCache:  true, // isolate docstore reuse from the SDK response cache
 	}
 	ctx := context.Background()
 	first, err := cfg.Run(ctx, "company revenue")
@@ -298,7 +297,6 @@ func TestAnalysisSentimentSink(t *testing.T) {
 	// A failing sink aborts the run.
 	boom := errors.New("kb down")
 	cfg.Sentiments = func(context.Context, []aggregate.EntitySentiment) error { return boom }
-	cfg.NoCache = true
 	if _, err := cfg.Run(context.Background(), "market technology growth"); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want sink failure", err)
 	}

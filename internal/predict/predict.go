@@ -56,10 +56,6 @@ type Config struct {
 	Policy DefaultPolicy
 	// UserDefault is the fallback latency for defaultUser.
 	UserDefault time.Duration
-	// KNeighbors is the neighbourhood size for the k-NN estimate used
-	// when regression fails (for example, collinear parameters).
-	// Default 3.
-	KNeighbors int
 }
 
 func (c *Config) fill() {
@@ -69,14 +65,15 @@ func (c *Config) fill() {
 	if c.Policy == 0 {
 		c.Policy = defaultNone
 	}
-	if c.KNeighbors <= 0 {
-		c.KNeighbors = 3
-	}
 }
 
 // ringSize is how many of the most recent observations the k-NN fallback
 // searches. The regression and the own-mean fallback are not windowed.
 const ringSize = 1024
+
+// kNeighbors is the neighbourhood size of the k-NN estimate used when
+// regression fails (for example, collinear parameters).
+const kNeighbors = 3
 
 // Predictor predicts invocation latency for one service from latency
 // parameters. It is not safe for concurrent use; callers own
@@ -114,7 +111,7 @@ type neighbour struct {
 // New returns a Predictor with the given configuration.
 func New(cfg Config) *Predictor {
 	cfg.fill()
-	return &Predictor{cfg: cfg, nearest: make([]neighbour, 0, min(cfg.KNeighbors, ringSize))}
+	return &Predictor{cfg: cfg, nearest: make([]neighbour, 0, kNeighbors)}
 }
 
 // Observe records that an invocation with the given latency parameters took
@@ -194,7 +191,7 @@ func (p *Predictor) predictModel(params []float64) (time.Duration, bool) {
 	return msToDuration(v), true
 }
 
-// PredictKNN averages the latencies of the KNeighbors nearest of the last
+// PredictKNN averages the latencies of the kNeighbors nearest of the last
 // ringSize observations in parameter space (Euclidean distance on
 // zero-padded vectors), the newer observation winning a tie. It reports
 // false only when nothing has been observed. Predict falls back to it when
@@ -205,7 +202,7 @@ func (p *Predictor) PredictKNN(params []float64) (time.Duration, bool) {
 		return 0, false
 	}
 	width := p.fit.Features()
-	k := min(p.cfg.KNeighbors, n)
+	k := min(kNeighbors, n)
 	best := p.nearest[:0]
 	// Newest first, so that an equally distant older observation never
 	// displaces a newer one.

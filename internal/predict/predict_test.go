@@ -101,7 +101,7 @@ func TestPredictOwnMeanBeforeModel(t *testing.T) {
 func TestPredictKNNFallbackOnDegenerateParams(t *testing.T) {
 	// All observations share the same parameter value, so regression on
 	// it is singular; k-NN should still produce the local mean.
-	p := New(Config{MinObservations: 3, KNeighbors: 3})
+	p := New(Config{MinObservations: 3})
 	for i := 0; i < 6; i++ {
 		p.Observe([]float64{5}, ms(40))
 	}

@@ -124,10 +124,7 @@ func (p *refPredictor) predictKNN(params []float64) (time.Duration, bool) {
 		ns[i] = neigh{dist: d, lat: p.latMS[i]}
 	}
 	sort.Slice(ns, func(i, j int) bool { return ns[i].dist < ns[j].dist })
-	k := p.cfg.KNeighbors
-	if k > len(ns) {
-		k = len(ns)
-	}
+	k := min(kNeighbors, len(ns))
 	var sum float64
 	for i := 0; i < k; i++ {
 		sum += ns[i].lat
@@ -238,7 +235,6 @@ func TestPredictorMatchesExactRefit(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(h) + 1))
 		cfg := Config{
 			MinObservations: []int{1, 3, 8, 20}[rng.Intn(4)],
-			KNeighbors:      []int{1, 3, 5}[rng.Intn(3)],
 			Policy:          DefaultPolicy(1 + rng.Intn(4)),
 			UserDefault:     ms(33),
 		}
@@ -320,26 +316,26 @@ func TestPredictorMatchesExactRefit(t *testing.T) {
 // observations it prefers the newer.
 func TestPredictorDeliberateDifferences(t *testing.T) {
 	t.Run("ring eviction", func(t *testing.T) {
-		cfg := Config{KNeighbors: 1}
+		var cfg Config
 		got, want := New(cfg), newRef(cfg)
 		observe := func(x float64, lat time.Duration) {
 			got.Observe([]float64{x}, lat)
 			want.Observe([]float64{x}, lat)
 		}
-		observe(0, ms(999)) // observation 1, alone near the query
+		observe(0, ms(999)) // observation 1, the nearest to the query
 		for i := 1; i < ringSize; i++ {
 			observe(float64(1000+i), ms(float64(i)))
 		}
 		q := []float64{0}
-		if d, _ := got.PredictKNN(q); d != ms(999) {
-			t.Fatalf("ring exactly full: PredictKNN = %v, want observation 1's 999ms", d)
+		if d, _ := got.PredictKNN(q); d != ms(334) {
+			t.Fatalf("ring exactly full: PredictKNN = %v, want mean(999ms, 1ms, 2ms) = 334ms", d)
 		}
 		observe(5000, ms(5)) // observation ringSize+1 displaces observation 1
-		if d, _ := want.predictKNN(q); d != ms(999) {
+		if d, _ := want.predictKNN(q); d != ms(334) {
 			t.Fatalf("reference forgot observation 1: %v", d)
 		}
-		if d, _ := got.PredictKNN(q); d != ms(1) {
-			t.Errorf("after eviction: PredictKNN = %v, want observation 2's 1ms", d)
+		if d, _ := got.PredictKNN(q); d != ms(2) {
+			t.Errorf("after eviction: PredictKNN = %v, want mean(1ms, 2ms, 3ms) = 2ms", d)
 		}
 		if got.Len() != ringSize+1 {
 			t.Errorf("Len = %d, want %d: the ring bounds k-NN, not the count", got.Len(), ringSize+1)
@@ -352,19 +348,21 @@ func TestPredictorDeliberateDifferences(t *testing.T) {
 		}
 	})
 	t.Run("newest wins a tie", func(t *testing.T) {
-		p := New(Config{KNeighbors: 1})
-		p.Observe([]float64{5}, ms(10))
-		p.Observe([]float64{5}, ms(20))
-		p.Observe([]float64{9}, ms(70))
-		if d, _ := p.PredictKNN([]float64{5}); d != ms(20) {
-			t.Errorf("PredictKNN = %v, want the newer tied observation's 20ms", d)
+		p := New(Config{})
+		for _, lat := range []float64{10, 20, 30, 40} {
+			p.Observe([]float64{5}, ms(lat))
 		}
-		p = New(Config{KNeighbors: 2})
-		p.Observe([]float64{4}, ms(10)) // distance 1, oldest: loses the second place
+		p.Observe([]float64{9}, ms(70))
+		if d, _ := p.PredictKNN([]float64{5}); d != ms(30) {
+			t.Errorf("PredictKNN = %v, want mean of the three newer tied observations (20, 30, 40ms) = 30ms", d)
+		}
+		p = New(Config{})
+		p.Observe([]float64{4}, ms(10)) // distance 1, oldest: loses the third place
 		p.Observe([]float64{6}, ms(30)) // distance 1, newer
 		p.Observe([]float64{5}, ms(50)) // distance 0
-		if d, _ := p.PredictKNN([]float64{5}); d != ms(40) {
-			t.Errorf("PredictKNN = %v, want mean(50ms, 30ms) = 40ms", d)
+		p.Observe([]float64{5}, ms(70)) // distance 0
+		if d, _ := p.PredictKNN([]float64{5}); d != ms(50) {
+			t.Errorf("PredictKNN = %v, want mean(50ms, 70ms, 30ms) = 50ms", d)
 		}
 	})
 }

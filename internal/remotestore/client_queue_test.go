@@ -12,33 +12,37 @@ import (
 
 // TestOfflineQueueBounded is the regression test for the unbounded
 // write-back queue: before the cap, a client left offline long enough
-// queued every write forever. Now the queue holds at most MaxPending
+// queued every write forever. Now the queue holds at most maxPending
 // distinct keys, evicting oldest-first and counting the drops.
 func TestOfflineQueueBounded(t *testing.T) {
-	_, c, _ := newPair(t, ClusterConfig{Local: kvstore.NewMemory(), MaxPending: 10})
+	_, c, _ := newPair(t, ClusterConfig{Local: kvstore.NewMemory()})
 	c.SetOffline(true)
-	for i := 0; i < 100; i++ {
-		if err := c.Put(fmt.Sprintf("k%03d", i), []byte("v")); err != nil {
+	const n = maxPending + 90
+	for i := 0; i < n; i++ {
+		if err := c.Put(fmt.Sprintf("k%05d", i), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := c.PendingWrites(); got != 10 {
-		t.Fatalf("PendingWrites = %d, want 10 (cap) — queue is unbounded", got)
+	if got := c.PendingWrites(); got != maxPending {
+		t.Fatalf("PendingWrites = %d, want %d (cap) — queue is unbounded", got, maxPending)
 	}
 	if got := c.Stats().DroppedWrites; got != 90 {
 		t.Fatalf("DroppedWrites = %d, want 90", got)
 	}
-	// The survivors are the newest 10 keys.
+	// The survivors are the newest maxPending keys.
 	pushed, err := c.Sync()
-	if err != nil || pushed != 10 {
-		t.Fatalf("Sync = (%d, %v), want (10, nil)", pushed, err)
+	if err != nil || pushed != maxPending {
+		t.Fatalf("Sync = (%d, %v), want (%d, nil)", pushed, err, maxPending)
 	}
 	keys, err := c.Keys()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(keys) != 10 || keys[0] != "k090" || keys[9] != "k099" {
-		t.Fatalf("synced keys = %v, want k090..k099", keys)
+	if len(keys) != maxPending {
+		t.Fatalf("synced %d keys, want %d", len(keys), maxPending)
+	}
+	if keys[0] != "k00090" || keys[maxPending-1] != fmt.Sprintf("k%05d", n-1) {
+		t.Fatalf("synced keys %v … %v, want k00090 … k%05d", keys[0], keys[maxPending-1], n-1)
 	}
 }
 
@@ -46,7 +50,7 @@ func TestOfflineQueueBounded(t *testing.T) {
 // queued key must replace the entry in place, not consume another slot, so
 // a workload hammering few keys never hits the cap at all.
 func TestOfflineQueueCoalesces(t *testing.T) {
-	_, c, _ := newPair(t, ClusterConfig{Local: kvstore.NewMemory(), MaxPending: 4})
+	_, c, _ := newPair(t, ClusterConfig{Local: kvstore.NewMemory()})
 	c.SetOffline(true)
 	for i := 0; i < 50; i++ {
 		key := fmt.Sprintf("k%d", i%3)
@@ -69,25 +73,6 @@ func TestOfflineQueueCoalesces(t *testing.T) {
 		if err != nil || string(v) != want {
 			t.Fatalf("Get(%s) = (%q, %v), want %q", key, v, err, want)
 		}
-	}
-}
-
-// TestOfflineQueueUnbounded preserves the opt-out: MaxPending < 0 restores
-// grow-without-limit for callers that prefer memory pressure to drops.
-func TestOfflineQueueUnbounded(t *testing.T) {
-	_, c, _ := newPair(t, ClusterConfig{Local: kvstore.NewMemory(), MaxPending: -1})
-	c.SetOffline(true)
-	const n = defaultMaxPending + 100
-	for i := 0; i < n; i++ {
-		if err := c.Put(fmt.Sprintf("k%05d", i), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := c.PendingWrites(); got != n {
-		t.Fatalf("PendingWrites = %d, want %d", got, n)
-	}
-	if got := c.Stats().DroppedWrites; got != 0 {
-		t.Fatalf("DroppedWrites = %d, want 0", got)
 	}
 }
 

@@ -63,7 +63,8 @@ type Stats struct {
 
 // ClusterConfig configures the enhanced data store client. One node is a
 // cluster like any other: Replicas and WriteQuorum clamp to 1 and every
-// default below applies.
+// default below applies. Writes made while offline queue for Sync, at
+// most maxPending (4096) distinct keys, the oldest dropped first.
 type ClusterConfig struct {
 	// Nodes are the member store base URLs ("http://host:port"). The node
 	// name used for placement, breakers, and metrics is the URL itself.
@@ -85,19 +86,16 @@ type ClusterConfig struct {
 	// AESGCM}). Nil means Identity.
 	Codec codec.Codec
 	// CacheSize bounds the client-side read cache (entries); 0 disables
-	// caching. CacheTTL expires cached reads; 0 means no expiry.
+	// caching. Cached reads do not expire: writes through this client
+	// update the cache, and another client's writes show once the entry
+	// is evicted.
 	CacheSize int
-	CacheTTL  time.Duration
 	// Local, if non-nil, mirrors every write locally so reads keep
 	// working while disconnected (the paper's local storage service).
 	Local kvstore.Store
 	// Timeout bounds each attempt at a node, reading the reply included.
 	// 0 or negative means 10 seconds.
 	Timeout time.Duration
-	// MaxPending caps the offline write-back queue (distinct keys).
-	// 0 means defaultMaxPending; negative means unbounded, for callers
-	// that would rather grow than drop.
-	MaxPending int
 	// Breaker configures the per-node circuit breakers. Zero Threshold
 	// means 4 consecutive transient failures with a 2s cooldown; negative
 	// disables breaking.
@@ -260,10 +258,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	maxPending := cfg.MaxPending
-	if maxPending == 0 {
-		maxPending = defaultMaxPending
-	}
 	ringOpts := []ring.Option{ring.WithSeed(cfg.Seed)}
 	if cfg.VirtualNodes > 0 {
 		ringOpts = append(ringOpts, ring.WithVirtualNodes(cfg.VirtualNodes))
@@ -280,12 +274,12 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		ring:     ring.New(ringOpts...),
 		timeout:  cfg.Timeout,
 		nodes:    make(map[string]*transport, len(cfg.Nodes)),
-		queue:    newWriteQueue(maxPending),
+		queue:    newWriteQueue(),
 		inst:     newClusterInstruments(cfg.Metrics),
 	}
 	cl.rt = nodeRoundTripper()
 	if cfg.CacheSize > 0 {
-		cl.memcache = cache.NewSharded[[]byte](cfg.CacheSize, cache.WithTTL(cfg.CacheTTL))
+		cl.memcache = cache.NewSharded[[]byte](cfg.CacheSize)
 	}
 	for _, n := range cfg.Nodes {
 		cl.AddNode(n)

@@ -2,24 +2,23 @@ package remotestore
 
 import "sort"
 
-// defaultMaxPending bounds the offline write-back queue when
-// ClusterConfig.MaxPending is zero. During a long outage a busy client can
-// queue writes far faster than a reconnect will ever drain them; an
-// unbounded queue turns an availability incident into a memory incident.
-const defaultMaxPending = 4096
+// maxPending bounds the offline write-back queue (distinct keys). During a
+// long outage a busy client can queue writes far faster than a reconnect
+// will ever drain them; an unbounded queue turns an availability incident
+// into a memory incident.
+const maxPending = 4096
 
 // writeQueue is the offline write-back queue: an ordered, per-key-coalesced
 // buffer of writes awaiting Sync. A later write to a key already queued
 // replaces the queued entry in place (the remote store only ever needs the
 // final value — replaying superseded versions wastes uplink), so the queue
-// holds at most one entry per key. When even that exceeds max, the oldest
+// holds at most one entry per key. When even that exceeds maxPending, the oldest
 // entry is dropped and counted; the local mirror still has the value, so a
 // drop trades durability-on-reconnect for bounded memory, which is the
 // right trade during an unbounded outage.
 //
 // Callers hold the owning client's mutex; writeQueue does no locking.
 type writeQueue struct {
-	max     int // <= 0 means unbounded
 	entries []pendingWrite
 	index   map[string]int // key -> position in entries
 	seq     int64
@@ -34,8 +33,8 @@ type pendingWrite struct {
 	delete bool
 }
 
-func newWriteQueue(max int) *writeQueue {
-	return &writeQueue{max: max, index: make(map[string]int)}
+func newWriteQueue() *writeQueue {
+	return &writeQueue{index: make(map[string]int)}
 }
 
 // push queues a write (or delete), coalescing onto an existing entry for
@@ -51,7 +50,7 @@ func (q *writeQueue) push(key string, encoded []byte, del bool) (evicted bool) {
 		q.entries[i] = w
 		return false
 	}
-	if q.max > 0 && len(q.entries) >= q.max {
+	if len(q.entries) >= maxPending {
 		oldest := q.entries[0]
 		delete(q.index, oldest.key)
 		q.entries = q.entries[1:]
@@ -99,16 +98,14 @@ func (q *writeQueue) requeue(entries []pendingWrite) {
 		q.entries = append(q.entries, w)
 	}
 	// Enforce the cap after merging; over-cap entries drop oldest-first.
-	if q.max > 0 {
-		for len(q.entries) > q.max {
-			oldest := q.entries[0]
-			delete(q.index, oldest.key)
-			q.entries = q.entries[1:]
-			for k, i := range q.index {
-				q.index[k] = i - 1
-			}
-			q.dropped++
+	for len(q.entries) > maxPending {
+		oldest := q.entries[0]
+		delete(q.index, oldest.key)
+		q.entries = q.entries[1:]
+		for k, i := range q.index {
+			q.index[k] = i - 1
 		}
+		q.dropped++
 	}
 }
 

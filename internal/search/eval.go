@@ -119,6 +119,12 @@ type cursor struct {
 	ub     float64 // list-wide upper bound × weight, clamped at 0
 	pos    int
 	blk    int
+	// prefix is the sum of ub over this cursor and every one before it
+	// in ascending-bound order; contrib and has are this term's share of
+	// the document being scored.
+	prefix  float64
+	contrib float64
+	has     bool
 
 	base  int     // list index of the first posting in docs (-1: none)
 	n     uint    // postings in docs
@@ -345,11 +351,10 @@ func (idx *Index) evaluate(qterms []qterm, p Params, opts Options, stats *Stats)
 	// Ascending upper bound; stable so equal bounds keep the sorted-term
 	// query order and evaluation stays deterministic.
 	sort.SliceStable(cursors, func(i, j int) bool { return cursors[i].ub < cursors[j].ub })
-	prefix := make([]float64, len(cursors))
 	sum := 0.0
 	for i := range cursors {
 		sum += cursors[i].ub
-		prefix[i] = sum
+		cursors[i].prefix = sum
 	}
 
 	k := opts.Limit + opts.Offset
@@ -359,15 +364,13 @@ func (idx *Index) evaluate(qterms []qterm, p Params, opts Options, stats *Stats)
 	bar := 0.0
 	full := false
 	nonEss := 0
-	contrib := make([]float64, len(cursors))
-	has := make([]bool, len(cursors))
 
 	for {
 		if full {
 			// Terms whose cumulative upper bound cannot beat the
 			// threshold become non-essential; when every term is, no
 			// unseen document can enter the heap.
-			for nonEss < len(cursors) && prefix[nonEss] < bar {
+			for nonEss < len(cursors) && cursors[nonEss].prefix < bar {
 				nonEss++
 			}
 			if nonEss == len(cursors) {
@@ -393,8 +396,8 @@ func (idx *Index) evaluate(qterms []qterm, p Params, opts Options, stats *Stats)
 			}
 			continue
 		}
-		for i := range contrib {
-			contrib[i], has[i] = 0, false
+		for i := range cursors {
+			cursors[i].contrib, cursors[i].has = 0, false
 		}
 		matched := false
 		run := 0.0 // running partial for bound checks only
@@ -404,7 +407,7 @@ func (idx *Index) evaluate(qterms []qterm, p Params, opts Options, stats *Stats)
 				s, m := sc.score(c.idf, c.curFreq(), idx.docLen[doc])
 				s *= c.weight
 				c.pos++
-				contrib[i], has[i] = s, m
+				c.contrib, c.has = s, m
 				if m {
 					matched = true
 					run += s
@@ -413,7 +416,7 @@ func (idx *Index) evaluate(qterms []qterm, p Params, opts Options, stats *Stats)
 		}
 		abandoned := false
 		for j := nonEss - 1; j >= 0; j-- {
-			if full && run+prefix[j] < bar {
+			if full && run+cursors[j].prefix < bar {
 				abandoned = true
 				break
 			}
@@ -424,7 +427,7 @@ func (idx *Index) evaluate(qterms []qterm, p Params, opts Options, stats *Stats)
 			}
 			below := 0.0
 			if j > 0 {
-				below = prefix[j-1]
+				below = cursors[j-1].prefix
 			}
 			if full {
 				if run+c.blockBound(&sc)+below < bar {
@@ -440,7 +443,7 @@ func (idx *Index) evaluate(qterms []qterm, p Params, opts Options, stats *Stats)
 			if freq, found := c.find(doc); found {
 				s, m := sc.score(c.idf, freq, idx.docLen[doc])
 				s *= c.weight
-				contrib[j], has[j] = s, m
+				c.contrib, c.has = s, m
 				if m {
 					matched = true
 					run += s
@@ -460,8 +463,8 @@ func (idx *Index) evaluate(qterms []qterm, p Params, opts Options, stats *Stats)
 		// tie exactly — as they do in the baseline's single-pass scan.
 		score := 0.0
 		for i := range cursors {
-			if has[i] {
-				score += contrib[i]
+			if cursors[i].has {
+				score += cursors[i].contrib
 			}
 		}
 		stats.Scored++

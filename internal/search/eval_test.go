@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/lexicon"
+	"repro/internal/raceflag"
 	"repro/internal/webcorpus"
 )
 
@@ -82,6 +83,26 @@ func TestSearchResultsDigest(t *testing.T) {
 	}
 	if got := h.Sum64(); got != want {
 		t.Fatalf("results digest over %d searches %#x, want %#x", searches, got, want)
+	}
+}
+
+// TestSearchAllocs pins one search's allocations: a fixed three-term
+// TuningG body query against the 5k seed-1 index, top 10. The evaluator's
+// per-query state lives in its cursors, one allocation; the rest is
+// parsing the query and building the results.
+func TestSearchAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not the product's under the race detector")
+	}
+	const want = 20
+	c := webcorpus.Generate(webcorpus.Config{Seed: 1, NumDocs: 5000})
+	idx := BuildIndex(c, WithExpansion(lexicon.PMIConfig{}))
+	q := bodyQueries(c, 1, 1)[0]
+	if res := idx.Search(q, TuningG, Options{Limit: 10}); len(res) == 0 {
+		t.Fatalf("query %q found nothing", q)
+	}
+	if got := testing.AllocsPerRun(20, func() { idx.Search(q, TuningG, Options{Limit: 10}) }); got != want {
+		t.Errorf("search %q makes %v allocations, want %d", q, got, want)
 	}
 }
 

@@ -278,7 +278,6 @@ type IndexOption func(*indexConfig)
 
 type indexConfig struct {
 	expansion bool
-	pmi       lexicon.PMIConfig
 	set       *metrics.Set
 }
 
@@ -294,13 +293,9 @@ func WithMetrics(set *metrics.Set) IndexOption {
 // WithExpansion builds the query-expansion tables alongside the index:
 // the gazetteer synonym table plus a corpus-derived PMI co-occurrence
 // table accumulated from each document's filtered tokens during the
-// indexing pass. cfg tunes the PMI build; the zero value means defaults
-// (see lexicon.PMIConfig).
-func WithExpansion(cfg lexicon.PMIConfig) IndexOption {
-	return func(c *indexConfig) {
-		c.expansion = true
-		c.pmi = cfg
-	}
+// indexing pass. The argument has no fields (see lexicon.PMIConfig).
+func WithExpansion(lexicon.PMIConfig) IndexOption {
+	return func(c *indexConfig) { c.expansion = true }
 }
 
 // BuildIndex indexes every document in the corpus.
@@ -318,7 +313,7 @@ func BuildIndex(c *webcorpus.Corpus, opts ...IndexOption) *Index {
 	}
 	var pmi *lexicon.PMIBuilder
 	if cfg.expansion {
-		pmi = lexicon.NewPMIBuilder(cfg.pmi, dict)
+		pmi = lexicon.NewPMIBuilder(dict)
 	}
 	// One scan per body and title resolves each kept token straight to
 	// its term ID: the token is lowered into buf and looked up by its

@@ -84,14 +84,6 @@ type Config struct {
 	// FailRate is the probability in [0,1] that an invocation fails with
 	// service.ErrUnavailable after its latency elapses.
 	FailRate float64
-	// HangRate is the probability in [0,1] that the service becomes
-	// unresponsive for the invocation: it blocks until HangDuration (or
-	// the context deadline) elapses and then fails. Models the paper's
-	// "remote services can sometimes be unresponsive".
-	HangRate float64
-	// HangDuration bounds how long a hung invocation blocks. Zero means
-	// 30 seconds.
-	HangDuration time.Duration
 	// Quota, if non-nil, is consumed on every invocation attempt.
 	Quota *service.Quota
 	// Capacity bounds how many invocations are serviced concurrently,
@@ -138,9 +130,6 @@ func New(cfg Config) *Service {
 	clk := cfg.Clock
 	if clk == nil {
 		clk = clock.Real()
-	}
-	if cfg.HangDuration == 0 {
-		cfg.HangDuration = 30 * time.Second
 	}
 	s := &Service{
 		cfg:      cfg,
@@ -201,8 +190,8 @@ func (s *Service) Invocations() int64 {
 }
 
 // Invoke implements service.Service: it enforces the quota, queues for a
-// capacity slot, samples and waits out the latency, injects failures and
-// hangs, and finally delegates to the handler.
+// capacity slot, samples and waits out the latency, injects failures, and
+// finally delegates to the handler.
 func (s *Service) Invoke(ctx context.Context, req service.Request) (service.Response, error) {
 	s.mu.Lock()
 	s.invocations++
@@ -213,7 +202,6 @@ func (s *Service) Invoke(ctx context.Context, req service.Request) (service.Resp
 	}
 	lat += s.extraLat
 	fail := s.failRate > 0 && s.rng.Bernoulli(s.failRate)
-	hang := s.cfg.HangRate > 0 && s.rng.Bernoulli(s.cfg.HangRate)
 	s.mu.Unlock()
 
 	if down {
@@ -228,14 +216,6 @@ func (s *Service) Invoke(ctx context.Context, req service.Request) (service.Resp
 			defer func() { <-s.slots }()
 		case <-ctx.Done():
 			return service.Response{}, fmt.Errorf("simsvc: %s: queued at capacity: %w", s.cfg.Info.Name, ctx.Err())
-		}
-	}
-	if hang {
-		select {
-		case <-ctx.Done():
-			return service.Response{}, fmt.Errorf("simsvc: %s unresponsive: %w: %w", s.cfg.Info.Name, service.ErrUnavailable, ctx.Err())
-		case <-s.clk.After(s.cfg.HangDuration):
-			return service.Response{}, fmt.Errorf("simsvc: %s unresponsive: %w", s.cfg.Info.Name, service.ErrUnavailable)
 		}
 	}
 	if lat > 0 {

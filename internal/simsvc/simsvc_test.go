@@ -208,28 +208,6 @@ func TestServiceQuotaExceeded(t *testing.T) {
 	}
 }
 
-func TestServiceHangRespectsContext(t *testing.T) {
-	svc := New(Config{
-		Info:         service.Info{Name: "hang", Category: "t"},
-		HangRate:     1,
-		HangDuration: time.Hour,
-		Seed:         1,
-	})
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err := svc.Invoke(ctx, service.Request{})
-	if !errors.Is(err, service.ErrUnavailable) {
-		t.Errorf("error = %v, want ErrUnavailable", err)
-	}
-	if !strings.Contains(err.Error(), "unresponsive") {
-		t.Errorf("error %q should mention unresponsiveness", err)
-	}
-	if time.Since(start) > 5*time.Second {
-		t.Error("hang did not respect context deadline")
-	}
-}
-
 func TestServiceContextCancelDuringLatency(t *testing.T) {
 	svc := New(Config{
 		Info:    service.Info{Name: "slow", Category: "t"},

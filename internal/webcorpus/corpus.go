@@ -52,47 +52,20 @@ type Config struct {
 	Seed int64
 	// NumDocs is the corpus size. 0 means 200.
 	NumDocs int
-	// BaseURL prefixes document URLs. Empty means "http://web.local".
-	BaseURL string
-	// Start is the timestamp of the oldest document. Zero means
-	// 2026-01-01 UTC.
-	Start time.Time
-	// MaxEntities caps how many entities a document mentions (each doc
-	// draws 1..MaxEntities). 0 means 3. At the default the generator's
-	// random sequence is unchanged, so existing seeds produce identical
-	// corpora.
-	MaxEntities int
-	// FillerMin/FillerMax bound the neutral filler sentences per document
-	// (inclusive), controlling document length and vocabulary spread.
-	// FillerMin 0 means 2; FillerMax below FillerMin means FillerMin+4
-	// (so the defaults are 2..6). Defaults again leave the random
-	// sequence untouched.
-	FillerMin int
-	FillerMax int
 }
 
-// fill applies Config defaults for the document-shape knobs.
-func (cfg Config) fill() Config {
-	if cfg.NumDocs <= 0 {
-		cfg.NumDocs = 200
-	}
-	if cfg.BaseURL == "" {
-		cfg.BaseURL = "http://web.local"
-	}
-	if cfg.Start.IsZero() {
-		cfg.Start = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	}
-	if cfg.MaxEntities <= 0 {
-		cfg.MaxEntities = 3
-	}
-	if cfg.FillerMin <= 0 {
-		cfg.FillerMin = 2
-	}
-	if cfg.FillerMax < cfg.FillerMin {
-		cfg.FillerMax = cfg.FillerMin + 4
-	}
-	return cfg
-}
+// The documents' shape. Document i is served at baseURL/docs/<ID> and
+// published i hours after firstPublished; it mentions 1..maxEntities entities and
+// carries fillerMin..fillerMax neutral filler sentences (inclusive), which
+// vary its length and vocabulary.
+const (
+	baseURL     = "http://web.local"
+	maxEntities = 3
+	fillerMin   = 2
+	fillerMax   = 6
+)
+
+var firstPublished = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 
 var kinds = []string{"news", "news", "blog", "reference"} // news-heavy web
 
@@ -130,7 +103,9 @@ var fillerTemplates = []string{
 
 // Generate builds a corpus from cfg.
 func Generate(cfg Config) *Corpus {
-	cfg = cfg.fill()
+	if cfg.NumDocs <= 0 {
+		cfg.NumDocs = 200
+	}
 	rng := xrand.New(cfg.Seed)
 	entities := lexicon.AllEntities()
 	c := &Corpus{
@@ -139,7 +114,7 @@ func Generate(cfg Config) *Corpus {
 		byURL: make(map[string]*Document, cfg.NumDocs),
 	}
 	for i := 0; i < cfg.NumDocs; i++ {
-		doc := generateDoc(i, cfg, rng, entities)
+		doc := generateDoc(i, rng, entities)
 		c.Docs = append(c.Docs, doc)
 	}
 	for i := range c.Docs {
@@ -150,10 +125,10 @@ func Generate(cfg Config) *Corpus {
 	return c
 }
 
-func generateDoc(i int, cfg Config, rng *xrand.Source, entities []lexicon.Entity) Document {
+func generateDoc(i int, rng *xrand.Source, entities []lexicon.Entity) Document {
 	id := fmt.Sprintf("doc-%06d", i)
 	kind := kinds[rng.Intn(len(kinds))]
-	nEntities := 1 + rng.Intn(cfg.MaxEntities)
+	nEntities := 1 + rng.Intn(maxEntities)
 	chosen := xrand.Sample(rng, entities, nEntities)
 
 	var sentences []string
@@ -206,7 +181,7 @@ func generateDoc(i int, cfg Config, rng *xrand.Source, entities []lexicon.Entity
 		}
 	}
 	// Neutral filler to vary length and vocabulary.
-	nFiller := cfg.FillerMin + rng.Intn(cfg.FillerMax-cfg.FillerMin+1)
+	nFiller := fillerMin + rng.Intn(fillerMax-fillerMin+1)
 	for f := 0; f < nFiller; f++ {
 		s := xrand.Choice(rng, fillerTemplates)
 		for strings.Contains(s, "%n") {
@@ -222,11 +197,11 @@ func generateDoc(i int, cfg Config, rng *xrand.Source, entities []lexicon.Entity
 
 	return Document{
 		ID:           id,
-		URL:          fmt.Sprintf("%s/docs/%s", cfg.BaseURL, id),
+		URL:          baseURL + "/docs/" + id,
 		Title:        title,
 		Body:         strings.Join(sentences, " "),
 		Kind:         kind,
-		Published:    cfg.Start.Add(time.Duration(i) * time.Hour),
+		Published:    firstPublished.Add(time.Duration(i) * time.Hour),
 		TrueEntities: trueIDs,
 		TruePolarity: polarity,
 	}

@@ -1,10 +1,14 @@
 package webcorpus
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -27,6 +31,51 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 	if same == len(a.Docs) {
 		t.Error("different seeds produced identical corpora")
+	}
+}
+
+// TestGenerateDigest pins the generator's output: an FNV-64 over every
+// field of every Document of a 2 000-document seed-1 corpus. The search,
+// analysis and KB oracles all read corpora built from these defaults, so a
+// change that moves this constant moves them too.
+func TestGenerateDigest(t *testing.T) {
+	const want uint64 = 0x872cd3a3d31dc47
+	c := Generate(Config{Seed: 1, NumDocs: 2000})
+	h := fnv.New64a()
+	var buf [8]byte
+	u64 := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	str := func(s string) {
+		u64(uint64(len(s)))
+		h.Write([]byte(s))
+	}
+	for _, d := range c.Docs {
+		str(d.ID)
+		str(d.URL)
+		str(d.Title)
+		str(d.Body)
+		str(d.Kind)
+		u64(uint64(d.Published.UnixNano()))
+		str(d.Published.Location().String())
+		u64(uint64(len(d.TrueEntities)))
+		for _, e := range d.TrueEntities {
+			str(e)
+		}
+		ids := make([]string, 0, len(d.TruePolarity))
+		for id := range d.TruePolarity {
+			ids = append(ids, id)
+		}
+		sort.Strings(ids)
+		u64(uint64(len(ids)))
+		for _, id := range ids {
+			str(id)
+			u64(math.Float64bits(d.TruePolarity[id]))
+		}
+	}
+	if got := h.Sum64(); got != want {
+		t.Fatalf("corpus digest over %d documents %#x, want %#x", c.Len(), got, want)
 	}
 }
 
