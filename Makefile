@@ -58,14 +58,18 @@ flake:
 # program reads, those only their own package uses, those only tests read
 # and those api_allowlist.txt keeps, then the package-private test seams
 # it keeps, then the knob pass: per config type, the fields a program
-# sets (with the programs) and the fields allowlisted (with the reason).
-# It fails on any exported name that is neither read nor allowlisted, on
-# any package-private name no non-test file of its package names that is
-# not an allowlisted test seam, on any config field no program sets that
-# is not allowlisted, and on any stale or reasonless allowlist line.
-# TestKnobPass runs the knob pass on a small in-memory tree.
+# sets (with the programs) and the fields allowlisted (with the reason),
+# then the method pass: per package, the exported methods a program
+# calls, those an interface assertion keeps and those allowlisted (with
+# the reason). It fails on any exported name that is neither read nor
+# allowlisted, on any package-private name no non-test file of its
+# package names that is not an allowlisted test seam, on any config
+# field no program sets that is not allowlisted, on any exported method
+# no program calls that no assertion or allowlist line keeps, and on any
+# stale or reasonless allowlist line. TestKnobPass and TestMethodPass run
+# the knob and method passes on small in-memory trees.
 api:
-	$(GO) test -count=1 -run '^(TestExportedNamesHaveReaders|TestKnobPass)$$' -v .
+	$(GO) test -count=1 -run '^(TestExportedNamesHaveReaders|TestKnobPass|TestMethodPass)$$' -v .
 
 # fuzz runs every Fuzz* target for FUZZTIME each, one at a time (go test
 # takes one -fuzz target per package run): the search, NLU and RDF parsers,
@@ -109,7 +113,10 @@ api:
 # 16 s on 2 cores against ~40 000 in 10 s with it off), and the search
 # index's block-coded posting lists against plain slices under next,
 # seekBlock and find (FuzzPostingBlocks: gaps of 256 and 65 536 and
-# more, frequencies of 16 and 256 and more, header bounds exact). Plain
+# more, frequencies of 16 and 256 and more, header bounds exact), and the
+# store client's offline write-back queue against a plain slice under
+# push, coalesce, drain, requeue and drops past maxPending (FuzzWriteQueue;
+# minimisation off: a burst of 4 096 pushes makes each step slow). Plain
 # `go test` replays only the committed seed corpora under testdata/fuzz;
 # a failure found here is written there.
 FUZZTIME ?= 10s
@@ -122,6 +129,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzChainRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/codec
 	$(GO) test -run '^$$' -fuzz '^FuzzKeysDecode$$' -fuzztime $(FUZZTIME) ./internal/remotestore
 	$(GO) test -run '^$$' -fuzz '^FuzzReadBody$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 0s ./internal/remotestore
+	$(GO) test -run '^$$' -fuzz '^FuzzWriteQueue$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 0s ./internal/remotestore
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeAnalysis$$' -fuzztime $(FUZZTIME) ./internal/nlu
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResults$$' -fuzztime $(FUZZTIME) ./internal/search
 	$(GO) test -run '^$$' -fuzz '^FuzzMonitor$$' -fuzztime $(FUZZTIME) ./internal/metrics

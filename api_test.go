@@ -325,9 +325,10 @@ func loadPrivate(fset *token.FileSet, files []goFile) map[string]*privateName {
 // knobType is one config type under the knob pass: an exported struct
 // type named Config or …Config, or failover.RetryPolicy.
 type knobType struct {
-	path   string   // import path of its package
-	key    string   // pkg.Type
-	fields []string // its exported fields, in declaration order
+	path    string   // import path of its package
+	key     string   // pkg.Type
+	fields  []string // its exported fields, in declaration order
+	methods map[string]bool
 	// set[field] holds the directories (internal/ dropped) of the
 	// non-test files of other packages that write it, tested[field] the
 	// package names of the tests that do.
@@ -353,7 +354,10 @@ func knobTypes(files []goFile, pkgs map[string]*apiPackage) []*knobType {
 			if !ok {
 				continue
 			}
-			k := &knobType{path: p, key: pkg.name + "." + n, set: map[string]map[string]bool{}, tested: map[string]map[string]bool{}}
+			k := &knobType{path: p, key: pkg.name + "." + n, methods: map[string]bool{}, set: map[string]map[string]bool{}, tested: map[string]map[string]bool{}}
+			for _, m := range pkg.methods[n] {
+				k.methods[m.Name.Name] = true
+			}
 			for _, fld := range st.Fields.List {
 				for _, id := range fld.Names {
 					if id.IsExported() {
@@ -688,12 +692,16 @@ func parseAllowlist(text string) (allowed map[string]allowLine, problems []strin
 
 // checkKnobs holds every exported field of the knob types to a program
 // that sets it or to an allowlist line pkg.Type.Field with a reason. A
-// `test seam:` line names packages whose tests set the field. It returns
-// one inventory line per type and one line per problem.
+// `test seam:` line names packages whose tests set the field. Lines
+// naming a method, or a member of a type that is no config type, are the
+// method pass's. It returns one inventory line per type and one line per
+// problem.
 func checkKnobs(types []*knobType, allowed map[string]allowLine, homes map[string]string) (report, problems []string) {
 	fields := map[string]*knobType{} // pkg.Type.Field → its type
+	byKey := map[string]*knobType{}
 	total, set := 0, 0
 	for _, k := range types {
+		byKey[k.key] = k
 		var bySet, listed []string
 		for _, fld := range k.fields {
 			key := k.key + "." + fld
@@ -721,7 +729,7 @@ func checkKnobs(types []*knobType, allowed map[string]allowLine, homes map[strin
 
 	lines := make([]allowLine, 0, len(allowed))
 	for _, l := range allowed {
-		if l.field != "" {
+		if k := byKey[l.pkg+"."+l.name]; k != nil && l.field != "" && !k.methods[l.field] {
 			lines = append(lines, l)
 		}
 	}
@@ -746,6 +754,269 @@ func checkKnobs(types []*knobType, allowed map[string]allowLine, homes map[strin
 		}
 		if m := reasonForms[1].FindStringSubmatch(l.reason); m != nil && homes[m[1]] != m[2] {
 			problems = append(problems, fmt.Sprintf("%s: %s is not %s's home test in EXPERIMENTS.md", at, m[2], m[1]))
+		}
+	}
+	return report, problems
+}
+
+// stdInterfaces are the method sets of the standard library's interfaces
+// that non-test code asserts a type implements; the lister parses and
+// does not type-check, so it cannot read them from their packages.
+var stdInterfaces = map[string][]string{
+	"fmt.Stringer": {"String"},
+	"http.Handler": {"ServeHTTP"},
+	"slog.Handler": {"Enabled", "Handle", "WithAttrs", "WithGroup"},
+}
+
+// apiMethod is one exported method of an exported type of a lister
+// package.
+type apiMethod struct {
+	dir string // its package's
+	key string // pkg.Type.Method
+	// callers holds the directories (internal/ dropped) of the non-test
+	// files of other packages that select the name; asserted names the
+	// interface a non-test compile-time assertion holds the type to.
+	callers  map[string]bool
+	asserted string
+	own      bool            // a non-test file of its package selects the name
+	tested   map[string]bool // package names of the tests that select it
+}
+
+// apiMethods lists the exported methods of the exported types of the
+// lister's packages and who calls them. A call is a selector x.Name in any
+// file, matched by the method's name alone, so it can only count a method
+// as called that is not. A non-test declaration `var _ I = T{}` (or
+// (*T)(nil), &T{}, T(nil)) keeps T's methods of I's method set; problems
+// names each asserted interface whose method set the lister cannot read.
+func apiMethods(files []goFile, pkgs map[string]*apiPackage) (methods []*apiMethod, problems []string) {
+	selects := map[string]map[string]bool{}     // name → dirs of non-test files selecting it
+	testSelects := map[string]map[string]bool{} // name → test package names selecting it
+	asserted := map[[3]string]string{}          // path, type, method → interface
+	for _, f := range files {
+		testPkg := strings.TrimSuffix(f.ast.Name.Name, "_test")
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if f.test {
+					mark(testSelects, sel.Sel.Name, testPkg)
+				} else {
+					mark(selects, sel.Sel.Name, f.dir)
+				}
+			}
+			return true
+		})
+		if f.test {
+			continue
+		}
+		imports := importNames(f.ast, pkgs)
+		own := "repro/" + f.dir
+		for _, d := range f.ast.Decls {
+			g, ok := d.(*ast.GenDecl)
+			if !ok || g.Tok != token.VAR {
+				continue
+			}
+			for _, s := range g.Specs {
+				v := s.(*ast.ValueSpec)
+				if len(v.Names) != 1 || v.Names[0].Name != "_" || v.Type == nil || len(v.Values) != 1 {
+					continue
+				}
+				iface := typeName(v.Type, own, imports)
+				name := path.Base(iface[0]) + "." + iface[1]
+				names, ok := interfaceMethods(iface, files, pkgs)
+				if !ok {
+					problems = append(problems, fmt.Sprintf("%s: the method set of %s is unknown to the lister: add it to stdInterfaces", f.dir, name))
+					continue
+				}
+				typ := typeName(assertedType(v.Values[0]), own, imports)
+				for _, m := range names {
+					asserted[[3]string{typ[0], typ[1], m}] = name
+				}
+			}
+		}
+	}
+	for p, pkg := range pkgs {
+		for typ, decls := range pkg.methods {
+			if _, ok := pkg.exported[typ].(*ast.TypeSpec); !ok {
+				continue
+			}
+			for _, d := range decls {
+				name := d.Name.Name
+				if !d.Name.IsExported() {
+					continue
+				}
+				m := &apiMethod{dir: pkg.dir, key: pkg.name + "." + typ + "." + name,
+					callers: map[string]bool{}, asserted: asserted[[3]string{p, typ, name}], tested: testSelects[name]}
+				for dir := range selects[name] {
+					if dir == pkg.dir {
+						m.own = true
+					} else {
+						m.callers[strings.TrimPrefix(dir, "internal/")] = true
+					}
+				}
+				methods = append(methods, m)
+			}
+		}
+	}
+	sort.Slice(methods, func(i, j int) bool { return methods[i].key < methods[j].key })
+	sort.Strings(problems)
+	return methods, problems
+}
+
+// typeName resolves a type expression to its import path and name: a
+// name of the file's own package, or pkg.Name of an imported lister
+// package. Any other qualified name keeps its package name in place of a
+// path.
+func typeName(e ast.Expr, own string, imports map[string]string) [2]string {
+	switch e := e.(type) {
+	case *ast.Ident:
+		return [2]string{own, e.Name}
+	case *ast.SelectorExpr:
+		if id, ok := e.X.(*ast.Ident); ok {
+			if p, ok := imports[id.Name]; ok {
+				return [2]string{p, e.Sel.Name}
+			}
+			return [2]string{id.Name, e.Sel.Name}
+		}
+	}
+	return [2]string{}
+}
+
+// assertedType is the type of an assertion's value: T{}, &T{}, (*T)(nil),
+// T(nil).
+func assertedType(e ast.Expr) ast.Expr {
+	for {
+		switch v := e.(type) {
+		case *ast.ParenExpr:
+			e = v.X
+		case *ast.UnaryExpr:
+			e = v.X
+		case *ast.StarExpr:
+			e = v.X
+		case *ast.CompositeLit:
+			e = v.Type
+		case *ast.CallExpr:
+			e = v.Fun
+		default:
+			return e
+		}
+	}
+}
+
+// interfaceMethods is the method set of an interface, its embedded
+// interfaces' included: a lister package's, read from its declaration, or
+// one of stdInterfaces.
+func interfaceMethods(iface [2]string, files []goFile, pkgs map[string]*apiPackage) ([]string, bool) {
+	pkg := pkgs[iface[0]]
+	if pkg == nil {
+		m, ok := stdInterfaces[iface[0]+"."+iface[1]]
+		return m, ok
+	}
+	ts, ok := pkg.decls[iface[1]].(*ast.TypeSpec)
+	if !ok {
+		return nil, false
+	}
+	var imports map[string]string
+	for _, f := range files {
+		if f.dir == pkg.dir && !f.test && within(f.ast, ts) {
+			imports = importNames(f.ast, pkgs)
+		}
+	}
+	it, ok := ts.Type.(*ast.InterfaceType)
+	if !ok {
+		return interfaceMethods(typeName(ts.Type, iface[0], imports), files, pkgs)
+	}
+	var names []string
+	for _, fld := range it.Methods.List {
+		for _, n := range fld.Names {
+			names = append(names, n.Name)
+		}
+		if len(fld.Names) > 0 {
+			continue
+		}
+		more, ok := interfaceMethods(typeName(fld.Type, iface[0], imports), files, pkgs)
+		if !ok {
+			return nil, false
+		}
+		names = append(names, more...)
+	}
+	return names, true
+}
+
+// checkMethods holds every method of the inventory to a program that
+// calls it, an interface assertion, or an allowlist line pkg.Type.Method
+// with a reason; a `test seam:` line names packages whose tests call it.
+// Lines naming a member of a config type (knobs, pkg.Type) that is not
+// one of its methods are the knob pass's. It returns one inventory line
+// per package and one line per problem.
+func checkMethods(methods []*apiMethod, allowed map[string]allowLine, homes map[string]string, knobs map[string]bool) (report, problems []string) {
+	byKey := map[string]*apiMethod{}
+	type inventory struct{ called, asserted, listed []string }
+	byDir := map[string]*inventory{}
+	var dirs []string
+	called, kept := 0, 0
+	for _, m := range methods {
+		byKey[m.key] = m
+		inv := byDir[m.dir]
+		if inv == nil {
+			inv = &inventory{}
+			byDir[m.dir] = inv
+			dirs = append(dirs, m.dir)
+		}
+		short := m.key[strings.Index(m.key, ".")+1:]
+		l, listed := allowed[m.key]
+		switch {
+		case len(m.callers) > 0:
+			called++
+			inv.called = append(inv.called, short)
+		case m.asserted != "":
+			kept++
+			inv.asserted = append(inv.asserted, short+" ("+m.asserted+")")
+		case listed:
+			inv.listed = append(inv.listed, short+" — "+l.reason)
+		case m.own:
+			problems = append(problems, m.key+" is called only inside "+m.dir+": unexport it")
+		case len(m.tested) > 0:
+			problems = append(problems, m.key+" is called only by tests: delete it with them, or allowlist it as a test seam")
+		default:
+			problems = append(problems, m.key+" has no caller: delete it")
+		}
+	}
+	sort.Strings(dirs)
+	for _, d := range dirs {
+		inv := byDir[d]
+		report = append(report, fmt.Sprintf("%s methods: called by a program %v; kept by an interface assertion %v; allowlisted %v", d, inv.called, inv.asserted, inv.listed))
+	}
+	report = append(report, fmt.Sprintf("%d exported methods, %d called by a program, %d kept by an interface assertion", len(methods), called, kept))
+
+	lines := make([]allowLine, 0, len(allowed))
+	for _, l := range allowed {
+		if l.field != "" && (byKey[l.key()] != nil || !knobs[l.pkg+"."+l.name]) {
+			lines = append(lines, l)
+		}
+	}
+	sort.Slice(lines, func(i, j int) bool { return lines[i].line < lines[j].line })
+	for _, l := range lines {
+		at := fmt.Sprintf("%s:%d: %s", allowlistFile, l.line, l.key())
+		m := byKey[l.key()]
+		switch {
+		case m == nil:
+			problems = append(problems, at+" does not exist: drop the line")
+			continue
+		case len(m.callers) > 0:
+			problems = append(problems, at+" is called by a program now: drop the line")
+			continue
+		case m.asserted != "":
+			problems = append(problems, at+" is kept by an assertion of "+m.asserted+": drop the line")
+			continue
+		}
+		if s := reasonForms[0].FindStringSubmatch(l.reason); s != nil {
+			for _, user := range strings.Split(s[1], ", ") {
+				if !m.tested[user] {
+					problems = append(problems, fmt.Sprintf("%s: no test of package %s calls it", at, user))
+				}
+			}
+		}
+		if s := reasonForms[1].FindStringSubmatch(l.reason); s != nil && homes[s[1]] != s[2] {
+			problems = append(problems, fmt.Sprintf("%s: %s is not %s's home test in EXPERIMENTS.md", at, s[2], s[1]))
 		}
 	}
 	return report, problems
@@ -890,11 +1161,25 @@ func TestExportedNamesHaveReaders(t *testing.T) {
 		}
 	}
 
-	report, problems := checkKnobs(knobTypes(x.files, x.pkgs), allowed, homes)
+	knobs := knobTypes(x.files, x.pkgs)
+	report, problems := checkKnobs(knobs, allowed, homes)
 	for _, r := range report {
 		t.Log(r)
 	}
 	for _, p := range problems {
+		t.Error(p)
+	}
+
+	isKnob := map[string]bool{}
+	for _, k := range knobs {
+		isKnob[k.key] = true
+	}
+	methods, problems := apiMethods(x.files, x.pkgs)
+	report, more := checkMethods(methods, allowed, homes, isKnob)
+	for _, r := range report {
+		t.Log(r)
+	}
+	for _, p := range append(problems, more...) {
 		t.Error(p)
 	}
 }
@@ -954,6 +1239,102 @@ func main() {
 	} {
 		allowed, problems := parseAllowlist(tc.allowlist)
 		_, more := checkKnobs(types, allowed, nil)
+		problems = append(problems, more...)
+		ok := len(problems) == len(tc.want)
+		for i := 0; ok && i < len(problems); i++ {
+			ok = strings.Contains(problems[i], tc.want[i])
+		}
+		if !ok {
+			t.Errorf("%s: problems\n\t%s\nwant\n\t%s", tc.name, strings.Join(problems, "\n\t"), strings.Join(tc.want, "\n\t"))
+		}
+	}
+}
+
+// TestMethodPass runs the method pass on a small tree: a method another
+// package calls, methods kept by assertions of the package's own and of a
+// standard interface, one only its own package calls, one only a test
+// calls, one nobody calls, and methods of an unexported type, which the
+// pass skips. It checks what the pass flags and which allowlist lines it
+// rejects.
+func TestMethodPass(t *testing.T) {
+	src := map[string]string{
+		"internal/foo/foo.go": `package foo
+import ("fmt"; "io")
+type Store interface{ Get() int }
+type T struct{}
+type Config struct{ Field int }
+type hidden struct{}
+var _ Store = (*T)(nil)
+var _ fmt.Stringer = T{}
+var _ io.Closer = (*T)(nil)
+func (t *T) Called() {}
+func (t *T) Get() int { t.Own(); return 0 }
+func (T) String() string { return "" }
+func (t *T) Own() {}
+func (t *T) TestOnly() {}
+func (t *T) Nobody() {}
+func (t *T) unexported() {}
+func (hidden) Skipped() {}`,
+		"internal/foo/foo_test.go": `package foo
+func use(t *T) { t.TestOnly() }`,
+		"cmd/app/main.go": `package main
+import "repro/internal/foo"
+func main() { var t foo.T; t.Called() }`,
+	}
+	fset := token.NewFileSet()
+	var files []goFile
+	for _, name := range []string{"cmd/app/main.go", "internal/foo/foo.go", "internal/foo/foo_test.go"} {
+		f, err := parser.ParseFile(fset, name, src[name], parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, goFile{dir: path.Dir(name), test: strings.HasSuffix(name, "_test.go"), ast: f})
+	}
+	methods, problems := apiMethods(files, listerPackages(files))
+	if want := "method set of io.Closer is unknown"; len(problems) != 1 || !strings.Contains(problems[0], want) {
+		t.Errorf("assertion problems %v, want one naming %q", problems, want)
+	}
+	var keys []string
+	for _, m := range methods {
+		keys = append(keys, m.key)
+	}
+	if got, want := strings.Join(keys, " "), "foo.T.Called foo.T.Get foo.T.Nobody foo.T.Own foo.T.String foo.T.TestOnly"; got != want {
+		t.Fatalf("methods %s, want %s", got, want)
+	}
+	report, _ := checkMethods(methods, nil, nil, nil)
+	if want := "internal/foo methods: called by a program [T.Called]; kept by an interface assertion [T.Get (foo.Store) T.String (fmt.Stringer)]; allowlisted []"; report[0] != want {
+		t.Errorf("inventory %q, want %q", report[0], want)
+	}
+
+	homes := map[string]string{"E1": "TestE1Home"}
+	knobs := map[string]bool{"foo.Config": true}
+	const kept = "foo.T.Own\tpaper §2: a method\nfoo.T.TestOnly\ttest seam: foo\n"
+	for _, tc := range []struct {
+		name, allowlist string
+		want            []string // the problems, in order, by a part of each
+	}{
+		{"no lines", "", []string{
+			"foo.T.Nobody has no caller: delete it",
+			"foo.T.Own is called only inside internal/foo: unexport it",
+			"foo.T.TestOnly is called only by tests",
+		}},
+		{"all kept", "foo.T.Nobody\tclaim E1: TestE1Home\n" + kept, nil},
+		{"malformed reason", "foo.T.Nobody\tbecause\n" + kept,
+			[]string{":1: foo.T.Nobody: reason is none of", "foo.T.Nobody has no caller"}},
+		{"called by a program", "foo.T.Nobody\tpaper §2: a method\nfoo.T.Called\tpaper §2: a method\n" + kept,
+			[]string{":2: foo.T.Called is called by a program now"}},
+		{"kept by an assertion", "foo.T.Nobody\tpaper §2: a method\nfoo.T.Get\tpaper §2: a method\n" + kept,
+			[]string{":2: foo.T.Get is kept by an assertion of foo.Store"}},
+		{"no such method", "foo.T.Nobody\tpaper §2: a method\nfoo.T.Gone\tpaper §2: a method\n" + kept,
+			[]string{":2: foo.T.Gone does not exist"}},
+		{"seam no test calls", "foo.T.Nobody\ttest seam: foo\n" + kept,
+			[]string{":1: foo.T.Nobody: no test of package foo calls it"}},
+		{"claim not its home", "foo.T.Nobody\tclaim E1: TestOther\n" + kept,
+			[]string{":1: foo.T.Nobody: TestOther is not E1's home test"}},
+		{"knob lines are the knob pass's", "foo.T.Nobody\tpaper §2: a method\nfoo.Config.Field\tpaper §2: a knob\n" + kept, nil},
+	} {
+		allowed, problems := parseAllowlist(tc.allowlist)
+		_, more := checkMethods(methods, allowed, homes, knobs)
 		problems = append(problems, more...)
 		ok := len(problems) == len(tc.want)
 		for i := 0; ok && i < len(problems); i++ {

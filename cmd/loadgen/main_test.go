@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -131,12 +132,30 @@ func TestStormShedding(t *testing.T) {
 	// After the storm the shed facade recovers: healthy ok-rate and a p99
 	// back in the same regime as pre-storm (generous 3x margin — this is
 	// a recovery check, not a latency benchmark).
+	recovered := true
 	if shed.post.OKRate() < 0.9 {
 		t.Errorf("shed post-storm ok-rate = %.2f, want >= 0.9", shed.post.OKRate())
+		recovered = false
 	}
 	prep99 := shed.pre.OKLatency.Quantile(0.99)
 	postp99 := shed.post.OKLatency.Quantile(0.99)
 	if postp99 > 3*prep99 {
 		t.Errorf("shed post-storm p99 %v did not recover near pre-storm %v", postp99, prep99)
+		recovered = false
 	}
+	if !recovered {
+		for _, cfg := range []struct {
+			name string
+			p    stormPhases
+		}{{"unshed", unshed}, {"shed", shed}} {
+			t.Logf("%s: pre-storm %s; storm %s; post-storm %s", cfg.name, phaseCounts(cfg.p.pre), phaseCounts(cfg.p.storm), phaseCounts(cfg.p.post))
+		}
+	}
+}
+
+// phaseCounts is a phase's outcome counts: sent, ok, shed (429), timed out,
+// and any other error.
+func phaseCounts(r loadgen.Report) string {
+	other := r.Sent - r.OK - r.Shed - r.Timeouts
+	return fmt.Sprintf("sent %d, ok %d, 429 %d, timeout %d, other error %d", r.Sent, r.OK, r.Shed, r.Timeouts, other)
 }

@@ -102,7 +102,7 @@ func TestGroupDoCtxCancelledWaiter(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	waiterErr := make(chan error, 1)
 	go func() {
-		_, err, shared := g.DoCtx(ctx, "k", func() (int, error) { return 0, nil })
+		_, err, shared := g.doCtx(ctx, "k", func() (int, error) { return 0, nil })
 		if shared {
 			t.Error("cancelled waiter reported shared = true")
 		}
@@ -157,11 +157,11 @@ func TestGroupDoCtxSurvivingWaiterShares(t *testing.T) {
 	dropped := make(chan struct{})
 	go func() {
 		defer close(dropped)
-		g.DoCtx(cancelled, "k", func() (int, error) { return 0, nil })
+		g.doCtx(cancelled, "k", func() (int, error) { return 0, nil })
 	}()
 	survivor := make(chan res, 1)
 	go func() {
-		v, err, shared := g.DoCtx(context.Background(), "k", func() (int, error) { return 0, nil })
+		v, err, shared := g.doCtx(context.Background(), "k", func() (int, error) { return 0, nil })
 		survivor <- res{v, err, shared}
 	}()
 	for g.Waiters("k") < 2 {

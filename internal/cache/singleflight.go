@@ -29,12 +29,12 @@ func NewGroup[V any]() *Group[V] {
 // Do invokes fn once per key at a time; concurrent duplicate callers block
 // and receive the same result. shared reports whether the result was
 // produced by another caller's invocation. Waiters block until the leader
-// finishes; use DoCtx when a waiter must be able to give up early.
+// finishes; use doCtx when a waiter must be able to give up early.
 func (g *Group[V]) Do(key string, fn func() (V, error)) (v V, err error, shared bool) {
-	return g.DoCtx(context.Background(), key, fn)
+	return g.doCtx(context.Background(), key, fn)
 }
 
-// DoCtx is Do with a context governing the wait: a duplicate caller whose
+// doCtx is Do with a context governing the wait: a duplicate caller whose
 // ctx is cancelled stops waiting and returns ctx.Err() immediately —
 // mirroring golang.org/x/sync/singleflight's Forget/cancel semantics —
 // instead of waiting out the leader. The cancelled waiter is removed from
@@ -43,7 +43,7 @@ func (g *Group[V]) Do(key string, fn func() (V, error)) (v V, err error, shared 
 // The leader is not interrupted: fn runs to completion regardless of ctx,
 // and its result still serves every waiter that stayed. fn should observe
 // the leader's own context internally if it needs cancellation.
-func (g *Group[V]) DoCtx(ctx context.Context, key string, fn func() (V, error)) (v V, err error, shared bool) {
+func (g *Group[V]) doCtx(ctx context.Context, key string, fn func() (V, error)) (v V, err error, shared bool) {
 	g.mu.Lock()
 	if c, ok := g.calls[key]; ok {
 		c.dups++
@@ -93,13 +93,13 @@ func (g *Group[V]) Waiters(key string) int {
 // Get first, so Fill is stats-neutral. Its in-flight re-check, which lets
 // an earlier duplicate's result win, uses a hidden peek, so the caller's
 // probe remains the only recorded lookup and misses are not double-counted.
-// ctx bounds the wait for an in-flight leader, as in DoCtx.
+// ctx bounds the wait for an in-flight leader, as in doCtx.
 //
 // A result is cached only if m was not cleared while fill ran: fill may
 // have computed it from state the Clear meant to invalidate. The result is
 // still returned to the callers that waited for it.
 func Fill[V any](ctx context.Context, m *Sharded[V], g *Group[V], key string, fill func() (V, error)) (V, error) {
-	v, err, _ := g.DoCtx(ctx, key, func() (V, error) {
+	v, err, _ := g.doCtx(ctx, key, func() (V, error) {
 		sh := m.shard(key)
 		if v, ok := sh.peek(key); ok {
 			return v, nil

@@ -38,7 +38,7 @@ func (Identity) Encode(data []byte) ([]byte, error) { return data, nil }
 // Decode implements Codec.
 func (Identity) Decode(data []byte) ([]byte, error) { return data, nil }
 
-// Gzip compresses with gzip at the given level.
+// Gzip compresses with gzip at gzip.DefaultCompression.
 //
 // Compressor and decompressor state is pooled per process: a compress/flate
 // compressor is about 1 MB of window and hash tables, two orders of
@@ -47,10 +47,7 @@ func (Identity) Decode(data []byte) ([]byte, error) { return data, nil }
 // from a returned slice: output is compressed into pooled scratch and handed
 // back as a fresh exact-size copy, so callers may keep or overwrite what
 // they get for as long as they like.
-type Gzip struct {
-	// Level is a compress/gzip level; 0 means gzip.DefaultCompression.
-	Level int
-}
+type Gzip struct{}
 
 var _ Codec = Gzip{}
 
@@ -58,7 +55,7 @@ var _ Codec = Gzip{}
 // keeps: one 64 MB object must not pin 64 MB for the life of the process.
 const maxPooledScratch = 1 << 20
 
-// gzipper is one level's reusable compressor and the scratch it writes to.
+// gzipper is a reusable compressor and the scratch it writes to.
 type gzipper struct {
 	zw  *gzip.Writer
 	buf bytes.Buffer
@@ -71,35 +68,20 @@ type gunzipper struct {
 	buf bytes.Buffer
 }
 
-// gzippers holds idle compressors by level (HuffmanOnly is the lowest);
-// gunzippers holds idle decompressors. State returns to its pool only after
-// a clean Close, so one that failed mid-stream is never reused.
-var (
-	gzippers   [gzip.BestCompression - gzip.HuffmanOnly + 1]sync.Pool
-	gunzippers sync.Pool
-)
+// gzippers holds idle compressors, gunzippers idle decompressors. State
+// returns to its pool only after a clean Close, so one that failed
+// mid-stream is never reused.
+var gzippers, gunzippers sync.Pool
 
 // Encode implements Codec.
-func (g Gzip) Encode(data []byte) ([]byte, error) {
-	level := g.Level
-	if level == 0 {
-		level = gzip.DefaultCompression
-	}
-	if level < gzip.HuffmanOnly || level > gzip.BestCompression {
-		return nil, fmt.Errorf("codec: gzip level: invalid compression level: %d", level)
-	}
-	pool := &gzippers[level-gzip.HuffmanOnly]
-	e, ok := pool.Get().(*gzipper)
+func (Gzip) Encode(data []byte) ([]byte, error) {
+	e, ok := gzippers.Get().(*gzipper)
 	if ok {
 		e.buf.Reset()
 		e.zw.Reset(&e.buf)
 	} else {
 		e = new(gzipper)
-		zw, err := gzip.NewWriterLevel(&e.buf, level)
-		if err != nil {
-			return nil, fmt.Errorf("codec: gzip level: %w", err)
-		}
-		e.zw = zw
+		e.zw = gzip.NewWriter(&e.buf)
 	}
 	if _, err := e.zw.Write(data); err != nil {
 		return nil, fmt.Errorf("codec: gzip write: %w", err)
@@ -112,12 +94,12 @@ func (g Gzip) Encode(data []byte) ([]byte, error) {
 	if e.buf.Cap() > maxPooledScratch {
 		e.buf = bytes.Buffer{}
 	}
-	pool.Put(e)
+	gzippers.Put(e)
 	return out, nil
 }
 
 // Decode implements Codec.
-func (g Gzip) Decode(data []byte) ([]byte, error) {
+func (Gzip) Decode(data []byte) ([]byte, error) {
 	d, ok := gunzippers.Get().(*gunzipper)
 	if !ok {
 		d = new(gunzipper)

@@ -45,21 +45,6 @@ func TestGzipShrinksRepetitiveData(t *testing.T) {
 	}
 }
 
-func TestGzipLevels(t *testing.T) {
-	data := []byte(strings.Repeat("compress me please ", 500))
-	fast, err := Gzip{Level: 1}.Encode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	best, err := Gzip{Level: 9}.Encode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(best) > len(fast) {
-		t.Errorf("level 9 (%d) larger than level 1 (%d)", len(best), len(fast))
-	}
-}
-
 func TestGzipDecodeGarbage(t *testing.T) {
 	if _, err := (Gzip{}).Decode([]byte("definitely not gzip")); err == nil {
 		t.Error("expected error decoding garbage")

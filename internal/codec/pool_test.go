@@ -168,47 +168,34 @@ func FuzzChainRoundTrip(f *testing.F) {
 	})
 }
 
-// A reused compressor must write what a new one writes, at every level.
+// A reused compressor must write what a new one writes at the default
+// level.
 func TestGzipMatchesDirectWriter(t *testing.T) {
 	inputs := [][]byte{nil, []byte("x"), storeValue(700), storeValue(8 << 10), storeValue(70 << 10)}
-	for level := gzip.HuffmanOnly; level <= gzip.BestCompression; level++ {
-		want := level
-		if level == 0 {
-			want = gzip.DefaultCompression // Level 0 means the default
-		}
-		// Two passes, so the second runs on state the first left behind.
-		for pass := 0; pass < 2; pass++ {
-			for _, in := range inputs {
-				var direct bytes.Buffer
-				w, err := gzip.NewWriterLevel(&direct, want)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := w.Write(in); err != nil {
-					t.Fatal(err)
-				}
-				if err := w.Close(); err != nil {
-					t.Fatal(err)
-				}
-				got, err := Gzip{Level: level}.Encode(in)
-				if err != nil {
-					t.Fatalf("level %d: %v", level, err)
-				}
-				if !bytes.Equal(got, direct.Bytes()) {
-					t.Fatalf("level %d pass %d, %d-byte input: output differs from a direct gzip.NewWriterLevel run", level, pass, len(in))
-				}
-				if cap(got) != len(got) {
-					t.Errorf("level %d: returned slice has cap %d over len %d", level, cap(got), len(got))
-				}
+	// Two passes, so the second runs on state the first left behind.
+	for pass := 0; pass < 2; pass++ {
+		for _, in := range inputs {
+			var direct bytes.Buffer
+			w, err := gzip.NewWriterLevel(&direct, gzip.DefaultCompression)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-}
-
-func TestGzipInvalidLevel(t *testing.T) {
-	for _, level := range []int{gzip.HuffmanOnly - 1, gzip.BestCompression + 1, 1 << 20, -1 << 20} {
-		if _, err := (Gzip{Level: level}).Encode([]byte("x")); err == nil {
-			t.Errorf("level %d: expected an error", level)
+			if _, err := w.Write(in); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			got, err := Gzip{}.Encode(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, direct.Bytes()) {
+				t.Fatalf("pass %d, %d-byte input: output differs from a direct gzip.NewWriterLevel run", pass, len(in))
+			}
+			if cap(got) != len(got) {
+				t.Errorf("returned slice has cap %d over len %d", cap(got), len(got))
+			}
 		}
 	}
 }
@@ -260,7 +247,7 @@ func TestCodecConcurrent(t *testing.T) {
 			defer wg.Done()
 			c := Codec(chain)
 			if g%2 == 1 {
-				c = Gzip{Level: 1 + g%3}
+				c = Gzip{}
 			}
 			for i := 0; i < 60; i++ {
 				v := storeValue((g*131 + i*977) % (20 << 10))
@@ -322,7 +309,7 @@ func TestScratchAboveCapNotPooled(t *testing.T) {
 		x = x*1664525 + 1013904223
 		big[i] = byte(x >> 24)
 	}
-	g := Gzip{Level: gzip.BestSpeed}
+	g := Gzip{}
 	enc, err := g.Encode(big)
 	if err != nil {
 		t.Fatal(err)
@@ -330,7 +317,7 @@ func TestScratchAboveCapNotPooled(t *testing.T) {
 	if _, err := g.Decode(enc); err != nil {
 		t.Fatal(err)
 	}
-	if e, ok := gzippers[gzip.BestSpeed-gzip.HuffmanOnly].Get().(*gzipper); ok && e.buf.Cap() > maxPooledScratch {
+	if e, ok := gzippers.Get().(*gzipper); ok && e.buf.Cap() > maxPooledScratch {
 		t.Errorf("pooled compressor kept %d bytes of scratch", e.buf.Cap())
 	}
 	if d, ok := gunzippers.Get().(*gunzipper); ok && d.buf.Cap() > maxPooledScratch {

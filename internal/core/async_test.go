@@ -24,7 +24,7 @@ func saturate(t *testing.T, c *Client) (busy, queued []*future.Future[service.Re
 	var once sync.Once
 	release = func() { once.Do(func() { close(unblock) }) }
 	t.Cleanup(release) // runs before the client's Close, which waits for the workers
-	c.MustRegister(service.Func{
+	c.mustRegister(service.Func{
 		Meta: service.Info{Name: "slow", Category: "nlu"},
 		Fn: func(ctx context.Context, req service.Request) (service.Response, error) {
 			select {
@@ -54,7 +54,7 @@ func saturate(t *testing.T, c *Client) (busy, queued []*future.Future[service.Re
 func TestInvokeAsyncSaturationSurfacesThroughFuture(t *testing.T) {
 	c := newClient(t, Config{})
 	fast, _ := countingService("fast", "nlu", nil)
-	c.MustRegister(fast)
+	c.mustRegister(fast)
 	busy, queued, release := saturate(t, c)
 
 	overflowDone := make(chan *future.Future[service.Response], 1)
@@ -67,13 +67,13 @@ func TestInvokeAsyncSaturationSurfacesThroughFuture(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("InvokeAsync blocked on a saturated pool")
 	}
-	if _, err := f.GetTimeout(time.Second); !errors.Is(err, future.ErrPoolSaturated) {
+	if _, err := f.Get(); !errors.Is(err, future.ErrPoolSaturated) {
 		t.Fatalf("overflow future err = %v, want ErrPoolSaturated", err)
 	}
 
 	release() // let the workers drain
 	for _, f := range append(busy, queued...) {
-		if resp, err := f.GetTimeout(5 * time.Second); err != nil || string(resp.Body) != "done" {
+		if resp, err := f.Get(); err != nil || string(resp.Body) != "done" {
 			t.Fatalf("accepted future = %q, %v", resp.Body, err)
 		}
 	}
@@ -85,19 +85,10 @@ func TestInvokeAsyncClosedPoolFailsFast(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc, _ := countingService("s1", "nlu", nil)
-	c.MustRegister(svc)
+	c.mustRegister(svc)
 	c.Close()
 	f := c.InvokeAsync(context.Background(), "s1", service.Request{Text: "x"})
-	if _, err := f.GetTimeout(time.Second); !errors.Is(err, future.ErrPoolClosed) {
+	if _, err := f.Get(); !errors.Is(err, future.ErrPoolClosed) {
 		t.Fatalf("err = %v, want ErrPoolClosed", err)
-	}
-}
-
-func TestInvokeCategoryAsyncSaturationSurfacesThroughFuture(t *testing.T) {
-	c := newClient(t, Config{})
-	saturate(t, c)
-	f := c.InvokeCategoryAsync(context.Background(), "nlu", service.Request{Text: "c"})
-	if _, err := f.GetTimeout(time.Second); !errors.Is(err, future.ErrPoolSaturated) {
-		t.Fatalf("err = %v, want ErrPoolSaturated", err)
 	}
 }

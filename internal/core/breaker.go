@@ -126,10 +126,6 @@ func (b *Breaker) Tripped() bool {
 	return b.open
 }
 
-// State returns the breaker's current state name — "closed", "open", or
-// "half-open" — for observability.
-func (b *Breaker) State() string { return b.state().String() }
-
 // state returns the breaker's current state for observability.
 func (b *Breaker) state() breakerState {
 	b.mu.Lock()

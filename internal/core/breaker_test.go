@@ -112,7 +112,7 @@ func TestBreakerStageEndToEnd(t *testing.T) {
 		Info:  service.Info{Name: "flaky", Category: "nlu"},
 		Clock: clk,
 	})
-	c.MustRegister(svc)
+	c.mustRegister(svc)
 
 	if _, err := c.Invoke(context.Background(), "flaky", service.Request{Text: "ok"}); err != nil {
 		t.Fatal(err)
@@ -167,7 +167,7 @@ func TestBreakerRetriesWithinOneInvokeCountOnce(t *testing.T) {
 		Clock: clk,
 		Down:  true,
 	})
-	c.MustRegister(svc)
+	c.mustRegister(svc)
 	// One Invoke = three transport attempts = one breaker outcome.
 	if _, err := c.Invoke(context.Background(), "flaky", service.Request{Text: "x"}); !errors.Is(err, service.ErrUnavailable) {
 		t.Fatalf("err = %v, want ErrUnavailable", err)
@@ -189,8 +189,8 @@ func TestRankDemotesTrippedServices(t *testing.T) {
 	})
 	a := simsvc.New(simsvc.Config{Info: service.Info{Name: "a", Category: "nlu"}, Clock: clk})
 	b := simsvc.New(simsvc.Config{Info: service.Info{Name: "b", Category: "nlu"}, Clock: clk})
-	c.MustRegister(a)
-	c.MustRegister(b)
+	c.mustRegister(a)
+	c.mustRegister(b)
 
 	ranked, err := c.Rank("nlu", service.Request{Text: "x"})
 	if err != nil {
@@ -239,7 +239,7 @@ func TestBreakerPanickingProbeReopens(t *testing.T) {
 		up
 	)
 	var mode atomic.Int32
-	c.MustRegister(service.Func{
+	c.mustRegister(service.Func{
 		Meta: service.Info{Name: "boom", Category: "t"},
 		Fn: func(context.Context, service.Request) (service.Response, error) {
 			switch mode.Load() {

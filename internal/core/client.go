@@ -261,13 +261,6 @@ func (c *Client) stages(reg *registration) []Middleware {
 	return mw
 }
 
-// MustRegister is Register that panics on error, for program setup code.
-func (c *Client) MustRegister(svc service.Service, opts ...RegisterOption) {
-	if err := c.Register(svc, opts...); err != nil {
-		panic(err)
-	}
-}
-
 func (c *Client) reg(name string) (*registration, bool) {
 	r, ok := (*c.regs.Load())[name]
 	return r, ok
@@ -407,10 +400,10 @@ func (c *Client) peerMeansMS(category, exclude string) []float64 {
 	return peers
 }
 
-// Estimates builds ranking estimates for every service in category, for the
+// estimates builds ranking estimates for every service in category, for the
 // given request: predicted response time from collected data, monetary cost
 // from the service's cost model, and mean recorded quality.
-func (c *Client) Estimates(category string, req service.Request) ([]rank.Estimate, error) {
+func (c *Client) estimates(category string, req service.Request) ([]rank.Estimate, error) {
 	svcs := c.registry.Category(category)
 	if len(svcs) == 0 {
 		return nil, fmt.Errorf("%w: %s", errUnknownCategory, category)
@@ -440,7 +433,7 @@ func (c *Client) Estimates(category string, req service.Request) ([]rank.Estimat
 // each group): observed unavailability feeds back into selection, so
 // failover chains try healthy services first.
 func (c *Client) Rank(category string, req service.Request) ([]rank.Scored, error) {
-	ests, err := c.Estimates(category, req)
+	ests, err := c.estimates(category, req)
 	if err != nil {
 		return nil, err
 	}
@@ -502,7 +495,7 @@ func (c *Client) InvokeCategory(ctx context.Context, category string, req servic
 		return failover.Chain(ctx, c.cfg.Clock, steps, req)
 	}
 	// Fill, as in cacheStage: concurrent identical calls share one chain,
-	// and a chain that an InvalidateCache overtook is not cached. A caller
+	// and a chain that an invalidateCache overtook is not cached. A caller
 	// served by another's chain gets no attempts, as on a cache hit.
 	var attempts []failover.Attempt
 	resp, err := cache.Fill(ctx, c.memcache, c.flight, key, func() (resp service.Response, err error) {
@@ -510,15 +503,6 @@ func (c *Client) InvokeCategory(ctx context.Context, category string, req servic
 		return resp, err
 	})
 	return resp, attempts, err
-}
-
-// InvokeCategoryAsync runs InvokeCategory on the SDK pool. Pool saturation
-// surfaces through the returned future as future.ErrPoolSaturated.
-func (c *Client) InvokeCategoryAsync(ctx context.Context, category string, req service.Request, opts ...InvokeOption) *future.Future[service.Response] {
-	return future.TrySubmit(c.pool, func() (service.Response, error) {
-		resp, _, err := c.InvokeCategory(ctx, category, req, opts...)
-		return resp, err
-	})
 }
 
 // InvokeAll redundantly invokes every service in category in parallel and
@@ -542,16 +526,16 @@ func (c *Client) InvokeAll(ctx context.Context, category string, req service.Req
 // across shards.
 func (c *Client) CacheStats() cache.Stats { return c.memcache.Stats() }
 
-// CacheShardStats returns each cache shard's counters in shard order, for
+// cacheShardStats returns each cache shard's counters in shard order, for
 // per-shard gauges and balance diagnostics.
-func (c *Client) CacheShardStats() []cache.Stats { return c.memcache.ShardStats() }
+func (c *Client) cacheShardStats() []cache.Stats { return c.memcache.ShardStats() }
 
-// InvalidateCache drops every cached response (paper §2: "consistency
+// invalidateCache drops every cached response (paper §2: "consistency
 // issues may arise in which a cached value is obsolete"). A backend call
 // already in flight when it runs still answers the callers waiting on it,
-// but its response is not cached: once InvalidateCache returns, the cache
+// but its response is not cached: once invalidateCache returns, the cache
 // holds only responses from backend calls that started after it began.
-func (c *Client) InvalidateCache() { c.memcache.Clear() }
+func (c *Client) invalidateCache() { c.memcache.Clear() }
 
 // stepService adapts a registration's chain to a service.Service for
 // failover chains and redundant invocation: each attempt is a single pass

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -57,24 +56,6 @@ func TestClientConcurrentInvocations(t *testing.T) {
 	}
 	if got := c.Monitor("conc").Count(); got != 25 {
 		t.Errorf("monitored calls = %d, want 25", got)
-	}
-}
-
-func TestInvokeCategoryAsync(t *testing.T) {
-	c := newClient(t, Config{})
-	svc, _ := countingService("a", "cat", nil)
-	if err := c.Register(svc); err != nil {
-		t.Fatal(err)
-	}
-	fut := c.InvokeCategoryAsync(context.Background(), "cat", service.Request{Text: "x"})
-	resp, err := fut.Get()
-	if err != nil || string(resp.Body) != "a:x" {
-		t.Errorf("async category = (%q, %v)", resp.Body, err)
-	}
-	// Unknown category surfaces through the future.
-	fut = c.InvokeCategoryAsync(context.Background(), "ghost", service.Request{})
-	if _, err := fut.Get(); !errors.Is(err, errUnknownCategory) {
-		t.Errorf("error = %v, want errUnknownCategory", err)
 	}
 }
 

@@ -14,6 +14,13 @@ import (
 	"repro/internal/simsvc"
 )
 
+// mustRegister is Register that panics on error, for test setup.
+func (c *Client) mustRegister(svc service.Service, opts ...RegisterOption) {
+	if err := c.Register(svc, opts...); err != nil {
+		panic(err)
+	}
+}
+
 func newClient(t *testing.T, cfg Config) *Client {
 	t.Helper()
 	c, err := NewClient(cfg)
@@ -132,7 +139,7 @@ func TestInvalidateCache(t *testing.T) {
 	if _, err := c.Invoke(context.Background(), "c", req); err != nil {
 		t.Fatal(err)
 	}
-	c.InvalidateCache()
+	c.invalidateCache()
 	if _, err := c.Invoke(context.Background(), "c", req); err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +148,7 @@ func TestInvalidateCache(t *testing.T) {
 	}
 }
 
-// An InvalidateCache that lands while a backend call is running wins: the
+// An invalidateCache that lands while a backend call is running wins: the
 // call's response answers its caller but is not cached, so the next call
 // reaches the backend again — through the per-service cache (Invoke) and
 // the category cache (InvokeCategory) alike.
@@ -185,7 +192,7 @@ func TestInvalidateCacheDuringBackendCall(t *testing.T) {
 		first := make(chan string, 1)
 		go func() { first <- invoke() }()
 		<-entered
-		c.InvalidateCache()
+		c.invalidateCache()
 		gate.Store(nil)
 		close(release)
 		if got := <-first; got != "answer 1" {
@@ -402,7 +409,7 @@ func TestEstimatesIncludeCostAndQuality(t *testing.T) {
 	if _, err := c.Invoke(context.Background(), "e", service.Request{Text: "x"}); err != nil {
 		t.Fatal(err)
 	}
-	ests, err := c.Estimates("nlu", service.Request{Text: "x"})
+	ests, err := c.estimates("nlu", service.Request{Text: "x"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,7 @@ func TestErrorKindsSurviveHTTPBoundary(t *testing.T) {
 			proxy := service.NewHTTPClient(remote.Meta, srv.URL, 5*time.Second)
 			// MaxAttempts 1 keeps the unavailable case to a single wire
 			// call; kind preservation is what is under test, not retries.
-			c.MustRegister(proxy, WithRetry(failover.RetryPolicy{MaxAttempts: 1}))
+			c.mustRegister(proxy, WithRetry(failover.RetryPolicy{MaxAttempts: 1}))
 
 			_, err := c.Invoke(context.Background(), remote.Meta.Name, service.Request{Text: "x"})
 			if !errors.Is(err, tc.want) {
@@ -94,7 +94,7 @@ func TestErrorKindRoundTripDrivesSDKBehavior(t *testing.T) {
 
 	c := newClient(t, Config{})
 	proxy := service.NewHTTPClient(remote.Meta, srv.URL, 5*time.Second)
-	c.MustRegister(proxy, WithRetry(failover.RetryPolicy{MaxAttempts: 3}))
+	c.mustRegister(proxy, WithRetry(failover.RetryPolicy{MaxAttempts: 3}))
 
 	if _, err := c.Invoke(context.Background(), "remote", service.Request{Op: "quota"}); !errors.Is(err, service.ErrQuotaExceeded) {
 		t.Fatalf("err = %v, want ErrQuotaExceeded", err)

@@ -236,7 +236,7 @@ func (a *API) handleCacheStats(w http.ResponseWriter, r *http.Request) {
 }
 
 func (a *API) handleCacheInvalidate(w http.ResponseWriter, r *http.Request) {
-	a.client.InvalidateCache()
+	a.client.invalidateCache()
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -300,7 +300,7 @@ func (a *API) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	tw.Metric("richsdk_cache_hit_ratio", cs.HitRatio())
 	tw.Family("richsdk_cache_size", "Response-cache entries currently held.", "gauge")
 	tw.Metric("richsdk_cache_size", float64(cs.Size))
-	shardStats := a.client.CacheShardStats()
+	shardStats := a.client.cacheShardStats()
 	tw.Family("richsdk_cache_shard_size", "Response-cache entries held per shard.", "gauge")
 	for i, ss := range shardStats {
 		tw.Metric("richsdk_cache_shard_size", float64(ss.Size), metrics.Label{Name: "shard", Value: strconv.Itoa(i)})
@@ -323,7 +323,7 @@ func (a *API) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	if sh := a.client.Shedder(); sh != nil {
 		tw.Family("richsdk_shed_inflight", "Admitted calls currently in flight through the shed stage.", "gauge")
-		tw.Metric("richsdk_shed_inflight", float64(sh.InFlight()))
+		tw.Metric("richsdk_shed_inflight", float64(sh.inFlight()))
 		tw.Family("richsdk_shed_limit", "Current adaptive concurrency limit.", "gauge")
 		tw.Metric("richsdk_shed_limit", float64(sh.Limit()))
 		tw.Family("richsdk_shed_admitted_total", "Calls admitted by the shed stage.", "counter")
@@ -331,7 +331,7 @@ func (a *API) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		tw.Family("richsdk_shed_rejected_total", "Calls shed (fast 429) by the shed stage.", "counter")
 		tw.Metric("richsdk_shed_rejected_total", float64(sh.Rejected()))
 		tw.Family("richsdk_shed_latency", "Admitted-call latency as seen by the admission controller.", "histogram")
-		metrics.WriteHistogram(tw, "richsdk_shed_latency", sh.LatencySnapshot())
+		metrics.WriteHistogram(tw, "richsdk_shed_latency", sh.latencySnapshot())
 	}
 
 	if tr := a.client.Tracer(); tr.Enabled() {

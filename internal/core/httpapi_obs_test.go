@@ -26,7 +26,7 @@ func newObsAPIServer(t *testing.T, opts ...APIOption) (*httptest.Server, *Client
 	}
 	t.Cleanup(c.Close)
 	svc, _ := countingService("echo", "nlu", nil)
-	c.MustRegister(svc, WithCacheable())
+	c.mustRegister(svc, WithCacheable())
 	srv := httptest.NewServer(NewAPI(c, opts...))
 	t.Cleanup(srv.Close)
 	return srv, c, tr

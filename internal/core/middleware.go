@@ -93,13 +93,10 @@ func (c *Call) Span() trace.Span { return c.span }
 // Service returns the transport the terminal Invoker calls.
 func (c *Call) Service() service.Service { return c.reg.svc }
 
-// Cacheable reports whether the service opted into response caching.
-func (c *Call) Cacheable() bool { return c.reg.cacheable }
-
-// LatencyParams returns the call's latency parameters (paper §2), the
+// latencyParams returns the call's latency parameters (paper §2), the
 // request's argument size in bytes, computing them on first use so the
 // cache-hit fast path never pays for them.
-func (c *Call) LatencyParams() []float64 {
+func (c *Call) latencyParams() []float64 {
 	if c.params == nil {
 		c.params = []float64{float64(c.Req.ArgSize())}
 	}

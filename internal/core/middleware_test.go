@@ -69,8 +69,8 @@ func TestClientWideMiddlewareSeesEveryService(t *testing.T) {
 	c := newClient(t, Config{Middleware: []Middleware{countMW(&seen), tagMW(&order, "a"), tagMW(&order, "b")}})
 	s1, _ := countingService("s1", "nlu", nil)
 	s2, _ := countingService("s2", "nlu", nil)
-	c.MustRegister(s1)
-	c.MustRegister(s2)
+	c.mustRegister(s1)
+	c.mustRegister(s2)
 	for _, name := range []string{"s1", "s2", "s1"} {
 		if _, err := c.Invoke(context.Background(), name, service.Request{Text: "x"}); err != nil {
 			t.Fatal(err)
@@ -90,7 +90,7 @@ func TestMiddlewareObservesCacheHits(t *testing.T) {
 	var seen atomic.Int32
 	c := newClient(t, Config{Middleware: []Middleware{countMW(&seen)}})
 	svc, calls := countingService("cached", "nlu", nil)
-	c.MustRegister(svc, WithCacheable())
+	c.mustRegister(svc, WithCacheable())
 	req := service.Request{Op: "analyze", Text: "same"}
 	for i := 0; i < 10; i++ {
 		if _, err := c.Invoke(context.Background(), "cached", req); err != nil {
@@ -113,7 +113,7 @@ func TestMiddlewareShortCircuitSkipsEverything(t *testing.T) {
 	})
 	c := newClient(t, Config{Middleware: []Middleware{canned}})
 	svc, calls := countingService("s1", "nlu", nil)
-	c.MustRegister(svc)
+	c.mustRegister(svc)
 	resp, err := c.Invoke(context.Background(), "s1", service.Request{Text: "x"})
 	if err != nil || string(resp.Body) != "canned" {
 		t.Fatalf("resp = %q, err = %v", resp.Body, err)
@@ -135,7 +135,7 @@ func TestMiddlewareErrorPropagates(t *testing.T) {
 	})
 	c := newClient(t, Config{Middleware: []Middleware{reject}})
 	svc, calls := countingService("s1", "nlu", nil)
-	c.MustRegister(svc)
+	c.mustRegister(svc)
 	_, err := c.Invoke(context.Background(), "s1", service.Request{Text: "x"})
 	if !errors.Is(err, boom) {
 		t.Errorf("err = %v, want the middleware's error", err)
@@ -159,7 +159,7 @@ func TestLatencyParamsComputedLazilyAndOnce(t *testing.T) {
 	})
 	c := newClient(t, Config{Middleware: []Middleware{after}})
 	svc, _ := countingService("cached", "nlu", nil)
-	c.MustRegister(svc, WithCacheable())
+	c.mustRegister(svc, WithCacheable())
 	req := service.Request{Op: "analyze", Text: "same"}
 	for i := 0; i < 10; i++ {
 		if _, err := c.Invoke(context.Background(), "cached", req); err != nil {
@@ -180,7 +180,7 @@ func TestInvokeCategoryAppliesInvokeMiddleware(t *testing.T) {
 	var seen atomic.Int32
 	c := newClient(t, Config{Middleware: []Middleware{countMW(&seen)}})
 	s1, _ := countingService("s1", "nlu", nil)
-	c.MustRegister(s1)
+	c.mustRegister(s1)
 	_, _, err := c.InvokeCategory(context.Background(), "nlu", service.Request{Text: "x"})
 	if err != nil {
 		t.Fatal(err)

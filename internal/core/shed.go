@@ -95,13 +95,13 @@ func newShedder(cfg ShedConfig, clk clock.Clock) *Shedder {
 	return s
 }
 
-// TryAcquire admits the call if the in-flight count is under the current
+// tryAcquire admits the call if the in-flight count is under the current
 // limit. On admission the caller must pair it with Release. Admission is a
 // CAS loop rather than a blind increment-then-rollback: a rejected probe
 // must not touch the counter at all, or a herd of spinning shed callers
 // keeps the count transiently inflated and starves the callers that would
 // actually fit under the limit (a livelock the first chaos runs hit).
-func (s *Shedder) TryAcquire() bool {
+func (s *Shedder) tryAcquire() bool {
 	limit := s.limit.Load()
 	for {
 		in := s.inflight.Load()
@@ -202,8 +202,8 @@ func windowDelta(cur, prev metrics.HistSnapshot) metrics.HistSnapshot {
 	return d
 }
 
-// InFlight returns the current admitted in-flight count.
-func (s *Shedder) InFlight() int64 { return s.inflight.Load() }
+// inFlight returns the current admitted in-flight count.
+func (s *Shedder) inFlight() int64 { return s.inflight.Load() }
 
 // Limit returns the current adaptive concurrency limit.
 func (s *Shedder) Limit() int64 { return s.limit.Load() }
@@ -214,9 +214,9 @@ func (s *Shedder) Admitted() uint64 { return s.admitted.Load() }
 // Rejected returns the total calls shed since construction.
 func (s *Shedder) Rejected() uint64 { return s.rejected.Load() }
 
-// LatencySnapshot returns the cumulative admitted-call latency
+// latencySnapshot returns the cumulative admitted-call latency
 // distribution, for /metrics exposition and experiment reporting.
-func (s *Shedder) LatencySnapshot() metrics.HistSnapshot { return s.hist.Snapshot() }
+func (s *Shedder) latencySnapshot() metrics.HistSnapshot { return s.hist.Snapshot() }
 
 // shedStage is the adaptive load-shedding stage. It sits after the
 // breaker on purpose: breaker-open fast-fails never enter the admission
@@ -230,7 +230,7 @@ func shedStage(s *Shedder) Middleware {
 		return func(ctx context.Context, call *Call) (service.Response, error) {
 			parent := call.span
 			sp := parent.Child("shed")
-			if !s.TryAcquire() {
+			if !s.tryAcquire() {
 				err := fmt.Errorf("%w: %s (inflight limit %d)", errShed, call.reg.name, s.Limit())
 				sp.SetAttr("shed", "rejected")
 				sp.SetError(err)

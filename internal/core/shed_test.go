@@ -14,17 +14,17 @@ import (
 
 func TestShedderAdmitsUnderLimit(t *testing.T) {
 	s := newShedder(ShedConfig{TargetP99: 10 * time.Millisecond, MaxInFlight: 2, MinInFlight: 1}, nil)
-	if !s.TryAcquire() || !s.TryAcquire() {
+	if !s.tryAcquire() || !s.tryAcquire() {
 		t.Fatal("first two acquires should be admitted")
 	}
-	if s.TryAcquire() {
+	if s.tryAcquire() {
 		t.Fatal("third acquire over limit 2 should be shed")
 	}
-	if s.InFlight() != 2 || s.Admitted() != 2 || s.Rejected() != 1 {
-		t.Errorf("inflight=%d admitted=%d rejected=%d, want 2/2/1", s.InFlight(), s.Admitted(), s.Rejected())
+	if s.inFlight() != 2 || s.Admitted() != 2 || s.Rejected() != 1 {
+		t.Errorf("inflight=%d admitted=%d rejected=%d, want 2/2/1", s.inFlight(), s.Admitted(), s.Rejected())
 	}
 	s.Release(time.Millisecond)
-	if !s.TryAcquire() {
+	if !s.tryAcquire() {
 		t.Fatal("acquire after release should be admitted")
 	}
 }
@@ -39,13 +39,13 @@ func TestShedderAIMDDecreasesOverTarget(t *testing.T) {
 	// A window of 50ms observations blows the 5ms target: the limit must
 	// fall by shedDecrease on adaptation.
 	for i := 0; i < 20; i++ {
-		if !s.TryAcquire() {
+		if !s.tryAcquire() {
 			t.Fatal("acquire under open limit")
 		}
 		s.Release(50 * time.Millisecond)
 	}
 	clk.Advance(20 * time.Millisecond) // a full window has elapsed
-	if !s.TryAcquire() {
+	if !s.tryAcquire() {
 		t.Fatal("acquire")
 	}
 	s.Release(50 * time.Millisecond) // triggers adapt
@@ -55,7 +55,7 @@ func TestShedderAIMDDecreasesOverTarget(t *testing.T) {
 	// Repeated over-target windows keep decreasing but floor at MinInFlight.
 	for w := 0; w < 12; w++ {
 		clk.Advance(20 * time.Millisecond)
-		if !s.TryAcquire() {
+		if !s.tryAcquire() {
 			t.Fatal("acquire")
 		}
 		s.Release(50 * time.Millisecond)
@@ -75,7 +75,7 @@ func TestShedderRecoversAfterPressure(t *testing.T) {
 	// Crush the limit to the floor.
 	for w := 0; w < 12; w++ {
 		clk.Advance(20 * time.Millisecond)
-		if !s.TryAcquire() {
+		if !s.tryAcquire() {
 			t.Fatal("acquire")
 		}
 		s.Release(50 * time.Millisecond)
@@ -87,13 +87,13 @@ func TestShedderRecoversAfterPressure(t *testing.T) {
 	// the cap.
 	for w := 0; w < 30 && s.Limit() < 64; w++ {
 		// Sustain demand: fill the limit, shed one, observe fast calls.
-		for s.TryAcquire() {
+		for s.tryAcquire() {
 		}
-		for s.InFlight() > 0 {
+		for s.inFlight() > 0 {
 			s.Release(time.Millisecond)
 		}
 		clk.Advance(20 * time.Millisecond)
-		if !s.TryAcquire() {
+		if !s.tryAcquire() {
 			t.Fatal("acquire")
 		}
 		s.Release(time.Millisecond)
@@ -112,10 +112,10 @@ func TestShedderConcurrentInvariant(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				if !s.TryAcquire() {
+				if !s.tryAcquire() {
 					continue
 				}
-				if in := s.InFlight(); in > peak.Load() {
+				if in := s.inFlight(); in > peak.Load() {
 					peak.Store(in)
 				}
 				s.Release(time.Microsecond)
@@ -126,8 +126,8 @@ func TestShedderConcurrentInvariant(t *testing.T) {
 	if p := peak.Load(); p > 8 {
 		t.Errorf("observed %d in flight, limit 8 breached", p)
 	}
-	if s.InFlight() != 0 {
-		t.Errorf("inflight = %d after all released, want 0", s.InFlight())
+	if s.inFlight() != 0 {
+		t.Errorf("inflight = %d after all released, want 0", s.inFlight())
 	}
 }
 
@@ -182,7 +182,7 @@ func TestShedDisabledByDefault(t *testing.T) {
 // later call.
 func TestShedSlotReleasedOnPanic(t *testing.T) {
 	c := newClient(t, Config{Shed: ShedConfig{TargetP99: 50 * time.Millisecond, MaxInFlight: 2, MinInFlight: 1}})
-	c.MustRegister(service.Func{
+	c.mustRegister(service.Func{
 		Meta: service.Info{Name: "boom", Category: "t"},
 		Fn: func(context.Context, service.Request) (service.Response, error) {
 			panic("boom")
@@ -197,7 +197,7 @@ func TestShedSlotReleasedOnPanic(t *testing.T) {
 			t.Fatalf("call %d: results %+v, want the service's panic", i, res)
 		}
 	}
-	if n := c.Shedder().InFlight(); n != 0 {
+	if n := c.Shedder().inFlight(); n != 0 {
 		t.Errorf("%d calls in flight after three panics, want 0", n)
 	}
 }

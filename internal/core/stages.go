@@ -83,7 +83,7 @@ func traceStage(tr *trace.Tracer) Middleware {
 // wait: a caller whose ctx is cancelled while another caller's fill is in
 // flight returns ctx.Err() immediately instead of waiting out the leader.
 // A miss fills through cache.Fill, so a response whose backend call an
-// InvalidateCache overtook answers its callers but is not cached.
+// invalidateCache overtook answers its callers but is not cached.
 func cacheStage(mem *cache.Sharded[service.Response], flight *cache.Group[service.Response]) Middleware {
 	return func(next Invoker) Invoker {
 		return func(ctx context.Context, call *Call) (service.Response, error) {
@@ -133,7 +133,7 @@ func breakerStage(set *BreakerSet) Middleware {
 				return service.Response{}, err
 			}
 			if sp.Recording() {
-				sp.SetAttr("state", b.State())
+				sp.SetAttr("state", b.state().String())
 			}
 			call.span = sp
 			// The outcome is recorded deferred, and stays errPanicked
@@ -190,7 +190,7 @@ func deadlineStage(predictLatency func(name string, params []float64) (time.Dura
 		return func(ctx context.Context, call *Call) (service.Response, error) {
 			parent := call.span
 			sp := parent.Child("deadline")
-			pred, err := predictLatency(call.reg.name, call.LatencyParams())
+			pred, err := predictLatency(call.reg.name, call.latencyParams())
 			if err != nil || pred <= 0 {
 				sp.SetAttr("deadline", "unbounded")
 				call.span = sp
@@ -267,7 +267,7 @@ func predictStage(set *predictorSet) Middleware {
 			resp, err := next(ctx, call)
 			call.span = parent
 			if err == nil {
-				set.Observe(call.reg.name, call.LatencyParams(), call.Elapsed)
+				set.Observe(call.reg.name, call.latencyParams(), call.Elapsed)
 			}
 			sp.End()
 			return resp, err

@@ -270,7 +270,7 @@ func TestClientDeadlineEndToEnd(t *testing.T) {
 			return service.Response{Body: []byte("ok")}, nil
 		},
 	}
-	c.MustRegister(svc, WithRetry(failover.RetryPolicy{MaxAttempts: 1}))
+	c.mustRegister(svc, WithRetry(failover.RetryPolicy{MaxAttempts: 1}))
 	for i := 0; i < 8; i++ { // the predictor's default MinObservations
 		if _, err := c.Invoke(context.Background(), "moody", service.Request{Text: fmt.Sprintf("warm %d", i)}); err != nil {
 			t.Fatal(err)

@@ -66,7 +66,7 @@ func TestTraceStageFullChain(t *testing.T) {
 		Deadline: DeadlineConfig{Factor: 2, Floor: time.Second},
 	})
 	svc, _ := countingService("s1", "search", nil)
-	c.MustRegister(svc, WithCacheable())
+	c.mustRegister(svc, WithCacheable())
 
 	// First call misses the cache and runs the whole chain.
 	if _, err := c.Invoke(context.Background(), "s1", service.Request{Text: "q"}); err != nil {
@@ -128,7 +128,7 @@ func TestTraceStageFullChain(t *testing.T) {
 func TestTraceJoinsContextParent(t *testing.T) {
 	c, tr := newTracedClient(t, Config{})
 	svc, _ := countingService("s1", "search", nil)
-	c.MustRegister(svc, WithCacheable())
+	c.mustRegister(svc, WithCacheable())
 
 	ctx, root := tr.Start(context.Background(), "request")
 	if _, err := c.Invoke(ctx, "s1", service.Request{Text: "q"}); err != nil {
@@ -149,7 +149,7 @@ func TestTraceJoinsContextParent(t *testing.T) {
 
 func TestTraceErrorRecorded(t *testing.T) {
 	c, tr := newTracedClient(t, Config{})
-	c.MustRegister(service.Func{
+	c.mustRegister(service.Func{
 		Meta: service.Info{Name: "bad", Category: "x"},
 		Fn: func(context.Context, service.Request) (service.Response, error) {
 			return service.Response{}, service.ErrBadRequest
@@ -171,7 +171,7 @@ func TestTraceErrorRecorded(t *testing.T) {
 func TestNoTracerIsInert(t *testing.T) {
 	c := newClient(t, Config{})
 	svc, _ := countingService("s1", "search", nil)
-	c.MustRegister(svc, WithCacheable())
+	c.mustRegister(svc, WithCacheable())
 	for i := 0; i < 3; i++ {
 		if _, err := c.Invoke(context.Background(), "s1", service.Request{Text: "q"}); err != nil {
 			t.Fatal(err)

@@ -128,31 +128,17 @@ func (s *Store) List() ([]Meta, error) {
 	return metas, nil
 }
 
-// Texts returns the extracted texts of a stored search's documents, the
-// form consumed by NLU analysis.
-func (s *Store) Texts(id string) ([]string, error) {
-	saved, err := s.LoadSearch(id)
-	if err != nil {
-		return nil, err
-	}
-	texts := make([]string, len(saved.Docs))
-	for i, d := range saved.Docs {
-		texts[i] = d.Text
-	}
-	return texts, nil
-}
-
-// SaveAnalysis persists the analysis an engine produced for a document
+// saveAnalysis persists the analysis an engine produced for a document
 // (keyed by content, so the same document re-fetched under another URL
 // still hits). Overwrites are allowed: analyses are deterministic per
 // engine, so a rewrite is a no-op semantically.
-func (s *Store) SaveAnalysis(docText, engine string, a nlu.Analysis) error {
+func (s *Store) saveAnalysis(docText, engine string, a nlu.Analysis) error {
 	return writeJSON(s.analysisPath(docText, engine), a)
 }
 
-// LoadAnalysis retrieves a stored analysis; ok is false when the document
+// loadAnalysis retrieves a stored analysis; ok is false when the document
 // has not been analyzed by that engine yet.
-func (s *Store) LoadAnalysis(docText, engine string) (nlu.Analysis, bool, error) {
+func (s *Store) loadAnalysis(docText, engine string) (nlu.Analysis, bool, error) {
 	var a nlu.Analysis
 	err := readJSON(s.analysisPath(docText, engine), &a)
 	if err != nil {
@@ -184,7 +170,7 @@ func (s *Store) AnalyzeOnceE(docText, engine string, analyze func(string) (nlu.A
 	ran := false
 	res, err, _ := s.flight.Do(key, func() (analyzeRes, error) {
 		ran = true
-		if a, ok, err := s.LoadAnalysis(docText, engine); err != nil {
+		if a, ok, err := s.loadAnalysis(docText, engine); err != nil {
 			return analyzeRes{}, err
 		} else if ok {
 			return analyzeRes{a: a, cached: true}, nil
@@ -193,7 +179,7 @@ func (s *Store) AnalyzeOnceE(docText, engine string, analyze func(string) (nlu.A
 		if err != nil {
 			return analyzeRes{}, err
 		}
-		if err := s.SaveAnalysis(docText, engine, a); err != nil {
+		if err := s.saveAnalysis(docText, engine, a); err != nil {
 			return analyzeRes{}, err
 		}
 		return analyzeRes{a: a}, nil

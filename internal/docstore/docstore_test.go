@@ -96,12 +96,12 @@ func TestTexts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	texts, err := s.Texts(id)
+	saved, err := s.LoadSearch(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(texts) != 2 || texts[0] != "alpha" || texts[1] != "beta" {
-		t.Errorf("Texts = %v", texts)
+	if len(saved.Docs) != 2 || saved.Docs[0].Text != "alpha" || saved.Docs[1].Text != "beta" {
+		t.Errorf("texts = %+v", saved.Docs)
 	}
 }
 
@@ -116,10 +116,10 @@ func TestAnalysisRoundTrip(t *testing.T) {
 	s, _ := newStore(t)
 	a := nlu.Analysis{Engine: "nlu-alpha", Sentiment: 0.4,
 		Entities: []nlu.Mention{{EntityID: "country:us", Surface: "US", Kind: "Country"}}}
-	if err := s.SaveAnalysis("some document", "nlu-alpha", a); err != nil {
+	if err := s.saveAnalysis("some document", "nlu-alpha", a); err != nil {
 		t.Fatal(err)
 	}
-	got, ok, err := s.LoadAnalysis("some document", "nlu-alpha")
+	got, ok, err := s.loadAnalysis("some document", "nlu-alpha")
 	if err != nil || !ok {
 		t.Fatalf("LoadAnalysis = (%v, %v)", ok, err)
 	}
@@ -130,7 +130,7 @@ func TestAnalysisRoundTrip(t *testing.T) {
 
 func TestLoadAnalysisMissingIsNotError(t *testing.T) {
 	s, _ := newStore(t)
-	_, ok, err := s.LoadAnalysis("never analyzed", "nlu-alpha")
+	_, ok, err := s.loadAnalysis("never analyzed", "nlu-alpha")
 	if err != nil {
 		t.Fatalf("unexpected error %v", err)
 	}
@@ -141,10 +141,10 @@ func TestLoadAnalysisMissingIsNotError(t *testing.T) {
 
 func TestAnalysisKeyedByEngine(t *testing.T) {
 	s, _ := newStore(t)
-	if err := s.SaveAnalysis("doc", "alpha", nlu.Analysis{Engine: "alpha"}); err != nil {
+	if err := s.saveAnalysis("doc", "alpha", nlu.Analysis{Engine: "alpha"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, _ := s.LoadAnalysis("doc", "beta"); ok {
+	if _, ok, _ := s.loadAnalysis("doc", "beta"); ok {
 		t.Error("analysis leaked across engines")
 	}
 }
@@ -182,7 +182,7 @@ func TestStoreSurvivesReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s1.SaveAnalysis("doc", "e", nlu.Analysis{Engine: "e"}); err != nil {
+	if err := s1.saveAnalysis("doc", "e", nlu.Analysis{Engine: "e"}); err != nil {
 		t.Fatal(err)
 	}
 	s2, err := New(dir, nil)
@@ -192,7 +192,7 @@ func TestStoreSurvivesReopen(t *testing.T) {
 	if _, err := s2.LoadSearch(id); err != nil {
 		t.Errorf("search lost across reopen: %v", err)
 	}
-	if _, ok, _ := s2.LoadAnalysis("doc", "e"); !ok {
+	if _, ok, _ := s2.loadAnalysis("doc", "e"); !ok {
 		t.Error("analysis lost across reopen")
 	}
 }
@@ -292,7 +292,7 @@ func TestConcurrentSaveAnalysisOnePath(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			a := nlu.Analysis{Engine: "x", Sentiment: float64(i)}
-			if err := stores[i%2].SaveAnalysis("shared doc", "x", a); err != nil {
+			if err := stores[i%2].saveAnalysis("shared doc", "x", a); err != nil {
 				errs <- err
 			}
 		}()
@@ -302,7 +302,7 @@ func TestConcurrentSaveAnalysisOnePath(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	a, ok, err := stores[0].LoadAnalysis("shared doc", "x")
+	a, ok, err := stores[0].loadAnalysis("shared doc", "x")
 	if err != nil || !ok || a.Engine != "x" {
 		t.Fatalf("LoadAnalysis = (%+v, %v, %v), want one writer's analysis", a, ok, err)
 	}

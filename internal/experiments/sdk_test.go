@@ -196,7 +196,7 @@ func TestE4AsyncShape(t *testing.T) {
 			futs[i] = c.InvokeAsync(context.Background(), name, service.Request{})
 		}
 		for i, f := range futs {
-			resp, err := f.GetTimeout(time.Minute)
+			resp, err := f.Get()
 			if err != nil {
 				t.Fatalf("async call %d: %v (%d of %d services started)", i, err, started.Load(), n)
 			}

@@ -6,7 +6,7 @@ func BenchmarkFutureCompleteGet(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		f := newFuture[int]()
-		f.Complete(i)
+		f.complete(i)
 		if v, err := f.Get(); err != nil || v != i {
 			b.Fatal("bad result")
 		}

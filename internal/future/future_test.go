@@ -1,7 +1,6 @@
 package future
 
 import (
-	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -11,16 +10,26 @@ import (
 
 var errBoom = errors.New("boom")
 
+// isDone reports whether f has settled, without blocking.
+func isDone[T any](f *Future[T]) bool {
+	select {
+	case <-f.Done():
+		return true
+	default:
+		return false
+	}
+}
+
 func TestCompleteAndGet(t *testing.T) {
 	f := newFuture[int]()
-	if f.IsDone() {
-		t.Error("fresh future IsDone = true")
+	if isDone(f) {
+		t.Error("fresh future is done")
 	}
-	if !f.Complete(42) {
-		t.Error("Complete returned false")
+	if !f.complete(42) {
+		t.Error("complete returned false")
 	}
-	if !f.IsDone() {
-		t.Error("IsDone = false after Complete")
+	if !isDone(f) {
+		t.Error("not done after complete")
 	}
 	v, err := f.Get()
 	if err != nil || v != 42 {
@@ -30,8 +39,8 @@ func TestCompleteAndGet(t *testing.T) {
 
 func TestFail(t *testing.T) {
 	f := newFuture[string]()
-	if !f.Fail(errBoom) {
-		t.Error("Fail returned false")
+	if !f.fail(errBoom) {
+		t.Error("fail returned false")
 	}
 	_, err := f.Get()
 	if !errors.Is(err, errBoom) {
@@ -41,23 +50,23 @@ func TestFail(t *testing.T) {
 
 func TestFailNilError(t *testing.T) {
 	f := newFuture[int]()
-	f.Fail(nil)
+	f.fail(nil)
 	_, err := f.Get()
 	if err == nil {
-		t.Error("Fail(nil) should still settle with a non-nil error")
+		t.Error("fail(nil) should still settle with a non-nil error")
 	}
 }
 
 func TestSettleOnlyOnce(t *testing.T) {
 	f := newFuture[int]()
-	if !f.Complete(1) {
-		t.Error("first Complete = false")
+	if !f.complete(1) {
+		t.Error("first complete = false")
 	}
-	if f.Complete(2) {
-		t.Error("second Complete = true")
+	if f.complete(2) {
+		t.Error("second complete = true")
 	}
-	if f.Fail(errBoom) {
-		t.Error("Fail after Complete = true")
+	if f.fail(errBoom) {
+		t.Error("fail after complete = true")
 	}
 	v, err := f.Get()
 	if v != 1 || err != nil {
@@ -65,48 +74,11 @@ func TestSettleOnlyOnce(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
-	f := newFuture[int]()
-	if !f.Cancel() {
-		t.Error("Cancel = false")
-	}
-	_, err := f.Get()
-	if !errors.Is(err, errCancelled) {
-		t.Errorf("error = %v, want errCancelled", err)
-	}
-}
-
-func TestGetTimeout(t *testing.T) {
-	f := newFuture[int]()
-	if _, err := f.GetTimeout(5 * time.Millisecond); !errors.Is(err, errTimeout) {
-		t.Errorf("error = %v, want errTimeout", err)
-	}
-	f.Complete(7)
-	v, err := f.GetTimeout(time.Second)
-	if err != nil || v != 7 {
-		t.Errorf("GetTimeout after Complete = (%d, %v)", v, err)
-	}
-}
-
-func TestGetContext(t *testing.T) {
-	f := newFuture[int]()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := f.GetContext(ctx); !errors.Is(err, context.Canceled) {
-		t.Errorf("error = %v, want context.Canceled", err)
-	}
-	f.Complete(9)
-	v, err := f.GetContext(context.Background())
-	if err != nil || v != 9 {
-		t.Errorf("GetContext = (%d, %v)", v, err)
-	}
-}
-
 func TestListenBeforeSettle(t *testing.T) {
 	f := newFuture[int]()
 	got := make(chan int, 1)
 	f.Listen(func(v int, err error) { got <- v })
-	f.Complete(5)
+	f.complete(5)
 	select {
 	case v := <-got:
 		if v != 5 {
@@ -119,7 +91,7 @@ func TestListenBeforeSettle(t *testing.T) {
 
 func TestListenAfterSettleRunsImmediately(t *testing.T) {
 	f := newFuture[int]()
-	f.Complete(3)
+	f.complete(3)
 	var ran bool
 	f.Listen(func(v int, err error) { ran = v == 3 && err == nil })
 	if !ran {
@@ -139,7 +111,7 @@ func TestListenersRunInOrder(t *testing.T) {
 			mu.Unlock()
 		})
 	}
-	f.Complete(0)
+	f.complete(0)
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("listeners ran out of order: %v", order)
@@ -250,7 +222,7 @@ func TestConcurrentSettleRace(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				if f.Complete(i) {
+				if f.complete(i) {
 					atomic.AddInt32(&wins, 1)
 				}
 			}(i)
@@ -279,14 +251,14 @@ func TestTrySubmitSaturatedPool(t *testing.T) {
 	<-started // worker occupied
 	queued := TrySubmit(p, func() (int, error) { return 2, nil })
 	overflow := TrySubmit(p, func() (int, error) { return 3, nil })
-	if _, err := overflow.GetTimeout(time.Second); !errors.Is(err, ErrPoolSaturated) {
+	if _, err := overflow.Get(); !errors.Is(err, ErrPoolSaturated) {
 		t.Fatalf("overflow err = %v, want ErrPoolSaturated", err)
 	}
 	release <- struct{}{}
-	if v, err := busy.GetTimeout(time.Second); err != nil || v != 1 {
+	if v, err := busy.Get(); err != nil || v != 1 {
 		t.Fatalf("busy = %d, %v", v, err)
 	}
-	if v, err := queued.GetTimeout(time.Second); err != nil || v != 2 {
+	if v, err := queued.Get(); err != nil || v != 2 {
 		t.Fatalf("queued = %d, %v", v, err)
 	}
 }
@@ -298,7 +270,7 @@ func TestTrySubmitClosedPool(t *testing.T) {
 	}
 	p.Close()
 	f := TrySubmit(p, func() (int, error) { return 1, nil })
-	if _, err := f.GetTimeout(time.Second); !errors.Is(err, ErrPoolClosed) {
+	if _, err := f.Get(); !errors.Is(err, ErrPoolClosed) {
 		t.Fatalf("err = %v, want ErrPoolClosed", err)
 	}
 }

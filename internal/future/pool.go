@@ -55,7 +55,7 @@ func Submit[T any](p *Pool, fn func() (T, error)) *Future[T] {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		f.Fail(ErrPoolClosed)
+		f.fail(ErrPoolClosed)
 		return f
 	}
 	// Enqueue while holding the lock so Close cannot close the channel
@@ -77,7 +77,7 @@ func TrySubmit[T any](p *Pool, fn func() (T, error)) *Future[T] {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		f.Fail(ErrPoolClosed)
+		f.fail(ErrPoolClosed)
 		return f
 	}
 	select {
@@ -85,7 +85,7 @@ func TrySubmit[T any](p *Pool, fn func() (T, error)) *Future[T] {
 		p.mu.Unlock()
 	default:
 		p.mu.Unlock()
-		f.Fail(ErrPoolSaturated)
+		f.fail(ErrPoolSaturated)
 	}
 	return f
 }
@@ -97,10 +97,10 @@ func settleTask[T any](fn func() (T, error)) (*Future[T], func()) {
 	return f, func() {
 		v, err := fn()
 		if err != nil {
-			f.Fail(err)
+			f.fail(err)
 			return
 		}
-		f.Complete(v)
+		f.complete(v)
 	}
 }
 

@@ -1,9 +1,6 @@
 package kb
 
-import (
-	"repro/internal/nlu"
-	"repro/internal/rdf"
-)
+import "repro/internal/rdf"
 
 // Accuracy levels on facts (the paper's §5 future work, implemented): each
 // fact may carry a confidence in (0, 1]; inference propagates levels so
@@ -34,36 +31,6 @@ func (k *KB) InferWithConfidence(minThreshold float64) (int, error) {
 		rules = append(rules, rdf.ConfidentRule{Rule: r, Confidence: 1})
 	}
 	return rdf.ForwardChainConfidence(k.graph, k.confidences(), rules, minThreshold, 0)
-}
-
-// AddRelations stores extracted entity relations (paper §2.1's
-// relationship extraction) as RDF facts carrying their extraction
-// confidence as the fact's accuracy level, making them first-class inputs
-// to confidence-aware inference. It returns how many facts were added.
-func (k *KB) AddRelations(relations []nlu.Relation) (int, error) {
-	added := 0
-	for _, r := range relations {
-		stmt := rdf.Statement{
-			S: rdf.NewIRI(r.SubjectID),
-			P: rdf.NewIRI(r.Predicate),
-			O: rdf.NewIRI(r.ObjectID),
-		}
-		ok, err := k.graph.Add(stmt)
-		if err != nil {
-			return added, err
-		}
-		level := r.Confidence
-		if level <= 0 || level > 1 {
-			level = 1
-		}
-		if err := k.confidences().Set(stmt, level); err != nil {
-			return added, err
-		}
-		if ok {
-			added++
-		}
-	}
-	return added, nil
 }
 
 func (k *KB) confidences() *rdf.Confidences {

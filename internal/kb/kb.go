@@ -1,7 +1,8 @@
 // Package kb implements the personalized knowledge base built on top of
 // the rich SDK (paper §3). It stores data in multiple forms — relational
-// tables, a key-value store, an RDF triple store, and CSV files — converts
-// between them, disambiguates entities so aliases do not proliferate as
+// tables, an RDF triple store, CSV files and the remote key-value store —
+// exports tables and the graph as CSV, disambiguates entities so aliases
+// do not proliferate as
 // redundant records, spell-checks text locally, performs statistical
 // analysis and regression prediction, stores analysis results as RDF
 // statements, and infers new facts from them (the Figure 5 loop:
@@ -22,7 +23,6 @@ import (
 	"repro/internal/aggregate"
 	"repro/internal/codec"
 	"repro/internal/csvconv"
-	"repro/internal/kvstore"
 	"repro/internal/lexicon"
 	"repro/internal/nlu"
 	"repro/internal/rdbms"
@@ -55,7 +55,6 @@ type KB struct {
 	cfg    Config
 	db     *rdbms.DB
 	graph  *rdf.Graph
-	kv     kvstore.Store
 	disamb *nlu.Disambiguator
 	spell  *spell.Checker
 	cdc    codec.Codec
@@ -95,7 +94,6 @@ func New(cfg Config) (*KB, error) {
 		cfg:    cfg,
 		db:     rdbms.NewDB(),
 		graph:  rdf.NewGraph(),
-		kv:     kvstore.NewMemory(),
 		disamb: nlu.NewDisambiguator(),
 		spell:  spell.NewChecker(lexicon.Dictionary(), nil),
 		cdc:    cdc,
@@ -107,12 +105,6 @@ func (k *KB) DB() *rdbms.DB { return k.db }
 
 // Graph exposes the RDF store.
 func (k *KB) Graph() *rdf.Graph { return k.graph }
-
-// KV exposes the key-value store.
-func (k *KB) KV() kvstore.Store { return k.kv }
-
-// Disambiguator exposes the entity disambiguator.
-func (k *KB) Disambiguator() *nlu.Disambiguator { return k.disamb }
 
 // --- Ingestion and SQL ---
 
@@ -394,26 +386,6 @@ func trendLabel(slope float64) string {
 }
 
 // --- Conversions ---
-
-// TableToRDF converts a table's rows into RDF statements under ns and adds
-// them to the graph, returning how many statements were added.
-func (k *KB) TableToRDF(table, subjectCol, ns string) (int, error) {
-	t, err := k.db.Table(table)
-	if err != nil {
-		return 0, err
-	}
-	stmts, err := csvconv.TableToStatements(t, subjectCol, ns)
-	if err != nil {
-		return 0, err
-	}
-	return k.graph.AddAll(stmts)
-}
-
-// RDFToTable materializes the entire graph as a subject/predicate/object
-// table.
-func (k *KB) RDFToTable(table string) (*rdbms.Table, error) {
-	return csvconv.StatementsToTable(k.db, table, k.graph.All())
-}
 
 // ExportTableCSV writes a table as CSV into the KB directory and returns
 // the path.

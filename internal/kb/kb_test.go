@@ -248,27 +248,6 @@ func TestProveBackward(t *testing.T) {
 	}
 }
 
-func TestTableToRDFAndBack(t *testing.T) {
-	k := newKB(t, Config{})
-	if _, err := k.IngestCSV("sales", strings.NewReader(salesCSV)); err != nil {
-		t.Fatal(err)
-	}
-	n, err := k.TableToRDF("sales", "country", "kb:")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n == 0 {
-		t.Fatal("no statements added")
-	}
-	tab, err := k.RDFToTable("triples")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tab.Len() != k.Graph().Len() {
-		t.Errorf("table rows = %d, graph = %d", tab.Len(), k.Graph().Len())
-	}
-}
-
 func TestExports(t *testing.T) {
 	dir := t.TempDir()
 	k := newKB(t, Config{Dir: dir})
@@ -361,7 +340,9 @@ func TestRemoteUnconfigured(t *testing.T) {
 
 func TestUserSynonymsFlowIntoCanonicalization(t *testing.T) {
 	k := newKB(t, Config{})
-	k.Disambiguator().AddSynonym("big blue", "company:ibm")
+	if _, err := k.disamb.LoadSynonyms(strings.NewReader("big blue,company:ibm\n")); err != nil {
+		t.Fatal(err)
+	}
 	csv := "vendor,spend\nBig Blue,10\nbig blue,20\n"
 	if _, err := k.IngestCSV("spend", strings.NewReader(csv)); err != nil {
 		t.Fatal(err)

@@ -3,45 +3,14 @@ package kb
 import (
 	"testing"
 
-	"repro/internal/nlu"
 	"repro/internal/rdf"
 )
-
-func TestAddRelationsStoresFactsWithConfidence(t *testing.T) {
-	k := newKB(t, Config{})
-	engine := nlu.NewEngine(nlu.ProfileAlpha)
-	a := engine.Analyze("Acme Corporation acquired Globex Industries.")
-	if len(a.Relations) == 0 {
-		t.Fatal("no relations extracted")
-	}
-	added, err := k.AddRelations(a.Relations)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if added != len(a.Relations) {
-		t.Errorf("added = %d, want %d", added, len(a.Relations))
-	}
-	res, err := k.Query("SELECT ?who WHERE { <company:acme> <kb:acquired> ?who }")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 1 || res.Rows[0][0].Value != "company:globex" {
-		t.Errorf("rows = %v", res.Rows)
-	}
-	// The fact carries the extraction confidence as its accuracy level.
-	level := k.FactConfidence("company:acme", "kb:acquired", "company:globex")
-	if level != a.Relations[0].Confidence {
-		t.Errorf("level = %v, want %v", level, a.Relations[0].Confidence)
-	}
-}
 
 func TestRelationsFeedConfidentInference(t *testing.T) {
 	k := newKB(t, Config{})
 	// A weakly extracted acquisition plus a trusted rule: ownership
 	// follows acquisition, but only above the trust threshold.
-	if _, err := k.AddRelations([]nlu.Relation{
-		{SubjectID: "company:acme", Predicate: "kb:acquired", ObjectID: "company:globex", Confidence: 0.3},
-	}); err != nil {
+	if err := k.AddFactWithConfidence("company:acme", "kb:acquired", "company:globex", 0.3); err != nil {
 		t.Fatal(err)
 	}
 	err := k.AddRule(rdf.Rule{
@@ -72,20 +41,5 @@ func TestRelationsFeedConfidentInference(t *testing.T) {
 	}
 	if got := k.FactConfidence("company:acme", "kb:owns", "company:globex"); got != 0.3 {
 		t.Errorf("inferred level = %v, want 0.3", got)
-	}
-}
-
-func TestAddRelationsDuplicate(t *testing.T) {
-	k := newKB(t, Config{})
-	r := nlu.Relation{SubjectID: "a:1", Predicate: "kb:praised", ObjectID: "a:2", Confidence: 0.8}
-	if _, err := k.AddRelations([]nlu.Relation{r, r}); err != nil {
-		t.Fatal(err)
-	}
-	added, err := k.AddRelations([]nlu.Relation{r})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if added != 0 {
-		t.Errorf("re-adding counted %d new facts", added)
 	}
 }

@@ -79,9 +79,6 @@ func (g *Gauge) Add(d int64) {
 // Inc adds one.
 func (g *Gauge) Inc() { g.Add(1) }
 
-// Dec subtracts one.
-func (g *Gauge) Dec() { g.Add(-1) }
-
 // Value returns the current value (0 on a nil gauge).
 func (g *Gauge) Value() int64 {
 	if g == nil {
@@ -185,15 +182,6 @@ type HistSnapshot struct {
 	Count   uint64
 	Sum     time.Duration
 	Buckets []uint64 // len histNumBuckets, same global layout everywhere
-}
-
-// Merge folds o into s.
-func (s *HistSnapshot) Merge(o HistSnapshot) {
-	s.Count += o.Count
-	s.Sum += o.Sum
-	for i, n := range o.Buckets {
-		s.Buckets[i] += n
-	}
 }
 
 // Mean returns the average observed latency, 0 with no data.

@@ -126,11 +126,6 @@ func (m *Monitor) RecordQuality(q float64) {
 // Count returns the total number of recorded invocations.
 func (m *Monitor) Count() uint64 { return m.successes.Load() + m.failures.Load() }
 
-// Retries returns the total number of transport attempts beyond each
-// invocation's first — how much retrying the failure handler has done on
-// this service's behalf.
-func (m *Monitor) Retries() uint64 { return m.retries.Load() }
-
 // Availability returns the fraction of recorded invocations that succeeded,
 // or 1 if nothing has been recorded (optimistic default: an unknown service
 // is assumed healthy until observed otherwise).
@@ -168,13 +163,6 @@ func (m *Monitor) MeanQuality() (mean float64, count uint64) {
 		return 0, 0
 	}
 	return math.Float64frombits(m.qualitySum.Load()) / float64(n), n
-}
-
-// LatencyDistribution returns the full bucketed latency distribution of
-// successful invocations. Snapshots share a global bucket layout, so
-// distributions from different monitors can be rolled up with Merge.
-func (m *Monitor) LatencyDistribution() HistSnapshot {
-	return m.hist.Snapshot()
 }
 
 // Snapshot returns a point-in-time summary. Its fields are read one by one

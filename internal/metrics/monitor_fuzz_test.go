@@ -81,11 +81,11 @@ func FuzzMonitor(f *testing.F) {
 				t.Fatalf("after op %d: Snapshot\n got %+v\nwant %+v", op, got, exp)
 			}
 			mean, n := m.MeanQuality()
-			if m.Count() != exp.Count || m.Retries() != exp.Retries || m.Availability() != exp.Availability ||
+			if m.Count() != exp.Count || m.retries.Load() != exp.Retries || m.Availability() != exp.Availability ||
 				m.MeanLatency() != exp.MeanLatency || mean != exp.MeanQuality || n != exp.QualityCount {
 				t.Fatalf("after op %d: accessors disagree with Snapshot %+v", op, exp)
 			}
-			if d := m.LatencyDistribution(); d.Count != uint64(len(want.sorted)) || int64(d.Sum) != want.sum {
+			if d := m.hist.Snapshot(); d.Count != uint64(len(want.sorted)) || int64(d.Sum) != want.sum {
 				t.Fatalf("after op %d: distribution holds %d summing to %d, want %d summing to %d",
 					op, d.Count, d.Sum, len(want.sorted), want.sum)
 			}

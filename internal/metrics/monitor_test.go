@@ -159,13 +159,13 @@ func TestMonitorConcurrentAccess(t *testing.T) {
 	if want := uint64(writers * perWriter / 10); s.Failures != want {
 		t.Errorf("Failures = %d, want %d", s.Failures, want)
 	}
-	if s.Retries != retries || m.Retries() != retries {
-		t.Errorf("Retries = %d (Snapshot %d), want %d", m.Retries(), s.Retries, retries)
+	if s.Retries != retries || m.retries.Load() != retries {
+		t.Errorf("Retries = %d (Snapshot %d), want %d", m.retries.Load(), s.Retries, retries)
 	}
 	if s.QualityCount != writers*perWriter || s.MeanQuality != 0.5 {
 		t.Errorf("quality = (%v, %d), want (0.5, %d)", s.MeanQuality, s.QualityCount, writers*perWriter)
 	}
-	if d := m.LatencyDistribution(); d.Count != successes || d.Sum != sum {
+	if d := m.hist.Snapshot(); d.Count != successes || d.Sum != sum {
 		t.Errorf("distribution holds %d latencies summing to %v, want %d summing to %v", d.Count, d.Sum, successes, sum)
 	}
 	if want := sum / time.Duration(successes); s.MeanLatency != want {
@@ -323,7 +323,7 @@ func TestRetriesAccumulateAttemptsBeyondFirst(t *testing.T) {
 	m.Record(Observation{Latency: time.Millisecond, Attempts: 3})
 	m.Record(Observation{Latency: time.Millisecond, Attempts: 0}) // clamped to one attempt
 	m.Record(Observation{Latency: time.Millisecond, Err: errBoom, Attempts: 2})
-	if got := m.Retries(); got != 3 {
+	if got := m.retries.Load(); got != 3 {
 		t.Errorf("Retries() = %d, want 3", got)
 	}
 	if snap := m.Snapshot(); snap.Retries != 3 {

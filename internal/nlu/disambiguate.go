@@ -4,7 +4,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 
@@ -44,9 +43,9 @@ func NewDisambiguator() *Disambiguator {
 	}
 }
 
-// AddSynonym maps a surface form to an entity ID. Unknown entity IDs create
+// addSynonym maps a surface form to an entity ID. Unknown entity IDs create
 // a new user-defined entity whose name is the ID's suffix.
-func (d *Disambiguator) AddSynonym(surface, entityID string) {
+func (d *Disambiguator) addSynonym(surface, entityID string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.aliases[strings.ToLower(strings.TrimSpace(surface))] = entityID
@@ -81,7 +80,7 @@ func (d *Disambiguator) LoadSynonyms(r io.Reader) (int, error) {
 		if len(rec) < 2 {
 			return n, fmt.Errorf("nlu: synonym row %v needs surface,entityID", rec)
 		}
-		d.AddSynonym(rec[0], rec[1])
+		d.addSynonym(rec[0], rec[1])
 		n++
 	}
 }
@@ -111,26 +110,4 @@ func (d *Disambiguator) Resolve(surface string) (Resolution, bool) {
 		DBpedia:  e.DBpedia,
 		Yago:     e.Yago,
 	}, true
-}
-
-// CanonicalIDs disambiguates every surface in the list and returns the
-// distinct canonical IDs, sorted. Surfaces that cannot be resolved map to
-// "unknown:<lower surface>" — preserved so callers can see the residue.
-// This is the operation that prevents "the proliferation of redundant
-// database entries" the paper describes.
-func (d *Disambiguator) CanonicalIDs(surfaces []string) []string {
-	set := make(map[string]bool)
-	for _, s := range surfaces {
-		if r, ok := d.Resolve(s); ok {
-			set[r.EntityID] = true
-		} else {
-			set["unknown:"+strings.ToLower(strings.TrimSpace(s))] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
 }

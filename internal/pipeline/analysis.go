@@ -85,8 +85,8 @@ type DocResult struct {
 	Cached int
 }
 
-// Primary returns the primary engine's analysis.
-func (d DocResult) Primary() nlu.Analysis { return d.Analyses[0] }
+// primary returns the primary engine's analysis.
+func (d DocResult) primary() nlu.Analysis { return d.Analyses[0] }
 
 // AnalysisResult is one pipeline run's full outcome.
 type AnalysisResult struct {

@@ -263,7 +263,7 @@ func (r *runner) collect(res *AnalysisResult, source string) {
 		sp := r.parent.Child("aggregate")
 		start := time.Now()
 		res.Docs = append(res.Docs, s.res)
-		res.Analyses = append(res.Analyses, s.res.Primary())
+		res.Analyses = append(res.Analyses, s.res.primary())
 		res.PerDoc = append(res.PerDoc, s.res.Analyses)
 		res.CachedAnalyses += s.res.Cached
 		record(aggregateMon, sp, start, nil)

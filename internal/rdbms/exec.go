@@ -30,7 +30,7 @@ func (db *DB) Exec(sql string) (ResultSet, error) {
 		if err != nil {
 			return ResultSet{}, err
 		}
-		return ResultSet{}, t.CreateIndex(s.Column)
+		return ResultSet{}, t.createIndex(s.Column)
 	case insertStmt:
 		return ResultSet{}, db.execInsert(s)
 	case selectStmt:

@@ -112,8 +112,8 @@ func (t *Table) Insert(row Row) error {
 	return nil
 }
 
-// CreateIndex builds a hash index on the named column. Idempotent.
-func (t *Table) CreateIndex(column string) error {
+// createIndex builds a hash index on the named column. Idempotent.
+func (t *Table) createIndex(column string) error {
 	ci := t.schema.Index(column)
 	if ci < 0 {
 		return fmt.Errorf("rdbms: no column %q", column)
@@ -131,14 +131,6 @@ func (t *Table) CreateIndex(column string) error {
 	}
 	t.indexes[col] = idx
 	return nil
-}
-
-// HasIndex reports whether the column is indexed.
-func (t *Table) HasIndex(column string) bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	_, ok := t.indexes[strings.ToLower(column)]
-	return ok
 }
 
 // scan calls fn for every live row id and row. Callers must not mutate the
@@ -284,18 +276,6 @@ func (db *DB) Table(name string) (*Table, error) {
 		return nil, fmt.Errorf("rdbms: no table %q", name)
 	}
 	return t, nil
-}
-
-// Drop removes the named table.
-func (db *DB) Drop(name string) error {
-	key := strings.ToLower(name)
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if _, ok := db.tables[key]; !ok {
-		return fmt.Errorf("rdbms: no table %q", name)
-	}
-	delete(db.tables, key)
-	return nil
 }
 
 // Names returns the table names in sorted order.

@@ -95,7 +95,7 @@ func (g *Graph) Query(q string) (QueryResult, error) {
 			}
 		}
 	}
-	sols := g.SolveRows(patterns)
+	sols := g.solveRows(patterns)
 	res := QueryResult{Vars: vars}
 	if len(sols.Rows) == 0 {
 		return res, nil

@@ -316,20 +316,20 @@ func tripleMatches(want, t triple) bool {
 		(want[2] == wildID || want[2] == t[2])
 }
 
-// Solutions is the compact tabular result of SolveRows: Vars names the
+// solutions is the compact tabular result of solveRows: Vars names the
 // columns (variables in first-appearance order) and each row binds them
 // positionally. All rows share one flat backing array.
-type Solutions struct {
+type solutions struct {
 	Vars []string
 	Rows [][]Term
 }
 
-// SolveRows finds all solutions of the basic graph pattern and returns
+// solveRows finds all solutions of the basic graph pattern and returns
 // them in compact tabular form — the allocation-light counterpart of
 // Solve for callers (Query, benchmarks) that do not need map bindings.
 // No patterns means one empty solution. Row order is unspecified; Query
 // sorts its projection.
-func (g *Graph) SolveRows(patterns []Statement) Solutions {
+func (g *Graph) solveRows(patterns []Statement) solutions {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	if o := g.obs; o != nil {
@@ -357,7 +357,7 @@ func (g *Graph) SolveRows(patterns []Statement) Solutions {
 	}
 	exec.run()
 	if count == 0 {
-		return Solutions{Vars: vars}
+		return solutions{Vars: vars}
 	}
 	flat := make([]Term, len(flatIDs))
 	for i, id := range flatIDs {
@@ -367,7 +367,7 @@ func (g *Graph) SolveRows(patterns []Statement) Solutions {
 	for i := range rows {
 		rows[i] = flat[i*nv : (i+1)*nv : (i+1)*nv]
 	}
-	return Solutions{Vars: vars, Rows: rows}
+	return solutions{Vars: vars, Rows: rows}
 }
 
 // Solve finds all bindings satisfying every pattern (a basic graph
@@ -375,7 +375,7 @@ func (g *Graph) SolveRows(patterns []Statement) Solutions {
 // first by index-estimated cardinality — so the result set is the same as
 // the old left-to-right join but its order is unspecified.
 func (g *Graph) Solve(patterns []Statement) []Binding {
-	sols := g.SolveRows(patterns)
+	sols := g.solveRows(patterns)
 	if len(sols.Rows) == 0 {
 		return nil
 	}

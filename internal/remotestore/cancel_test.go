@@ -51,7 +51,7 @@ func TestCancelledWriteIsNotAnOutage(t *testing.T) {
 				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 				write := func() error { return tc.cl.PutCtx(ctx, "k", []byte("new")) }
 				if i%2 == 1 {
-					write = func() error { return tc.cl.DeleteCtx(ctx, fmt.Sprintf("other-%d", i)) }
+					write = func() error { return tc.cl.deleteCtx(ctx, fmt.Sprintf("other-%d", i)) }
 				}
 				start := time.Now()
 				err := write()

@@ -146,7 +146,7 @@ func TestSyncCtxInterrupts(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	pushed, err := c.SyncCtx(ctx)
+	pushed, err := c.syncCtx(ctx)
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("SyncCtx(cancelled) error = %v, want context.Canceled", err)
 	}

@@ -136,10 +136,8 @@ type Cluster struct {
 
 	ring *ring.Ring
 
-	rt      http.RoundTripper // shared by every node's transport
-	timeout time.Duration
-	nmu     sync.RWMutex
-	nodes   map[string]*transport
+	rt    http.RoundTripper     // shared by every node's transport
+	nodes map[string]*transport // written only by NewCluster
 
 	memcache *cache.Sharded[[]byte]
 
@@ -183,7 +181,7 @@ func newClusterInstruments(set *metrics.Set) clusterInstruments {
 		dropped: set.Counter("cloudstore_dropped_writes_total",
 			"Offline writes evicted from the full write-back queue."),
 		ringNodes: set.Gauge("cloudstore_ring_nodes",
-			"Current consistent-hash ring membership."),
+			"Consistent-hash ring membership, fixed when the client is built."),
 		pending: set.Gauge("cloudstore_pending_writes",
 			"Writes queued for synchronization."),
 		requests: make(map[string]*metrics.Counter),
@@ -208,7 +206,7 @@ func (ci *clusterInstruments) forNode(node string) (req, errs *metrics.Counter) 
 }
 
 // NewCluster returns a sharded client over cfg.Nodes. At least one node is
-// required.
+// required; the membership is fixed for the client's life.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if len(cfg.Nodes) == 0 {
 		return nil, errors.New("remotestore: cluster needs at least one node")
@@ -272,18 +270,21 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		breakers: breakers,
 		pool:     pool,
 		ring:     ring.New(ringOpts...),
-		timeout:  cfg.Timeout,
+		rt:       nodeRoundTripper(),
 		nodes:    make(map[string]*transport, len(cfg.Nodes)),
 		queue:    newWriteQueue(),
 		inst:     newClusterInstruments(cfg.Metrics),
 	}
-	cl.rt = nodeRoundTripper()
 	if cfg.CacheSize > 0 {
 		cl.memcache = cache.NewSharded[[]byte](cfg.CacheSize)
 	}
 	for _, n := range cfg.Nodes {
-		cl.AddNode(n)
+		if _, ok := cl.nodes[n]; !ok {
+			cl.nodes[n] = &transport{base: n, rt: cl.rt, timeout: cfg.Timeout}
+			cl.ring.Add(n)
+		}
 	}
+	cl.inst.ringNodes.Set(int64(cl.ring.Len()))
 	return cl, nil
 }
 
@@ -309,30 +310,7 @@ func nodeRoundTripper() http.RoundTripper {
 	return t
 }
 
-// AddNode joins a store node to the ring. New keys start landing on it
-// immediately; call Rebalance to move existing replicas onto it.
-func (cl *Cluster) AddNode(name string) {
-	cl.nmu.Lock()
-	if _, ok := cl.nodes[name]; !ok {
-		cl.nodes[name] = &transport{base: name, rt: cl.rt, timeout: cl.timeout}
-		cl.ring.Add(name)
-	}
-	cl.nmu.Unlock()
-	cl.inst.ringNodes.Set(int64(cl.ring.Len()))
-}
-
-// RemoveNode leaves a node. Keys it held remain on their surviving
-// replicas; call Rebalance to restore full replication on the remaining
-// members.
-func (cl *Cluster) RemoveNode(name string) {
-	cl.nmu.Lock()
-	delete(cl.nodes, name)
-	cl.ring.Remove(name)
-	cl.nmu.Unlock()
-	cl.inst.ringNodes.Set(int64(cl.ring.Len()))
-}
-
-// Nodes returns the current members, sorted.
+// Nodes returns the members, sorted.
 func (cl *Cluster) Nodes() []string { return cl.ring.Nodes() }
 
 // Replicas returns R.
@@ -404,12 +382,6 @@ func (cl *Cluster) owners(key string) []string {
 	return cl.ring.LookupN(key, cl.replicas)
 }
 
-func (cl *Cluster) transportFor(node string) *transport {
-	cl.nmu.RLock()
-	defer cl.nmu.RUnlock()
-	return cl.nodes[node]
-}
-
 // wrapNodeErr tags a node-level failure. Transport failures gain
 // service.ErrUnavailable so the shared breaker and retry machinery — which
 // classify transients by that sentinel — treat them as such, while
@@ -429,13 +401,10 @@ func unreachable(err error) bool {
 
 // nodeDo runs one node operation through the per-node breaker and retry
 // policy. It never uses the fan-out pool, so callers already running on a
-// pool worker (Sync drains, Rebalance copies) can call it without
-// deadlocking the pool against itself.
+// pool worker (Sync drains) can call it without deadlocking the pool
+// against itself.
 func (cl *Cluster) nodeDo(ctx context.Context, node string, op func(ctx context.Context, tr *transport) error) error {
-	tr := cl.transportFor(node)
-	if tr == nil {
-		return fmt.Errorf("remotestore: node %s: %w", node, core.ErrBreakerOpen)
-	}
+	tr := cl.nodes[node]
 	var br *core.Breaker
 	if cl.breakers != nil {
 		br = cl.breakers.For(node)
@@ -513,11 +482,11 @@ func (cl *Cluster) PutCtx(ctx context.Context, key string, value []byte) error {
 
 // Delete removes key from its replicas (quorum semantics as Put).
 func (cl *Cluster) Delete(key string) error {
-	return cl.DeleteCtx(context.Background(), key)
+	return cl.deleteCtx(context.Background(), key)
 }
 
-// DeleteCtx is Delete with cancellation.
-func (cl *Cluster) DeleteCtx(ctx context.Context, key string) error {
+// deleteCtx is Delete with cancellation.
+func (cl *Cluster) deleteCtx(ctx context.Context, key string) error {
 	if err := checkKey(key); err != nil {
 		return err
 	}
@@ -843,11 +812,11 @@ func (cl *Cluster) queueWrite(key string, encoded []byte, del bool) {
 // once W of its owners acknowledge. Writes that miss quorum requeue and
 // flip the client back offline. Returns how many writes synced.
 func (cl *Cluster) Sync() (int, error) {
-	return cl.SyncCtx(context.Background())
+	return cl.syncCtx(context.Background())
 }
 
-// SyncCtx is Sync with cancellation.
-func (cl *Cluster) SyncCtx(ctx context.Context) (int, error) {
+// syncCtx is Sync with cancellation.
+func (cl *Cluster) syncCtx(ctx context.Context) (int, error) {
 	cl.mu.Lock()
 	cl.offline = false
 	ordered := cl.queue.drain()
@@ -920,94 +889,4 @@ func (cl *Cluster) SyncCtx(ctx context.Context) (int, error) {
 		return pushed, fmt.Errorf("remotestore: sync interrupted: %d writes below quorum", len(requeue))
 	}
 	return pushed, nil
-}
-
-// Rebalance re-replicates every key onto its current owners, for use after
-// AddNode/RemoveNode. For each key it reads the stored (post-codec) bytes
-// from a current holder and copies them raw to any owner in the new
-// placement — raw, because re-encoding through a randomized codec (AES-GCM)
-// would make replicas diverge byte-wise for no reason. Stale copies on
-// former owners are left behind (they stop being read, and the next write
-// to the key refreshes only the new owners); reclaiming them is a storage
-// concern, not a correctness one. Returns how many keys were copied to at
-// least one new owner.
-func (cl *Cluster) Rebalance(ctx context.Context) (int, error) {
-	keys, err := cl.KeysCtx(ctx)
-	if err != nil {
-		return 0, fmt.Errorf("remotestore: rebalance: %w", err)
-	}
-	nodes := cl.ring.Nodes()
-	moved := 0
-	var mu sync.Mutex
-	futs := make([]*future.Future[struct{}], 0, len(keys))
-	var firstErr error
-	for _, key := range keys {
-		key := key
-		// Each per-key task runs nodeDo directly — never nested pool
-		// submits, which could deadlock the pool against itself.
-		futs = append(futs, future.Submit(cl.pool, func() (struct{}, error) {
-			owners := cl.owners(key)
-			// Find the bytes: owners first (common case: key already in
-			// place), then any other node (the key's pre-change holders).
-			var raw []byte
-			found := false
-			tryRead := func(node string) {
-				if found {
-					return
-				}
-				err := cl.nodeDo(ctx, node, func(ctx context.Context, tr *transport) error {
-					data, gerr := tr.get(ctx, key)
-					if gerr == nil {
-						raw = data
-					}
-					return gerr
-				})
-				if err == nil {
-					found = true
-				}
-			}
-			for _, n := range owners {
-				tryRead(n)
-			}
-			for _, n := range nodes {
-				tryRead(n)
-			}
-			if !found {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("remotestore: rebalance: key %q unreadable on all nodes", key)
-				}
-				mu.Unlock()
-				return struct{}{}, nil
-			}
-			copied := false
-			for _, n := range owners {
-				// Unconditional idempotent put: cheaper than probing each
-				// owner for presence first, and self-healing for replicas
-				// that silently lost the key.
-				err := cl.nodeDo(ctx, n, func(ctx context.Context, tr *transport) error {
-					return tr.put(ctx, key, raw)
-				})
-				if err == nil {
-					copied = true
-				} else {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-				}
-			}
-			if copied {
-				mu.Lock()
-				moved++
-				mu.Unlock()
-			}
-			return struct{}{}, nil
-		}))
-	}
-	for _, f := range futs {
-		_, _ = f.Get()
-	}
-	return moved, firstErr
 }

@@ -450,76 +450,6 @@ func mustAES(passphrase string) codec.Codec {
 	return c
 }
 
-func TestClusterRebalanceAfterRemove(t *testing.T) {
-	tc := newTestCluster(t, 4, nil)
-	const n = 40
-	for i := 0; i < n; i++ {
-		if err := tc.cl.Put(fmt.Sprintf("key-%02d", i), []byte(fmt.Sprintf("v%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Decommission node 0: its transport leaves the ring, then Rebalance
-	// restores R=2 on the survivors from the remaining replicas.
-	removed := tc.urls[0]
-	tc.cl.RemoveNode(removed)
-	tc.servers[0].SetDown(true) // decommissioned for real, not just forgotten
-	moved, err := tc.cl.Rebalance(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if moved != n {
-		t.Fatalf("Rebalance copied %d keys, want %d", moved, n)
-	}
-	for i := 0; i < n; i++ {
-		k := fmt.Sprintf("key-%02d", i)
-		owners := tc.cl.owners(k)
-		if len(owners) != 2 {
-			t.Fatalf("owners(%s) = %v after remove", k, owners)
-		}
-		for _, o := range owners {
-			if o == removed {
-				t.Fatalf("key %s still owned by removed node", k)
-			}
-			if _, err := tc.stores[tc.nodeIndex(o)].Get(k); err != nil {
-				t.Fatalf("key %s missing on new owner %s after rebalance", k, o)
-			}
-		}
-	}
-}
-
-func TestClusterRebalanceAfterAdd(t *testing.T) {
-	tc := newTestCluster(t, 4, nil)
-	// Start with a 3-node ring; node 3 exists but is not a member yet.
-	tc.cl.RemoveNode(tc.urls[3])
-	const n = 30
-	for i := 0; i < n; i++ {
-		if err := tc.cl.Put(fmt.Sprintf("key-%02d", i), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	tc.cl.AddNode(tc.urls[3])
-	if _, err := tc.cl.Rebalance(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	// Every key is now present on its (possibly changed) owner set, and
-	// the new node received its share.
-	newNodeKeys := 0
-	for i := 0; i < n; i++ {
-		k := fmt.Sprintf("key-%02d", i)
-		for _, o := range tc.cl.owners(k) {
-			if _, err := tc.stores[tc.nodeIndex(o)].Get(k); err != nil {
-				t.Fatalf("key %s missing on owner %s after rebalance", k, o)
-			}
-			if o == tc.urls[3] {
-				newNodeKeys++
-			}
-		}
-	}
-	if newNodeKeys == 0 {
-		t.Fatal("new node received no keys — ring not rebalanced")
-	}
-}
-
 func TestClusterMetricsExposed(t *testing.T) {
 	set := metrics.NewSet()
 	tc := newTestCluster(t, 4, func(c *ClusterConfig) {

@@ -33,7 +33,7 @@ func (cl *Cluster) Handler() http.Handler {
 		_, _ = w.Write(data)
 	})
 	mux.HandleFunc("DELETE /kv/{key}", func(w http.ResponseWriter, r *http.Request) {
-		if err := cl.DeleteCtx(r.Context(), r.PathValue("key")); err != nil {
+		if err := cl.deleteCtx(r.Context(), r.PathValue("key")); err != nil {
 			writeKVError(w, err, http.StatusBadGateway)
 			return
 		}
@@ -49,7 +49,7 @@ func (cl *Cluster) Handler() http.Handler {
 		_ = json.NewEncoder(w).Encode(keys)
 	})
 	mux.HandleFunc("POST /sync", func(w http.ResponseWriter, r *http.Request) {
-		pushed, err := cl.SyncCtx(r.Context())
+		pushed, err := cl.syncCtx(r.Context())
 		w.Header().Set("Content-Type", "application/json")
 		status := http.StatusOK
 		var msg string

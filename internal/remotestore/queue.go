@@ -17,10 +17,14 @@ const maxPending = 4096
 // drop trades durability-on-reconnect for bounded memory, which is the
 // right trade during an unbounded outage.
 //
+// The index holds absolute positions: entries[i] sits at base+i, so
+// dropping the oldest entry advances base and touches one map entry.
+//
 // Callers hold the owning client's mutex; writeQueue does no locking.
 type writeQueue struct {
 	entries []pendingWrite
-	index   map[string]int // key -> position in entries
+	base    int            // absolute position of entries[0]
+	index   map[string]int // key -> absolute position
 	seq     int64
 	dropped int64
 }
@@ -43,26 +47,35 @@ func newWriteQueue() *writeQueue {
 func (q *writeQueue) push(key string, encoded []byte, del bool) (evicted bool) {
 	q.seq++
 	w := pendingWrite{key: key, value: encoded, seq: q.seq, delete: del}
-	if i, ok := q.index[key]; ok {
+	if p, ok := q.index[key]; ok {
 		// Coalesce: the newer write supersedes the queued one but keeps
-		// its ring position — Sync replays in seq order, and the
+		// its queue position — Sync replays in seq order, and the
 		// superseded seq is gone.
-		q.entries[i] = w
+		q.entries[p-q.base] = w
 		return false
 	}
 	if len(q.entries) >= maxPending {
-		oldest := q.entries[0]
-		delete(q.index, oldest.key)
-		q.entries = q.entries[1:]
-		for k, i := range q.index {
-			q.index[k] = i - 1
-		}
-		q.dropped++
+		q.dropOldest()
 		evicted = true
 	}
-	q.index[key] = len(q.entries)
-	q.entries = append(q.entries, w)
+	q.add(w)
 	return evicted
+}
+
+// add appends w, whose key is not queued.
+func (q *writeQueue) add(w pendingWrite) {
+	q.index[w.key] = q.base + len(q.entries)
+	q.entries = append(q.entries, w)
+}
+
+// dropOldest evicts the entry at the front of the queue and counts it.
+// The slice's dead front is reclaimed when append next reallocates.
+func (q *writeQueue) dropOldest() {
+	delete(q.index, q.entries[0].key)
+	q.entries[0] = pendingWrite{}
+	q.entries = q.entries[1:]
+	q.base++
+	q.dropped++
 }
 
 // drain removes and returns every queued write in seq order.
@@ -86,26 +99,18 @@ func (q *writeQueue) requeue(entries []pendingWrite) {
 	q.entries = make([]pendingWrite, 0, len(entries)+len(newer))
 	q.index = make(map[string]int, len(entries)+len(newer))
 	for _, w := range entries {
-		q.index[w.key] = len(q.entries)
-		q.entries = append(q.entries, w)
+		q.add(w)
 	}
 	for _, w := range newer {
-		if i, ok := q.index[w.key]; ok {
-			q.entries[i] = w
+		if p, ok := q.index[w.key]; ok {
+			q.entries[p-q.base] = w
 			continue
 		}
-		q.index[w.key] = len(q.entries)
-		q.entries = append(q.entries, w)
+		q.add(w)
 	}
 	// Enforce the cap after merging; over-cap entries drop oldest-first.
 	for len(q.entries) > maxPending {
-		oldest := q.entries[0]
-		delete(q.index, oldest.key)
-		q.entries = q.entries[1:]
-		for k, i := range q.index {
-			q.index[k] = i - 1
-		}
-		q.dropped++
+		q.dropOldest()
 	}
 }
 

@@ -137,15 +137,6 @@ func (s *Server) SetFailRate(p float64) {
 	s.mu.Unlock()
 }
 
-// SetSlowDrip makes GET /kv/{key} responses drip out in chunk-byte writes
-// separated by delay — the classic misbehaving-backend mode that holds
-// client connections open. chunk <= 0 or delay <= 0 disables dripping.
-func (s *Server) SetSlowDrip(chunk int, delay time.Duration) {
-	s.mu.Lock()
-	s.dripChunk, s.dripDelay = chunk, delay
-	s.mu.Unlock()
-}
-
 // Requests returns how many requests the server has handled.
 func (s *Server) Requests() int64 { return s.requests.Load() }
 

@@ -18,6 +18,15 @@ import (
 // is already gone, the handler must return almost immediately instead of
 // pinning its goroutine for the full injected duration. On the pre-fix code
 // (bare time.Sleep) this test times out the 500ms budget.
+// setSlowDrip makes GET /kv/{key} responses drip out in chunk-byte writes
+// separated by delay — the classic misbehaving-backend mode that holds
+// client connections open. chunk <= 0 or delay <= 0 disables dripping.
+func (s *Server) setSlowDrip(chunk int, delay time.Duration) {
+	s.mu.Lock()
+	s.dripChunk, s.dripDelay = chunk, delay
+	s.mu.Unlock()
+}
+
 func TestLatencyCancelReleasesHandler(t *testing.T) {
 	srv := NewServer(nil)
 	srv.SetLatency(2 * time.Second)
@@ -185,7 +194,7 @@ func TestSlowDripBody(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	srv.SetSlowDrip(16, 5*time.Millisecond) // 64 bytes => 4 chunks, 3 delays
+	srv.setSlowDrip(16, 5*time.Millisecond) // 64 bytes => 4 chunks, 3 delays
 	start := time.Now()
 	got, err := http.Get(hs.URL + "/kv/drip")
 	if err != nil {
@@ -201,7 +210,7 @@ func TestSlowDripBody(t *testing.T) {
 		t.Errorf("dripped GET took %v, want >= ~15ms across 3 inter-chunk delays", el)
 	}
 
-	srv.SetSlowDrip(0, 0)
+	srv.setSlowDrip(0, 0)
 	got2, err := http.Get(hs.URL + "/kv/drip")
 	if err != nil {
 		t.Fatal(err)

@@ -46,7 +46,7 @@ func TestMidBodyCutIsTransportFailure(t *testing.T) {
 		Breaker: core.BreakerConfig{Threshold: 2, Cooldown: time.Hour},
 	})
 	// 64 chunks 20ms apart: the body takes over a second, the deadline 40ms.
-	srv.SetSlowDrip(64, 20*time.Millisecond)
+	srv.setSlowDrip(64, 20*time.Millisecond)
 	for i := 0; i < 3; i++ {
 		got, err := c.Get("k")
 		if err != nil || !bytes.Equal(got, value) {
@@ -124,7 +124,7 @@ func TestClusterReusesConnections(t *testing.T) {
 	warming.Store(true)
 	var wg sync.WaitGroup
 	for _, u := range urls {
-		tr := c.transportFor(u)
+		tr := c.nodes[u]
 		for g := 0; g < callers; g++ {
 			wg.Add(1)
 			go func() {

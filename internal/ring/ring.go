@@ -6,8 +6,7 @@
 // replicas of a key are the first R *distinct* nodes encountered walking
 // clockwise. Virtual nodes smooth the load split (the classic consistent
 // hashing result: with k·log(n) points per node the max/mean load ratio
-// approaches 1), and make membership changes move only ~1/n of the key
-// space.
+// approaches 1), and make adding a node move only ~1/n of the key space.
 //
 // Placement is fully deterministic for a given (member set, VirtualNodes,
 // Seed) triple — two clients configured identically agree on every key's
@@ -23,7 +22,7 @@ import (
 
 // defaultVirtualNodes is the per-node point count used when the option is
 // left zero. 64 points per node keeps the max/mean shard imbalance under
-// ~15% for small clusters while keeping Add/Remove cost trivial.
+// ~15% for small clusters while keeping Add cost trivial.
 const defaultVirtualNodes = 64
 
 // point is one virtual node: a position on the ring owned by a node.
@@ -144,24 +143,6 @@ func (r *Ring) Add(nodes ...string) {
 	}
 }
 
-// Remove deletes a node and its points. Removing an absent node is a
-// no-op.
-func (r *Ring) Remove(node string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.nodes[node]; !ok {
-		return
-	}
-	delete(r.nodes, node)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.node != node {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-}
-
 // Len returns the number of member nodes.
 func (r *Ring) Len() int {
 	r.mu.RLock()
@@ -179,24 +160,6 @@ func (r *Ring) Nodes() []string {
 	r.mu.RUnlock()
 	sort.Strings(out)
 	return out
-}
-
-// Contains reports membership.
-func (r *Ring) Contains(node string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	_, ok := r.nodes[node]
-	return ok
-}
-
-// Lookup returns the node owning key (the key's primary). ok is false on
-// an empty ring.
-func (r *Ring) Lookup(key string) (node string, ok bool) {
-	owners := r.LookupN(key, 1)
-	if len(owners) == 0 {
-		return "", false
-	}
-	return owners[0], true
 }
 
 // LookupN returns the first n distinct nodes at or clockwise after key's

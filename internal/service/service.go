@@ -223,16 +223,6 @@ func (r *Registry) Category(category string) []Service {
 	return out
 }
 
-// Categories returns all categories in sorted order.
-func (r *Registry) Categories() []string {
-	out := make([]string, 0, len(r.byCategory))
-	for c := range r.byCategory {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Names returns all registered service names in sorted order.
 func (r *Registry) Names() []string {
 	out := make([]string, 0, len(r.byName))

@@ -101,9 +101,6 @@ func TestRegistryRegisterAndLookup(t *testing.T) {
 	if len(nlu) != 2 || nlu[0].Info().Name != "a" || nlu[1].Info().Name != "b" {
 		t.Errorf("Category(nlu) wrong: %v", nlu)
 	}
-	if got := r.Categories(); len(got) != 2 || got[0] != "nlu" || got[1] != "search" {
-		t.Errorf("Categories = %v", got)
-	}
 	if got := r.Names(); len(got) != 3 || got[0] != "a" {
 		t.Errorf("Names = %v", got)
 	}

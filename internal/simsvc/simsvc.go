@@ -166,14 +166,6 @@ func (s *Service) SetFailRate(p float64) {
 	s.mu.Unlock()
 }
 
-// SetLatencyModel replaces the latency model at runtime (a chaos latency
-// regime change). A nil model means zero latency.
-func (s *Service) SetLatencyModel(m LatencyModel) {
-	s.mu.Lock()
-	s.latency = m
-	s.mu.Unlock()
-}
-
 // SetExtraLatency injects a fixed additive latency spike on top of the
 // model's sample for every subsequent invocation. Zero clears the spike.
 func (s *Service) SetExtraLatency(d time.Duration) {

@@ -13,6 +13,14 @@ import (
 	"repro/internal/xrand"
 )
 
+// setLatencyModel replaces the latency model at runtime (a chaos latency
+// regime change). A nil model means zero latency.
+func (s *Service) setLatencyModel(m LatencyModel) {
+	s.mu.Lock()
+	s.latency = m
+	s.mu.Unlock()
+}
+
 func TestConstantLatencyModel(t *testing.T) {
 	m := Constant{D: 25 * time.Millisecond}
 	if got := m.Sample(service.Request{}, xrand.New(1)); got != 25*time.Millisecond {
@@ -256,7 +264,7 @@ func TestServiceRuntimeChaosSetters(t *testing.T) {
 	// extra, a 1ms-deadline call must be cut short by its context.
 	clk := clock.NewVirtual(time.Unix(0, 0))
 	s2 := New(Config{Info: service.Info{Name: "c2"}, Seed: 7, Clock: clk})
-	s2.SetLatencyModel(Constant{D: 5 * time.Millisecond})
+	s2.setLatencyModel(Constant{D: 5 * time.Millisecond})
 	s2.SetExtraLatency(10 * time.Millisecond)
 	cctx, cancel := context.WithCancel(ctx)
 	done := make(chan error, 1)
@@ -272,7 +280,7 @@ func TestServiceRuntimeChaosSetters(t *testing.T) {
 		t.Fatalf("spiked call: want context.Canceled, got %v", err)
 	}
 	// Clearing both knobs restores the instant path.
-	s2.SetLatencyModel(nil)
+	s2.setLatencyModel(nil)
 	s2.SetExtraLatency(0)
 	if _, err := s2.Invoke(ctx, service.Request{}); err != nil {
 		t.Fatalf("after clearing latency knobs: %v", err)

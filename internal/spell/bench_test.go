@@ -10,7 +10,7 @@ func BenchmarkCorrectKnownWord(b *testing.B) {
 	c := NewChecker(lexicon.Dictionary(), nil)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, ok := c.Correct("market"); !ok {
+		if _, ok := c.correct("market"); !ok {
 			b.Fatal("known word failed")
 		}
 	}
@@ -20,7 +20,7 @@ func BenchmarkCorrectEdit1(b *testing.B) {
 	c := NewChecker(lexicon.Dictionary(), nil)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, ok := c.Correct("markte"); !ok {
+		if _, ok := c.correct("markte"); !ok {
 			b.Fatal("edit-1 correction failed")
 		}
 	}
@@ -30,7 +30,7 @@ func BenchmarkCorrectEdit2(b *testing.B) {
 	c := NewChecker(lexicon.Dictionary(), nil)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, ok := c.Correct("marrkte"); !ok {
+		if _, ok := c.correct("marrkte"); !ok {
 			b.Fatal("edit-2 correction failed")
 		}
 	}

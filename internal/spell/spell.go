@@ -44,8 +44,8 @@ func NewChecker(dictionary []string, freqs map[string]int) *Checker {
 	return c
 }
 
-// Known reports whether the word is in the dictionary.
-func (c *Checker) Known(word string) bool {
+// known reports whether the word is in the dictionary.
+func (c *Checker) known(word string) bool {
 	_, ok := c.freq[strings.ToLower(word)]
 	return ok
 }
@@ -53,10 +53,10 @@ func (c *Checker) Known(word string) bool {
 // Size returns the dictionary size.
 func (c *Checker) Size() int { return len(c.freq) }
 
-// Correct returns the best correction for word: the word itself if known,
+// correct returns the best correction for word: the word itself if known,
 // else the highest-frequency dictionary word within edit distance 1, else
 // within distance 2. ok is false when no candidate exists.
-func (c *Checker) Correct(word string) (string, bool) {
+func (c *Checker) correct(word string) (string, bool) {
 	lw := strings.ToLower(word)
 	if _, known := c.freq[lw]; known {
 		return lw, true
@@ -133,11 +133,11 @@ type Correction struct {
 func (c *Checker) Check(text string) []Correction {
 	var out []Correction
 	for _, tok := range nlu.Tokenize(text) {
-		if len(tok.Lower) < 2 || isNumber(tok.Lower) || c.Known(tok.Lower) {
+		if len(tok.Lower) < 2 || isNumber(tok.Lower) || c.known(tok.Lower) {
 			continue
 		}
 		corr := Correction{Word: tok.Text, Offset: tok.Start}
-		if sugg, ok := c.Correct(tok.Lower); ok && sugg != tok.Lower {
+		if sugg, ok := c.correct(tok.Lower); ok && sugg != tok.Lower {
 			corr.Suggestion = sugg
 		}
 		out = append(out, corr)

@@ -15,10 +15,10 @@ func newChecker() *Checker {
 func TestKnownWordsPassThrough(t *testing.T) {
 	c := newChecker()
 	for _, w := range []string{"market", "economy", "Germany", "GOOD"} {
-		if !c.Known(w) {
+		if !c.known(w) {
 			t.Errorf("Known(%q) = false", w)
 		}
-		got, ok := c.Correct(w)
+		got, ok := c.correct(w)
 		if !ok || got != lower(w) {
 			t.Errorf("Correct(%q) = (%q, %v)", w, got, ok)
 		}
@@ -46,7 +46,7 @@ func TestCorrectEditDistance1(t *testing.T) {
 		{"markett", "market"}, // insert
 	}
 	for _, tt := range tests {
-		got, ok := c.Correct(tt.in)
+		got, ok := c.correct(tt.in)
 		if !ok || got != tt.want {
 			t.Errorf("Correct(%q) = (%q, %v), want %q", tt.in, got, ok, tt.want)
 		}
@@ -55,7 +55,7 @@ func TestCorrectEditDistance1(t *testing.T) {
 
 func TestCorrectEditDistance2(t *testing.T) {
 	c := newChecker()
-	got, ok := c.Correct("marrkte") // two edits from market
+	got, ok := c.correct("marrkte") // two edits from market
 	if !ok || got != "market" {
 		t.Errorf("Correct(marrkte) = (%q, %v), want market", got, ok)
 	}
@@ -63,7 +63,7 @@ func TestCorrectEditDistance2(t *testing.T) {
 
 func TestCorrectHopeless(t *testing.T) {
 	c := newChecker()
-	if got, ok := c.Correct("zzzzqqqqxxxx"); ok {
+	if got, ok := c.correct("zzzzqqqqxxxx"); ok {
 		t.Errorf("Correct(gibberish) = %q, want no candidate", got)
 	}
 }
@@ -72,7 +72,7 @@ func TestCorrectPrefersFrequent(t *testing.T) {
 	// "mare" is distance-1 from both "made" (freq 50) and "mark"... use
 	// explicit small dictionary to control.
 	c := NewChecker([]string{"cat", "car"}, map[string]int{"car": 10, "cat": 1})
-	got, ok := c.Correct("caz")
+	got, ok := c.correct("caz")
 	if !ok || got != "car" {
 		t.Errorf("Correct(caz) = (%q, %v), want car (more frequent)", got, ok)
 	}
@@ -80,7 +80,7 @@ func TestCorrectPrefersFrequent(t *testing.T) {
 
 func TestCorrectDeterministicTieBreak(t *testing.T) {
 	c := NewChecker([]string{"bat", "cat"}, nil) // equal freq
-	got, ok := c.Correct("aat")
+	got, ok := c.correct("aat")
 	if !ok || got != "bat" {
 		t.Errorf("Correct(aat) = (%q, %v), want bat (alphabetical tie-break)", got, ok)
 	}

@@ -31,7 +31,7 @@ func (h LogHandler) Handle(ctx context.Context, r slog.Record) error {
 	if sp := spanFromContext(ctx); sp.Recording() {
 		r.AddAttrs(
 			slog.String("trace_id", sp.TraceID()),
-			slog.Int("span_id", sp.SpanID()),
+			slog.Int("span_id", sp.spanID()),
 		)
 	}
 	return h.inner.Handle(ctx, r)

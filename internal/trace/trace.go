@@ -101,9 +101,9 @@ func (s Span) TraceID() string {
 	return formatID(s.rec.id)
 }
 
-// SpanID returns the span's ID within its trace (1-based; 0 for a
+// spanID returns the span's ID within its trace (1-based; 0 for a
 // non-recording span).
-func (s Span) SpanID() int {
+func (s Span) spanID() int {
 	if s.rec == nil {
 		return 0
 	}

@@ -241,7 +241,7 @@ func TestAttrOverflowDropped(t *testing.T) {
 
 func TestZeroSpanIsInert(t *testing.T) {
 	var sp Span
-	if sp.Recording() || sp.TraceID() != "" || sp.SpanID() != 0 {
+	if sp.Recording() || sp.TraceID() != "" || sp.spanID() != 0 {
 		t.Error("zero span not inert")
 	}
 	sp.SetAttr("k", "v")

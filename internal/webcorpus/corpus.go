@@ -41,9 +41,8 @@ type Document struct {
 
 // Corpus is a generated document collection with lookups.
 type Corpus struct {
-	Docs  []Document
-	byID  map[string]*Document
-	byURL map[string]*Document
+	Docs []Document
+	byID map[string]*Document
 }
 
 // Config controls generation.
@@ -109,9 +108,8 @@ func Generate(cfg Config) *Corpus {
 	rng := xrand.New(cfg.Seed)
 	entities := lexicon.AllEntities()
 	c := &Corpus{
-		Docs:  make([]Document, 0, cfg.NumDocs),
-		byID:  make(map[string]*Document, cfg.NumDocs),
-		byURL: make(map[string]*Document, cfg.NumDocs),
+		Docs: make([]Document, 0, cfg.NumDocs),
+		byID: make(map[string]*Document, cfg.NumDocs),
 	}
 	for i := 0; i < cfg.NumDocs; i++ {
 		doc := generateDoc(i, rng, entities)
@@ -120,7 +118,6 @@ func Generate(cfg Config) *Corpus {
 	for i := range c.Docs {
 		d := &c.Docs[i]
 		c.byID[d.ID] = d
-		c.byURL[d.URL] = d
 	}
 	return c
 }
@@ -210,12 +207,6 @@ func generateDoc(i int, rng *xrand.Source, entities []lexicon.Entity) Document {
 // ByID returns the document with the given ID.
 func (c *Corpus) ByID(id string) (*Document, bool) {
 	d, ok := c.byID[id]
-	return d, ok
-}
-
-// ByURL returns the document served at url.
-func (c *Corpus) ByURL(url string) (*Document, bool) {
-	d, ok := c.byURL[url]
 	return d, ok
 }
 

@@ -165,10 +165,6 @@ func TestCorpusLookups(t *testing.T) {
 	if !ok || got.ID != d.ID {
 		t.Errorf("ByID failed for %s", d.ID)
 	}
-	got, ok = c.ByURL(d.URL)
-	if !ok || got.URL != d.URL {
-		t.Errorf("ByURL failed for %s", d.URL)
-	}
 	if _, ok := c.ByID("nope"); ok {
 		t.Error("ByID(nope) = true")
 	}

@@ -68,9 +68,6 @@ func (s *Source) Bernoulli(p float64) bool {
 	return s.rng.Float64() < p
 }
 
-// Perm returns a deterministic pseudo-random permutation of [0, n).
-func (s *Source) Perm(n int) []int { return s.rng.Perm(n) }
-
 // Shuffle pseudo-randomly reorders n elements using swap.
 func (s *Source) Shuffle(n int, swap func(i, j int)) { s.rng.Shuffle(n, swap) }
 

@@ -156,15 +156,3 @@ func TestChoiceAndSample(t *testing.T) {
 		t.Errorf("Sample mutated input: %v", items)
 	}
 }
-
-func TestPermIsPermutation(t *testing.T) {
-	s := New(7)
-	p := s.Perm(20)
-	seen := make([]bool, 20)
-	for _, v := range p {
-		if v < 0 || v >= 20 || seen[v] {
-			t.Fatalf("invalid permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
