@@ -67,9 +67,12 @@ flake:
 # field no program sets that is not allowlisted, on any exported method
 # no program calls that no assertion or allowlist line keeps, and on any
 # stale or reasonless allowlist line. TestKnobPass and TestMethodPass run
-# the knob and method passes on small in-memory trees.
+# the knob and method passes on small in-memory trees. TestLayers
+# (layers_test.go) then prints internal/'s layer table and fails on any
+# non-test import of a higher layer and on any package the table does not
+# list; TestLayerCheck runs that check on an in-memory graph.
 api:
-	$(GO) test -count=1 -run '^(TestExportedNamesHaveReaders|TestKnobPass|TestMethodPass)$$' -v .
+	$(GO) test -count=1 -run '^(TestExportedNamesHaveReaders|TestKnobPass|TestMethodPass|TestLayers|TestLayerCheck)$$' -v .
 
 # fuzz runs every Fuzz* target for FUZZTIME each, one at a time (go test
 # takes one -fuzz target per package run): the search, NLU and RDF parsers,
@@ -116,7 +119,9 @@ api:
 # more, frequencies of 16 and 256 and more, header bounds exact), and the
 # store client's offline write-back queue against a plain slice under
 # push, coalesce, drain, requeue and drops past maxPending (FuzzWriteQueue;
-# minimisation off: a burst of 4 096 pushes makes each step slow). Plain
+# minimisation off: a burst of 4 096 pushes makes each step slow), and the
+# circuit breaker against a plain closed/open/half-open model on a virtual
+# clock under Allow, Record and Advance (FuzzBreaker). Plain
 # `go test` replays only the committed seed corpora under testdata/fuzz;
 # a failure found here is written there.
 FUZZTIME ?= 10s
@@ -130,6 +135,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzKeysDecode$$' -fuzztime $(FUZZTIME) ./internal/remotestore
 	$(GO) test -run '^$$' -fuzz '^FuzzReadBody$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 0s ./internal/remotestore
 	$(GO) test -run '^$$' -fuzz '^FuzzWriteQueue$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 0s ./internal/remotestore
+	$(GO) test -run '^$$' -fuzz '^FuzzBreaker$$' -fuzztime $(FUZZTIME) ./internal/failover
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeAnalysis$$' -fuzztime $(FUZZTIME) ./internal/nlu
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResults$$' -fuzztime $(FUZZTIME) ./internal/search
 	$(GO) test -run '^$$' -fuzz '^FuzzMonitor$$' -fuzztime $(FUZZTIME) ./internal/metrics

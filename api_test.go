@@ -339,8 +339,9 @@ type knobType struct {
 // their exported fields. A field is written as a key of a literal of its
 // type (pkg.Type{F: …}, or an element of a slice or map of it whose type
 // is elided), or by an assignment x.F = … in a file that imports its
-// package. The assignment is matched by name alone, so it can only count a
-// field as written that is not.
+// package. A literal of an alias (type A = pkg.Type) writes the fields of
+// the type it names. The assignment is matched by name alone, so it can
+// only count a field as written that is not.
 func knobTypes(files []goFile, pkgs map[string]*apiPackage) []*knobType {
 	byKey := map[[2]string]*knobType{} // import path, type name
 	var out []*knobType
@@ -370,6 +371,24 @@ func knobTypes(files []goFile, pkgs map[string]*apiPackage) []*knobType {
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
+	for _, f := range files {
+		own := "repro/" + f.dir
+		if f.test || pkgs[own] == nil {
+			continue
+		}
+		imports := importNames(f.ast, pkgs)
+		for _, d := range f.ast.Decls {
+			if g, ok := d.(*ast.GenDecl); ok && g.Tok == token.TYPE {
+				for _, s := range g.Specs {
+					if ts := s.(*ast.TypeSpec); ts.Assign.IsValid() && ts.Name.IsExported() {
+						if k := byKey[typeName(ts.Type, own, imports)]; k != nil {
+							byKey[[2]string{own, ts.Name.Name}] = k
+						}
+					}
+				}
+			}
+		}
+	}
 
 	for _, f := range files {
 		imports := importNames(f.ast, pkgs)
@@ -554,6 +573,25 @@ func importNames(f *ast.File, pkgs map[string]*apiPackage) map[string]string {
 			name = imp.Name.Name
 		}
 		m[name] = p
+	}
+	return m
+}
+
+// importedNames is the set of names a file's imports bind: the import's
+// own name, else its path's last element ("math/rand/v2" binds rand).
+func importedNames(f *ast.File) map[string]bool {
+	m := map[string]bool{}
+	for _, imp := range f.Imports {
+		if imp.Name != nil {
+			m[imp.Name.Name] = true
+			continue
+		}
+		p := strings.Trim(imp.Path.Value, `"`)
+		name := path.Base(p)
+		if v, ok := strings.CutPrefix(name, "v"); ok && v != "" && strings.Trim(v, "0123456789") == "" {
+			name = path.Base(path.Dir(p))
+		}
+		m[name] = true
 	}
 	return m
 }
@@ -784,8 +822,9 @@ type apiMethod struct {
 
 // apiMethods lists the exported methods of the exported types of the
 // lister's packages and who calls them. A call is a selector x.Name in any
-// file, matched by the method's name alone, so it can only count a method
-// as called that is not. A non-test declaration `var _ I = T{}` (or
+// file whose x is not one of the file's imports (strings.Contains calls no
+// method), matched by the method's name alone, so it can only count a
+// method as called that is not. A non-test declaration `var _ I = T{}` (or
 // (*T)(nil), &T{}, T(nil)) keeps T's methods of I's method set; problems
 // names each asserted interface whose method set the lister cannot read.
 func apiMethods(files []goFile, pkgs map[string]*apiPackage) (methods []*apiMethod, problems []string) {
@@ -794,8 +833,12 @@ func apiMethods(files []goFile, pkgs map[string]*apiPackage) (methods []*apiMeth
 	asserted := map[[3]string]string{}          // path, type, method → interface
 	for _, f := range files {
 		testPkg := strings.TrimSuffix(f.ast.Name.Name, "_test")
+		qualifiers := importedNames(f.ast)
 		ast.Inspect(f.ast, func(n ast.Node) bool {
 			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if id, ok := sel.X.(*ast.Ident); ok && qualifiers[id.Name] {
+					return true
+				}
 				if f.test {
 					mark(testSelects, sel.Sel.Name, testPkg)
 				} else {
@@ -1186,31 +1229,36 @@ func TestExportedNamesHaveReaders(t *testing.T) {
 
 // TestKnobPass runs the knob pass on a small tree: a config type whose
 // fields a program sets by a literal key, by a key in a literal whose type
-// is elided, and by assignment; one field only a test sets; one only its
-// own package sets. It checks what the pass flags and which allowlist
-// lines it rejects.
+// is elided, by assignment, and by a literal of an alias of the type in
+// another package; one field only a test sets; one only its own package
+// sets. It checks what the pass flags and which allowlist lines it
+// rejects.
 func TestKnobPass(t *testing.T) {
 	src := map[string]string{
 		"internal/foo/foo.go": `package foo
 type Config struct {
-	Prog, Elided, Assigned, TestOnly, Nobody int
+	Prog, Elided, Assigned, Aliased, TestOnly, Nobody int
 	private int
 }
 type Options struct{ Nobody int }
 func (c *Config) fill() { c.Nobody = 1 }`,
 		"internal/foo/foo_test.go": `package foo
 var _ = Config{TestOnly: 1, private: 2}`,
-		"cmd/app/main.go": `package main
+		"internal/bar/bar.go": `package bar
 import "repro/internal/foo"
+type Config = foo.Config`,
+		"cmd/app/main.go": `package main
+import ("repro/internal/bar"; "repro/internal/foo")
 func main() {
 	c := foo.Config{Prog: 1}
 	c.Assigned = 2
 	_ = []foo.Config{{Elided: 3}}
+	_ = bar.Config{Aliased: 4}
 }`,
 	}
 	fset := token.NewFileSet()
 	var files []goFile
-	for _, name := range []string{"cmd/app/main.go", "internal/foo/foo.go", "internal/foo/foo_test.go"} {
+	for _, name := range []string{"cmd/app/main.go", "internal/bar/bar.go", "internal/foo/foo.go", "internal/foo/foo_test.go"} {
 		f, err := parser.ParseFile(fset, name, src[name], parser.SkipObjectResolution)
 		if err != nil {
 			t.Fatal(err)
@@ -1220,6 +1268,9 @@ func main() {
 	types := knobTypes(files, listerPackages(files))
 	if len(types) != 1 || types[0].key != "foo.Config" {
 		t.Fatalf("knob types %v, want foo.Config alone", types)
+	}
+	if set := types[0].set["Aliased"]; !set["cmd/app"] {
+		t.Errorf("Aliased set by %v, want cmd/app through the alias bar.Config", set)
 	}
 	const flagged = " is set by no program"
 	for _, tc := range []struct {
@@ -1253,8 +1304,9 @@ func main() {
 // TestMethodPass runs the method pass on a small tree: a method another
 // package calls, methods kept by assertions of the package's own and of a
 // standard interface, one only its own package calls, one only a test
-// calls, one nobody calls, and methods of an unexported type, which the
-// pass skips. It checks what the pass flags and which allowlist lines it
+// calls, one nobody calls, one whose name only a package-qualified
+// function shares (strings.Contains), and methods of an unexported type,
+// which the pass skips. It checks what the pass flags and which allowlist lines it
 // rejects.
 func TestMethodPass(t *testing.T) {
 	src := map[string]string{
@@ -1268,6 +1320,7 @@ var _ Store = (*T)(nil)
 var _ fmt.Stringer = T{}
 var _ io.Closer = (*T)(nil)
 func (t *T) Called() {}
+func (t *T) Contains() {}
 func (t *T) Get() int { t.Own(); return 0 }
 func (T) String() string { return "" }
 func (t *T) Own() {}
@@ -1278,8 +1331,8 @@ func (hidden) Skipped() {}`,
 		"internal/foo/foo_test.go": `package foo
 func use(t *T) { t.TestOnly() }`,
 		"cmd/app/main.go": `package main
-import "repro/internal/foo"
-func main() { var t foo.T; t.Called() }`,
+import ("strings"; "repro/internal/foo")
+func main() { var t foo.T; t.Called(); _ = strings.Contains("a", "b") }`,
 	}
 	fset := token.NewFileSet()
 	var files []goFile
@@ -1298,7 +1351,7 @@ func main() { var t foo.T; t.Called() }`,
 	for _, m := range methods {
 		keys = append(keys, m.key)
 	}
-	if got, want := strings.Join(keys, " "), "foo.T.Called foo.T.Get foo.T.Nobody foo.T.Own foo.T.String foo.T.TestOnly"; got != want {
+	if got, want := strings.Join(keys, " "), "foo.T.Called foo.T.Contains foo.T.Get foo.T.Nobody foo.T.Own foo.T.String foo.T.TestOnly"; got != want {
 		t.Fatalf("methods %s, want %s", got, want)
 	}
 	report, _ := checkMethods(methods, nil, nil, nil)
@@ -1308,12 +1361,13 @@ func main() { var t foo.T; t.Called() }`,
 
 	homes := map[string]string{"E1": "TestE1Home"}
 	knobs := map[string]bool{"foo.Config": true}
-	const kept = "foo.T.Own\tpaper §2: a method\nfoo.T.TestOnly\ttest seam: foo\n"
+	const kept = "foo.T.Contains\tpaper §2: a method\nfoo.T.Own\tpaper §2: a method\nfoo.T.TestOnly\ttest seam: foo\n"
 	for _, tc := range []struct {
 		name, allowlist string
 		want            []string // the problems, in order, by a part of each
 	}{
 		{"no lines", "", []string{
+			"foo.T.Contains has no caller: delete it",
 			"foo.T.Nobody has no caller: delete it",
 			"foo.T.Own is called only inside internal/foo: unexport it",
 			"foo.T.TestOnly is called only by tests",

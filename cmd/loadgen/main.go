@@ -124,13 +124,9 @@ func buildRig(latency time.Duration, capacity int, seed int64, shedTarget time.D
 		Seed:     seed,
 	})
 	cfg := core.Config{
-		Breaker:  core.BreakerConfig{Threshold: 8, Cooldown: 150 * time.Millisecond},
-		Deadline: core.DeadlineConfig{Factor: 4, Floor: 15 * time.Millisecond, Cap: 50 * time.Millisecond},
-		DefaultRetry: failover.RetryPolicy{
-			MaxAttempts: 2,
-			Backoff:     2 * time.Millisecond,
-			Jitter:      failover.FullJitter,
-		},
+		Breaker:      core.BreakerConfig{Threshold: 8, Cooldown: 150 * time.Millisecond},
+		Deadline:     core.DeadlineConfig{Factor: 4, Floor: 15 * time.Millisecond, Cap: 50 * time.Millisecond},
+		DefaultRetry: failover.RetryPolicy{MaxAttempts: 2, Backoff: 2 * time.Millisecond},
 		Shed: core.ShedConfig{TargetP99: shedTarget, MaxInFlight: shedMax, MinInFlight: 2,
 			Window: 25 * time.Millisecond},
 	}

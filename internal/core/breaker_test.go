@@ -16,88 +16,6 @@ import (
 
 func transientErr() error { return fmt.Errorf("down: %w", service.ErrUnavailable) }
 
-func TestBreakerTripsAtThreshold(t *testing.T) {
-	clk := clock.NewVirtual(time.Unix(0, 0))
-	b := newBreaker(BreakerConfig{Threshold: 3, Cooldown: time.Minute}, clk)
-	for i := 0; i < 3; i++ {
-		if !b.Allow() {
-			t.Fatalf("closed breaker refused call %d", i)
-		}
-		b.Record(transientErr())
-	}
-	if !b.Tripped() {
-		t.Fatal("breaker should be open after 3 consecutive transient failures")
-	}
-	if b.Allow() {
-		t.Fatal("open breaker admitted a call before cooldown")
-	}
-}
-
-func TestBreakerSuccessResetsCount(t *testing.T) {
-	clk := clock.NewVirtual(time.Unix(0, 0))
-	b := newBreaker(BreakerConfig{Threshold: 3, Cooldown: time.Minute}, clk)
-	for round := 0; round < 4; round++ {
-		b.Record(transientErr())
-		b.Record(transientErr())
-		b.Record(nil) // success before the threshold
-	}
-	if b.Tripped() {
-		t.Fatal("breaker tripped despite successes resetting the streak")
-	}
-}
-
-func TestBreakerPermanentErrorsDoNotTrip(t *testing.T) {
-	clk := clock.NewVirtual(time.Unix(0, 0))
-	b := newBreaker(BreakerConfig{Threshold: 2, Cooldown: time.Minute}, clk)
-	for i := 0; i < 5; i++ {
-		b.Record(fmt.Errorf("bad: %w", service.ErrBadRequest))
-	}
-	if b.Tripped() {
-		t.Fatal("permanent errors must not trip the breaker: the service is responsive")
-	}
-}
-
-func TestBreakerDeadlineCountsAsTransient(t *testing.T) {
-	clk := clock.NewVirtual(time.Unix(0, 0))
-	b := newBreaker(BreakerConfig{Threshold: 2, Cooldown: time.Minute}, clk)
-	b.Record(fmt.Errorf("slow: %w", errDeadline))
-	b.Record(fmt.Errorf("slow: %w", errDeadline))
-	if !b.Tripped() {
-		t.Fatal("deadline failures must count toward the threshold")
-	}
-}
-
-func TestBreakerHalfOpenProbe(t *testing.T) {
-	clk := clock.NewVirtual(time.Unix(0, 0))
-	b := newBreaker(BreakerConfig{Threshold: 1, Cooldown: time.Minute}, clk)
-	b.Record(transientErr())
-	if b.Allow() {
-		t.Fatal("open breaker admitted a call")
-	}
-	clk.Advance(time.Minute)
-	if !b.Allow() {
-		t.Fatal("cooldown elapsed: breaker should admit one probe")
-	}
-	if b.Allow() {
-		t.Fatal("only one half-open probe may proceed")
-	}
-	// Failed probe re-opens for a fresh cooldown.
-	b.Record(transientErr())
-	clk.Advance(30 * time.Second)
-	if b.Allow() {
-		t.Fatal("failed probe must restart the cooldown")
-	}
-	clk.Advance(30 * time.Second)
-	if !b.Allow() {
-		t.Fatal("fresh cooldown elapsed: probe expected")
-	}
-	// Successful probe closes the breaker.
-	b.Record(nil)
-	if b.Tripped() || !b.Allow() {
-		t.Fatal("successful probe must close the breaker")
-	}
-}
-
 // TestBreakerStageEndToEnd drives the breaker through the client against a
 // scripted simsvc outage: consecutive failures trip it, tripped calls are
 // refused without reaching the service, and recovery closes it again.
@@ -126,11 +44,11 @@ func TestBreakerStageEndToEnd(t *testing.T) {
 	}
 	before := svc.Invocations()
 	_, err := c.Invoke(context.Background(), "flaky", service.Request{Text: "x"})
-	if !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("err = %v, want ErrBreakerOpen", err)
+	if !errors.Is(err, failover.ErrBreakerOpen) {
+		t.Fatalf("err = %v, want failover.ErrBreakerOpen", err)
 	}
 	if errors.Is(err, service.ErrUnavailable) {
-		t.Error("ErrBreakerOpen must not match ErrUnavailable (retries would spin)")
+		t.Error("failover.ErrBreakerOpen must not match ErrUnavailable (retries would spin)")
 	}
 	if svc.Invocations() != before {
 		t.Error("open breaker still reached the service")
@@ -268,7 +186,7 @@ func TestBreakerPanickingProbeReopens(t *testing.T) {
 	}
 	mode.Store(panics)
 	clk.Advance(time.Minute)
-	if err := invoke(); err == nil || errors.Is(err, ErrBreakerOpen) {
+	if err := invoke(); err == nil || errors.Is(err, failover.ErrBreakerOpen) {
 		t.Fatalf("probe err = %v, want the service's panic", err)
 	}
 	if state() != "open" {

@@ -67,12 +67,12 @@ func TestBreakerOpensDuringFailStormAndRecoversAfter(t *testing.T) {
 		t.Fatalf("after %d consecutive failures breaker = %s, want open", 3, st)
 	}
 
-	// Open breaker: calls fail fast with ErrBreakerOpen and never reach
-	// the service.
+	// Open breaker: calls fail fast with failover.ErrBreakerOpen and never
+	// reach the service.
 	before := svc.Invocations()
 	for i := 0; i < 5; i++ {
-		if _, err := c.Invoke(ctx, "stormy", service.Request{}); !errors.Is(err, ErrBreakerOpen) {
-			t.Fatalf("open-breaker call: err = %v, want ErrBreakerOpen", err)
+		if _, err := c.Invoke(ctx, "stormy", service.Request{}); !errors.Is(err, failover.ErrBreakerOpen) {
+			t.Fatalf("open-breaker call: err = %v, want failover.ErrBreakerOpen", err)
 		}
 	}
 	if got := svc.Invocations(); got != before {
@@ -88,8 +88,8 @@ func TestBreakerOpensDuringFailStormAndRecoversAfter(t *testing.T) {
 	if got := svc.Invocations(); got != before+1 {
 		t.Fatalf("half-open admitted %d calls, want exactly 1 probe", got-before)
 	}
-	if _, err := c.Invoke(ctx, "stormy", service.Request{}); !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("post-probe call err = %v, want ErrBreakerOpen (circuit re-opened)", err)
+	if _, err := c.Invoke(ctx, "stormy", service.Request{}); !errors.Is(err, failover.ErrBreakerOpen) {
+		t.Fatalf("post-probe call err = %v, want failover.ErrBreakerOpen (circuit re-opened)", err)
 	}
 
 	// The storm ends; after the next cooldown the probe succeeds and the
@@ -150,9 +150,9 @@ func TestRetryExhaustionCountsOnceTowardBreaker(t *testing.T) {
 
 func TestLatencyStormTripsBreakerViaDeadline(t *testing.T) {
 	// A latency spike (not an outright failure) must still open the
-	// breaker: the deadline stage converts too-slow into errDeadline,
-	// which the breaker counts as transient. Real clock — deadlineStage's
-	// timeout runs on context machinery.
+	// breaker: the deadline stage converts too-slow into
+	// failover.ErrDeadline, which the breaker counts as transient. Real
+	// clock — deadlineStage's timeout runs on context machinery.
 	svc := simsvc.New(simsvc.Config{
 		Info:    service.Info{Name: "spiky", Category: "cog"},
 		Latency: simsvc.Constant{D: 2 * time.Millisecond},
@@ -180,15 +180,15 @@ func TestLatencyStormTripsBreakerViaDeadline(t *testing.T) {
 	svc.SetExtraLatency(200 * time.Millisecond)
 	for i := 0; i < 3; i++ {
 		_, err := c.Invoke(ctx, "spiky", service.Request{})
-		if !errors.Is(err, errDeadline) {
-			t.Fatalf("spiked call %d: err = %v, want errDeadline", i, err)
+		if !errors.Is(err, failover.ErrDeadline) {
+			t.Fatalf("spiked call %d: err = %v, want failover.ErrDeadline", i, err)
 		}
 	}
 	if st := breakerStateOf(t, c, "spiky"); st != "open" {
 		t.Fatalf("after 3 deadline blowouts breaker = %s, want open", st)
 	}
-	if _, err := c.Invoke(ctx, "spiky", service.Request{}); !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("err = %v, want ErrBreakerOpen (latency storm tripped the circuit)", err)
+	if _, err := c.Invoke(ctx, "spiky", service.Request{}); !errors.Is(err, failover.ErrBreakerOpen) {
+		t.Fatalf("err = %v, want failover.ErrBreakerOpen (latency storm tripped the circuit)", err)
 	}
 
 	// Spike clears; after cooldown the probe sees normal latency and the

@@ -70,7 +70,7 @@ type Config struct {
 	DefaultRetry failover.RetryPolicy
 	// Breaker enables per-service circuit breakers (breakerStage) when
 	// Threshold > 0.
-	Breaker BreakerConfig
+	Breaker failover.BreakerConfig
 	// Deadline enables predicted-latency deadlines (deadlineStage) when
 	// Factor > 0.
 	Deadline DeadlineConfig
@@ -88,6 +88,10 @@ type Config struct {
 	Middleware []Middleware
 }
 
+// BreakerConfig is the breaker's configuration under the name the SDK's
+// programs know it by.
+type BreakerConfig = failover.BreakerConfig
+
 func (c *Config) fill() {
 	if c.Clock == nil {
 		c.Clock = clock.Real()
@@ -101,7 +105,6 @@ func (c *Config) fill() {
 	if c.DefaultRetry.MaxAttempts == 0 {
 		c.DefaultRetry = failover.RetryPolicy{MaxAttempts: 2}
 	}
-	c.Breaker.fill()
 	c.Deadline.fill()
 }
 
@@ -136,8 +139,8 @@ type Client struct {
 	flight     *cache.Group[service.Response]
 	pool       *future.Pool
 	predictors *predictorSet
-	breakers   *BreakerSet // nil when Config.Breaker is disabled
-	shedder    *Shedder    // nil when Config.Shed is disabled
+	breakers   *failover.BreakerSet // nil when Config.Breaker is disabled
+	shedder    *Shedder             // nil when Config.Shed is disabled
 
 	// regs is a copy-on-write snapshot: Register rebuilds it under mu,
 	// invocations read it with a single atomic load and no lock.
@@ -165,7 +168,7 @@ func NewClient(cfg Config) (*Client, error) {
 	empty := make(map[string]*registration)
 	c.regs.Store(&empty)
 	if cfg.Breaker.Threshold > 0 {
-		c.breakers = NewBreakerSet(cfg.Breaker, cfg.Clock)
+		c.breakers = failover.NewBreakerSet(cfg.Breaker, cfg.Clock)
 	}
 	if cfg.Shed.TargetP99 > 0 {
 		c.shedder = newShedder(cfg.Shed, cfg.Clock)
@@ -237,8 +240,7 @@ func (c *Client) Register(svc service.Service, opts ...RegisterOption) error {
 func (c *Client) stages(reg *registration) []Middleware {
 	mw := make([]Middleware, 0, len(c.cfg.Middleware)+8)
 	if c.cfg.Tracer.Enabled() {
-		// Outermost of all, so the root span covers custom middleware too
-		// and Call.Span is live for it.
+		// Outermost of all, so the root span covers custom middleware too.
 		mw = append(mw, traceStage(c.cfg.Tracer))
 	}
 	mw = append(mw, c.cfg.Middleware...)
@@ -282,7 +284,7 @@ func (c *Client) Registry() *service.Registry { return c.registry }
 
 // BreakerStates summarizes the circuit breakers of every service the
 // client has invoked. It is empty when Config.Breaker is disabled.
-func (c *Client) BreakerStates() []BreakerState {
+func (c *Client) BreakerStates() []failover.BreakerState {
 	if c.breakers == nil {
 		return nil
 	}

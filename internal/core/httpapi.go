@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"strconv"
 
+	"repro/internal/failover"
 	"repro/internal/metrics"
 	"repro/internal/service"
 	"repro/internal/trace"
@@ -109,11 +110,11 @@ func errStatus(err error) int {
 	// the facade's pressure-relief valve under saturation.
 	case errors.Is(err, service.ErrQuotaExceeded), errors.Is(err, errShed):
 		return http.StatusTooManyRequests
-	// errDeadline first: a deadline-bounded hang usually also wraps the
+	// ErrDeadline first: a deadline-bounded hang usually also wraps the
 	// service's unavailability, and the timeout is the sharper diagnosis.
-	case errors.Is(err, errDeadline):
+	case errors.Is(err, failover.ErrDeadline):
 		return http.StatusGatewayTimeout
-	case errors.Is(err, ErrBreakerOpen), errors.Is(err, service.ErrUnavailable):
+	case errors.Is(err, failover.ErrBreakerOpen), errors.Is(err, service.ErrUnavailable):
 		return http.StatusServiceUnavailable
 	default:
 		return http.StatusInternalServerError
@@ -243,7 +244,7 @@ func (a *API) handleCacheInvalidate(w http.ResponseWriter, r *http.Request) {
 func (a *API) handleBreakers(w http.ResponseWriter, r *http.Request) {
 	states := a.client.BreakerStates()
 	if states == nil {
-		states = []BreakerState{}
+		states = []failover.BreakerState{}
 	}
 	writeJSONStatus(w, http.StatusOK, map[string]any{"breakers": states})
 }

@@ -85,11 +85,6 @@ func (c *Call) Retry() failover.RetryPolicy {
 	return c.reg.policy
 }
 
-// Span returns the call's innermost open trace span. Custom middleware can
-// annotate it; the zero Span (tracing disabled or unsampled) accepts and
-// discards annotations.
-func (c *Call) Span() trace.Span { return c.span }
-
 // Service returns the transport the terminal Invoker calls.
 func (c *Call) Service() service.Service { return c.reg.svc }
 

@@ -44,17 +44,11 @@ import (
 // stage is independently constructible and testable; a Client is just one
 // particular composition.
 
-// errDeadline is returned when deadlineStage's predicted-latency deadline
-// expires before the service responds. The circuit breaker counts it as a
-// transient failure: a too-slow service is treated like an unavailable one.
-var errDeadline = errors.New("core: predicted-latency deadline exceeded")
-
 // traceStage opens the root span for each invocation, named for the
 // registration ("invoke <service>") and joined to any span already in ctx
 // (an HTTP request span, a pipeline item span). It is composed outermost
-// when Config.Tracer is set, so the span covers custom middleware too and
-// Call.Span lets them annotate it. Unsampled invocations carry the zero
-// Span and cost nothing downstream.
+// when Config.Tracer is set, so the span covers custom middleware too.
+// Unsampled invocations carry the zero Span and cost nothing downstream.
 func traceStage(tr *trace.Tracer) Middleware {
 	return func(next Invoker) Invoker {
 		return func(ctx context.Context, call *Call) (service.Response, error) {
@@ -116,24 +110,24 @@ func cacheStage(mem *cache.Sharded[service.Response], flight *cache.Group[servic
 
 // breakerStage consults the service's circuit breaker before the call and
 // records the outcome after: consecutive transient failures trip the
-// breaker, which then rejects calls with ErrBreakerOpen until its cooldown
-// admits a probe. Client.Rank demotes tripped services, feeding observed
-// availability back into selection.
-func breakerStage(set *BreakerSet) Middleware {
+// breaker, which then rejects calls with failover.ErrBreakerOpen until its
+// cooldown admits a probe. Client.Rank demotes tripped services, feeding
+// observed availability back into selection.
+func breakerStage(set *failover.BreakerSet) Middleware {
 	return func(next Invoker) Invoker {
 		return func(ctx context.Context, call *Call) (service.Response, error) {
 			parent := call.span
 			sp := parent.Child("breaker")
 			b := set.For(call.reg.name)
 			if !b.Allow() {
-				err := fmt.Errorf("%w: %s", ErrBreakerOpen, call.reg.name)
+				err := fmt.Errorf("%w: %s", failover.ErrBreakerOpen, call.reg.name)
 				sp.SetAttr("state", "open")
 				sp.SetError(err)
 				sp.End()
 				return service.Response{}, err
 			}
 			if sp.Recording() {
-				sp.SetAttr("state", b.state().String())
+				sp.SetAttr("state", b.State())
 			}
 			call.span = sp
 			// The outcome is recorded deferred, and stays errPanicked
@@ -181,9 +175,9 @@ func (c *DeadlineConfig) fill() {
 // latency (clamped to [Floor, Cap]), derived from the same parameterized
 // prediction that drives ranking (paper §2). Services with no prediction
 // yet run unbounded. When the stage's own deadline — not the caller's —
-// expires, the error wraps errDeadline so the breaker treats the service as
-// unavailable. The deadline runs on real time (context machinery); virtual-
-// clock simulations should leave the stage disabled.
+// expires, the error wraps failover.ErrDeadline so the breaker treats the
+// service as unavailable. The deadline runs on real time (context
+// machinery); virtual-clock simulations should leave the stage disabled.
 func deadlineStage(predictLatency func(name string, params []float64) (time.Duration, error), cfg DeadlineConfig) Middleware {
 	cfg.fill()
 	return func(next Invoker) Invoker {
@@ -214,7 +208,7 @@ func deadlineStage(predictLatency func(name string, params []float64) (time.Dura
 			resp, err := next(dctx, call)
 			call.span = parent
 			if err != nil && errors.Is(dctx.Err(), context.DeadlineExceeded) && ctx.Err() == nil {
-				err = fmt.Errorf("%w: %s after %v: %w", errDeadline, call.reg.name, d, err)
+				err = fmt.Errorf("%w: %s after %v: %w", failover.ErrDeadline, call.reg.name, d, err)
 				sp.SetError(err)
 			}
 			sp.End()

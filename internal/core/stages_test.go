@@ -196,8 +196,8 @@ func TestDeadlineStageBoundsSlowCalls(t *testing.T) {
 	inv := compose(hangingInvoker(), deadlineStage(predictFn, DeadlineConfig{Factor: 2, Floor: time.Millisecond}))
 	start := time.Now()
 	_, err := inv(context.Background(), &Call{reg: &registration{name: "slow"}})
-	if !errors.Is(err, errDeadline) {
-		t.Fatalf("err = %v, want errDeadline", err)
+	if !errors.Is(err, failover.ErrDeadline) {
+		t.Fatalf("err = %v, want failover.ErrDeadline", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("call took %v, deadline did not bound it", elapsed)
@@ -230,7 +230,7 @@ func TestDeadlineStageDoesNotMaskCallerCancellation(t *testing.T) {
 	if err == nil {
 		t.Fatal("want error")
 	}
-	if errors.Is(err, errDeadline) {
+	if errors.Is(err, failover.ErrDeadline) {
 		t.Errorf("err = %v; caller cancellation must not be reported as the stage's deadline", err)
 	}
 }
@@ -243,8 +243,8 @@ func TestDeadlineStageHonorsFloorAndCap(t *testing.T) {
 	inv := compose(hangingInvoker(), deadlineStage(predictFn, DeadlineConfig{Factor: 3, Cap: 15 * time.Millisecond}))
 	start := time.Now()
 	_, err := inv(context.Background(), &Call{reg: &registration{name: "s"}})
-	if !errors.Is(err, errDeadline) {
-		t.Fatalf("err = %v, want errDeadline", err)
+	if !errors.Is(err, failover.ErrDeadline) {
+		t.Fatalf("err = %v, want failover.ErrDeadline", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("call took %v, cap did not bound it", elapsed)
@@ -253,7 +253,7 @@ func TestDeadlineStageHonorsFloorAndCap(t *testing.T) {
 
 // TestClientDeadlineEndToEnd drives the deadline through the whole client:
 // a service trained fast turns unresponsive, and the predicted-latency
-// deadline converts the hang into errDeadline instead of blocking.
+// deadline converts the hang into failover.ErrDeadline instead of blocking.
 func TestClientDeadlineEndToEnd(t *testing.T) {
 	c := newClient(t, Config{
 		Deadline: DeadlineConfig{Factor: 2, Floor: 30 * time.Millisecond},
@@ -279,8 +279,8 @@ func TestClientDeadlineEndToEnd(t *testing.T) {
 	hang.Store(true)
 	start := time.Now()
 	_, err := c.Invoke(context.Background(), "moody", service.Request{Text: "now hang"})
-	if !errors.Is(err, errDeadline) {
-		t.Fatalf("err = %v, want errDeadline", err)
+	if !errors.Is(err, failover.ErrDeadline) {
+		t.Fatalf("err = %v, want failover.ErrDeadline", err)
 	}
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Errorf("hang lasted %v; deadline should have cut it near the 30ms floor", elapsed)

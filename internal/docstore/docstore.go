@@ -15,8 +15,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/cache"
@@ -42,15 +40,6 @@ type SavedSearch struct {
 	Engine string     `json:"engine"`
 	When   time.Time  `json:"when"`
 	Docs   []SavedDoc `json:"docs"`
-}
-
-// Meta is a stored search's summary line.
-type Meta struct {
-	ID     string    `json:"id"`
-	Query  string    `json:"query"`
-	Engine string    `json:"engine"`
-	When   time.Time `json:"when"`
-	Docs   int       `json:"docs"`
 }
 
 // Store is a directory-backed document store. Searches live under
@@ -102,30 +91,6 @@ func (s *Store) LoadSearch(id string) (SavedSearch, error) {
 		return SavedSearch{}, err
 	}
 	return saved, nil
-}
-
-// List returns metadata for every stored search, most recent first.
-func (s *Store) List() ([]Meta, error) {
-	entries, err := os.ReadDir(filepath.Join(s.dir, "searches"))
-	if err != nil {
-		return nil, fmt.Errorf("docstore: list: %w", err)
-	}
-	metas := make([]Meta, 0, len(entries))
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".json") {
-			continue
-		}
-		var saved SavedSearch
-		if err := readJSON(filepath.Join(s.dir, "searches", e.Name()), &saved); err != nil {
-			return nil, err
-		}
-		metas = append(metas, Meta{
-			ID: saved.ID, Query: saved.Query, Engine: saved.Engine,
-			When: saved.When, Docs: len(saved.Docs),
-		})
-	}
-	sort.Slice(metas, func(i, j int) bool { return metas[i].When.After(metas[j].When) })
-	return metas, nil
 }
 
 // saveAnalysis persists the analysis an engine produced for a document

@@ -69,27 +69,6 @@ func TestSameQueryLaterIsDistinctSnapshot(t *testing.T) {
 	}
 }
 
-func TestListMostRecentFirst(t *testing.T) {
-	s, v := newStore(t)
-	if _, err := s.SaveSearch("first", "e", nil); err != nil {
-		t.Fatal(err)
-	}
-	v.Advance(time.Hour)
-	if _, err := s.SaveSearch("second", "e", sampleDocs()); err != nil {
-		t.Fatal(err)
-	}
-	metas, err := s.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(metas) != 2 || metas[0].Query != "second" || metas[1].Query != "first" {
-		t.Errorf("List = %+v", metas)
-	}
-	if metas[0].Docs != 2 {
-		t.Errorf("doc count = %d", metas[0].Docs)
-	}
-}
-
 func TestTexts(t *testing.T) {
 	s, _ := newStore(t)
 	id, err := s.SaveSearch("q", "e", sampleDocs())

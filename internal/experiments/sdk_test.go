@@ -124,7 +124,8 @@ func TestE3FailoverShape(t *testing.T) {
 		mk := func(name string, seed int64) *simsvc.Service {
 			return simsvc.New(simsvc.Config{Info: service.Info{Name: name, Category: "nlu"}, FailRate: p, Seed: seed})
 		}
-		single, retried := mk("single", 11), mk("retried", 22)
+		single := mk("single", 11)
+		retried := []failover.Step{{Service: mk("retried", 22), Policy: failover.RetryPolicy{MaxAttempts: 3}}}
 		chain := []failover.Step{
 			{Service: mk("chain-1", 33), Policy: failover.RetryPolicy{MaxAttempts: 2}},
 			{Service: mk("chain-2", 44), Policy: failover.RetryPolicy{MaxAttempts: 2}},
@@ -135,7 +136,7 @@ func TestE3FailoverShape(t *testing.T) {
 			if _, err := single.Invoke(ctx, req); err == nil {
 				singleOK++
 			}
-			if _, _, err := failover.Invoke(ctx, nil, retried, req, failover.RetryPolicy{MaxAttempts: 3}); err == nil {
+			if _, _, err := failover.Chain(ctx, nil, retried, req); err == nil {
 				retryOK++
 			}
 			if _, _, err := failover.Chain(ctx, nil, chain, req); err == nil {

@@ -1,8 +1,11 @@
 // Package failover implements the rich SDK's failure handling (paper §2.1):
 // retrying unresponsive services a user-specified number of times, falling
 // over to lower-ranked services with similar functionality until a
-// responsive one is found (with a per-service retry count), and invoking
-// multiple services redundantly, all of them at once.
+// responsive one is found (with a per-service retry count), invoking
+// multiple services redundantly, all of them at once, and circuit
+// breakers that stop calling a service (or store node) after consecutive
+// transient failures. The SDK core's chain and the cloud store's client
+// share these, so retry and breaker speak one vocabulary in both.
 package failover
 
 import (
@@ -15,24 +18,6 @@ import (
 	"repro/internal/clock"
 	"repro/internal/service"
 	"repro/internal/xrand"
-)
-
-// Jitter selects how the computed backoff wait is randomized before
-// sleeping. Without jitter, concurrent callers that failed together retry
-// in lockstep and re-spike the recovering service — the thundering herd
-// the AWS architecture blog's "Exponential Backoff And Jitter" analysis
-// quantifies. Jitter only perturbs the slept duration; the underlying
-// constant schedule is unchanged.
-type Jitter int
-
-const (
-	// noJitter sleeps the exact computed backoff (the historical
-	// behavior; callers retry in lockstep).
-	noJitter Jitter = iota
-	// FullJitter sleeps uniform(0, wait] — the strategy with the best
-	// contention spread in the AWS analysis, and the default for the SDK
-	// core's retry stage.
-	FullJitter
 )
 
 // jitterSrc is the package-level RNG for backoff jitter. It is shared —
@@ -52,13 +37,13 @@ func seedJitter(seed int64) {
 	jitterMu.Unlock()
 }
 
-// jitterWait maps the deterministic wait through the jitter mode. The
-// result is always in (0, wait] so a positive backoff never degenerates to
-// a zero-sleep hot loop.
-func jitterWait(wait time.Duration, j Jitter) time.Duration {
-	if wait <= 0 || j == noJitter {
-		return wait
-	}
+// jitterWait is full jitter: a uniform draw from (0, wait]. Without it,
+// concurrent callers that failed together retry in lockstep and re-spike
+// the recovering service — the thundering herd the AWS architecture
+// blog's "Exponential Backoff And Jitter" analysis quantifies; full jitter
+// has the best contention spread there. The result is never zero, so a
+// positive backoff never degenerates to a zero-sleep hot loop.
+func jitterWait(wait time.Duration) time.Duration {
 	jitterMu.Lock()
 	u := jitterSrc.Float64()
 	jitterMu.Unlock()
@@ -67,16 +52,14 @@ func jitterWait(wait time.Duration, j Jitter) time.Duration {
 
 // RetryPolicy controls how a single service is retried: only on
 // service.ErrUnavailable — permanent errors (bad request, quota) never
-// retry — with a constant wait between attempts.
+// retry — with a fully jittered wait between attempts.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of attempts including the first.
 	// Values below 1 are treated as 1 (no retry).
 	MaxAttempts int
-	// Backoff is the wait before each retry.
+	// Backoff bounds the wait before each retry: each wait is drawn
+	// uniformly from (0, Backoff] (jitterWait). Zero retries at once.
 	Backoff time.Duration
-	// Jitter randomizes each slept backoff to decorrelate concurrent
-	// retriers. The zero value (noJitter) sleeps Backoff exactly.
-	Jitter Jitter
 }
 
 func (p RetryPolicy) attempts() int {
@@ -86,20 +69,10 @@ func (p RetryPolicy) attempts() int {
 	return p.MaxAttempts
 }
 
-// Invoke calls svc with retries per policy, sleeping the backoff on clk
-// between attempts. It returns the response, the number of attempts made,
-// and the final error. A nil clk uses the real clock. Context cancellation
-// stops retrying immediately.
-func Invoke(ctx context.Context, clk clock.Clock, svc service.Service, req service.Request, policy RetryPolicy) (service.Response, int, error) {
-	return InvokeFunc(ctx, clk, func(ctx context.Context) (service.Response, error) {
-		return svc.Invoke(ctx, req)
-	}, policy)
-}
-
-// InvokeFunc is Invoke for a bare attempt function: it applies policy to
-// fn, which performs one attempt. It exists for callers — such as the SDK
-// core's retryStage — whose single attempt is not a service.Service but a
-// composed pipeline.
+// InvokeFunc applies policy to fn, which performs one attempt, sleeping
+// the backoff on clk between attempts. It returns the response, the number
+// of attempts made, and the final error. A nil clk uses the real clock.
+// Context cancellation stops retrying immediately.
 func InvokeFunc(ctx context.Context, clk clock.Clock, fn func(ctx context.Context) (service.Response, error), policy RetryPolicy) (service.Response, int, error) {
 	if clk == nil {
 		clk = clock.Real()
@@ -119,7 +92,7 @@ func InvokeFunc(ctx context.Context, clk clock.Clock, fn func(ctx context.Contex
 			select {
 			case <-ctx.Done():
 				return service.Response{}, attempt, fmt.Errorf("failover: %w (after %w)", ctx.Err(), lastErr)
-			case <-clk.After(jitterWait(policy.Backoff, policy.Jitter)):
+			case <-clk.After(jitterWait(policy.Backoff)):
 			}
 		} else if ctx.Err() != nil {
 			return service.Response{}, attempt, fmt.Errorf("failover: %w (after %w)", ctx.Err(), lastErr)
@@ -155,7 +128,9 @@ func Chain(ctx context.Context, clk clock.Clock, steps []Step, req service.Reque
 	attempts := make([]Attempt, 0, len(steps))
 	var errs []error
 	for _, step := range steps {
-		resp, n, err := Invoke(ctx, clk, step.Service, req, step.Policy)
+		resp, n, err := InvokeFunc(ctx, clk, func(ctx context.Context) (service.Response, error) {
+			return step.Service.Invoke(ctx, req)
+		}, step.Policy)
 		name := step.Service.Info().Name
 		attempts = append(attempts, Attempt{Service: name, Attempts: n, Err: err})
 		if err == nil {

@@ -29,6 +29,12 @@ func failNTimes(name string, n int) (service.Service, *int32) {
 	return svc, &calls
 }
 
+// attempt is one invocation of svc, the attempt function InvokeFunc
+// retries.
+func attempt(svc service.Service) func(context.Context) (service.Response, error) {
+	return func(ctx context.Context) (service.Response, error) { return svc.Invoke(ctx, service.Request{}) }
+}
+
 func alwaysFail(name string, err error) service.Service {
 	return service.Func{
 		Meta: service.Info{Name: name, Category: "test"},
@@ -49,9 +55,9 @@ func alwaysOK(name string) service.Service {
 
 func TestInvokeRetriesTransientFailure(t *testing.T) {
 	svc, calls := failNTimes("flaky", 2)
-	resp, attempts, err := Invoke(context.Background(), nil, svc, service.Request{}, RetryPolicy{MaxAttempts: 5})
+	resp, attempts, err := InvokeFunc(context.Background(), nil, attempt(svc), RetryPolicy{MaxAttempts: 5})
 	if err != nil {
-		t.Fatalf("Invoke error = %v", err)
+		t.Fatalf("InvokeFunc error = %v", err)
 	}
 	if attempts != 3 || *calls != 3 {
 		t.Errorf("attempts = %d, calls = %d, want 3", attempts, *calls)
@@ -63,7 +69,7 @@ func TestInvokeRetriesTransientFailure(t *testing.T) {
 
 func TestInvokeExhaustsAttempts(t *testing.T) {
 	svc, calls := failNTimes("dead", 100)
-	_, attempts, err := Invoke(context.Background(), nil, svc, service.Request{}, RetryPolicy{MaxAttempts: 3})
+	_, attempts, err := InvokeFunc(context.Background(), nil, attempt(svc), RetryPolicy{MaxAttempts: 3})
 	if !errors.Is(err, service.ErrUnavailable) {
 		t.Errorf("error = %v, want ErrUnavailable", err)
 	}
@@ -74,7 +80,7 @@ func TestInvokeExhaustsAttempts(t *testing.T) {
 
 func TestInvokeNoRetryOnPermanentError(t *testing.T) {
 	svc := alwaysFail("bad", service.ErrBadRequest)
-	_, attempts, err := Invoke(context.Background(), nil, svc, service.Request{}, RetryPolicy{MaxAttempts: 5})
+	_, attempts, err := InvokeFunc(context.Background(), nil, attempt(svc), RetryPolicy{MaxAttempts: 5})
 	if !errors.Is(err, service.ErrBadRequest) {
 		t.Errorf("error = %v, want ErrBadRequest", err)
 	}
@@ -85,7 +91,7 @@ func TestInvokeNoRetryOnPermanentError(t *testing.T) {
 
 func TestInvokeZeroAttemptsClamped(t *testing.T) {
 	svc := alwaysOK("ok")
-	_, attempts, err := Invoke(context.Background(), nil, svc, service.Request{}, RetryPolicy{MaxAttempts: 0})
+	_, attempts, err := InvokeFunc(context.Background(), nil, attempt(svc), RetryPolicy{MaxAttempts: 0})
 	if err != nil || attempts != 1 {
 		t.Errorf("attempts = %d err = %v, want 1 nil", attempts, err)
 	}
@@ -97,7 +103,7 @@ func TestInvokeContextCancelDuringBackoff(t *testing.T) {
 	defer cancel()
 	policy := RetryPolicy{MaxAttempts: 100, Backoff: time.Hour}
 	start := time.Now()
-	_, _, err := Invoke(ctx, nil, svc, service.Request{}, policy)
+	_, _, err := InvokeFunc(ctx, nil, attempt(svc), policy)
 	if err == nil {
 		t.Fatal("expected error")
 	}

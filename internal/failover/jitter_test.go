@@ -51,7 +51,7 @@ func backoffSchedule(t *testing.T, policy RetryPolicy) []time.Duration {
 	t.Helper()
 	svc := alwaysFail("dead", service.ErrUnavailable)
 	clk := newRecordingClock()
-	_, _, err := Invoke(context.Background(), clk, svc, service.Request{}, policy)
+	_, _, err := InvokeFunc(context.Background(), clk, attempt(svc), policy)
 	if err == nil {
 		t.Fatal("expected failure from permanently-failing service")
 	}
@@ -59,16 +59,12 @@ func backoffSchedule(t *testing.T, policy RetryPolicy) []time.Duration {
 }
 
 // TestFullJitterBreaksLockstep is the thundering-herd regression test: two
-// concurrent retriers draw different backoff schedules under FullJitter.
-// On the pre-fix code (no Jitter field, deterministic sleeps) the two
-// schedules were identical every time, so the herd retried in lockstep.
+// concurrent retriers draw different backoff schedules. With deterministic
+// sleeps the two schedules would be identical every time, so the herd
+// would retry in lockstep.
 func TestFullJitterBreaksLockstep(t *testing.T) {
 	seedJitter(7)
-	policy := RetryPolicy{
-		MaxAttempts: 4,
-		Backoff:     100 * time.Millisecond,
-		Jitter:      FullJitter,
-	}
+	policy := RetryPolicy{MaxAttempts: 4, Backoff: 100 * time.Millisecond}
 	a := backoffSchedule(t, policy)
 	b := backoffSchedule(t, policy)
 	if len(a) != 3 || len(b) != 3 {
@@ -88,11 +84,7 @@ func TestFullJitterBreaksLockstep(t *testing.T) {
 // TestFullJitterDeterministicUnderSeed verifies reproducibility: reseeding
 // the shared jitter stream replays the exact same jittered schedule.
 func TestFullJitterDeterministicUnderSeed(t *testing.T) {
-	policy := RetryPolicy{
-		MaxAttempts: 5,
-		Backoff:     50 * time.Millisecond,
-		Jitter:      FullJitter,
-	}
+	policy := RetryPolicy{MaxAttempts: 5, Backoff: 50 * time.Millisecond}
 	seedJitter(123)
 	a := backoffSchedule(t, policy)
 	seedJitter(123)
@@ -107,24 +99,22 @@ func TestFullJitterDeterministicUnderSeed(t *testing.T) {
 	}
 }
 
-// TestJitterBounds checks each mode's slept value stays within its
-// contract on the constant schedule: FullJitter in (0, Backoff], noJitter
-// exactly Backoff before every retry.
+// TestJitterBounds checks each slept value stays within its contract on
+// the constant schedule: a wait in (0, Backoff] before every retry, and no
+// wait at all with a zero Backoff.
 func TestJitterBounds(t *testing.T) {
 	seedJitter(99)
 	base := 80 * time.Millisecond
-	mk := func(j Jitter) RetryPolicy {
-		return RetryPolicy{MaxAttempts: 6, Backoff: base, Jitter: j}
+	ws := backoffSchedule(t, RetryPolicy{MaxAttempts: 6, Backoff: base})
+	if len(ws) != 5 {
+		t.Errorf("slept %v, want a wait before each of 5 retries", ws)
 	}
-	for _, j := range []Jitter{noJitter, FullJitter} {
-		ws := backoffSchedule(t, mk(j))
-		if len(ws) != 5 {
-			t.Errorf("jitter %d slept %v, want a wait before each of 5 retries", j, ws)
+	for _, w := range ws {
+		if w <= 0 || w > base {
+			t.Errorf("slept %v, want in (0, %v]", w, base)
 		}
-		for _, w := range ws {
-			if w <= 0 || w > base || j == noJitter && w != base {
-				t.Errorf("jitter %d slept %v, want in (0, %v], exactly it without jitter", j, w, base)
-			}
-		}
+	}
+	if ws := backoffSchedule(t, RetryPolicy{MaxAttempts: 6}); len(ws) != 0 {
+		t.Errorf("zero Backoff slept %v, want no waits", ws)
 	}
 }

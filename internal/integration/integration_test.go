@@ -468,7 +468,7 @@ func TestBreakerAndDeadlineThroughFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	var breakers struct {
-		Breakers []core.BreakerState `json:"breakers"`
+		Breakers []failover.BreakerState `json:"breakers"`
 	}
 	if err := json.NewDecoder(bresp.Body).Decode(&breakers); err != nil {
 		t.Fatal(err)

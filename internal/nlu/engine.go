@@ -76,9 +76,6 @@ func NewEngine(profile Profile) *Engine {
 	}
 }
 
-// Profile returns the engine's profile.
-func (e *Engine) Profile() Profile { return e.profile }
-
 // fnv64a is hash/fnv's 64-bit FNV-1a inlined to avoid the per-document
 // hasher allocation on the Analyze hot path.
 func fnv64a(s string) uint64 {

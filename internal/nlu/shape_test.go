@@ -49,7 +49,7 @@ func TestNLUShape(t *testing.T) {
 			}
 			if !bytes.Equal(got, want) {
 				t.Fatalf("doc %d profile %s diverged\n got %s\nwant %s",
-					i, engines[j].Profile().Name, got, want)
+					i, oracleProfiles[j].nu.Name, got, want)
 			}
 		}
 	}

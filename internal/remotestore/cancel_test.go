@@ -12,7 +12,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/core"
+	"repro/internal/failover"
 	"repro/internal/kvstore"
 	"repro/internal/metrics"
 )
@@ -36,7 +36,7 @@ func TestCancelledWriteIsNotAnOutage(t *testing.T) {
 			set := metrics.NewSet()
 			mirror := kvstore.NewMemory()
 			tc := newTestCluster(t, n, func(c *ClusterConfig) {
-				c.Breaker = core.BreakerConfig{Threshold: 4, Cooldown: time.Minute}
+				c.Breaker = failover.BreakerConfig{Threshold: 4, Cooldown: time.Minute}
 				c.Timeout = 30 * time.Second
 				c.CacheSize, c.Local, c.Metrics = 16, mirror, set
 			})
@@ -171,7 +171,7 @@ func TestAbandonedProbeFreesBreaker(t *testing.T) {
 	clk := clock.NewVirtual(time.Unix(0, 0))
 	srv, c, _ := newPair(t, ClusterConfig{
 		Clock: clk, Retry: fastRetry, Timeout: 30 * time.Second,
-		Breaker: core.BreakerConfig{Threshold: 1, Cooldown: time.Second},
+		Breaker: failover.BreakerConfig{Threshold: 1, Cooldown: time.Second},
 	})
 	if err := c.Put("k", []byte("v")); err != nil {
 		t.Fatal(err)

@@ -12,7 +12,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/clock"
 	"repro/internal/codec"
-	"repro/internal/core"
 	"repro/internal/failover"
 	"repro/internal/future"
 	"repro/internal/kvstore"
@@ -99,7 +98,7 @@ type ClusterConfig struct {
 	// Breaker configures the per-node circuit breakers. Zero Threshold
 	// means 4 consecutive transient failures with a 2s cooldown; negative
 	// disables breaking.
-	Breaker core.BreakerConfig
+	Breaker failover.BreakerConfig
 	// Retry is the per-node retry policy. Zero MaxAttempts means 2
 	// attempts with 5ms full-jitter backoff.
 	Retry failover.RetryPolicy
@@ -131,7 +130,7 @@ type Cluster struct {
 	local    kvstore.Store
 	clk      clock.Clock
 	retry    failover.RetryPolicy
-	breakers *core.BreakerSet // nil when breaking disabled
+	breakers *failover.BreakerSet // nil when breaking disabled
 	pool     *future.Pool
 
 	ring *ring.Ring
@@ -235,15 +234,15 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	retry := cfg.Retry
 	if retry.MaxAttempts == 0 {
-		retry = failover.RetryPolicy{MaxAttempts: 2, Backoff: 5 * time.Millisecond, Jitter: failover.FullJitter}
+		retry = failover.RetryPolicy{MaxAttempts: 2, Backoff: 5 * time.Millisecond}
 	}
-	var breakers *core.BreakerSet
+	var breakers *failover.BreakerSet
 	brCfg := cfg.Breaker
 	if brCfg.Threshold == 0 {
-		brCfg = core.BreakerConfig{Threshold: 4, Cooldown: 2 * time.Second}
+		brCfg = failover.BreakerConfig{Threshold: 4, Cooldown: 2 * time.Second}
 	}
 	if brCfg.Threshold > 0 {
-		breakers = core.NewBreakerSet(brCfg, clk)
+		breakers = failover.NewBreakerSet(brCfg, clk)
 	}
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -370,7 +369,7 @@ func (cl *Cluster) Stats() Stats {
 
 // BreakerStates summarizes the per-node circuit breakers (empty when
 // breaking is disabled).
-func (cl *Cluster) BreakerStates() []core.BreakerState {
+func (cl *Cluster) BreakerStates() []failover.BreakerState {
 	if cl.breakers == nil {
 		return nil
 	}
@@ -396,7 +395,7 @@ func wrapNodeErr(node string, err error) error {
 // unreachable reports failures that mean the node (or quorum) could not be
 // reached, as opposed to the node answering with an application error.
 func unreachable(err error) bool {
-	return errors.Is(err, service.ErrUnavailable) || errors.Is(err, core.ErrBreakerOpen)
+	return errors.Is(err, service.ErrUnavailable) || errors.Is(err, failover.ErrBreakerOpen)
 }
 
 // nodeDo runs one node operation through the per-node breaker and retry
@@ -405,11 +404,11 @@ func unreachable(err error) bool {
 // against itself.
 func (cl *Cluster) nodeDo(ctx context.Context, node string, op func(ctx context.Context, tr *transport) error) error {
 	tr := cl.nodes[node]
-	var br *core.Breaker
+	var br *failover.Breaker
 	if cl.breakers != nil {
 		br = cl.breakers.For(node)
 		if !br.Allow() {
-			return fmt.Errorf("remotestore: node %s: %w", node, core.ErrBreakerOpen)
+			return fmt.Errorf("remotestore: node %s: %w", node, failover.ErrBreakerOpen)
 		}
 	}
 	req, errc := cl.inst.forNode(node)

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/failover"
 	"repro/internal/kvstore"
 	"repro/internal/raceflag"
@@ -181,7 +180,7 @@ func testShapeThroughput(t *testing.T) {
 			Seed:     1,
 			Workers:  32,
 			Retry:    failover.RetryPolicy{MaxAttempts: 1},
-			Breaker:  core.BreakerConfig{Threshold: -1},
+			Breaker:  failover.BreakerConfig{Threshold: -1},
 			Local:    kvstore.NewMemory(),
 		})
 		if err != nil {
@@ -257,8 +256,8 @@ func newSweepCluster(t *testing.T, n int) (*Cluster, []*Server) {
 		Seed:      1,
 		Workers:   2 * sweepCallers,
 		CacheSize: 0,
-		Retry:     failover.RetryPolicy{MaxAttempts: 2, Backoff: time.Millisecond, Jitter: failover.FullJitter},
-		Breaker:   core.BreakerConfig{Threshold: 4, Cooldown: 300 * time.Millisecond},
+		Retry:     failover.RetryPolicy{MaxAttempts: 2, Backoff: time.Millisecond},
+		Breaker:   failover.BreakerConfig{Threshold: 4, Cooldown: 300 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

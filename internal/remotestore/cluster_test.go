@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/codec"
-	"repro/internal/core"
 	"repro/internal/failover"
 	"repro/internal/kvstore"
 	"repro/internal/metrics"
@@ -50,7 +49,7 @@ func newTestCluster(t *testing.T, n int, mod func(*ClusterConfig)) *testCluster 
 		Replicas: 2,
 		Seed:     1,
 		Retry:    fastRetry,
-		Breaker:  core.BreakerConfig{Threshold: -1}, // off unless a test opts in
+		Breaker:  failover.BreakerConfig{Threshold: -1}, // off unless a test opts in
 	}
 	if mod != nil {
 		mod(&cfg)
@@ -367,7 +366,7 @@ func TestMergeSorted(t *testing.T) {
 
 func TestClusterBreakerOpensAndRecovers(t *testing.T) {
 	tc := newTestCluster(t, 4, func(c *ClusterConfig) {
-		c.Breaker = core.BreakerConfig{Threshold: 2, Cooldown: 50 * time.Millisecond}
+		c.Breaker = failover.BreakerConfig{Threshold: 2, Cooldown: 50 * time.Millisecond}
 		c.CacheSize = 0
 	})
 	key := "breaker-key"

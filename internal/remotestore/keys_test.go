@@ -16,7 +16,7 @@ import (
 	"time"
 	"unicode/utf8"
 
-	"repro/internal/core"
+	"repro/internal/failover"
 	"repro/internal/kvstore"
 )
 
@@ -211,7 +211,7 @@ func TestKeyBytesRoundTripThroughGateway(t *testing.T) {
 	}
 	cl, err := NewCluster(ClusterConfig{
 		Nodes: urls, Replicas: 2, Seed: 1,
-		Retry: fastRetry, Breaker: core.BreakerConfig{Threshold: -1},
+		Retry: fastRetry, Breaker: failover.BreakerConfig{Threshold: -1},
 	})
 	if err != nil {
 		t.Fatal(err)

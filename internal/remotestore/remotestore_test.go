@@ -12,7 +12,7 @@ import (
 	"time"
 
 	"repro/internal/codec"
-	"repro/internal/core"
+	"repro/internal/failover"
 	"repro/internal/kvstore"
 )
 
@@ -313,7 +313,7 @@ func TestSyncOutageMidReplayRequeuesTheRest(t *testing.T) {
 	}))
 	t.Cleanup(hs.Close)
 	// No breaker: the recovery Sync below must not wait out a cooldown.
-	c := oneNode(t, hs.URL, ClusterConfig{Local: kvstore.NewMemory(), Breaker: core.BreakerConfig{Threshold: -1}})
+	c := oneNode(t, hs.URL, ClusterConfig{Local: kvstore.NewMemory(), Breaker: failover.BreakerConfig{Threshold: -1}})
 	c.SetOffline(true)
 	for i := 0; i < 8; i++ {
 		if err := c.Put(fmt.Sprintf("k%d", i), []byte("v")); err != nil {

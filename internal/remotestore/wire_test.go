@@ -17,7 +17,7 @@ import (
 	"testing/iotest"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/failover"
 	"repro/internal/kvstore"
 	"repro/internal/raceflag"
 )
@@ -43,7 +43,7 @@ func TestMidBodyCutIsTransportFailure(t *testing.T) {
 		Local:   mirror,
 		Timeout: 40 * time.Millisecond,
 		Retry:   fastRetry,
-		Breaker: core.BreakerConfig{Threshold: 2, Cooldown: time.Hour},
+		Breaker: failover.BreakerConfig{Threshold: 2, Cooldown: time.Hour},
 	})
 	// 64 chunks 20ms apart: the body takes over a second, the deadline 40ms.
 	srv.setSlowDrip(64, 20*time.Millisecond)
@@ -110,7 +110,7 @@ func TestClusterReusesConnections(t *testing.T) {
 	}
 	c, err := NewCluster(ClusterConfig{
 		Nodes: urls, Replicas: 2, WriteQuorum: 2, Seed: 1, Workers: workers,
-		Retry: fastRetry, Breaker: core.BreakerConfig{Threshold: -1},
+		Retry: fastRetry, Breaker: failover.BreakerConfig{Threshold: -1},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -120,6 +120,10 @@ func TestSearchExpansionChangesRanking(t *testing.T) {
 	if stats.Expanded == 0 {
 		t.Fatal("expansion added no terms for an alias query")
 	}
+	byID := make(map[string]*webcorpus.Document, len(c.Docs))
+	for i := range c.Docs {
+		byID[c.Docs[i].ID] = &c.Docs[i]
+	}
 	seen := make(map[string]bool, len(plain))
 	for _, r := range plain {
 		seen[r.DocID] = true
@@ -130,7 +134,7 @@ func TestSearchExpansionChangesRanking(t *testing.T) {
 			continue
 		}
 		gained++
-		d, ok := c.ByID(r.DocID)
+		d, ok := byID[r.DocID]
 		if !ok {
 			t.Fatalf("expanded hit %s not in corpus", r.DocID)
 		}

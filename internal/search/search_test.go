@@ -24,8 +24,13 @@ func TestSearchFindsRelevantDocs(t *testing.T) {
 		t.Fatal("no results for Acme Corporation")
 	}
 	// Top hit should actually mention the company.
-	top, ok := c.ByID(results[0].DocID)
-	if !ok {
+	var top *webcorpus.Document
+	for i := range c.Docs {
+		if c.Docs[i].ID == results[0].DocID {
+			top = &c.Docs[i]
+		}
+	}
+	if top == nil {
 		t.Fatalf("result doc %s not in corpus", results[0].DocID)
 	}
 	if !strings.Contains(strings.ToLower(top.Body+" "+top.Title), "acme") {

@@ -204,11 +204,5 @@ func generateDoc(i int, rng *xrand.Source, entities []lexicon.Entity) Document {
 	}
 }
 
-// ByID returns the document with the given ID.
-func (c *Corpus) ByID(id string) (*Document, bool) {
-	d, ok := c.byID[id]
-	return d, ok
-}
-
 // Len returns the corpus size.
 func (c *Corpus) Len() int { return len(c.Docs) }

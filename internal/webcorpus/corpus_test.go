@@ -161,12 +161,12 @@ func TestGroundTruthPolarityDetectable(t *testing.T) {
 func TestCorpusLookups(t *testing.T) {
 	c := Generate(Config{Seed: 3, NumDocs: 10})
 	d := c.Docs[4]
-	got, ok := c.ByID(d.ID)
+	got, ok := c.byID[d.ID]
 	if !ok || got.ID != d.ID {
-		t.Errorf("ByID failed for %s", d.ID)
+		t.Errorf("byID failed for %s", d.ID)
 	}
-	if _, ok := c.ByID("nope"); ok {
-		t.Error("ByID(nope) = true")
+	if _, ok := c.byID["nope"]; ok {
+		t.Error("byID[nope] = true")
 	}
 }
 

@@ -162,7 +162,7 @@ func hasPrefixFold(s, prefix string) bool {
 func (c *Corpus) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /docs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		d, ok := c.ByID(r.PathValue("id"))
+		d, ok := c.byID[r.PathValue("id")]
 		if !ok {
 			http.NotFound(w, r)
 			return
