@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race check bench-test flake api fuzz cover bench-rdf bench-search bench-nlu bench-metrics bench-store bench-loop bench-chaos loadgen-smoke fmt fmt-check
+.PHONY: build test vet race check bench-test flake api fuzz cover bench-rdf bench-search bench-nlu bench-metrics bench-store bench-cache bench-loop bench-chaos loadgen-smoke fmt fmt-check
 
 build:
 	$(GO) build ./...
@@ -96,9 +96,10 @@ api:
 # stage counts, Skipped in document order, an abort's error, one fetch and
 # analysis per document, cancellation, no runner goroutine left; byte 1's
 # low bit picks the error policy, its other bits are ignored) and the SDK
-# cache against a per-shard map + list LRU (FuzzSharded: answers, LRU
-# order, stats, TTL, fills a Clear overtakes; each cache draws a random
-# shard-hash seed, so coverage varies run to run and minimisation is off),
+# cache against a per-shard SIEVE model (FuzzSharded: answers, insertion
+# order, visited bits, the hand, stats, TTL, fills a Clear overtakes; each
+# cache draws a random shard-hash seed, so coverage varies run to run and
+# minimisation is off),
 # and the store's body reader and PUT size check against io.ReadAll over
 # io.LimitReader (FuzzReadBody: bytes, errors and the accept/413/400
 # answer for exact, short, long, unknown and huge declared lengths under
@@ -216,6 +217,15 @@ bench-metrics:
 # older round-trip benchmarks.
 bench-store:
 	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem ./internal/codec ./internal/kvstore ./internal/remotestore
+
+# bench-cache runs the SDK cache's benchmarks: a hit, a miss and a Set
+# that evicts on one goroutine, a mixed Get/Set load and the pure hit path
+# at 1/8/64 goroutines against one shard (BenchmarkCacheHitParallel), and
+# the store-mixed client cache's Zipf(1.1) stream replayed into a
+# 256-entry cache, reporting Get hits per op (BenchmarkShardedZipf:
+# hits/op is the SIEVE hit share TestSIEVEHitShareZipf pins).
+bench-cache:
+	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem ./internal/cache
 
 # bench-loop runs the repository benchmark's analyze-loop op — the whole
 # Fig. 5 cycle, search to replicated store — as a Go benchmark on a rig

@@ -112,3 +112,19 @@ func BenchmarkCacheHitParallel(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkShardedZipf replays TestSIEVEHitShareZipf's stream — the
+// store-mixed client cache's traffic — into the same 256-entry one-shard
+// cache, a Get that misses Setting its key, and reports the Get hits per
+// op beside the time.
+func BenchmarkShardedZipf(b *testing.B) {
+	ops := zipfStream(1, 1<<16)
+	m := NewSharded[int](256, withShards(1))
+	hits := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := b.N; n > 0; n -= len(ops) {
+		hits += replay(m, ops[:min(n, len(ops))])
+	}
+	b.ReportMetric(float64(hits)/float64(b.N), "hits/op")
+}

@@ -1,14 +1,14 @@
 // Package cache implements the rich SDK's caching substrate (paper §2):
 // responses from remote services are cached locally to avoid redundant
 // service calls, cut latency, and keep applications running when a service
-// is unreachable. It provides one cache, Sharded — a bounded LRU with a
-// TTL, split into independently locked shards so concurrent hits for
-// different keys take different locks — and request de-duplication
-// (Group, Fill), whose fills a Clear that overtakes them cannot undo.
+// is unreachable. It provides one cache, Sharded — a bounded cache with
+// SIEVE eviction and a TTL, split into independently locked shards so
+// concurrent hits for different keys take different locks — and request
+// de-duplication (Group, Fill), whose fills a Clear that overtakes them
+// cannot undo.
 package cache
 
 import (
-	"container/list"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -78,15 +78,20 @@ func WithClock(c clock.Clock) Option {
 	}
 }
 
-// shard is one independently locked LRU of a Sharded cache: a map for
-// lookup and a list for recency, front = most recently used.
+// shard is one independently locked SIEVE cache of a Sharded cache: a map
+// for lookup and the entries linked in insertion order. A hit only marks
+// its entry visited; the hand walks from the oldest entry toward the
+// newest to pick a victim (see evict). The links live in the entries, so
+// an insert allocates one entry and nothing else.
 type shard[V any] struct {
 	mu       sync.Mutex
 	capacity int
 	ttl      time.Duration // 0 means entries never expire
 	clk      clock.Clock
-	ll       *list.List
-	items    map[string]*list.Element
+	items    map[string]*entry[V]
+	newest   *entry[V]
+	oldest   *entry[V]
+	hand     *entry[V] // next entry evict examines; nil means the oldest
 	stats    Stats
 }
 
@@ -94,6 +99,9 @@ type entry[V any] struct {
 	key     string
 	value   V
 	expires time.Time // zero means no expiry
+	visited bool      // set by a hit or an overwrite, cleared as the hand passes
+	newer   *entry[V] // nil for the newest entry
+	older   *entry[V] // nil for the oldest entry
 }
 
 // init initializes a zero shard in place, so Sharded can lay its shards
@@ -102,8 +110,7 @@ func (m *shard[V]) init(capacity int, o options) {
 	m.capacity = capacity
 	m.ttl = o.ttl
 	m.clk = o.clk
-	m.ll = list.New()
-	m.items = make(map[string]*list.Element, capacity)
+	m.items = make(map[string]*entry[V], capacity)
 }
 
 // get returns the cached value for key, or errNotFound if the key is
@@ -112,43 +119,41 @@ func (m *shard[V]) get(key string) (V, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var zero V
-	el, ok := m.items[key]
+	en, ok := m.items[key]
 	if !ok {
 		m.stats.Misses++
 		return zero, errNotFound
 	}
-	en := el.Value.(*entry[V])
 	if !en.expires.IsZero() && !m.clk.Now().Before(en.expires) {
-		m.removeElement(el)
+		m.unlink(en)
 		m.stats.Expired++
 		m.stats.Misses++
 		return zero, errNotFound
 	}
-	m.ll.MoveToFront(el)
+	en.visited = true
 	m.stats.Hits++
 	return en.value, nil
 }
 
-// peek is a lookup with no LRU or stats side effects.
+// peek is a lookup with no visited-bit or stats side effects.
 func (m *shard[V]) peek(key string) (V, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var zero V
-	el, ok := m.items[key]
+	en, ok := m.items[key]
 	if !ok {
 		return zero, false
 	}
-	en := el.Value.(*entry[V])
 	if !en.expires.IsZero() && !m.clk.Now().Before(en.expires) {
 		return zero, false
 	}
 	return en.value, true
 }
 
-// set stores value under key, evicting the LRU tail when the shard is
-// over capacity. With gen non-nil it stores only while *gen still reads
-// want; the check runs under the shard lock, which Clear takes after it
-// bumps the generation, so no store lands after a Clear that it lost to.
+// set stores value under key; a new key into a full shard first evicts
+// one entry (see evict). With gen non-nil it stores only while *gen still
+// reads want; the check runs under the shard lock, which Clear takes after
+// it bumps the generation, so no store lands after a Clear that it lost to.
 func (m *shard[V]) set(key string, value V, gen *atomic.Uint64, want uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -159,19 +164,45 @@ func (m *shard[V]) set(key string, value V, gen *atomic.Uint64, want uint64) {
 	if m.ttl > 0 {
 		expires = m.clk.Now().Add(m.ttl)
 	}
-	if el, ok := m.items[key]; ok {
-		en := el.Value.(*entry[V])
+	if en, ok := m.items[key]; ok {
 		en.value = value
 		en.expires = expires
-		m.ll.MoveToFront(el)
+		en.visited = true
 		return
 	}
-	el := m.ll.PushFront(&entry[V]{key: key, value: value, expires: expires})
-	m.items[key] = el
-	if m.ll.Len() > m.capacity {
-		m.removeElement(m.ll.Back())
-		m.stats.Evictions++
+	if len(m.items) >= m.capacity {
+		m.evict()
 	}
+	en := &entry[V]{key: key, value: value, expires: expires, older: m.newest}
+	if m.newest != nil {
+		m.newest.newer = en
+	} else {
+		m.oldest = en
+	}
+	m.newest = en
+	m.items[key] = en
+}
+
+// evict removes one entry by SIEVE (Zhang et al., NSDI '24): the hand
+// walks from the oldest entry toward the newest, wrapping to the oldest
+// after the newest, clears each visited bit it passes and evicts the
+// first entry whose bit is clear. The hand stays where it stopped, so
+// the next eviction resumes there. Must be called with the lock held on
+// a non-empty shard.
+func (m *shard[V]) evict() {
+	en := m.hand
+	if en == nil {
+		en = m.oldest
+	}
+	for en.visited {
+		en.visited = false
+		if en = en.newer; en == nil {
+			en = m.oldest
+		}
+	}
+	m.hand = en
+	m.unlink(en) // moves the hand on to the next newer entry
+	m.stats.Evictions++
 }
 
 // remove deletes key if present, expired or not, and reports whether it
@@ -179,31 +210,45 @@ func (m *shard[V]) set(key string, value V, gen *atomic.Uint64, want uint64) {
 func (m *shard[V]) remove(key string) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	el, ok := m.items[key]
+	en, ok := m.items[key]
 	if !ok {
 		return false
 	}
-	m.removeElement(el)
+	m.unlink(en)
 	return true
 }
 
 func (m *shard[V]) clear() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.ll.Init()
-	m.items = make(map[string]*list.Element, m.capacity)
+	m.items = make(map[string]*entry[V], m.capacity)
+	m.newest, m.oldest, m.hand = nil, nil, nil
 }
 
 func (m *shard[V]) snapshot() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	s := m.stats
-	s.Size = m.ll.Len()
+	s.Size = len(m.items)
 	return s
 }
 
-// removeElement must be called with the lock held.
-func (m *shard[V]) removeElement(el *list.Element) {
-	m.ll.Remove(el)
-	delete(m.items, el.Value.(*entry[V]).key)
+// unlink removes en from the shard; it must be called with the lock held.
+// Removing the entry under the hand moves the hand one step on, to the
+// next newer entry.
+func (m *shard[V]) unlink(en *entry[V]) {
+	if en == m.hand {
+		m.hand = en.newer
+	}
+	if en.newer != nil {
+		en.newer.older = en.older
+	} else {
+		m.newest = en.older
+	}
+	if en.older != nil {
+		en.older.newer = en.newer
+	} else {
+		m.oldest = en.newer
+	}
+	delete(m.items, en.key)
 }

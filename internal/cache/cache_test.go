@@ -367,9 +367,10 @@ func TestFillOvertakenByClearNotCached(t *testing.T) {
 	}
 }
 
-// The hit path and an overwrite of a present key allocate nothing, with
-// keys of the SDK's shape (a service prefix and 32 hex digits, which take
-// the sampled-key hash) and short ones (which take FNV-1a).
+// The hit path and an overwrite of a present key allocate nothing, and an
+// evicting Set allocates its entry alone, with keys of the SDK's shape (a
+// service prefix and 32 hex digits, which take the sampled-key hash) and
+// short ones (which take FNV-1a).
 func TestShardedAllocs(t *testing.T) {
 	m := NewSharded[int](1024, WithTTL(time.Hour))
 	keys := make([]string, 0, 64)
@@ -394,5 +395,22 @@ func TestShardedAllocs(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Errorf("Set over a present key: %.1f allocations per %d stores, want 0", allocs, len(keys))
+	}
+	// A new key into a full shard evicts one entry and allocates one: the
+	// entry, which carries its own list links. Twice the capacity in keys,
+	// cycled, makes every Set a new key.
+	full := NewSharded[int](len(keys)/2, withShards(1))
+	for i, k := range keys {
+		full.Set(k, i)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		for i, k := range keys {
+			full.Set(k, i)
+		}
+	}); allocs != float64(len(keys)) {
+		t.Errorf("Set of a new key into a full cache: %.1f allocations per %d stores, want one each", allocs, len(keys))
+	}
+	if s := full.Stats(); s.Evictions < 100*uint64(len(keys)) {
+		t.Errorf("%d evictions, want every Set to evict", s.Evictions)
 	}
 }

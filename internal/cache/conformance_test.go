@@ -3,6 +3,7 @@ package cache
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
@@ -13,14 +14,14 @@ import (
 )
 
 // The conformance suite runs the cache's behavioural contract at one shard
-// and at eight. strictLRU marks the one-shard cache, whose eviction follows
-// a single global LRU list; a multi-shard cache tracks recency per shard,
-// so the global-order subtests apply only to the single list. FuzzSharded
+// and at eight. oneList marks the one-shard cache, whose eviction follows a
+// single SIEVE list and hand; a multi-shard cache keeps one per shard, so
+// the global-order subtests apply only to the single list. FuzzSharded
 // checks per-shard order at both counts against a model.
 type cacheImpl struct {
-	name      string
-	strictLRU bool
-	shards    int
+	name    string
+	oneList bool
+	shards  int
 }
 
 func (impl cacheImpl) mk(capacity int, opts ...Option) *Sharded[int] {
@@ -65,30 +66,48 @@ func TestStoreGetSet(t *testing.T) {
 	})
 }
 
-func TestStoreLRUEviction(t *testing.T) {
+// SIEVE order: a visited entry survives one pass of the hand, and the
+// hand resumes where the last eviction left it, so an old unvisited entry
+// outlives newer ones until the hand wraps round to it. LRU would evict
+// "a" at the fourth insertion below.
+func TestStoreSIEVEEviction(t *testing.T) {
 	forEachImpl(t, func(t *testing.T, impl cacheImpl) {
-		if !impl.strictLRU {
-			t.Skip("global LRU order applies only to single-list caches")
+		if !impl.oneList {
+			t.Skip("global eviction order applies only to single-list caches")
 		}
 		m := impl.mk(3)
+		// holds checks membership with a peek, which leaves visited bits alone.
+		holds := func(step string, want ...string) {
+			t.Helper()
+			for _, k := range []string{"a", "b", "c", "d", "e", "f", "g"} {
+				_, ok := m.shard(k).peek(k)
+				if ok != slices.Contains(want, k) {
+					t.Errorf("%s: holds %q = %v, want the cache to hold exactly %q", step, k, ok, want)
+				}
+			}
+		}
+		get := func(k string) {
+			t.Helper()
+			if _, err := m.Get(k); err != nil {
+				t.Fatalf("Get(%q): %v", k, err)
+			}
+		}
 		m.Set("a", 1)
 		m.Set("b", 2)
 		m.Set("c", 3)
-		// Touch "a" so "b" becomes the eviction candidate.
-		if _, err := m.Get("a"); err != nil {
-			t.Fatal(err)
-		}
+		get("a")
 		m.Set("d", 4)
-		if _, err := m.Get("b"); !errors.Is(err, errNotFound) {
-			t.Error("b should have been evicted")
-		}
-		for _, k := range []string{"a", "c", "d"} {
-			if _, err := m.Get(k); err != nil {
-				t.Errorf("%s should survive: %v", k, err)
-			}
-		}
-		if s := m.Stats(); s.Evictions != 1 {
-			t.Errorf("Evictions = %d, want 1", s.Evictions)
+		holds("visited a survives the sweep", "a", "c", "d")
+		m.Set("e", 5)
+		holds("the hand resumes after b", "a", "d", "e")
+		m.Set("f", 6)
+		holds("a, the oldest, outlives d", "a", "e", "f")
+		get("e")
+		get("f")
+		m.Set("g", 7)
+		holds("the hand wraps to a", "e", "f", "g")
+		if s := m.Stats(); s.Evictions != 4 {
+			t.Errorf("Evictions = %d, want 4", s.Evictions)
 		}
 	})
 }

@@ -38,28 +38,57 @@ const (
 )
 
 // modelEntry and modelShard are the model: per shard a map from key to
-// entry plus a slice of keys from most to least recently used.
+// entry, a slice of keys from oldest to newest insertion (the hand's walk
+// order) and the hand as an index into that slice.
 type modelEntry struct {
 	value   int
 	expires time.Time // zero means no expiry
+	visited bool
 }
 
 type modelShard struct {
 	capacity int
 	entries  map[string]modelEntry
-	order    []string // front = most recently used
+	order    []string // oldest first
+	hand     int      // index in order of the entry the next eviction examines first
 	stats    Stats
 }
 
 func (m *modelShard) touch(key string) {
-	i := slices.Index(m.order, key)
-	m.order = slices.Insert(slices.Delete(m.order, i, i+1), 0, key)
+	e := m.entries[key]
+	e.visited = true
+	m.entries[key] = e
 }
 
+// drop removes key; the hand keeps pointing at the same entry, or at the
+// next newer one if key was under it, wrapping to the oldest past the end.
 func (m *modelShard) drop(key string) {
 	delete(m.entries, key)
 	i := slices.Index(m.order, key)
 	m.order = slices.Delete(m.order, i, i+1)
+	if i < m.hand {
+		m.hand--
+	}
+	if m.hand == len(m.order) {
+		m.hand = 0
+	}
+}
+
+// evict is SIEVE written out over the slice: clear visited bits from the
+// hand on, wrapping at the newest, and drop the first unvisited entry.
+func (m *modelShard) evict() {
+	for {
+		key := m.order[m.hand]
+		e := m.entries[key]
+		if !e.visited {
+			m.drop(key)
+			m.stats.Evictions++
+			return
+		}
+		e.visited = false
+		m.entries[key] = e
+		m.hand = (m.hand + 1) % len(m.order)
+	}
 }
 
 func (m *modelShard) live(key string, now time.Time) (modelEntry, bool) {
@@ -83,27 +112,28 @@ func (m *modelShard) get(key string, now time.Time) (int, bool) {
 }
 
 func (m *modelShard) set(key string, value int, expires time.Time) {
-	if _, ok := m.entries[key]; ok {
-		m.touch(key)
-	} else {
-		m.order = slices.Insert(m.order, 0, key)
+	_, present := m.entries[key]
+	if !present {
+		if len(m.order) == m.capacity {
+			m.evict()
+		}
+		m.order = append(m.order, key)
 	}
-	m.entries[key] = modelEntry{value, expires}
-	if len(m.order) > m.capacity {
-		m.drop(m.order[len(m.order)-1])
-		m.stats.Evictions++
-	}
+	m.entries[key] = modelEntry{value, expires, present}
 }
 
 // FuzzSharded holds a Sharded cache to a model, op by op: Set, Get, Delete,
 // Clear, a step of the virtual clock, and Fill — plain, failing, and one
 // whose fill clears the cache first, which must then not cache its result.
-// The first byte picks one shard (a single strict LRU) or eight and the
-// capacity, the second the TTL. After every op each shard's entries, LRU
-// order and Stats must equal its model shard, partitioned with the cache's
-// own shard function, and Stats must be their sum. The named seeds under
-// testdata/fuzz/FuzzSharded cover LRU order, the capacity bound and split,
-// last write wins, TTL expiry, the hit ratio and a Clear overtaking a fill.
+// The first byte picks one shard (a single SIEVE list) or eight and the
+// capacity, the second the TTL. After every op each shard's entries,
+// insertion order, visited bits, hand position and Stats must equal its
+// model shard, partitioned with the cache's own shard function, and Stats
+// must be their sum. The named seeds under testdata/fuzz/FuzzSharded cover
+// eviction order (the lru-order-* files predate SIEVE and replay as
+// plain op sequences), the hand across evictions, deletes and expiry, the
+// capacity bound and split, last write wins, TTL expiry, the hit ratio and
+// a Clear overtaking a fill.
 func FuzzSharded(f *testing.F) {
 	f.Add([]byte{0x04, 0x00, opSet, 0, opSet, 1, opGet, 0, opSet, 2, opGet, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -151,6 +181,7 @@ func FuzzSharded(f *testing.F) {
 			for i := range model {
 				model[i].entries = map[string]modelEntry{}
 				model[i].order = nil
+				model[i].hand = 0
 			}
 		}
 		boom := errors.New("fill failed")
@@ -225,15 +256,31 @@ func FuzzSharded(f *testing.F) {
 			for s := range c.shards {
 				sh, m := &c.shards[s], &model[s]
 				var order []string
-				for el := sh.ll.Front(); el != nil; el = el.Next() {
-					en := el.Value.(*entry[int])
-					if want := m.entries[en.key]; en.value != want.value || !en.expires.Equal(want.expires) {
-						t.Fatalf("op %d: shard %d holds %q = (%d, %v), model (%d, %v)", i, s, en.key, en.value, en.expires, want.value, want.expires)
+				hand := -1 // a nil hand starts at the oldest entry, index 0
+				if sh.hand == nil {
+					hand = 0
+				}
+				var prev *entry[int]
+				for en := sh.oldest; en != nil; prev, en = en, en.newer {
+					if en.older != prev || sh.items[en.key] != en {
+						t.Fatalf("op %d: shard %d: %q is linked after the wrong entry or missing from the map", i, s, en.key)
+					}
+					if want := m.entries[en.key]; en.value != want.value || !en.expires.Equal(want.expires) || en.visited != want.visited {
+						t.Fatalf("op %d: shard %d holds %q = (%d, %v, visited %v), model (%d, %v, visited %v)", i, s, en.key, en.value, en.expires, en.visited, want.value, want.expires, want.visited)
+					}
+					if en == sh.hand {
+						hand = len(order)
 					}
 					order = append(order, en.key)
 				}
-				if !slices.Equal(order, m.order) {
-					t.Fatalf("op %d: shard %d LRU order %q, model %q", i, s, order, m.order)
+				if !slices.Equal(order, m.order) || sh.newest != prev || len(sh.items) != len(order) {
+					t.Fatalf("op %d: shard %d insertion order %q (newest %p, map %d), model %q", i, s, order, sh.newest, len(sh.items), m.order)
+				}
+				if hand < 0 {
+					t.Fatalf("op %d: shard %d hand points at no entry of %q", i, s, order)
+				}
+				if hand != m.hand {
+					t.Fatalf("op %d: shard %d hand at %d of %q, model %d", i, s, hand, order, m.hand)
 				}
 				want := m.stats
 				want.Size = len(m.order)

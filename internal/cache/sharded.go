@@ -9,9 +9,9 @@ import (
 	"repro/internal/clock"
 )
 
-// Sharded is a bounded LRU cache split across N power-of-two shards, each
-// with its own mutex, LRU list, and statistics. Keys map to shards by a
-// seeded constant-cost hash over a sample of the key (see shard), so
+// Sharded is a bounded SIEVE cache split across N power-of-two shards, each
+// with its own mutex, list and hand, and statistics. Keys map to shards by
+// a seeded constant-cost hash over a sample of the key (see shard), so
 // concurrent lookups for different keys contend on different locks — the
 // memcached-style answer to a single-mutex hit path serializing every
 // cache hit in the process (PAPERS.md: Nishtala et al., "Scaling Memcache
@@ -19,9 +19,9 @@ import (
 //
 // The total capacity is divided across the shards (the shard capacities
 // sum to exactly the configured capacity), so the cache never holds more
-// entries than that. Eviction is per shard: a hot shard evicts its own LRU
-// tail even while other shards have room, which is the usual sharding
-// trade-off against a global LRU order.
+// entries than that. Eviction is per shard: a hot shard evicts by its own
+// hand even while other shards have room, which is the usual sharding
+// trade-off against one global eviction order.
 //
 // Sharded is safe for concurrent use.
 type Sharded[V any] struct {
@@ -52,7 +52,7 @@ func ceilPow2(n int) int {
 	return p
 }
 
-// NewSharded returns a sharded LRU cache holding at most capacity entries
+// NewSharded returns a sharded SIEVE cache holding at most capacity entries
 // in total. capacity must be >= 1; smaller values are clamped to 1. The
 // shard count follows GOMAXPROCS (see defaultShards) and is halved until
 // every shard holds at least one entry.

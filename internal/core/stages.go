@@ -69,7 +69,7 @@ func traceStage(tr *trace.Tracer) Middleware {
 	}
 }
 
-// cacheStage serves cacheable calls from the client's sharded LRU,
+// cacheStage serves cacheable calls from the client's sharded SIEVE cache,
 // de-duplicating concurrent misses for the same key through flight so one
 // backend call feeds every waiter (paper §2: caching avoids redundant
 // service calls). Calls that are not cacheable, or carry NoCache, pass

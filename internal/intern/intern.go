@@ -23,14 +23,11 @@
 // unknown-token marker) and ID-indexed side tables are plain slices.
 package intern
 
-import "repro/internal/metrics"
-
 // Dict is a mutable two-way symbol table assigning dense uint32 IDs.
 // The zero value is not ready for use; call NewDict.
 type Dict[T comparable] struct {
-	ids   map[T]uint32
-	vals  []T
-	gauge *metrics.Gauge // optional size gauge; nil-safe, updated on growth
+	ids  map[T]uint32
+	vals []T
 }
 
 // NewDict returns an empty dictionary.
@@ -46,19 +43,7 @@ func (d *Dict[T]) Intern(v T) uint32 {
 	id := uint32(len(d.vals))
 	d.ids[v] = id
 	d.vals = append(d.vals, v)
-	d.gauge.Set(int64(len(d.vals)))
 	return id
-}
-
-// WatchLen attaches a dictionary-size gauge: it is set to the current
-// size immediately and kept current by every Intern that assigns a new
-// ID (hit-path lookups never touch it) and by Reset. A nil gauge is
-// inert, so uninstrumented dictionaries pay one nil check per new term.
-// The owner's locking discipline covers the gauge: WatchLen must be
-// called under the same synchronization as Intern.
-func (d *Dict[T]) WatchLen(g *metrics.Gauge) {
-	d.gauge = g
-	g.Set(int64(len(d.vals)))
 }
 
 // Lookup returns v's ID without assigning one. A miss means no interned
@@ -82,7 +67,6 @@ func (d *Dict[T]) Len() int { return len(d.vals) }
 func (d *Dict[T]) Reset() {
 	clear(d.ids)
 	d.vals = d.vals[:0]
-	d.gauge.Set(0)
 }
 
 // Freeze converts the dictionary into an immutable snapshot, taking

@@ -2,7 +2,6 @@ package rdf
 
 import (
 	"fmt"
-	"time"
 )
 
 // Well-known vocabulary IRIs.
@@ -110,15 +109,6 @@ func ForwardChainStats(g *Graph, rules []Rule, maxIterations int) (ChainStats, e
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if o := g.obs; o != nil {
-		start := time.Now()
-		defer func() {
-			o.chain.Observe(time.Since(start))
-			o.rounds.Add(uint64(stats.Rounds))
-			o.derived.Add(uint64(stats.Derived))
-			o.seeded.Add(uint64(stats.Seeded))
-		}()
-	}
 	f := g.fix
 	if f == nil {
 		f = &fixpoint{}

@@ -10,7 +10,6 @@ package rdf
 
 import (
 	"sort"
-	"time"
 )
 
 // Position roles inside a compiled pattern.
@@ -332,13 +331,6 @@ type solutions struct {
 func (g *Graph) solveRows(patterns []Statement) solutions {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	if o := g.obs; o != nil {
-		start := time.Now()
-		defer func() {
-			o.solve.Observe(time.Since(start))
-			o.patterns.Add(uint64(len(patterns)))
-		}()
-	}
 	pats, vars := g.compileBGP(patterns, false)
 	nv := len(vars)
 	var plan joinPlan

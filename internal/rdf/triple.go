@@ -123,9 +123,6 @@ type Graph struct {
 	osp   map[uint32]map[uint32][]uint32
 	// Per-term statement counts by position, for selectivity estimates.
 	nS, nP, nO map[uint32]int
-	// obs holds the graph's instruments (nil until Instrument attaches
-	// them); guarded by mu like everything else here.
-	obs *rdfObs
 	// fix is what forward chaining remembers between calls (nil until the
 	// first ForwardChain); see fixpoint in reason.go.
 	fix *fixpoint
