@@ -15,9 +15,9 @@ vet:
 # layer's concurrency tests (sharded stores, singleflight cancellation,
 # concurrent disk writers). Timing-sensitive guards
 # (TestTraceOverheadFacade, TestCloudStoreShape's Throughput4v1 and
-# Scale1to8, TestRDFInferenceShape's and TestStormShedding's timing legs)
-# and the allocation-count guards skip themselves here; run plain
-# `make test` to exercise them.
+# Scale1to8, TestStormShedding's timing legs) and the allocation-count
+# guards skip themselves here; run plain `make test` to exercise them.
+# TestRDFInferenceShape asserts counts only and runs here in full.
 race:
 	$(GO) test -race ./...
 
@@ -122,7 +122,12 @@ api:
 # push, coalesce, drain, requeue and drops past maxPending (FuzzWriteQueue;
 # minimisation off: a burst of 4 096 pushes makes each step slow), and the
 # circuit breaker against a plain closed/open/half-open model on a virtual
-# clock under Allow, Record and Advance (FuzzBreaker). Plain
+# clock under Allow, Record and Advance (FuzzBreaker), and the PMI builder
+# against a map model after every document and its top-k Build against a
+# full sort (FuzzPMIBuilder: empty documents, repeats inside the window,
+# IDs far above any seen, the dictionary empty while AddIDs counts;
+# minimisation off: with it on the engine sits at 0 execs/sec, ~23 000
+# execs in 12 s on 2 cores against ~104 000 with it off). Plain
 # `go test` replays only the committed seed corpora under testdata/fuzz;
 # a failure found here is written there.
 FUZZTIME ?= 10s
@@ -148,6 +153,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCSVRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/csvconv
 	$(GO) test -run '^$$' -fuzz '^FuzzAnalyzeMatchesReference$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 0s ./internal/nlu
 	$(GO) test -run '^$$' -fuzz '^FuzzPairCounts$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 0s ./internal/lexicon
+	$(GO) test -run '^$$' -fuzz '^FuzzPMIBuilder$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 0s ./internal/lexicon
 	$(GO) test -run '^$$' -fuzz '^FuzzPostingBlocks$$' -fuzztime $(FUZZTIME) ./internal/search
 
 # cover runs the full suite with per-package coverage percentages.
@@ -180,8 +186,12 @@ bench-rdf:
 # (BenchmarkBuildIndex), and the traffic the repository benchmark sends:
 # three-word queries drawn from document bodies of the 20k seed-1 index,
 # alternating TuningG plain and TuningB expanded (BenchmarkSearchMix).
+# BenchmarkBuildIndex runs once more at -cpu 1,2: the build counts PMI
+# pairs on a second goroutine, so the -1 line is the handoff's cost on
+# one core beside the -2 line's gain on two.
 bench-search:
 	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem ./internal/search
+	$(GO) test -run '^$$' -bench 'BenchmarkBuildIndex' -cpu 1,2 -benchmem ./internal/search
 
 # bench-nlu runs the NLU engine benchmarks: the interned token-ID hot
 # path vs the frozen pre-interning engines (internal/nlu/nluref), per

@@ -95,12 +95,15 @@ func (x *Expander) Expand(term string, max int) []Expansion {
 
 // sortExpansions orders by weight descending, term ascending.
 func sortExpansions(s []Expansion) {
-	slices.SortFunc(s, func(a, b Expansion) int {
-		if c := cmp.Compare(b.Weight, a.Weight); c != 0 {
-			return c
-		}
-		return strings.Compare(a.Term, b.Term)
-	})
+	slices.SortFunc(s, compareExpansions)
+}
+
+// compareExpansions is sortExpansions' order.
+func compareExpansions(a, b Expansion) int {
+	if c := cmp.Compare(b.Weight, a.Weight); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Term, b.Term)
 }
 
 // synonymTable links every content token of an entity's surface forms to
@@ -205,12 +208,14 @@ func NewPMIBuilder(dict *intern.Dict[string]) *PMIBuilder {
 
 // AddIDs observes one document's term IDs, in order. The caller filters
 // stopwords and interns each term in the builder's dictionary; the
-// builder only windows and counts.
+// builder only windows and counts. It sizes its occurrence counts from
+// the IDs it is given and never reads the dictionary, so the search index
+// can call it on a goroutine of its own while its scan goes on interning.
 func (b *PMIBuilder) AddIDs(ids []uint32) {
-	if n := b.dict.Len(); n > len(b.occ) {
-		b.occ = append(b.occ, make([]int, n-len(b.occ))...)
-	}
 	for i, x := range ids {
+		if int(x) >= len(b.occ) {
+			b.occ = append(b.occ, make([]int, int(x)+1-len(b.occ))...)
+		}
 		b.occ[x]++
 		end := i + pmiWindow
 		if end >= len(ids) {
@@ -235,17 +240,19 @@ func (b *PMIBuilder) AddIDs(ids []uint32) {
 // map PMI monotonically into (0, 1) via pmi/(1+pmi), so a just-above-
 // floor association weighs around 0.5 and weights approach 1 only for
 // extreme associations — comparable to, but never exceeding, the
-// gazetteer synonym weight. The result is deterministic for a given
-// input sequence regardless of the pair table's slot order. Each
-// neighbour list is exactly as long as it is kept: the table lives as
-// long as the index, so the neighbours cut by pmiMaxNeighbors must not stay
-// behind as capacity.
+// gazetteer synonym weight. Each term keeps its pmiMaxNeighbors best
+// neighbours in sortExpansions' order: a neighbour is inserted into the
+// term's short sorted list, or dropped when it ranks below a full list's
+// last, so no term's whole neighbourhood is ever sorted. The order is
+// total (a term meets each neighbour once), so the result is
+// deterministic for a given input sequence regardless of the pair
+// table's slot order. Each neighbour list is exactly as long as it is
+// kept: the table lives as long as the index, so it holds no spare
+// capacity. The dictionary must hold every ID AddIDs was given and stay
+// unfrozen until Build returns: Build names terms through it.
 func (b *PMIBuilder) Build() map[string][]Expansion {
-	type neighbor struct {
-		term uint32
-		pmi  float64
-	}
-	byTerm := make([][]neighbor, len(b.occ))
+	top := make([]Expansion, len(b.occ)*pmiMaxNeighbors)
+	kept := make([]int, len(b.occ))
 	n := float64(b.total)
 	for _, e := range b.pairs.slots {
 		if e.n < pmiMinCount {
@@ -256,32 +263,47 @@ func (b *PMIBuilder) Build() map[string][]Expansion {
 		if pmi < pmiMinPMI {
 			continue
 		}
-		byTerm[x] = append(byTerm[x], neighbor{y, pmi})
-		byTerm[y] = append(byTerm[y], neighbor{x, pmi})
+		w := pmi / (1 + pmi)
+		keepBest(top, kept, x, Expansion{Term: b.dict.Value(y), Weight: w})
+		keepBest(top, kept, y, Expansion{Term: b.dict.Value(x), Weight: w})
 	}
-	terms, kept := 0, 0
-	for _, ns := range byTerm {
-		if len(ns) > 0 {
+	terms, total := 0, 0
+	for _, k := range kept {
+		if k > 0 {
 			terms++
-			kept += min(len(ns), pmiMaxNeighbors)
+			total += k
 		}
 	}
-	arena := make([]Expansion, kept)
+	arena := make([]Expansion, total)
 	table := make(map[string][]Expansion, terms)
-	var s []Expansion
-	for id, ns := range byTerm {
-		if len(ns) == 0 {
+	for id, k := range kept {
+		if k == 0 {
 			continue
 		}
-		s = s[:0]
-		for _, nb := range ns {
-			s = append(s, Expansion{Term: b.dict.Value(nb.term), Weight: nb.pmi / (1 + nb.pmi)})
-		}
-		sortExpansions(s)
-		k := copy(arena, s[:min(len(s), pmiMaxNeighbors)])
+		off := id * pmiMaxNeighbors
+		copy(arena, top[off:off+k])
 		table[b.dict.Value(uint32(id))], arena = arena[:k:k], arena[k:]
 	}
 	return table
+}
+
+// keepBest inserts e into term x's neighbour list (top's pmiMaxNeighbors
+// slots from x·pmiMaxNeighbors, the first kept[x] in use) at its place
+// in sortExpansions' order, dropping the list's last when it is full.
+func keepBest(top []Expansion, kept []int, x uint32, e Expansion) {
+	off := int(x) * pmiMaxNeighbors
+	s := top[off : off+pmiMaxNeighbors]
+	i := kept[x]
+	for i > 0 && compareExpansions(e, s[i-1]) < 0 {
+		i--
+	}
+	if i == pmiMaxNeighbors {
+		return
+	}
+	k := min(kept[x]+1, pmiMaxNeighbors)
+	copy(s[i+1:k], s[i:k-1])
+	s[i] = e
+	kept[x] = k
 }
 
 // pairTable counts uint64 keys in one flat open-addressed array (linear

@@ -298,7 +298,12 @@ func WithExpansion(lexicon.PMIConfig) IndexOption {
 	return func(c *indexConfig) { c.expansion = true }
 }
 
-// BuildIndex indexes every document in the corpus.
+// BuildIndex indexes every document in the corpus. It scans each body
+// and title once on the calling goroutine. With WithExpansion, the
+// term IDs the scan produces are counted for the PMI table on a second
+// goroutine (see pmiCounter), which then builds the table while the
+// caller codes the posting lists; BuildIndex joins it before it freezes
+// the dictionary, so it returns with nothing left running.
 func BuildIndex(c *webcorpus.Corpus, opts ...IndexOption) *Index {
 	var cfg indexConfig
 	for _, o := range opts {
@@ -311,9 +316,9 @@ func BuildIndex(c *webcorpus.Corpus, opts ...IndexOption) *Index {
 		docLen: make([]uint32, len(c.Docs)),
 		news:   make([]uint64, (len(c.Docs)+63)/64),
 	}
-	var pmi *lexicon.PMIBuilder
+	var pmi *pmiCounter
 	if cfg.expansion {
-		pmi = lexicon.NewPMIBuilder(dict)
+		pmi = startPMICounter(dict)
 	}
 	// One scan per body and title resolves each kept token straight to
 	// its term ID: the token is lowered into buf and looked up by its
@@ -356,8 +361,8 @@ func BuildIndex(c *webcorpus.Corpus, opts ...IndexOption) *Index {
 		idx.docLen[i] = uint32(len(bodyIDs))
 		totalLen += len(bodyIDs)
 		if pmi != nil {
-			pmi.AddIDs(bodyIDs)
-			pmi.AddIDs(titleIDs)
+			pmi.add(bodyIDs)
+			pmi.add(titleIDs)
 		}
 		if n := dict.Len(); n > len(lists) {
 			lists = append(lists, make([][]posting, n-len(lists))...)
@@ -384,6 +389,9 @@ func BuildIndex(c *webcorpus.Corpus, opts ...IndexOption) *Index {
 		}
 		touched = touched[:0]
 	}
+	if pmi != nil {
+		pmi.finish()
+	}
 	if len(c.Docs) > 0 {
 		idx.avgLen = float64(totalLen) / float64(len(c.Docs))
 	}
@@ -399,10 +407,10 @@ func BuildIndex(c *webcorpus.Corpus, opts ...IndexOption) *Index {
 	for tid, posts := range lists {
 		idx.terms[tid], idx.arena = codeList(idx.arena, posts, docLen)
 	}
-	// The PMI builder names its terms through dict, so it builds before
-	// the dictionary is frozen.
+	// The PMI builder names its terms through dict, so the counter is
+	// joined before the dictionary is frozen.
 	if pmi != nil {
-		idx.expander = lexicon.NewExpander().WithCooccurrence(pmi.Build())
+		idx.expander = lexicon.NewExpander().WithCooccurrence(<-pmi.table)
 	}
 	idx.dict = dict.Freeze()
 	if cfg.set != nil {
@@ -413,6 +421,86 @@ func BuildIndex(c *webcorpus.Corpus, opts ...IndexOption) *Index {
 			metrics.Label{Name: "dict", Value: "search"}).Set(int64(idx.dict.Len()))
 	}
 	return idx
+}
+
+// The PMI counter's handoff: the scan fills batches of up to
+// pmiBatchIDs term IDs, and pmiBatches batches circulate between the
+// scan and the counter, so the scan runs at most that many batches
+// ahead and allocates no batch after the first pmiBatches. Both of the
+// counter's channels hold every batch, so no send on them blocks: the
+// scan waits only for a free batch.
+const (
+	pmiBatchIDs = 1 << 14
+	pmiBatches  = 4
+)
+
+// idBatch is a run of term-ID slices in document order, flat: slice i
+// is ids[ends[i-1]:ends[i]] (from 0 for the first).
+type idBatch struct {
+	ids  []uint32
+	ends []int
+}
+
+// pmiCounter feeds a lexicon.PMIBuilder on a goroutine of its own. The
+// scan appends each document's body and title IDs to the batch it holds
+// (add) and hands the batch over on full when the next slice would not
+// fit. The counter calls AddIDs on each slice in order, so the builder
+// sees exactly the sequence an inline build would, and returns the
+// emptied batch on free. After finish closes full, the counter runs
+// PMIBuilder.Build and sends its table on table. The builder never reads
+// the dictionary while it counts (AddIDs' contract), and Build runs only
+// after the scan's last intern, which the close orders before it.
+type pmiCounter struct {
+	cur   *idBatch
+	full  chan *idBatch
+	free  chan *idBatch
+	table chan map[string][]lexicon.Expansion
+}
+
+// startPMICounter starts a counter over dict's term IDs.
+func startPMICounter(dict *intern.Dict[string]) *pmiCounter {
+	c := &pmiCounter{
+		full:  make(chan *idBatch, pmiBatches),
+		free:  make(chan *idBatch, pmiBatches),
+		table: make(chan map[string][]lexicon.Expansion, 1),
+	}
+	for range pmiBatches {
+		c.free <- &idBatch{ids: make([]uint32, 0, pmiBatchIDs)}
+	}
+	c.cur = <-c.free
+	go func(pmi *lexicon.PMIBuilder) {
+		for bt := range c.full {
+			start := 0
+			for _, end := range bt.ends {
+				pmi.AddIDs(bt.ids[start:end])
+				start = end
+			}
+			bt.ids, bt.ends = bt.ids[:0], bt.ends[:0]
+			c.free <- bt
+		}
+		c.table <- pmi.Build()
+	}(lexicon.NewPMIBuilder(dict))
+	return c
+}
+
+// add appends one ID slice to the current batch, handing the batch
+// over first when the slice would overflow it.
+func (c *pmiCounter) add(ids []uint32) {
+	if len(c.cur.ends) > 0 && len(c.cur.ids)+len(ids) > cap(c.cur.ids) {
+		c.full <- c.cur
+		c.cur = <-c.free
+	}
+	c.cur.ids = append(c.cur.ids, ids...)
+	c.cur.ends = append(c.cur.ends, len(c.cur.ids))
+}
+
+// finish hands over the last batch and tells the counter the scan is
+// done.
+func (c *pmiCounter) finish() {
+	if len(c.cur.ends) > 0 {
+		c.full <- c.cur
+	}
+	close(c.full)
 }
 
 // isNews reports whether doc is a news document (kind bitmap probe).
